@@ -9,24 +9,22 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .conditions import classify, weak_direct
+from .conditions import classify
 from .descriptors import (
+    _parse_fields,
     matrix_from_json,
     matrix_to_json,
     parse_descriptor,
     resolve,
     with_parameter,
 )
-from .encoding import encode
 from .examples import EXAMPLE_IDS, PASS_TOL, _deviation, run_example
-from .metrology import incompatibility, qcr_scalar, qfim
+from .metrology import incompatibility, qcr_scalar
 from .operator_core import ValidationError
 from .selftest import run_selftest
-from .sld import sld_rotated
 
 SWEEP_COLUMNS = [
     "parameter",
@@ -51,22 +49,18 @@ def _read_text(path):
         raise ValidationError(f"cannot read {path}: {err.strerror}") from err
 
 
-def _classification_payload(rho, hs, theta, weight, zero_tol, rank_tol):
-    report = classify(rho, hs, theta=theta, tol=zero_tol)
-    pt = encode(hs, theta)
-    slds = sld_rotated(rho.spectrum, pt)
-    f = qfim(rho, slds)
-    w = weak_direct(rho, slds)
-    notices = []
+def _incompatibility(report):
+    """(E, None) from the report's QFIM and W, or (None, notice) when singular."""
     try:
-        e_value = incompatibility(f, w).e_value
+        return incompatibility(report.qfim, report.W).e_value, None
     except ValidationError as err:
-        e_value = None
-        notices.append(str(err))
-    qcr = None
-    if e_value is not None:
-        qcr = qcr_scalar(f, weight)
-    payload = {
+        return None, str(err)
+
+
+def _classification_payload(report, weight, rank_tol):
+    f = report.qfim
+    e_value, notice = _incompatibility(report)
+    return {
         "dim": report.dim,
         "rank": report.rank,
         "theta": [float(v) for v in report.theta],
@@ -75,21 +69,20 @@ def _classification_payload(rho, hs, theta, weight, zero_tol, rank_tol):
         "hierarchy_consistent": report.hierarchy_consistent,
         "converse_failures": report.converse_failures,
         "scale": report.scale,
-        "tolerances": {"zero_tol": zero_tol, "rank_tol": rank_tol},
+        "tolerances": {"zero_tol": report.tolerance, "rank_tol": rank_tol},
         "qfim": matrix_to_json(f.matrix),
         "qfim_rank": f.rank,
         "qfim_condition_number": (
             f.condition_number if np.isfinite(f.condition_number) else None
         ),
         "E": e_value,
-        "qcr": qcr,
-        "notices": notices,
+        "qcr": None if e_value is None else qcr_scalar(f, weight),
+        "notices": [] if notice is None else [notice],
     }
-    return payload, report
 
 
 def cmd_classify(args):
-    desc = parse_descriptor(_read_text(args.file))
+    desc = _parse_fields(_read_text(args.file))
     if args.rank_tol is not None:
         if args.rank_tol <= 0:
             raise ValidationError("--rank-tol must be positive")
@@ -112,9 +105,8 @@ def cmd_classify(args):
         if np.max(np.abs(weight.imag)) > 1e-12:
             raise ValidationError("weight_matrix: must be real")
         weight = weight.real
-    payload, _ = _classification_payload(
-        rho, hs, theta, weight, desc.zero_tol, desc.rank_tol
-    )
+    report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
+    payload = _classification_payload(report, weight, desc.rank_tol)
     if args.json:
         print(json.dumps(payload, separators=(",", ":")))
     else:
@@ -156,6 +148,8 @@ def _parse_grid(text):
         n = int(parts[2])
     except ValueError as err:
         raise ValidationError(f"--grid {text!r}: {err}") from err
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValidationError(f"--grid {text!r}: endpoints must be finite")
     if n < 1:
         raise ValidationError("--grid needs n >= 1 points")
     return np.linspace(a, b, n)
@@ -168,13 +162,7 @@ def _sweep_point(desc, name, value):
     except ValidationError as err:
         raise ValidationError(f"grid value {name}={value:g}: {err}") from err
     report = classify(rho, hs, theta=theta, tol=point.zero_tol)
-    pt = encode(hs, theta)
-    slds = sld_rotated(rho.spectrum, pt)
-    f = qfim(rho, slds)
-    try:
-        e_text = f"{incompatibility(f, weak_direct(rho, slds)).e_value:.12g}"
-    except ValidationError:
-        e_text = "singular"
+    e_value, _ = _incompatibility(report)
     return [
         name,
         f"{value:.12g}",
@@ -186,28 +174,29 @@ def _sweep_point(desc, name, value):
         str(int(report.flags["PC"])),
         str(int(report.flags["OC"])),
         str(int(report.flags["SC"])),
-        e_text,
+        "singular" if e_value is None else f"{e_value:.12g}",
     ]
 
 
 def cmd_sweep(args):
     desc = parse_descriptor(_read_text(args.file))
     grid = _parse_grid(args.grid)
-    jobs = args.jobs
+    # --jobs and METROCOMMUTE_JOBS are validated but do not change evaluation:
+    # each point is Python-bound, and threads under the interpreter lock run
+    # the grid no faster than this serial loop
+    jobs, source = args.jobs, "--jobs"
     if jobs is None:
-        jobs = int(os.environ.get("METROCOMMUTE_JOBS", "1"))
+        source = "METROCOMMUTE_JOBS"
+        text = os.environ.get(source, "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValidationError(f"{source} must be an integer, got {text!r}") from None
     if jobs < 1:
-        raise ValidationError("--jobs must be >= 1")
+        raise ValidationError(f"{source} must be >= 1")
     # validate the parameter name up front for a clean error before any work
     with_parameter(desc, args.param, float(grid[0]))
-    rows = []
-    if jobs == 1:
-        rows = [_sweep_point(desc, args.param, float(v)) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda v: _sweep_point(desc, args.param, float(v)), grid)
-            )
+    rows = [_sweep_point(desc, args.param, float(v)) for v in grid]
     print(",".join(SWEEP_COLUMNS))
     for row in rows:
         print(",".join(row))
@@ -270,7 +259,10 @@ def build_parser():
         "--jobs",
         type=int,
         default=None,
-        help="parallel evaluations (default: METROCOMMUTE_JOBS or 1)",
+        help=(
+            "accepted and validated for compatibility (default: "
+            "METROCOMMUTE_JOBS or 1); points are always evaluated serially"
+        ),
     )
     p_sweep.set_defaults(func=cmd_sweep)
 

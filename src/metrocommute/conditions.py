@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import encode
+from .metrology import QfimResult, qfim
 from .operator_core import ValidationError, commutator, dagger, swap_operator, tensor
 from .sld import sld_rotated
 
@@ -510,6 +511,8 @@ class ClassificationReport:
     theta: np.ndarray
     rank: int
     dim: int
+    W: ScalarConditionMatrix
+    qfim: QfimResult
 
 
 CHAIN = ["SC", "OC", "PC", "WC"]
@@ -520,7 +523,8 @@ def classify(rho, h_set, theta=None, tol=1e-8):
 
     The zero test for each condition is frobenius_norm <= tol * scale with
     scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
-    every condition matrix in the generators.
+    every condition matrix in the generators. The report also carries W and
+    the QFIM, both from the one SLD set, so callers need no second pass.
     """
     if theta is None:
         theta = np.zeros(h_set.m)
@@ -565,4 +569,6 @@ def classify(rho, h_set, theta=None, tol=1e-8):
         theta=np.asarray(theta, dtype=float),
         rank=rho.rank,
         dim=rho.dim,
+        W=w,
+        qfim=qfim(rho, slds),
     )

@@ -192,12 +192,9 @@ def _parse_hamiltonian_spec(value, path):
     _fail(path, "expected a matrix object or a family object")
 
 
-def parse_descriptor(source):
-    """Parse a descriptor from JSON text or an already-decoded dict.
-
-    Raises ValidationError with a field-precise path on any defect; malformed
-    JSON is reported with line and column.
-    """
+def _parse_fields(source):
+    """parse_descriptor without the final resolve: every field checked and
+    canonicalized, the state and Hamiltonians not yet materialized."""
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -275,7 +272,7 @@ def parse_descriptor(source):
             if zero_tol <= 0:
                 _fail("tolerances.zero_tol", "must be positive")
 
-    desc = ProblemDescriptor(
+    return ProblemDescriptor(
         state_spec=state_spec,
         hamiltonian_specs=ham_specs,
         theta=theta,
@@ -283,6 +280,15 @@ def parse_descriptor(source):
         rank_tol=rank_tol,
         zero_tol=zero_tol,
     )
+
+
+def parse_descriptor(source):
+    """Parse a descriptor from JSON text or an already-decoded dict.
+
+    Raises ValidationError with a field-precise path on any defect; malformed
+    JSON is reported with line and column.
+    """
+    desc = _parse_fields(source)
     resolve(desc)  # full validation up front: every parse yields usable objects
     return desc
 

@@ -733,14 +733,17 @@ def _qutrit_pair_kets():
     return psi1, psi2
 
 
-def _ex9_pipeline(lam, a, a_prime):
+def _ex9_problem(lam, a, a_prime):
     if not 0.0 < lam < 1.0:
         raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
     psi1, psi2 = _qutrit_pair_kets()
     eta = a * COUPLER_01 + a_prime * DIAG_01
-    hams = [tensor(eta, EYE3), tensor(EYE3, eta)]
     rho = density_from_eigpairs([(lam, psi1), (1.0 - lam, psi2)])
-    hs = hamiltonian_set(hams)
+    return rho, hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)])
+
+
+def _ex9_pipeline(lam, a, a_prime):
+    rho, hs = _ex9_problem(lam, a, a_prime)
     pt = encode(hs, np.zeros(2))
     slds = sld_rotated(rho.spectrum, pt)
     return rho, pt, slds
@@ -1066,9 +1069,7 @@ def _run_obs6(p):
     )
     rep_b = classify(rho_b, hs_b)
     # one-sided-but-not-strong: the two-qutrit pair at its generic knobs
-    rho_c, _, _ = _ex9_pipeline(1.0 / 3.0, 1.0, 0.7)
-    eta = COUPLER_01 + 0.7 * DIAG_01
-    hs_c = hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)])
+    rho_c, hs_c = _ex9_problem(1.0 / 3.0, 1.0, 0.7)
     rep_c = classify(rho_c, hs_c)
 
     expected = {
@@ -1094,17 +1095,7 @@ def _run_obs6(p):
         if rep_c.flags["OC"] and not rep_c.flags["SC"]
         else 0.0,
         "hamiltonians_commute": 1.0
-        if all(
-            hamiltonian_set(h).commuting
-            for h in (
-                [COUPLER_01 + DIAG_01, DIAG_112],
-                [
-                    tensor(PAULI_X + 0.4 * PAULI_Z, EYE2),
-                    tensor(EYE2, PAULI_X + 0.4 * PAULI_Z),
-                ],
-                [tensor(eta, EYE3), tensor(EYE3, eta)],
-            )
-        )
+        if all(hs.commuting for hs in (hs_a, hs_b, hs_c))
         else 0.0,
     }
     extras = {
@@ -1228,8 +1219,8 @@ def default_parameters(example_id):
     return dict(_DEFAULTS[example_id])
 
 
-def run_example(example_id, params=None):
-    """Run one worked example, optionally overriding its default parameters."""
+def _merged_parameters(example_id, params):
+    """The example's defaults with `params` applied; unknown ids or names raise."""
     if example_id not in _RUNNERS:
         raise ValidationError(f"unknown example id: {example_id}")
     merged = dict(_DEFAULTS[example_id])
@@ -1240,6 +1231,12 @@ def run_example(example_id, params=None):
                 f"valid names: {sorted(merged)}"
             )
         merged[key] = value
+    return merged
+
+
+def run_example(example_id, params=None):
+    """Run one worked example, optionally overriding its default parameters."""
+    merged = _merged_parameters(example_id, params)
     return _RUNNERS[example_id](merged)
 
 
@@ -1253,17 +1250,7 @@ def example_configuration(example_id, params=None):
     Used by the sweep and classify front ends; batch-style reports (EX1, EX6,
     OBS2..OBS7) do not define a single configuration and are rejected.
     """
-    if example_id not in _RUNNERS:
-        raise ValidationError(f"unknown example id: {example_id}")
-    merged = dict(_DEFAULTS[example_id])
-    for key, value in (params or {}).items():
-        if key not in merged:
-            raise ValidationError(
-                f"unknown parameter {key!r} for {example_id}; "
-                f"valid names: {sorted(merged)}"
-            )
-        merged[key] = value
-    p = merged
+    p = _merged_parameters(example_id, params)
     if example_id == "EX2":
         rng = np.random.default_rng(int(p["seed"]))
         dim = int(p["dim"])
@@ -1301,9 +1288,8 @@ def example_configuration(example_id, params=None):
         ]
         return rho, hamiltonian_set(hams), None
     if example_id == "EX9":
-        rho, pt, _ = _ex9_pipeline(float(p["lam"]), float(p["a"]), float(p["a_prime"]))
-        eta = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-        return rho, hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)]), None
+        rho, hs = _ex9_problem(float(p["lam"]), float(p["a"]), float(p["a_prime"]))
+        return rho, hs, None
     if example_id == "EX10" or example_id == "OBS7":
         rho, _ = _pseudo_pure_state(float(p["lam"]), int(p.get("dim", 4)))
         ax = float(p.get("ax", 1.0))

@@ -2,11 +2,15 @@
 sweep CSV column contract."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from metrocommute.cli import SWEEP_COLUMNS, main
+from metrocommute.descriptors import resolve
+from metrocommute.encoding import encode
+from metrocommute.sld import sld_rotated
 
 SZ = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
 SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
@@ -113,6 +117,29 @@ def test_classify_singular_notice(tmp_path, capsys):
     assert report["E"] is None
     assert report["qcr"] is None
     assert report["notices"] == ["parameters not jointly identifiable"]
+
+
+def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
+    path = _write(
+        tmp_path,
+        "near_pure.json",
+        {
+            "state": [
+                {"weight": 1.0 - 1e-7, "vector": [[1, 0], [0, 0]]},
+                {"weight": 1e-7, "vector": [[0, 0], [1, 0]]},
+            ],
+            "hamiltonians": [SZ, SX],
+            "tolerances": {"rank_tol": 1e-6},
+        },
+    )
+    code, out, _ = _run(capsys, ["classify", path, "--json"])
+    assert code == 0
+    assert json.loads(out)["rank"] == 1
+    code, out, _ = _run(capsys, ["classify", path, "--json", "--rank-tol", "1e-8"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["rank"] == 2
+    assert report["tolerances"]["rank_tol"] == 1e-8
 
 
 def test_classify_theta_weight_and_tol_overrides(tmp_path, capsys):
@@ -253,7 +280,7 @@ def test_sweep_jobs_env_default(tmp_path, capsys, monkeypatch):
     assert enved == serial
 
 
-def test_sweep_errors(tmp_path, capsys):
+def test_sweep_errors(tmp_path, capsys, monkeypatch):
     path = _write(
         tmp_path,
         "ex4.json",
@@ -277,6 +304,51 @@ def test_sweep_errors(tmp_path, capsys):
     code, _, err = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0:1:2"])
     assert code == 2
     assert "grid value p=" in err
+    for grid in ("nan:1:3", "0:inf:3"):
+        code, _, err = _run(capsys, ["sweep", path, "--param", "p", "--grid", grid])
+        assert code == 2
+        assert "--grid" in err and "finite" in err
+    monkeypatch.setenv("METROCOMMUTE_JOBS", "abc")
+    code, _, err = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.1:0.9:3"])
+    assert code == 2
+    assert "METROCOMMUTE_JOBS" in err
+
+
+def _count_calls(monkeypatch, func):
+    """Count calls to func through every metrocommute module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("metrocommute") and getattr(mod, func.__name__, None) is func:
+            monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ex_id, argv, points",
+    [
+        ("EX4", ["classify", "{path}"], 1),
+        ("EX9", ["classify", "{path}", "--json"], 1),
+        ("EX8", ["sweep", "{path}", "--param", "az", "--grid", "0.1:0.9:3"], 3),
+        ("EX9", ["sweep", "{path}", "--param", "lam", "--grid", "0.2:0.8:4", "--jobs", "2"], 4),
+    ],
+)
+def test_one_encode_and_sld_pass_per_point(tmp_path, capsys, monkeypatch, ex_id, argv, points):
+    path = _write(
+        tmp_path, "ex.json", {"state": {"family": "example", "params": {"id": ex_id}}}
+    )
+    encodes = _count_calls(monkeypatch, encode)
+    slds = _count_calls(monkeypatch, sld_rotated)
+    resolves = _count_calls(monkeypatch, resolve)
+    code, _, _ = _run(capsys, [a.format(path=path) for a in argv])
+    assert code == 0
+    assert len(encodes) == len(slds) == points
+    if argv[0] == "classify":
+        assert len(resolves) == 1
 
 
 def test_selftest_runs_and_is_deterministic(capsys):

@@ -22,6 +22,7 @@ from metrocommute.conditions import (
 )
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
+from metrocommute.metrology import qfim
 from metrocommute.operator_core import ValidationError, commutator, dagger
 from metrocommute.sld import sld_rotated
 from metrocommute.states import density_matrix
@@ -270,3 +271,16 @@ def test_classify_report_types_are_plain():
     assert all(isinstance(v, float) for v in rep.norms.values())
     assert all(isinstance(v, bool) for v in rep.flags.values())
     assert isinstance(rep.hierarchy_consistent, bool)
+
+
+def test_classify_report_carries_qfim_and_w_of_the_same_pass():
+    rng = np.random.default_rng(41)
+    for d, rank, m in ((3, 2, 2), (5, 3, 3), (4, 4, 2)):
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
+        theta = rng.normal(size=m)
+        rep = classify(rho, hs, theta=theta)
+        slds = sld_rotated(rho.spectrum, encode(hs, theta))
+        assert np.array_equal(rep.qfim.matrix, qfim(rho, slds).matrix)
+        assert np.array_equal(rep.W.entries, weak_direct(rho, slds).entries)
+        assert rep.norms["W"] == rep.W.norm
