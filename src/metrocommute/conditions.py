@@ -13,8 +13,10 @@ G_i the encoding generators, h^(i) their eigenbasis elements):
 
 The four flags satisfy SC => OC => PC => WC; rank-deficient states are where
 they genuinely differ. W admits three more routes besides the direct trace:
-a support-pair decomposition W = Gamma + Delta on a doubled space, a rank-two
-fast path, and a spectral kernel route; all must agree to 1e-9.
+a support-pair decomposition W = Gamma + Delta, a rank-two fast path, and a
+spectral kernel route; all must agree to 1e-9. Delta and the truncated series
+are defined by traces on the doubled space C^d x C^d and evaluated on d x d
+matrices through tr[SWAP (A x B)] = tr[A B].
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from .encoding import encode
 from .metrology import QfimResult, qfim
-from .operator_core import ValidationError, commutator, dagger, swap_operator, tensor
+from .operator_core import ValidationError, commutator, dagger
 from .sld import sld_rotated
 
 
@@ -87,63 +89,56 @@ def _rho_from_spec(spec):
     return (v * spec.eigenvalues) @ dagger(v)
 
 
+def _antisymmetric(upper):
+    """The antisymmetric matrix with the strict upper triangle of `upper`."""
+    u = np.triu(upper, 1)
+    return u - u.T
+
+
+def _trace_products(a, b):
+    """The m x m matrix tr[a_i b_j] of two stacks of m square matrices."""
+    m = len(a)
+    return a.reshape(m, -1) @ b.transpose(0, 2, 1).reshape(m, -1).T
+
+
+def _eigenbasis_elements(v, pt):
+    """h^(i) = V^dag G_i V for every generator, stacked as (m, r, r)."""
+    return np.stack([dagger(v) @ g @ v for g in pt.generators])
+
+
+def _pair_sum(c, h):
+    """4 sum_{k,l} c_kl (h^(i)_kl h^(j)_lk - h^(j)_kl h^(i)_lk) for all i, j."""
+    x = _trace_products(c * h, h)
+    return 4.0 * (x - x.T)
+
+
 def _gamma_matrix(spec, pt):
-    rho = _rho_from_spec(spec)
-    m = pt.m
-    g = pt.generators
-    gam = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = 4.0 * (2j * np.trace(rho @ g[i] @ g[j]).imag)
-            gam[i, j] = val
-            gam[j, i] = -val
-    return gam
+    g = np.stack(pt.generators)
+    t = _trace_products(_rho_from_spec(spec) @ g, g)
+    return _antisymmetric(4.0 * (2j * t.imag))
 
 
 def weak_decomposed(spec, pt):
     """W split into Gamma (state-independent commutator part) and Delta.
 
-    Gamma_ij = 4 tr[rho (G_i G_j - G_j G_i)]. Delta is evaluated literally on
-    the doubled space: for support eigenpairs k < l,
+    Gamma_ij = 4 tr[rho (G_i G_j - G_j G_i)]. Delta is the support-pair sum
 
         Delta_ij = 4 sum_{k<l} gamma_kl tr[ SWAP (Pi_k x Pi_l)
                                             (G_i x G_j - G_j x G_i) ],
 
-    gamma_kl = -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2.
+    gamma_kl = -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2, evaluated
+    on d x d matrices through tr[SWAP (A x B)] = tr[A B]: each trace is
+    h^(i)_kl h^(j)_lk - h^(j)_kl h^(i)_lk with h^(i) = V_s^dag G_i V_s.
 
     Returns (Gamma, Delta, W) with W = Gamma + Delta.
     """
-    m = pt.m
-    d = spec.dim
     gam = _gamma_matrix(spec, pt)
-    delta = np.zeros((m, m), dtype=complex)
     r = spec.rank
-    if r >= 2:
-        lam = spec.eigenvalues[:r]
-        v = spec.eigenvectors
-        swap = swap_operator(d)
-        sandwiches = {}
-        for k in range(r):
-            pk = np.outer(v[:, k], np.conj(v[:, k]))
-            for l in range(k + 1, r):
-                pl = np.outer(v[:, l], np.conj(v[:, l]))
-                sandwiches[(k, l)] = swap @ tensor(pk, pl)
-        for i in range(m):
-            for j in range(i + 1, m):
-                a = tensor(pt.generators[i], pt.generators[j])
-                a = a - tensor(pt.generators[j], pt.generators[i])
-                total = 0.0 + 0.0j
-                for (k, l), sand in sandwiches.items():
-                    gkl = (
-                        -4.0
-                        * (lam[k] - lam[l])
-                        * lam[k]
-                        * lam[l]
-                        / (lam[k] + lam[l]) ** 2
-                    )
-                    total += gkl * np.einsum("ab,ba->", sand, a)
-                delta[i, j] = 4.0 * total
-                delta[j, i] = -4.0 * total
+    lam = spec.eigenvalues[:r, None]
+    mu = lam.T
+    gkl = -4.0 * (lam - mu) * lam * mu / (lam + mu) ** 2
+    h = _eigenbasis_elements(spec.eigenvectors[:, :r], pt)
+    delta = _pair_sum(np.triu(gkl, 1), h)
     w = gam + delta
     return (
         ScalarConditionMatrix(entries=gam, kind="Gamma"),
@@ -155,26 +150,16 @@ def weak_decomposed(spec, pt):
 def weak_rank_two(spec, pt):
     """Rank-two fast path for Delta, with gamma_12 = 4 (1 - 2 lam) lam (1 - lam).
 
-    lam is the larger eigenvalue. Raises for states whose rank is not 2.
+    lam is the larger eigenvalue. The single support pair's doubled-space
+    trace tr[SWAP (Pi_1 x Pi_2)(G_i x G_j)] = tr[Pi_1 G_i Pi_2 G_j] is
+    h^(i)_12 h^(j)_21. Raises for states whose rank is not 2.
     """
     if spec.rank != 2:
         raise ValidationError(f"weak_rank_two needs a rank-2 state, got rank {spec.rank}")
     lam = spec.eigenvalues[0]
-    v = spec.eigenvectors
-    d = spec.dim
-    m = pt.m
     g12 = 4.0 * (1.0 - 2.0 * lam) * lam * (1.0 - lam)
-    p1 = np.outer(v[:, 0], np.conj(v[:, 0]))
-    p2 = np.outer(v[:, 1], np.conj(v[:, 1]))
-    sand = swap_operator(d) @ tensor(p1, p2)
-    delta = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1, m):
-            a = tensor(pt.generators[i], pt.generators[j])
-            a = a - tensor(pt.generators[j], pt.generators[i])
-            val = 4.0 * g12 * np.einsum("ab,ba->", sand, a)
-            delta[i, j] = val
-            delta[j, i] = -val
+    h = _eigenbasis_elements(spec.eigenvectors[:, :2], pt)
+    delta = _pair_sum(np.array([[0.0, g12], [0.0, 0.0]]), h)
     return ScalarConditionMatrix(entries=delta, kind="Delta")
 
 
@@ -197,19 +182,8 @@ def weak_integral(spec, pt):
     c = np.zeros_like(denom)
     num = lam[:, None] * (lam[:, None] - lam[None, :]) ** 2
     c[live] = num[live] / denom[live]
-    v = spec.eigenvectors
-    h = [dagger(v) @ g @ v for g in pt.generators]
-    m = pt.m
-    w = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = 4.0 * (
-                np.einsum("kl,kl,lk->", c, h[i], h[j])
-                - np.einsum("kl,kl,lk->", c, h[j], h[i])
-            )
-            w[i, j] = val
-            w[j, i] = -val
-    return ScalarConditionMatrix(entries=w, kind="W")
+    h = _eigenbasis_elements(spec.eigenvectors, pt)
+    return ScalarConditionMatrix(entries=_pair_sum(c, h), kind="W")
 
 
 def weak_series_truncation(spec, pt, alpha):
@@ -218,10 +192,12 @@ def weak_series_truncation(spec, pt, alpha):
     Evaluates 4 tr[SWAP W_alpha (G_i x G_j)] with W_alpha the partial sum
 
         W_alpha = sum_{x=0}^alpha D^3 M^(2x),
-        D = rho x 1 - 1 x rho,  M = 1 x 1 - rho x 1 - 1 x rho,
+        D = rho x 1 - 1 x rho,  M = 1 x 1 - rho x 1 - 1 x rho.
 
-    computed as factored products (the two tensor factors commute, so this
-    equals the explicit polynomial expansions). Exact when rho has half-unit
+    By tr[SWAP (R A x S B)] = tr[R A S B], rho x 1 and 1 x rho act on G_i as
+    left and right multiplication by rho, so D is A -> rho A - A rho, M is
+    A -> A - rho A - A rho, and each entry is 4 tr[W_alpha(G_i) G_j] on
+    d x d matrices, with no eigendecomposition. Exact when rho has half-unit
     spectral sums on all contributing pairs -- qubits in particular, whose
     only off-diagonal pair sums to one -- and otherwise an approximant that
     a full-rank qutrit spot check shows closer to W at alpha = 1 than at 0
@@ -230,22 +206,14 @@ def weak_series_truncation(spec, pt, alpha):
     if alpha not in (0, 1):
         raise ValidationError(f"alpha must be 0 or 1, got {alpha!r}")
     rho = _rho_from_spec(spec)
-    d = spec.dim
-    eye = np.eye(d)
-    big_d = tensor(rho, eye) - tensor(eye, rho)
-    w_op = np.linalg.matrix_power(big_d, 3)
+    g = np.stack(pt.generators)
+    w = g
+    for _ in range(3):
+        w = rho @ w - w @ rho
     if alpha == 1:
-        mm = np.eye(d * d) - tensor(rho, eye) - tensor(eye, rho)
-        w_op = w_op + w_op @ (mm @ mm)
-    swap = swap_operator(d)
-    sw = swap @ w_op
-    m = pt.m
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1, m):
-            val = 4.0 * np.einsum("ab,ba->", sw, tensor(pt.generators[i], pt.generators[j]))
-            out[i, j] = val
-            out[j, i] = -val
+        mw = w - rho @ w - w @ rho
+        w = w + (mw - rho @ mw - mw @ rho)
+    out = _antisymmetric(4.0 * _trace_products(w, g))
     return ScalarConditionMatrix(entries=out, kind=f"W_alpha{alpha}")
 
 
@@ -308,96 +276,63 @@ class SupportKernelTerms:
     S: OperatorConditionMatrix
 
 
-def _pair_d_ops(gi, gj, projectors):
-    return [gi @ pk @ gj - gj @ pk @ gi for pk in projectors]
-
-
 def support_kernel_decomposition(spec, pt, check=True):
     """Decompose P, O, S into support/kernel interference terms.
 
-    Works entirely from the positive spectrum and the two projectors. With
+    Works entirely from the positive spectrum and the kernel projector. With
     eta_kl = (lam_k - lam_l)/(lam_k + lam_l) over support pairs and
     D^k_ij = G_i Pi_k G_j - G_j Pi_k G_i, the five terms are assembled
     per parameter pair and summed into P, O, S; when `check` is set the
     reassembled operators are verified against the direct SLD-commutator
-    route before returning.
+    route before returning. Pi_k = v_k v_k^dag makes every D^k the rank-two
+    a_k b_k^dag - b_k a_k^dag (a = G_i V, b = G_j V, V the support
+    eigenvectors), so each term is d x r columns times r x r support blocks,
+    e.g. sum_k Pi_k sum_l eta_kl D^l = V [(eta o h^(i)) b^dag - (eta o h^(j)) a^dag]
+    with h^(i) = V^dag G_i V and o the entrywise product.
     """
     r = spec.rank
     d = spec.dim
     m = pt.m
-    lam = spec.eigenvalues[:r]
+    lam = spec.eigenvalues[:r, None]
+    mu = lam.T
     v = spec.eigenvectors[:, :r]
-    pi_sup = spec.support_projector
+    vh = dagger(v)
     pi_ker = spec.kernel_projector
-    projectors = [np.outer(v[:, k], np.conj(v[:, k])) for k in range(r)]
-    eta = (lam[:, None] - lam[None, :]) / (lam[:, None] + lam[None, :])
-    weight = 4.0 * (lam[:, None] * lam[None, :]) / (lam[:, None] + lam[None, :]) ** 2
+    eta = (lam - mu) / (lam + mu)
+    weight = 4.0 * (lam * mu) / (lam + mu) ** 2
+    gv = [g @ v for g in pt.generators]
+    h = [vh @ x for x in gv]
+    kgv = [pi_ker @ x for x in gv]
 
     def build(i, j):
-        g_i, g_j = pt.generators[i], pt.generators[j]
-        d_ops = _pair_d_ops(g_i, g_j, projectors)
-        d_rho = g_i @ pi_sup @ g_j - g_j @ pi_sup @ g_i
-        d_elems = [dagger(v) @ dk @ v for dk in d_ops]
-        drho_elems = dagger(v) @ d_rho @ v
+        a, b, ka, kb = gv[i], gv[j], kgv[i], kgv[j]
+        h_i, h_j = h[i], h[j]
+        eh_i, eh_j = eta * h_i, eta * h_j
+        # scalar coefficient matrix in the support basis: off the diagonal
+        # V^dag D^rho V plus the eta-weighted pairs, on it the weighted
+        # diagonals (V^dag D^l V)_kk
+        c = h_i @ h_j - h_j @ h_i + eh_i @ eh_j - eh_j @ eh_i
+        np.fill_diagonal(c, np.sum(weight * (h_i * h_j.T - h_j * h_i.T), axis=1))
+        # sum_k Pi_k (sum_l eta_kl D^l) Pi_ker, less its left factor V
+        mix = eh_i @ dagger(kb) - eh_j @ dagger(ka)
+        parts = {
+            "I_ss": 4.0 * v @ (dagger(a) @ b - dagger(b) @ a) @ vh,
+            "I_ss_prime": -4.0 * (v @ c @ vh),
+            "I_sk": -4.0 * (v @ mix),
+            "I_ks": 4.0 * (ka @ eh_j - kb @ eh_i) @ vh,
+            "I_kk": 4.0 * (ka @ dagger(kb) - kb @ dagger(ka)),
+        }
+        parts["P"] = parts["I_ss"] + parts["I_ss_prime"]
+        parts["O"] = parts["P"] + parts["I_ks"]
+        parts["S"] = parts["O"] + parts["I_sk"] + parts["I_kk"]
+        return parts
 
-        # support-support commutator term
-        i_ss = 4.0 * pi_sup @ commutator(g_i, g_j) @ pi_sup
-
-        # scalar coefficient matrix in the support basis
-        c = np.zeros((r, r), dtype=complex)
-        for k in range(r):
-            c[k, k] += d_elems[k][k, k]
-            for l in range(r):
-                if l == k:
-                    continue
-                c[k, l] += drho_elems[k, l]
-                c[k, k] += weight[k, l] * d_elems[l][k, k]
-                for mm in range(r):
-                    if mm == k or mm == l:
-                        continue
-                    c[k, l] -= eta[k, mm] * eta[l, mm] * d_elems[mm][k, l]
-        i_ss_prime = -4.0 * (v @ c @ dagger(v))
-
-        i_sk = np.zeros((d, d), dtype=complex)
-        i_ks = np.zeros((d, d), dtype=complex)
-        for k in range(r):
-            mix = np.zeros((d, d), dtype=complex)
-            for l in range(r):
-                if l == k:
-                    continue
-                mix = mix + eta[k, l] * d_ops[l]
-            i_sk = i_sk - 4.0 * projectors[k] @ mix @ pi_ker
-            i_ks = i_ks - 4.0 * pi_ker @ mix @ projectors[k]
-        i_kk = 4.0 * pi_ker @ d_rho @ pi_ker
-        return i_ss, i_ss_prime, i_sk, i_ks, i_kk
-
-    kinds = ["I_ss", "I_ss_prime", "I_sk", "I_ks", "I_kk"]
-    zero = np.zeros((d, d), dtype=complex)
-    blocks = {kind: [[zero.copy() for _ in range(m)] for _ in range(m)] for kind in kinds}
-    p_entries = [[zero.copy() for _ in range(m)] for _ in range(m)]
-    o_entries = [[zero.copy() for _ in range(m)] for _ in range(m)]
-    s_entries = [[zero.copy() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            parts = build(i, j)
-            for kind, part in zip(kinds, parts):
-                blocks[kind][i][j] = part
-                blocks[kind][j][i] = -part
-            p_ij = parts[0] + parts[1]
-            o_ij = p_ij + parts[3]
-            s_ij = o_ij + parts[2] + parts[4]
-            p_entries[i][j], p_entries[j][i] = p_ij, -p_ij
-            o_entries[i][j], o_entries[j][i] = o_ij, -o_ij
-            s_entries[i][j], s_entries[j][i] = s_ij, -s_ij
+    pairs = {(i, j): build(i, j) for i in range(m) for j in range(i + 1, m)}
     out = SupportKernelTerms(
-        i_ss=OperatorConditionMatrix(blocks["I_ss"], "I_ss"),
-        i_ss_prime=OperatorConditionMatrix(blocks["I_ss_prime"], "I_ss_prime"),
-        i_sk=OperatorConditionMatrix(blocks["I_sk"], "I_sk"),
-        i_ks=OperatorConditionMatrix(blocks["I_ks"], "I_ks"),
-        i_kk=OperatorConditionMatrix(blocks["I_kk"], "I_kk"),
-        P=OperatorConditionMatrix(p_entries, "P"),
-        O=OperatorConditionMatrix(o_entries, "O"),
-        S=OperatorConditionMatrix(s_entries, "S"),
+        *(
+            _antisymmetric_operator_matrix(m, d, lambda i, j: pairs[i, j][kind], kind)
+            for kind in ("I_ss", "I_ss_prime", "I_sk", "I_ks", "I_kk", "P", "O", "S")
+        )
     )
     if check:
         direct = condition_operators_direct(spec, sld_rotated(spec, pt))

@@ -23,9 +23,14 @@ from metrocommute.conditions import (
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
 from metrocommute.metrology import qfim
-from metrocommute.operator_core import ValidationError, commutator, dagger
+from metrocommute.operator_core import (
+    ValidationError,
+    commutator,
+    dagger,
+    swap_operator,
+)
 from metrocommute.sld import sld_rotated
-from metrocommute.states import density_matrix
+from metrocommute.states import RANK_TOL, density_from_eigpairs, density_matrix
 
 
 def _problem(rng, d, rank, m=2):
@@ -33,6 +38,18 @@ def _problem(rng, d, rank, m=2):
     hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
     pt = encode(hs, rng.normal(size=m))
     return rho, pt
+
+
+def _scale(pt):
+    return max(1.0, max(np.linalg.norm(g) for g in pt.generators) ** 2)
+
+
+def _max_block_dev(a, b):
+    return max(
+        float(np.max(np.abs(x - y)))
+        for row_a, row_b in zip(a.entries, b.entries)
+        for x, y in zip(row_a, row_b)
+    )
 
 
 def test_weak_routes_agree_random():
@@ -47,6 +64,123 @@ def test_weak_routes_agree_random():
         w_int = weak_integral(rho.spectrum, pt).entries
         assert np.max(np.abs(w_direct - w_dec.entries)) < 1e-10
         assert np.max(np.abs(w_direct - w_int)) < 1e-10
+    # multi-qutrit sizes, whose d^2 x d^2 doubled space the routes never build
+    for d, rank in ((27, 2), (27, 4), (64, 2), (64, 16)):
+        rho, pt = _problem(rng, d, rank, m=3)
+        spec = rho.spectrum
+        tol = 1e-9 * _scale(pt)
+        w_direct = weak_direct(rho, sld_rotated(spec, pt)).entries
+        _, delta, w_dec = weak_decomposed(spec, pt)
+        assert np.max(np.abs(w_direct - w_dec.entries)) < tol
+        assert np.max(np.abs(w_direct - weak_integral(spec, pt).entries)) < tol
+        terms = support_kernel_decomposition(spec, pt, check=True)
+        if rank == 2:
+            assert np.max(np.abs(weak_rank_two(spec, pt).entries - delta.entries)) < tol
+            assert _max_block_dev(rank_two_ss_prime(spec, pt), terms.i_ss_prime) < tol
+            assert _max_block_dev(rank_two_ks(spec, pt), terms.i_ks) < tol
+        for alpha in (0, 1):
+            series = weak_series_truncation(spec, pt, alpha).entries
+            assert np.all(np.isfinite(series))
+            assert np.max(np.abs(series + series.T)) < tol
+
+
+def _doubled_delta(spec, pt, gamma):
+    """Delta_ij = 4 sum_{k<l} gamma(k, l)
+    tr[SWAP (Pi_k x Pi_l)(G_i x G_j - G_j x G_i)], on the doubled space."""
+    v, g, m = spec.eigenvectors, pt.generators, pt.m
+    swap = swap_operator(spec.dim)
+    proj = [np.outer(v[:, k], v[:, k].conj()) for k in range(spec.rank)]
+    out = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            a = np.kron(g[i], g[j]) - np.kron(g[j], g[i])
+            for k in range(spec.rank):
+                for l in range(k + 1, spec.rank):
+                    sand = swap @ np.kron(proj[k], proj[l])
+                    out[i, j] += 4.0 * gamma(k, l) * np.trace(sand @ a)
+    return out
+
+
+def _doubled_series(spec, pt, alpha):
+    """4 tr[SWAP (sum_{x<=alpha} D^3 M^(2x)) (G_i x G_j)] on the doubled space,
+    D = rho x 1 - 1 x rho and M = 1 x 1 - rho x 1 - 1 x rho."""
+    d, g, m = spec.dim, pt.generators, pt.m
+    v = spec.eigenvectors
+    rho = (v * spec.eigenvalues) @ v.conj().T
+    eye = np.eye(d)
+    big_d = np.kron(rho, eye) - np.kron(eye, rho)
+    big_m = np.eye(d * d) - np.kron(rho, eye) - np.kron(eye, rho)
+    w_op = sum(
+        np.linalg.matrix_power(big_d, 3) @ np.linalg.matrix_power(big_m, 2 * x)
+        for x in range(alpha + 1)
+    )
+    sw = swap_operator(d) @ w_op
+    out = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            out[i, j] = 4.0 * np.trace(sw @ np.kron(g[i], g[j]))
+    return out
+
+
+def test_trace_routes_match_literal_doubled_space():
+    # tr[SWAP (A x B)] = tr[A B] is what lets every route stay on d x d
+    # matrices; the doubled-space expressions are the reference here
+    rng = np.random.default_rng(42)
+    for d in (2, 3, 4):
+        for rank in range(1, d + 1):
+            rho, pt = _problem(rng, d, rank, m=3)
+            spec = rho.spectrum
+            lam = spec.eigenvalues
+
+            def gamma(k, l):
+                lk, ll = lam[k], lam[l]
+                return -4.0 * (lk - ll) * lk * ll / (lk + ll) ** 2
+
+            _, delta, _ = weak_decomposed(spec, pt)
+            ref = _doubled_delta(spec, pt, gamma)
+            assert np.max(np.abs(delta.entries - ref)) < 1e-12
+            if rank == 2:
+                g12 = 4.0 * (1.0 - 2.0 * lam[0]) * lam[0] * (1.0 - lam[0])
+                ref = _doubled_delta(spec, pt, lambda k, l: g12)
+                assert np.max(np.abs(weak_rank_two(spec, pt).entries - ref)) < 1e-12
+            for alpha in (0, 1):
+                series = weak_series_truncation(spec, pt, alpha).entries
+                assert np.max(np.abs(series - _doubled_series(spec, pt, alpha))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "weights, rank",
+    [
+        ([0.4, 0.4, 0.2], 3),
+        ([0.25] * 4, 4),
+        ([0.5, 0.5], 2),
+        ([0.5, 0.3, 10 * RANK_TOL], 3),
+        ([0.5, 0.3, 0.1 * RANK_TOL], 2),
+    ],
+    ids=["tie-pair", "flat-4", "flat-2", "above-cutoff", "below-cutoff"],
+)
+def test_routes_agree_on_degenerate_and_near_cutoff_spectra(weights, rank):
+    # exact ties make eta and gamma vanish off the diagonal; a weight just
+    # above or below RANK_TOL (after scaling to unit trace) sits on either
+    # side of the rank cutoff, and below it is treated as an exact zero
+    rng = np.random.default_rng(43)
+    weights = np.array(weights) / np.sum(weights)
+    d = len(weights) + 2
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rho = density_from_eigpairs(zip(weights, q.T))
+    assert rho.rank == rank
+    hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(3)])
+    pt = encode(hs, rng.normal(size=3))
+    spec = rho.spectrum
+    tol = 1e-9 * _scale(pt)
+    w_direct = weak_direct(rho, sld_rotated(spec, pt)).entries
+    gamma, delta, w_dec = weak_decomposed(spec, pt)
+    assert np.max(np.abs(w_direct - w_dec.entries)) < tol
+    assert np.max(np.abs(w_direct - weak_integral(spec, pt).entries)) < tol
+    if rank == 2:
+        w_r2 = gamma.entries + weak_rank_two(spec, pt).entries
+        assert np.max(np.abs(w_direct - w_r2)) < tol
+    support_kernel_decomposition(spec, pt, check=True)
 
 
 def test_weak_matrix_antisymmetric_imaginary():
