@@ -9,10 +9,10 @@ which has a closed form in the eigenbasis of K = sum_j theta_j H_j:
     <a| G_i |b> = <a| H_i |b> * phi(kappa_a - kappa_b),
     phi(x) = (exp(ix) - 1) / (ix),  phi(0) = 1,
 
-with kappa the eigenvalues of K. phi has a removable singularity at 0, so the
-analytic limit is used below a small threshold rather than the ratio. The
-closed form is the production path; finite differences exist only as a test
-oracle.
+with kappa the eigenvalues of K. phi has a removable singularity at 0 and
+the ratio loses digits near it, so phi is evaluated as
+exp(ix/2) sin(x/2) / (x/2), which needs no threshold. The closed form is the
+production path; finite differences exist only as a test oracle.
 """
 
 from dataclasses import dataclass
@@ -78,12 +78,10 @@ class EncodingPoint:
 
 
 def _phi(x):
-    # (exp(ix) - 1) / (ix) with the removable singularity filled analytically
+    # (exp(ix) - 1) / (ix) = exp(ix/2) sin(x/2) / (x/2), free of cancellation
+    # near 0; np.sinc(y) = sin(pi y) / (pi y) fills the removable singularity
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    out = (np.exp(1j * safe) - 1.0) / (1j * safe)
-    return np.where(small, 1.0 + 0.5j * x, out)
+    return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
 def encode(h_set, theta):

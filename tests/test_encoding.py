@@ -83,6 +83,25 @@ def test_generators_at_zero_are_hamiltonians():
         assert np.allclose(g, h, atol=1e-10)
 
 
+def test_generators_at_tiny_theta_match_first_order_expansion():
+    # G_i = H_i + (i/2)[K, H_i] + O(|K|^2 |H_i|) with K = sum_j theta_j H_j;
+    # at |theta| ~ 1e-8 the phase differences straddle 1e-8, where the ratio
+    # (exp(ix) - 1)/(ix) cancels, and the quadratic term is below 1e-15
+    rng = np.random.default_rng(13)
+    hams = [random_hermitian_matrix(rng, 4) for _ in range(3)]
+    hs = hamiltonian_set(hams)
+    assert not hs.commuting
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    for size in np.linspace(5e-9, 1e-8, 6):
+        theta = size * direction
+        k = sum(t * h for t, h in zip(theta, hams))
+        pt = encode(hs, theta)
+        for g, h in zip(pt.generators, hams):
+            expected = h + 0.5j * (k @ h - h @ k)
+            assert np.max(np.abs(g - expected)) <= 1e-12 * np.linalg.norm(h)
+
+
 def test_evolve_conjugates_and_preserves_spectrum():
     rng = np.random.default_rng(12)
     rho = density_matrix(random_density(rng, 4, rank=2))
