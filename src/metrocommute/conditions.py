@@ -12,14 +12,21 @@ G_i the encoding generators, h^(i) their eigenbasis elements):
   p_ij  = tr |sqrt(rho) (L_i L_j - L_j L_i) sqrt(rho)|
 
 The four flags satisfy SC => OC => PC => WC; rank-deficient states are where
-they genuinely differ. W admits three more routes besides the direct trace:
-a support-pair decomposition W = Gamma + Delta, a rank-two fast path, and a
-spectral kernel route; all must agree to 1e-9. Delta and the truncated series
+they genuinely differ. S, O and P are evaluated in the state eigenbasis V,
+where Pi = diag(1_r, 0): with c = V^dag S_ij V, V^dag O_ij V is c[:, :r] and
+V^dag P_ij V is c[:r, :r], so their norms need no d x d operator and the
+operators in the original frame are built only when read.
+
+W admits three more routes besides the direct trace: a support-pair
+decomposition W = Gamma + Delta, a rank-two fast path, and a spectral kernel
+route; all must agree to 1e-9. Delta and the truncated series
 are defined by traces on the doubled space C^d x C^d and evaluated on d x d
 matrices through tr[SWAP (A x B)] = tr[A B].
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -61,9 +68,9 @@ class OperatorConditionMatrix:
 
 def _antisymmetric_operator_matrix(m, dim, fill, kind):
     """Assemble an m x m operator matrix from fill(i, j) for i < j."""
-    zero = np.zeros((dim, dim), dtype=complex)
-    entries = [[zero.copy() for _ in range(m)] for _ in range(m)]
+    entries = [[None] * m for _ in range(m)]
     for i in range(m):
+        entries[i][i] = np.zeros((dim, dim), dtype=complex)
         for j in range(i + 1, m):
             block = fill(i, j)
             entries[i][j] = block
@@ -72,13 +79,20 @@ def _antisymmetric_operator_matrix(m, dim, fill, kind):
 
 
 def weak_direct(rho, slds):
-    """W_ij = tr[rho (L_i L_j - L_j L_i)] from the state and its SLDs."""
+    """W_ij = tr[rho (L_i L_j - L_j L_i)] from the state and its SLDs.
+
+    The L_i are Hermitian, so tr[rho L_j L_i] is the conjugate of
+    tr[rho L_i L_j] and W_ij = 2i Im tr[(rho L_i) L_j]: one product rho L_i
+    per parameter, then tr[A B] = sum_kl A_kl B_lk, an elementwise sum, per
+    pair.
+    """
     ops = slds.ops
     m = len(ops)
     w = np.zeros((m, m), dtype=complex)
-    for i in range(m):
+    for i in range(m - 1):
+        rl = rho.matrix @ ops[i]
         for j in range(i + 1, m):
-            val = 2j * np.trace(rho.matrix @ ops[i] @ ops[j]).imag
+            val = 2j * np.sum(rl * ops[j].T).imag
             w[i, j] = val
             w[j, i] = -val
     return ScalarConditionMatrix(entries=w, kind="W")
@@ -104,6 +118,14 @@ def _trace_products(a, b):
 def _eigenbasis_elements(v, pt):
     """h^(i) = V^dag G_i V for every generator, stacked as (m, r, r)."""
     return np.stack([dagger(v) @ g @ v for g in pt.generators])
+
+
+def _support_columns(v, pt):
+    """(G_i V, h^(i) = V^dag G_i V, Pi_ker G_i V = G_i V - V h^(i)) for the
+    orthonormal support columns V, each stacked over the generators."""
+    gv = np.stack([g @ v for g in pt.generators])
+    h = dagger(v) @ gv
+    return gv, h, gv - v @ h
 
 
 def _pair_sum(c, h):
@@ -219,42 +241,75 @@ def weak_series_truncation(spec, pt, alpha):
 
 @dataclass(eq=False)
 class ConditionOperators:
-    S: OperatorConditionMatrix
-    O: OperatorConditionMatrix
-    P: OperatorConditionMatrix
+    """S, O and P of one SLD set, held as eigenbasis commutators.
+
+    comm[k] is c = V^dag S_ij V = l_i l_j - l_j l_i for the k-th pair i < j in
+    row-major order, with l_i the SLDs in the state eigenbasis V and r the
+    rank, so V^dag O_ij V = c[:, :r] and V^dag P_ij V = c[:r, :r]. `norms`
+    holds the Frobenius norm of each m x m operator matrix (both signs of
+    every pair), from c by unitary invariance. The block lists S, O and P in
+    the frame of the SLDs are built on first read.
+    """
+
+    comm: np.ndarray
+    eigenvectors: np.ndarray
+    rank: int
+    m: int
+    norms: dict
+
+    def _blocks(self, kind, rows, cols):
+        v = self.eigenvectors
+        blocks = v[:, :rows] @ self.comm[:, :rows, :cols] @ dagger(v[:, :cols])
+        index = {pair: k for k, pair in enumerate(combinations(range(self.m), 2))}
+        return _antisymmetric_operator_matrix(
+            self.m, v.shape[0], lambda i, j: blocks[index[i, j]], kind
+        )
+
+    @cached_property
+    def S(self):
+        d = self.eigenvectors.shape[0]
+        return self._blocks("S", d, d)
+
+    @cached_property
+    def O(self):
+        return self._blocks("O", self.eigenvectors.shape[0], self.rank)
+
+    @cached_property
+    def P(self):
+        return self._blocks("P", self.rank, self.rank)
 
 
 def condition_operators_direct(spec, slds):
     """S, O, P from the SLD commutators and the support projector.
 
-    Postconditions verified on exit: P equals Pi O (structural) and
-    tr[rho P_ij] reproduces W_ij from the direct trace.
+    Works on the eigenbasis SLDs slds.elems (in the basis of spec): one
+    product X = l_i l_j per pair and c = X - X^dag, the commutator of the two
+    Hermitian l's, for all pairs at once. Postcondition verified on exit:
+    tr[rho P_ij] reproduces W_ij = tr[rho S_ij], i.e. sum_k lam_k c_kk over
+    all k against k < r.
     """
-    ops = slds.ops
-    m = len(ops)
-    d = spec.dim
-    pi = spec.support_projector
-    s_mat = _antisymmetric_operator_matrix(
-        m, d, lambda i, j: commutator(ops[i], ops[j]), "S"
+    elems = np.stack(slds.elems)
+    m = len(elems)
+    r = spec.rank
+    scale = max(1.0, max(np.vdot(l, l).real for l in elems))
+    pairs = list(combinations(range(m), 2))
+    x = elems[[i for i, _ in pairs]] @ elems[[j for _, j in pairs]]
+    c = x - np.conj(x.transpose(0, 2, 1))
+    diag = spec.eigenvalues * np.diagonal(c, axis1=1, axis2=2)
+    dev = np.abs(np.sum(diag, axis=1) - np.sum(diag[:, :r], axis=1))
+    bad = np.flatnonzero(dev > 1e-9 * scale)
+    if bad.size:
+        k = bad[0]
+        i, j = pairs[k]
+        raise ArithmeticError(
+            f"postcondition tr[rho P] = W violated at ({i},{j}): {dev[k]:.3e}"
+        )
+    # every pair appears twice in the m x m matrix, once with each sign
+    sq = [np.vdot(b, b).real for b in (c, c[:, :, :r], c[:, :r, :r])]
+    norms = dict(zip(("S", "O", "P"), (float(np.sqrt(2.0 * t)) for t in sq)))
+    return ConditionOperators(
+        comm=c, eigenvectors=spec.eigenvectors, rank=r, m=m, norms=norms
     )
-    o_mat = _antisymmetric_operator_matrix(
-        m, d, lambda i, j: s_mat.entry(i, j) @ pi, "O"
-    )
-    p_mat = _antisymmetric_operator_matrix(
-        m, d, lambda i, j: pi @ o_mat.entry(i, j), "P"
-    )
-    rho = _rho_from_spec(spec)
-    scale = max(1.0, max((np.linalg.norm(l) ** 2 for l in ops), default=1.0))
-    for i in range(m):
-        for j in range(i + 1, m):
-            w_direct = np.trace(rho @ s_mat.entry(i, j))
-            w_from_p = np.trace(rho @ p_mat.entry(i, j))
-            if abs(w_direct - w_from_p) > 1e-9 * scale:
-                raise ArithmeticError(
-                    "postcondition tr[rho P] = W violated at "
-                    f"({i},{j}): {abs(w_direct - w_from_p):.3e}"
-                )
-    return ConditionOperators(S=s_mat, O=o_mat, P=p_mat)
 
 
 @dataclass(eq=False)
@@ -279,7 +334,7 @@ class SupportKernelTerms:
 def support_kernel_decomposition(spec, pt, check=True):
     """Decompose P, O, S into support/kernel interference terms.
 
-    Works entirely from the positive spectrum and the kernel projector. With
+    Works entirely from the positive spectrum and its eigenvectors. With
     eta_kl = (lam_k - lam_l)/(lam_k + lam_l) over support pairs and
     D^k_ij = G_i Pi_k G_j - G_j Pi_k G_i, the five terms are assembled
     per parameter pair and summed into P, O, S; when `check` is set the
@@ -288,7 +343,8 @@ def support_kernel_decomposition(spec, pt, check=True):
     a_k b_k^dag - b_k a_k^dag (a = G_i V, b = G_j V, V the support
     eigenvectors), so each term is d x r columns times r x r support blocks,
     e.g. sum_k Pi_k sum_l eta_kl D^l = V [(eta o h^(i)) b^dag - (eta o h^(j)) a^dag]
-    with h^(i) = V^dag G_i V and o the entrywise product.
+    with h^(i) = V^dag G_i V and o the entrywise product; the kernel columns
+    Pi_ker a are a - V h^(i).
     """
     r = spec.rank
     d = spec.dim
@@ -297,12 +353,9 @@ def support_kernel_decomposition(spec, pt, check=True):
     mu = lam.T
     v = spec.eigenvectors[:, :r]
     vh = dagger(v)
-    pi_ker = spec.kernel_projector
     eta = (lam - mu) / (lam + mu)
     weight = 4.0 * (lam * mu) / (lam + mu) ** 2
-    gv = [g @ v for g in pt.generators]
-    h = [vh @ x for x in gv]
-    kgv = [pi_ker @ x for x in gv]
+    gv, h, kgv = _support_columns(v, pt)
 
     def build(i, j):
         a, b, ka, kb = gv[i], gv[j], kgv[i], kgv[j]
@@ -362,31 +415,36 @@ def _block_deviation(a, b):
     )
 
 
+def _pair_sandwiches(h_i, h_j):
+    """e[k][a, b] = h^(i)_ak h^(j)_kb - h^(j)_ak h^(i)_kb, the support
+    elements v_a^dag D^k_ij v_b of D^k_ij = G_i P_k G_j - G_j P_k G_i for a
+    rank-two state, P_k = v_k v_k^dag and h = V^dag G V."""
+    return [np.outer(h_i[:, k], h_j[k]) - np.outer(h_j[:, k], h_i[k]) for k in (0, 1)]
+
+
 def rank_two_ss_prime(spec, pt):
     """Closed rank-two form of the I_ss_prime term.
 
     -4 [ P1 D^1 P1 + P2 D^2 P2 + P1 D^rho P2 + P2 D^rho P1
          + 4 lam (1 - lam) (P1 D^2 P1 + P2 D^1 P2) ],   lam the larger eigenvalue.
+
+    Every term is v_a (v_a^dag D^k v_b) v_b^dag, so the sum is V C V^dag with
+    V the two support vectors and C the 2 x 2 matrix of those elements,
+    built from h^(i) = V^dag G_i V: O(d^2) per pair.
     """
     if spec.rank != 2:
         raise ValidationError(f"rank_two_ss_prime needs rank 2, got {spec.rank}")
     lam = spec.eigenvalues[0]
-    v = spec.eigenvectors
-    p1 = np.outer(v[:, 0], np.conj(v[:, 0]))
-    p2 = np.outer(v[:, 1], np.conj(v[:, 1]))
+    v = spec.eigenvectors[:, :2]
+    h = _eigenbasis_elements(v, pt)
+    q = 4.0 * lam * (1.0 - lam)
 
     def fill(i, j):
-        g_i, g_j = pt.generators[i], pt.generators[j]
-        d1 = g_i @ p1 @ g_j - g_j @ p1 @ g_i
-        d2 = g_i @ p2 @ g_j - g_j @ p2 @ g_i
-        drho = d1 + d2
-        return -4.0 * (
-            p1 @ d1 @ p1
-            + p2 @ d2 @ p2
-            + p1 @ drho @ p2
-            + p2 @ drho @ p1
-            + 4.0 * lam * (1.0 - lam) * (p1 @ d2 @ p1 + p2 @ d1 @ p2)
-        )
+        e1, e2 = _pair_sandwiches(h[i], h[j])
+        c = e1 + e2  # D^rho = D^1 + D^2 on the off-diagonal blocks
+        c[0, 0] = e1[0, 0] + q * e2[0, 0]
+        c[1, 1] = e2[1, 1] + q * e1[1, 1]
+        return -4.0 * (v @ c @ dagger(v))
 
     return _antisymmetric_operator_matrix(pt.m, spec.dim, fill, "I_ss_prime")
 
@@ -394,20 +452,22 @@ def rank_two_ss_prime(spec, pt):
 def rank_two_ks(spec, pt):
     """Closed rank-two form of the kernel-support term:
     4 (1 - 2 lam) [ Pi_ker D^2 P1 - Pi_ker D^1 P2 ], lam the larger eigenvalue.
+
+    Pi_ker D^k P_b = (Pi_ker G_i v_k h^(j)_kb - Pi_ker G_j v_k h^(i)_kb) v_b^dag,
+    with the kernel columns Pi_ker G v = G v - V h: O(d^2) per pair.
     """
     if spec.rank != 2:
         raise ValidationError(f"rank_two_ks needs rank 2, got {spec.rank}")
     lam = spec.eigenvalues[0]
-    v = spec.eigenvectors
-    p1 = np.outer(v[:, 0], np.conj(v[:, 0]))
-    p2 = np.outer(v[:, 1], np.conj(v[:, 1]))
-    pi_ker = spec.kernel_projector
+    v = spec.eigenvectors[:, :2]
+    _, h, k = _support_columns(v, pt)
 
     def fill(i, j):
-        g_i, g_j = pt.generators[i], pt.generators[j]
-        d1 = g_i @ p1 @ g_j - g_j @ p1 @ g_i
-        d2 = g_i @ p2 @ g_j - g_j @ p2 @ g_i
-        return 4.0 * (1.0 - 2.0 * lam) * (pi_ker @ d2 @ p1 - pi_ker @ d1 @ p2)
+        # the columns of Pi_ker D^2 P1 and Pi_ker D^1 P2 before v_1^dag, v_2^dag
+        col_21 = k[i][:, 1] * h[j][1, 0] - k[j][:, 1] * h[i][1, 0]
+        col_12 = k[i][:, 0] * h[j][0, 1] - k[j][:, 0] * h[i][0, 1]
+        cols = np.column_stack([col_21, -col_12])
+        return 4.0 * (1.0 - 2.0 * lam) * (cols @ dagger(v))
 
     return _antisymmetric_operator_matrix(pt.m, spec.dim, fill, "I_ks")
 
@@ -459,7 +519,9 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     The zero test for each condition is frobenius_norm <= tol * scale with
     scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
     every condition matrix in the generators. The report also carries W and
-    the QFIM, both from the one SLD set, so callers need no second pass.
+    the QFIM, both from the one SLD set, so callers need no second pass. The
+    P, O and S norms come from the eigenbasis commutators; no d x d operator
+    block is built.
     """
     if theta is None:
         theta = np.zeros(h_set.m)
@@ -469,12 +531,7 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     slds = sld_rotated(rho.spectrum, pt)
     w = weak_direct(rho, slds)
     ops = condition_operators_direct(rho.spectrum, slds)
-    norms = {
-        "W": float(w.norm),
-        "P": float(ops.P.norm),
-        "O": float(ops.O.norm),
-        "S": float(ops.S.norm),
-    }
+    norms = {"W": float(w.norm), **{k: ops.norms[k] for k in ("P", "O", "S")}}
     scale = float(max(1.0, max(np.linalg.norm(g) for g in pt.generators) ** 2))
     flags = {
         "WC": bool(norms["W"] <= tol * scale),

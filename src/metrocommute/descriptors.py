@@ -7,11 +7,14 @@ tolerance overrides. Matrices are encoded as {"dim": n, "entries": [[re, im],
 ...]} with entries row-major; vectors as lists of [re, im] pairs.
 
 Parsing is strict and fails with a field-precise message; parse followed by
-serialize is idempotent on the canonical form.
+serialize is idempotent on the canonical form. Eigpair vectors and raw
+matrices are parsed once, into the complex arrays the descriptor keeps;
+`serialize_descriptor` writes them back as [re, im] lists.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -80,13 +83,29 @@ def _complex_pair(value, path):
     return complex(float(value[0]), float(value[1]))
 
 
+def _pairs_array(items, path):
+    """Complex array of a list of [re, im] pairs, item i named path[i].
+
+    A list of two-element lists of plain int and float converts in one numpy
+    call; anything else (tuples, float subclasses, or a bad item) goes
+    through _complex_pair item by item, which names the first bad item.
+    """
+    if (
+        set(map(type, items)) == {list}
+        and set(map(len, items)) == {2}
+        and set(map(type, chain.from_iterable(items))) <= {int, float}
+    ):
+        return np.array(items, dtype=float).view(complex).reshape(-1)
+    return np.array(
+        [_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(items)],
+        dtype=complex,
+    )
+
+
 def vector_from_json(value, path):
     if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty list of [re, im] pairs")
-    return np.array(
-        [_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(value)],
-        dtype=complex,
-    )
+    return _pairs_array(value, path)
 
 
 def matrix_from_json(value, path):
@@ -104,10 +123,7 @@ def matrix_from_json(value, path):
     if not isinstance(entries, list) or len(entries) != dim * dim:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
         _fail(f"{path}.entries", f"expected {dim * dim} [re, im] pairs, got {got}")
-    flat = [
-        _complex_pair(v, f"{path}.entries[{i}]") for i, v in enumerate(entries)
-    ]
-    return np.array(flat, dtype=complex).reshape(dim, dim)
+    return _pairs_array(entries, f"{path}.entries").reshape(dim, dim)
 
 
 def matrix_to_json(arr):
@@ -144,7 +160,9 @@ def _canonical_params(params, path):
 
 
 def _parse_state_spec(value, path="state"):
-    """Validate and canonicalize the state part without resolving it."""
+    """Validate and canonicalize the state part without resolving it: an
+    eigpair list keeps each vector as a complex array, a raw matrix becomes
+    one, and a family stays a {"family", "params"} object."""
     if isinstance(value, list):
         pairs = []
         for i, item in enumerate(value):
@@ -153,7 +171,7 @@ def _parse_state_spec(value, path="state"):
                 _fail(here, 'eigpair needs exactly the keys "weight" and "vector"')
             weight = _number(item["weight"], f"{here}.weight")
             vec = vector_from_json(item["vector"], f"{here}.vector")
-            pairs.append({"weight": weight, "vector": vector_to_json(vec)})
+            pairs.append({"weight": weight, "vector": vec})
         if not pairs:
             _fail(path, "eigpair list is empty")
         return pairs
@@ -170,7 +188,7 @@ def _parse_state_spec(value, path="state"):
         params = _canonical_params(value.get("params", {}), f"{path}.params")
         return {"family": family, "params": params}
     if isinstance(value, dict):
-        return matrix_to_json(matrix_from_json(value, path))
+        return matrix_from_json(value, path)
     _fail(path, "expected a matrix object, an eigpair list, or a family object")
 
 
@@ -188,7 +206,7 @@ def _parse_hamiltonian_spec(value, path):
         params = _canonical_params(value.get("params", {}), f"{path}.params")
         return {"family": family, "params": params}
     if isinstance(value, dict):
-        return matrix_to_json(matrix_from_json(value, path))
+        return matrix_from_json(value, path)
     _fail(path, "expected a matrix object or a family object")
 
 
@@ -295,19 +313,12 @@ def parse_descriptor(source):
 
 def _resolve_state(spec, rank_tol):
     if isinstance(spec, list):
-        pairs = [
-            (item["weight"], vector_from_json(item["vector"], "state.vector"))
-            for item in spec
-        ]
+        pairs = [(item["weight"], item["vector"]) for item in spec]
         return density_from_eigpairs(pairs, rank_tol=rank_tol), None, None
-    family = spec.get("family")
+    if isinstance(spec, np.ndarray):
+        return density_matrix(spec, rank_tol=rank_tol), None, None
+    family = spec["family"]
     params = spec.get("params", {})
-    if family is None:
-        return (
-            density_matrix(matrix_from_json(spec, "state"), rank_tol=rank_tol),
-            None,
-            None,
-        )
     if family == "white_noise":
         if "psi" not in params or "p" not in params:
             _fail("state.params", 'white_noise needs "psi" and "p"')
@@ -358,9 +369,9 @@ def _resolve_state(spec, rank_tol):
 
 
 def _resolve_hamiltonian(spec, path):
-    family = spec.get("family")
-    if family is None:
-        return matrix_from_json(spec, path)
+    if isinstance(spec, np.ndarray):
+        return spec
+    family = spec["family"]
     params = spec.get("params", {})
     if family == "local_spin":
         for key in ("sites", "site", "axis"):
@@ -416,11 +427,23 @@ def resolve(desc):
     return rho, hs, theta, weight
 
 
+def _spec_to_json(spec):
+    """A state or Hamiltonian spec with its parsed arrays as [re, im] lists."""
+    if isinstance(spec, np.ndarray):
+        return matrix_to_json(spec)
+    if isinstance(spec, list):
+        return [
+            {"weight": item["weight"], "vector": vector_to_json(item["vector"])}
+            for item in spec
+        ]
+    return spec
+
+
 def serialize_descriptor(desc):
     """Canonical JSON-ready dict; parse(serialize(.)) is the identity."""
-    out = {"state": desc.state_spec}
+    out = {"state": _spec_to_json(desc.state_spec)}
     if desc.hamiltonian_specs is not None:
-        out["hamiltonians"] = desc.hamiltonian_specs
+        out["hamiltonians"] = [_spec_to_json(s) for s in desc.hamiltonian_specs]
     if desc.theta is not None:
         out["theta"] = [float(v) for v in desc.theta]
     if desc.weight is not None:

@@ -16,6 +16,7 @@ production path; finite differences exist only as a test oracle.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +30,23 @@ from .operator_core import (
 COMMUTE_TOL = 1e-10
 
 
+def _pairwise_commuting(mats):
+    """Whether every pair commutes within COMMUTE_TOL relative to the norms."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            bound = COMMUTE_TOL * max(
+                1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])
+            )
+            if np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > bound:
+                return False
+    return True
+
+
 @dataclass(eq=False)
 class HamiltonianSet:
+    """Validated Hamiltonians; `commuting` is computed on first read."""
+
     hams: list
-    commuting: bool
 
     @property
     def dim(self):
@@ -42,24 +56,21 @@ class HamiltonianSet:
     def m(self):
         return len(self.hams)
 
+    @cached_property
+    def commuting(self):
+        return _pairwise_commuting(self.hams)
+
 
 def hamiltonian_set(hams):
-    """Validate a list of Hermitian Hamiltonians and flag pairwise commutation."""
+    """Validate a list of Hermitian Hamiltonians; pairwise commutation is
+    flagged by the set's `commuting` property."""
     mats = [require_hermitian(h, f"Hamiltonian {i}") for i, h in enumerate(hams)]
     if not mats:
         raise ValidationError("empty Hamiltonian list")
     dim = mats[0].shape[0]
     if any(h.shape[0] != dim for h in mats):
         raise ValidationError("Hamiltonians have mismatched dimensions")
-    commuting = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            bound = COMMUTE_TOL * max(
-                1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])
-            )
-            if np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > bound:
-                commuting = False
-    return HamiltonianSet(hams=mats, commuting=commuting)
+    return HamiltonianSet(hams=mats)
 
 
 @dataclass(eq=False)

@@ -27,14 +27,18 @@ class QfimResult:
 
 
 def qfim(rho, slds):
-    """F_ij = (1/2) tr[rho (L_i L_j + L_j L_i)], with rank and conditioning."""
+    """F_ij = (1/2) tr[rho (L_i L_j + L_j L_i)], with rank and conditioning.
+
+    For Hermitian L_i this is Re tr[(rho L_i) L_j]: one product rho L_i per
+    parameter, then tr[A B] = sum_kl A_kl B_lk, an elementwise sum, per pair.
+    """
     ops = slds.ops if isinstance(slds, SldSet) else list(slds)
     m = len(ops)
     f = np.zeros((m, m))
     for i in range(m):
         rl = rho.matrix @ ops[i]
         for j in range(i, m):
-            val = np.trace(rl @ ops[j]).real
+            val = np.sum(rl * ops[j].T).real
             f[i, j] = val
             f[j, i] = val
     eigs = np.linalg.eigvalsh(f)

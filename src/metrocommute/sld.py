@@ -26,14 +26,15 @@ class SldSet:
 
     ops: list of m Hermitian operators
     spec: SpectralData of the state the SLDs belong to
-    h_elems: per-parameter generator matrix elements in that eigenbasis
+    elems: the same m operators in that state's eigenbasis, V^dag L_i V with V
+        = spec.eigenvectors; condition_operators_direct reads only these
     eta, gamma: coefficient tables (lam_k - lam_l)/(lam_k + lam_l) and
         -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2 over support pairs
     """
 
     ops: list
     spec: object
-    h_elems: list = None
+    elems: list = None
     eta: np.ndarray = None
     gamma: np.ndarray = None
 
@@ -59,13 +60,10 @@ def sld_rotated(spec, pt):
     ds = lam_s[:, None] + lam_s[None, :]
     eta = (lam_s[:, None] - lam_s[None, :]) / ds
     gamma = -4.0 * (lam_s[:, None] - lam_s[None, :]) * (lam_s[:, None] * lam_s[None, :]) / ds**2
-    ops = []
-    h_elems = []
-    for g in pt.generators:
-        h = dagger(v) @ g @ v
-        h_elems.append(h)
-        ops.append(v @ (2j * coeff * h) @ dagger(v))
-    return SldSet(ops=ops, spec=spec, h_elems=h_elems, eta=eta, gamma=gamma)
+    vh = dagger(v)
+    elems = [2j * coeff * (vh @ g @ v) for g in pt.generators]
+    ops = [v @ l @ vh for l in elems]
+    return SldSet(ops=ops, spec=spec, elems=elems, eta=eta, gamma=gamma)
 
 
 def sld_lyapunov(rho_theta, drho, rank_tol=None):
@@ -113,6 +111,7 @@ def nu_copy_sld(slds, nu):
     big = tensor_power(rho_small, nu)
     eye = np.eye(spec.dim)
     pi_ker = big.spectrum.kernel_projector
+    v = big.spectrum.eigenvectors
     ops = []
     for l in slds.ops:
         total = np.zeros((spec.dim**nu, spec.dim**nu), dtype=complex)
@@ -122,7 +121,8 @@ def nu_copy_sld(slds, nu):
             total = total + tensor(*factors)
         total = total - pi_ker @ total @ pi_ker
         ops.append((total + dagger(total)) / 2.0)
-    return SldSet(ops=ops, spec=big.spectrum)
+    elems = [dagger(v) @ l @ v for l in ops]
+    return SldSet(ops=ops, spec=big.spectrum, elems=elems)
 
 
 @dataclass(eq=False)

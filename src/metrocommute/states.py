@@ -8,7 +8,8 @@ downstream, since every formula in the conditions module branches hard on
 lambda = 0 versus lambda > 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,20 +35,23 @@ class SpectralData:
     eigenvalues: descending, length dim (kernel zeros included)
     eigenvectors: columns, orthonormal, completing the full space
     rank: number of eigenvalues above rank_tol
-    support_projector / kernel_projector: sum to the identity
+    support_projector / kernel_projector: sum to the identity; each is built
+        on first read, so a caller that never reads them pays nothing
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
     rank_tol: float
-    support_projector: np.ndarray = field(init=False)
-    kernel_projector: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def support_projector(self):
         vs = self.eigenvectors[:, : self.rank]
-        self.support_projector = vs @ dagger(vs)
-        self.kernel_projector = np.eye(self.eigenvectors.shape[0]) - self.support_projector
+        return vs @ dagger(vs)
+
+    @cached_property
+    def kernel_projector(self):
+        return np.eye(self.eigenvectors.shape[0]) - self.support_projector
 
     @property
     def dim(self):

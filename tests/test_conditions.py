@@ -1,13 +1,18 @@
 """Condition matrices by every route, the support/kernel split, the
 trace-norm indicator, and hierarchy classification."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian_matrix
+from metrocommute import conditions, encoding
+from metrocommute.cli import main
 from metrocommute.conditions import (
+    OperatorConditionMatrix,
     classify,
     condition_operators_direct,
     pc_trace_norm,
@@ -29,8 +34,14 @@ from metrocommute.operator_core import (
     dagger,
     swap_operator,
 )
-from metrocommute.sld import sld_rotated
-from metrocommute.states import RANK_TOL, density_from_eigpairs, density_matrix
+from metrocommute.descriptors import matrix_to_json, vector_to_json
+from metrocommute.sld import nu_copy_sld, sld_rotated
+from metrocommute.states import (
+    RANK_TOL,
+    density_from_eigpairs,
+    density_matrix,
+    tensor_power,
+)
 
 
 def _problem(rng, d, rank, m=2):
@@ -316,6 +327,172 @@ def test_rank_two_closed_forms_match_general_split():
             for j in range(3):
                 assert np.allclose(ssp.entry(i, j), terms.i_ss_prime.entry(i, j), atol=1e-10)
                 assert np.allclose(ks.entry(i, j), terms.i_ks.entry(i, j), atol=1e-10)
+
+
+def _rank_two_ss_prime_projectors(spec, pt):
+    """I_ss_prime from its rank-two projector expression, term by term."""
+    lam = spec.eigenvalues[0]
+    v = spec.eigenvectors
+    p1 = np.outer(v[:, 0], np.conj(v[:, 0]))
+    p2 = np.outer(v[:, 1], np.conj(v[:, 1]))
+    g = pt.generators
+    out = {}
+    for i in range(pt.m):
+        for j in range(pt.m):
+            d1 = g[i] @ p1 @ g[j] - g[j] @ p1 @ g[i]
+            d2 = g[i] @ p2 @ g[j] - g[j] @ p2 @ g[i]
+            drho = d1 + d2
+            out[i, j] = -4.0 * (
+                p1 @ d1 @ p1
+                + p2 @ d2 @ p2
+                + p1 @ drho @ p2
+                + p2 @ drho @ p1
+                + 4.0 * lam * (1.0 - lam) * (p1 @ d2 @ p1 + p2 @ d1 @ p2)
+            )
+    return out
+
+
+def _rank_two_ks_projectors(spec, pt):
+    """I_ks = 4 (1 - 2 lam) [Pi_ker D^2 P1 - Pi_ker D^1 P2], literally."""
+    lam = spec.eigenvalues[0]
+    v = spec.eigenvectors
+    p1 = np.outer(v[:, 0], np.conj(v[:, 0]))
+    p2 = np.outer(v[:, 1], np.conj(v[:, 1]))
+    pi_ker = np.eye(spec.dim) - p1 - p2
+    g = pt.generators
+    out = {}
+    for i in range(pt.m):
+        for j in range(pt.m):
+            d1 = g[i] @ p1 @ g[j] - g[j] @ p1 @ g[i]
+            d2 = g[i] @ p2 @ g[j] - g[j] @ p2 @ g[i]
+            out[i, j] = 4.0 * (1.0 - 2.0 * lam) * (pi_ker @ d2 @ p1 - pi_ker @ d1 @ p2)
+    return out
+
+
+@pytest.mark.parametrize("d", [3, 4, 9, 64])
+def test_rank_two_closed_forms_match_projector_expressions(d):
+    # the closed forms work on 2 x 2 support elements and kernel columns; the
+    # projector expressions they replace are the reference
+    rng = np.random.default_rng(44)
+    rho, pt = _problem(rng, d, 2, m=3)
+    spec = rho.spectrum
+    for closed, literal in (
+        (rank_two_ss_prime, _rank_two_ss_prime_projectors),
+        (rank_two_ks, _rank_two_ks_projectors),
+    ):
+        out, ref = closed(spec, pt), literal(spec, pt)
+        dev = max(np.max(np.abs(out.entry(i, j) - ref[i, j])) for i, j in ref)
+        assert dev < 1e-12, (closed.__name__, dev)
+
+
+def _literal_operators(spec, slds):
+    """S = [L_i, L_j], O = S Pi and P = Pi S Pi as the parent code built them."""
+    pi = spec.support_projector
+    ops, m = slds.ops, len(slds.ops)
+    s = [[commutator(ops[i], ops[j]) for j in range(m)] for i in range(m)]
+    o = [[s[i][j] @ pi for j in range(m)] for i in range(m)]
+    p = [[pi @ o[i][j] for j in range(m)] for i in range(m)]
+    return {"S": s, "O": o, "P": p}
+
+
+def _operator_cases():
+    rng = np.random.default_rng(45)
+    for d in (2, 3, 4, 27, 64):
+        for rank in sorted({1, (d + 1) // 2, d}):
+            rho, pt = _problem(rng, d, rank, m=3)
+            yield f"{d}/{rank}", rho, sld_rotated(rho.spectrum, pt)
+    rho, pt = _problem(rng, 3, 2, m=2)
+    two = nu_copy_sld(sld_rotated(rho.spectrum, pt), 2)
+    yield "nu=2 of 3/2", tensor_power(rho, 2), two
+
+
+def test_eigenbasis_operators_match_literal_commutators():
+    for label, rho, slds in _operator_cases():
+        spec = slds.spec
+        v = spec.eigenvectors
+        for l, elem in zip(slds.ops, slds.elems):
+            assert np.max(np.abs(v @ elem @ dagger(v) - l)) < 1e-12, label
+        scale = max(1.0, max(np.linalg.norm(l) ** 2 for l in slds.ops))
+        ops = condition_operators_direct(spec, slds)
+        ref = _literal_operators(spec, slds)
+        w = weak_direct(rho, slds).entries
+        for kind, blocks in ref.items():
+            mine = getattr(ops, kind)
+            assert mine.kind == kind and mine.m == len(blocks)
+            dev = _max_block_dev(mine, OperatorConditionMatrix(blocks, kind))
+            assert dev < 1e-12 * scale, (label, kind, dev)
+            literal_norm = OperatorConditionMatrix(blocks, kind).norm
+            assert abs(ops.norms[kind] - literal_norm) < 1e-12 * scale, (label, kind)
+            assert abs(ops.norms[kind] - mine.norm) < 1e-12 * scale, (label, kind)
+        for i in range(len(w)):
+            for j in range(len(w)):
+                w_from_p = np.trace(rho.matrix @ ref["P"][i][j])
+                assert abs(w_from_p - w[i, j]) < 1e-10 * scale, label
+
+
+def test_classify_norms_equal_the_materialised_blocks():
+    rng = np.random.default_rng(46)
+    for d, rank in ((2, 1), (4, 2), (27, 14), (64, 32), (64, 64)):
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(3)])
+        theta = rng.normal(size=3)
+        rep = classify(rho, hs, theta=theta)
+        slds = sld_rotated(rho.spectrum, encode(hs, theta))
+        ops = condition_operators_direct(rho.spectrum, slds)
+        for kind in ("P", "O", "S"):
+            block_norm = getattr(ops, kind).norm
+            assert abs(rep.norms[kind] - block_norm) <= 1e-12 * rep.scale, (d, kind)
+
+
+def test_postcondition_raises_when_the_kernel_carries_weight():
+    # a cutoff of 0.5 puts the weight 0.4 in the kernel, where tr[rho S] and
+    # tr[rho P] differ by 0.4 c_kk; the check must compare all of the
+    # diagonal with its support part
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    rho = density_from_eigpairs(zip([0.6, 0.4], q.T[:2]), rank_tol=0.5)
+    assert rho.rank == 1
+    hs = hamiltonian_set([random_hermitian_matrix(rng, 4) for _ in range(2)])
+    message = r"postcondition tr\[rho P\] = W violated at \(0,1\)"
+    with pytest.raises(ArithmeticError, match=message):
+        classify(rho, hs, theta=[0.3, -0.2])
+
+
+def test_classify_path_builds_no_blocks_and_no_commutation_check(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the classify path")
+
+    monkeypatch.setattr(conditions, "_antisymmetric_operator_matrix", refuse)
+    monkeypatch.setattr(encoding, "_pairwise_commuting", refuse)
+    rng = np.random.default_rng(47)
+    d, rank = 16, 5
+    rho = density_matrix(random_density(rng, d, rank=rank))
+    hams = [random_hermitian_matrix(rng, d) for _ in range(3)]
+    hs = hamiltonian_set(hams)
+    rep = classify(rho, hs, theta=rng.normal(size=3))
+    assert rep.rank == rank
+    assert {"support_projector", "kernel_projector"}.isdisjoint(vars(rho.spectrum))
+
+    spec = rho.spectrum
+    state = [
+        {"weight": float(w), "vector": vector_to_json(spec.eigenvectors[:, k])}
+        for k, w in enumerate(spec.eigenvalues[:rank])
+    ]
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps({"state": state, "hamiltonians": [matrix_to_json(h) for h in hams]})
+    )
+    assert main(["classify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == rank
+
+    # the patches are live: the blocks and the flag do reach them when read
+    ops = condition_operators_direct(spec, sld_rotated(spec, encode(hs, np.zeros(3))))
+    with pytest.raises(AssertionError, match="classify path"):
+        ops.P
+    with pytest.raises(AssertionError, match="classify path"):
+        hs.commuting
 
 
 def test_pc_trace_norm_tracks_p_operator():

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from metrocommute import descriptors
 from metrocommute.descriptors import (
+    _complex_pair,
     matrix_from_json,
     matrix_to_json,
     parse_descriptor,
@@ -258,3 +260,95 @@ def test_with_parameter():
     )
     with pytest.raises(ValidationError, match="family-based state"):
         with_parameter(raw, "p", 0.5)
+
+
+def _pairwise(items):
+    """The element-wise parse, one _complex_pair per item."""
+    return np.array([_complex_pair(v, f"v[{i}]") for i, v in enumerate(items)])
+
+
+@pytest.mark.parametrize(
+    "item",
+    [[True, 0], "x", ["1", 0], None, [1, None], [1], [1, 0, 0], {"re": 1, "im": 0}],
+    ids=["bool", "string", "string-in-pair", "null", "null-in-pair", "one", "three", "dict"],
+)
+def test_pair_lists_reject_with_the_item_named(item):
+    # the text of the element-wise validator, naming the first bad item
+    message = f"expected an [re, im] pair, got {item!r}"
+    vector = [[1, 0], item, [0, 1]]
+    data = {"state": [{"weight": 1.0, "vector": vector}], "hamiltonians": [SX_JSON]}
+    with pytest.raises(ValidationError) as err:
+        parse_descriptor(data)
+    assert str(err.value) == f"state[0].vector[1]: {message}"
+    with pytest.raises(ValidationError) as err:
+        matrix_from_json({"dim": 2, "entries": vector + [[0, 0]]}, "state")
+    assert str(err.value) == f"state.entries[1]: {message}"
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [(1, 0), (0, 1)],
+        [[np.float64(0.6), 0], [0, np.float64(0.8)]],
+        [[2**60, 1], [2**60 + 1, -(2**53) - 1], [2**63 + 1, 2**64 + 3]],
+        [[0.1, -0.2], [1e-300, 1e300]],
+    ],
+    ids=["tuples", "float64", "big-ints", "floats"],
+)
+def test_pair_lists_accept_what_the_element_wise_parse_accepts(items):
+    ref = _pairwise(items)
+    got = vector_from_json(list(items), "v")
+    assert got.dtype == complex and np.array_equal(got, ref)
+    got = matrix_from_json({"dim": 1, "entries": list(items[:1])}, "m")
+    assert np.array_equal(got, ref[:1].reshape(1, 1))
+
+
+def test_resolve_reuses_the_parsed_arrays(monkeypatch):
+    text = json.dumps(
+        {
+            "state": [
+                {"weight": 0.75, "vector": [[1, 0], [0, 0]]},
+                {"weight": 0.25, "vector": [[0, 0], [1, 0]]},
+            ],
+            "hamiltonians": [SX_JSON, SZ_JSON],
+        }
+    )
+    desc = parse_descriptor(text)
+
+    def refuse(*args):
+        raise AssertionError("parsed a second time")
+
+    monkeypatch.setattr(descriptors, "_pairs_array", refuse)
+    rho, hs, _, _ = resolve(desc)
+    assert np.allclose(rho.matrix, np.diag([0.75, 0.25]))
+    assert np.array_equal(hs.hams[1], np.diag([1.0, -1.0]))
+
+
+def _float_pairs(pairs):
+    return [[float(a), float(b)] for a, b in pairs]
+
+
+def test_serialize_writes_parsed_arrays_back_as_pairs():
+    vectors = [[[1, 0], [0, 0]], [[0, 0], [0.6, -0.8]]]
+    entries = [[0.5, 0], [0, 0.5], [0, -0.5], [0.5, 0]]
+    cases = [
+        (
+            [{"weight": w, "vector": v} for w, v in zip((0.8, 0.2), vectors)],
+            [{"weight": w, "vector": _float_pairs(v)} for w, v in zip((0.8, 0.2), vectors)],
+        ),
+        ({"dim": 2, "entries": entries}, {"dim": 2, "entries": _float_pairs(entries)}),
+    ]
+    for state, canonical in cases:
+        data = {"state": state, "hamiltonians": [SX_JSON, SZ_JSON]}
+        out = serialize_descriptor(parse_descriptor(json.dumps(data)))
+        assert out["state"] == canonical
+        assert out["hamiltonians"] == [
+            {"dim": 2, "entries": _float_pairs(h["entries"])} for h in (SX_JSON, SZ_JSON)
+        ]
+        text = json.dumps(out)  # plain floats and lists only
+        assert all(
+            type(x) is float
+            for pair in json.loads(text)["hamiltonians"][0]["entries"]
+            for x in pair
+        )
+        assert serialize_descriptor(parse_descriptor(text)) == out
