@@ -280,7 +280,7 @@ class ConditionOperators:
 
 
 def condition_operators_direct(spec, slds):
-    """S, O, P from the SLD commutators and the support projector.
+    """S, O, P from the SLD commutators, cut to the support of the state.
 
     Works on the eigenbasis SLDs slds.elems (in the basis of spec): one
     product X = l_i l_j per pair and c = X - X^dag, the commutator of the two

@@ -386,7 +386,8 @@ def test_rank_two_closed_forms_match_projector_expressions(d):
 
 
 def _literal_operators(spec, slds):
-    """S = [L_i, L_j], O = S Pi and P = Pi S Pi as the parent code built them."""
+    """S = [L_i, L_j], O = S Pi and P = Pi S Pi, literally, from the SLDs in
+    their own frame and the support projector."""
     pi = spec.support_projector
     ops, m = slds.ops, len(slds.ops)
     s = [[commutator(ops[i], ops[j]) for j in range(m)] for i in range(m)]
