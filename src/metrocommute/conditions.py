@@ -30,10 +30,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .encoding import encode
+from .encoding import EncodingPoint, encode
 from .metrology import QfimResult, qfim
 from .operator_core import ValidationError, commutator, dagger
-from .sld import sld_rotated
+from .sld import SldSet, sld_rotated
 
 
 @dataclass(eq=False)
@@ -508,6 +508,9 @@ class ClassificationReport:
     dim: int
     W: ScalarConditionMatrix
     qfim: QfimResult
+    point: EncodingPoint
+    slds: SldSet
+    operators: ConditionOperators
 
 
 CHAIN = ["SC", "OC", "PC", "WC"]
@@ -519,9 +522,10 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     The zero test for each condition is frobenius_norm <= tol * scale with
     scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
     every condition matrix in the generators. The report also carries W and
-    the QFIM, both from the one SLD set, so callers need no second pass. The
+    the QFIM, both from the one SLD set, and the encoding point, SLD set and
+    condition operators of that pass, so callers need no second pass. The
     P, O and S norms come from the eigenbasis commutators; no d x d operator
-    block is built.
+    block is built until `report.operators` is asked for one.
     """
     if theta is None:
         theta = np.zeros(h_set.m)
@@ -563,4 +567,7 @@ def classify(rho, h_set, theta=None, tol=1e-8):
         dim=rho.dim,
         W=w,
         qfim=qfim(rho, slds),
+        point=pt,
+        slds=slds,
+        operators=ops,
     )

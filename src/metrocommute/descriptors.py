@@ -21,10 +21,14 @@ import numpy as np
 from .encoding import hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
+    EYE2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     default_parameters,
     example_configuration,
 )
-from .operator_core import ValidationError
+from .operator_core import ValidationError, tensor
 from .states import (
     RANK_TOL,
     bell_diagonal,
@@ -34,12 +38,6 @@ from .states import (
 )
 
 DEFAULT_ZERO_TOL = 1e-8
-
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 STATE_FAMILIES = (
     "white_noise",
@@ -387,14 +385,8 @@ def _resolve_hamiltonian(spec, path):
         if not isinstance(axis, list) or len(axis) != 3:
             _fail(f"{path}.params.axis", "expected [x, y, z] components")
         ax = [_number(v, f"{path}.params.axis[{i}]") for i, v in enumerate(axis)]
-        local = ax[0] * PAULI["x"] + ax[1] * PAULI["y"] + ax[2] * PAULI["z"]
-        factors = [
-            local if k == site else np.eye(2, dtype=complex) for k in range(sites)
-        ]
-        out = factors[0]
-        for f in factors[1:]:
-            out = np.kron(out, f)
-        return out
+        local = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
+        return tensor(*(local if k == site else EYE2 for k in range(sites)))
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 

@@ -1,8 +1,10 @@
 """Worked-example reports with closed-form oracles.
 
-Every runner builds the same configuration twice. The pipeline path goes
-through the generic machinery (states -> encoding -> sld -> conditions ->
-metrology). The oracle path evaluates example-specific closed forms written
+Every runner evaluates its configurations by two paths. The pipeline path
+builds each configuration once (through `_CONFIGURATIONS` for the
+single-configuration examples) and runs it through the generic machinery
+(states -> encoding -> sld -> conditions -> metrology), one `classify` or
+`_weak` pass per configuration. The oracle path evaluates example-specific closed forms written
 directly against numpy, sharing only operator_core primitives with the
 pipeline, so agreement between the two is evidence rather than tautology.
 
@@ -16,14 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (
-    classify,
-    condition_operators_direct,
-    support_kernel_decomposition,
-    weak_direct,
-)
+from .conditions import classify, support_kernel_decomposition, weak_direct
 from .encoding import encode, hamiltonian_set
-from .metrology import incompatibility, qcr_scalar, qfim
+from .metrology import incompatibility, qcr_scalar
 from .operator_core import ValidationError, dagger, matrix_exp_i, tensor
 from .sld import sld_rotated
 from .states import (
@@ -147,12 +144,10 @@ def _rand_ket(rng, d):
     return v / np.linalg.norm(v)
 
 
-def _rand_herm(rng, d, unit_norm=True):
+def _rand_herm(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (a + dagger(a)) / 2.0
-    if unit_norm:
-        h = h / np.linalg.norm(h)
-    return h
+    return h / np.linalg.norm(h)
 
 
 def _rand_orthonormal(rng, d, count):
@@ -178,13 +173,14 @@ def _fd_generators(hams, theta, step=1e-5):
     return gens
 
 
-def _pipeline_w(rho, hams, theta=None):
-    hs = hamiltonian_set(hams)
-    if theta is None:
-        theta = np.zeros(hs.m)
-    pt = encode(hs, theta)
-    slds = sld_rotated(rho.spectrum, pt)
-    return weak_direct(rho, slds), slds, pt
+def _weak(rho, hs, theta=None):
+    """W from one encode and SLD pass, for runners that read nothing else.
+
+    Runners that read more than W call `classify` and take W, the QFIM and
+    the operators from its report.
+    """
+    pt = encode(hs, np.zeros(hs.m) if theta is None else theta)
+    return weak_direct(rho, sld_rotated(rho.spectrum, pt))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def _run_ex1(p):
         rho = density_from_eigpairs(pairs)
         hams = [_rand_herm(rng, 2), _rand_herm(rng, 2)]
         theta = rng.uniform(-1.0, 1.0, size=2)
-        w, _, _ = _pipeline_w(rho, hams, theta)
+        w = _weak(rho, hamiltonian_set(hams), theta)
         # oracle: finite-difference generators, then the purity identity
         gens = _fd_generators(hams, theta)
         rho_mat = sum(wt * np.outer(v, v.conj()) for wt, v in pairs)
@@ -240,6 +236,18 @@ def _ex2_closed(p, dim, psi, hams):
     return pref * (psi.conj() @ comm @ psi)
 
 
+def _ex2_draw(p):
+    """The seeded ket and Hamiltonian pair of EX2."""
+    rng = np.random.default_rng(int(p["seed"]))
+    dim = int(p["dim"])
+    return _rand_ket(rng, dim), [_rand_herm(rng, dim), _rand_herm(rng, dim)]
+
+
+def _ex2_configuration(p):
+    psi, hams = _ex2_draw(p)
+    return white_noise_state(psi, float(p["p"])), hamiltonian_set(hams)
+
+
 def _run_ex2(p):
     dim = int(p["dim"])
     noise = float(p["p"])
@@ -247,14 +255,10 @@ def _run_ex2(p):
         raise ValidationError("out-of-domain parameters: dim must be >= 2")
     if not 0.0 < noise <= 1.0:
         raise ValidationError("out-of-domain parameters: p must be in (0, 1]")
-    rng = np.random.default_rng(int(p["seed"]))
-    psi = _rand_ket(rng, dim)
-    hams = [_rand_herm(rng, dim), _rand_herm(rng, dim)]
+    psi, hams = _ex2_draw(p)
 
     def pipeline(pp):
-        rho = white_noise_state(psi, pp)
-        w, _, _ = _pipeline_w(rho, hams)
-        return w.entries[0, 1]
+        return _weak(*_ex2_configuration({**p, "p": pp})).entries[0, 1]
 
     w12 = pipeline(noise)
     sweep_worst = max(
@@ -316,14 +320,16 @@ def _ex3_closed(alpha, lam):
     return h_lam * (1.0 - np.cos(4.0 * alpha)) * np.sqrt(radicand)
 
 
+def _ex3_configuration(p):
+    rho = _tilted_pair_state(float(p["alpha"]), float(p["lam"]))
+    return rho, hamiltonian_set([COUPLER_01_ANTI, DIAG_112])
+
+
 def _run_ex3(p):
     alpha, lam = float(p["alpha"]), float(p["lam"])
-    hams = [COUPLER_01_ANTI, DIAG_112]
 
     def pipeline(aa):
-        rho = _tilted_pair_state(aa, lam)
-        w, _, _ = _pipeline_w(rho, hams)
-        return w.entries[0, 1]
+        return _weak(*_ex3_configuration({**p, "alpha": aa})).entries[0, 1]
 
     w12 = pipeline(alpha)
     grid = np.linspace(np.pi / 4 + 0.05, np.pi / 2 - 0.05, 9)
@@ -348,25 +354,25 @@ def _run_ex3(p):
 # ---------------------------------------------------------------------------
 
 
-def _ex4_state(prob):
+def _ex4_configuration(p):
+    prob = float(p["p"])
     if not 0.0 < prob < 1.0:
         raise ValidationError("out-of-domain parameters: p must be in (0, 1)")
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
     vpp = np.full(4, 0.5, dtype=complex)
-    return density_matrix(
+    rho = density_matrix(
         prob * np.outer(v00, v00.conj()) + (1.0 - prob) * np.outer(vpp, vpp.conj())
     )
+    return rho, hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)])
 
 
 def _run_ex4(p):
     prob = float(p["p"])
-    hams = [tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)]
 
     def pipeline(pp):
-        rho = _ex4_state(pp)
-        w, _, _ = _pipeline_w(rho, hams)
-        return w.entries[0, 1], float(rho.spectrum.eigenvalues[1])
+        rho, hs = _ex4_configuration({**p, "p": pp})
+        return _weak(rho, hs).entries[0, 1], float(rho.spectrum.eigenvalues[1])
 
     w12, lam_small = pipeline(prob)
 
@@ -417,21 +423,25 @@ def _w_type_kets():
     return psi1, psi2
 
 
-def _run_ex5(p):
+def _ex5_configuration(p):
     lam = float(p["lam"])
     if not 0.0 < lam < 1.0:
         raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
     psi1, psi2 = _w_type_kets()
+    rho = density_from_eigpairs([(lam, psi1), (1.0 - lam, psi2)])
     hams = [
         tensor(PAULI_Z, EYE2, EYE2),
         tensor(EYE2, PAULI_Z, EYE2),
         tensor(EYE2, EYE2, PAULI_Z),
     ]
+    return rho, hamiltonian_set(hams)
+
+
+def _run_ex5(p):
+    lam = float(p["lam"])
 
     def pipeline(ll):
-        rho = density_from_eigpairs([(ll, psi1), (1.0 - ll, psi2)])
-        w, _, _ = _pipeline_w(rho, hams)
-        return w.entries
+        return _weak(*_ex5_configuration({**p, "lam": ll})).entries
 
     def closed(ll):
         return 64j * (1.0 - ll) * ll * (1.0 - 2.0 * ll) / (3.0 * np.sqrt(3.0))
@@ -480,12 +490,11 @@ def _run_ex6(p):
     rng = np.random.default_rng(int(p["seed"]))
     psi1, _ = _w_type_kets()
     rho_abc = density_from_eigpairs([(1.0, psi1)])
-    hams = [tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_X)]
+    hs = hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_X)])
     norms = {}
     claims = {}
     for keep, name in [((0, 1), "AB"), ((1, 2), "BC"), ((0, 2), "CA")]:
-        marg = state_marginal(rho_abc, [2, 2, 2], keep)
-        w, _, _ = _pipeline_w(marg, hams)
+        w = _weak(state_marginal(rho_abc, [2, 2, 2], keep), hs)
         norms[name] = w.norm
         claims[f"{name}_wc_violated"] = 1.0 if w.norm > 1e-6 else 0.0
     # contrast: marginals of a pure product state keep W = 0 exactly
@@ -494,8 +503,7 @@ def _run_ex6(p):
     rho_prod = density_matrix(product)
     worst_prod = 0.0
     for keep in [(0, 1), (1, 2), (0, 2)]:
-        marg = state_marginal(rho_prod, [2, 2, 2], keep)
-        w, _, _ = _pipeline_w(marg, hams)
+        w = _weak(state_marginal(rho_prod, [2, 2, 2], keep), hs)
         worst_prod = max(worst_prod, w.norm)
     claims["product_marginals_wc_hold"] = 1.0 if worst_prod < 1e-9 else 0.0
     expected = {
@@ -521,22 +529,18 @@ def _run_ex6(p):
 # ---------------------------------------------------------------------------
 
 
-def _ex7_pipeline(alpha, lam, a, a_prime):
-    rho = _tilted_pair_state(alpha, lam)
-    hams = [a * COUPLER_01 + a_prime * DIAG_01, DIAG_112]
-    hs = hamiltonian_set(hams)
-    pt = encode(hs, np.zeros(2))
-    slds = sld_rotated(rho.spectrum, pt)
-    ops = condition_operators_direct(rho.spectrum, slds)
-    terms = support_kernel_decomposition(rho.spectrum, pt)
-    return rho, pt, slds, ops, terms
+def _ex7_configuration(p):
+    rho = _tilted_pair_state(float(p["alpha"]), float(p["lam"]))
+    h1 = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
+    return rho, hamiltonian_set([h1, DIAG_112])
 
 
 def _run_ex7(p):
-    alpha, lam = float(p["alpha"]), float(p["lam"])
-    a, a_prime = float(p["a"]), float(p["a_prime"])
-    rho, pt, slds, ops, terms = _ex7_pipeline(alpha, lam, a, a_prime)
-    w, _, _ = _pipeline_w(rho, [a * COUPLER_01 + a_prime * DIAG_01, DIAG_112])
+    alpha, lam, a = float(p["alpha"]), float(p["lam"]), float(p["a"])
+    rho, hs = _ex7_configuration(p)
+    report = classify(rho, hs)
+    ops = report.operators
+    terms = support_kernel_decomposition(rho.spectrum, report.point)
 
     s_val = -12.0 * a * np.sqrt(3.0) * np.cos(alpha) ** 2 * np.cos(2.0 * alpha)
     t_val = (
@@ -552,14 +556,17 @@ def _run_ex7(p):
     )
 
     # alpha = pi/4 degeneration: P collapses, O keeps one kernel-column entry
-    _, _, _, ops_q, terms_q = _ex7_pipeline(np.pi / 4, lam, a, a_prime)
+    rho_q, hs_q = _ex7_configuration({**p, "alpha": np.pi / 4})
+    report_q = classify(rho_q, hs_q)
+    terms_q = support_kernel_decomposition(rho_q.spectrum, report_q.point)
     o12_expect = np.zeros((3, 3), dtype=complex)
     o12_expect[1, 2] = 3.0 * a * np.sqrt(3.0) * (1.0 - 2.0 * lam)
 
     # a = 0 leaves two commuting diagonal generators: S vanishes entirely
-    _, _, slds_a0, ops_a0, _ = _ex7_pipeline(np.pi / 4, lam, 0.0, 1.0)
-    rho_a0 = _tilted_pair_state(np.pi / 4, lam)
-    f_a0 = qfim(rho_a0, slds_a0)
+    report_a0 = classify(
+        *_ex7_configuration({**p, "alpha": np.pi / 4, "a": 0.0, "a_prime": 1.0})
+    )
+    f_a0 = report_a0.qfim
     try:
         qcr_scalar(f_a0)
         singular_msg = ""
@@ -590,12 +597,12 @@ def _run_ex7(p):
         "S_norm_axial": "a = 0 leaves two diagonal generators, hence S = 0",
     }
     computed = {
-        "W_norm": w.norm,
+        "W_norm": report.W.norm,
         "P_12": ops.P.entry(0, 1),
-        "P_norm_quarter": ops_q.P.norm,
-        "O_12_quarter": ops_q.O.entry(0, 1),
+        "P_norm_quarter": report_q.operators.P.norm,
+        "O_12_quarter": report_q.operators.O.entry(0, 1),
         "I_kk_norm_quarter": terms_q.i_kk.norm,
-        "S_norm_axial": ops_a0.S.norm,
+        "S_norm_axial": report_a0.operators.S.norm,
     }
     extras = {
         "qfim_axial": f_a0.matrix,
@@ -613,7 +620,12 @@ def _run_ex7(p):
 # ---------------------------------------------------------------------------
 
 
-def _entangled_triple_state(lam1, lam2):
+# local fields with a_x b_z = a_z b_x, where P vanishes but O does not
+_EX8_MATCHED = {"ax": 1.0, "az": 0.4, "bx": 1.0, "bz": 0.4}
+
+
+def _ex8_configuration(p):
+    lam1, lam2 = float(p["lam1"]), float(p["lam2"])
     if lam1 <= 0.0 or lam2 <= 0.0 or lam1 + lam2 >= 1.0:
         raise ValidationError(
             "out-of-domain parameters: need lam1 > 0, lam2 > 0, lam1 + lam2 < 1"
@@ -621,21 +633,12 @@ def _entangled_triple_state(lam1, lam2):
     b1 = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     b2 = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0)
     b3 = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
-    return density_from_eigpairs(
-        [(lam1, b1), (lam2, b2), (1.0 - lam1 - lam2, b3)]
-    )
-
-
-def _ex8_pipeline(lam1, lam2, ax, az, bx, bz):
-    rho = _entangled_triple_state(lam1, lam2)
+    rho = density_from_eigpairs([(lam1, b1), (lam2, b2), (1.0 - lam1 - lam2, b3)])
     hams = [
-        tensor(ax * PAULI_X + az * PAULI_Z, EYE2),
-        tensor(EYE2, bx * PAULI_X + bz * PAULI_Z),
+        tensor(float(p["ax"]) * PAULI_X + float(p["az"]) * PAULI_Z, EYE2),
+        tensor(EYE2, float(p["bx"]) * PAULI_X + float(p["bz"]) * PAULI_Z),
     ]
-    hs = hamiltonian_set(hams)
-    pt = encode(hs, np.zeros(2))
-    slds = sld_rotated(rho.spectrum, pt)
-    return rho, pt, slds
+    return rho, hamiltonian_set(hams)
 
 
 def _run_ex8(p):
@@ -643,10 +646,10 @@ def _run_ex8(p):
     ax, az = float(p["ax"]), float(p["az"])
     bx, bz = float(p["bx"]), float(p["bz"])
 
-    rho, pt, slds = _ex8_pipeline(lam1, lam2, ax, az, bx, bz)
-    w = weak_direct(rho, slds)
-    ops = condition_operators_direct(rho.spectrum, slds)
-    terms = support_kernel_decomposition(rho.spectrum, pt)
+    rho, hs = _ex8_configuration(p)
+    report = classify(rho, hs)
+    ops = report.operators
+    terms = support_kernel_decomposition(rho.spectrum, report.point)
 
     f_val = 4.0 * (1.0 - lam1) * lam1 * (ax * bz - az * bx) / (
         (1.0 - lam2) * (lam1 + lam2)
@@ -663,13 +666,11 @@ def _run_ex8(p):
     iks_expect[2, 0] = iks_expect[2, 3] = -g_val
 
     # matched knobs a_x b_z = a_z b_x: P collapses while O survives
-    rho_m, _, slds_m = _ex8_pipeline(lam1, lam2, 1.0, 0.4, 1.0, 0.4)
-    ops_m = condition_operators_direct(rho_m.spectrum, slds_m)
+    ops_m = classify(*_ex8_configuration({**p, **_EX8_MATCHED})).operators
 
     # axial knobs a_z = b_z = 0: all four conditions hold
-    rho_x, _, slds_x = _ex8_pipeline(lam1, lam2, ax, 0.0, bx, 0.0)
-    ops_x = condition_operators_direct(rho_x.spectrum, slds_x)
-    f_x = qfim(rho_x, slds_x)
+    report_x = classify(*_ex8_configuration({**p, "az": 0.0, "bz": 0.0}))
+    f_x = report_x.qfim
     qcr_x = qcr_scalar(f_x)
 
     expected = {
@@ -699,13 +700,13 @@ def _run_ex8(p):
         "S_norm_axial": "a_z = b_z = 0 gives commuting SLDs, hence S = 0",
     }
     computed = {
-        "W_norm": w.norm,
+        "W_norm": report.W.norm,
         "P_12": ops.P.entry(0, 1),
         "I_ks_12": terms.i_ks.entry(0, 1),
         "I_kk_norm": terms.i_kk.norm,
         "P_norm_matched": ops_m.P.norm,
         "O_nonzero_matched": 1.0 if ops_m.O.norm > 1e-6 else 0.0,
-        "S_norm_axial": ops_x.S.norm,
+        "S_norm_axial": report_x.operators.S.norm,
     }
     extras = {
         "f": f_val,
@@ -733,20 +734,14 @@ def _qutrit_pair_kets():
     return psi1, psi2
 
 
-def _ex9_problem(lam, a, a_prime):
+def _ex9_configuration(p):
+    lam = float(p["lam"])
     if not 0.0 < lam < 1.0:
         raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
     psi1, psi2 = _qutrit_pair_kets()
-    eta = a * COUPLER_01 + a_prime * DIAG_01
+    eta = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
     rho = density_from_eigpairs([(lam, psi1), (1.0 - lam, psi2)])
     return rho, hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)])
-
-
-def _ex9_pipeline(lam, a, a_prime):
-    rho, hs = _ex9_problem(lam, a, a_prime)
-    pt = encode(hs, np.zeros(2))
-    slds = sld_rotated(rho.spectrum, pt)
-    return rho, pt, slds
 
 
 def _ex9_qfim_closed(lam):
@@ -755,15 +750,14 @@ def _ex9_qfim_closed(lam):
 
 def _run_ex9(p):
     lam = float(p["lam"])
-    a, a_prime = float(p["a"]), float(p["a_prime"])
-    rho, pt, slds = _ex9_pipeline(lam, a, a_prime)
-    w = weak_direct(rho, slds)
-    ops = condition_operators_direct(rho.spectrum, slds)
-    terms = support_kernel_decomposition(rho.spectrum, pt)
+    axial = {"a": 0.0, "a_prime": 1.0}
+    rho, hs = _ex9_configuration(p)
+    report = classify(rho, hs)
+    ops = report.operators
+    terms = support_kernel_decomposition(rho.spectrum, report.point)
 
-    rho0, _, slds0 = _ex9_pipeline(lam, 0.0, 1.0)
-    ops0 = condition_operators_direct(rho0.spectrum, slds0)
-    f0 = qfim(rho0, slds0)
+    report0 = classify(*_ex9_configuration({**p, **axial}))
+    f0 = report0.qfim
     try:
         qcr_scalar(f0)
         singular = 0.0
@@ -772,16 +766,13 @@ def _run_ex9(p):
 
     sweep_worst = 0.0
     for ll in np.linspace(0.05, 0.95, 10):
-        rr, _, ss = _ex9_pipeline(ll, a, a_prime)
-        ww = weak_direct(rr, ss)
-        oo = condition_operators_direct(rr.spectrum, ss)
-        rr0, _, ss0 = _ex9_pipeline(ll, 0.0, 1.0)
-        ff = qfim(rr0, ss0)
+        rr = classify(*_ex9_configuration({**p, "lam": ll}))
+        ff = classify(*_ex9_configuration({**p, "lam": ll, **axial})).qfim
         sweep_worst = max(
             sweep_worst,
-            ww.norm,
-            oo.P.norm,
-            oo.O.norm,
+            rr.W.norm,
+            rr.operators.P.norm,
+            rr.operators.O.norm,
             float(np.max(np.abs(ff.matrix - _ex9_qfim_closed(ll)))),
         )
 
@@ -810,12 +801,12 @@ def _run_ex9(p):
         ),
     }
     computed = {
-        "W_norm": w.norm,
+        "W_norm": report.W.norm,
         "P_norm": ops.P.norm,
         "O_norm": ops.O.norm,
         "I_kk_nonzero": 1.0 if terms.i_kk.norm > 1e-6 else 0.0,
         "S_nonzero": 1.0 if ops.S.norm > 1e-6 else 0.0,
-        "S_norm_axial": ops0.S.norm,
+        "S_norm_axial": report0.operators.S.norm,
         "qfim_axial": f0.matrix,
         "qfim_singular_axial": singular,
         "lambda_sweep_worst": float(sweep_worst),
@@ -829,7 +820,9 @@ def _run_ex9(p):
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_pure_state(lam, dim=4):
+def _pseudo_pure_configuration(p):
+    """EX10, and OBS7 at its default dim and local fields."""
+    lam, dim = float(p["lam"]), int(p.get("dim", 4))
     if dim != 4:
         raise ValidationError(
             "out-of-domain parameters: dim must be 4 (two-qubit realization)"
@@ -839,25 +832,21 @@ def _pseudo_pure_state(lam, dim=4):
     psi = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
     lam_star = (1.0 - lam) / (dim - 1.0)
     pi_psi = np.outer(psi, psi.conj())
-    return density_matrix(lam * pi_psi + lam_star * (np.eye(dim) - pi_psi)), lam_star
+    rho = density_matrix(lam * pi_psi + lam_star * (np.eye(dim) - pi_psi))
+    local = float(p.get("ax", 1.0)) * PAULI_X + float(p.get("az", 1.0)) * PAULI_Z
+    return rho, hamiltonian_set([tensor(local, EYE2), tensor(EYE2, local)])
 
 
 def _run_ex10(p):
     lam = float(p["lam"])
     dim = int(p["dim"])
     ax, az = float(p["ax"]), float(p["az"])
-    rho, lam_star = _pseudo_pure_state(lam, dim)
-    local = ax * PAULI_X + az * PAULI_Z
-    hams = [tensor(local, EYE2), tensor(EYE2, local)]
-    hs = hamiltonian_set(hams)
-    pt = encode(hs, np.zeros(2))
-    slds = sld_rotated(rho.spectrum, pt)
-    w = weak_direct(rho, slds)
-    ops = condition_operators_direct(rho.spectrum, slds)
-    f = qfim(rho, slds)
-    e = incompatibility(f, w)
+    rho, hs = _pseudo_pure_configuration(p)
     report = classify(rho, hs)
+    ops, slds, pt, f = report.operators, report.slds, report.point, report.qfim
+    e = incompatibility(f, report.W)
 
+    lam_star = (1.0 - lam) / (dim - 1.0)
     ratio = (lam - lam_star) / (lam + lam_star)
     s_pattern = np.array(
         [[0, -1, 1, 0], [1, 0, 0, 1], [-1, 0, 0, -1], [0, -1, 1, 0]],
@@ -907,7 +896,7 @@ def _run_ex10(p):
         "sc_flag": "strong condition still fails: S != 0 despite W = 0",
     }
     computed = {
-        "W_norm": w.norm,
+        "W_norm": report.W.norm,
         "S_12": ops.S.entry(0, 1),
         "sld_deviation": sld_dev,
         "full_rank": 1.0 if rho.rank == dim else 0.0,
@@ -933,13 +922,9 @@ def _run_ex10(p):
 
 def _run_obs2(p):
     rng = np.random.default_rng(int(p["seed"]))
-    hams = [tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)]
-    hs = hamiltonian_set(hams)
-    rho = _ex4_state(0.5)
-    w, _, _ = _pipeline_w(rho, hams)
-    psi = _rand_ket(rng, 4)
-    rho_pure = density_from_eigpairs([(1.0, psi)])
-    w_pure, _, _ = _pipeline_w(rho_pure, hams)
+    rho, hs = _ex4_configuration({"p": 0.5})
+    w = _weak(rho, hs)
+    w_pure = _weak(density_from_eigpairs([(1.0, _rand_ket(rng, 4))]), hs)
     expected = {
         "hamiltonians_commute": 1.0,
         "mixed_wc_violated": 1.0,
@@ -973,27 +958,33 @@ def _symmetrized_weights(rng, d):
     return (sym / sym.sum()).reshape(-1)
 
 
+def _real_entangled_draw(rng, d):
+    """A real mixture of the d = 2 or 3 maximally entangled basis (index-
+    symmetrized weights at d = 3) with real local generators on each side."""
+    if d == 2:
+        weights = rng.dirichlet(np.ones(4))
+    else:
+        weights = _symmetrized_weights(rng, 3)
+    bd = bell_diagonal(weights, d)
+    eye = np.eye(d, dtype=complex)
+    h_a = rng.normal(size=(d, d))
+    h_a = (h_a + h_a.T) / 2.0
+    h_b = rng.normal(size=(d, d))
+    h_b = (h_b + h_b.T) / 2.0
+    hams = [tensor(h_a.astype(complex), eye), tensor(eye, h_b.astype(complex))]
+    return bd, hamiltonian_set(hams)
+
+
 def _run_obs3(p):
     rng = np.random.default_rng(int(p["seed"]))
     draws = int(p["draws"])
     worst = {2: 0.0, 3: 0.0}
     all_real = True
     for d in (2, 3):
-        eye = np.eye(d, dtype=complex)
         for _ in range(draws):
-            if d == 2:
-                weights = rng.dirichlet(np.ones(4))
-            else:
-                weights = _symmetrized_weights(rng, 3)
-            bd = bell_diagonal(weights, d)
+            bd, hs = _real_entangled_draw(rng, d)
             all_real = all_real and bd.is_real
-            h_a = np.asarray(rng.normal(size=(d, d)))
-            h_a = (h_a + h_a.T) / 2.0
-            h_b = np.asarray(rng.normal(size=(d, d)))
-            h_b = (h_b + h_b.T) / 2.0
-            hams = [tensor(h_a.astype(complex), eye), tensor(eye, h_b.astype(complex))]
-            w, _, _ = _pipeline_w(bd.rho, hams)
-            worst[d] = max(worst[d], w.norm)
+            worst[d] = max(worst[d], _weak(bd.rho, hs).norm)
     expected = {
         "worst_W_norm_d2": 0.0,
         "worst_W_norm_d3": 0.0,
@@ -1023,21 +1014,25 @@ def _run_obs3(p):
 # ---------------------------------------------------------------------------
 
 
+def _spin_entangled_draw(rng):
+    """A two-qubit maximally-entangled-basis mixture with local spin
+    generators along random axes, of random magnitude in [0.5, 2]."""
+    bd = bell_diagonal(rng.dirichlet(np.ones(4)), 2)
+    axes = []
+    for _ in range(2):
+        n = rng.normal(size=3)
+        n = n / np.linalg.norm(n) * rng.uniform(0.5, 2.0)
+        axes.append(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+    return bd, hamiltonian_set([tensor(axes[0], EYE2), tensor(EYE2, axes[1])])
+
+
 def _run_obs5(p):
     rng = np.random.default_rng(int(p["seed"]))
     draws = int(p["draws"])
     worst = 0.0
     for _ in range(draws):
-        weights = rng.dirichlet(np.ones(4))
-        bd = bell_diagonal(weights, 2)
-        axes = []
-        for _ in range(2):
-            n = rng.normal(size=3)
-            n = n / np.linalg.norm(n) * rng.uniform(0.5, 2.0)
-            axes.append(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
-        hams = [tensor(axes[0], EYE2), tensor(EYE2, axes[1])]
-        w, _, _ = _pipeline_w(bd.rho, hams)
-        worst = max(worst, w.norm)
+        bd, hs = _spin_entangled_draw(rng)
+        worst = max(worst, _weak(bd.rho, hs).norm)
     expected = {"worst_W_norm": 0.0}
     provenance = {
         "worst_W_norm": (
@@ -1056,20 +1051,15 @@ def _run_obs5(p):
 
 def _run_obs6(p):
     # weak-but-not-partial: the qutrit pair at its generic knobs
-    rho_a = _tilted_pair_state(np.pi / 3, 0.25)
-    hs_a = hamiltonian_set([COUPLER_01 + DIAG_01, DIAG_112])
+    rho_a, hs_a = _ex7_configuration(
+        {"alpha": np.pi / 3, "lam": 0.25, "a": 1.0, "a_prime": 1.0}
+    )
     rep_a = classify(rho_a, hs_a)
     # partial-but-not-one-sided: the entangled triple at matched knobs
-    rho_b = _entangled_triple_state(0.3, 0.2)
-    hs_b = hamiltonian_set(
-        [
-            tensor(PAULI_X + 0.4 * PAULI_Z, EYE2),
-            tensor(EYE2, PAULI_X + 0.4 * PAULI_Z),
-        ]
-    )
+    rho_b, hs_b = _ex8_configuration({"lam1": 0.3, "lam2": 0.2, **_EX8_MATCHED})
     rep_b = classify(rho_b, hs_b)
     # one-sided-but-not-strong: the two-qutrit pair at its generic knobs
-    rho_c, hs_c = _ex9_problem(1.0 / 3.0, 1.0, 0.7)
+    rho_c, hs_c = _ex9_configuration({"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7})
     rep_c = classify(rho_c, hs_c)
 
     expected = {
@@ -1112,18 +1102,10 @@ def _run_obs6(p):
 
 
 def _run_obs7(p):
-    lam = float(p["lam"])
-    rho, _ = _pseudo_pure_state(lam)
-    local = PAULI_X + PAULI_Z
-    hams = [tensor(local, EYE2), tensor(EYE2, local)]
-    hs = hamiltonian_set(hams)
-    pt = encode(hs, np.zeros(2))
-    slds = sld_rotated(rho.spectrum, pt)
-    w = weak_direct(rho, slds)
-    ops = condition_operators_direct(rho.spectrum, slds)
-    f = qfim(rho, slds)
-    e = incompatibility(f, w)
+    rho, hs = _pseudo_pure_configuration(p)
     report = classify(rho, hs)
+    ops, f = report.operators, report.qfim
+    e = incompatibility(f, report.W)
     coincide = max(
         float(np.linalg.norm(ops.P.entry(0, 1) - ops.S.entry(0, 1))),
         float(np.linalg.norm(ops.O.entry(0, 1) - ops.S.entry(0, 1))),
@@ -1212,6 +1194,21 @@ _RUNNERS = {
 
 EXAMPLE_IDS = list(_RUNNERS)
 
+# The one place each single-configuration example builds its state and
+# Hamiltonians: p -> (rho, hs), p the merged parameters. Runners call these
+# builders for their own sweeps and variants too.
+_CONFIGURATIONS = {
+    "EX2": _ex2_configuration,
+    "EX3": _ex3_configuration,
+    "EX4": _ex4_configuration,
+    "EX5": _ex5_configuration,
+    "EX7": _ex7_configuration,
+    "EX8": _ex8_configuration,
+    "EX9": _ex9_configuration,
+    "EX10": _pseudo_pure_configuration,
+    "OBS7": _pseudo_pure_configuration,
+}
+
 
 def default_parameters(example_id):
     if example_id not in _DEFAULTS:
@@ -1240,63 +1237,21 @@ def run_example(example_id, params=None):
     return _RUNNERS[example_id](merged)
 
 
-def run_all(params=None):
+def run_all():
     return [run_example(ex_id) for ex_id in EXAMPLE_IDS]
 
 
 def example_configuration(example_id, params=None):
     """State, Hamiltonian set, and theta for the single-configuration examples.
 
-    Used by the sweep and classify front ends; batch-style reports (EX1, EX6,
-    OBS2..OBS7) do not define a single configuration and are rejected.
+    Used by the sweep and classify front ends. Those are EX2..EX5, EX7..EX10
+    and OBS7; the batch-style reports (EX1, EX6, OBS2, OBS3, OBS5, OBS6) do
+    not define a single configuration and are rejected.
     """
     p = _merged_parameters(example_id, params)
-    if example_id == "EX2":
-        rng = np.random.default_rng(int(p["seed"]))
-        dim = int(p["dim"])
-        psi = _rand_ket(rng, dim)
-        hams = [_rand_herm(rng, dim), _rand_herm(rng, dim)]
-        return white_noise_state(psi, float(p["p"])), hamiltonian_set(hams), None
-    if example_id == "EX3":
-        rho = _tilted_pair_state(float(p["alpha"]), float(p["lam"]))
-        return rho, hamiltonian_set([COUPLER_01_ANTI, DIAG_112]), None
-    if example_id == "EX4":
-        rho = _ex4_state(float(p["p"]))
-        hams = [tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)]
-        return rho, hamiltonian_set(hams), None
-    if example_id == "EX5":
-        psi1, psi2 = _w_type_kets()
-        lam = float(p["lam"])
-        if not 0.0 < lam < 1.0:
-            raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
-        rho = density_from_eigpairs([(lam, psi1), (1.0 - lam, psi2)])
-        hams = [
-            tensor(PAULI_Z, EYE2, EYE2),
-            tensor(EYE2, PAULI_Z, EYE2),
-            tensor(EYE2, EYE2, PAULI_Z),
-        ]
-        return rho, hamiltonian_set(hams), None
-    if example_id == "EX7":
-        rho = _tilted_pair_state(float(p["alpha"]), float(p["lam"]))
-        h1 = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-        return rho, hamiltonian_set([h1, DIAG_112]), None
-    if example_id == "EX8":
-        rho = _entangled_triple_state(float(p["lam1"]), float(p["lam2"]))
-        hams = [
-            tensor(float(p["ax"]) * PAULI_X + float(p["az"]) * PAULI_Z, EYE2),
-            tensor(EYE2, float(p["bx"]) * PAULI_X + float(p["bz"]) * PAULI_Z),
-        ]
-        return rho, hamiltonian_set(hams), None
-    if example_id == "EX9":
-        rho, hs = _ex9_problem(float(p["lam"]), float(p["a"]), float(p["a_prime"]))
+    if example_id in _CONFIGURATIONS:
+        rho, hs = _CONFIGURATIONS[example_id](p)
         return rho, hs, None
-    if example_id == "EX10" or example_id == "OBS7":
-        rho, _ = _pseudo_pure_state(float(p["lam"]), int(p.get("dim", 4)))
-        ax = float(p.get("ax", 1.0))
-        az = float(p.get("az", 1.0))
-        local = ax * PAULI_X + az * PAULI_Z
-        hams = [tensor(local, EYE2), tensor(EYE2, local)]
-        return rho, hamiltonian_set(hams), None
     raise ValidationError(
         f"example {example_id} does not define a single sweepable configuration"
     )

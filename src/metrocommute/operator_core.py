@@ -21,10 +21,6 @@ def dagger(a):
     return np.conj(a.T)
 
 
-def frobenius(a):
-    return float(np.linalg.norm(a))
-
-
 def as_square_matrix(a, name="matrix"):
     """Coerce to a square complex128 ndarray, validating shape and finiteness."""
     m = np.asarray(a, dtype=complex)

@@ -22,10 +22,16 @@ from .conditions import (
     weak_rank_two,
 )
 from .encoding import encode, evolve, hamiltonian_set
+from .examples import (
+    _real_entangled_draw,
+    _spin_entangled_draw,
+    _weak,
+    example_configuration,
+)
 from .metrology import qfim, qfim_additivity, verify_fc_order
-from .operator_core import ValidationError, dagger, tensor
+from .operator_core import ValidationError, dagger
 from .sld import cfim, sld_encoded, sld_rotated
-from .states import bell_diagonal, density_from_eigpairs, povm_set, white_noise_state
+from .states import density_from_eigpairs, povm_set, white_noise_state
 
 
 @dataclass(eq=False)
@@ -92,13 +98,22 @@ def _draw_problem(rng, max_dim=9, max_m=3):
     return rho, hs, pt
 
 
-def _block_dev(a, b):
-    m = a.m
-    return max(
-        float(np.linalg.norm(a.entry(i, j) - b.entry(i, j)))
-        for i in range(m)
-        for j in range(m)
+def _matched_ex8(rng):
+    """EX8 at random local fields with a_x b_z = a_z b_x, where P = 0."""
+    ax, az = rng.uniform(0.3, 1.0, size=2)
+    scale = float(rng.uniform(0.5, 1.5))
+    rho, hs, _ = example_configuration(
+        "EX8",
+        {
+            "lam1": float(rng.uniform(0.1, 0.4)),
+            "lam2": float(rng.uniform(0.1, 0.4)),
+            "ax": float(ax),
+            "az": float(az),
+            "bx": float(scale * ax),
+            "bz": float(scale * az),
+        },
     )
+    return rho, hs
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +209,13 @@ def suite_structure(seed, draws, tol=1e-9):
 
 def _special_configurations(rng, k):
     """Rotating menu of constructions that light up nontrivial flag patterns."""
-    from .examples import example_configuration
-
     pick = k % 4
     if pick == 0:
         return example_configuration(
             "EX7", {"lam": float(rng.uniform(0.1, 0.45))}
         )[:2]
     if pick == 1:
-        ax, az = rng.uniform(0.3, 1.0, size=2)
-        scale = float(rng.uniform(0.5, 1.5))
-        return example_configuration(
-            "EX8",
-            {
-                "lam1": float(rng.uniform(0.1, 0.4)),
-                "lam2": float(rng.uniform(0.1, 0.4)),
-                "ax": float(ax),
-                "az": float(az),
-                "bx": float(scale * ax),
-                "bz": float(scale * az),
-            },
-        )[:2]
+        return _matched_ex8(rng)
     if pick == 2:
         return example_configuration(
             "EX9", {"lam": float(rng.uniform(0.1, 0.9))}
@@ -359,8 +360,6 @@ def suite_pc_indicator(seed, draws, tol=1e-8):
     nonzero); the other half are matched-knob constructions with P = 0 by
     design, so both directions of the equivalence are exercised.
     """
-    from .examples import example_configuration
-
     rng = np.random.default_rng([seed, 10])
     worst_zero_side = 0.0
     violations = 0
@@ -370,19 +369,7 @@ def suite_pc_indicator(seed, draws, tol=1e-8):
             rho = random_state(rng, d, d - 1)
             hs = hamiltonian_set([random_hermitian(rng, d), random_hermitian(rng, d)])
         else:
-            ax, az = rng.uniform(0.3, 1.0, size=2)
-            scale = float(rng.uniform(0.5, 1.5))
-            rho, hs, _ = example_configuration(
-                "EX8",
-                {
-                    "lam1": float(rng.uniform(0.1, 0.4)),
-                    "lam2": float(rng.uniform(0.1, 0.4)),
-                    "ax": float(ax),
-                    "az": float(az),
-                    "bx": float(scale * ax),
-                    "bz": float(scale * az),
-                },
-            )
+            rho, hs = _matched_ex8(rng)
         pt = encode(hs, np.zeros(hs.m))
         slds = sld_rotated(rho.spectrum, pt)
         ops = condition_operators_direct(rho.spectrum, slds)
@@ -418,11 +405,7 @@ def suite_basis_independence(seed, draws, tol=1e-9):
         hs_rot = hamiltonian_set([v @ h @ dagger(v) for h in hams])
         rep = classify(rho, hs)
         rep_rot = classify(rho_rot, hs_rot)
-        pt = encode(hs, np.zeros(m))
-        pt_rot = encode(hs_rot, np.zeros(m))
-        f = qfim(rho, sld_rotated(rho.spectrum, pt)).matrix
-        f_rot = qfim(rho_rot, sld_rotated(rho_rot.spectrum, pt_rot)).matrix
-        dev = float(np.max(np.abs(f - f_rot)))
+        dev = float(np.max(np.abs(rep.qfim.matrix - rep_rot.qfim.matrix)))
         for key in ("W", "P", "O", "S"):
             dev = max(dev, abs(rep.norms[key] - rep_rot.norms[key]))
         worst = max(worst, dev)
@@ -437,24 +420,8 @@ def suite_real_bell_diagonal(seed, draws, tol=1e-9):
     worst, violations = 0.0, 0
     half = max(draws // 2, 1)
     for k in range(draws):
-        d = 2 if k < half else 3
-        eye = np.eye(d, dtype=complex)
-        if d == 2:
-            weights = rng.dirichlet(np.ones(4))
-        else:
-            raw = rng.dirichlet(np.ones(9)).reshape(3, 3)
-            sym = (raw + raw[(-np.arange(3)) % 3, :]) / 2.0
-            weights = (sym / sym.sum()).reshape(-1)
-        bd = bell_diagonal(weights, d)
-        h_a = rng.normal(size=(d, d))
-        h_a = (h_a + h_a.T) / 2.0
-        h_b = rng.normal(size=(d, d))
-        h_b = (h_b + h_b.T) / 2.0
-        hs = hamiltonian_set(
-            [tensor(h_a.astype(complex), eye), tensor(eye, h_b.astype(complex))]
-        )
-        pt = encode(hs, np.zeros(2))
-        w = weak_direct(bd.rho, sld_rotated(bd.rho.spectrum, pt))
+        bd, hs = _real_entangled_draw(rng, 2 if k < half else 3)
+        w = _weak(bd.rho, hs)
         worst = max(worst, w.norm)
         violations += w.norm > tol
     return SuiteResult("real entangled-basis mixtures", draws, violations, worst)
@@ -463,22 +430,11 @@ def suite_real_bell_diagonal(seed, draws, tol=1e-9):
 def suite_spin_bell_diagonal(seed, draws, tol=1e-9):
     """Two-qubit maximally-entangled-basis mixtures satisfy the weak condition
     for arbitrary local spin directions."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
     rng = np.random.default_rng([seed, 13])
     worst, violations = 0.0, 0
     for _ in range(draws):
-        bd = bell_diagonal(rng.dirichlet(np.ones(4)), 2)
-        hams = []
-        for _ in range(2):
-            n = rng.normal(size=3)
-            n = n / np.linalg.norm(n) * rng.uniform(0.5, 2.0)
-            hams.append(n[0] * sx + n[1] * sy + n[2] * sz)
-        hs = hamiltonian_set([tensor(hams[0], eye), tensor(eye, hams[1])])
-        pt = encode(hs, np.zeros(2))
-        w = weak_direct(bd.rho, sld_rotated(bd.rho.spectrum, pt))
+        bd, hs = _spin_entangled_draw(rng)
+        w = _weak(bd.rho, hs)
         worst = max(worst, w.norm)
         violations += w.norm > tol
     return SuiteResult("spin entangled-basis mixtures", draws, violations, worst)

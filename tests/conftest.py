@@ -1,5 +1,5 @@
-"""Shared test helpers, criterion 2's QFIM references, and the
-acceptance-criteria summary plugin.
+"""Shared test helpers (random problems, a call counter), criterion 2's QFIM
+references, and the acceptance-criteria summary plugin.
 
 test_acceptance.py records one line per criterion through record_criterion;
 the terminal-summary hook prints the collected lines as a dedicated section
@@ -7,9 +7,25 @@ at the end of the pytest run, so the gate's verdicts are visible in one block
 regardless of how many tests ran around them.
 """
 
+import sys
+
 import numpy as np
 
 _criterion_lines = {}
+
+
+def count_calls(monkeypatch, func):
+    """Count calls to func through every metrocommute module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("metrocommute") and getattr(mod, func.__name__, None) is func:
+            monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
 
 
 def _ex8_axial_qfim(lam1, lam2):

@@ -2,11 +2,11 @@
 sweep CSV column contract."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from metrocommute.cli import SWEEP_COLUMNS, main
 from metrocommute.descriptors import resolve
 from metrocommute.encoding import encode
@@ -314,20 +314,6 @@ def test_sweep_errors(tmp_path, capsys, monkeypatch):
     assert "METROCOMMUTE_JOBS" in err
 
 
-def _count_calls(monkeypatch, func):
-    """Count calls to func through every metrocommute module that holds it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return func(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("metrocommute") and getattr(mod, func.__name__, None) is func:
-            monkeypatch.setattr(mod, func.__name__, counted)
-    return calls
-
-
 @pytest.mark.parametrize(
     "ex_id, argv, points",
     [
@@ -341,9 +327,9 @@ def test_one_encode_and_sld_pass_per_point(tmp_path, capsys, monkeypatch, ex_id,
     path = _write(
         tmp_path, "ex.json", {"state": {"family": "example", "params": {"id": ex_id}}}
     )
-    encodes = _count_calls(monkeypatch, encode)
-    slds = _count_calls(monkeypatch, sld_rotated)
-    resolves = _count_calls(monkeypatch, resolve)
+    encodes = count_calls(monkeypatch, encode)
+    slds = count_calls(monkeypatch, sld_rotated)
+    resolves = count_calls(monkeypatch, resolve)
     code, _, _ = _run(capsys, [a.format(path=path) for a in argv])
     assert code == 0
     assert len(encodes) == len(slds) == points

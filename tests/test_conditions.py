@@ -596,3 +596,9 @@ def test_classify_report_carries_qfim_and_w_of_the_same_pass():
         assert np.array_equal(rep.qfim.matrix, qfim(rho, slds).matrix)
         assert np.array_equal(rep.W.entries, weak_direct(rho, slds).entries)
         assert rep.norms["W"] == rep.W.norm
+        # the report keeps that pass's point, SLDs and operators
+        assert rep.slds.spec is rho.spectrum
+        assert np.array_equal(rep.point.theta, theta)
+        assert np.array_equal(weak_direct(rho, rep.slds).entries, rep.W.entries)
+        for kind in ("P", "O", "S"):
+            assert rep.operators.norms[kind] == rep.norms[kind]

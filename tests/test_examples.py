@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from metrocommute.encoding import encode
 from metrocommute.examples import (
     EXAMPLE_IDS,
     PASS_TOL,
@@ -113,12 +115,31 @@ def test_reports_json_serializable():
         assert back["pass"] is True
 
 
-def test_example_configuration_sweepable():
-    rho, hs, theta = example_configuration("EX4", {"p": 0.3})
-    assert rho.dim == 4
-    assert hs.m == 2
-    with pytest.raises(ValidationError, match="single sweepable configuration"):
-        example_configuration("EX1", {})
+SINGLE_CONFIGURATION = ("EX2", "EX3", "EX4", "EX5", "EX7", "EX8", "EX9", "EX10", "OBS7")
+
+
+@pytest.mark.parametrize("ex_id", EXAMPLE_IDS)
+def test_example_configuration_sweepable(ex_id):
+    if ex_id not in SINGLE_CONFIGURATION:
+        with pytest.raises(
+            ValidationError, match="does not define a single sweepable configuration"
+        ):
+            example_configuration(ex_id, {})
+        return
+    rho, hs, theta = example_configuration(ex_id, {})
+    assert rho.dim == hs.dim
+    assert theta is None
+    if ex_id == "EX4":
+        rho, hs, _ = example_configuration("EX4", {"p": 0.3})
+        assert rho.dim == 4
+        assert hs.m == 2
+
+
+@pytest.mark.parametrize("ex_id, configurations", [("EX7", 3), ("EX10", 1), ("OBS7", 1)])
+def test_one_encode_per_configuration(monkeypatch, ex_id, configurations):
+    encodes = count_calls(monkeypatch, encode)
+    assert run_example(ex_id).passed
+    assert len(encodes) == configurations
 
 
 def test_run_example_accepts_partial_overrides():
