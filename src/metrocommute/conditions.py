@@ -15,7 +15,14 @@ The four flags satisfy SC => OC => PC => WC; rank-deficient states are where
 they genuinely differ. S, O and P are evaluated in the state eigenbasis V,
 where Pi = diag(1_r, 0): with c = V^dag S_ij V, V^dag O_ij V is c[:, :r] and
 V^dag P_ij V is c[:r, :r], so their norms need no d x d operator and the
-operators in the original frame are built only when read.
+operators in the original frame are built only when read. The SLDs vanish
+on the kernel-kernel block, so every product l_i l_j is formed from their r
+support rows.
+
+classify takes W and the QFIM from the same eigenbasis SLDs, as the
+imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
+metrology.qfim compute both in the computational basis from the operators
+L_i and are classify's anchors.
 
 W admits three more routes besides the direct trace: a support-pair
 decomposition W = Gamma + Delta, a rank-two fast path, and a spectral kernel
@@ -31,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .encoding import EncodingPoint, encode
-from .metrology import QfimResult, qfim
+from .metrology import QfimResult, qfim_result
 from .operator_core import ValidationError, commutator, dagger
 from .sld import SldSet, sld_rotated
 
@@ -282,18 +289,24 @@ class ConditionOperators:
 def condition_operators_direct(spec, slds):
     """S, O, P from the SLD commutators, cut to the support of the state.
 
-    Works on the eigenbasis SLDs slds.elems (in the basis of spec): one
-    product X = l_i l_j per pair and c = X - X^dag, the commutator of the two
-    Hermitian l's, for all pairs at once. Postcondition verified on exit:
+    Works on the eigenbasis SLD rows slds.rows (in the basis of spec), R_i =
+    l_i[:r, :]: the l_i vanish on the kernel-kernel block, so l_i l_j is
+    R_i^dag R_j plus R_i[:, r:] R_j[:, r:]^dag on the support-support block,
+    d^2 r per pair, and c = X - X^dag is the commutator of the two Hermitian
+    l's, for all pairs at once. Postcondition verified on exit:
     tr[rho P_ij] reproduces W_ij = tr[rho S_ij], i.e. sum_k lam_k c_kk over
     all k against k < r.
     """
-    elems = np.stack(slds.elems)
-    m = len(elems)
-    r = spec.rank
-    scale = max(1.0, max(np.vdot(l, l).real for l in elems))
+    rows = slds.rows
+    m, r, _ = rows.shape
+    # ||l_i||_F^2 counts the mirrored block R_i[:, r:] twice
+    mag = np.abs(rows) ** 2
+    scale = max(1.0, float(np.max(mag.sum(axis=(1, 2)) + mag[:, :, r:].sum(axis=(1, 2)))))
     pairs = list(combinations(range(m), 2))
-    x = elems[[i for i, _ in pairs]] @ elems[[j for _, j in pairs]]
+    a = rows[[i for i, _ in pairs]]
+    b = rows[[j for _, j in pairs]]
+    x = np.conj(a.transpose(0, 2, 1)) @ b
+    x[:, :r, :r] += a[:, :, r:] @ np.conj(b[:, :, r:].transpose(0, 2, 1))
     c = x - np.conj(x.transpose(0, 2, 1))
     diag = spec.eigenvalues * np.diagonal(c, axis1=1, axis2=2)
     dev = np.abs(np.sum(diag, axis=1) - np.sum(diag[:, :r], axis=1))
@@ -516,16 +529,36 @@ class ClassificationReport:
 CHAIN = ["SC", "OC", "PC", "WC"]
 
 
+def _state_products(slds):
+    """Q_ij = tr[rho l_i l_j] = sum_k lam_k (l_i l_j)_kk from the support rows.
+
+    Row k < r of l_i is R_i[k] and row k >= r is R_i[:, k]^dag, so Q is one
+    m x m contraction over the rows plus one over the mirrored columns, which
+    carry the kernel eigenvalues (zero up to the rank cutoff) as weak_direct
+    and qfim read them from rho.
+    """
+    rows = slds.rows
+    m, r, _ = rows.shape
+    lam = slds.spec.eigenvalues
+    ker = rows[:, :, r:]
+    q = (lam[:r, None] * rows).reshape(m, -1) @ np.conj(rows.reshape(m, -1)).T
+    return q + np.conj(ker.reshape(m, -1)) @ (lam[r:] * ker).reshape(m, -1).T
+
+
 def classify(rho, h_set, theta=None, tol=1e-8):
     """Evaluate all four conditions and place the state in the hierarchy.
 
     The zero test for each condition is frobenius_norm <= tol * scale with
     scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
-    every condition matrix in the generators. The report also carries W and
-    the QFIM, both from the one SLD set, and the encoding point, SLD set and
-    condition operators of that pass, so callers need no second pass. The
-    P, O and S norms come from the eigenbasis commutators; no d x d operator
-    block is built until `report.operators` is asked for one.
+    every condition matrix in the generators; the norms are read from the
+    eigenbasis generators, by unitary invariance. The report also carries W
+    and the QFIM, both from the one SLD set through Q_ij = tr[rho l_i l_j]:
+    W = 2i Im Q and F = Re Q. weak_direct and qfim compute the same two in
+    the computational basis and serve as their independent anchors. The
+    report keeps the encoding point, SLD set and condition operators of that
+    pass, so callers need no second pass. The P, O and S norms come from the
+    eigenbasis commutators; no d x d operator block is built until
+    `report.operators` is asked for one.
     """
     if theta is None:
         theta = np.zeros(h_set.m)
@@ -533,10 +566,11 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     if rho.dim != pt.dim:
         raise ValidationError("state and Hamiltonian dimensions differ")
     slds = sld_rotated(rho.spectrum, pt)
-    w = weak_direct(rho, slds)
     ops = condition_operators_direct(rho.spectrum, slds)
+    q = _state_products(slds)
+    w = ScalarConditionMatrix(entries=1j * (q.imag - q.imag.T), kind="W")
     norms = {"W": float(w.norm), **{k: ops.norms[k] for k in ("P", "O", "S")}}
-    scale = float(max(1.0, max(np.linalg.norm(g) for g in pt.generators) ** 2))
+    scale = float(max(1.0, max(np.linalg.norm(x) for x in pt.elems) ** 2))
     flags = {
         "WC": bool(norms["W"] <= tol * scale),
         "PC": bool(norms["P"] <= tol * scale),
@@ -566,7 +600,7 @@ def classify(rho, h_set, theta=None, tol=1e-8):
         rank=rho.rank,
         dim=rho.dim,
         W=w,
-        qfim=qfim(rho, slds),
+        qfim=qfim_result((q.real + q.real.T) / 2.0),
         point=pt,
         slds=slds,
         operators=ops,

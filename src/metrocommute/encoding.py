@@ -4,7 +4,7 @@ generators that drive every derivative downstream.
 The generator of parameter i at a point theta is the Hermitian operator
 G_i = i U(theta)^dag dU/dtheta_i. For commuting Hamiltonian sets G_i = H_i
 identically; in general G_i is the average of H_i conjugated along the flow,
-which has a closed form in the eigenbasis of K = sum_j theta_j H_j:
+which has a closed form in the eigenbasis w of K = sum_j theta_j H_j:
 
     <a| G_i |b> = <a| H_i |b> * phi(kappa_a - kappa_b),
     phi(x) = (exp(ix) - 1) / (ix),  phi(0) = 1,
@@ -13,6 +13,11 @@ with kappa the eigenvalues of K. phi has a removable singularity at 0 and
 the ratio loses digits near it, so phi is evaluated as
 exp(ix/2) sin(x/2) / (x/2), which needs no threshold. The closed form is the
 production path; finite differences exist only as a test oracle.
+
+An EncodingPoint holds the generators in that eigenbasis, X_i = w^dag G_i w,
+together with (kappa, w): the SLDs need only X_i and one change of basis, so
+the unitary U and the computational-basis generators G_i = w X_i w^dag are
+built on first read.
 """
 
 from dataclasses import dataclass
@@ -75,17 +80,34 @@ def hamiltonian_set(hams):
 
 @dataclass(eq=False)
 class EncodingPoint:
+    """The encoding at one theta, held in the eigenbasis of K.
+
+    kappa, w: eigenvalues (descending) and eigenvectors of K
+    elems: (m, d, d) stack of X_i = w^dag G_i w
+    U, generators: exp(-i K) and the G_i, built on first read
+    """
+
     theta: np.ndarray
-    U: np.ndarray
-    generators: list
+    kappa: np.ndarray
+    w: np.ndarray
+    elems: np.ndarray
 
     @property
     def dim(self):
-        return self.U.shape[0]
+        return self.w.shape[0]
 
     @property
     def m(self):
-        return len(self.generators)
+        return len(self.elems)
+
+    @cached_property
+    def U(self):
+        return (self.w * np.exp(-1j * self.kappa)) @ dagger(self.w)
+
+    @cached_property
+    def generators(self):
+        gens = self.w @ self.elems @ dagger(self.w)
+        return list((gens + np.conj(gens.transpose(0, 2, 1))) / 2.0)
 
 
 def _phi(x):
@@ -96,21 +118,19 @@ def _phi(x):
 
 
 def encode(h_set, theta):
-    """Evaluate the encoding at theta: the unitary and all m generators."""
+    """Evaluate the encoding at theta: the eigenpairs of K and all m
+    generators in its eigenbasis."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != h_set.m:
         raise ValidationError(
             f"theta has {theta.size} entries for {h_set.m} Hamiltonians"
         )
     k = sum(t * h for t, h in zip(theta, h_set.hams))
-    kappa, v = hermitian_eig(k)
-    u = (v * np.exp(-1j * kappa)) @ dagger(v)
+    kappa, w = hermitian_eig(k)
     phase = _phi(kappa[:, None] - kappa[None, :])
-    gens = []
-    for h in h_set.hams:
-        g = v @ ((dagger(v) @ h @ v) * phase) @ dagger(v)
-        gens.append((g + dagger(g)) / 2.0)
-    return EncodingPoint(theta=theta, U=u, generators=gens)
+    x = dagger(w) @ np.stack(h_set.hams) @ w * phase
+    x = (x + np.conj(x.transpose(0, 2, 1))) / 2.0
+    return EncodingPoint(theta=theta, kappa=kappa, w=w, elems=x)
 
 
 def evolve(rho, pt):

@@ -41,6 +41,13 @@ def qfim(rho, slds):
             val = np.sum(rl * ops[j].T).real
             f[i, j] = val
             f[j, i] = val
+    return qfim_result(f)
+
+
+def qfim_result(f):
+    """Wrap a real symmetric QFIM matrix with its numerical rank and
+    condition number (inf when rank-deficient)."""
+    m = len(f)
     eigs = np.linalg.eigvalsh(f)
     floor = 1e-12 * max(1.0, eigs.max(initial=0.0))
     rank = int(np.sum(eigs > floor))

@@ -88,14 +88,13 @@ def random_povm(rng, d, n):
     return povm_set([inv_sqrt @ m @ inv_sqrt for m in mats])
 
 
-def _draw_problem(rng, max_dim=9, max_m=3):
+def _draw_problem(rng, max_dim=32, max_m=3):
     d = int(rng.integers(2, max_dim + 1))
     rank = int(rng.integers(1, d + 1))
     m = int(rng.integers(2, max_m + 1))
     rho = random_state(rng, d, rank)
     hs = hamiltonian_set([random_hermitian(rng, d) for _ in range(m)])
-    pt = encode(hs, rng.normal(size=m))
-    return rho, hs, pt
+    return rho, hs, rng.normal(size=m)
 
 
 def _matched_ex8(rng):
@@ -123,18 +122,22 @@ def _matched_ex8(rng):
 
 def suite_route_agreement(seed, draws, tol=1e-9):
     """All independent W routes agree: direct, support-pair, spectral kernel,
-    and the rank-two fast path where it applies."""
+    classify's eigenbasis W, and the rank-two fast path where it applies; and
+    classify's QFIM agrees with the computational-basis qfim."""
     rng = np.random.default_rng([seed, 1])
     worst, violations = 0.0, 0
     for _ in range(draws):
-        rho, _, pt = _draw_problem(rng)
-        slds = sld_rotated(rho.spectrum, pt)
+        rho, hs, theta = _draw_problem(rng)
+        rep = classify(rho, hs, theta=theta)
+        pt, slds = rep.point, rep.slds
         w_direct = weak_direct(rho, slds).entries
         gamma, delta, w_dec = weak_decomposed(rho.spectrum, pt)
         w_int = weak_integral(rho.spectrum, pt).entries
         dev = max(
             float(np.max(np.abs(w_direct - w_dec.entries))),
             float(np.max(np.abs(w_direct - w_int))),
+            float(np.max(np.abs(w_direct - rep.W.entries))),
+            float(np.max(np.abs(qfim(rho, slds).matrix - rep.qfim.matrix))),
         )
         if rho.rank == 2:
             # the fast path computes the Delta piece of the decomposition
@@ -156,7 +159,8 @@ def suite_reassembly(seed, draws, tol=1e-9):
     rng = np.random.default_rng([seed, 2])
     worst, violations = 0.0, 0
     for _ in range(draws):
-        rho, _, pt = _draw_problem(rng)
+        rho, hs, theta = _draw_problem(rng)
+        pt = encode(hs, theta)
         slds = sld_rotated(rho.spectrum, pt)
         ops = condition_operators_direct(rho.spectrum, slds)
         terms = support_kernel_decomposition(rho.spectrum, pt, check=False)
@@ -186,7 +190,8 @@ def suite_structure(seed, draws, tol=1e-9):
     rng = np.random.default_rng([seed, 3])
     worst, violations = 0.0, 0
     for _ in range(draws):
-        rho, _, pt = _draw_problem(rng)
+        rho, hs, theta = _draw_problem(rng)
+        pt = encode(hs, theta)
         slds = sld_rotated(rho.spectrum, pt)
         ops = condition_operators_direct(rho.spectrum, slds)
         w = weak_direct(rho, slds).entries

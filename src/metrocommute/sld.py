@@ -10,9 +10,18 @@ over eigenpairs of the initial state with lam_k + lam_l above the rank cutoff
 (G_i the encoding generator). The kernel-kernel block is not determined by the
 defining equation and is fixed to zero; every rho-sandwiched quantity is
 invariant under that gauge choice.
+
+The gauge also carries the speed: with eigenvalues in descending order and r
+the rank, the eigenbasis SLD l_i = V^dag L_i V is fixed by its r support rows
+R_i = l_i[:r, :], the rest being the mirrored block R_i[:, r:]^dag. The rows
+come from the encoding's own eigenbasis through one shared change of basis
+T = w^dag V (w the eigenvectors of K): R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T),
+2 r d^2 per parameter, with no computational-basis generator. The full l_i and
+the operators L_i are built on first read.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,21 +31,36 @@ from .states import RANK_TOL
 
 @dataclass(eq=False)
 class SldSet:
-    """Rotated-frame SLD operators plus the eigenbasis tables they came from.
+    """Eigenbasis SLD rows plus the coefficient tables they came from.
 
-    ops: list of m Hermitian operators
     spec: SpectralData of the state the SLDs belong to
-    elems: the same m operators in that state's eigenbasis, V^dag L_i V with V
-        = spec.eigenvectors; condition_operators_direct reads only these
+    rows: (m, r, d) stack of the support rows R_i = l_i[:r, :] of the SLDs in
+        that state's eigenbasis V = spec.eigenvectors, r = spec.rank
     eta, gamma: coefficient tables (lam_k - lam_l)/(lam_k + lam_l) and
         -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2 over support pairs
+    elems: the full l_i = V^dag L_i V, (m, d, d), zero on the kernel-kernel
+        block; built on first read
+    ops: list of the m Hermitian operators L_i = V l_i V^dag; built on first
+        read
     """
 
-    ops: list
     spec: object
-    elems: list = None
+    rows: np.ndarray
     eta: np.ndarray = None
     gamma: np.ndarray = None
+
+    @cached_property
+    def elems(self):
+        m, r, d = self.rows.shape
+        out = np.zeros((m, d, d), dtype=complex)
+        out[:, :r] = self.rows
+        out[:, r:, :r] = np.conj(self.rows[:, :, r:].transpose(0, 2, 1))
+        return out
+
+    @cached_property
+    def ops(self):
+        v = self.spec.eigenvectors
+        return list(v @ self.elems @ dagger(v))
 
 
 def _support_values(spec):
@@ -50,20 +74,15 @@ def sld_rotated(spec, pt):
     if spec.dim != pt.dim:
         raise ValidationError("spectral data and encoding dimensions differ")
     lam = _support_values(spec)
-    v = spec.eigenvectors
-    denom = lam[:, None] + lam[None, :]
-    live = denom > spec.rank_tol
-    coeff = np.zeros_like(denom)
-    coeff[live] = (lam[:, None] - lam[None, :])[live] / denom[live]
     r = spec.rank
-    lam_s = lam[:r]
-    ds = lam_s[:, None] + lam_s[None, :]
-    eta = (lam_s[:, None] - lam_s[None, :]) / ds
-    gamma = -4.0 * (lam_s[:, None] - lam_s[None, :]) * (lam_s[:, None] * lam_s[None, :]) / ds**2
-    vh = dagger(v)
-    elems = [2j * coeff * (vh @ g @ v) for g in pt.generators]
-    ops = [v @ l @ vh for l in elems]
-    return SldSet(ops=ops, spec=spec, elems=elems, eta=eta, gamma=gamma)
+    lam_s = lam[:r, None]
+    # every support row has lam_k above the cutoff, so no pair is dropped
+    coeff = (lam_s - lam) / (lam_s + lam)
+    eta = coeff[:, :r]
+    gamma = -4.0 * eta * (lam_s * lam[:r]) / (lam_s + lam[:r])
+    t = dagger(pt.w) @ spec.eigenvectors
+    rows = 2j * coeff * (dagger(t[:, :r]) @ pt.elems @ t)
+    return SldSet(spec=spec, rows=rows, eta=eta, gamma=gamma)
 
 
 def sld_lyapunov(rho_theta, drho, rank_tol=None):
@@ -121,8 +140,10 @@ def nu_copy_sld(slds, nu):
             total = total + tensor(*factors)
         total = total - pi_ker @ total @ pi_ker
         ops.append((total + dagger(total)) / 2.0)
-    elems = [dagger(v) @ l @ v for l in ops]
-    return SldSet(ops=ops, spec=big.spectrum, elems=elems)
+    rows = dagger(v[:, : big.rank]) @ np.stack(ops) @ v
+    out = SldSet(spec=big.spectrum, rows=rows)
+    out.ops = ops  # already built here; fills the cached property
+    return out
 
 
 @dataclass(eq=False)

@@ -92,3 +92,24 @@ def random_density(rng, dim, rank=None):
 def random_hermitian_matrix(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2.0
+
+
+def spectral_cases(seed, m=3):
+    """(label, rho, Hamiltonians, theta) over d in {2, 3, 4, 27, 64} at ranks
+    1, (d + 1) // 2 and d, plus a weight at 10x and at 0.1x RANK_TOL, which
+    sits on either side of the rank cutoff (ranks 3 and 2)."""
+    from metrocommute.states import RANK_TOL, density_from_eigpairs, density_matrix
+
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4, 27, 64):
+        for rank in sorted({1, (d + 1) // 2, d}):
+            rho = density_matrix(random_density(rng, d, rank=rank))
+            hams = [random_hermitian_matrix(rng, d) for _ in range(m)]
+            yield f"{d}/{rank}", rho, hams, rng.normal(size=m)
+    for t in (10.0, 0.1):
+        weights = np.array([0.5, 0.3, t * RANK_TOL])
+        z = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        q, _ = np.linalg.qr(z)
+        rho = density_from_eigpairs(zip(weights / weights.sum(), q.T))
+        hams = [random_hermitian_matrix(rng, 5) for _ in range(m)]
+        yield f"5/cutoff x{t:g}", rho, hams, rng.normal(size=m)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hermitian_matrix
-from metrocommute import conditions, encoding
+from conftest import count_calls, random_density, random_hermitian_matrix, spectral_cases
+from metrocommute import conditions, encoding, metrology
 from metrocommute.cli import main
 from metrocommute.conditions import (
     OperatorConditionMatrix,
@@ -32,6 +32,7 @@ from metrocommute.operator_core import (
     ValidationError,
     commutator,
     dagger,
+    matrix_exp_i,
     swap_operator,
 )
 from metrocommute.descriptors import matrix_to_json, vector_to_json
@@ -496,6 +497,61 @@ def test_classify_path_builds_no_blocks_and_no_commutation_check(
         hs.commuting
 
 
+def test_classify_w_and_qfim_match_the_computational_basis_routes():
+    # classify reads W and F off tr[rho l_i l_j] in the state eigenbasis;
+    # weak_direct and qfim contract rho with the operators L_i instead
+    for label, rho, hams, theta in spectral_cases(48):
+        hs = hamiltonian_set(hams)
+        rep = classify(rho, hs, theta=theta)
+        slds = sld_rotated(rho.spectrum, encode(hs, theta))
+        tol = 1e-12 * rep.scale
+        assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol, label
+        ref = qfim(rho, slds)
+        assert np.max(np.abs(rep.qfim.matrix - ref.matrix)) < tol, label
+        assert rep.qfim.rank == ref.rank, label
+        assert rep.scale == pytest.approx(_scale(rep.point), rel=1e-12), label
+
+
+def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, capsys):
+    calls = count_calls(monkeypatch, weak_direct) + count_calls(monkeypatch, metrology.qfim)
+    rng = np.random.default_rng(49)
+    d, rank = 12, 4
+    rho = density_matrix(random_density(rng, d, rank=rank))
+    hams = [random_hermitian_matrix(rng, d) for _ in range(3)]
+    theta = rng.normal(size=3)
+    rep = classify(rho, hamiltonian_set(hams), theta=theta)
+    spec = rho.spectrum
+    state = [
+        {"weight": float(w), "vector": vector_to_json(spec.eigenvectors[:, k])}
+        for k, w in enumerate(spec.eigenvalues[:rank])
+    ]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"state": state, "hamiltonians": [matrix_to_json(h) for h in hams]}))
+    assert main(["classify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == rank
+    assert calls == []
+    assert {"U", "generators"}.isdisjoint(vars(rep.point))
+    assert {"elems", "ops"}.isdisjoint(vars(rep.slds))
+
+    # read now, they are the matrices the computational-basis pipeline built
+    k = sum(t * h for t, h in zip(theta, hams))
+    kappa, w = np.linalg.eigh(k)
+    x = kappa[:, None] - kappa[None, :]
+    phase = np.ones_like(x, dtype=complex)
+    off = np.abs(x) > 0
+    phase[off] = (np.exp(1j * x[off]) - 1.0) / (1j * x[off])
+    assert np.max(np.abs(rep.point.U - matrix_exp_i(k, sign=-1))) < 1e-12
+    v = spec.eigenvectors
+    lam = np.where(spec.eigenvalues > spec.rank_tol, spec.eigenvalues, 0.0)
+    denom = lam[:, None] + lam[None, :]
+    coeff = np.divide(lam[:, None] - lam[None, :], denom, out=np.zeros_like(denom), where=denom > 0)
+    for h, g, l in zip(hams, rep.point.generators, rep.slds.ops):
+        g_old = w @ ((w.conj().T @ h @ w) * phase) @ w.conj().T
+        assert np.max(np.abs(g - g_old)) < 1e-12
+        l_old = v @ (2j * coeff * (v.conj().T @ g_old @ v)) @ v.conj().T
+        assert np.max(np.abs(l - l_old)) < 1e-12
+
+
 def test_pc_trace_norm_tracks_p_operator():
     rng = np.random.default_rng(38)
     for _ in range(10):
@@ -593,12 +649,15 @@ def test_classify_report_carries_qfim_and_w_of_the_same_pass():
         theta = rng.normal(size=m)
         rep = classify(rho, hs, theta=theta)
         slds = sld_rotated(rho.spectrum, encode(hs, theta))
-        assert np.array_equal(rep.qfim.matrix, qfim(rho, slds).matrix)
-        assert np.array_equal(rep.W.entries, weak_direct(rho, slds).entries)
+        # classify takes W and F from tr[rho l_i l_j] in the state eigenbasis;
+        # the computational-basis routes agree with them to roundoff
+        tol = 1e-12 * rep.scale
+        assert np.max(np.abs(rep.qfim.matrix - qfim(rho, slds).matrix)) < tol
+        assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol
         assert rep.norms["W"] == rep.W.norm
         # the report keeps that pass's point, SLDs and operators
         assert rep.slds.spec is rho.spectrum
         assert np.array_equal(rep.point.theta, theta)
-        assert np.array_equal(weak_direct(rho, rep.slds).entries, rep.W.entries)
+        assert np.max(np.abs(weak_direct(rho, rep.slds).entries - rep.W.entries)) < tol
         for kind in ("P", "O", "S"):
             assert rep.operators.norms[kind] == rep.norms[kind]

@@ -4,7 +4,7 @@ information, cross-checked against finite-difference state derivatives."""
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian_matrix
+from conftest import random_density, random_hermitian_matrix, spectral_cases
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, tensor
 from metrocommute.sld import cfim, nu_copy_sld, sld_encoded, sld_lyapunov, sld_rotated
@@ -39,6 +39,28 @@ def test_slds_hermitian_and_support_gauge():
         assert np.allclose(l, dagger(l), atol=1e-12)
         # kernel-kernel block fixed to zero by the gauge choice
         assert np.max(np.abs(pi_ker @ l @ pi_ker)) < 1e-12
+
+
+def test_fused_rows_match_the_literal_eigenbasis_slds():
+    # l_i = 2i coeff o (V^dag G_i V) from the computational-basis generators,
+    # with every pair whose eigenvalue sum is at or below the cutoff dropped
+    for label, rho, hams, theta in spectral_cases(28):
+        spec = rho.spectrum
+        pt = encode(hamiltonian_set(hams), theta)
+        slds = sld_rotated(spec, pt)
+        lam = spec.eigenvalues.copy()
+        lam[lam <= spec.rank_tol] = 0.0
+        denom = lam[:, None] + lam[None, :]
+        live = denom > spec.rank_tol
+        coeff = np.zeros_like(denom)
+        coeff[live] = (lam[:, None] - lam[None, :])[live] / denom[live]
+        v, r = spec.eigenvectors, spec.rank
+        assert slds.rows.shape == (len(hams), r, spec.dim), label
+        for g, elem in zip(pt.generators, slds.elems):
+            literal = 2j * coeff * (dagger(v) @ g @ v)
+            dev = np.max(np.abs(elem - literal))
+            assert dev < 1e-12 * max(1.0, np.linalg.norm(g)), (label, dev)
+        assert not np.any(slds.elems[:, r:, r:]), label
 
 
 def test_sld_defining_equation_full_rank():
