@@ -550,7 +550,7 @@ def classify(rho, h_set, theta=None, tol=1e-8):
 
     The zero test for each condition is frobenius_norm <= tol * scale with
     scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
-    every condition matrix in the generators; the norms are read from the
+    every condition matrix in the generators; ||G_i||_F is read from the
     eigenbasis generators, by unitary invariance. The report also carries W
     and the QFIM, both from the one SLD set through Q_ij = tr[rho l_i l_j]:
     W = 2i Im Q and F = Re Q. weak_direct and qfim compute the same two in
