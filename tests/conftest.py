@@ -113,3 +113,17 @@ def spectral_cases(seed, m=3):
         rho = density_from_eigpairs(zip(weights / weights.sum(), q.T))
         hams = [random_hermitian_matrix(rng, 5) for _ in range(m)]
         yield f"5/cutoff x{t:g}", rho, hams, rng.normal(size=m)
+
+
+def literal_sld_elems(spec, generators):
+    """2i coeff o (V^dag G_i V) for every generator, stacked as (m, d, d): the
+    eigenbasis SLDs built literally from computational-basis generators, with
+    every pair whose eigenvalue sum is at or below the cutoff dropped."""
+    lam = spec.eigenvalues.copy()
+    lam[lam <= spec.rank_tol] = 0.0
+    denom = lam[:, None] + lam[None, :]
+    live = denom > spec.rank_tol
+    coeff = np.zeros_like(denom)
+    coeff[live] = (lam[:, None] - lam[None, :])[live] / denom[live]
+    v = spec.eigenvectors
+    return np.stack([2j * coeff * (v.conj().T @ g @ v) for g in generators])

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, random_density, random_hermitian_matrix, spectral_cases
+from conftest import (
+    count_calls,
+    literal_sld_elems,
+    random_density,
+    random_hermitian_matrix,
+    spectral_cases,
+)
 from metrocommute import conditions, encoding, metrology
 from metrocommute.cli import main
 from metrocommute.conditions import (
@@ -398,23 +404,37 @@ def _literal_operators(spec, slds):
 
 
 def _operator_cases():
+    """(label, rho, slds, reference SLDs), the references built literally
+    from the computational-basis generators rather than from the rows."""
     rng = np.random.default_rng(45)
     for d in (2, 3, 4, 27, 64):
         for rank in sorted({1, (d + 1) // 2, d}):
             rho, pt = _problem(rng, d, rank, m=3)
-            yield f"{d}/{rank}", rho, sld_rotated(rho.spectrum, pt)
+            spec = rho.spectrum
+            v = spec.eigenvectors
+            ref = [v @ e @ dagger(v) for e in literal_sld_elems(spec, pt.generators)]
+            yield f"{d}/{rank}", rho, sld_rotated(spec, pt), ref
     rho, pt = _problem(rng, 3, 2, m=2)
     two = nu_copy_sld(sld_rotated(rho.spectrum, pt), 2)
-    yield "nu=2 of 3/2", tensor_power(rho, 2), two
+    v = rho.spectrum.eigenvectors
+    big = tensor_power(rho, 2)
+    pi_ker = big.spectrum.kernel_projector
+    ref = []
+    for e in literal_sld_elems(rho.spectrum, pt.generators):
+        l = v @ e @ dagger(v)
+        total = np.kron(l, np.eye(3)) + np.kron(np.eye(3), l)
+        ref.append(total - pi_ker @ total @ pi_ker)
+    yield "nu=2 of 3/2", big, two, ref
 
 
 def test_eigenbasis_operators_match_literal_commutators():
-    for label, rho, slds in _operator_cases():
+    for label, rho, slds, ref_ops in _operator_cases():
         spec = slds.spec
         v = spec.eigenvectors
-        for l, elem in zip(slds.ops, slds.elems):
+        scale = max(1.0, max(np.linalg.norm(l) ** 2 for l in ref_ops))
+        for l, elem, ref_l in zip(slds.ops, slds.elems, ref_ops):
+            assert np.max(np.abs(l - ref_l)) < 1e-12 * np.sqrt(scale), label
             assert np.max(np.abs(v @ elem @ dagger(v) - l)) < 1e-12, label
-        scale = max(1.0, max(np.linalg.norm(l) ** 2 for l in slds.ops))
         ops = condition_operators_direct(spec, slds)
         ref = _literal_operators(spec, slds)
         w = weak_direct(rho, slds).entries
@@ -497,21 +517,6 @@ def test_classify_path_builds_no_blocks_and_no_commutation_check(
         hs.commuting
 
 
-def test_classify_w_and_qfim_match_the_computational_basis_routes():
-    # classify reads W and F off tr[rho l_i l_j] in the state eigenbasis;
-    # weak_direct and qfim contract rho with the operators L_i instead
-    for label, rho, hams, theta in spectral_cases(48):
-        hs = hamiltonian_set(hams)
-        rep = classify(rho, hs, theta=theta)
-        slds = sld_rotated(rho.spectrum, encode(hs, theta))
-        tol = 1e-12 * rep.scale
-        assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol, label
-        ref = qfim(rho, slds)
-        assert np.max(np.abs(rep.qfim.matrix - ref.matrix)) < tol, label
-        assert rep.qfim.rank == ref.rank, label
-        assert rep.scale == pytest.approx(_scale(rep.point), rel=1e-12), label
-
-
 def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, capsys):
     calls = count_calls(monkeypatch, weak_direct) + count_calls(monkeypatch, metrology.qfim)
     rng = np.random.default_rng(49)
@@ -542,14 +547,11 @@ def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, ca
     phase[off] = (np.exp(1j * x[off]) - 1.0) / (1j * x[off])
     assert np.max(np.abs(rep.point.U - matrix_exp_i(k, sign=-1))) < 1e-12
     v = spec.eigenvectors
-    lam = np.where(spec.eigenvalues > spec.rank_tol, spec.eigenvalues, 0.0)
-    denom = lam[:, None] + lam[None, :]
-    coeff = np.divide(lam[:, None] - lam[None, :], denom, out=np.zeros_like(denom), where=denom > 0)
-    for h, g, l in zip(hams, rep.point.generators, rep.slds.ops):
-        g_old = w @ ((w.conj().T @ h @ w) * phase) @ w.conj().T
-        assert np.max(np.abs(g - g_old)) < 1e-12
-        l_old = v @ (2j * coeff * (v.conj().T @ g_old @ v)) @ v.conj().T
-        assert np.max(np.abs(l - l_old)) < 1e-12
+    g_old = [w @ ((w.conj().T @ h @ w) * phase) @ w.conj().T for h in hams]
+    l_old = [v @ e @ v.conj().T for e in literal_sld_elems(spec, g_old)]
+    for g, l, g_ref, l_ref in zip(rep.point.generators, rep.slds.ops, g_old, l_old):
+        assert np.max(np.abs(g - g_ref)) < 1e-12
+        assert np.max(np.abs(l - l_ref)) < 1e-12
 
 
 def test_pc_trace_norm_tracks_p_operator():
@@ -643,21 +645,31 @@ def test_classify_report_types_are_plain():
 
 def test_classify_report_carries_qfim_and_w_of_the_same_pass():
     rng = np.random.default_rng(41)
+    cases = []
     for d, rank, m in ((3, 2, 2), (5, 3, 3), (4, 4, 2)):
         rho = density_matrix(random_density(rng, d, rank=rank))
-        hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
-        theta = rng.normal(size=m)
+        hams = [random_hermitian_matrix(rng, d) for _ in range(m)]
+        cases.append((f"{d}/{rank}/m={m}", rho, hams, rng.normal(size=m)))
+    for label, rho, hams, theta in cases + list(spectral_cases(48)):
+        hs = hamiltonian_set(hams)
         rep = classify(rho, hs, theta=theta)
         slds = sld_rotated(rho.spectrum, encode(hs, theta))
         # classify takes W and F from tr[rho l_i l_j] in the state eigenbasis;
-        # the computational-basis routes agree with them to roundoff
+        # weak_direct and qfim contract rho with the operators L_i instead and
+        # agree with them to roundoff
         tol = 1e-12 * rep.scale
-        assert np.max(np.abs(rep.qfim.matrix - qfim(rho, slds).matrix)) < tol
-        assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol
+        ref = qfim(rho, slds)
+        assert np.max(np.abs(rep.qfim.matrix - ref.matrix)) < tol, label
+        assert rep.qfim.rank == ref.rank, label
+        assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol, label
+        assert rep.scale == pytest.approx(_scale(rep.point), rel=1e-12), label
         assert rep.norms["W"] == rep.W.norm
-        # the report keeps that pass's point, SLDs and operators
+        # the report keeps that pass's point, SLDs and operators, and its W
+        # and QFIM are exactly those of its own SLD set
         assert rep.slds.spec is rho.spectrum
         assert np.array_equal(rep.point.theta, theta)
-        assert np.max(np.abs(weak_direct(rho, rep.slds).entries - rep.W.entries)) < tol
+        q = conditions._state_products(rep.slds)
+        assert np.array_equal(rep.W.entries, 1j * (q.imag - q.imag.T)), label
+        assert np.array_equal(rep.qfim.matrix, (q.real + q.real.T) / 2.0), label
         for kind in ("P", "O", "S"):
             assert rep.operators.norms[kind] == rep.norms[kind]

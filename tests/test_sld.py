@@ -4,7 +4,7 @@ information, cross-checked against finite-difference state derivatives."""
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian_matrix, spectral_cases
+from conftest import literal_sld_elems, random_density, random_hermitian_matrix, spectral_cases
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, tensor
 from metrocommute.sld import cfim, nu_copy_sld, sld_encoded, sld_lyapunov, sld_rotated
@@ -42,22 +42,15 @@ def test_slds_hermitian_and_support_gauge():
 
 
 def test_fused_rows_match_the_literal_eigenbasis_slds():
-    # l_i = 2i coeff o (V^dag G_i V) from the computational-basis generators,
-    # with every pair whose eigenvalue sum is at or below the cutoff dropped
+    # l_i = 2i coeff o (V^dag G_i V) from the computational-basis generators
     for label, rho, hams, theta in spectral_cases(28):
         spec = rho.spectrum
         pt = encode(hamiltonian_set(hams), theta)
         slds = sld_rotated(spec, pt)
-        lam = spec.eigenvalues.copy()
-        lam[lam <= spec.rank_tol] = 0.0
-        denom = lam[:, None] + lam[None, :]
-        live = denom > spec.rank_tol
-        coeff = np.zeros_like(denom)
-        coeff[live] = (lam[:, None] - lam[None, :])[live] / denom[live]
-        v, r = spec.eigenvectors, spec.rank
+        r = spec.rank
         assert slds.rows.shape == (len(hams), r, spec.dim), label
-        for g, elem in zip(pt.generators, slds.elems):
-            literal = 2j * coeff * (dagger(v) @ g @ v)
+        literals = literal_sld_elems(spec, pt.generators)
+        for g, elem, literal in zip(pt.generators, slds.elems, literals):
             dev = np.max(np.abs(elem - literal))
             assert dev < 1e-12 * max(1.0, np.linalg.norm(g)), (label, dev)
         assert not np.any(slds.elems[:, r:, r:]), label
