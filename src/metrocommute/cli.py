@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .conditions import classify
+from .conditions import classify, classify_many
 from .descriptors import (
     _parse_fields,
     matrix_from_json,
@@ -22,7 +22,7 @@ from .descriptors import (
     with_parameter,
 )
 from .examples import EXAMPLE_IDS, PASS_TOL, _deviation, run_example
-from .metrology import incompatibility, qcr_scalar
+from .metrology import SINGULAR_MESSAGE, qcr_scalar
 from .operator_core import ValidationError
 from .selftest import run_selftest
 
@@ -49,17 +49,9 @@ def _read_text(path):
         raise ValidationError(f"cannot read {path}: {err.strerror}") from err
 
 
-def _incompatibility(report):
-    """(E, None) from the report's QFIM and W, or (None, notice) when singular."""
-    try:
-        return incompatibility(report.qfim, report.W).e_value, None
-    except ValidationError as err:
-        return None, str(err)
-
-
 def _classification_payload(report, weight, rank_tol):
     f = report.qfim
-    e_value, notice = _incompatibility(report)
+    e_value = report.E
     return {
         "dim": report.dim,
         "rank": report.rank,
@@ -77,7 +69,7 @@ def _classification_payload(report, weight, rank_tol):
         ),
         "E": e_value,
         "qcr": None if e_value is None else qcr_scalar(f, weight),
-        "notices": [] if notice is None else [notice],
+        "notices": [] if e_value is not None else [SINGULAR_MESSAGE],
     }
 
 
@@ -155,14 +147,15 @@ def _parse_grid(text):
     return np.linspace(a, b, n)
 
 
-def _sweep_point(desc, name, value):
-    point = with_parameter(desc, name, value)
+def _sweep_problem(desc, name, value):
     try:
-        rho, hs, theta, _ = resolve(point)
+        rho, hs, theta, _ = resolve(with_parameter(desc, name, value))
     except ValidationError as err:
         raise ValidationError(f"grid value {name}={value:g}: {err}") from err
-    report = classify(rho, hs, theta=theta, tol=point.zero_tol)
-    e_value, _ = _incompatibility(report)
+    return rho, hs, theta
+
+
+def _sweep_row(name, value, report):
     return [
         name,
         f"{value:.12g}",
@@ -174,7 +167,7 @@ def _sweep_point(desc, name, value):
         str(int(report.flags["PC"])),
         str(int(report.flags["OC"])),
         str(int(report.flags["SC"])),
-        "singular" if e_value is None else f"{e_value:.12g}",
+        "singular" if report.E is None else f"{report.E:.12g}",
     ]
 
 
@@ -182,8 +175,7 @@ def cmd_sweep(args):
     desc = parse_descriptor(_read_text(args.file))
     grid = _parse_grid(args.grid)
     # --jobs and METROCOMMUTE_JOBS are validated but do not change evaluation:
-    # each point is Python-bound, and threads under the interpreter lock run
-    # the grid no faster than this serial loop
+    # every point goes through one stacked classify pass
     jobs, source = args.jobs, "--jobs"
     if jobs is None:
         source = "METROCOMMUTE_JOBS"
@@ -196,10 +188,13 @@ def cmd_sweep(args):
         raise ValidationError(f"{source} must be >= 1")
     # validate the parameter name up front for a clean error before any work
     with_parameter(desc, args.param, float(grid[0]))
-    rows = [_sweep_point(desc, args.param, float(v)) for v in grid]
+    # resolve every point in grid order, so the first bad value is the one named
+    values = [float(v) for v in grid]
+    problems = [_sweep_problem(desc, args.param, v) for v in values]
+    reports = classify_many(problems, tol=desc.zero_tol)
     print(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        print(",".join(row))
+    for value, report in zip(values, reports):
+        print(",".join(_sweep_row(args.param, value, report)))
     return 0
 
 
@@ -261,7 +256,8 @@ def build_parser():
         default=None,
         help=(
             "accepted and validated for compatibility (default: "
-            "METROCOMMUTE_JOBS or 1); points are always evaluated serially"
+            "METROCOMMUTE_JOBS or 1); all points are evaluated in one "
+            "stacked pass"
         ),
     )
     p_sweep.set_defaults(func=cmd_sweep)

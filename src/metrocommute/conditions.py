@@ -22,7 +22,11 @@ support rows.
 classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
 metrology.qfim compute both in the computational basis from the operators
-L_i and are classify's anchors.
+L_i and are classify's anchors. classify_many evaluates a list of problems:
+it groups them by (dim, m, rank) and runs each group through the stacked
+kernels (encode_stack, sld_row_stack, the pair commutators, Q, qfim_stack and
+incompatibility_stack) with a leading (N, ...) axis; classify and
+condition_operators_direct are its N = 1 cases.
 
 W admits three more routes besides the direct trace: a support-pair
 decomposition W = Gamma + Delta, a rank-two fast path, and a spectral kernel
@@ -37,10 +41,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .encoding import EncodingPoint, encode
-from .metrology import QfimResult, qfim_result
+from .encoding import EncodingPoint, checked_theta, encode_stack
+from .metrology import QfimResult, incompatibility_stack, qfim_stack
 from .operator_core import ValidationError, commutator, dagger
-from .sld import SldSet, sld_rotated
+from .sld import SldSet, sld_row_stack, sld_rotated, support_values
+
+# classify_many cuts each group of problems into chunks whose stacked
+# generator array (N, m, d, d) stays within this many bytes
+STACK_BYTES = 32 * 2**20
 
 
 @dataclass(eq=False)
@@ -286,42 +294,62 @@ class ConditionOperators:
         return self._blocks("P", self.rank, self.rank)
 
 
+def _pair_commutators(lam, rows):
+    """Eigenbasis commutators of every SLD pair for N problems of one shape.
+
+    lam: (N, d) state eigenvalues; rows: (N, m, r, d) SLD support rows.
+    Returns (c, norms): c = l_i l_j - l_j l_i for every pair i < j in
+    row-major order, (N, pairs, d, d), and the S, O and P norms, each (N,).
+    The l_i vanish on the kernel-kernel block, so l_i l_j is R_i^dag R_j plus
+    R_i[:, r:] R_j[:, r:]^dag on the support-support block, d^2 r per pair,
+    and c = X - X^dag is the commutator of the two Hermitian l's.
+    Postcondition verified on exit: tr[rho P_ij] reproduces
+    W_ij = tr[rho S_ij], i.e. sum_k lam_k c_kk over all k against k < r.
+    """
+    n, m, r, _ = rows.shape
+    # ||l_i||_F^2 counts the mirrored block R_i[:, r:] twice
+    mag = np.abs(rows) ** 2
+    scale = np.maximum(
+        1.0, np.max(mag.sum(axis=(2, 3)) + mag[..., r:].sum(axis=(2, 3)), axis=1)
+    )
+    pairs = list(combinations(range(m), 2))
+    a = rows[:, [i for i, _ in pairs]]
+    b = rows[:, [j for _, j in pairs]]
+    x = dagger(a) @ b
+    x[..., :r, :r] += a[..., r:] @ dagger(b[..., r:])
+    c = x - dagger(x)
+    del x
+    diag = lam[:, None] * np.diagonal(c, axis1=2, axis2=3)
+    dev = np.abs(np.sum(diag, axis=2) - np.sum(diag[..., :r], axis=2))
+    bad = np.argwhere(dev > 1e-9 * scale[:, None])
+    if bad.size:
+        k, p = bad[0]
+        i, j = pairs[p]
+        raise ArithmeticError(
+            f"postcondition tr[rho P] = W violated at ({i},{j}): {dev[k, p]:.3e}"
+        )
+    sq = c.real**2
+    sq += c.imag**2
+    # every pair appears twice in the m x m matrix, once with each sign
+    blocks = {"S": sq, "O": sq[..., :r], "P": sq[..., :r, :r]}
+    return c, {k: np.sqrt(2.0 * v.sum(axis=(1, 2, 3))) for k, v in blocks.items()}
+
+
 def condition_operators_direct(spec, slds):
     """S, O, P from the SLD commutators, cut to the support of the state.
 
     Works on the eigenbasis SLD rows slds.rows (in the basis of spec), R_i =
-    l_i[:r, :]: the l_i vanish on the kernel-kernel block, so l_i l_j is
-    R_i^dag R_j plus R_i[:, r:] R_j[:, r:]^dag on the support-support block,
-    d^2 r per pair, and c = X - X^dag is the commutator of the two Hermitian
-    l's, for all pairs at once. Postcondition verified on exit:
-    tr[rho P_ij] reproduces W_ij = tr[rho S_ij], i.e. sum_k lam_k c_kk over
-    all k against k < r.
+    l_i[:r, :], through the stacked pair kernel at N = 1; raises
+    ArithmeticError if tr[rho P_ij] does not reproduce W_ij.
     """
-    rows = slds.rows
-    m, r, _ = rows.shape
-    # ||l_i||_F^2 counts the mirrored block R_i[:, r:] twice
-    mag = np.abs(rows) ** 2
-    scale = max(1.0, float(np.max(mag.sum(axis=(1, 2)) + mag[:, :, r:].sum(axis=(1, 2)))))
-    pairs = list(combinations(range(m), 2))
-    a = rows[[i for i, _ in pairs]]
-    b = rows[[j for _, j in pairs]]
-    x = np.conj(a.transpose(0, 2, 1)) @ b
-    x[:, :r, :r] += a[:, :, r:] @ np.conj(b[:, :, r:].transpose(0, 2, 1))
-    c = x - np.conj(x.transpose(0, 2, 1))
-    diag = spec.eigenvalues * np.diagonal(c, axis1=1, axis2=2)
-    dev = np.abs(np.sum(diag, axis=1) - np.sum(diag[:, :r], axis=1))
-    bad = np.flatnonzero(dev > 1e-9 * scale)
-    if bad.size:
-        k = bad[0]
-        i, j = pairs[k]
-        raise ArithmeticError(
-            f"postcondition tr[rho P] = W violated at ({i},{j}): {dev[k]:.3e}"
-        )
-    # every pair appears twice in the m x m matrix, once with each sign
-    sq = [np.vdot(b, b).real for b in (c, c[:, :, :r], c[:, :r, :r])]
-    norms = dict(zip(("S", "O", "P"), (float(np.sqrt(2.0 * t)) for t in sq)))
+    m, r, _ = slds.rows.shape
+    c, norms = _pair_commutators(spec.eigenvalues[None], slds.rows[None])
     return ConditionOperators(
-        comm=c, eigenvectors=spec.eigenvectors, rank=r, m=m, norms=norms
+        comm=c[0],
+        eigenvectors=spec.eigenvectors,
+        rank=r,
+        m=m,
+        norms={k: float(v[0]) for k, v in norms.items()},
     )
 
 
@@ -521,6 +549,7 @@ class ClassificationReport:
     dim: int
     W: ScalarConditionMatrix
     qfim: QfimResult
+    E: float | None  # None when the QFIM is singular
     point: EncodingPoint
     slds: SldSet
     operators: ConditionOperators
@@ -529,54 +558,31 @@ class ClassificationReport:
 CHAIN = ["SC", "OC", "PC", "WC"]
 
 
-def _state_products(slds):
-    """Q_ij = tr[rho l_i l_j] = sum_k lam_k (l_i l_j)_kk from the support rows.
+def _state_product_stack(lam, rows):
+    """Q_ij = tr[rho l_i l_j] = sum_k lam_k (l_i l_j)_kk for N problems of one
+    shape: lam (N, d) eigenvalues, rows (N, m, r, d) SLD support rows.
 
     Row k < r of l_i is R_i[k] and row k >= r is R_i[:, k]^dag, so Q is one
     m x m contraction over the rows plus one over the mirrored columns, which
     carry the kernel eigenvalues (zero up to the rank cutoff) as weak_direct
     and qfim read them from rho.
     """
-    rows = slds.rows
-    m, r, _ = rows.shape
-    lam = slds.spec.eigenvalues
-    ker = rows[:, :, r:]
-    q = (lam[:r, None] * rows).reshape(m, -1) @ np.conj(rows.reshape(m, -1)).T
-    return q + np.conj(ker.reshape(m, -1)) @ (lam[r:] * ker).reshape(m, -1).T
+    n, m, r, _ = rows.shape
+    ker = rows[..., r:]
+    q = (lam[:, None, :r, None] * rows).reshape(n, m, -1) @ dagger(rows.reshape(n, m, -1))
+    return q + np.conj(ker.reshape(n, m, -1)) @ np.swapaxes(
+        (lam[:, None, None, r:] * ker).reshape(n, m, -1), 1, 2
+    )
 
 
-def classify(rho, h_set, theta=None, tol=1e-8):
-    """Evaluate all four conditions and place the state in the hierarchy.
+def _state_products(slds):
+    """Q_ij = tr[rho l_i l_j] of one SLD set (the stacked form at N = 1)."""
+    return _state_product_stack(slds.spec.eigenvalues[None], slds.rows[None])[0]
 
-    The zero test for each condition is frobenius_norm <= tol * scale with
-    scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
-    every condition matrix in the generators; ||G_i||_F is read from the
-    eigenbasis generators, by unitary invariance. The report also carries W
-    and the QFIM, both from the one SLD set through Q_ij = tr[rho l_i l_j]:
-    W = 2i Im Q and F = Re Q. weak_direct and qfim compute the same two in
-    the computational basis and serve as their independent anchors. The
-    report keeps the encoding point, SLD set and condition operators of that
-    pass, so callers need no second pass. The P, O and S norms come from the
-    eigenbasis commutators; no d x d operator block is built until
-    `report.operators` is asked for one.
-    """
-    if theta is None:
-        theta = np.zeros(h_set.m)
-    pt = encode(h_set, theta)
-    if rho.dim != pt.dim:
-        raise ValidationError("state and Hamiltonian dimensions differ")
-    slds = sld_rotated(rho.spectrum, pt)
-    ops = condition_operators_direct(rho.spectrum, slds)
-    q = _state_products(slds)
-    w = ScalarConditionMatrix(entries=1j * (q.imag - q.imag.T), kind="W")
-    norms = {"W": float(w.norm), **{k: ops.norms[k] for k in ("P", "O", "S")}}
-    scale = float(max(1.0, max(np.linalg.norm(x) for x in pt.elems) ** 2))
-    flags = {
-        "WC": bool(norms["W"] <= tol * scale),
-        "PC": bool(norms["P"] <= tol * scale),
-        "OC": bool(norms["O"] <= tol * scale),
-        "SC": bool(norms["S"] <= tol * scale),
-    }
+
+def _verdict(norms, tol, scale):
+    """(flags, hierarchy_consistent, converse_failures) from the four norms."""
+    flags = {kind: bool(norms[kind[0]] <= tol * scale) for kind in ("WC", "PC", "OC", "SC")}
     consistent = (
         (not flags["SC"] or flags["OC"])
         and (not flags["OC"] or flags["PC"])
@@ -589,19 +595,115 @@ def classify(rho, h_set, theta=None, tol=1e-8):
         converse_failures.append("PC without OC")
     if flags["OC"] and not flags["SC"]:
         converse_failures.append("OC without SC")
-    return ClassificationReport(
-        norms=norms,
-        flags=flags,
-        hierarchy_consistent=consistent,
-        converse_failures=converse_failures,
-        tolerance=tol,
-        scale=scale,
-        theta=np.asarray(theta, dtype=float),
-        rank=rho.rank,
-        dim=rho.dim,
-        W=w,
-        qfim=qfim_result((q.real + q.real.T) / 2.0),
-        point=pt,
-        slds=slds,
-        operators=ops,
+    return flags, consistent, converse_failures
+
+
+def _classify_chunk(problems, tol):
+    """Reports for problems (rho, h_set, theta) that share (dim, m, rank),
+    from one pass of the stacked kernels."""
+    n = len(problems)
+    specs = [rho.spectrum for rho, _, _ in problems]
+    d, m, r = specs[0].dim, problems[0][1].m, specs[0].rank
+    # the stacked Hamiltonians and eigenvectors are copies: pass them as
+    # temporaries, so that each is freed as soon as its kernel returns
+    kappa, w, x = encode_stack(
+        np.stack([h for _, hs, _ in problems for h in hs.hams]).reshape(n, m, d, d),
+        np.stack([theta for _, _, theta in problems]),
     )
+    lam = np.stack([spec.eigenvalues for spec in specs])
+    cutoff = np.array([[spec.rank_tol] for spec in specs])
+    rows = sld_row_stack(
+        support_values(lam, cutoff),
+        r,
+        np.stack([spec.eigenvectors for spec in specs]),
+        w,
+        x,
+    )
+    comm, op_norms = _pair_commutators(lam, rows)
+    q = _state_product_stack(lam, rows)
+    w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
+    f = (q.real + np.swapaxes(q.real, 1, 2)) / 2.0
+    e_values = incompatibility_stack(f, w_stack)
+    qfims = qfim_stack(f)
+    # ||G_i||_F^2 read from the eigenbasis generators, by unitary invariance:
+    # each X_i viewed as 2 d^2 reals, dotted with itself
+    flat = x.reshape(n, m, 1, -1).view(float)
+    scales = np.maximum(1.0, np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3)))
+    reports = []
+    for k, ((rho, _, theta), spec) in enumerate(zip(problems, specs)):
+        w_mat = ScalarConditionMatrix(entries=w_stack[k], kind="W")
+        op_k = {kind: float(op_norms[kind][k]) for kind in ("S", "O", "P")}
+        norms = {"W": w_mat.norm, **{kind: op_k[kind] for kind in ("P", "O", "S")}}
+        scale = float(scales[k])
+        flags, consistent, converse_failures = _verdict(norms, tol, scale)
+        e = float(e_values[k])
+        reports.append(
+            ClassificationReport(
+                norms=norms,
+                flags=flags,
+                hierarchy_consistent=consistent,
+                converse_failures=converse_failures,
+                tolerance=tol,
+                scale=scale,
+                theta=theta,
+                rank=r,
+                dim=d,
+                W=w_mat,
+                qfim=qfims[k],
+                E=None if np.isnan(e) else e,
+                point=EncodingPoint(theta=theta, kappa=kappa[k], w=w[k], elems=x[k]),
+                slds=SldSet(spec=spec, rows=rows[k]),
+                operators=ConditionOperators(
+                    comm=comm[k], eigenvectors=spec.eigenvectors, rank=r, m=m, norms=op_k
+                ),
+            )
+        )
+    return reports
+
+
+def classify_many(problems, tol=1e-8):
+    """classify for each (rho, h_set, theta) in problems, in order.
+
+    Every problem is validated first, in order, with classify's messages;
+    theta None means zeros. The problems are then grouped by (dim, m, rank),
+    and each group runs through the stacked kernels in chunks whose generator
+    array (N, m, d, d) stays within STACK_BYTES, so the temporaries of a
+    large-d list stay bounded. Each report is the one classify gives for its
+    problem, up to roundoff.
+    """
+    checked = []
+    groups = {}
+    for rho, h_set, theta in problems:
+        theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)
+        if rho.dim != h_set.dim:
+            raise ValidationError("state and Hamiltonian dimensions differ")
+        key = (rho.dim, h_set.m, rho.rank)
+        groups.setdefault(key, []).append(len(checked))
+        checked.append((rho, h_set, theta))
+    reports = [None] * len(checked)
+    for (d, m, _), members in groups.items():
+        size = max(1, STACK_BYTES // (16 * m * d * d))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            for k, report in zip(chunk, _classify_chunk([checked[k] for k in chunk], tol)):
+                reports[k] = report
+    return reports
+
+
+def classify(rho, h_set, theta=None, tol=1e-8):
+    """Evaluate all four conditions and place the state in the hierarchy.
+
+    The zero test for each condition is frobenius_norm <= tol * scale with
+    scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
+    every condition matrix in the generators; ||G_i||_F is read from the
+    eigenbasis generators, by unitary invariance. The report also carries W
+    and the QFIM, both from the one SLD set through Q_ij = tr[rho l_i l_j]:
+    W = 2i Im Q and F = Re Q, and E = (1/2) max |eig(F^-1 W)| (None when the
+    QFIM is singular). weak_direct and qfim compute W and F in the
+    computational basis and serve as their independent anchors. The report
+    keeps the encoding point, SLD set and condition operators of that pass,
+    so callers need no second pass. The P, O and S norms come from the
+    eigenbasis commutators; no d x d operator block is built until
+    `report.operators` is asked for one. This is classify_many at N = 1.
+    """
+    return classify_many([(rho, h_set, theta)], tol)[0]

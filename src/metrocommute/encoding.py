@@ -18,6 +18,9 @@ An EncodingPoint holds the generators in that eigenbasis, X_i = w^dag G_i w,
 together with (kappa, w): the SLDs need only X_i and one change of basis, so
 the unitary U and the computational-basis generators G_i = w X_i w^dag are
 built on first read.
+
+encode_stack evaluates N encodings of one shape at once, with a leading
+(N, ...) axis and one batched eigh; encode is its N = 1 case.
 """
 
 from dataclasses import dataclass
@@ -25,12 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator_core import (
-    ValidationError,
-    dagger,
-    hermitian_eig,
-    require_hermitian,
-)
+from .operator_core import ValidationError, dagger, require_hermitian
 
 COMMUTE_TOL = 1e-10
 
@@ -107,7 +105,7 @@ class EncodingPoint:
     @cached_property
     def generators(self):
         gens = self.w @ self.elems @ dagger(self.w)
-        return list((gens + np.conj(gens.transpose(0, 2, 1))) / 2.0)
+        return list((gens + dagger(gens)) / 2.0)
 
 
 def _phi(x):
@@ -117,20 +115,46 @@ def _phi(x):
     return np.exp(0.5j * x) * np.sinc(x / (2.0 * np.pi))
 
 
-def encode(h_set, theta):
-    """Evaluate the encoding at theta: the eigenpairs of K and all m
-    generators in its eigenbasis."""
+def checked_theta(h_set, theta):
+    """theta as a flat float array with one entry per Hamiltonian."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != h_set.m:
         raise ValidationError(
             f"theta has {theta.size} entries for {h_set.m} Hamiltonians"
         )
-    k = sum(t * h for t, h in zip(theta, h_set.hams))
-    kappa, w = hermitian_eig(k)
-    phase = _phi(kappa[:, None] - kappa[None, :])
-    x = dagger(w) @ np.stack(h_set.hams) @ w * phase
-    x = (x + np.conj(x.transpose(0, 2, 1))) / 2.0
-    return EncodingPoint(theta=theta, kappa=kappa, w=w, elems=x)
+    return theta
+
+
+def encode_stack(hams, thetas):
+    """The encoding kernel for N problems of one shape.
+
+    hams: (N, m, d, d) Hamiltonians; thetas: (N, m). Returns (kappa, w, x):
+    the eigenvalues of K = sum_i theta_i H_i in descending order, (N, d), its
+    eigenvectors, (N, d, d), and the eigenbasis generators
+    X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). K is a
+    real combination of validated Hamiltonians, so it is symmetrised and
+    handed to eigh without a second validation; reversing eigh's ascending
+    order gives the descending kappa.
+    """
+    k = sum(thetas[:, i, None, None] * hams[:, i] for i in range(hams.shape[1]))
+    kappa, w = np.linalg.eigh((k + dagger(k)) / 2.0)
+    kappa = np.ascontiguousarray(kappa[:, ::-1])
+    w = np.ascontiguousarray(w[:, :, ::-1])
+    phase = _phi(kappa[:, :, None] - kappa[:, None, :])
+    x = dagger(w)[:, None] @ hams @ w[:, None]
+    x *= phase[:, None]
+    # in place: numpy buffers the overlapping operand, so this is x + x^dag
+    x += dagger(x)
+    x *= 0.5
+    return kappa, w, x
+
+
+def encode(h_set, theta):
+    """Evaluate the encoding at theta: the eigenpairs of K and all m
+    generators in its eigenbasis (encode_stack at N = 1)."""
+    theta = checked_theta(h_set, theta)
+    kappa, w, x = encode_stack(np.stack(h_set.hams)[None], theta[None])
+    return EncodingPoint(theta=theta, kappa=kappa[0], w=w[0], elems=x[0])
 
 
 def evolve(rho, pt):
@@ -149,4 +173,5 @@ def evolve(rho, pt):
         rank=old.rank,
         rank_tol=old.rank_tol,
     )
-    return DensityMatrix(matrix=mat, spectrum=spec)
+    # the conjugated matrix is at hand; it fills the state's matrix cache
+    return DensityMatrix(spectrum=spec, matrix=mat)

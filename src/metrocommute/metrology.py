@@ -5,6 +5,9 @@ The QFIM is F_ij = (1/2) tr[rho (L_i L_j + L_j L_i)]. Near-singular QFIMs are
 refused rather than pseudo-inverted: a singular F means the parameters are not
 jointly identifiable at this point, which some of the worked examples hit by
 construction, and that must surface as an explicit error rather than a number.
+
+qfim_stack and incompatibility_stack work on stacks of m x m matrices with a
+leading (N, ...) axis; qfim_result and incompatibility are their N = 1 cases.
 """
 
 from dataclasses import dataclass
@@ -47,25 +50,36 @@ def qfim(rho, slds):
 def qfim_result(f):
     """Wrap a real symmetric QFIM matrix with its numerical rank and
     condition number (inf when rank-deficient)."""
-    m = len(f)
+    return qfim_stack(np.asarray(f, dtype=float)[None])[0]
+
+
+def qfim_stack(f):
+    """qfim_result for each real symmetric QFIM in a stack f of shape (N, m, m)."""
     eigs = np.linalg.eigvalsh(f)
-    floor = 1e-12 * max(1.0, eigs.max(initial=0.0))
-    rank = int(np.sum(eigs > floor))
-    if rank < m or eigs.min() <= 0:
-        cond = float("inf")
-    else:
-        cond = float(eigs.max() / eigs.min())
-    return QfimResult(matrix=f, rank=rank, condition_number=cond)
+    top, low = np.maximum(eigs[:, -1], 0.0), eigs[:, 0]
+    rank = np.sum(eigs > 1e-12 * np.maximum(1.0, top)[:, None], axis=1)
+    full = (rank == f.shape[1]) & (low > 0)
+    cond = np.full(len(f), np.inf)
+    cond[full] = top[full] / low[full]
+    return [
+        QfimResult(matrix=fk, rank=int(rk), condition_number=float(ck))
+        for fk, rk, ck in zip(f, rank, cond)
+    ]
 
 
 def _as_qfim_matrix(f):
     return f.matrix if isinstance(f, QfimResult) else np.asarray(f, dtype=float)
 
 
+def _invertible(eigs):
+    """Whether each QFIM, given by its ascending eigenvalues (last axis), is
+    positive definite and conditioned below CONDITION_LIMIT."""
+    top, low = eigs[..., -1], eigs[..., 0]
+    return (low > 0) & (top / np.where(low > 0, low, 1.0) < CONDITION_LIMIT)
+
+
 def _require_invertible(fm):
-    eigs = np.linalg.eigvalsh(fm)
-    top = eigs.max(initial=0.0)
-    if top <= 0 or eigs.min() <= 0 or top / eigs.min() >= CONDITION_LIMIT:
+    if not _invertible(np.linalg.eigvalsh(fm)):
         raise ValidationError(SINGULAR_MESSAGE)
 
 
@@ -101,13 +115,25 @@ def incompatibility(f_q, w):
     """E = (1/2) max |eig(F^-1 W)|, in [0, 1]; zero exactly on WC states.
 
     w may be a ScalarConditionMatrix or a raw complex antisymmetric matrix.
+    Raises a validation error mentioning joint identifiability when F is
+    singular or conditioned beyond 1e12 (incompatibility_stack at N = 1).
     """
-    fm = _as_qfim_matrix(f_q)
-    _require_invertible(fm)
-    w_entries = getattr(w, "entries", w)
-    x = np.linalg.solve(fm, np.asarray(w_entries, dtype=complex))
-    e = 0.5 * float(np.max(np.abs(np.linalg.eigvals(x)))) if x.size else 0.0
+    w_entries = np.asarray(getattr(w, "entries", w), dtype=complex)
+    e = float(incompatibility_stack(_as_qfim_matrix(f_q)[None], w_entries[None])[0])
+    if np.isnan(e):
+        raise ValidationError(SINGULAR_MESSAGE)
     return IncompatibilityResult(e_value=e, sandwich_factor=1.0 + e)
+
+
+def incompatibility_stack(f, w):
+    """E for each pair of a QFIM stack f and a W stack w, both (N, m, m);
+    NaN where F is singular or conditioned beyond CONDITION_LIMIT."""
+    ok = _invertible(np.linalg.eigvalsh(f))
+    e = np.full(len(f), np.nan)
+    if ok.any():
+        x = np.linalg.solve(f[ok], w[ok])
+        e[ok] = 0.5 * np.max(np.abs(np.linalg.eigvals(x)), axis=1)
+    return e
 
 
 def verify_fc_order(rho, povm, slds):

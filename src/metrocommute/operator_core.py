@@ -18,7 +18,9 @@ class ValidationError(ValueError):
 
 
 def dagger(a):
-    return np.conj(a.T)
+    """Conjugate transpose of a matrix, or of every matrix in a stack (the
+    last two axes)."""
+    return np.conj(np.swapaxes(a, -1, -2)) if a.ndim > 2 else np.conj(a.T)
 
 
 def as_square_matrix(a, name="matrix"):
@@ -99,10 +101,17 @@ def commutator(a, b):
 
 
 def tensor(*ops):
-    """Kronecker product of the given operators, left to right."""
+    """Kronecker product of the given operators, left to right.
+
+    Each step is the broadcast outer product a[i, k, j, l] = a_ij b_kl
+    reshaped to (rows_a rows_b, cols_a cols_b): the same products as np.kron,
+    without its general-rank bookkeeping.
+    """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        b = np.asarray(op, dtype=complex)
+        (p, q), (s, t) = out.shape, b.shape
+        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(p * s, q * t)
     return out
 
 

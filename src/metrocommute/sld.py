@@ -17,7 +17,8 @@ R_i = l_i[:r, :], the rest being the mirrored block R_i[:, r:]^dag. The rows
 come from the encoding's own eigenbasis through one shared change of basis
 T = w^dag V (w the eigenvectors of K): R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T),
 2 r d^2 per parameter, with no computational-basis generator. The full l_i and
-the operators L_i are built on first read.
+the operators L_i are built on first read. sld_row_stack computes the rows of
+N problems of one shape and rank at once; sld_rotated is its N = 1 case.
 """
 
 from dataclasses import dataclass
@@ -26,18 +27,18 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import ValidationError, dagger, require_hermitian, tensor
-from .states import RANK_TOL
 
 
 @dataclass(eq=False)
 class SldSet:
-    """Eigenbasis SLD rows plus the coefficient tables they came from.
+    """Eigenbasis SLD rows of one state.
 
     spec: SpectralData of the state the SLDs belong to
     rows: (m, r, d) stack of the support rows R_i = l_i[:r, :] of the SLDs in
         that state's eigenbasis V = spec.eigenvectors, r = spec.rank
     eta, gamma: coefficient tables (lam_k - lam_l)/(lam_k + lam_l) and
-        -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2 over support pairs
+        -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2 over support pairs;
+        computed from spec on first read
     elems: the full l_i = V^dag L_i V, (m, d, d), zero on the kernel-kernel
         block; built on first read
     ops: list of the m Hermitian operators L_i = V l_i V^dag; built on first
@@ -46,15 +47,23 @@ class SldSet:
 
     spec: object
     rows: np.ndarray
-    eta: np.ndarray = None
-    gamma: np.ndarray = None
+
+    @cached_property
+    def eta(self):
+        lam = support_values(self.spec.eigenvalues, self.spec.rank_tol)[: self.spec.rank]
+        return (lam[:, None] - lam) / (lam[:, None] + lam)
+
+    @cached_property
+    def gamma(self):
+        lam = support_values(self.spec.eigenvalues, self.spec.rank_tol)[: self.spec.rank]
+        return -4.0 * self.eta * (lam[:, None] * lam) / (lam[:, None] + lam)
 
     @cached_property
     def elems(self):
         m, r, d = self.rows.shape
         out = np.zeros((m, d, d), dtype=complex)
         out[:, :r] = self.rows
-        out[:, r:, :r] = np.conj(self.rows[:, :, r:].transpose(0, 2, 1))
+        out[:, r:, :r] = dagger(self.rows[:, :, r:])
         return out
 
     @cached_property
@@ -63,26 +72,43 @@ class SldSet:
         return list(v @ self.elems @ dagger(v))
 
 
-def _support_values(spec):
-    lam = spec.eigenvalues.copy()
-    lam[lam <= spec.rank_tol] = 0.0
+def support_values(eigenvalues, rank_tol):
+    """The eigenvalues with those at or below the rank cutoff set to zero;
+    rank_tol broadcasts against eigenvalues, so a stack may carry one cutoff
+    per row."""
+    lam = np.array(eigenvalues, dtype=float)
+    lam[lam <= rank_tol] = 0.0
     return lam
 
 
+def sld_row_stack(lam, rank, v, w, x):
+    """The SLD kernel for N problems of one shape and one rank r.
+
+    lam: (N, d) support values (descending, kernel set to zero); v: (N, d, d)
+    state eigenvectors; w, x: the encoding eigenvectors (N, d, d) and
+    eigenbasis generators (N, m, d, d). Returns the support rows
+    R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T), T = w^dag V, as (N, m, r, d).
+    Every support row has lam_k above the cutoff, so no pair is dropped.
+    """
+    lam_s = lam[:, :rank, None]
+    coeff = (lam_s - lam[:, None]) / (lam_s + lam[:, None])
+    t = dagger(w) @ v
+    return 2j * coeff[:, None] * (dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
+
+
 def sld_rotated(spec, pt):
-    """SLDs in the rotated frame from spectral data and an encoding point."""
+    """SLDs in the rotated frame from spectral data and an encoding point
+    (sld_row_stack at N = 1)."""
     if spec.dim != pt.dim:
         raise ValidationError("spectral data and encoding dimensions differ")
-    lam = _support_values(spec)
-    r = spec.rank
-    lam_s = lam[:r, None]
-    # every support row has lam_k above the cutoff, so no pair is dropped
-    coeff = (lam_s - lam) / (lam_s + lam)
-    eta = coeff[:, :r]
-    gamma = -4.0 * eta * (lam_s * lam[:r]) / (lam_s + lam[:r])
-    t = dagger(pt.w) @ spec.eigenvectors
-    rows = 2j * coeff * (dagger(t[:, :r]) @ pt.elems @ t)
-    return SldSet(spec=spec, rows=rows, eta=eta, gamma=gamma)
+    rows = sld_row_stack(
+        support_values(spec.eigenvalues, spec.rank_tol)[None],
+        spec.rank,
+        spec.eigenvectors[None],
+        pt.w[None],
+        pt.elems[None],
+    )
+    return SldSet(spec=spec, rows=rows[0])
 
 
 def sld_lyapunov(rho_theta, drho, rank_tol=None):
@@ -98,7 +124,7 @@ def sld_lyapunov(rho_theta, drho, rank_tol=None):
     spec = rho_theta.spectrum
     if rank_tol is None:
         rank_tol = spec.rank_tol
-    lam = _support_values(spec)
+    lam = support_values(spec.eigenvalues, spec.rank_tol)
     v = spec.eigenvectors
     denom = lam[:, None] + lam[None, :]
     live = denom > rank_tol
@@ -123,11 +149,7 @@ def nu_copy_sld(slds, nu):
     if nu == 1:
         return slds
     spec = slds.spec
-    rho_small = DensityMatrix(
-        matrix=(spec.eigenvectors * spec.eigenvalues) @ dagger(spec.eigenvectors),
-        spectrum=spec,
-    )
-    big = tensor_power(rho_small, nu)
+    big = tensor_power(DensityMatrix(spectrum=spec), nu)
     eye = np.eye(spec.dim)
     pi_ker = big.spectrum.kernel_projector
     v = big.spectrum.eigenvectors

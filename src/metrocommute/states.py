@@ -1,6 +1,6 @@
-"""Density matrices with cached spectral data, plus the state families used
-throughout the library (white-noise mixtures, Bell-diagonal states, tensor
-powers).
+"""Density matrices held by their spectral data (the matrix itself is built
+on first read), plus the state families used throughout the library
+(white-noise mixtures, Bell-diagonal states, tensor powers).
 
 Numerical rank is decided by RANK_TOL (absolute, legitimate because traces are
 one); eigenvalues at or below it are treated as exact zeros everywhere
@@ -58,14 +58,27 @@ class SpectralData:
         return self.eigenvectors.shape[0]
 
 
-@dataclass(eq=False)
 class DensityMatrix:
-    matrix: np.ndarray
-    spectrum: SpectralData
+    """A state held by its spectral data; the matrix is built from the
+    spectrum on first read. Constructors that already hold the matrix pass
+    it, which fills that cache."""
+
+    def __init__(self, *, spectrum, matrix=None):
+        self.spectrum = spectrum
+        if matrix is not None:
+            self.matrix = matrix
+
+    @cached_property
+    def matrix(self):
+        spec = self.spectrum
+        live = spec.eigenvalues != 0.0
+        v = spec.eigenvectors[:, live]
+        mat = (v * spec.eigenvalues[live]) @ dagger(v)
+        return (mat + dagger(mat)) / 2.0
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        return self.spectrum.dim
 
     @property
     def rank(self):
@@ -93,7 +106,7 @@ def density_matrix(mat, rank_tol=RANK_TOL):
         raise ValidationError(
             f"density matrix not positive semidefinite: min eigenvalue {vals.min():.3e}"
         )
-    return DensityMatrix(matrix=m, spectrum=_spectral_from_eig(vals, vecs, rank_tol))
+    return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol), matrix=m)
 
 
 def _orthonormal_completion(v):
@@ -101,8 +114,8 @@ def _orthonormal_completion(v):
     d, r = v.shape
     if r >= d:
         return np.zeros((d, 0), dtype=complex)
-    u, _, _ = np.linalg.svd(v, full_matrices=True)
-    return u[:, r:]
+    q, _ = np.linalg.qr(v, mode="complete")
+    return q[:, r:]
 
 
 def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
@@ -143,11 +156,7 @@ def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
         weights = weights[order]
         full = np.column_stack([v, _orthonormal_completion(v)])
         vals = np.concatenate([weights, np.zeros(dim - len(vecs))])
-        mat = (v * weights) @ dagger(v)
-        mat = (mat + dagger(mat)) / 2.0
-        return DensityMatrix(
-            matrix=mat, spectrum=_spectral_from_eig(vals, full, rank_tol)
-        )
+        return DensityMatrix(spectrum=_spectral_from_eig(vals, full, rank_tol))
     mat = (v * weights) @ dagger(v)
     return density_matrix((mat + dagger(mat)) / 2.0, rank_tol=rank_tol)
 

@@ -15,17 +15,24 @@ _criterion_lines = {}
 
 
 def count_calls(monkeypatch, func):
-    """Count calls to func through every metrocommute module that holds it."""
+    """Record the positional arguments of every call to func, through every
+    metrocommute module that holds it; len() of the result counts calls."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return func(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("metrocommute") and getattr(mod, func.__name__, None) is func:
             monkeypatch.setattr(mod, func.__name__, counted)
     return calls
+
+
+def stacked_points(calls):
+    """Problems passed through a stacked kernel: the leading axis of the first
+    argument, summed over the recorded calls."""
+    return sum(len(args[0]) for args in calls)
 
 
 def _ex8_axial_qfim(lam1, lam2):

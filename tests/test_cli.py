@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import count_calls
-from metrocommute.cli import SWEEP_COLUMNS, main
-from metrocommute.descriptors import resolve
-from metrocommute.encoding import encode
-from metrocommute.sld import sld_rotated
+from conftest import count_calls, stacked_points
+from metrocommute import conditions
+from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, main
+from metrocommute.conditions import classify
+from metrocommute.descriptors import parse_descriptor, resolve, with_parameter
+from metrocommute.encoding import encode_stack
+from metrocommute.sld import sld_row_stack
 
 SZ = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
 SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
@@ -314,6 +316,70 @@ def test_sweep_errors(tmp_path, capsys, monkeypatch):
     assert "METROCOMMUTE_JOBS" in err
 
 
+def _white_noise_descriptor(tmp_path):
+    # p = 1 is a pure state (rank 1); every p < 1 is full rank (rank 4)
+    return _write(
+        tmp_path,
+        "noise.json",
+        {
+            "state": {
+                "family": "white_noise",
+                "params": {"psi": [[0.6, 0], [0, 0.3], [0, 0], [0.5, -0.2]], "p": 0.5},
+            },
+            "hamiltonians": [
+                {"family": "local_spin", "params": {"sites": 2, "site": 0, "axis": [1.0, 0.0, 0.4]}},
+                {"family": "local_spin", "params": {"sites": 2, "site": 1, "axis": [0.3, 1.0, 0.0]}},
+                {"family": "local_spin", "params": {"sites": 2, "site": 0, "axis": [0.0, 0.2, 1.0]}},
+            ],
+            "theta": [0.4, -0.3, 0.8],
+        },
+    )
+
+
+def test_sweep_across_a_rank_change_matches_per_point_reports(tmp_path, capsys):
+    path = _white_noise_descriptor(tmp_path)
+    grid = np.linspace(0.6, 1.0, 5)
+    code, out, _ = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.6:1:5"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    desc = parse_descriptor(open(path).read())
+    ranks = []
+    for value, cells in zip(grid, rows):
+        rho, hs, theta, _ = resolve(with_parameter(desc, "p", float(value)))
+        ranks.append(rho.rank)
+        # the row a per-point classify gives, formatted as the CSV prints it
+        assert cells == _sweep_row("p", float(value), classify(rho, hs, theta=theta))
+        assert cells[10] != "singular"
+    assert ranks == [4, 4, 4, 4, 1]
+
+
+def test_sweep_chunks_encode_once_each_and_match_one_chunk(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "ex8.json", {"state": {"family": "example", "params": {"id": "EX8"}}})
+    argv = ["sweep", path, "--param", "az", "--grid=-1:1:7"]
+    encodes = count_calls(monkeypatch, encode_stack)
+    code, whole, _ = _run(capsys, argv)
+    assert code == 0
+    assert [len(args[0]) for args in encodes] == [7]
+    # EX8 is d = 4, m = 2: a cap of three such generator stacks cuts 7 points
+    # into chunks of 3, 3 and 1
+    monkeypatch.setattr(conditions, "STACK_BYTES", 3 * 16 * 2 * 4 * 4)
+    encodes.clear()
+    code, split, _ = _run(capsys, argv)
+    assert code == 0
+    assert [len(args[0]) for args in encodes] == [3, 3, 1]
+    assert split == whole
+
+
+def test_sweep_out_of_domain_point_names_its_value(tmp_path, capsys):
+    # EX8 needs lam1 + lam2 < 1 with lam2 = 0.2: lam1 = 0.8 and 0.9 are both out of
+    # domain, and the first of them in grid order is the one named
+    path = _write(tmp_path, "ex8.json", {"state": {"family": "example", "params": {"id": "EX8"}}})
+    code, out, err = _run(capsys, ["sweep", path, "--param", "lam1", "--grid", "0.5:0.9:5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: grid value lam1=0.8: out-of-domain parameters")
+
+
 @pytest.mark.parametrize(
     "ex_id, argv, points",
     [
@@ -327,12 +393,14 @@ def test_one_encode_and_sld_pass_per_point(tmp_path, capsys, monkeypatch, ex_id,
     path = _write(
         tmp_path, "ex.json", {"state": {"family": "example", "params": {"id": ex_id}}}
     )
-    encodes = count_calls(monkeypatch, encode)
-    slds = count_calls(monkeypatch, sld_rotated)
+    encodes = count_calls(monkeypatch, encode_stack)
+    slds = count_calls(monkeypatch, sld_row_stack)
     resolves = count_calls(monkeypatch, resolve)
     code, _, _ = _run(capsys, [a.format(path=path) for a in argv])
     assert code == 0
-    assert len(encodes) == len(slds) == points
+    # every point is encoded once, all of a request's points in one stacked pass
+    assert stacked_points(encodes) == stacked_points(slds) == points
+    assert len(encodes) == len(slds) == 1
     if argv[0] == "classify":
         assert len(resolves) == 1
 

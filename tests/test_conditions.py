@@ -20,6 +20,7 @@ from metrocommute.cli import main
 from metrocommute.conditions import (
     OperatorConditionMatrix,
     classify,
+    classify_many,
     condition_operators_direct,
     pc_trace_norm,
     rank_two_ks,
@@ -518,7 +519,8 @@ def test_classify_path_builds_no_blocks_and_no_commutation_check(
 
 
 def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, capsys):
-    calls = count_calls(monkeypatch, weak_direct) + count_calls(monkeypatch, metrology.qfim)
+    direct_calls = count_calls(monkeypatch, weak_direct)
+    qfim_calls = count_calls(monkeypatch, metrology.qfim)
     rng = np.random.default_rng(49)
     d, rank = 12, 4
     rho = density_matrix(random_density(rng, d, rank=rank))
@@ -534,9 +536,9 @@ def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, ca
     path.write_text(json.dumps({"state": state, "hamiltonians": [matrix_to_json(h) for h in hams]}))
     assert main(["classify", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == rank
-    assert calls == []
+    assert direct_calls == qfim_calls == []
     assert {"U", "generators"}.isdisjoint(vars(rep.point))
-    assert {"elems", "ops"}.isdisjoint(vars(rep.slds))
+    assert {"elems", "ops", "eta", "gamma"}.isdisjoint(vars(rep.slds))
 
     # read now, they are the matrices the computational-basis pipeline built
     k = sum(t * h for t, h in zip(theta, hams))
@@ -673,3 +675,78 @@ def test_classify_report_carries_qfim_and_w_of_the_same_pass():
         assert np.array_equal(rep.qfim.matrix, (q.real + q.real.T) / 2.0), label
         for kind in ("P", "O", "S"):
             assert rep.operators.norms[kind] == rep.norms[kind]
+
+
+def _mixed_problems(rng):
+    """(rho, h_set, theta) over interleaved (dim, m, rank) groups, with a
+    default theta, a repeated group and a singular-QFIM configuration."""
+    problems = []
+    for d, rank, m in ((3, 2, 2), (4, 4, 3), (3, 2, 2), (5, 1, 2), (4, 2, 3), (3, 3, 2), (4, 4, 3)):
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
+        problems.append((rho, hs, rng.normal(size=m)))
+    rho, hs, _ = problems[0]
+    problems.append((rho, hs, None))
+    rho, hs, theta = example_configuration("EX7", {"alpha": np.pi / 4, "a": 0.0, "a_prime": 1.0})
+    problems.append((rho, hs, theta))
+    return problems
+
+
+def test_classify_many_matches_per_point_classify():
+    problems = _mixed_problems(np.random.default_rng(53))
+    reports = classify_many(problems)
+    assert len(reports) == len(problems)
+    # five groups; the EX7 configuration shares (3, 2, 2) with random draws
+    assert len({(rho.dim, hs.m, rho.rank) for rho, hs, _ in problems}) == 5
+    assert reports[-1].E is None and reports[-1].qfim.condition_number == np.inf
+    for (rho, hs, theta), rep in zip(problems, reports):
+        ref = classify(rho, hs, theta=theta)
+        # order kept: each report belongs to its own problem
+        assert rep.slds.spec is rho.spectrum
+        assert np.array_equal(rep.theta, ref.theta)
+        assert (rep.dim, rep.rank, rep.qfim.rank) == (ref.dim, ref.rank, ref.qfim.rank)
+        assert rep.flags == ref.flags
+        assert rep.converse_failures == ref.converse_failures
+        assert rep.hierarchy_consistent == ref.hierarchy_consistent
+        tol = 1e-12 * ref.scale
+        assert abs(rep.scale - ref.scale) < tol
+        for kind in ("W", "P", "O", "S"):
+            assert abs(rep.norms[kind] - ref.norms[kind]) < tol, kind
+        assert np.max(np.abs(rep.W.entries - ref.W.entries)) < tol
+        assert np.max(np.abs(rep.qfim.matrix - ref.qfim.matrix)) < tol
+        assert (rep.E is None) == (ref.E is None)
+        # E against the computational-basis anchors of a fresh SLD set
+        slds = sld_rotated(rho.spectrum, encode(hs, ref.theta))
+        if rep.E is None:
+            with pytest.raises(ValidationError, match=metrology.SINGULAR_MESSAGE):
+                metrology.incompatibility(qfim(rho, slds), weak_direct(rho, slds))
+        else:
+            assert abs(rep.E - ref.E) < 1e-12
+            anchor = metrology.incompatibility(qfim(rho, slds), weak_direct(rho, slds))
+            assert abs(rep.E - anchor.e_value) < 1e-10
+
+
+def test_classify_many_chunks_match_one_chunk(monkeypatch):
+    problems = _mixed_problems(np.random.default_rng(54))[:3] * 3
+    whole = classify_many(problems)
+    # a cap below one 3 x 3, m = 2 problem still takes one problem per chunk
+    monkeypatch.setattr(conditions, "STACK_BYTES", 1)
+    encodes = count_calls(monkeypatch, encoding.encode_stack)
+    split = classify_many(problems)
+    assert [len(args[0]) for args in encodes] == [1] * len(problems)
+    for a, b in zip(whole, split):
+        assert a.norms == b.norms and a.flags == b.flags and a.E == b.E
+        assert np.array_equal(a.W.entries, b.W.entries)
+        assert np.array_equal(a.qfim.matrix, b.qfim.matrix)
+
+
+def test_classify_many_validates_in_order():
+    rng = np.random.default_rng(55)
+    good = (density_matrix(random_density(rng, 3)), hamiltonian_set([np.eye(3)]), None)
+    wrong_dim = (density_matrix(np.eye(2) / 2), hamiltonian_set([np.eye(3)]), None)
+    wrong_theta = (good[0], good[1], [0.1, 0.2])
+    with pytest.raises(ValidationError, match="1 Hamiltonians"):
+        classify_many([good, wrong_theta, wrong_dim])
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        classify_many([good, wrong_dim, wrong_theta])
+    assert classify_many([]) == []

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian_matrix
-from metrocommute.encoding import encode, evolve, hamiltonian_set
+from conftest import count_calls, random_density, random_hermitian_matrix
+from metrocommute import operator_core
+from metrocommute.encoding import encode, encode_stack, evolve, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
 from metrocommute.states import density_matrix
 
@@ -49,6 +50,31 @@ def test_encode_unitary_and_theta_check():
     assert np.allclose(pt.U @ dagger(pt.U), np.eye(2), atol=1e-12)
     with pytest.raises(ValidationError, match="2 Hamiltonians"):
         encode(hs, [0.3])
+
+
+def test_encode_does_not_validate_k_again(monkeypatch):
+    rng = np.random.default_rng(63)
+    hs = hamiltonian_set([random_hermitian_matrix(rng, 5) for _ in range(3)])
+    checks = count_calls(monkeypatch, operator_core.require_hermitian)
+    eigs = count_calls(monkeypatch, operator_core.hermitian_eig)
+    theta = rng.normal(size=3)
+    pt = encode(hs, theta)
+    assert checks == eigs == []
+    # eigh's ascending order, reversed: kappa descending, w its eigenvectors
+    k = sum(t * h for t, h in zip(theta, hs.hams))
+    assert np.all(np.diff(pt.kappa) <= 0)
+    assert np.max(np.abs(k @ pt.w - pt.w * pt.kappa)) < 1e-12
+
+
+def test_encode_stack_rows_equal_single_encodes():
+    rng = np.random.default_rng(64)
+    sets = [[random_hermitian_matrix(rng, 4) for _ in range(2)] for _ in range(3)]
+    thetas = rng.normal(size=(3, 2))
+    kappa, w, x = encode_stack(np.array(sets), thetas)
+    for n, hams in enumerate(sets):
+        pt = encode(hamiltonian_set(hams), thetas[n])
+        assert np.max(np.abs(kappa[n] - pt.kappa)) < 1e-13
+        assert np.max(np.abs(w[n] @ x[n] @ dagger(w[n]) - np.stack(pt.generators))) < 1e-12
 
 
 def test_generators_equal_hamiltonians_when_commuting():

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import count_calls
-from metrocommute.encoding import encode
+from conftest import count_calls, stacked_points
+from metrocommute.encoding import encode_stack
 from metrocommute.examples import (
     EXAMPLE_IDS,
     PASS_TOL,
@@ -137,9 +137,9 @@ def test_example_configuration_sweepable(ex_id):
 
 @pytest.mark.parametrize("ex_id, configurations", [("EX7", 3), ("EX10", 1), ("OBS7", 1)])
 def test_one_encode_per_configuration(monkeypatch, ex_id, configurations):
-    encodes = count_calls(monkeypatch, encode)
+    encodes = count_calls(monkeypatch, encode_stack)
     assert run_example(ex_id).passed
-    assert len(encodes) == configurations
+    assert stacked_points(encodes) == configurations
 
 
 def test_run_example_accepts_partial_overrides():

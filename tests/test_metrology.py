@@ -10,8 +10,10 @@ from conftest import QFIM_SPOTS, random_density, random_hermitian_matrix
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
 from metrocommute.metrology import (
+    CONDITION_LIMIT,
     SINGULAR_MESSAGE,
     incompatibility,
+    incompatibility_stack,
     qcr_scalar,
     qfim,
     qfim_additivity,
@@ -196,6 +198,20 @@ def test_incompatibility_bounded_by_one(seed):
 def test_incompatibility_singular_message():
     with pytest.raises(ValidationError, match=SINGULAR_MESSAGE):
         incompatibility(np.array([[1.0, 1.0], [1.0, 1.0]]), np.zeros((2, 2)))
+
+
+def test_condition_limit_refuses_positive_definite_ill_conditioned_qfims():
+    w = np.array([[0.0, 0.3j], [-0.3j, 0.0]])
+    below, beyond = np.diag([1.0, 10.0 / CONDITION_LIMIT]), np.diag([1.0, 0.1 / CONDITION_LIMIT])
+    assert incompatibility(below, w).e_value > 0
+    assert qcr_scalar(below) > 0
+    for refused in (lambda: incompatibility(beyond, w), lambda: qcr_scalar(beyond)):
+        with pytest.raises(ValidationError, match=SINGULAR_MESSAGE):
+            refused()
+    # the stacked form marks the refused QFIM and evaluates the others
+    e = incompatibility_stack(np.stack([below, beyond, np.eye(2)]), np.stack([w] * 3))
+    assert np.isnan(e[1]) and not np.isnan(e[0])
+    assert e[2] == pytest.approx(0.15)  # (1/2) max |eig(W)| at F = 1
 
 
 def test_fisher_order_random_povm():

@@ -35,6 +35,18 @@ def test_tensor_three_factors_associative():
     assert np.allclose(tensor(a, b, c), np.kron(np.kron(a, b), c))
 
 
+def test_tensor_is_bitwise_kron_for_two_three_and_eight_factors():
+    rng = np.random.default_rng(62)
+    for dims in ((2, 2), (2, 3, 2), (2,) * 8):
+        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+        expected = ops[0]
+        for op in ops[1:]:
+            expected = np.kron(expected, op)
+        assert np.array_equal(tensor(*ops), expected)
+    rect = [rng.normal(size=(2, 3)), rng.normal(size=(4, 1))]
+    assert np.array_equal(tensor(*rect), np.kron(*rect).astype(complex))
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(1)
     ra = random_density(rng, 2)

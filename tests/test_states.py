@@ -62,6 +62,33 @@ def test_eigpairs_orthonormal_kept_and_kernel_completed():
     assert np.allclose(full.conj().T @ full, np.eye(4), atol=1e-12)
 
 
+def test_eigpairs_matrix_is_built_on_first_read():
+    rng = np.random.default_rng(60)
+    for d, r in ((4, 3), (9, 2), (64, 16), (256, 32)):
+        z = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        v, _ = np.linalg.qr(z)
+        w = rng.dirichlet(np.ones(r))
+        rho = density_from_eigpairs(zip(w, v.T))
+        assert "matrix" not in vars(rho)
+        assert rho.dim == d and rho.rank == r
+        # the kernel completion makes [V_s, V_ker] unitary
+        full = rho.spectrum.eigenvectors
+        assert np.max(np.abs(full.conj().T @ full - np.eye(d))) < 1e-13
+        order = np.argsort(w)[::-1]
+        vs, ws = v[:, order], w[order]
+        old = (vs * ws) @ vs.conj().T
+        old = (old + old.conj().T) / 2.0
+        assert np.max(np.abs(rho.matrix - old)) < 1e-15
+        assert "matrix" in vars(rho)
+
+
+def test_density_matrix_keeps_the_matrix_it_validated():
+    mat = random_density(np.random.default_rng(61), 5)
+    rho = density_matrix(mat)
+    assert "matrix" in vars(rho)
+    assert np.array_equal(rho.matrix, (mat + mat.conj().T) / 2.0)
+
+
 def test_eigpairs_non_orthogonal_rediagonalized():
     v1 = np.array([1, 0], dtype=complex)
     v2 = np.array([1, 1], dtype=complex) / np.sqrt(2)
