@@ -33,6 +33,7 @@ from .conditions import (
     ScalarConditionMatrix,
     SupportKernelTerms,
     classify,
+    classify_many,
     condition_operators_direct,
     pc_trace_norm,
     rank_two_ks,

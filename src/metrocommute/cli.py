@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .conditions import classify, classify_many
+from .conditions import chunk_size, classify, classify_many
 from .descriptors import (
     _parse_fields,
     matrix_from_json,
@@ -175,7 +175,7 @@ def cmd_sweep(args):
     desc = parse_descriptor(_read_text(args.file))
     grid = _parse_grid(args.grid)
     # --jobs and METROCOMMUTE_JOBS are validated but do not change evaluation:
-    # every point goes through one stacked classify pass
+    # the points go through the stacked classify kernels
     jobs, source = args.jobs, "--jobs"
     if jobs is None:
         source = "METROCOMMUTE_JOBS"
@@ -188,13 +188,23 @@ def cmd_sweep(args):
         raise ValidationError(f"{source} must be >= 1")
     # validate the parameter name up front for a clean error before any work
     with_parameter(desc, args.param, float(grid[0]))
-    # resolve every point in grid order, so the first bad value is the one named
+    # points are resolved in grid order, so the first bad value is the one
+    # named, and classified one stacked chunk at a time: a report keeps its
+    # chunk's arrays, so batches bound what a large-d sweep holds at once.
+    # Rows print after the last batch, so an error leaves no partial CSV.
     values = [float(v) for v in grid]
-    problems = [_sweep_problem(desc, args.param, v) for v in values]
-    reports = classify_many(problems, tol=desc.zero_tol)
+    rows = []
+    start = 0
+    while start < len(values):
+        first = _sweep_problem(desc, args.param, values[start])
+        batch = values[start : start + chunk_size(first[0].dim, first[1].m)]
+        problems = [first] + [_sweep_problem(desc, args.param, v) for v in batch[1:]]
+        reports = classify_many(problems, tol=desc.zero_tol)
+        rows += [_sweep_row(args.param, v, rep) for v, rep in zip(batch, reports)]
+        start += len(batch)
     print(",".join(SWEEP_COLUMNS))
-    for value, report in zip(values, reports):
-        print(",".join(_sweep_row(args.param, value, report)))
+    for row in rows:
+        print(",".join(row))
     return 0
 
 
@@ -256,8 +266,8 @@ def build_parser():
         default=None,
         help=(
             "accepted and validated for compatibility (default: "
-            "METROCOMMUTE_JOBS or 1); all points are evaluated in one "
-            "stacked pass"
+            "METROCOMMUTE_JOBS or 1); points are always evaluated in "
+            "stacked batches"
         ),
     )
     p_sweep.set_defaults(func=cmd_sweep)

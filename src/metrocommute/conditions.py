@@ -661,6 +661,13 @@ def _classify_chunk(problems, tol):
     return reports
 
 
+def chunk_size(dim, m):
+    """How many problems of dimension dim with m parameters go through the
+    stacked kernels together: their generator array (N, m, dim, dim) stays
+    within STACK_BYTES."""
+    return max(1, STACK_BYTES // (16 * m * dim * dim))
+
+
 def classify_many(problems, tol=1e-8):
     """classify for each (rho, h_set, theta) in problems, in order.
 
@@ -682,7 +689,7 @@ def classify_many(problems, tol=1e-8):
         checked.append((rho, h_set, theta))
     reports = [None] * len(checked)
     for (d, m, _), members in groups.items():
-        size = max(1, STACK_BYTES // (16 * m * d * d))
+        size = chunk_size(d, m)
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
             for k, report in zip(chunk, _classify_chunk([checked[k] for k in chunk], tol)):

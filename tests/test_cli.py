@@ -361,7 +361,7 @@ def test_sweep_chunks_encode_once_each_and_match_one_chunk(tmp_path, capsys, mon
     assert code == 0
     assert [len(args[0]) for args in encodes] == [7]
     # EX8 is d = 4, m = 2: a cap of three such generator stacks cuts 7 points
-    # into chunks of 3, 3 and 1
+    # into batches of 3, 3 and 1
     monkeypatch.setattr(conditions, "STACK_BYTES", 3 * 16 * 2 * 4 * 4)
     encodes.clear()
     code, split, _ = _run(capsys, argv)
@@ -370,14 +370,21 @@ def test_sweep_chunks_encode_once_each_and_match_one_chunk(tmp_path, capsys, mon
     assert split == whole
 
 
-def test_sweep_out_of_domain_point_names_its_value(tmp_path, capsys):
+def test_sweep_out_of_domain_point_names_its_value(tmp_path, capsys, monkeypatch):
     # EX8 needs lam1 + lam2 < 1 with lam2 = 0.2: lam1 = 0.8 and 0.9 are both out of
     # domain, and the first of them in grid order is the one named
     path = _write(tmp_path, "ex8.json", {"state": {"family": "example", "params": {"id": "EX8"}}})
-    code, out, err = _run(capsys, ["sweep", path, "--param", "lam1", "--grid", "0.5:0.9:5"])
+    argv = ["sweep", path, "--param", "lam1", "--grid", "0.5:0.9:5"]
+    code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: grid value lam1=0.8: out-of-domain parameters")
+    # in batches of three points the bad value sits in the second batch: the
+    # first batch is classified, but no row of it is printed
+    monkeypatch.setattr(conditions, "STACK_BYTES", 3 * 16 * 2 * 4 * 4)
+    encodes = count_calls(monkeypatch, encode_stack)
+    assert _run(capsys, argv) == (code, out, err)
+    assert [len(args[0]) for args in encodes] == [3]
 
 
 @pytest.mark.parametrize(
