@@ -5,7 +5,7 @@ import pytest
 
 from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
-from metrocommute.encoding import encode, encode_stack, evolve, hamiltonian_set
+from metrocommute.encoding import encode, evolve, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
 from metrocommute.states import density_matrix
 
@@ -64,17 +64,6 @@ def test_encode_does_not_validate_k_again(monkeypatch):
     k = sum(t * h for t, h in zip(theta, hs.hams))
     assert np.all(np.diff(pt.kappa) <= 0)
     assert np.max(np.abs(k @ pt.w - pt.w * pt.kappa)) < 1e-12
-
-
-def test_encode_stack_rows_equal_single_encodes():
-    rng = np.random.default_rng(64)
-    sets = [[random_hermitian_matrix(rng, 4) for _ in range(2)] for _ in range(3)]
-    thetas = rng.normal(size=(3, 2))
-    kappa, w, x = encode_stack(np.array(sets), thetas)
-    for n, hams in enumerate(sets):
-        pt = encode(hamiltonian_set(hams), thetas[n])
-        assert np.max(np.abs(kappa[n] - pt.kappa)) < 1e-13
-        assert np.max(np.abs(w[n] @ x[n] @ dagger(w[n]) - np.stack(pt.generators))) < 1e-12
 
 
 def test_generators_equal_hamiltonians_when_commuting():
