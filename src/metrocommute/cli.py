@@ -171,6 +171,15 @@ def _sweep_row(name, value, report):
     ]
 
 
+def _sweep_batch(desc, name, values):
+    """CSV rows for the leading values that fit one classify_many call."""
+    first = _sweep_problem(desc, name, values[0])
+    batch = values[: chunk_size(first[0].dim, first[1].m)]
+    problems = [first] + [_sweep_problem(desc, name, v) for v in batch[1:]]
+    reports = classify_many(problems, tol=desc.zero_tol)
+    return [_sweep_row(name, v, rep) for v, rep in zip(batch, reports)]
+
+
 def cmd_sweep(args):
     desc = parse_descriptor(_read_text(args.file))
     grid = _parse_grid(args.grid)
@@ -189,19 +198,14 @@ def cmd_sweep(args):
     # validate the parameter name up front for a clean error before any work
     with_parameter(desc, args.param, float(grid[0]))
     # points are resolved in grid order, so the first bad value is the one
-    # named, and classified one stacked chunk at a time: a report keeps its
-    # chunk's arrays, so batches bound what a large-d sweep holds at once.
-    # Rows print after the last batch, so an error leaves no partial CSV.
+    # named, and classified chunk_size points at a time: a batch's problems
+    # and reports are dropped once its rows are formatted, so a sweep holds
+    # at most one batch. Rows print after the last batch, so an error leaves
+    # no partial CSV.
     values = [float(v) for v in grid]
     rows = []
-    start = 0
-    while start < len(values):
-        first = _sweep_problem(desc, args.param, values[start])
-        batch = values[start : start + chunk_size(first[0].dim, first[1].m)]
-        problems = [first] + [_sweep_problem(desc, args.param, v) for v in batch[1:]]
-        reports = classify_many(problems, tol=desc.zero_tol)
-        rows += [_sweep_row(args.param, v, rep) for v, rep in zip(batch, reports)]
-        start += len(batch)
+    while len(rows) < len(values):
+        rows += _sweep_batch(desc, args.param, values[len(rows) :])
     print(",".join(SWEEP_COLUMNS))
     for row in rows:
         print(",".join(row))

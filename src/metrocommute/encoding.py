@@ -116,12 +116,14 @@ def _phi(x):
 
 
 def checked_theta(h_set, theta):
-    """theta as a flat float array with one entry per Hamiltonian."""
+    """theta as a flat array of finite floats, one entry per Hamiltonian."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.size != h_set.m:
         raise ValidationError(
             f"theta has {theta.size} entries for {h_set.m} Hamiltonians"
         )
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError(f"theta has non-finite entries: {theta.tolist()}")
     return theta
 
 
@@ -131,19 +133,26 @@ def encode_stack(hams, thetas):
     hams: (N, m, d, d) Hamiltonians; thetas: (N, m). Returns (kappa, w, x):
     the eigenvalues of K = sum_i theta_i H_i in descending order, (N, d), its
     eigenvectors, (N, d, d), and the eigenbasis generators
-    X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). K is a
-    real combination of validated Hamiltonians, so it is symmetrised and
-    handed to eigh without a second validation; reversing eigh's ascending
-    order gives the descending kappa.
+    X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). The
+    Hamiltonians are validated and theta finite (checked_theta), so the
+    symmetrised K is checked only for overflow before it goes to eigh;
+    reversing eigh's ascending order gives the descending kappa.
     """
-    k = sum(thetas[:, i, None, None] * hams[:, i] for i in range(hams.shape[1]))
-    kappa, w = np.linalg.eigh((k + dagger(k)) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = sum(thetas[:, i, None, None] * hams[:, i] for i in range(hams.shape[1]))
+        k = (k + dagger(k)) / 2.0
+    if not np.all(np.isfinite(k)):
+        raise ValidationError("K = sum_i theta_i H_i overflows: theta is too large")
+    try:
+        kappa, w = np.linalg.eigh(k)
+    except np.linalg.LinAlgError as err:
+        raise ValidationError(f"eigendecomposition of K = sum_i theta_i H_i: {err}") from None
     kappa = np.ascontiguousarray(kappa[:, ::-1])
     w = np.ascontiguousarray(w[:, :, ::-1])
     phase = _phi(kappa[:, :, None] - kappa[:, None, :])
     x = dagger(w)[:, None] @ hams @ w[:, None]
     x *= phase[:, None]
-    # in place: numpy buffers the overlapping operand, so this is x + x^dag
+    # dagger allocates one conjugated copy; += adds it without a second temporary
     x += dagger(x)
     x *= 0.5
     return kappa, w, x

@@ -2,6 +2,7 @@
 sweep CSV column contract."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,26 @@ def test_sweep_errors(tmp_path, capsys, monkeypatch):
     assert "METROCOMMUTE_JOBS" in err
 
 
+def test_non_finite_theta_exits_2(tmp_path, capsys):
+    # json.loads reads NaN and Infinity, so a descriptor can carry them
+    ex4 = {"state": {"family": "example", "params": {"id": "EX4"}}}
+    nan = tmp_path / "nan.json"
+    nan.write_text('{"state": {"family": "example", "params": {"id": "EX4"}}, "theta": [NaN, 0]}')
+    for argv in (
+        ["classify", str(nan)],
+        ["classify", str(nan), "--json"],
+        ["sweep", str(nan), "--param", "p", "--grid", "0.2:0.8:3"],
+        ["classify", _write(tmp_path, "ex4.json", ex4), "--theta", "inf", "0"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta has non-finite entries"), argv
+    # finite theta whose K = sum theta_i H_i overflows
+    code, out, err = _run(capsys, ["classify", str(tmp_path / "ex4.json"), "--theta", "1e308", "1e308"])
+    assert (code, out) == (2, "")
+    assert err == "error: K = sum_i theta_i H_i overflows: theta is too large\n"
+
+
 def _white_noise_descriptor(tmp_path):
     # p = 1 is a pure state (rank 1); every p < 1 is full rank (rank 4)
     return _write(
@@ -360,14 +381,42 @@ def test_sweep_chunks_encode_once_each_and_match_one_chunk(tmp_path, capsys, mon
     code, whole, _ = _run(capsys, argv)
     assert code == 0
     assert [len(args[0]) for args in encodes] == [7]
-    # EX8 is d = 4, m = 2: a cap of three such generator stacks cuts 7 points
-    # into batches of 3, 3 and 1
-    monkeypatch.setattr(conditions, "STACK_BYTES", 3 * 16 * 2 * 4 * 4)
+    # EX8 is d = 4, m = 2: a cap of three such problems cuts 7 points into
+    # batches of 3, 3 and 1
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", 3 * conditions.point_bytes(4, 2))
     encodes.clear()
     code, split, _ = _run(capsys, argv)
     assert code == 0
     assert [len(args[0]) for args in encodes] == [3, 3, 1]
     assert split == whole
+
+
+def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monkeypatch):
+    sites, points = 5, 12
+    rng = np.random.default_rng(71)
+    psi = rng.normal(size=2**sites) + 1j * rng.normal(size=2**sites)
+    desc = {
+        "state": {"family": "white_noise", "params": {"psi": [[z.real, z.imag] for z in psi], "p": 0.5}},
+        "hamiltonians": [
+            {"family": "local_spin", "params": {"sites": sites, "site": s, "axis": [1.0, 0.3, 0.2]}}
+            for s in range(3)
+        ],
+        "theta": [0.3, -0.2, 0.5],
+    }
+    argv = ["sweep", _write(tmp_path, "wn32.json", desc), "--param", "p", f"--grid=0.1:0.9:{points}"]
+    # four d = 32, m = 3 problems per chunk; the whole grid would hold three times that
+    cap = 4 * conditions.point_bytes(32, 3)
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", cap)
+    encodes = count_calls(monkeypatch, encode_stack)
+    tracemalloc.start()
+    try:
+        code, _, _ = _run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert [len(args[0]) for args in encodes] == [4, 4, 4]
+    assert peak < cap + conditions.point_bytes(32, 3)
 
 
 def test_sweep_out_of_domain_point_names_its_value(tmp_path, capsys, monkeypatch):
@@ -381,7 +430,7 @@ def test_sweep_out_of_domain_point_names_its_value(tmp_path, capsys, monkeypatch
     assert err.startswith("error: grid value lam1=0.8: out-of-domain parameters")
     # in batches of three points the bad value sits in the second batch: the
     # first batch is classified, but no row of it is printed
-    monkeypatch.setattr(conditions, "STACK_BYTES", 3 * 16 * 2 * 4 * 4)
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", 3 * conditions.point_bytes(4, 2))
     encodes = count_calls(monkeypatch, encode_stack)
     assert _run(capsys, argv) == (code, out, err)
     assert [len(args[0]) for args in encodes] == [3]

@@ -726,20 +726,6 @@ def test_classify_many_matches_per_point_classify():
             assert abs(rep.E - anchor.e_value) < 1e-10
 
 
-def test_classify_many_chunks_match_one_chunk(monkeypatch):
-    problems = _mixed_problems(np.random.default_rng(54))[:3] * 3
-    whole = classify_many(problems)
-    # a cap below one 3 x 3, m = 2 problem still takes one problem per chunk
-    monkeypatch.setattr(conditions, "STACK_BYTES", 1)
-    encodes = count_calls(monkeypatch, encoding.encode_stack)
-    split = classify_many(problems)
-    assert [len(args[0]) for args in encodes] == [1] * len(problems)
-    for a, b in zip(whole, split):
-        assert a.norms == b.norms and a.flags == b.flags and a.E == b.E
-        assert np.array_equal(a.W.entries, b.W.entries)
-        assert np.array_equal(a.qfim.matrix, b.qfim.matrix)
-
-
 def test_classify_many_validates_in_order():
     rng = np.random.default_rng(55)
     good = (density_matrix(random_density(rng, 3)), hamiltonian_set([np.eye(3)]), None)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
+from metrocommute.conditions import classify
 from metrocommute.encoding import encode, evolve, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
 from metrocommute.states import density_matrix
@@ -50,6 +51,21 @@ def test_encode_unitary_and_theta_check():
     assert np.allclose(pt.U @ dagger(pt.U), np.eye(2), atol=1e-12)
     with pytest.raises(ValidationError, match="2 Hamiltonians"):
         encode(hs, [0.3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_and_classify_reject_non_finite_theta(bad):
+    hs = hamiltonian_set([SX, SZ])
+    rho = density_matrix(np.diag([0.75, 0.25]))
+    for run in (lambda: encode(hs, [bad, 0.0]), lambda: classify(rho, hs, theta=[0.0, bad])):
+        with pytest.raises(ValidationError, match="theta has non-finite entries"):
+            run()
+
+
+def test_encode_rejects_theta_whose_k_overflows():
+    hs = hamiltonian_set([SX, SZ])
+    with pytest.raises(ValidationError, match="overflows"):
+        encode(hs, [1e308, 1e308])
 
 
 def test_encode_does_not_validate_k_again(monkeypatch):
