@@ -281,12 +281,14 @@ def _parse_fields(source):
             _fail("tolerances", f"unknown keys {sorted(extra)}")
         if "rank_tol" in tols:
             rank_tol = _number(tols["rank_tol"], "tolerances.rank_tol")
-            if rank_tol <= 0:
-                _fail("tolerances.rank_tol", "must be positive")
+            # written so that NaN fails too
+            if not 0 < rank_tol < np.inf:
+                _fail("tolerances.rank_tol", "must be positive and finite")
         if "zero_tol" in tols:
             zero_tol = _number(tols["zero_tol"], "tolerances.zero_tol")
-            if zero_tol <= 0:
-                _fail("tolerances.zero_tol", "must be positive")
+            # written so that NaN fails too
+            if not 0 < zero_tol < np.inf:
+                _fail("tolerances.zero_tol", "must be positive and finite")
 
     return ProblemDescriptor(
         state_spec=state_spec,

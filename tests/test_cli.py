@@ -332,7 +332,8 @@ def test_non_finite_theta_exits_2(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("error: theta has non-finite entries"), argv
     # finite theta whose K = sum theta_i H_i overflows
-    code, out, err = _run(capsys, ["classify", str(tmp_path / "ex4.json"), "--theta", "1e308", "1e308"])
+    argv = ["classify", str(tmp_path / "ex4.json"), "--theta", "1e308", "1e308"]
+    code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: K = sum_i theta_i H_i overflows: theta is too large\n"
 
@@ -396,14 +397,18 @@ def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monk
     rng = np.random.default_rng(71)
     psi = rng.normal(size=2**sites) + 1j * rng.normal(size=2**sites)
     desc = {
-        "state": {"family": "white_noise", "params": {"psi": [[z.real, z.imag] for z in psi], "p": 0.5}},
+        "state": {
+            "family": "white_noise",
+            "params": {"psi": [[z.real, z.imag] for z in psi], "p": 0.5},
+        },
         "hamiltonians": [
             {"family": "local_spin", "params": {"sites": sites, "site": s, "axis": [1.0, 0.3, 0.2]}}
             for s in range(3)
         ],
         "theta": [0.3, -0.2, 0.5],
     }
-    argv = ["sweep", _write(tmp_path, "wn32.json", desc), "--param", "p", f"--grid=0.1:0.9:{points}"]
+    path = _write(tmp_path, "wn32.json", desc)
+    argv = ["sweep", path, "--param", "p", f"--grid=0.1:0.9:{points}"]
     # four d = 32, m = 3 problems per chunk; the whole grid would hold three times that
     cap = 4 * conditions.point_bytes(32, 3)
     monkeypatch.setattr(conditions, "CHUNK_BYTES", cap)

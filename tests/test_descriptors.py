@@ -199,6 +199,13 @@ def test_tolerances_parse_and_validate():
         parse_descriptor(json.dumps(_desc(tolerances={"rank_tol": -1.0})))
     with pytest.raises(ValidationError, match="tolerances: unknown keys"):
         parse_descriptor(json.dumps(_desc(tolerances={"foo": 1.0})))
+    # json.loads reads NaN and Infinity; a NaN zero_tol would clear every flag
+    for key in ("rank_tol", "zero_tol"):
+        for bad in ("NaN", "Infinity"):
+            text = json.dumps(_desc(tolerances={key: 12345.5})).replace("12345.5", bad)
+            message = f"tolerances.{key}: must be positive and finite"
+            with pytest.raises(ValidationError, match=message):
+                parse_descriptor(text)
 
 
 def test_serialize_round_trip_idempotent():
