@@ -15,10 +15,11 @@ import numpy as np
 from .conditions import chunk_size, classify, classify_many
 from .descriptors import (
     _parse_fields,
-    matrix_from_json,
     matrix_to_json,
     parse_descriptor,
+    positive_finite,
     resolve,
+    weight_from_json,
     with_parameter,
 )
 from .examples import EXAMPLE_IDS, PASS_TOL, _deviation, run_example
@@ -76,13 +77,9 @@ def _classification_payload(report, weight, rank_tol):
 def cmd_classify(args):
     desc = _parse_fields(_read_text(args.file))
     if args.rank_tol is not None:
-        if args.rank_tol <= 0:
-            raise ValidationError("--rank-tol must be positive")
-        desc.rank_tol = args.rank_tol
+        desc.rank_tol = positive_finite(args.rank_tol, "--rank-tol")
     if args.zero_tol is not None:
-        if args.zero_tol <= 0:
-            raise ValidationError("--zero-tol must be positive")
-        desc.zero_tol = args.zero_tol
+        desc.zero_tol = positive_finite(args.zero_tol, "--zero-tol")
     rho, hs, theta, weight = resolve(desc)
     if args.theta is not None:
         theta = np.asarray(args.theta, dtype=float)
@@ -91,12 +88,7 @@ def cmd_classify(args):
                 f"--theta expects {hs.m} values, got {theta.size}"
             )
     if args.weight is not None:
-        weight = matrix_from_json(
-            json.loads(_read_text(args.weight)), "weight_matrix"
-        )
-        if np.max(np.abs(weight.imag)) > 1e-12:
-            raise ValidationError("weight_matrix: must be real")
-        weight = weight.real
+        weight = weight_from_json(json.loads(_read_text(args.weight)))
     report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
     payload = _classification_payload(report, weight, desc.rank_tol)
     if args.json:

@@ -28,6 +28,12 @@ kernels (encode_stack, sld_row_stack, the pair commutators, Q, qfim_stack and
 incompatibility_stack) with a leading (N, ...) axis; classify and
 condition_operators_direct are its N = 1 cases.
 
+An operator condition matrix (S, O, P, the support/kernel terms and their
+rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
+Every route that builds one computes all parameter pairs i < j at once, on a
+leading pair axis in itertools.combinations order, and _operator_matrix
+places that (pairs, d, d) stack in the m x m matrix.
+
 W admits three more routes besides the direct trace: a support-pair
 decomposition W = Gamma + Delta, a rank-two fast path, and a spectral kernel
 route; all must agree to 1e-9. Delta and the truncated series
@@ -63,7 +69,10 @@ class ScalarConditionMatrix:
 
 @dataclass(eq=False)
 class OperatorConditionMatrix:
-    entries: list  # m x m nested list of dim x dim arrays
+    """An m x m matrix of d x d operators: entries is (m, m, d, d),
+    antisymmetric in (i, j) with zero diagonal blocks."""
+
+    entries: np.ndarray
     kind: str
 
     @property
@@ -72,24 +81,32 @@ class OperatorConditionMatrix:
 
     @property
     def norm(self):
-        """Frobenius norm over all blocks."""
+        """Frobenius norm over all blocks, summed block by block in row-major
+        order: a flat norm of entries rounds differently and would change
+        the last bits of the norms the examples print."""
         return float(
             np.sqrt(sum(np.linalg.norm(b) ** 2 for row in self.entries for b in row))
         )
 
     def entry(self, i, j):
-        return self.entries[i][j]
+        return self.entries[i, j]
 
 
-def _antisymmetric_operator_matrix(m, dim, fill, kind):
-    """Assemble an m x m operator matrix from fill(i, j) for i < j."""
-    entries = [[None] * m for _ in range(m)]
-    for i in range(m):
-        entries[i][i] = np.zeros((dim, dim), dtype=complex)
-        for j in range(i + 1, m):
-            block = fill(i, j)
-            entries[i][j] = block
-            entries[j][i] = -block
+def _pairs(m):
+    """Index arrays (first, second) of the parameter pairs i < j, in
+    itertools.combinations order."""
+    return np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
+
+
+def _operator_matrix(pairs, m, kind):
+    """The m x m operator matrix whose (i, j) block is pairs[k] and whose
+    (j, i) block is -pairs[k], for the k-th pair i < j of _pairs(m); pairs is
+    (m (m - 1) / 2, d, d)."""
+    d = pairs.shape[-1]
+    entries = np.zeros((m, m, d, d), dtype=complex)
+    i, j = _pairs(m)
+    entries[i, j] = pairs
+    entries[j, i] = -pairs
     return OperatorConditionMatrix(entries=entries, kind=kind)
 
 
@@ -262,8 +279,8 @@ class ConditionOperators:
     row-major order, with l_i the SLDs in the state eigenbasis V and r the
     rank, so V^dag O_ij V = c[:, :r] and V^dag P_ij V = c[:r, :r]. `norms`
     holds the Frobenius norm of each m x m operator matrix (both signs of
-    every pair), from c by unitary invariance. The block lists S, O and P in
-    the frame of the SLDs are built on first read.
+    every pair), from c by unitary invariance. The operator matrices S, O and
+    P in the frame of the SLDs are built on first read.
     """
 
     comm: np.ndarray
@@ -274,11 +291,8 @@ class ConditionOperators:
 
     def _blocks(self, kind, rows, cols):
         v = self.eigenvectors
-        blocks = v[:, :rows] @ self.comm[:, :rows, :cols] @ dagger(v[:, :cols])
-        index = {pair: k for k, pair in enumerate(combinations(range(self.m), 2))}
-        return _antisymmetric_operator_matrix(
-            self.m, v.shape[0], lambda i, j: blocks[index[i, j]], kind
-        )
+        pairs = v[:, :rows] @ self.comm[:, :rows, :cols] @ dagger(v[:, :cols])
+        return _operator_matrix(pairs, self.m, kind)
 
     @cached_property
     def S(self):
@@ -312,9 +326,9 @@ def _pair_commutators(lam, rows):
     scale = np.maximum(
         1.0, np.max(mag.sum(axis=(2, 3)) + mag[..., r:].sum(axis=(2, 3)), axis=1)
     )
-    pairs = list(combinations(range(m), 2))
-    a = rows[:, [i for i, _ in pairs]]
-    b = rows[:, [j for _, j in pairs]]
+    first, second = _pairs(m)
+    a = rows[:, first]
+    b = rows[:, second]
     x = dagger(a) @ b
     x[..., :r, :r] += a[..., r:] @ dagger(b[..., r:])
     c = x - dagger(x)
@@ -324,9 +338,9 @@ def _pair_commutators(lam, rows):
     bad = np.argwhere(dev > 1e-9 * scale[:, None])
     if bad.size:
         k, p = bad[0]
-        i, j = pairs[p]
         raise ArithmeticError(
-            f"postcondition tr[rho P] = W violated at ({i},{j}): {dev[k, p]:.3e}"
+            f"postcondition tr[rho P] = W violated at ({first[p]},{second[p]}): "
+            f"{dev[k, p]:.3e}"
         )
     sq = c.real**2
     sq += c.imag**2
@@ -378,7 +392,7 @@ def support_kernel_decomposition(spec, pt, check=True):
     Works entirely from the positive spectrum and its eigenvectors. With
     eta_kl = (lam_k - lam_l)/(lam_k + lam_l) over support pairs and
     D^k_ij = G_i Pi_k G_j - G_j Pi_k G_i, the five terms are assembled
-    per parameter pair and summed into P, O, S; when `check` is set the
+    for all parameter pairs at once and summed into P, O, S; when `check` is set the
     reassembled operators are verified against the direct SLD-commutator
     route before returning. Pi_k = v_k v_k^dag makes every D^k the rank-two
     a_k b_k^dag - b_k a_k^dag (a = G_i V, b = G_j V, V the support
@@ -388,7 +402,6 @@ def support_kernel_decomposition(spec, pt, check=True):
     Pi_ker a are a - V h^(i).
     """
     r = spec.rank
-    d = spec.dim
     m = pt.m
     lam = spec.eigenvalues[:r, None]
     mu = lam.T
@@ -397,70 +410,46 @@ def support_kernel_decomposition(spec, pt, check=True):
     eta = (lam - mu) / (lam + mu)
     weight = 4.0 * (lam * mu) / (lam + mu) ** 2
     gv, h, kgv = _support_columns(v, pt)
-
-    def build(i, j):
-        a, b, ka, kb = gv[i], gv[j], kgv[i], kgv[j]
-        h_i, h_j = h[i], h[j]
-        eh_i, eh_j = eta * h_i, eta * h_j
-        # scalar coefficient matrix in the support basis: off the diagonal
-        # V^dag D^rho V plus the eta-weighted pairs, on it the weighted
-        # diagonals (V^dag D^l V)_kk
-        c = h_i @ h_j - h_j @ h_i + eh_i @ eh_j - eh_j @ eh_i
-        np.fill_diagonal(c, np.sum(weight * (h_i * h_j.T - h_j * h_i.T), axis=1))
-        # sum_k Pi_k (sum_l eta_kl D^l) Pi_ker, less its left factor V
-        mix = eh_i @ dagger(kb) - eh_j @ dagger(ka)
-        parts = {
-            "I_ss": 4.0 * v @ (dagger(a) @ b - dagger(b) @ a) @ vh,
-            "I_ss_prime": -4.0 * (v @ c @ vh),
-            "I_sk": -4.0 * (v @ mix),
-            "I_ks": 4.0 * (ka @ eh_j - kb @ eh_i) @ vh,
-            "I_kk": 4.0 * (ka @ dagger(kb) - kb @ dagger(ka)),
-        }
-        parts["P"] = parts["I_ss"] + parts["I_ss_prime"]
-        parts["O"] = parts["P"] + parts["I_ks"]
-        parts["S"] = parts["O"] + parts["I_sk"] + parts["I_kk"]
-        return parts
-
-    pairs = {(i, j): build(i, j) for i in range(m) for j in range(i + 1, m)}
+    first, second = _pairs(m)
+    a, b, ka, kb = gv[first], gv[second], kgv[first], kgv[second]
+    h_i, h_j = h[first], h[second]
+    eh_i, eh_j = eta * h_i, eta * h_j
+    # scalar coefficient matrices in the support basis: off the diagonal
+    # V^dag D^rho V plus the eta-weighted pairs, on it the weighted
+    # diagonals (V^dag D^l V)_kk
+    c = h_i @ h_j - h_j @ h_i + eh_i @ eh_j - eh_j @ eh_i
+    c[:, range(r), range(r)] = np.sum(
+        weight * (h_i * np.swapaxes(h_j, 1, 2) - h_j * np.swapaxes(h_i, 1, 2)), axis=2
+    )
+    # sum_k Pi_k (sum_l eta_kl D^l) Pi_ker, less its left factor V
+    mix = eh_i @ dagger(kb) - eh_j @ dagger(ka)
+    parts = {
+        "I_ss": 4.0 * v @ (dagger(a) @ b - dagger(b) @ a) @ vh,
+        "I_ss_prime": -4.0 * (v @ c @ vh),
+        "I_sk": -4.0 * (v @ mix),
+        "I_ks": 4.0 * (ka @ eh_j - kb @ eh_i) @ vh,
+        "I_kk": 4.0 * (ka @ dagger(kb) - kb @ dagger(ka)),
+    }
+    parts["P"] = parts["I_ss"] + parts["I_ss_prime"]
+    parts["O"] = parts["P"] + parts["I_ks"]
+    parts["S"] = parts["O"] + parts["I_sk"] + parts["I_kk"]
     out = SupportKernelTerms(
         *(
-            _antisymmetric_operator_matrix(m, d, lambda i, j: pairs[i, j][kind], kind)
+            _operator_matrix(parts[kind], m, kind)
             for kind in ("I_ss", "I_ss_prime", "I_sk", "I_ks", "I_kk", "P", "O", "S")
         )
     )
     if check:
         direct = condition_operators_direct(spec, sld_rotated(spec, pt))
         scale = max(1.0, max(np.linalg.norm(g) ** 2 for g in pt.generators))
-        for name, mine, ref in (
-            ("P", out.P, direct.P),
-            ("O", out.O, direct.O),
-            ("S", out.S, direct.S),
-        ):
-            dev = _block_deviation(mine, ref)
+        for name in ("P", "O", "S"):
+            mine, ref = getattr(out, name), getattr(direct, name)
+            dev = np.linalg.norm(mine.entries - ref.entries)
             if dev > 1e-9 * scale:
                 raise ArithmeticError(
                     f"support/kernel reassembly of {name} deviates by {dev:.3e}"
                 )
     return out
-
-
-def _block_deviation(a, b):
-    return float(
-        np.sqrt(
-            sum(
-                np.linalg.norm(x - y) ** 2
-                for row_a, row_b in zip(a.entries, b.entries)
-                for x, y in zip(row_a, row_b)
-            )
-        )
-    )
-
-
-def _pair_sandwiches(h_i, h_j):
-    """e[k][a, b] = h^(i)_ak h^(j)_kb - h^(j)_ak h^(i)_kb, the support
-    elements v_a^dag D^k_ij v_b of D^k_ij = G_i P_k G_j - G_j P_k G_i for a
-    rank-two state, P_k = v_k v_k^dag and h = V^dag G V."""
-    return [np.outer(h_i[:, k], h_j[k]) - np.outer(h_j[:, k], h_i[k]) for k in (0, 1)]
 
 
 def rank_two_ss_prime(spec, pt):
@@ -471,7 +460,9 @@ def rank_two_ss_prime(spec, pt):
 
     Every term is v_a (v_a^dag D^k v_b) v_b^dag, so the sum is V C V^dag with
     V the two support vectors and C the 2 x 2 matrix of those elements,
-    built from h^(i) = V^dag G_i V: O(d^2) per pair.
+    built from h^(i) = V^dag G_i V: e[k][a, b] = h^(i)_ak h^(j)_kb -
+    h^(j)_ak h^(i)_kb is v_a^dag D^k_ij v_b. O(d^2) per pair, every pair at
+    once.
     """
     if spec.rank != 2:
         raise ValidationError(f"rank_two_ss_prime needs rank 2, got {spec.rank}")
@@ -479,15 +470,16 @@ def rank_two_ss_prime(spec, pt):
     v = spec.eigenvectors[:, :2]
     h = _eigenbasis_elements(v, pt)
     q = 4.0 * lam * (1.0 - lam)
-
-    def fill(i, j):
-        e1, e2 = _pair_sandwiches(h[i], h[j])
-        c = e1 + e2  # D^rho = D^1 + D^2 on the off-diagonal blocks
-        c[0, 0] = e1[0, 0] + q * e2[0, 0]
-        c[1, 1] = e2[1, 1] + q * e1[1, 1]
-        return -4.0 * (v @ c @ dagger(v))
-
-    return _antisymmetric_operator_matrix(pt.m, spec.dim, fill, "I_ss_prime")
+    first, second = _pairs(pt.m)
+    h_i, h_j = h[first], h[second]
+    e1, e2 = (
+        h_i[:, :, k, None] * h_j[:, None, k] - h_j[:, :, k, None] * h_i[:, None, k]
+        for k in (0, 1)
+    )
+    c = e1 + e2  # D^rho = D^1 + D^2 on the off-diagonal blocks
+    c[:, 0, 0] = e1[:, 0, 0] + q * e2[:, 0, 0]
+    c[:, 1, 1] = e2[:, 1, 1] + q * e1[:, 1, 1]
+    return _operator_matrix(-4.0 * (v @ c @ dagger(v)), pt.m, "I_ss_prime")
 
 
 def rank_two_ks(spec, pt):
@@ -495,22 +487,21 @@ def rank_two_ks(spec, pt):
     4 (1 - 2 lam) [ Pi_ker D^2 P1 - Pi_ker D^1 P2 ], lam the larger eigenvalue.
 
     Pi_ker D^k P_b = (Pi_ker G_i v_k h^(j)_kb - Pi_ker G_j v_k h^(i)_kb) v_b^dag,
-    with the kernel columns Pi_ker G v = G v - V h: O(d^2) per pair.
+    with the kernel columns Pi_ker G v = G v - V h: O(d^2) per pair, every
+    pair at once.
     """
     if spec.rank != 2:
         raise ValidationError(f"rank_two_ks needs rank 2, got {spec.rank}")
     lam = spec.eigenvalues[0]
     v = spec.eigenvectors[:, :2]
     _, h, k = _support_columns(v, pt)
-
-    def fill(i, j):
-        # the columns of Pi_ker D^2 P1 and Pi_ker D^1 P2 before v_1^dag, v_2^dag
-        col_21 = k[i][:, 1] * h[j][1, 0] - k[j][:, 1] * h[i][1, 0]
-        col_12 = k[i][:, 0] * h[j][0, 1] - k[j][:, 0] * h[i][0, 1]
-        cols = np.column_stack([col_21, -col_12])
-        return 4.0 * (1.0 - 2.0 * lam) * (cols @ dagger(v))
-
-    return _antisymmetric_operator_matrix(pt.m, spec.dim, fill, "I_ks")
+    first, second = _pairs(pt.m)
+    h_i, h_j, k_i, k_j = h[first], h[second], k[first], k[second]
+    # the columns of Pi_ker D^2 P1 and Pi_ker D^1 P2 before v_1^dag, v_2^dag
+    col_21 = k_i[:, :, 1] * h_j[:, 1, 0, None] - k_j[:, :, 1] * h_i[:, 1, 0, None]
+    col_12 = k_i[:, :, 0] * h_j[:, 0, 1, None] - k_j[:, :, 0] * h_i[:, 0, 1, None]
+    cols = np.stack([col_21, -col_12], axis=2)
+    return _operator_matrix(4.0 * (1.0 - 2.0 * lam) * (cols @ dagger(v)), pt.m, "I_ks")
 
 
 def pc_trace_norm(rho, slds):
@@ -573,11 +564,6 @@ def _state_product_stack(lam, rows):
     return q + np.conj(ker.reshape(n, m, -1)) @ np.swapaxes(
         (lam[:, None, None, r:] * ker).reshape(n, m, -1), 1, 2
     )
-
-
-def _state_products(slds):
-    """Q_ij = tr[rho l_i l_j] of one SLD set (the stacked form at N = 1)."""
-    return _state_product_stack(slds.spec.eigenvalues[None], slds.rows[None])[0]
 
 
 def _verdict(norms, tol, scale):

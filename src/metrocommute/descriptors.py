@@ -35,6 +35,7 @@ from .states import (
     density_from_eigpairs,
     density_matrix,
     white_noise_state,
+    with_rank_tol,
 )
 
 DEFAULT_ZERO_TOL = 1e-8
@@ -136,6 +137,23 @@ def matrix_to_json(arr):
 
 def vector_to_json(vec):
     return [[float(v.real), float(v.imag)] for v in np.asarray(vec, dtype=complex)]
+
+
+def positive_finite(value, path):
+    """A tolerance: a number that must be positive and finite."""
+    value = _number(value, path)
+    # written so that NaN fails too
+    if not 0 < value < np.inf:
+        _fail(path, "must be positive and finite")
+    return value
+
+
+def weight_from_json(value, path="weight_matrix"):
+    """The real weight matrix of a JSON matrix object."""
+    weight = matrix_from_json(value, path)
+    if np.max(np.abs(weight.imag)) > 1e-12:
+        _fail(path, "must be real")
+    return weight.real
 
 
 def _canonical_params(params, path):
@@ -266,10 +284,7 @@ def _parse_fields(source):
 
     weight = None
     if data.get("weight_matrix") is not None:
-        weight = matrix_from_json(data["weight_matrix"], "weight_matrix")
-        if np.max(np.abs(weight.imag)) > 1e-12:
-            _fail("weight_matrix", "must be real")
-        weight = weight.real
+        weight = weight_from_json(data["weight_matrix"])
 
     rank_tol, zero_tol = RANK_TOL, DEFAULT_ZERO_TOL
     if data.get("tolerances") is not None:
@@ -280,15 +295,9 @@ def _parse_fields(source):
         if extra:
             _fail("tolerances", f"unknown keys {sorted(extra)}")
         if "rank_tol" in tols:
-            rank_tol = _number(tols["rank_tol"], "tolerances.rank_tol")
-            # written so that NaN fails too
-            if not 0 < rank_tol < np.inf:
-                _fail("tolerances.rank_tol", "must be positive and finite")
+            rank_tol = positive_finite(tols["rank_tol"], "tolerances.rank_tol")
         if "zero_tol" in tols:
-            zero_tol = _number(tols["zero_tol"], "tolerances.zero_tol")
-            # written so that NaN fails too
-            if not 0 < zero_tol < np.inf:
-                _fail("tolerances.zero_tol", "must be positive and finite")
+            zero_tol = positive_finite(tols["zero_tol"], "tolerances.zero_tol")
 
     return ProblemDescriptor(
         state_spec=state_spec,
@@ -311,19 +320,21 @@ def parse_descriptor(source):
     return desc
 
 
-def _resolve_state(spec, rank_tol):
+def _resolve_state(spec):
+    """(DensityMatrix, HamiltonianSet or None) of a state spec, ranked at the
+    default cutoff; only the example family brings its own Hamiltonians."""
     if isinstance(spec, list):
         pairs = [(item["weight"], item["vector"]) for item in spec]
-        return density_from_eigpairs(pairs, rank_tol=rank_tol), None, None
+        return density_from_eigpairs(pairs), None
     if isinstance(spec, np.ndarray):
-        return density_matrix(spec, rank_tol=rank_tol), None, None
+        return density_matrix(spec), None
     family = spec["family"]
     params = spec.get("params", {})
     if family == "white_noise":
         if "psi" not in params or "p" not in params:
             _fail("state.params", 'white_noise needs "psi" and "p"')
         psi = vector_from_json(params["psi"], "state.params.psi")
-        return white_noise_state(psi, _number(params["p"], "state.params.p")), None, None
+        return white_noise_state(psi, _number(params["p"], "state.params.p")), None
     if family == "bell_diagonal":
         if "weights" not in params or "d" not in params:
             _fail("state.params", 'bell_diagonal needs "weights" and "d"')
@@ -334,7 +345,7 @@ def _resolve_state(spec, rank_tol):
             _number(v, f"state.params.weights[{i}]")
             for i, v in enumerate(params["weights"])
         ]
-        return bell_diagonal(weights, d).rho, None, None
+        return bell_diagonal(weights, d).rho, None
     if family == "pure":
         if "vector" not in params:
             _fail("state.params", 'pure needs "vector"')
@@ -342,18 +353,14 @@ def _resolve_state(spec, rank_tol):
         norm = np.linalg.norm(vec)
         if norm <= 0:
             _fail("state.params.vector", "zero vector")
-        return density_from_eigpairs([(1.0, vec / norm)], rank_tol=rank_tol), None, None
+        return density_from_eigpairs([(1.0, vec / norm)]), None
     if family == "maximally_mixed":
         if "dim" not in params:
             _fail("state.params", 'maximally_mixed needs "dim"')
         dim = params["dim"]
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
             _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
-        return (
-            density_matrix(np.eye(dim, dtype=complex) / dim, rank_tol=rank_tol),
-            None,
-            None,
-        )
+        return density_matrix(np.eye(dim, dtype=complex) / dim), None
     if family == "example":
         if "id" not in params:
             _fail("state.params", 'example needs "id"')
@@ -363,8 +370,7 @@ def _resolve_state(spec, rank_tol):
         overrides = {
             k: v for k, v in params.items() if k != "id"
         }
-        rho, hs, theta = example_configuration(ex_id, overrides)
-        return rho, hs, theta
+        return example_configuration(ex_id, overrides)
     _fail("state.family", f"unknown family {family!r}")
 
 
@@ -393,18 +399,18 @@ def _resolve_hamiltonian(spec, path):
 
 
 def resolve(desc):
-    """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a descriptor."""
-    rho, hs, theta = _resolve_state(desc.state_spec, desc.rank_tol)
+    """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a
+    descriptor; the state's rank is counted at the descriptor's rank_tol,
+    whatever its family."""
+    rho, hs = _resolve_state(desc.state_spec)
+    rho = with_rank_tol(rho, desc.rank_tol)
     if hs is None:
         hams = [
             _resolve_hamiltonian(spec, f"hamiltonians[{i}]")
             for i, spec in enumerate(desc.hamiltonian_specs)
         ]
         hs = hamiltonian_set(hams)
-    if desc.theta is not None:
-        theta = np.asarray(desc.theta, dtype=float)
-    if theta is None:
-        theta = np.zeros(hs.m)
+    theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
     if theta.size != hs.m:
         _fail("theta", f"expected {hs.m} entries, got {theta.size}")
     if rho.dim != hs.dim:

@@ -1242,7 +1242,7 @@ def run_all():
 
 
 def example_configuration(example_id, params=None):
-    """State, Hamiltonian set, and theta for the single-configuration examples.
+    """State and Hamiltonian set of a single-configuration example.
 
     Used by the sweep and classify front ends. Those are EX2..EX5, EX7..EX10
     and OBS7; the batch-style reports (EX1, EX6, OBS2, OBS3, OBS5, OBS6) do
@@ -1250,8 +1250,7 @@ def example_configuration(example_id, params=None):
     """
     p = _merged_parameters(example_id, params)
     if example_id in _CONFIGURATIONS:
-        rho, hs = _CONFIGURATIONS[example_id](p)
-        return rho, hs, None
+        return _CONFIGURATIONS[example_id](p)
     raise ValidationError(
         f"example {example_id} does not define a single sweepable configuration"
     )

@@ -101,7 +101,7 @@ def _matched_ex8(rng):
     """EX8 at random local fields with a_x b_z = a_z b_x, where P = 0."""
     ax, az = rng.uniform(0.3, 1.0, size=2)
     scale = float(rng.uniform(0.5, 1.5))
-    rho, hs, _ = example_configuration(
+    return example_configuration(
         "EX8",
         {
             "lam1": float(rng.uniform(0.1, 0.4)),
@@ -112,7 +112,6 @@ def _matched_ex8(rng):
             "bz": float(scale * az),
         },
     )
-    return rho, hs
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,11 @@ def suite_route_agreement(seed, draws, tol=1e-9):
     return SuiteResult("route agreement", draws, violations, worst)
 
 
+def _max_block_norm(entries):
+    """The largest Frobenius norm of the d x d blocks of an (m, m, d, d) array."""
+    return float(np.max(np.linalg.norm(entries, axis=(2, 3))))
+
+
 def suite_reassembly(seed, draws, tol=1e-9):
     """Support/kernel terms reassemble the operator conditions exactly:
     P = I_ss + I_ss', O = P + I_ks, S = O + I_sk + I_kk, against the direct
@@ -164,22 +168,20 @@ def suite_reassembly(seed, draws, tol=1e-9):
         slds = sld_rotated(rho.spectrum, pt)
         ops = condition_operators_direct(rho.spectrum, slds)
         terms = support_kernel_decomposition(rho.spectrum, pt, check=False)
-        m = ops.S.m
-        dev = 0.0
-        for i in range(m):
-            for j in range(m):
-                p_sum = terms.i_ss.entry(i, j) + terms.i_ss_prime.entry(i, j)
-                o_sum = p_sum + terms.i_ks.entry(i, j)
-                s_sum = o_sum + terms.i_sk.entry(i, j) + terms.i_kk.entry(i, j)
-                dev = max(
-                    dev,
-                    float(np.linalg.norm(ops.P.entry(i, j) - p_sum)),
-                    float(np.linalg.norm(ops.O.entry(i, j) - o_sum)),
-                    float(np.linalg.norm(ops.S.entry(i, j) - s_sum)),
-                    float(np.linalg.norm(terms.P.entry(i, j) - p_sum)),
-                    float(np.linalg.norm(terms.O.entry(i, j) - o_sum)),
-                    float(np.linalg.norm(terms.S.entry(i, j) - s_sum)),
-                )
+        p_sum = terms.i_ss.entries + terms.i_ss_prime.entries
+        o_sum = p_sum + terms.i_ks.entries
+        s_sum = o_sum + terms.i_sk.entries + terms.i_kk.entries
+        dev = max(
+            _max_block_norm(mat.entries - ref)
+            for mat, ref in (
+                (ops.P, p_sum),
+                (ops.O, o_sum),
+                (ops.S, s_sum),
+                (terms.P, p_sum),
+                (terms.O, o_sum),
+                (terms.S, s_sum),
+            )
+        )
         worst = max(worst, dev)
         violations += dev > tol
     return SuiteResult("support/kernel reassembly", draws, violations, worst)
@@ -196,17 +198,11 @@ def suite_structure(seed, draws, tol=1e-9):
         ops = condition_operators_direct(rho.spectrum, slds)
         w = weak_direct(rho, slds).entries
         pi = rho.spectrum.support_projector
-        m = ops.S.m
-        dev = 0.0
-        for i in range(m):
-            for j in range(m):
-                dev = max(
-                    dev,
-                    float(
-                        np.linalg.norm(ops.P.entry(i, j) - pi @ ops.O.entry(i, j))
-                    ),
-                    abs(w[i, j] - np.trace(rho.matrix @ ops.P.entry(i, j))),
-                )
+        w_from_p = np.trace(rho.matrix @ ops.P.entries, axis1=2, axis2=3)
+        dev = max(
+            _max_block_norm(ops.P.entries - pi @ ops.O.entries),
+            float(np.max(np.abs(w - w_from_p))),
+        )
         worst = max(worst, dev)
         violations += dev > tol
     return SuiteResult("structural identities", draws, violations, worst)
@@ -216,18 +212,12 @@ def _special_configurations(rng, k):
     """Rotating menu of constructions that light up nontrivial flag patterns."""
     pick = k % 4
     if pick == 0:
-        return example_configuration(
-            "EX7", {"lam": float(rng.uniform(0.1, 0.45))}
-        )[:2]
+        return example_configuration("EX7", {"lam": float(rng.uniform(0.1, 0.45))})
     if pick == 1:
         return _matched_ex8(rng)
     if pick == 2:
-        return example_configuration(
-            "EX9", {"lam": float(rng.uniform(0.1, 0.9))}
-        )[:2]
-    return example_configuration(
-        "EX10", {"lam": float(rng.uniform(0.3, 0.9))}
-    )[:2]
+        return example_configuration("EX9", {"lam": float(rng.uniform(0.1, 0.9))})
+    return example_configuration("EX10", {"lam": float(rng.uniform(0.3, 0.9))})
 
 
 def suite_chain(seed, draws, tol=1e-8):

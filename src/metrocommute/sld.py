@@ -36,9 +36,6 @@ class SldSet:
     spec: SpectralData of the state the SLDs belong to
     rows: (m, r, d) stack of the support rows R_i = l_i[:r, :] of the SLDs in
         that state's eigenbasis V = spec.eigenvectors, r = spec.rank
-    eta, gamma: coefficient tables (lam_k - lam_l)/(lam_k + lam_l) and
-        -4 (lam_k - lam_l) lam_k lam_l / (lam_k + lam_l)^2 over support pairs;
-        computed from spec on first read
     elems: the full l_i = V^dag L_i V, (m, d, d), zero on the kernel-kernel
         block; built on first read
     ops: list of the m Hermitian operators L_i = V l_i V^dag; built on first
@@ -47,16 +44,6 @@ class SldSet:
 
     spec: object
     rows: np.ndarray
-
-    @cached_property
-    def eta(self):
-        lam = support_values(self.spec.eigenvalues, self.spec.rank_tol)[: self.spec.rank]
-        return (lam[:, None] - lam) / (lam[:, None] + lam)
-
-    @cached_property
-    def gamma(self):
-        lam = support_values(self.spec.eigenvalues, self.spec.rank_tol)[: self.spec.rank]
-        return -4.0 * self.eta * (lam[:, None] * lam) / (lam[:, None] + lam)
 
     @cached_property
     def elems(self):

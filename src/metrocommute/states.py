@@ -109,6 +109,16 @@ def density_matrix(mat, rank_tol=RANK_TOL):
     return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol), matrix=m)
 
 
+def with_rank_tol(rho, rank_tol):
+    """rho with its rank recounted at the cutoff rank_tol; the spectral
+    arrays, and the matrix if already built, are shared."""
+    spec = rho.spectrum
+    return DensityMatrix(
+        spectrum=_spectral_from_eig(spec.eigenvalues, spec.eigenvectors, rank_tol),
+        matrix=vars(rho).get("matrix"),
+    )
+
+
 def _orthonormal_completion(v):
     """Columns spanning the orthogonal complement of the columns of v."""
     d, r = v.shape

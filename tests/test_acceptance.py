@@ -38,10 +38,8 @@ SEED = 42
 
 
 def _pipeline_qfim(ex_id, params):
-    rho, hs, theta = example_configuration(ex_id, params)
-    if theta is None:
-        theta = np.zeros(hs.m)
-    pt = encode(hs, theta)
+    rho, hs = example_configuration(ex_id, params)
+    pt = encode(hs, np.zeros(hs.m))
     return qfim(rho, sld_rotated(rho.spectrum, pt))
 
 

@@ -122,27 +122,49 @@ def test_classify_singular_notice(tmp_path, capsys):
     assert report["notices"] == ["parameters not jointly identifiable"]
 
 
+def _spin(site, axis):
+    return {"family": "local_spin", "params": {"sites": 2, "site": site, "axis": axis}}
+
+
 def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
-    path = _write(
-        tmp_path,
-        "near_pure.json",
-        {
-            "state": [
+    # every state input, eigpairs and families alike, carries weights of
+    # 1e-7: rank_tol 1e-6 drops them and --rank-tol 1e-8 keeps them
+    cases = [
+        (
+            [
                 {"weight": 1.0 - 1e-7, "vector": [[1, 0], [0, 0]]},
                 {"weight": 1e-7, "vector": [[0, 0], [1, 0]]},
             ],
-            "hamiltonians": [SZ, SX],
-            "tolerances": {"rank_tol": 1e-6},
-        },
-    )
-    code, out, _ = _run(capsys, ["classify", path, "--json"])
-    assert code == 0
-    assert json.loads(out)["rank"] == 1
-    code, out, _ = _run(capsys, ["classify", path, "--json", "--rank-tol", "1e-8"])
-    assert code == 0
-    report = json.loads(out)
-    assert report["rank"] == 2
-    assert report["tolerances"]["rank_tol"] == 1e-8
+            [SZ, SX],
+            2,
+        ),
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 1.0 - 2e-7}},
+            [SZ, SX],
+            2,
+        ),
+        (
+            {"family": "bell_diagonal", "params": {"weights": [1.0 - 1e-7, 1e-7], "d": 2}},
+            [_spin(0, [0.0, 0.0, 1.0]), _spin(1, [1.0, 0.0, 0.0])],
+            2,
+        ),
+        ({"family": "example", "params": {"id": "EX10", "lam": 1.0 - 4e-7}}, None, 4),
+    ]
+    for k, (state, hams, full_rank) in enumerate(cases):
+        desc = {"state": state, "tolerances": {"rank_tol": 1e-6}}
+        if hams is not None:
+            desc["hamiltonians"] = hams
+        path = _write(tmp_path, f"near_pure_{k}.json", desc)
+        code, out, _ = _run(capsys, ["classify", path, "--json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["rank"] == 1, state
+        assert report["tolerances"]["rank_tol"] == 1e-6
+        code, out, _ = _run(capsys, ["classify", path, "--json", "--rank-tol", "1e-8"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["rank"] == full_rank, state
+        assert report["tolerances"]["rank_tol"] == 1e-8
 
 
 def test_classify_theta_weight_and_tol_overrides(tmp_path, capsys):
@@ -168,9 +190,12 @@ def test_classify_theta_weight_and_tol_overrides(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", path, "--theta", "0.3"])
     assert code == 2
     assert "expects 2 values" in err
-    code, _, err = _run(capsys, ["classify", path, "--zero-tol", "-1"])
-    assert code == 2
-    assert "positive" in err
+    for flag in ("--zero-tol", "--rank-tol"):
+        for value in ("-1", "0", "nan", "inf"):
+            code, out, err = _run(capsys, ["classify", path, flag, value])
+            assert code == 2, (flag, value)
+            assert out == ""
+            assert f"{flag}: must be positive and finite" in err
 
 
 def test_example_single_table(capsys):

@@ -2,6 +2,7 @@
 trace-norm indicator, and hierarchy classification."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ from metrocommute.states import (
     density_matrix,
     tensor_power,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _problem(rng, d, rank, m=2):
@@ -337,6 +341,31 @@ def test_rank_two_closed_forms_match_general_split():
                 assert np.allclose(ks.entry(i, j), terms.i_ks.entry(i, j), atol=1e-10)
 
 
+@pytest.mark.parametrize("d, rank, m", [(4, 2, 3), (5, 1, 2), (4, 4, 2), (27, 2, 3), (5, 2, 1)])
+def test_benchmark_routes_run_and_pass_their_check(monkeypatch, tmp_path, d, rank, m):
+    # the routes workload of the benchmark reads the operator matrices as
+    # .entries[i][j], len(.entries) and np.asarray(.entries); at m = 1 there
+    # is no parameter pair and every operator matrix is one zero block
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    routes = workloads.Routes(3, tmp_path)
+    req = routes._problem(d, rank, m)
+    out = routes.run(req)
+    assert routes._check(out) is None
+    assert routes.check(req, out) == []
+    skd = out["support_kernel"]
+    mats = [getattr(skd, kind) for kind in ("i_ss", "i_ss_prime", "i_sk", "i_ks", "i_kk")]
+    mats += [getattr(skd, kind) for kind in "POS"] + [getattr(out["operators"], k) for k in "POS"]
+    if rank == 2:
+        mats += [out["ss_prime"], out["ks"]]
+    for mat in mats:
+        assert mat.entries.shape == (m, m, d, d), mat.kind
+        assert np.array_equal(mat.entries, -np.swapaxes(mat.entries, 0, 1)), mat.kind
+        if m == 1:
+            assert not np.any(mat.entries), mat.kind
+
+
 def _rank_two_ss_prime_projectors(spec, pt):
     """I_ss_prime from its rank-two projector expression, term by term."""
     lam = spec.eigenvalues[0]
@@ -441,11 +470,11 @@ def test_eigenbasis_operators_match_literal_commutators():
         w = weak_direct(rho, slds).entries
         for kind, blocks in ref.items():
             mine = getattr(ops, kind)
-            assert mine.kind == kind and mine.m == len(blocks)
-            dev = _max_block_dev(mine, OperatorConditionMatrix(blocks, kind))
+            literal = OperatorConditionMatrix(np.array(blocks), kind)
+            assert mine.kind == kind and mine.entries.shape == literal.entries.shape
+            dev = _max_block_dev(mine, literal)
             assert dev < 1e-12 * scale, (label, kind, dev)
-            literal_norm = OperatorConditionMatrix(blocks, kind).norm
-            assert abs(ops.norms[kind] - literal_norm) < 1e-12 * scale, (label, kind)
+            assert abs(ops.norms[kind] - literal.norm) < 1e-12 * scale, (label, kind)
             assert abs(ops.norms[kind] - mine.norm) < 1e-12 * scale, (label, kind)
         for i in range(len(w)):
             for j in range(len(w)):
@@ -487,7 +516,7 @@ def test_classify_path_builds_no_blocks_and_no_commutation_check(
     def refuse(*args, **kwargs):
         raise AssertionError("called on the classify path")
 
-    monkeypatch.setattr(conditions, "_antisymmetric_operator_matrix", refuse)
+    monkeypatch.setattr(conditions, "_operator_matrix", refuse)
     monkeypatch.setattr(encoding, "_pairwise_commuting", refuse)
     rng = np.random.default_rng(47)
     d, rank = 16, 5
@@ -580,8 +609,8 @@ def test_pc_trace_norm_entries_nonnegative_symmetric():
 
 
 def _classify_example(ex_id, params=None):
-    rho, hs, theta = example_configuration(ex_id, params or {})
-    return classify(rho, hs, theta=theta)
+    rho, hs = example_configuration(ex_id, params or {})
+    return classify(rho, hs)
 
 
 def test_classify_hierarchy_patterns_from_worked_examples():
@@ -670,7 +699,9 @@ def test_classify_report_carries_qfim_and_w_of_the_same_pass():
         # and QFIM are exactly those of its own SLD set
         assert rep.slds.spec is rho.spectrum
         assert np.array_equal(rep.point.theta, theta)
-        q = conditions._state_products(rep.slds)
+        q = conditions._state_product_stack(
+            rho.spectrum.eigenvalues[None], rep.slds.rows[None]
+        )[0]
         assert np.array_equal(rep.W.entries, 1j * (q.imag - q.imag.T)), label
         assert np.array_equal(rep.qfim.matrix, (q.real + q.real.T) / 2.0), label
         for kind in ("P", "O", "S"):
@@ -687,8 +718,8 @@ def _mixed_problems(rng):
         problems.append((rho, hs, rng.normal(size=m)))
     rho, hs, _ = problems[0]
     problems.append((rho, hs, None))
-    rho, hs, theta = example_configuration("EX7", {"alpha": np.pi / 4, "a": 0.0, "a_prime": 1.0})
-    problems.append((rho, hs, theta))
+    rho, hs = example_configuration("EX7", {"alpha": np.pi / 4, "a": 0.0, "a_prime": 1.0})
+    problems.append((rho, hs, None))
     return problems
 
 

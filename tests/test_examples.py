@@ -126,11 +126,10 @@ def test_example_configuration_sweepable(ex_id):
         ):
             example_configuration(ex_id, {})
         return
-    rho, hs, theta = example_configuration(ex_id, {})
+    rho, hs = example_configuration(ex_id, {})
     assert rho.dim == hs.dim
-    assert theta is None
     if ex_id == "EX4":
-        rho, hs, _ = example_configuration("EX4", {"p": 0.3})
+        rho, hs = example_configuration("EX4", {"p": 0.3})
         assert rho.dim == 4
         assert hs.m == 2
 

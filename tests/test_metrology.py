@@ -101,8 +101,7 @@ def _bures_qfim(rho, hams, h):
 
 def _spot_problem(ex_id):
     params, reference = QFIM_SPOTS[ex_id]
-    rho, hs, theta = example_configuration(ex_id, params)
-    assert theta is None
+    rho, hs = example_configuration(ex_id, params)
     return rho, hs, reference
 
 

@@ -103,22 +103,6 @@ def test_lyapunov_validation():
         sld_lyapunov(rho, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_sld_coefficient_tables():
-    rng = np.random.default_rng(24)
-    rho, _, _, pt = _problem(rng, 4, rank=3)
-    slds = sld_rotated(rho.spectrum, pt)
-    lam = rho.spectrum.eigenvalues[:3]
-    eta_expected = (lam[:, None] - lam[None, :]) / (lam[:, None] + lam[None, :])
-    assert np.allclose(slds.eta, eta_expected, atol=1e-12)
-    gam_expected = (
-        -4.0
-        * (lam[:, None] - lam[None, :])
-        * (lam[:, None] * lam[None, :])
-        / (lam[:, None] + lam[None, :]) ** 2
-    )
-    assert np.allclose(slds.gamma, gam_expected, atol=1e-12)
-
-
 def test_nu_copy_sld_additive_structure():
     rng = np.random.default_rng(25)
     rho, _, _, pt = _problem(rng, 3, rank=3)
