@@ -110,9 +110,12 @@ def density_matrix(mat, rank_tol=RANK_TOL):
 
 
 def with_rank_tol(rho, rank_tol):
-    """rho with its rank recounted at the cutoff rank_tol; the spectral
-    arrays, and the matrix if already built, are shared."""
+    """rho with its rank recounted at the cutoff rank_tol (rho itself when
+    it is ranked at that cutoff already); the spectral arrays, and the matrix
+    if already built, are shared."""
     spec = rho.spectrum
+    if rank_tol == spec.rank_tol:
+        return rho
     return DensityMatrix(
         spectrum=_spectral_from_eig(spec.eigenvalues, spec.eigenvectors, rank_tol),
         matrix=vars(rho).get("matrix"),
