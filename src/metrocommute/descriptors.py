@@ -400,8 +400,8 @@ def _resolve_hamiltonian(spec, path):
 
 def resolve(desc):
     """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a
-    descriptor; the state's rank is counted at the descriptor's rank_tol,
-    whatever its family."""
+    descriptor; the state is cut at the descriptor's rank_tol, whatever its
+    family (states.with_rank_tol)."""
     rho, hs = _resolve_state(desc.state_spec)
     rho = with_rank_tol(rho, desc.rank_tol)
     if hs is None:

@@ -110,16 +110,17 @@ def density_matrix(mat, rank_tol=RANK_TOL):
 
 
 def with_rank_tol(rho, rank_tol):
-    """rho with its rank recounted at the cutoff rank_tol (rho itself when
-    it is ranked at that cutoff already); the spectral arrays, and the matrix
-    if already built, are shared."""
+    """rho cut at rank_tol (rho itself when it is cut there already): the
+    rank is recounted and the eigenvalues at or below the cutoff are set to
+    zero, so every formula downstream reads them as the kernel they are
+    counted in, and the trace is the weight kept on the support. The
+    eigenvectors are shared; the matrix is built from the cut spectrum on
+    first read."""
     spec = rho.spectrum
     if rank_tol == spec.rank_tol:
         return rho
-    return DensityMatrix(
-        spectrum=_spectral_from_eig(spec.eigenvalues, spec.eigenvectors, rank_tol),
-        matrix=vars(rho).get("matrix"),
-    )
+    vals = np.where(spec.eigenvalues > rank_tol, spec.eigenvalues, 0.0)
+    return DensityMatrix(spectrum=_spectral_from_eig(vals, spec.eigenvectors, rank_tol))
 
 
 def _orthonormal_completion(v):

@@ -126,9 +126,23 @@ def _spin(site, axis):
     return {"family": "local_spin", "params": {"sites": 2, "site": site, "axis": axis}}
 
 
+def _random_hamiltonians(rng, d, m=2):
+    hams = []
+    for _ in range(m):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = a + a.conj().T
+        hams.append({"dim": d, "entries": [[z.real, z.imag] for z in h.reshape(-1).tolist()]})
+    return hams
+
+
 def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
-    # every state input, eigpairs and families alike, carries weights of
-    # 1e-7: rank_tol 1e-6 drops them and --rank-tol 1e-8 keeps them
+    # every state input, eigpairs and families alike, is cut at the
+    # descriptor's rank_tol and recounted at --rank-tol 1e-8. The first four
+    # carry weights of 1e-7; the last four put weights of 0.1 to 0.4 in the
+    # kernel under generic Hamiltonians, whose kernel diagonal of the SLD
+    # commutator does not vanish, so the cut weights must read as zeros
+    rng = np.random.default_rng(17)
+    e0, e1 = [[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]
     cases = [
         (
             [
@@ -136,35 +150,83 @@ def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
                 {"weight": 1e-7, "vector": [[0, 0], [1, 0]]},
             ],
             [SZ, SX],
+            1e-6,
+            1,
             2,
         ),
         (
             {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 1.0 - 2e-7}},
             [SZ, SX],
+            1e-6,
+            1,
             2,
         ),
         (
             {"family": "bell_diagonal", "params": {"weights": [1.0 - 1e-7, 1e-7], "d": 2}},
             [_spin(0, [0.0, 0.0, 1.0]), _spin(1, [1.0, 0.0, 0.0])],
+            1e-6,
+            1,
             2,
         ),
-        ({"family": "example", "params": {"id": "EX10", "lam": 1.0 - 4e-7}}, None, 4),
+        ({"family": "example", "params": {"id": "EX10", "lam": 1.0 - 4e-7}}, None, 1e-6, 1, 4),
+        (
+            [{"weight": 0.6, "vector": e0}, {"weight": 0.4, "vector": e1}],
+            _random_hamiltonians(rng, 3),
+            0.5,
+            1,
+            2,
+        ),
+        (
+            {"family": "white_noise", "params": {"psi": e0, "p": 0.4}},
+            _random_hamiltonians(rng, 3),
+            0.3,
+            1,
+            3,
+        ),
+        (
+            {"family": "bell_diagonal", "params": {"weights": [0.7, 0.2, 0.1], "d": 2}},
+            _random_hamiltonians(rng, 4),
+            0.15,
+            2,
+            3,
+        ),
+        ({"family": "example", "params": {"id": "EX2", "dim": 2, "p": 0.9999998}}, None, 1e-6, 1, 2),
     ]
-    for k, (state, hams, full_rank) in enumerate(cases):
-        desc = {"state": state, "tolerances": {"rank_tol": 1e-6}}
+    for k, (state, hams, cutoff, cut_rank, full_rank) in enumerate(cases):
+        desc = {"state": state, "tolerances": {"rank_tol": cutoff}}
         if hams is not None:
             desc["hamiltonians"] = hams
-        path = _write(tmp_path, f"near_pure_{k}.json", desc)
+        path = _write(tmp_path, f"cut_{k}.json", desc)
         code, out, _ = _run(capsys, ["classify", path, "--json"])
         assert code == 0
         report = json.loads(out)
-        assert report["rank"] == 1, state
-        assert report["tolerances"]["rank_tol"] == 1e-6
+        assert report["rank"] == cut_rank, state
+        assert report["tolerances"]["rank_tol"] == cutoff
         code, out, _ = _run(capsys, ["classify", path, "--json", "--rank-tol", "1e-8"])
         assert code == 0
         report = json.loads(out)
         assert report["rank"] == full_rank, state
         assert report["tolerances"]["rank_tol"] == 1e-8
+    # a sweep cuts every point: at rank_tol 0.3 the noise weight (1 - p) / 3
+    # is in the kernel for p = 0.2 to 0.6 and every row is its point's report
+    path = _write(
+        tmp_path,
+        "cut_sweep.json",
+        {
+            "state": {"family": "white_noise", "params": {"psi": e0, "p": 0.4}},
+            "hamiltonians": _random_hamiltonians(rng, 3),
+            "tolerances": {"rank_tol": 0.3},
+        },
+    )
+    code, out, _ = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.2:0.6:3"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3
+    sweep_desc = parse_descriptor(open(path).read())
+    for value, cells in zip((0.2, 0.4, 0.6), rows):
+        rho, hs, theta, _ = resolve(with_parameter(sweep_desc, "p", value))
+        assert rho.rank == 1
+        assert cells == _sweep_row("p", value, classify(rho, hs, theta=theta))
 
 
 def test_classify_theta_weight_and_tol_overrides(tmp_path, capsys):

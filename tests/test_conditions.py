@@ -50,6 +50,7 @@ from metrocommute.states import (
     density_from_eigpairs,
     density_matrix,
     tensor_power,
+    with_rank_tol,
 )
 
 
@@ -508,6 +509,34 @@ def test_postcondition_raises_when_the_kernel_carries_weight():
     message = r"postcondition tr\[rho P\] = W violated at \(0,1\)"
     with pytest.raises(ArithmeticError, match=message):
         classify(rho, hs, theta=[0.3, -0.2])
+
+
+def test_a_state_cut_at_its_rank_tol_reads_the_cut_weight_as_zero():
+    # the same state cut at 0.5 after it is built: the weight 0.4 is set to
+    # zero, so classify sees the unnormalised pure state 0.6 |v0><v0|. Its
+    # SLD support rows are the pure state's (the coefficients are ratios of
+    # eigenvalues), so the operator norms are the pure state's and W and the
+    # QFIM are 0.6 times its own; the anchors on the cut matrix agree
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    hs = hamiltonian_set([random_hermitian_matrix(rng, 4) for _ in range(2)])
+    theta = np.array([0.3, -0.2])
+    rho = with_rank_tol(density_from_eigpairs(zip([0.6, 0.4], q.T[:2])), 0.5)
+    assert rho.rank == 1
+    assert np.array_equal(rho.spectrum.eigenvalues, [0.6, 0.0, 0.0, 0.0])
+    assert np.trace(rho.matrix).real == pytest.approx(0.6, abs=1e-15)
+    rep = classify(rho, hs, theta=theta)
+    pure = classify(density_from_eigpairs([(1.0, q.T[0])]), hs, theta=theta)
+    tol = 1e-12 * rep.scale
+    for kind in ("P", "O", "S"):
+        assert rep.norms[kind] == pytest.approx(pure.norms[kind], rel=1e-12)
+    assert np.max(np.abs(rep.W.entries - 0.6 * pure.W.entries)) < tol
+    assert np.max(np.abs(rep.qfim.matrix - 0.6 * pure.qfim.matrix)) < tol
+    slds = sld_rotated(rho.spectrum, encode(hs, theta))
+    assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol
+    assert np.max(np.abs(rep.qfim.matrix - qfim(rho, slds).matrix)) < tol
+    # a state already at its cutoff is returned as it is
+    assert with_rank_tol(rho, 0.5) is rho
 
 
 def test_classify_path_builds_no_blocks_and_no_commutation_check(
