@@ -50,7 +50,7 @@ def _read_text(path):
         raise ValidationError(f"cannot read {path}: {err.strerror}") from err
 
 
-def _classification_payload(report, weight, rank_tol):
+def _classification_payload(report, weight):
     f = report.qfim
     e_value = report.E
     return {
@@ -62,7 +62,7 @@ def _classification_payload(report, weight, rank_tol):
         "hierarchy_consistent": report.hierarchy_consistent,
         "converse_failures": report.converse_failures,
         "scale": report.scale,
-        "tolerances": {"zero_tol": report.tolerance, "rank_tol": rank_tol},
+        "tolerances": {"zero_tol": report.tolerance, "rank_tol": report.slds.spec.rank_tol},
         "qfim": matrix_to_json(f.matrix),
         "qfim_rank": f.rank,
         "qfim_condition_number": (
@@ -90,7 +90,7 @@ def cmd_classify(args):
     if args.weight is not None:
         weight = weight_from_json(json.loads(_read_text(args.weight)))
     report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
-    payload = _classification_payload(report, weight, desc.rank_tol)
+    payload = _classification_payload(report, weight)
     if args.json:
         print(json.dumps(payload, separators=(",", ":")))
     else:

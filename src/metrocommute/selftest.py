@@ -222,7 +222,10 @@ def _special_configurations(rng, k):
 
 def suite_chain(seed, draws, tol=1e-8):
     """SC => OC => PC => WC with zero violations, on generic draws interleaved
-    with constructions that realize every distinct flag pattern."""
+    with constructions that realize every distinct flag pattern. A draw also
+    violates when the norms break ||W|| <= ||P|| <= ||O|| <= ||S|| by more
+    than 1e-12 * scale: |tr[rho P_ij]| <= ||rho||_F ||P_ij||_F bounds the
+    first, and P and O are blocks of O and S."""
     rng = np.random.default_rng([seed, 4])
     violations = 0
     patterns = set()
@@ -233,7 +236,9 @@ def suite_chain(seed, draws, tol=1e-8):
             rho, hs = _special_configurations(rng, k // 2)
         report = classify(rho, hs, tol=tol)
         patterns.add(tuple(report.flags[c] for c in ("WC", "PC", "OC", "SC")))
-        violations += not report.hierarchy_consistent
+        chain = [report.norms[kind] for kind in "WPOS"]
+        broken = any(a > b + 1e-12 * report.scale for a, b in zip(chain, chain[1:]))
+        violations += broken or not report.hierarchy_consistent
     return SuiteResult(
         "hierarchy chain",
         draws,

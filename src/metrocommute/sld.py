@@ -6,8 +6,9 @@ where the SLD of parameter i has matrix elements
 
     <k| L_i |l> = 2i (lam_k - lam_l) / (lam_k + lam_l) <k| G_i |l>
 
-over eigenpairs of the initial state with lam_k + lam_l above the rank cutoff
-(G_i the encoding generator). The kernel-kernel block is not determined by the
+over eigenpairs of the initial state with lam_k + lam_l > 0 (G_i the encoding
+generator; the spectrum is cut where the state is built, so the kernel
+eigenvalues are exact zeros). The kernel-kernel block is not determined by the
 defining equation and is fixed to zero; every rho-sandwiched quantity is
 invariant under that gauge choice.
 
@@ -59,19 +60,11 @@ class SldSet:
         return list(v @ self.elems @ dagger(v))
 
 
-def support_values(eigenvalues, rank_tol):
-    """The eigenvalues with those at or below the rank cutoff set to zero;
-    rank_tol broadcasts against eigenvalues, so a stack may carry one cutoff
-    per row."""
-    lam = np.array(eigenvalues, dtype=float)
-    lam[lam <= rank_tol] = 0.0
-    return lam
-
-
 def sld_row_stack(lam, rank, v, w, x):
     """The SLD kernel for N problems of one shape and one rank r.
 
-    lam: (N, d) support values (descending, kernel set to zero); v: (N, d, d)
+    lam: (N, d) state eigenvalues (descending, cut: the kernel ones are exact
+    zeros); v: (N, d, d)
     state eigenvectors; w, x: the encoding eigenvectors (N, d, d) and
     eigenbasis generators (N, m, d, d). Returns the support rows
     R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T), T = w^dag V, as (N, m, r, d).
@@ -89,32 +82,26 @@ def sld_rotated(spec, pt):
     if spec.dim != pt.dim:
         raise ValidationError("spectral data and encoding dimensions differ")
     rows = sld_row_stack(
-        support_values(spec.eigenvalues, spec.rank_tol)[None],
-        spec.rank,
-        spec.eigenvectors[None],
-        pt.w[None],
-        pt.elems[None],
+        spec.eigenvalues[None], spec.rank, spec.eigenvectors[None], pt.w[None], pt.elems[None]
     )
     return SldSet(spec=spec, rows=rows[0])
 
 
-def sld_lyapunov(rho_theta, drho, rank_tol=None):
+def sld_lyapunov(rho_theta, drho):
     """Solve drho = (L rho + rho L) / 2 for Hermitian trace-zero drho.
 
     Solved elementwise in the eigenbasis of rho_theta with 2 / (lam_k + lam_l)
-    coefficients; element pairs whose eigenvalue sum is at or below the rank
-    cutoff are set to zero (same gauge as the rotated route).
+    coefficients; the kernel-kernel elements, whose eigenvalue sum is zero
+    in the cut spectrum, are set to zero (same gauge as the rotated route).
     """
     drho = require_hermitian(drho, "drho")
     if abs(np.trace(drho)) > 1e-9 * max(1.0, np.linalg.norm(drho)):
         raise ValidationError("drho must be trace-zero")
     spec = rho_theta.spectrum
-    if rank_tol is None:
-        rank_tol = spec.rank_tol
-    lam = support_values(spec.eigenvalues, spec.rank_tol)
+    lam = spec.eigenvalues
     v = spec.eigenvectors
     denom = lam[:, None] + lam[None, :]
-    live = denom > rank_tol
+    live = denom > 0.0
     elem = dagger(v) @ drho @ v
     l_eig = np.zeros_like(elem)
     l_eig[live] = 2.0 * elem[live] / denom[live]

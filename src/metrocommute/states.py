@@ -3,9 +3,11 @@ on first read), plus the state families used throughout the library
 (white-noise mixtures, Bell-diagonal states, tensor powers).
 
 Numerical rank is decided by RANK_TOL (absolute, legitimate because traces are
-one); eigenvalues at or below it are treated as exact zeros everywhere
-downstream, since every formula in the conditions module branches hard on
-lambda = 0 versus lambda > 0.
+one), or by a state's own rank_tol. Every constructor cuts the spectrum there,
+in _spectral_from_eig: eigenvalues at or below the cutoff, round-off negatives
+included, are set to exact zeros, so no formula downstream cuts again, and
+every formula in the conditions module branches hard on lambda = 0 versus
+lambda > 0. The trace of a cut state is the weight kept on its support.
 """
 
 from dataclasses import dataclass
@@ -32,9 +34,14 @@ TRACE_TOL = 1e-10
 class SpectralData:
     """Eigen-data of a density matrix.
 
-    eigenvalues: descending, length dim (kernel zeros included)
+    eigenvalues: descending, length dim; invariant, checked on construction
+        (ArithmeticError): the first rank lie above rank_tol and the rest are
+        exact zeros
     eigenvectors: columns, orthonormal, completing the full space
     rank: number of eigenvalues above rank_tol
+    uncut: the eigenvalues as the state was built, before the cut at
+        rank_tol; only with_rank_tol reads them, to recount at another
+        cutoff. _spectral_from_eig fills it; otherwise it is the eigenvalues
     support_projector / kernel_projector: sum to the identity; each is built
         on first read, so a caller that never reads them pays nothing
     """
@@ -43,6 +50,17 @@ class SpectralData:
     eigenvectors: np.ndarray
     rank: int
     rank_tol: float
+
+    def __post_init__(self):
+        vals, r = self.eigenvalues, self.rank
+        if np.any(vals[r:] != 0.0) or not np.all(vals[:r] > self.rank_tol):
+            raise ArithmeticError(
+                f"spectrum not cut at rank {r} and rank_tol {self.rank_tol:.3e}"
+            )
+
+    @cached_property
+    def uncut(self):
+        return self.eigenvalues
 
     @cached_property
     def support_projector(self):
@@ -86,8 +104,11 @@ class DensityMatrix:
 
 
 def _spectral_from_eig(vals, vecs, rank_tol):
-    rank = int(np.sum(vals > rank_tol))
-    return SpectralData(eigenvalues=vals, eigenvectors=vecs, rank=rank, rank_tol=rank_tol)
+    """SpectralData of descending eigenvalues vals cut at rank_tol."""
+    live = vals > rank_tol
+    spec = SpectralData(np.where(live, vals, 0.0), vecs, int(np.sum(live)), rank_tol)
+    spec.uncut = vals  # fills the cached property
+    return spec
 
 
 def density_matrix(mat, rank_tol=RANK_TOL):
@@ -110,17 +131,15 @@ def density_matrix(mat, rank_tol=RANK_TOL):
 
 
 def with_rank_tol(rho, rank_tol):
-    """rho cut at rank_tol (rho itself when it is cut there already): the
-    rank is recounted and the eigenvalues at or below the cutoff are set to
-    zero, so every formula downstream reads them as the kernel they are
-    counted in, and the trace is the weight kept on the support. The
-    eigenvectors are shared; the matrix is built from the cut spectrum on
+    """rho cut at rank_tol instead of its own cutoff (rho itself when it is
+    cut there already). The eigenvalues as the state was built are cut
+    again, so a lower cutoff recovers weight that the first cut set to zero.
+    The eigenvectors are shared; the matrix is built from the cut spectrum on
     first read."""
     spec = rho.spectrum
     if rank_tol == spec.rank_tol:
         return rho
-    vals = np.where(spec.eigenvalues > rank_tol, spec.eigenvalues, 0.0)
-    return DensityMatrix(spectrum=_spectral_from_eig(vals, spec.eigenvectors, rank_tol))
+    return DensityMatrix(spectrum=_spectral_from_eig(spec.uncut, spec.eigenvectors, rank_tol))
 
 
 def _orthonormal_completion(v):

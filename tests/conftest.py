@@ -104,7 +104,9 @@ def random_hermitian_matrix(rng, dim):
 def spectral_cases(seed, m=3):
     """(label, rho, Hamiltonians, theta) over d in {2, 3, 4, 27, 64} at ranks
     1, (d + 1) // 2 and d, plus a weight at 10x and at 0.1x RANK_TOL, which
-    sits on either side of the rank cutoff (ranks 3 and 2)."""
+    sits on either side of the rank cutoff (ranks 3 and 2). The 0.1x state
+    is a cut state: its weight below the cutoff is an exact zero from
+    construction, in its spectrum and in its matrix."""
     from metrocommute.states import RANK_TOL, density_from_eigpairs, density_matrix
 
     rng = np.random.default_rng(seed)

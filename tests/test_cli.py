@@ -138,9 +138,12 @@ def _random_hamiltonians(rng, d, m=2):
 def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
     # every state input, eigpairs and families alike, is cut at the
     # descriptor's rank_tol and recounted at --rank-tol 1e-8. The first four
-    # carry weights of 1e-7; the last four put weights of 0.1 to 0.4 in the
+    # carry weights of 1e-7; the next four put weights of 0.1 to 0.4 in the
     # kernel under generic Hamiltonians, whose kernel diagonal of the SLD
-    # commutator does not vanish, so the cut weights must read as zeros
+    # commutator does not vanish, so the cut weights must read as zeros. The
+    # last two carry weights of about 1e-11, which the default cutoff of 1e-10
+    # sets to zero where the state is built: a descriptor cutoff of 1e-12
+    # recounts them from the spectrum as it was built
     rng = np.random.default_rng(17)
     e0, e1 = [[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]
     cases = [
@@ -191,8 +194,25 @@ def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
             3,
         ),
         ({"family": "example", "params": {"id": "EX2", "dim": 2, "p": 0.9999998}}, None, 1e-6, 1, 2),
+        (
+            [
+                {"weight": 1.0 - 1e-11, "vector": [[1, 0], [0, 0]]},
+                {"weight": 1e-11, "vector": [[0, 0], [1, 0]]},
+            ],
+            [SZ, SX],
+            1e-12,
+            2,
+            1,
+        ),
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 1.0 - 3e-11}},
+            [SZ, SX],
+            1e-12,
+            2,
+            1,
+        ),
     ]
-    for k, (state, hams, cutoff, cut_rank, full_rank) in enumerate(cases):
+    for k, (state, hams, cutoff, rank_at_cutoff, rank_at_1e8) in enumerate(cases):
         desc = {"state": state, "tolerances": {"rank_tol": cutoff}}
         if hams is not None:
             desc["hamiltonians"] = hams
@@ -200,12 +220,12 @@ def test_classify_rank_tol_override_reaches_the_resolve(tmp_path, capsys):
         code, out, _ = _run(capsys, ["classify", path, "--json"])
         assert code == 0
         report = json.loads(out)
-        assert report["rank"] == cut_rank, state
+        assert report["rank"] == rank_at_cutoff, state
         assert report["tolerances"]["rank_tol"] == cutoff
         code, out, _ = _run(capsys, ["classify", path, "--json", "--rank-tol", "1e-8"])
         assert code == 0
         report = json.loads(out)
-        assert report["rank"] == full_rank, state
+        assert report["rank"] == rank_at_1e8, state
         assert report["tolerances"]["rank_tol"] == 1e-8
     # a sweep cuts every point: at rank_tol 0.3 the noise weight (1 - p) / 3
     # is in the kernel for p = 0.2 to 0.6 and every row is its point's report

@@ -16,7 +16,7 @@ from conftest import (
     random_hermitian_matrix,
     spectral_cases,
 )
-from metrocommute import conditions, encoding, metrology
+from metrocommute import conditions, encoding, metrology, selftest
 from metrocommute.cli import main
 from metrocommute.conditions import (
     OperatorConditionMatrix,
@@ -47,6 +47,7 @@ from metrocommute.descriptors import matrix_to_json, vector_to_json
 from metrocommute.sld import nu_copy_sld, sld_rotated
 from metrocommute.states import (
     RANK_TOL,
+    SpectralData,
     density_from_eigpairs,
     density_matrix,
     tensor_power,
@@ -498,22 +499,26 @@ def test_classify_norms_equal_the_materialised_blocks():
 
 
 def test_postcondition_raises_when_the_kernel_carries_weight():
-    # a cutoff of 0.5 puts the weight 0.4 in the kernel, where tr[rho S] and
-    # tr[rho P] differ by 0.4 c_kk; the check must compare all of the
-    # diagonal with its support part
+    # a state is cut where it is built, so SpectralData guards the cut: a
+    # hand-built spectrum with weight past its rank, or a support eigenvalue
+    # at or below its cutoff, is refused before any formula reads it
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    rho = density_from_eigpairs(zip([0.6, 0.4], q.T[:2]), rank_tol=0.5)
-    assert rho.rank == 1
-    hs = hamiltonian_set([random_hermitian_matrix(rng, 4) for _ in range(2)])
-    message = r"postcondition tr\[rho P\] = W violated at \(0,1\)"
-    with pytest.raises(ArithmeticError, match=message):
-        classify(rho, hs, theta=[0.3, -0.2])
+
+    def spectrum(vals, rank):
+        return SpectralData(eigenvalues=np.array(vals), eigenvectors=q, rank=rank, rank_tol=0.5)
+
+    with pytest.raises(ArithmeticError, match="spectrum not cut at rank 1"):
+        spectrum([0.6, 0.4, 0.0, 0.0], 1)
+    with pytest.raises(ArithmeticError, match="spectrum not cut at rank 2"):
+        spectrum([0.6, 0.4, 0.0, 0.0], 2)
+    spec = spectrum([0.6, 0.0, 0.0, 0.0], 1)
+    assert spec.uncut is spec.eigenvalues
 
 
 def test_a_state_cut_at_its_rank_tol_reads_the_cut_weight_as_zero():
-    # the same state cut at 0.5 after it is built: the weight 0.4 is set to
-    # zero, so classify sees the unnormalised pure state 0.6 |v0><v0|. Its
+    # a state cut at 0.5, where it is built or after: the weight 0.4 is set
+    # to zero, so classify sees the unnormalised pure state 0.6 |v0><v0|. Its
     # SLD support rows are the pure state's (the coefficients are ratios of
     # eigenvalues), so the operator norms are the pure state's and W and the
     # QFIM are 0.6 times its own; the anchors on the cut matrix agree
@@ -521,22 +526,47 @@ def test_a_state_cut_at_its_rank_tol_reads_the_cut_weight_as_zero():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     hs = hamiltonian_set([random_hermitian_matrix(rng, 4) for _ in range(2)])
     theta = np.array([0.3, -0.2])
-    rho = with_rank_tol(density_from_eigpairs(zip([0.6, 0.4], q.T[:2])), 0.5)
-    assert rho.rank == 1
-    assert np.array_equal(rho.spectrum.eigenvalues, [0.6, 0.0, 0.0, 0.0])
-    assert np.trace(rho.matrix).real == pytest.approx(0.6, abs=1e-15)
-    rep = classify(rho, hs, theta=theta)
     pure = classify(density_from_eigpairs([(1.0, q.T[0])]), hs, theta=theta)
-    tol = 1e-12 * rep.scale
-    for kind in ("P", "O", "S"):
-        assert rep.norms[kind] == pytest.approx(pure.norms[kind], rel=1e-12)
-    assert np.max(np.abs(rep.W.entries - 0.6 * pure.W.entries)) < tol
-    assert np.max(np.abs(rep.qfim.matrix - 0.6 * pure.qfim.matrix)) < tol
-    slds = sld_rotated(rho.spectrum, encode(hs, theta))
-    assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol
-    assert np.max(np.abs(rep.qfim.matrix - qfim(rho, slds).matrix)) < tol
-    # a state already at its cutoff is returned as it is
-    assert with_rank_tol(rho, 0.5) is rho
+    for rho in (
+        with_rank_tol(density_from_eigpairs(zip([0.6, 0.4], q.T[:2])), 0.5),
+        density_from_eigpairs(zip([0.6, 0.4], q.T[:2]), rank_tol=0.5),
+    ):
+        assert rho.rank == 1
+        assert np.array_equal(rho.spectrum.eigenvalues, [0.6, 0.0, 0.0, 0.0])
+        assert np.trace(rho.matrix).real == pytest.approx(0.6, abs=1e-15)
+        rep = classify(rho, hs, theta=theta)
+        tol = 1e-12 * rep.scale
+        for kind in ("P", "O", "S"):
+            assert rep.norms[kind] == pytest.approx(pure.norms[kind], rel=1e-12)
+        assert np.max(np.abs(rep.W.entries - 0.6 * pure.W.entries)) < tol
+        assert np.max(np.abs(rep.qfim.matrix - 0.6 * pure.qfim.matrix)) < tol
+        slds = sld_rotated(rho.spectrum, encode(hs, theta))
+        assert np.max(np.abs(rep.W.entries - weak_direct(rho, slds).entries)) < tol
+        assert np.max(np.abs(rep.qfim.matrix - qfim(rho, slds).matrix)) < tol
+        # a state already at its cutoff is returned as it is
+        assert with_rank_tol(rho, 0.5) is rho
+
+
+def test_the_support_projector_jumps_at_the_rank_cutoff():
+    # a pure d = 4 state plus a weight eps on a second vector, under two
+    # commuting diagonal generators. A unitary encoding leaves the spectrum
+    # where it is, so what jumps at the cutoff is the support projector, and
+    # with it P and O: PC and OC fail while eps is counted in the support and
+    # hold once it is cut. Below the cutoff the weight is an exact zero, so
+    # none of it reaches W through Q, and W stays within the chain bound
+    # ||W|| <= ||P||
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    hs = hamiltonian_set([np.diag(rng.normal(size=4)) for _ in range(2)])
+    theta = rng.normal(size=2)
+    above = classify(density_from_eigpairs(zip([1 - 2e-10, 2e-10], q.T)), hs, theta=theta)
+    assert above.rank == 2
+    assert not above.flags["PC"] and not above.flags["OC"]
+    assert above.norms["P"] == pytest.approx(2.17, abs=0.01)
+    below = classify(density_from_eigpairs(zip([1 - 5e-11, 5e-11], q.T)), hs, theta=theta)
+    assert below.rank == 1
+    assert below.flags["PC"] and below.flags["OC"]
+    assert below.norms["W"] <= below.norms["P"] + 1e-12 * below.scale
 
 
 def test_classify_path_builds_no_blocks_and_no_commutation_check(
@@ -687,6 +717,23 @@ def test_classify_chain_never_inverted(seed, d):
     assert rep.hierarchy_consistent
     f = rep.flags
     assert (not f["SC"] or f["OC"]) and (not f["OC"] or f["PC"]) and (not f["PC"] or f["WC"])
+
+
+def test_suite_chain_counts_a_broken_norm_chain(monkeypatch):
+    # the self-test's chain suite counts a draw whose ||W|| exceeds ||P|| by
+    # more than 1e-12 * scale, even when the four flags stay consistent
+    def lifted(excess):
+        def run(*args, **kwargs):
+            rep = classify(*args, **kwargs)
+            rep.norms["W"] = rep.norms["P"] + excess * rep.scale
+            return rep
+
+        return run
+
+    monkeypatch.setattr(selftest, "classify", lifted(1e-13))
+    assert selftest.suite_chain(1, 4).violations == 0
+    monkeypatch.setattr(selftest, "classify", lifted(1e-11))
+    assert selftest.suite_chain(1, 4).violations == 4
 
 
 def test_classify_dimension_mismatch():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QFIM_SPOTS, random_density, random_hermitian_matrix
+from metrocommute.conditions import classify_many
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
 from metrocommute.metrology import (
@@ -192,6 +193,44 @@ def test_incompatibility_bounded_by_one(seed):
     out = incompatibility(f, weak_direct(rho, slds))
     assert -1e-12 <= out.e_value <= 1.0 + 1e-9
     assert out.sandwich_factor == pytest.approx(1.0 + out.e_value)
+
+
+def _hermitian_e(f, w):
+    """E by a Hermitian route: with F = C C^T (Cholesky) and W = iA, A real
+    antisymmetric, C^-1 W C^-T is Hermitian and similar to F^-1 W."""
+    c = np.linalg.cholesky(f)
+    x = np.linalg.solve(c, np.linalg.solve(c, w).T).T
+    return 0.5 * np.max(np.abs(np.linalg.eigvalsh(x)))
+
+
+def test_incompatibility_matches_the_hermitian_route():
+    # both routes lose about cond(F) ulps, so the deviation is held to
+    # 16 eps cond(F); the worst, at 0.9 CONDITION_LIMIT, is 6.5e-6 relative
+    tol = 16 * np.finfo(float).eps
+    rng = np.random.default_rng(61)
+    problems = []
+    for d, rank, m in ((3, 2, 2), (4, 2, 3), (5, 3, 4), (6, 6, 2), (8, 8, 4), (16, 5, 3)) * 3:
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
+        problems.append((rho, hs, rng.normal(size=m)))
+    for rep in classify_many(problems):
+        f = rep.qfim
+        assert abs(rep.E - _hermitian_e(f.matrix, rep.W.entries)) <= tol * f.condition_number
+    # QFIMs conditioned up to just below the limit, with W = i F^1/2 K F^1/2
+    # in F's eigenbasis, so that E = (1/2) max |eig(iK)|
+    for cond in (1e6, 1e9, 1e11, 0.9 * CONDITION_LIMIT):
+        for m in (2, 3, 4):
+            o, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            s = np.logspace(0, -np.log10(cond), m)
+            f = (o * s) @ o.T
+            f = (f + f.T) / 2.0
+            k = rng.normal(size=(m, m))
+            half = o * np.sqrt(s)
+            w = 1j * (half @ (k - k.T) @ half.T)
+            e = incompatibility_stack(f[None], w[None])[0]
+            assert abs(e - _hermitian_e(f, w)) <= tol * cond * e, (cond, m)
+            exact = 0.5 * np.max(np.abs(np.linalg.eigvalsh(1j * (k - k.T))))
+            assert e == pytest.approx(exact, rel=tol * cond), (cond, m)
 
 
 def test_incompatibility_singular_message():
