@@ -63,11 +63,11 @@ class SldSet:
 def sld_row_stack(lam, rank, v, w, x):
     """The SLD kernel for N problems of one shape and one rank r.
 
-    lam: (N, d) state eigenvalues (descending, cut: the kernel ones are exact
-    zeros); v: (N, d, d)
-    state eigenvectors; w, x: the encoding eigenvectors (N, d, d) and
-    eigenbasis generators (N, m, d, d). Returns the support rows
-    R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T), T = w^dag V, as (N, m, r, d).
+    lam: (N, d) state eigenvalues (descending and cut: the kernel ones are
+    exact zeros); v: (N, d, d) state eigenvectors; w, x: the encoding
+    eigenvectors (N, d, d) and eigenbasis generators (N, m, d, d). Returns
+    the support rows R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T), T = w^dag V,
+    as (N, m, r, d).
     Every support row has lam_k above the cutoff, so no pair is dropped.
     """
     lam_s = lam[:, :rank, None]

@@ -53,7 +53,7 @@ class SpectralData:
 
     def __post_init__(self):
         vals, r = self.eigenvalues, self.rank
-        if np.any(vals[r:] != 0.0) or not np.all(vals[:r] > self.rank_tol):
+        if vals[r:].any() or not (vals[:r] > self.rank_tol).all():
             raise ArithmeticError(
                 f"spectrum not cut at rank {r} and rank_tol {self.rank_tol:.3e}"
             )
@@ -106,7 +106,7 @@ class DensityMatrix:
 def _spectral_from_eig(vals, vecs, rank_tol):
     """SpectralData of descending eigenvalues vals cut at rank_tol."""
     live = vals > rank_tol
-    spec = SpectralData(np.where(live, vals, 0.0), vecs, int(np.sum(live)), rank_tol)
+    spec = SpectralData(np.where(live, vals, 0.0), vecs, int(np.count_nonzero(live)), rank_tol)
     spec.uncut = vals  # fills the cached property
     return spec
 
