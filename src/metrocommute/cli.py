@@ -22,7 +22,7 @@ from .descriptors import (
     weight_from_json,
     with_parameter,
 )
-from .examples import EXAMPLE_IDS, PASS_TOL, _deviation, run_example
+from .examples import EXAMPLE_IDS, run_example
 from .metrology import SINGULAR_MESSAGE, qcr_scalar
 from .operator_core import ValidationError
 from .selftest import run_selftest
@@ -109,11 +109,8 @@ def cmd_example(args):
         for r in reports:
             status = "pass" if r.passed else "FAIL"
             print(f"{r.id:<6s} {status:<7s} {r.max_abs_error:>13.3e}")
-            if not r.passed:
-                for key in sorted(r.expected):
-                    dev = _deviation(r.expected[key], r.computed[key])
-                    if dev > PASS_TOL:
-                        print(f"       {key}: deviation {dev:.3e}")
+            for key in sorted(r.failures):
+                print(f"       {key}: deviation {r.failures[key]:.3e}")
         print(
             f"{len(reports)} reports, {len(reports) - len(failed)} passed, "
             f"{len(failed)} failed"

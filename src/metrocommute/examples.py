@@ -1,26 +1,29 @@
 """Worked-example reports with closed-form oracles.
 
 Every runner evaluates its configurations by two paths. The pipeline path
-builds each configuration once (through `_CONFIGURATIONS` for the
-single-configuration examples) and runs it through the generic machinery
-(states -> encoding -> sld -> conditions -> metrology), one `classify` or
-`_weak` pass per configuration. The oracle path evaluates example-specific closed forms written
-directly against numpy, sharing only operator_core primitives with the
-pipeline, so agreement between the two is evidence rather than tautology.
+builds each configuration once (through the configuration builder of its
+`_EXAMPLES` entry for the single-configuration examples) and runs it through
+the generic machinery (states -> encoding -> sld -> conditions -> metrology),
+one `classify` or `_weak` pass per configuration. The oracle path evaluates
+example-specific closed forms written directly against numpy, sharing only
+operator_core primitives with the pipeline, so agreement between the two is
+evidence rather than tautology.
 
-A report passes when every expected value matches its computed counterpart to
-PASS_TOL. Yes/no claims are encoded as 1.0 / 0.0 so they flow through the
-same deviation gate. Values that are informational only (not scored) live in
-the extras dict.
+Each runner states its claims once, as check records (name, expected,
+computed, provenance). A report passes when every expected value matches its
+computed counterpart to PASS_TOL. Yes/no claims are encoded as 1.0 / 0.0 so
+they flow through the same deviation gate. Values that are informational
+only (not scored) live in the extras dict.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conditions import classify, support_kernel_decomposition, weak_direct
 from .encoding import encode, hamiltonian_set
-from .metrology import incompatibility, qcr_scalar
+from .metrology import qcr_scalar
 from .operator_core import ValidationError, dagger, matrix_exp_i, tensor
 from .sld import sld_rotated
 from .states import (
@@ -62,6 +65,8 @@ class ExampleReport:
     extras: dict
     max_abs_error: float
     passed: bool
+    # check name -> deviation, for the checks beyond PASS_TOL; not in as_dict
+    failures: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
@@ -115,22 +120,21 @@ def _deviation(expected, computed):
     return float(np.max(np.abs(a - b)))
 
 
-def _finish(example_id, parameters, expected, provenance, computed, extras=None):
-    missing = set(expected) - set(computed)
-    if missing:
-        raise ValidationError(f"computed values missing for {sorted(missing)}")
-    err = 0.0
-    for key, exp in expected.items():
-        err = max(err, _deviation(exp, computed[key]))
+def _finish(example_id, parameters, checks, extras=None):
+    """The report of `checks`, records (name, expected, computed, provenance)
+    whose order is the key order of the report's dicts."""
+    deviations = {name: _deviation(exp, got) for name, exp, got, _ in checks}
+    err = max([0.0, *deviations.values()])
     return ExampleReport(
         id=example_id,
         parameters=dict(parameters),
-        expected=dict(expected),
-        provenance=dict(provenance),
-        computed=dict(computed),
+        expected={name: exp for name, exp, _, _ in checks},
+        provenance={name: why for name, _, _, why in checks},
+        computed={name: got for name, _, got, _ in checks},
         extras=dict(extras or {}),
         max_abs_error=err,
         passed=bool(err <= PASS_TOL),
+        failures={name: dev for name, dev in deviations.items() if dev > PASS_TOL},
     )
 
 
@@ -213,16 +217,13 @@ def _run_ex1(p):
         purity = float(np.trace(rho_mat @ rho_mat).real)
         closed = (2.0 * purity - 1.0) * gamma12
         worst = max(worst, abs(w.entries[0, 1] - closed))
-    expected = {"worst_identity_deviation": 0.0}
-    provenance = {
-        "worst_identity_deviation": (
-            "W_12 = (2 tr[rho^2] - 1) Gamma_12 for every qubit state; "
-            "Gamma_12 = 4 tr[rho [G_1, G_2]] with G_i from central finite "
-            "differences of the evolution"
-        )
-    }
-    computed = {"worst_identity_deviation": worst}
-    return _finish("EX1", p, expected, provenance, computed)
+    checks = [
+        ("worst_identity_deviation", 0.0, worst,
+         "W_12 = (2 tr[rho^2] - 1) Gamma_12 for every qubit state; "
+         "Gamma_12 = 4 tr[rho [G_1, G_2]] with G_i from central finite "
+         "differences of the evolution"),
+    ]
+    return _finish("EX1", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +266,14 @@ def _run_ex2(p):
         abs(pipeline(pp) - _ex2_closed(pp, dim, psi, hams))
         for pp in np.linspace(0.1, 0.9, 9)
     )
-    expected = {"W_12": _ex2_closed(noise, dim, psi, hams), "p_sweep_worst": 0.0}
-    provenance = {
-        "W_12": (
-            "W_12 = 4 p^3 D^2 / (p (D - 2) + 2)^2 <psi|[H_1, H_2]|psi> for "
-            "rho = p |psi><psi| + (1 - p) 1/D"
-        ),
-        "p_sweep_worst": "same closed form, worst deviation over p in 0.1..0.9",
-    }
-    computed = {"W_12": w12, "p_sweep_worst": float(sweep_worst)}
-    return _finish("EX2", p, expected, provenance, computed)
+    checks = [
+        ("W_12", _ex2_closed(noise, dim, psi, hams), w12,
+         "W_12 = 4 p^3 D^2 / (p (D - 2) + 2)^2 <psi|[H_1, H_2]|psi> for "
+         "rho = p |psi><psi| + (1 - p) 1/D"),
+        ("p_sweep_worst", 0.0, float(sweep_worst),
+         "same closed form, worst deviation over p in 0.1..0.9"),
+    ]
+    return _finish("EX2", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +333,15 @@ def _run_ex3(p):
     w12 = pipeline(alpha)
     grid = np.linspace(np.pi / 4 + 0.05, np.pi / 2 - 0.05, 9)
     sweep_worst = max(abs(pipeline(aa) - _ex3_closed(aa, lam)) for aa in grid)
-    expected = {"W_12": _ex3_closed(alpha, lam), "alpha_sweep_worst": 0.0}
-    provenance = {
-        "W_12": (
-            "W_12 = h_lam (1 - cos 4 alpha) sqrt(cos(2 alpha + pi) / "
-            "sin^4 alpha), h_lam = -6 i sqrt(3) (1 - lam) lam (2 lam - 1)"
-        ),
-        "alpha_sweep_worst": (
-            "same closed form, worst deviation over alpha in "
-            "[pi/4 + 0.05, pi/2 - 0.05]"
-        ),
-    }
-    computed = {"W_12": w12, "alpha_sweep_worst": float(sweep_worst)}
-    return _finish("EX3", p, expected, provenance, computed)
+    checks = [
+        ("W_12", _ex3_closed(alpha, lam), w12,
+         "W_12 = h_lam (1 - cos 4 alpha) sqrt(cos(2 alpha + pi) / "
+         "sin^4 alpha), h_lam = -6 i sqrt(3) (1 - lam) lam (2 lam - 1)"),
+        ("alpha_sweep_worst", 0.0, float(sweep_worst),
+         "same closed form, worst deviation over alpha in "
+         "[pi/4 + 0.05, pi/2 - 0.05]"),
+    ]
+    return _finish("EX3", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +383,15 @@ def _run_ex4(p):
         sweep_worst = max(
             sweep_worst, abs(got_w - closed_w(pp)), abs(got_lam - closed_lam(pp))
         )
-    expected = {
-        "W_12": closed_w(prob),
-        "lambda_small": closed_lam(prob),
-        "p_sweep_worst": 0.0,
-    }
-    provenance = {
-        "W_12": "W_12 = -8 i (1 - p) p^2 although [H_1, H_2] = 0",
-        "lambda_small": "smaller support eigenvalue (1 - sqrt(1 - 3 (1-p) p)) / 2",
-        "p_sweep_worst": "both closed forms, worst deviation over p in 0.1..0.9",
-    }
-    computed = {
-        "W_12": w12,
-        "lambda_small": lam_small,
-        "p_sweep_worst": float(sweep_worst),
-    }
-    return _finish("EX4", p, expected, provenance, computed)
+    checks = [
+        ("W_12", closed_w(prob), w12,
+         "W_12 = -8 i (1 - p) p^2 although [H_1, H_2] = 0"),
+        ("lambda_small", closed_lam(prob), lam_small,
+         "smaller support eigenvalue (1 - sqrt(1 - 3 (1-p) p)) / 2"),
+        ("p_sweep_worst", 0.0, float(sweep_worst),
+         "both closed forms, worst deviation over p in 0.1..0.9"),
+    ]
+    return _finish("EX4", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +445,15 @@ def _run_ex5(p):
             abs(wg[1, 2] - cc),
             abs(wg[0, 2] + cc),
         )
-    expected = {
-        "W_12": closed(lam),
-        "W_23": closed(lam),
-        "W_13": -closed(lam),
-        "lambda_sweep_worst": 0.0,
-    }
-    pattern = (
-        "W_12 = W_23 = -W_13 = 64 i (1 - lam) lam (1 - 2 lam) / (3 sqrt(3))"
-    )
-    provenance = {
-        "W_12": pattern,
-        "W_23": pattern,
-        "W_13": pattern,
-        "lambda_sweep_worst": "same pattern, worst deviation over lam in 0.05..0.95",
-    }
-    computed = {
-        "W_12": w[0, 1],
-        "W_23": w[1, 2],
-        "W_13": w[0, 2],
-        "lambda_sweep_worst": float(sweep_worst),
-    }
-    return _finish("EX5", p, expected, provenance, computed)
+    pattern = "W_12 = W_23 = -W_13 = 64 i (1 - lam) lam (1 - 2 lam) / (3 sqrt(3))"
+    checks = [
+        ("W_12", closed(lam), w[0, 1], pattern),
+        ("W_23", closed(lam), w[1, 2], pattern),
+        ("W_13", -closed(lam), w[0, 2], pattern),
+        ("lambda_sweep_worst", 0.0, float(sweep_worst),
+         "same pattern, worst deviation over lam in 0.05..0.95"),
+    ]
+    return _finish("EX5", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +467,12 @@ def _run_ex6(p):
     rho_abc = density_from_eigpairs([(1.0, psi1)])
     hs = hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_X)])
     norms = {}
-    claims = {}
+    checks = []
     for keep, name in [((0, 1), "AB"), ((1, 2), "BC"), ((0, 2), "CA")]:
         w = _weak(state_marginal(rho_abc, [2, 2, 2], keep), hs)
         norms[name] = w.norm
-        claims[f"{name}_wc_violated"] = 1.0 if w.norm > 1e-6 else 0.0
+        checks.append((f"{name}_wc_violated", 1.0, 1.0 if w.norm > 1e-6 else 0.0,
+                       "every two-qubit marginal of the W-type ket has W != 0"))
     # contrast: marginals of a pure product state keep W = 0 exactly
     product = tensor(*[np.outer(v, v.conj()) for v in
                        (_rand_ket(rng, 2), _rand_ket(rng, 2), _rand_ket(rng, 2))])
@@ -505,23 +481,10 @@ def _run_ex6(p):
     for keep in [(0, 1), (1, 2), (0, 2)]:
         w = _weak(state_marginal(rho_prod, [2, 2, 2], keep), hs)
         worst_prod = max(worst_prod, w.norm)
-    claims["product_marginals_wc_hold"] = 1.0 if worst_prod < 1e-9 else 0.0
-    expected = {
-        "AB_wc_violated": 1.0,
-        "BC_wc_violated": 1.0,
-        "CA_wc_violated": 1.0,
-        "product_marginals_wc_hold": 1.0,
-    }
-    provenance = {
-        "AB_wc_violated": "every two-qubit marginal of the W-type ket has W != 0",
-        "BC_wc_violated": "every two-qubit marginal of the W-type ket has W != 0",
-        "CA_wc_violated": "every two-qubit marginal of the W-type ket has W != 0",
-        "product_marginals_wc_hold": (
-            "marginals of a pure product state are product states, so W = 0"
-        ),
-    }
+    checks.append(("product_marginals_wc_hold", 1.0, 1.0 if worst_prod < 1e-9 else 0.0,
+                   "marginals of a pure product state are product states, so W = 0"))
     extras = {"marginal_W_norms": norms, "product_worst_W_norm": worst_prod}
-    return _finish("EX6", p, expected, provenance, claims, extras)
+    return _finish("EX6", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -573,37 +536,23 @@ def _run_ex7(p):
     except ValidationError as err:
         singular_msg = str(err)
 
-    expected = {
-        "W_norm": 0.0,
-        "P_12": p12_expect,
-        "P_norm_quarter": 0.0,
-        "O_12_quarter": o12_expect,
-        "I_kk_norm_quarter": 0.0,
-        "S_norm_axial": 0.0,
-    }
-    provenance = {
-        "W_norm": "commuting generators on this family give W = 0 for all knobs",
-        "P_12": (
-            "P_12 = [[0, s, t], [-s, 0, 0], [-t, 0, 0]] with "
-            "s = -12 a sqrt(3) cos^2(alpha) cos(2 alpha), "
-            "t = 12 a sin(alpha) cos^3(alpha) sqrt(6 - 6 cot^2(alpha))"
-        ),
-        "P_norm_quarter": "at alpha = pi/4 both s and t vanish, so P = 0",
-        "O_12_quarter": (
-            "at alpha = pi/4 the only surviving entry is "
-            "[O_12]_{23} = 3 a sqrt(3) (1 - 2 lam)"
-        ),
-        "I_kk_norm_quarter": "kernel-kernel term vanishes for every (a, a')",
-        "S_norm_axial": "a = 0 leaves two diagonal generators, hence S = 0",
-    }
-    computed = {
-        "W_norm": report.W.norm,
-        "P_12": ops.P.entry(0, 1),
-        "P_norm_quarter": report_q.operators.P.norm,
-        "O_12_quarter": report_q.operators.O.entry(0, 1),
-        "I_kk_norm_quarter": terms_q.i_kk.norm,
-        "S_norm_axial": report_a0.operators.S.norm,
-    }
+    checks = [
+        ("W_norm", 0.0, report.W.norm,
+         "commuting generators on this family give W = 0 for all knobs"),
+        ("P_12", p12_expect, ops.P.entry(0, 1),
+         "P_12 = [[0, s, t], [-s, 0, 0], [-t, 0, 0]] with "
+         "s = -12 a sqrt(3) cos^2(alpha) cos(2 alpha), "
+         "t = 12 a sin(alpha) cos^3(alpha) sqrt(6 - 6 cot^2(alpha))"),
+        ("P_norm_quarter", 0.0, report_q.operators.P.norm,
+         "at alpha = pi/4 both s and t vanish, so P = 0"),
+        ("O_12_quarter", o12_expect, report_q.operators.O.entry(0, 1),
+         "at alpha = pi/4 the only surviving entry is "
+         "[O_12]_{23} = 3 a sqrt(3) (1 - 2 lam)"),
+        ("I_kk_norm_quarter", 0.0, terms_q.i_kk.norm,
+         "kernel-kernel term vanishes for every (a, a')"),
+        ("S_norm_axial", 0.0, report_a0.operators.S.norm,
+         "a = 0 leaves two diagonal generators, hence S = 0"),
+    ]
     extras = {
         "qfim_axial": f_a0.matrix,
         "qfim_axial_rank": f_a0.rank,
@@ -612,7 +561,7 @@ def _run_ex7(p):
         "O_norm": ops.O.norm,
         "S_norm": ops.S.norm,
     }
-    return _finish("EX7", p, expected, provenance, computed, extras)
+    return _finish("EX7", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -673,41 +622,26 @@ def _run_ex8(p):
     f_x = report_x.qfim
     qcr_x = qcr_scalar(f_x)
 
-    expected = {
-        "W_norm": 0.0,
-        "P_12": f_val * p_pattern,
-        "I_ks_12": iks_expect,
-        "I_kk_norm": 0.0,
-        "P_norm_matched": 0.0,
-        "O_nonzero_matched": 1.0,
-        "S_norm_axial": 0.0,
-    }
-    provenance = {
-        "W_norm": "commuting local generators on this family give W = 0",
-        "P_12": (
-            "P_12 = f [[0,1,1,0],[-1,0,0,1],[-1,0,0,1],[0,-1,-1,0]], "
-            "f = 4 (1 - lam1) lam1 (a_x b_z - a_z b_x) / "
-            "((1 - lam2) (lam1 + lam2))"
-        ),
-        "I_ks_12": (
-            "kernel-support term carries g = 4 lam1 (1 - lam1 - 2 lam2) "
-            "(a_x b_z + a_z b_x) / ((1 - lam2) (lam1 + lam2)) at entries "
-            "(2,1), (2,4), -(3,1), -(3,4)"
-        ),
-        "I_kk_norm": "kernel-kernel term vanishes for every knob setting",
-        "P_norm_matched": "a_x b_z = a_z b_x forces f = 0, hence P = 0",
-        "O_nonzero_matched": "the kernel-support term keeps O != 0 there",
-        "S_norm_axial": "a_z = b_z = 0 gives commuting SLDs, hence S = 0",
-    }
-    computed = {
-        "W_norm": report.W.norm,
-        "P_12": ops.P.entry(0, 1),
-        "I_ks_12": terms.i_ks.entry(0, 1),
-        "I_kk_norm": terms.i_kk.norm,
-        "P_norm_matched": ops_m.P.norm,
-        "O_nonzero_matched": 1.0 if ops_m.O.norm > 1e-6 else 0.0,
-        "S_norm_axial": report_x.operators.S.norm,
-    }
+    checks = [
+        ("W_norm", 0.0, report.W.norm,
+         "commuting local generators on this family give W = 0"),
+        ("P_12", f_val * p_pattern, ops.P.entry(0, 1),
+         "P_12 = f [[0,1,1,0],[-1,0,0,1],[-1,0,0,1],[0,-1,-1,0]], "
+         "f = 4 (1 - lam1) lam1 (a_x b_z - a_z b_x) / "
+         "((1 - lam2) (lam1 + lam2))"),
+        ("I_ks_12", iks_expect, terms.i_ks.entry(0, 1),
+         "kernel-support term carries g = 4 lam1 (1 - lam1 - 2 lam2) "
+         "(a_x b_z + a_z b_x) / ((1 - lam2) (lam1 + lam2)) at entries "
+         "(2,1), (2,4), -(3,1), -(3,4)"),
+        ("I_kk_norm", 0.0, terms.i_kk.norm,
+         "kernel-kernel term vanishes for every knob setting"),
+        ("P_norm_matched", 0.0, ops_m.P.norm,
+         "a_x b_z = a_z b_x forces f = 0, hence P = 0"),
+        ("O_nonzero_matched", 1.0, 1.0 if ops_m.O.norm > 1e-6 else 0.0,
+         "the kernel-support term keeps O != 0 there"),
+        ("S_norm_axial", 0.0, report_x.operators.S.norm,
+         "a_z = b_z = 0 gives commuting SLDs, hence S = 0"),
+    ]
     extras = {
         "f": f_val,
         "g": g_val,
@@ -715,7 +649,7 @@ def _run_ex8(p):
         "qfim_axial": f_x.matrix,
         "qcr_axial": qcr_x,
     }
-    return _finish("EX8", p, expected, provenance, computed, extras)
+    return _finish("EX8", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -776,43 +710,26 @@ def _run_ex9(p):
             float(np.max(np.abs(ff.matrix - _ex9_qfim_closed(ll)))),
         )
 
-    expected = {
-        "W_norm": 0.0,
-        "P_norm": 0.0,
-        "O_norm": 0.0,
-        "I_kk_nonzero": 1.0,
-        "S_nonzero": 1.0,
-        "S_norm_axial": 0.0,
-        "qfim_axial": _ex9_qfim_closed(lam),
-        "qfim_singular_axial": 1.0,
-        "lambda_sweep_worst": 0.0,
-    }
-    provenance = {
-        "W_norm": "one-sided condition holds for every (lam, a, a')",
-        "P_norm": "one-sided condition holds for every (lam, a, a')",
-        "O_norm": "one-sided condition holds for every (lam, a, a')",
-        "I_kk_nonzero": "only the kernel-kernel term survives when a != 0",
-        "S_nonzero": "S = I_kk != 0 when a != 0, so the strong condition fails",
-        "S_norm_axial": "a = 0 gives commuting diagonal generators, S = 0",
-        "qfim_axial": "F = (3 (1 + 3 lam) / 2) [[1, -1], [-1, 1]] at a = 0",
-        "qfim_singular_axial": "that F is rank one, so the scalar bound is undefined",
-        "lambda_sweep_worst": (
-            "W = P = O = 0 and the a = 0 closed form hold pointwise over lam"
-        ),
-    }
-    computed = {
-        "W_norm": report.W.norm,
-        "P_norm": ops.P.norm,
-        "O_norm": ops.O.norm,
-        "I_kk_nonzero": 1.0 if terms.i_kk.norm > 1e-6 else 0.0,
-        "S_nonzero": 1.0 if ops.S.norm > 1e-6 else 0.0,
-        "S_norm_axial": report0.operators.S.norm,
-        "qfim_axial": f0.matrix,
-        "qfim_singular_axial": singular,
-        "lambda_sweep_worst": float(sweep_worst),
-    }
+    one_sided = "one-sided condition holds for every (lam, a, a')"
+    checks = [
+        ("W_norm", 0.0, report.W.norm, one_sided),
+        ("P_norm", 0.0, ops.P.norm, one_sided),
+        ("O_norm", 0.0, ops.O.norm, one_sided),
+        ("I_kk_nonzero", 1.0, 1.0 if terms.i_kk.norm > 1e-6 else 0.0,
+         "only the kernel-kernel term survives when a != 0"),
+        ("S_nonzero", 1.0, 1.0 if ops.S.norm > 1e-6 else 0.0,
+         "S = I_kk != 0 when a != 0, so the strong condition fails"),
+        ("S_norm_axial", 0.0, report0.operators.S.norm,
+         "a = 0 gives commuting diagonal generators, S = 0"),
+        ("qfim_axial", _ex9_qfim_closed(lam), f0.matrix,
+         "F = (3 (1 + 3 lam) / 2) [[1, -1], [-1, 1]] at a = 0"),
+        ("qfim_singular_axial", 1.0, singular,
+         "that F is rank one, so the scalar bound is undefined"),
+        ("lambda_sweep_worst", 0.0, float(sweep_worst),
+         "W = P = O = 0 and the a = 0 closed form hold pointwise over lam"),
+    ]
     extras = {"I_kk_norm": terms.i_kk.norm, "S_norm": ops.S.norm}
-    return _finish("EX9", p, expected, provenance, computed, extras)
+    return _finish("EX9", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +761,6 @@ def _run_ex10(p):
     rho, hs = _pseudo_pure_configuration(p)
     report = classify(rho, hs)
     ops, slds, pt, f = report.operators, report.slds, report.point, report.qfim
-    e = incompatibility(f, report.W)
 
     lam_star = (1.0 - lam) / (dim - 1.0)
     ratio = (lam - lam_star) / (lam + lam_star)
@@ -869,42 +785,24 @@ def _run_ex10(p):
         float(np.linalg.norm(ops.O.entry(0, 1) - ops.S.entry(0, 1))),
     )
 
-    expected = {
-        "W_norm": 0.0,
-        "S_12": s_expect,
-        "sld_deviation": 0.0,
-        "full_rank": 1.0,
-        "E": 0.0,
-        "P_O_S_coincide": 0.0,
-        "wc_flag": 1.0,
-        "sc_flag": 0.0,
-    }
-    provenance = {
-        "W_norm": "equal local generators on the exchange-symmetric state give W = 0",
-        "S_12": (
-            "S_12 = 4 ((lam - lam*) / (lam + lam*))^2 a_x a_z "
-            "[[0,-1,1,0],[1,0,0,1],[-1,0,0,-1],[0,-1,1,0]], "
-            "lam* = (1 - lam) / (D - 1)"
-        ),
-        "sld_deviation": (
-            "L_i = 2 i ((lam - lam*) / (lam + lam*)) (Pi_psi G_i - G_i Pi_psi)"
-        ),
-        "full_rank": "the state has full rank for every lam in (0, 1)",
-        "E": "W = 0 makes the incompatibility measure vanish exactly",
-        "P_O_S_coincide": "full rank collapses the hierarchy: P = O = S",
-        "wc_flag": "weak condition holds",
-        "sc_flag": "strong condition still fails: S != 0 despite W = 0",
-    }
-    computed = {
-        "W_norm": report.W.norm,
-        "S_12": ops.S.entry(0, 1),
-        "sld_deviation": sld_dev,
-        "full_rank": 1.0 if rho.rank == dim else 0.0,
-        "E": e.e_value,
-        "P_O_S_coincide": coincide,
-        "wc_flag": 1.0 if report.flags["WC"] else 0.0,
-        "sc_flag": 1.0 if report.flags["SC"] else 0.0,
-    }
+    checks = [
+        ("W_norm", 0.0, report.W.norm,
+         "equal local generators on the exchange-symmetric state give W = 0"),
+        ("S_12", s_expect, ops.S.entry(0, 1),
+         "S_12 = 4 ((lam - lam*) / (lam + lam*))^2 a_x a_z "
+         "[[0,-1,1,0],[1,0,0,1],[-1,0,0,-1],[0,-1,1,0]], "
+         "lam* = (1 - lam) / (D - 1)"),
+        ("sld_deviation", 0.0, sld_dev,
+         "L_i = 2 i ((lam - lam*) / (lam + lam*)) (Pi_psi G_i - G_i Pi_psi)"),
+        ("full_rank", 1.0, 1.0 if rho.rank == dim else 0.0,
+         "the state has full rank for every lam in (0, 1)"),
+        ("E", 0.0, report.E, "W = 0 makes the incompatibility measure vanish exactly"),
+        ("P_O_S_coincide", 0.0, coincide,
+         "full rank collapses the hierarchy: P = O = S"),
+        ("wc_flag", 1.0, 1.0 if report.flags["WC"] else 0.0, "weak condition holds"),
+        ("sc_flag", 0.0, 1.0 if report.flags["SC"] else 0.0,
+         "strong condition still fails: S != 0 despite W = 0"),
+    ]
     extras = {
         "qfim": f.matrix,
         "qfim_condition_number": f.condition_number,
@@ -912,7 +810,7 @@ def _run_ex10(p):
         "converse_failures": report.converse_failures,
         "lam_star": lam_star,
     }
-    return _finish("EX10", p, expected, provenance, computed, extras)
+    return _finish("EX10", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -925,26 +823,18 @@ def _run_obs2(p):
     rho, hs = _ex4_configuration({"p": 0.5})
     w = _weak(rho, hs)
     w_pure = _weak(density_from_eigpairs([(1.0, _rand_ket(rng, 4))]), hs)
-    expected = {
-        "hamiltonians_commute": 1.0,
-        "mixed_wc_violated": 1.0,
-        "W_norm": np.sqrt(2.0),
-        "pure_wc_holds": 1.0,
-    }
-    provenance = {
-        "hamiltonians_commute": "[H_1, H_2] = 0 for local generators",
-        "mixed_wc_violated": "the |00> / |++> mixture at p = 1/2 has W != 0",
-        "W_norm": "|W_12| = 8 (1 - p) p^2 = 1 at p = 1/2, Frobenius norm sqrt(2)",
-        "pure_wc_holds": "pure states with commuting generators always give W = 0",
-    }
-    computed = {
-        "hamiltonians_commute": 1.0 if hs.commuting else 0.0,
-        "mixed_wc_violated": 1.0 if w.norm > 1e-6 else 0.0,
-        "W_norm": w.norm,
-        "pure_wc_holds": 1.0 if w_pure.norm < 1e-9 else 0.0,
-    }
+    checks = [
+        ("hamiltonians_commute", 1.0, 1.0 if hs.commuting else 0.0,
+         "[H_1, H_2] = 0 for local generators"),
+        ("mixed_wc_violated", 1.0, 1.0 if w.norm > 1e-6 else 0.0,
+         "the |00> / |++> mixture at p = 1/2 has W != 0"),
+        ("W_norm", np.sqrt(2.0), w.norm,
+         "|W_12| = 8 (1 - p) p^2 = 1 at p = 1/2, Frobenius norm sqrt(2)"),
+        ("pure_wc_holds", 1.0, 1.0 if w_pure.norm < 1e-9 else 0.0,
+         "pure states with commuting generators always give W = 0"),
+    ]
     extras = {"pure_W_norm": w_pure.norm}
-    return _finish("OBS2", p, expected, provenance, computed, extras)
+    return _finish("OBS2", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -985,28 +875,17 @@ def _run_obs3(p):
             bd, hs = _real_entangled_draw(rng, d)
             all_real = all_real and bd.is_real
             worst[d] = max(worst[d], _weak(bd.rho, hs).norm)
-    expected = {
-        "worst_W_norm_d2": 0.0,
-        "worst_W_norm_d3": 0.0,
-        "all_real": 1.0,
-    }
-    provenance = {
-        "worst_W_norm_d2": (
-            "real mixtures of the d = 2 maximally entangled basis with real "
-            "local generators always satisfy the weak condition"
-        ),
-        "worst_W_norm_d3": (
-            "d = 3 mixtures with index-symmetrized weights are real states; "
-            "real local generators then give W = 0"
-        ),
-        "all_real": "every drawn state passes the realness check",
-    }
-    computed = {
-        "worst_W_norm_d2": worst[2],
-        "worst_W_norm_d3": worst[3],
-        "all_real": 1.0 if all_real else 0.0,
-    }
-    return _finish("OBS3", p, expected, provenance, computed)
+    checks = [
+        ("worst_W_norm_d2", 0.0, worst[2],
+         "real mixtures of the d = 2 maximally entangled basis with real "
+         "local generators always satisfy the weak condition"),
+        ("worst_W_norm_d3", 0.0, worst[3],
+         "d = 3 mixtures with index-symmetrized weights are real states; "
+         "real local generators then give W = 0"),
+        ("all_real", 1.0, 1.0 if all_real else 0.0,
+         "every drawn state passes the realness check"),
+    ]
+    return _finish("OBS3", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,15 +912,12 @@ def _run_obs5(p):
     for _ in range(draws):
         bd, hs = _spin_entangled_draw(rng)
         worst = max(worst, _weak(bd.rho, hs).norm)
-    expected = {"worst_W_norm": 0.0}
-    provenance = {
-        "worst_W_norm": (
-            "every two-qubit maximally-entangled-basis mixture satisfies the "
-            "weak condition for arbitrary local spin directions and magnitudes"
-        )
-    }
-    computed = {"worst_W_norm": worst}
-    return _finish("OBS5", p, expected, provenance, computed)
+    checks = [
+        ("worst_W_norm", 0.0, worst,
+         "every two-qubit maximally-entangled-basis mixture satisfies the "
+         "weak condition for arbitrary local spin directions and magnitudes"),
+    ]
+    return _finish("OBS5", p, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,38 +938,26 @@ def _run_obs6(p):
     rho_c, hs_c = _ex9_configuration({"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7})
     rep_c = classify(rho_c, hs_c)
 
-    expected = {
-        "wc_without_pc": 1.0,
-        "pc_without_oc": 1.0,
-        "oc_without_sc": 1.0,
-        "hamiltonians_commute": 1.0,
-    }
-    provenance = {
-        "wc_without_pc": "qutrit pair: W = 0 while P != 0",
-        "pc_without_oc": "entangled triple at a_x b_z = a_z b_x: P = 0 while O != 0",
-        "oc_without_sc": "two-qutrit pair: O = 0 while S != 0",
-        "hamiltonians_commute": "all three demonstrations use commuting generators",
-    }
-    computed = {
-        "wc_without_pc": 1.0
-        if rep_a.flags["WC"] and not rep_a.flags["PC"]
-        else 0.0,
-        "pc_without_oc": 1.0
-        if rep_b.flags["PC"] and not rep_b.flags["OC"]
-        else 0.0,
-        "oc_without_sc": 1.0
-        if rep_c.flags["OC"] and not rep_c.flags["SC"]
-        else 0.0,
-        "hamiltonians_commute": 1.0
-        if all(hs.commuting for hs in (hs_a, hs_b, hs_c))
-        else 0.0,
-    }
+    def witness(rep, holds, fails):
+        return 1.0 if rep.flags[holds] and not rep.flags[fails] else 0.0
+
+    checks = [
+        ("wc_without_pc", 1.0, witness(rep_a, "WC", "PC"),
+         "qutrit pair: W = 0 while P != 0"),
+        ("pc_without_oc", 1.0, witness(rep_b, "PC", "OC"),
+         "entangled triple at a_x b_z = a_z b_x: P = 0 while O != 0"),
+        ("oc_without_sc", 1.0, witness(rep_c, "OC", "SC"),
+         "two-qutrit pair: O = 0 while S != 0"),
+        ("hamiltonians_commute", 1.0,
+         1.0 if all(hs.commuting for hs in (hs_a, hs_b, hs_c)) else 0.0,
+         "all three demonstrations use commuting generators"),
+    ]
     extras = {
         "weak_without_partial_flags": rep_a.flags,
         "partial_without_one_sided_flags": rep_b.flags,
         "one_sided_without_strong_flags": rep_c.flags,
     }
-    return _finish("OBS6", p, expected, provenance, computed, extras)
+    return _finish("OBS6", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,123 +968,86 @@ def _run_obs6(p):
 def _run_obs7(p):
     rho, hs = _pseudo_pure_configuration(p)
     report = classify(rho, hs)
-    ops, f = report.operators, report.qfim
-    e = incompatibility(f, report.W)
+    ops = report.operators
     coincide = max(
         float(np.linalg.norm(ops.P.entry(0, 1) - ops.S.entry(0, 1))),
         float(np.linalg.norm(ops.O.entry(0, 1) - ops.S.entry(0, 1))),
     )
-    expected = {
-        "full_rank": 1.0,
-        "wc_holds": 1.0,
-        "sc_fails": 1.0,
-        "S_nonzero": 1.0,
-        "E": 0.0,
-        "projector_coincidence": 0.0,
-    }
-    provenance = {
-        "full_rank": "the pseudo-pure state has full rank",
-        "wc_holds": "W = 0, so the scalar incompatibility measure vanishes",
-        "sc_fails": "the SLD commutator itself stays nonzero",
-        "S_nonzero": "the SLD commutator itself stays nonzero",
-        "E": "E = 0 exactly on weak-condition states",
-        "projector_coincidence": (
-            "full rank makes the support projector trivial, so P = O = S and "
-            "the scalar condition is the only one that can differ"
-        ),
-    }
-    computed = {
-        "full_rank": 1.0 if rho.rank == 4 else 0.0,
-        "wc_holds": 1.0 if report.flags["WC"] else 0.0,
-        "sc_fails": 1.0 if not report.flags["SC"] else 0.0,
-        "S_nonzero": 1.0 if ops.S.norm > 1e-6 else 0.0,
-        "E": e.e_value,
-        "projector_coincidence": coincide,
-    }
+    nonzero = "the SLD commutator itself stays nonzero"
+    checks = [
+        ("full_rank", 1.0, 1.0 if rho.rank == 4 else 0.0,
+         "the pseudo-pure state has full rank"),
+        ("wc_holds", 1.0, 1.0 if report.flags["WC"] else 0.0,
+         "W = 0, so the scalar incompatibility measure vanishes"),
+        ("sc_fails", 1.0, 1.0 if not report.flags["SC"] else 0.0, nonzero),
+        ("S_nonzero", 1.0, 1.0 if ops.S.norm > 1e-6 else 0.0, nonzero),
+        ("E", 0.0, report.E, "E = 0 exactly on weak-condition states"),
+        ("projector_coincidence", 0.0, coincide,
+         "full rank makes the support projector trivial, so P = O = S and "
+         "the scalar condition is the only one that can differ"),
+    ]
     extras = {
         "norms": report.norms,
         "flags": report.flags,
-        "qfim_condition_number": f.condition_number,
+        "qfim_condition_number": report.qfim.condition_number,
     }
-    return _finish("OBS7", p, expected, provenance, computed, extras)
+    return _finish("OBS7", p, checks, extras)
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "EX1": {"seed": 7, "draws": 100},
-    "EX2": {"dim": 4, "p": 0.6, "seed": 11},
-    "EX3": {"alpha": np.pi / 3, "lam": 0.25},
-    "EX4": {"p": 0.5},
-    "EX5": {"lam": 0.25},
-    "EX6": {"seed": 23},
-    "EX7": {"alpha": np.pi / 3, "lam": 0.25, "a": 1.0, "a_prime": 1.0},
-    "EX8": {
-        "lam1": 0.3,
-        "lam2": 0.2,
-        "ax": 1.0,
-        "az": 0.3,
-        "bx": 1.0,
-        "bz": -0.5,
-    },
-    "EX9": {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7},
-    "EX10": {"dim": 4, "lam": 0.6, "ax": 1.0, "az": 1.0},
-    "OBS2": {"seed": 29},
-    "OBS3": {"seed": 31, "draws": 25},
-    "OBS5": {"seed": 37, "draws": 25},
-    "OBS6": {},
-    "OBS7": {"lam": 0.6},
+# An example is its runner p -> ExampleReport, its default parameters, and,
+# for the nine single-configuration examples, the one place they build their
+# state and Hamiltonians: p -> (rho, hs), p the merged parameters. Runners call
+# these builders for their own sweeps and variants too.
+_Example = namedtuple("_Example", "run defaults configuration")
+
+_EXAMPLES = {
+    "EX1": _Example(_run_ex1, {"seed": 7, "draws": 100}, None),
+    "EX2": _Example(_run_ex2, {"dim": 4, "p": 0.6, "seed": 11}, _ex2_configuration),
+    "EX3": _Example(_run_ex3, {"alpha": np.pi / 3, "lam": 0.25}, _ex3_configuration),
+    "EX4": _Example(_run_ex4, {"p": 0.5}, _ex4_configuration),
+    "EX5": _Example(_run_ex5, {"lam": 0.25}, _ex5_configuration),
+    "EX6": _Example(_run_ex6, {"seed": 23}, None),
+    "EX7": _Example(
+        _run_ex7,
+        {"alpha": np.pi / 3, "lam": 0.25, "a": 1.0, "a_prime": 1.0},
+        _ex7_configuration,
+    ),
+    "EX8": _Example(
+        _run_ex8,
+        {"lam1": 0.3, "lam2": 0.2, "ax": 1.0, "az": 0.3, "bx": 1.0, "bz": -0.5},
+        _ex8_configuration,
+    ),
+    "EX9": _Example(_run_ex9, {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7}, _ex9_configuration),
+    "EX10": _Example(
+        _run_ex10, {"dim": 4, "lam": 0.6, "ax": 1.0, "az": 1.0}, _pseudo_pure_configuration
+    ),
+    "OBS2": _Example(_run_obs2, {"seed": 29}, None),
+    "OBS3": _Example(_run_obs3, {"seed": 31, "draws": 25}, None),
+    "OBS5": _Example(_run_obs5, {"seed": 37, "draws": 25}, None),
+    "OBS6": _Example(_run_obs6, {}, None),
+    "OBS7": _Example(_run_obs7, {"lam": 0.6}, _pseudo_pure_configuration),
 }
 
-_RUNNERS = {
-    "EX1": _run_ex1,
-    "EX2": _run_ex2,
-    "EX3": _run_ex3,
-    "EX4": _run_ex4,
-    "EX5": _run_ex5,
-    "EX6": _run_ex6,
-    "EX7": _run_ex7,
-    "EX8": _run_ex8,
-    "EX9": _run_ex9,
-    "EX10": _run_ex10,
-    "OBS2": _run_obs2,
-    "OBS3": _run_obs3,
-    "OBS5": _run_obs5,
-    "OBS6": _run_obs6,
-    "OBS7": _run_obs7,
-}
+EXAMPLE_IDS = list(_EXAMPLES)
 
-EXAMPLE_IDS = list(_RUNNERS)
 
-# The one place each single-configuration example builds its state and
-# Hamiltonians: p -> (rho, hs), p the merged parameters. Runners call these
-# builders for their own sweeps and variants too.
-_CONFIGURATIONS = {
-    "EX2": _ex2_configuration,
-    "EX3": _ex3_configuration,
-    "EX4": _ex4_configuration,
-    "EX5": _ex5_configuration,
-    "EX7": _ex7_configuration,
-    "EX8": _ex8_configuration,
-    "EX9": _ex9_configuration,
-    "EX10": _pseudo_pure_configuration,
-    "OBS7": _pseudo_pure_configuration,
-}
+def _entry(example_id):
+    if example_id not in _EXAMPLES:
+        raise ValidationError(f"unknown example id: {example_id}")
+    return _EXAMPLES[example_id]
 
 
 def default_parameters(example_id):
-    if example_id not in _DEFAULTS:
-        raise ValidationError(f"unknown example id: {example_id}")
-    return dict(_DEFAULTS[example_id])
+    return dict(_entry(example_id).defaults)
 
 
 def _merged_parameters(example_id, params):
     """The example's defaults with `params` applied; unknown ids or names raise."""
-    if example_id not in _RUNNERS:
-        raise ValidationError(f"unknown example id: {example_id}")
-    merged = dict(_DEFAULTS[example_id])
+    merged = default_parameters(example_id)
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValidationError(
@@ -1233,8 +1060,7 @@ def _merged_parameters(example_id, params):
 
 def run_example(example_id, params=None):
     """Run one worked example, optionally overriding its default parameters."""
-    merged = _merged_parameters(example_id, params)
-    return _RUNNERS[example_id](merged)
+    return _entry(example_id).run(_merged_parameters(example_id, params))
 
 
 def run_all():
@@ -1249,8 +1075,9 @@ def example_configuration(example_id, params=None):
     not define a single configuration and are rejected.
     """
     p = _merged_parameters(example_id, params)
-    if example_id in _CONFIGURATIONS:
-        return _CONFIGURATIONS[example_id](p)
-    raise ValidationError(
-        f"example {example_id} does not define a single sweepable configuration"
-    )
+    build = _EXAMPLES[example_id].configuration
+    if build is None:
+        raise ValidationError(
+            f"example {example_id} does not define a single sweepable configuration"
+        )
+    return build(p)

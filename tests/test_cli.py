@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, stacked_points
-from metrocommute import conditions
+from metrocommute import conditions, examples
 from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, main
 from metrocommute.conditions import classify
 from metrocommute.descriptors import parse_descriptor, resolve, with_parameter
@@ -304,6 +304,25 @@ def test_example_all_passes(capsys):
     code, out, _ = _run(capsys, ["example", "all"])
     assert code == 0
     assert "15 reports, 15 passed, 0 failed" in out
+
+
+def test_example_failing_report_lists_each_failing_check(capsys, monkeypatch):
+    # swapping the W-type kets swaps lam and 1 - lam, which flips the sign of
+    # every W entry of EX5 while its closed forms stay put
+    kets = examples._w_type_kets
+    monkeypatch.setattr(examples, "_w_type_kets", lambda: kets()[::-1])
+    report = examples.run_example("EX5")
+    code, out, _ = _run(capsys, ["example", "EX5"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].split()[:2] == ["EX5", "FAIL"]
+    assert lines[-1] == "1 reports, 0 passed, 1 failed"
+    keys = ["W_12", "W_13", "W_23", "lambda_sweep_worst"]
+    assert [line.split(":")[0].strip() for line in lines[2:-1]] == keys
+    for key, line in zip(keys, lines[2:-1]):
+        dev = np.max(np.abs(np.asarray(report.expected[key]) - report.computed[key]))
+        assert dev > examples.PASS_TOL
+        assert line == f"       {key}: deviation {dev:.3e}"
 
 
 def test_sweep_csv_contract(tmp_path, capsys):
