@@ -194,13 +194,10 @@ def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
     return density_matrix((mat + dagger(mat)) / 2.0, rank_tol=rank_tol)
 
 
-def white_noise_state(psi, p, dim=None):
-    """p * |psi><psi| + (1 - p) * identity / dim."""
+def white_noise_state(psi, p):
+    """p * |psi><psi| + (1 - p) * identity / dim, dim the size of psi."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if dim is None:
-        dim = psi.size
-    if psi.size != dim:
-        raise ValidationError(f"psi has dimension {psi.size}, expected {dim}")
+    dim = psi.size
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing weight p={p!r} outside [0, 1]")
     nrm = np.linalg.norm(psi)
