@@ -167,20 +167,17 @@ def encode(h_set, theta):
 
 
 def evolve(rho, pt):
-    """Conjugate a state by the encoding unitary, preserving its spectrum."""
+    """Conjugate a state by the encoding unitary, preserving its spectrum;
+    the matrix is built from the rotated eigenvectors on first read."""
     from .states import DensityMatrix, SpectralData
 
     if rho.dim != pt.dim:
         raise ValidationError("state and encoding dimensions differ")
-    u = pt.U
-    mat = u @ rho.matrix @ dagger(u)
-    mat = (mat + dagger(mat)) / 2.0
     old = rho.spectrum
     spec = SpectralData(
         eigenvalues=old.eigenvalues.copy(),
-        eigenvectors=u @ old.eigenvectors,
+        eigenvectors=pt.U @ old.eigenvectors,
         rank=old.rank,
         rank_tol=old.rank_tol,
     )
-    # the conjugated matrix is at hand; it fills the state's matrix cache
-    return DensityMatrix(spectrum=spec, matrix=mat)
+    return DensityMatrix(spectrum=spec)

@@ -7,7 +7,10 @@ one), or by a state's own rank_tol. Every constructor cuts the spectrum there,
 in _spectral_from_eig: eigenvalues at or below the cutoff, round-off negatives
 included, are set to exact zeros, so no formula downstream cuts again, and
 every formula in the conditions module branches hard on lambda = 0 versus
-lambda > 0. The trace of a cut state is the weight kept on its support.
+lambda > 0. A state's matrix is built from its cut spectrum, and its trace is
+the weight kept on its support. So tensor_power and state_marginal, which
+build from a state, take the eigenpairs of the product or marginal without
+the unit-trace check that density_matrix puts on an outside matrix.
 """
 
 from dataclasses import dataclass
@@ -77,14 +80,11 @@ class SpectralData:
 
 
 class DensityMatrix:
-    """A state held by its spectral data; the matrix is built from the
-    spectrum on first read. Constructors that already hold the matrix pass
-    it, which fills that cache."""
+    """A state held by its spectral data; the matrix is built from the cut
+    spectrum on first read, so every route reads the same weight."""
 
-    def __init__(self, *, spectrum, matrix=None):
+    def __init__(self, *, spectrum):
         self.spectrum = spectrum
-        if matrix is not None:
-            self.matrix = matrix
 
     @cached_property
     def matrix(self):
@@ -111,6 +111,12 @@ def _spectral_from_eig(vals, vecs, rank_tol):
     return spec
 
 
+def _cut_state(mat, rank_tol):
+    """The state of Hermitian mat: its eigenpairs cut at rank_tol."""
+    vals, vecs = hermitian_eig(mat)
+    return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol))
+
+
 def density_matrix(mat, rank_tol=RANK_TOL):
     """Validate and wrap a raw matrix as a DensityMatrix.
 
@@ -122,12 +128,13 @@ def density_matrix(mat, rank_tol=RANK_TOL):
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-    vals, vecs = hermitian_eig(m)
-    if vals.min() < -PSD_TOL:
+    rho = _cut_state(m, rank_tol)
+    low = rho.spectrum.uncut.min()
+    if low < -PSD_TOL:
         raise ValidationError(
-            f"density matrix not positive semidefinite: min eigenvalue {vals.min():.3e}"
+            f"density matrix not positive semidefinite: min eigenvalue {low:.3e}"
         )
-    return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol), matrix=m)
+    return rho
 
 
 def with_rank_tol(rho, rank_tol):
@@ -268,8 +275,7 @@ def tensor_power(rho, nu):
         raise ValidationError(f"tensor_power dimension {rho.dim ** nu} exceeds cap 256")
     if nu == 1:
         return rho
-    mat = tensor(*([rho.matrix] * nu))
-    return density_matrix(mat, rank_tol=rho.spectrum.rank_tol)
+    return _cut_state(tensor(*([rho.matrix] * nu)), rho.spectrum.rank_tol)
 
 
 @dataclass(eq=False)
@@ -296,8 +302,7 @@ def povm_set(effects):
 
 def state_marginal(rho, dims, keep):
     """Partial trace of a DensityMatrix over the complement of `keep`."""
-    mat = partial_trace(rho.matrix, dims, keep)
-    return density_matrix(mat, rank_tol=rho.spectrum.rank_tol)
+    return _cut_state(partial_trace(rho.matrix, dims, keep), rho.spectrum.rank_tol)
 
 
 def transpose_invariant(rho, tol=1e-10):

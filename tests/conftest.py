@@ -96,6 +96,15 @@ def random_density(rng, dim, rank=None):
     return (mat + mat.conj().T) / 2.0
 
 
+def sub_cutoff_state(rng, tails):
+    """Matrix of a random d = 4 pure state plus the weights `tails`, each
+    below the default rank cutoff, on further random orthonormal vectors."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    w = np.array([1.0 - sum(tails), *tails])
+    mat = (q[:, : w.size] * w) @ q[:, : w.size].conj().T
+    return (mat + mat.conj().T) / 2.0
+
+
 def random_hermitian_matrix(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (z + z.conj().T) / 2.0

@@ -15,6 +15,7 @@ from conftest import (
     random_density,
     random_hermitian_matrix,
     spectral_cases,
+    sub_cutoff_state,
 )
 from metrocommute import conditions, encoding, metrology, selftest
 from metrocommute.cli import main
@@ -567,6 +568,19 @@ def test_the_support_projector_jumps_at_the_rank_cutoff():
     assert below.rank == 1
     assert below.flags["PC"] and below.flags["OC"]
     assert below.norms["W"] <= below.norms["P"] + 1e-12 * below.scale
+
+
+def test_weak_direct_reads_a_raw_matrix_state_as_cut():
+    # density_matrix of a pure state plus 5e-11: the weight below the cutoff
+    # is zero for the direct route as for classify, so ||W|| <= ||P|| holds
+    rng = np.random.default_rng(3)
+    rho = density_matrix(sub_cutoff_state(rng, [5e-11]))
+    hs = hamiltonian_set([np.diag(rng.normal(size=4)) for _ in range(2)])
+    theta = rng.normal(size=2)
+    rep = classify(rho, hs, theta=theta)
+    assert rep.rank == 1 and rep.flags["PC"]
+    w = weak_direct(rho, sld_rotated(rho.spectrum, encode(hs, theta)))
+    assert w.norm <= rep.norms["P"] + 1e-12 * rep.scale
 
 
 def test_classify_path_builds_no_blocks_and_no_commutation_check(

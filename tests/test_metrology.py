@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QFIM_SPOTS, random_density, random_hermitian_matrix
-from metrocommute.conditions import classify_many
+from conftest import QFIM_SPOTS, random_density, random_hermitian_matrix, sub_cutoff_state
+from metrocommute.conditions import classify, classify_many
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
 from metrocommute.metrology import (
@@ -123,6 +123,18 @@ def test_qfim_matches_bures_metric_at_spots(ex_id):
     rho, hs, _ = _spot_problem(ex_id)
     f = qfim(rho, sld_rotated(rho.spectrum, encode(hs, np.zeros(hs.m)))).matrix
     assert np.max(np.abs(f - _bures_qfim(rho.matrix, hs.hams, 1e-4))) <= 1e-5
+
+
+def test_qfim_reads_a_raw_matrix_state_as_cut():
+    # density_matrix of a pure state plus 5e-11: qfim reads the state's
+    # matrix, which carries the cut spectrum that classify reads
+    rng = np.random.default_rng(3)
+    rho = density_matrix(sub_cutoff_state(rng, [5e-11]))
+    hs = hamiltonian_set([np.diag(rng.normal(size=4)) for _ in range(2)])
+    theta = rng.normal(size=2)
+    rep = classify(rho, hs, theta=theta)
+    f = qfim(rho, sld_rotated(rho.spectrum, encode(hs, theta)))
+    assert np.max(np.abs(f.matrix - rep.qfim.matrix)) <= 1e-14 * rep.scale
 
 
 def test_qfim_accepts_raw_operator_list():

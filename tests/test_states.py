@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import random_density, sub_cutoff_state
 from metrocommute.operator_core import ValidationError, partial_trace, tensor
 from metrocommute.states import (
     bell_diagonal,
@@ -82,11 +82,15 @@ def test_eigpairs_matrix_is_built_on_first_read():
         assert "matrix" in vars(rho)
 
 
-def test_density_matrix_keeps_the_matrix_it_validated():
+def test_density_matrix_builds_its_matrix_from_the_cut_spectrum():
     mat = random_density(np.random.default_rng(61), 5)
     rho = density_matrix(mat)
-    assert "matrix" in vars(rho)
-    assert np.array_equal(rho.matrix, (mat + mat.conj().T) / 2.0)
+    assert "matrix" not in vars(rho)
+    assert np.max(np.abs(rho.matrix - mat)) < 1e-15
+    # weight below the cutoff is cut from the matrix as from the spectrum
+    tail = density_matrix(sub_cutoff_state(np.random.default_rng(62), [5e-11]))
+    assert tail.rank == 1
+    assert np.trace(tail.matrix).real == pytest.approx(1.0 - 5e-11, abs=1e-15)
 
 
 def test_eigpairs_non_orthogonal_rediagonalized():
@@ -202,6 +206,21 @@ def test_state_marginal_matches_partial_trace():
     rho = density_matrix(random_density(rng, 6))
     marg = state_marginal(rho, (2, 3), [1])
     assert np.allclose(marg.matrix, partial_trace(rho.matrix, (2, 3), [1]), atol=1e-12)
+
+
+def test_products_and_marginals_of_a_cut_state_keep_its_trace():
+    # two weights of 5e-11 are cut from a pure state, which leaves trace
+    # 1 - 1e-10; its product and marginal carry that trace rather than
+    # facing the unit-trace check of an outside matrix
+    rho = density_matrix(sub_cutoff_state(np.random.default_rng(5), [5e-11, 5e-11]))
+    assert rho.rank == 1
+    kept = 1.0 - 1e-10
+    two = tensor_power(rho, 2)
+    assert two.rank == 1
+    assert np.trace(two.matrix).real == pytest.approx(kept**2, abs=1e-15)
+    marg = state_marginal(rho, [2, 2], [0])
+    assert np.trace(marg.matrix).real == pytest.approx(kept, abs=1e-15)
+    assert np.max(np.abs(marg.matrix - partial_trace(rho.matrix, [2, 2], [0]))) < 1e-15
 
 
 def test_tensor_utility_reexport_consistency():
