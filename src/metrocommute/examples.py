@@ -124,7 +124,8 @@ def _finish(example_id, parameters, checks, extras=None):
     """The report of `checks`, records (name, expected, computed, provenance)
     whose order is the key order of the report's dicts."""
     deviations = {name: _deviation(exp, got) for name, exp, got, _ in checks}
-    err = max([0.0, *deviations.values()])
+    # written so that a NaN deviation fails its check
+    failures = {name: dev for name, dev in deviations.items() if not dev <= PASS_TOL}
     return ExampleReport(
         id=example_id,
         parameters=dict(parameters),
@@ -132,9 +133,9 @@ def _finish(example_id, parameters, checks, extras=None):
         provenance={name: why for name, _, _, why in checks},
         computed={name: got for name, _, got, _ in checks},
         extras=dict(extras or {}),
-        max_abs_error=err,
-        passed=bool(err <= PASS_TOL),
-        failures={name: dev for name, dev in deviations.items() if dev > PASS_TOL},
+        max_abs_error=float(np.max([0.0, *deviations.values()])),
+        passed=not failures,
+        failures=failures,
     )
 
 
@@ -1021,7 +1022,9 @@ _EXAMPLES = {
         {"lam1": 0.3, "lam2": 0.2, "ax": 1.0, "az": 0.3, "bx": 1.0, "bz": -0.5},
         _ex8_configuration,
     ),
-    "EX9": _Example(_run_ex9, {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7}, _ex9_configuration),
+    "EX9": _Example(
+        _run_ex9, {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7}, _ex9_configuration
+    ),
     "EX10": _Example(
         _run_ex10, {"dim": 4, "lam": 0.6, "ax": 1.0, "az": 1.0}, _pseudo_pure_configuration
     ),
@@ -1035,14 +1038,10 @@ _EXAMPLES = {
 EXAMPLE_IDS = list(_EXAMPLES)
 
 
-def _entry(example_id):
+def default_parameters(example_id):
     if example_id not in _EXAMPLES:
         raise ValidationError(f"unknown example id: {example_id}")
-    return _EXAMPLES[example_id]
-
-
-def default_parameters(example_id):
-    return dict(_entry(example_id).defaults)
+    return dict(_EXAMPLES[example_id].defaults)
 
 
 def _merged_parameters(example_id, params):
@@ -1060,7 +1059,8 @@ def _merged_parameters(example_id, params):
 
 def run_example(example_id, params=None):
     """Run one worked example, optionally overriding its default parameters."""
-    return _entry(example_id).run(_merged_parameters(example_id, params))
+    merged = _merged_parameters(example_id, params)
+    return _EXAMPLES[example_id].run(merged)
 
 
 def run_all():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, stacked_points
+from metrocommute import examples
 from metrocommute.encoding import encode_stack
 from metrocommute.examples import (
     EXAMPLE_IDS,
@@ -40,6 +41,16 @@ def test_unknown_example_id():
 def test_unknown_parameter_lists_valid_names():
     with pytest.raises(ValidationError, match="valid names"):
         run_example("EX4", {"q": 0.5})
+
+
+def test_a_nan_computed_value_fails_its_report(monkeypatch):
+    # NaN compares false with every bound, so a gate written as dev > tol
+    # would let this report pass
+    monkeypatch.setattr(examples, "_ex2_closed", lambda *args: np.nan)
+    rep = run_example("EX2")
+    assert not rep.passed
+    assert np.isnan(rep.max_abs_error)
+    assert sorted(rep.failures) == ["W_12", "p_sweep_worst"]
 
 
 def test_default_parameters_are_copies():
