@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 
+from metrocommute.conditions import ScalarConditionMatrix, weak_integral
+
 _criterion_lines = {}
 
 
@@ -27,6 +29,12 @@ def count_calls(monkeypatch, func):
         if name.startswith("metrocommute") and getattr(mod, func.__name__, None) is func:
             monkeypatch.setattr(mod, func.__name__, counted)
     return calls
+
+
+def nan_weak_integral(spec, pt):
+    """conditions.weak_integral with every entry NaN: a broken W route."""
+    w = weak_integral(spec, pt)
+    return ScalarConditionMatrix(entries=np.full_like(w.entries, np.nan), kind=w.kind)
 
 
 def stacked_points(calls):

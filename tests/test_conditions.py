@@ -1,6 +1,7 @@
 """Condition matrices by every route, the support/kernel split, the
 trace-norm indicator, and hierarchy classification."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     count_calls,
     literal_sld_elems,
+    nan_weak_integral,
     random_density,
     random_hermitian_matrix,
     spectral_cases,
@@ -748,6 +750,58 @@ def test_suite_chain_counts_a_broken_norm_chain(monkeypatch):
     assert selftest.suite_chain(1, 4).violations == 0
     monkeypatch.setattr(selftest, "classify", lifted(1e-11))
     assert selftest.suite_chain(1, 4).violations == 4
+
+
+def test_suite_chain_counts_a_nan_norm(monkeypatch):
+    # a NaN W norm compares false both ways, so it neither breaks the norm
+    # chain nor flips a flag: the suite counts it by itself
+    def nan_w(*args, **kwargs):
+        rep = classify(*args, **kwargs)
+        rep.norms["W"] = np.nan
+        return rep
+
+    monkeypatch.setattr(selftest, "classify", nan_w)
+    assert selftest.suite_chain(1, 4).violations == 4
+
+
+def test_selftest_gate_counts_a_nan_deviation():
+    result = selftest._gate("gate", [0.0, np.nan, 2e-9, 1e-9], 1e-9)
+    assert (result.draws, result.violations) == (4, 2)
+    assert np.isnan(result.worst)
+    assert selftest._gate("gate", [], 1e-9).worst == 0.0
+
+
+def test_suite_route_agreement_counts_a_nan_route(monkeypatch):
+    # Python's max(a, nan) is a, so a NaN route used to read as agreeing
+    monkeypatch.setattr(selftest, "weak_integral", nan_weak_integral)
+    result = selftest.suite_route_agreement(42, 10)
+    assert result.violations == 10
+    assert "worst=nan" in result.line()
+
+
+def test_suite_pc_indicator_counts_a_nan_p_norm(monkeypatch):
+    def nan_ops(spec, slds):
+        ops = conditions.condition_operators_direct(spec, slds)
+        ops.comm = np.full_like(ops.comm, np.nan)
+        return ops
+
+    monkeypatch.setattr(selftest, "condition_operators_direct", nan_ops)
+    assert selftest.suite_pc_indicator(1, 6).violations == 6
+
+
+def test_suite_fisher_order_gates_at_its_tol():
+    # the deviation is minus the least eigenvalue of F_Q - F_C
+    assert selftest.suite_fisher_order(1, 5).violations == 0
+    assert selftest.suite_fisher_order(1, 5, tol=-np.inf).violations == 5
+
+
+def test_suites_keep_their_signatures():
+    defaults = [1e-9, 1e-9, 1e-9, 1e-8, 1e-10, 1e-9, 1e-9, 1e-8, 1e-8, 1e-8, 1e-9, 1e-9, 1e-9]
+    for suite, tol in zip(selftest.ALL_SUITES, defaults, strict=True):
+        params = inspect.signature(suite).parameters
+        assert list(params) == ["seed", "draws", "tol"], suite.__name__
+        assert params["tol"].default == tol, suite.__name__
+        assert suite.__name__.startswith("suite_") and suite.__doc__
 
 
 def test_classify_dimension_mismatch():
