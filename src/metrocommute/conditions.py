@@ -542,20 +542,17 @@ def _state_product_stack(lam, rows):
 
 
 def _verdict(norms, tol, scale):
-    """(flags, hierarchy_consistent, converse_failures) from the four norms."""
-    flags = {kind: bool(norms[kind[0]] <= tol * scale) for kind in ("WC", "PC", "OC", "SC")}
-    consistent = (
-        (not flags["SC"] or flags["OC"])
-        and (not flags["OC"] or flags["PC"])
-        and (not flags["PC"] or flags["WC"])
-    )
-    converse_failures = []
-    if flags["WC"] and not flags["PC"]:
-        converse_failures.append("WC without PC")
-    if flags["PC"] and not flags["OC"]:
-        converse_failures.append("PC without OC")
-    if flags["OC"] and not flags["SC"]:
-        converse_failures.append("OC without SC")
+    """(flags, hierarchy_consistent, converse_failures) from the four norms.
+
+    Each adjacent pair (a, b) of CHAIN is an implication a => b: the
+    hierarchy is consistent when none fails, and b without a is a converse
+    failure, listed from the weakest pair up."""
+    flags = {kind: bool(norms[kind[0]] <= tol * scale) for kind in reversed(CHAIN)}
+    pairs = list(zip(CHAIN, CHAIN[1:]))
+    consistent = all(flags[b] or not flags[a] for a, b in pairs)
+    converse_failures = [
+        f"{b} without {a}" for a, b in reversed(pairs) if flags[b] and not flags[a]
+    ]
     return flags, consistent, converse_failures
 
 
@@ -573,21 +570,27 @@ def _classify_group(problems, tol):
     )
     lam = np.stack([spec.eigenvalues for spec in specs])
     rows = sld_row_stack(lam, r, np.stack([spec.eigenvectors for spec in specs]), w, x)
-    comm, op_norms = _pair_commutators(rows)
-    q = _state_product_stack(lam, rows)
-    w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
+    # products of finite Hamiltonians can still overflow: check the
+    # products, norms and scales once, before anything reads them
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm, op_norms = _pair_commutators(rows)
+        q = _state_product_stack(lam, rows)
+        w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
+        w_norms = [ScalarConditionMatrix(entries=w_k, kind="W").norm for w_k in w_stack]
+        # ||G_i||_F^2 read from the eigenbasis generators, by unitary
+        # invariance: each X_i viewed as 2 d^2 reals, dotted with itself
+        flat = x.reshape(n, m, 1, -1).view(float)
+        scales = np.maximum(1.0, np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3)))
+    if not all(np.all(np.isfinite(a)) for a in (q, w_norms, scales, *op_norms.values())):
+        raise ValidationError("the condition matrices overflow: the Hamiltonians are too large")
     f = (q.real + np.swapaxes(q.real, 1, 2)) / 2.0
     e_values = incompatibility_stack(f, w_stack)
     qfims = qfim_stack(f)
-    # ||G_i||_F^2 read from the eigenbasis generators, by unitary invariance:
-    # each X_i viewed as 2 d^2 reals, dotted with itself
-    flat = x.reshape(n, m, 1, -1).view(float)
-    scales = np.maximum(1.0, np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3)))
     reports = []
     for k, ((rho, _, theta), spec) in enumerate(zip(problems, specs)):
         w_mat = ScalarConditionMatrix(entries=w_stack[k], kind="W")
         op_k = {kind: float(op_norms[kind][k]) for kind in ("S", "O", "P")}
-        norms = {"W": w_mat.norm, **{kind: op_k[kind] for kind in ("P", "O", "S")}}
+        norms = {"W": w_norms[k], **{kind: op_k[kind] for kind in ("P", "O", "S")}}
         scale = float(scales[k])
         flags, consistent, converse_failures = _verdict(norms, tol, scale)
         e = float(e_values[k])

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import ValidationError, dagger, require_hermitian
+from .states import DensityMatrix, SpectralData
 
 COMMUTE_TOL = 1e-10
 
@@ -169,8 +170,6 @@ def encode(h_set, theta):
 def evolve(rho, pt):
     """Conjugate a state by the encoding unitary, preserving its spectrum;
     the matrix is built from the rotated eigenvectors on first read."""
-    from .states import DensityMatrix, SpectralData
-
     if rho.dim != pt.dim:
         raise ValidationError("state and encoding dimensions differ")
     old = rho.spectrum

@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import ValidationError, dagger, require_hermitian, tensor
+from .states import DensityMatrix, tensor_power
 
 
 @dataclass(eq=False)
@@ -116,8 +117,6 @@ def nu_copy_sld(slds, nu):
     product state's kernel-kernel block then zeroed to match the gauge of the
     single-copy construction.
     """
-    from .states import tensor_power, DensityMatrix
-
     if nu not in (1, 2, 3):
         raise ValidationError(f"nu must be 1, 2, or 3, got {nu!r}")
     if nu == 1:

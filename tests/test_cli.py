@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_calls, stacked_points
-from metrocommute import conditions, examples
+from conftest import count_calls, nan_weak_integral, stacked_points
+from metrocommute import conditions, examples, selftest
 from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, main
 from metrocommute.conditions import classify
 from metrocommute.descriptors import parse_descriptor, resolve, with_parameter
@@ -464,6 +464,37 @@ def test_non_finite_theta_exits_2(tmp_path, capsys):
     assert err == "error: K = sum_i theta_i H_i overflows: theta is too large\n"
 
 
+def test_classify_and_sweep_exit_2_when_the_condition_norms_overflow(tmp_path, capsys):
+    # finite Hamiltonians near 1e77 pass validation, but their SLD products
+    # overflow: Infinity and NaN are not JSON, so the run stops with exit 2
+    rng = np.random.default_rng(5)
+    base = _random_hamiltonians(rng, 3)
+    eigpairs = [
+        {"weight": 0.7, "vector": [[1, 0], [0, 0], [0, 0]]},
+        {"weight": 0.3, "vector": [[0, 0], [1, 0], [0, 0]]},
+    ]
+    noise = {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0], [0, 0]], "p": 0.5}}
+
+    def descriptor(name, scale, state):
+        hams = [
+            {"dim": 3, "entries": [[scale * x, scale * y] for x, y in h["entries"]]}
+            for h in base
+        ]
+        return _write(tmp_path, name, {"state": state, "hamiltonians": hams, "theta": [0.0, 0.0]})
+
+    message = "error: the condition matrices overflow: the Hamiltonians are too large\n"
+    for argv in (
+        ["classify", descriptor("big.json", 1e77, eigpairs), "--json"],
+        ["sweep", descriptor("big_noise.json", 1e77, noise), "--param", "p", "--grid", "0.3:0.6:3"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", message), argv
+    code, out, err = _run(capsys, ["classify", descriptor("ok.json", 1e70, eigpairs), "--json"])
+    assert (code, err) == (0, "")
+    assert "Infinity" not in out and "NaN" not in out
+    assert all(np.isfinite(v) for v in json.loads(out)["norms"].values())
+
+
 def _white_noise_descriptor(tmp_path):
     # p = 1 is a pure state (rank 1); every p < 1 is full rank (rank 4)
     return _write(
@@ -599,6 +630,14 @@ def test_selftest_runs_and_is_deterministic(capsys):
     assert out1 == out2
     assert out1.startswith("self-test seed=7 draws=3")
     assert "total violations: 0" in out1
+
+
+def test_selftest_exits_1_on_a_nan_route(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "weak_integral", nan_weak_integral)
+    code, out, _ = _run(capsys, ["selftest", "--seed", "7", "--draws", "2"])
+    assert code == 1
+    assert "violations=2   worst=nan" in out
+    assert "total violations: 2" in out
 
 
 def test_selftest_rejects_zero_draws(capsys):
