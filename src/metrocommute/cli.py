@@ -19,8 +19,8 @@ from .descriptors import (
     parse_descriptor,
     positive_finite,
     resolve,
+    resolve_grid,
     weight_from_json,
-    with_parameter,
 )
 from .examples import EXAMPLE_IDS, run_example
 from .metrology import SINGULAR_MESSAGE, qcr_scalar
@@ -136,14 +136,6 @@ def _parse_grid(text):
     return np.linspace(a, b, n)
 
 
-def _sweep_problem(desc, name, value):
-    try:
-        rho, hs, theta, _ = resolve(with_parameter(desc, name, value))
-    except ValidationError as err:
-        raise ValidationError(f"grid value {name}={value:g}: {err}") from err
-    return rho, hs, theta
-
-
 def _sweep_row(name, value, report):
     return [
         name,
@@ -160,12 +152,13 @@ def _sweep_row(name, value, report):
     ]
 
 
-def _sweep_batch(desc, name, values):
-    """CSV rows for the leading values that fit one classify_many call."""
-    first = _sweep_problem(desc, name, values[0])
+def _sweep_batch(points, name, values, tol):
+    """CSV rows for the leading values that fit one classify_many call, their
+    problems drawn in turn from `points`, the sweep's resolve_grid."""
+    first = next(points)[:3]
     batch = values[: chunk_size(first[0].dim, first[1].m)]
-    problems = [first] + [_sweep_problem(desc, name, v) for v in batch[1:]]
-    reports = classify_many(problems, tol=desc.zero_tol)
+    problems = [first] + [next(points)[:3] for _ in batch[1:]]
+    reports = classify_many(problems, tol=tol)
     return [_sweep_row(name, v, rep) for v, rep in zip(batch, reports)]
 
 
@@ -184,17 +177,18 @@ def cmd_sweep(args):
             raise ValidationError(f"{source} must be an integer, got {text!r}") from None
     if jobs < 1:
         raise ValidationError(f"{source} must be >= 1")
-    # validate the parameter name up front for a clean error before any work
-    with_parameter(desc, args.param, float(grid[0]))
-    # points are resolved in grid order, so the first bad value is the one
-    # named, and classified chunk_size points at a time: a batch's problems
-    # and reports are dropped once its rows are formatted, so a sweep holds
-    # at most one batch. Rows print after the last batch, so an error leaves
-    # no partial CSV.
+    # the parameter name is checked before any point; points are resolved
+    # in grid order, so the first bad value is the one named, each half of
+    # the problem that the parameter does not move is built once per sweep,
+    # and points are classified chunk_size at a time: a batch's problems and
+    # reports are dropped once its rows are formatted, so a sweep holds at
+    # most one batch. Rows print after the last batch, so an error leaves no
+    # partial CSV.
     values = [float(v) for v in grid]
+    points = resolve_grid(desc, args.param, values)
     rows = []
     while len(rows) < len(values):
-        rows += _sweep_batch(desc, args.param, values[len(rows) :])
+        rows += _sweep_batch(points, args.param, values[len(rows) :], desc.zero_tol)
     print(",".join(SWEEP_COLUMNS))
     for row in rows:
         print(",".join(row))

@@ -10,6 +10,13 @@ Parsing is strict and fails with a field-precise message; parse followed by
 serialize is idempotent on the canonical form. Eigpair vectors and raw
 matrices are parsed once, into the complex arrays the descriptor keeps;
 `serialize_descriptor` writes them back as [re, im] lists.
+
+`resolve_grid` materializes a descriptor at each value of one swept family
+parameter. A problem is built in two halves, the state and the Hamiltonians,
+each naming the parameters it reads (examples.configuration_builder); the
+half the swept parameter does not reach is built once per sweep, which for
+a descriptor family is always the Hamiltonians. `resolve` is its one-point
+case.
 """
 
 import json
@@ -25,8 +32,10 @@ from .examples import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Half,
+    configuration_builder,
     default_parameters,
-    example_configuration,
+    example_halves,
 )
 from .operator_core import ValidationError, tensor
 from .states import (
@@ -320,58 +329,88 @@ def parse_descriptor(source):
     return desc
 
 
-def _resolve_state(spec):
-    """(DensityMatrix, HamiltonianSet or None) of a state spec, ranked at the
-    default cutoff; only the example family brings its own Hamiltonians."""
+def _white_noise(params):
+    if "psi" not in params or "p" not in params:
+        _fail("state.params", 'white_noise needs "psi" and "p"')
+    psi = vector_from_json(params["psi"], "state.params.psi")
+    return white_noise_state(psi, _number(params["p"], "state.params.p"))
+
+
+def _bell_diagonal(params):
+    if "weights" not in params or "d" not in params:
+        _fail("state.params", 'bell_diagonal needs "weights" and "d"')
+    d = params["d"]
+    if isinstance(d, bool) or not isinstance(d, int):
+        _fail("state.params.d", f"expected an integer, got {d!r}")
+    weights = [
+        _number(v, f"state.params.weights[{i}]")
+        for i, v in enumerate(params["weights"])
+    ]
+    return bell_diagonal(weights, d).rho
+
+
+def _pure(params):
+    if "vector" not in params:
+        _fail("state.params", 'pure needs "vector"')
+    vec = vector_from_json(params["vector"], "state.params.vector")
+    norm = np.linalg.norm(vec)
+    if norm <= 0:
+        _fail("state.params.vector", "zero vector")
+    return density_from_eigpairs([(1.0, vec / norm)])
+
+
+def _maximally_mixed(params):
+    if "dim" not in params:
+        _fail("state.params", 'maximally_mixed needs "dim"')
+    dim = params["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
+        _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
+    return density_matrix(np.eye(dim, dtype=complex) / dim)
+
+
+# state family -> its state half, which reads the family's own parameters
+_FAMILY_STATES = {
+    "white_noise": Half(("psi", "p"), _white_noise),
+    "bell_diagonal": Half(("weights", "d"), _bell_diagonal),
+    "pure": Half(("vector",), _pure),
+    "maximally_mixed": Half(("dim",), _maximally_mixed),
+}
+
+
+def _halves(desc):
+    """(params, state half, Hamiltonian half) of a descriptor, as
+    examples.configuration_builder composes them: params are the family
+    parameters (the merged ones for an example, none for an eigpair list or
+    a raw matrix). Only the example family brings its own Hamiltonians;
+    Hamiltonian specs read no state parameter."""
+    spec = desc.state_spec
+    params = {}
     if isinstance(spec, list):
         pairs = [(item["weight"], item["vector"]) for item in spec]
-        return density_from_eigpairs(pairs), None
-    if isinstance(spec, np.ndarray):
-        return density_matrix(spec), None
-    family = spec["family"]
-    params = spec.get("params", {})
-    if family == "white_noise":
-        if "psi" not in params or "p" not in params:
-            _fail("state.params", 'white_noise needs "psi" and "p"')
-        psi = vector_from_json(params["psi"], "state.params.psi")
-        return white_noise_state(psi, _number(params["p"], "state.params.p")), None
-    if family == "bell_diagonal":
-        if "weights" not in params or "d" not in params:
-            _fail("state.params", 'bell_diagonal needs "weights" and "d"')
-        d = params["d"]
-        if isinstance(d, bool) or not isinstance(d, int):
-            _fail("state.params.d", f"expected an integer, got {d!r}")
-        weights = [
-            _number(v, f"state.params.weights[{i}]")
-            for i, v in enumerate(params["weights"])
-        ]
-        return bell_diagonal(weights, d).rho, None
-    if family == "pure":
-        if "vector" not in params:
-            _fail("state.params", 'pure needs "vector"')
-        vec = vector_from_json(params["vector"], "state.params.vector")
-        norm = np.linalg.norm(vec)
-        if norm <= 0:
-            _fail("state.params.vector", "zero vector")
-        return density_from_eigpairs([(1.0, vec / norm)]), None
-    if family == "maximally_mixed":
-        if "dim" not in params:
-            _fail("state.params", 'maximally_mixed needs "dim"')
-        dim = params["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-            _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
-        return density_matrix(np.eye(dim, dtype=complex) / dim), None
-    if family == "example":
-        if "id" not in params:
-            _fail("state.params", 'example needs "id"')
-        ex_id = params["id"]
-        if ex_id not in EXAMPLE_IDS:
-            _fail("state.params.id", f"unknown example id: {ex_id}")
-        overrides = {
-            k: v for k, v in params.items() if k != "id"
-        }
-        return example_configuration(ex_id, overrides)
-    _fail("state.family", f"unknown family {family!r}")
+        state = Half((), lambda p: density_from_eigpairs(pairs))
+    elif isinstance(spec, np.ndarray):
+        state = Half((), lambda p: density_matrix(spec))
+    else:
+        family, params = spec["family"], spec.get("params", {})
+        if family == "example":
+            if "id" not in params:
+                _fail("state.params", 'example needs "id"')
+            ex_id = params["id"]
+            if ex_id not in EXAMPLE_IDS:
+                _fail("state.params.id", f"unknown example id: {ex_id}")
+            overrides = {k: v for k, v in params.items() if k != "id"}
+            return example_halves(ex_id, overrides)
+        if family not in _FAMILY_STATES:
+            _fail("state.family", f"unknown family {family!r}")
+        state = _FAMILY_STATES[family]
+    specs = desc.hamiltonian_specs
+
+    def hamiltonians(p):
+        return hamiltonian_set(
+            [_resolve_hamiltonian(s, f"hamiltonians[{i}]") for i, s in enumerate(specs)]
+        )
+
+    return params, state, Half((), hamiltonians)
 
 
 def _resolve_hamiltonian(spec, path):
@@ -398,18 +437,11 @@ def _resolve_hamiltonian(spec, path):
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 
-def resolve(desc):
-    """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a
-    descriptor; the state is cut at the descriptor's rank_tol, whatever its
-    family (states.with_rank_tol)."""
-    rho, hs = _resolve_state(desc.state_spec)
+def _problem(desc, rho, hs):
+    """resolve's (rho, hs, theta, weight) of one built state and Hamiltonian
+    set: the state cut at the descriptor's rank_tol, whatever its family
+    (states.with_rank_tol), and theta and the weight checked against hs."""
     rho = with_rank_tol(rho, desc.rank_tol)
-    if hs is None:
-        hams = [
-            _resolve_hamiltonian(spec, f"hamiltonians[{i}]")
-            for i, spec in enumerate(desc.hamiltonian_specs)
-        ]
-        hs = hamiltonian_set(hams)
     theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
     if theta.size != hs.m:
         _fail("theta", f"expected {hs.m} entries, got {theta.size}")
@@ -425,6 +457,38 @@ def resolve(desc):
             f"expected shape ({hs.m}, {hs.m}), got {weight.shape}",
         )
     return rho, hs, theta, weight
+
+
+def resolve_grid(desc, name, values):
+    """Yield resolve(with_parameter(desc, name, v)) for each v of values, in
+    order; name None yields resolve(desc) once per value.
+
+    The name is checked once, before any point. Of the state and the
+    Hamiltonians, a half that does not read `name` is built at the first
+    value and shared by every later point, and an eigpair state whose vectors
+    do not read it checks only its weights per point
+    (examples.configuration_builder). A point that fails raises its
+    ValidationError prefixed with "grid value name=v: ".
+    """
+    if name is not None:
+        _check_sweepable(desc, name)
+    params, state, hamiltonians = _halves(desc)
+    build = configuration_builder(state, hamiltonians, name)
+    for value in values:
+        try:
+            p = params if name is None else {**params, name: float(value)}
+            problem = _problem(desc, *build(p))
+        except ValidationError as err:
+            if name is None:
+                raise
+            raise ValidationError(f"grid value {name}={value:g}: {err}") from err
+        yield problem
+
+
+def resolve(desc):
+    """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a
+    descriptor: the one-point case of resolve_grid."""
+    return next(resolve_grid(desc, None, (None,)))
 
 
 def _spec_to_json(spec):
@@ -478,8 +542,8 @@ def sweepable_parameters(desc):
     }
 
 
-def with_parameter(desc, name, value):
-    """A copy of the descriptor with one family parameter replaced."""
+def _check_sweepable(desc, name):
+    """Raise unless `name` is a sweepable parameter of the descriptor."""
     spec = desc.state_spec
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValidationError(
@@ -492,6 +556,12 @@ def with_parameter(desc, name, value):
             f"unknown parameter {name!r} for family {spec['family']!r}; "
             f"valid names: {sorted(known)}"
         )
+
+
+def with_parameter(desc, name, value):
+    """A copy of the descriptor with one family parameter replaced."""
+    _check_sweepable(desc, name)
+    spec = desc.state_spec
     params = dict(spec.get("params", {}))
     params[name] = float(value)
     new_spec = {"family": spec["family"], "params": params}

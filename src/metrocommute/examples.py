@@ -1,8 +1,9 @@
 """Worked-example reports with closed-form oracles.
 
 Every runner evaluates its configurations by two paths. The pipeline path
-builds each configuration once (through the configuration builder of its
-`_EXAMPLES` entry for the single-configuration examples) and runs it through
+builds each configuration once (through the state and Hamiltonian halves of
+its `_EXAMPLES` entry for the single-configuration examples, which
+configuration_builder composes) and runs it through
 the generic machinery (states -> encoding -> sld -> conditions -> metrology),
 one `classify` or `_weak` pass per configuration. The oracle path evaluates
 example-specific closed forms written directly against numpy, sharing only
@@ -27,6 +28,7 @@ from .metrology import qcr_scalar
 from .operator_core import ValidationError, dagger, matrix_exp_i, tensor
 from .sld import sld_rotated
 from .states import (
+    EigpairVectors,
     density_from_eigpairs,
     density_matrix,
     state_marginal,
@@ -245,9 +247,12 @@ def _ex2_draw(p):
     return _rand_ket(rng, dim), [_rand_herm(rng, dim), _rand_herm(rng, dim)]
 
 
-def _ex2_configuration(p):
-    psi, hams = _ex2_draw(p)
-    return white_noise_state(psi, float(p["p"])), hamiltonian_set(hams)
+def _ex2_state(p):
+    return white_noise_state(_ex2_draw(p)[0], float(p["p"]))
+
+
+def _ex2_hamiltonians(p):
+    return hamiltonian_set(_ex2_draw(p)[1])
 
 
 def _run_ex2(p):
@@ -260,7 +265,7 @@ def _run_ex2(p):
     psi, hams = _ex2_draw(p)
 
     def pipeline(pp):
-        return _weak(*_ex2_configuration({**p, "p": pp})).entries[0, 1]
+        return _weak(*example_configuration("EX2", {**p, "p": pp})).entries[0, 1]
 
     w12 = pipeline(noise)
     sweep_worst = max(
@@ -282,14 +287,21 @@ def _run_ex2(p):
 # ---------------------------------------------------------------------------
 
 
-def _tilted_pair_state(alpha, lam):
-    """Rank-two qutrit state from two alpha-tilted kets.
+def _pair_weights(p):
+    """(lam, 1 - lam), the weights of the two-ket states."""
+    lam = float(p["lam"])
+    if not 0.0 < lam < 1.0:
+        raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
+    return [lam, 1.0 - lam]
+
+
+def _tilted_kets(p):
+    """The two alpha-tilted qutrit kets of EX3 and EX7.
 
     Domain: cot^2(alpha) <= 1 and cos(2 alpha + pi) >= 0, i.e. alpha in
     [pi/4, 3 pi/4]; outside it the kets cannot be orthogonal.
     """
-    if not 0.0 < lam < 1.0:
-        raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
+    alpha = float(p["alpha"])
     cot2 = np.cos(alpha) ** 2 / np.sin(alpha) ** 2
     if cot2 > 1.0 + 1e-12:
         raise ValidationError(
@@ -300,7 +312,7 @@ def _tilted_pair_state(alpha, lam):
             "out-of-domain parameters: cos(2 alpha + pi) must be >= 0"
         )
     beta = 0.5 * (np.pi - np.arccos(np.clip(cot2, -1.0, 1.0)))
-    kets = [
+    return EigpairVectors(
         np.array(
             [
                 np.sin(alpha) * np.sin(b),
@@ -310,8 +322,7 @@ def _tilted_pair_state(alpha, lam):
             dtype=complex,
         )
         for b in (beta, -beta)
-    ]
-    return density_from_eigpairs([(lam, kets[0]), (1.0 - lam, kets[1])])
+    )
 
 
 def _ex3_closed(alpha, lam):
@@ -320,16 +331,15 @@ def _ex3_closed(alpha, lam):
     return h_lam * (1.0 - np.cos(4.0 * alpha)) * np.sqrt(radicand)
 
 
-def _ex3_configuration(p):
-    rho = _tilted_pair_state(float(p["alpha"]), float(p["lam"]))
-    return rho, hamiltonian_set([COUPLER_01_ANTI, DIAG_112])
+def _ex3_hamiltonians(p):
+    return hamiltonian_set([COUPLER_01_ANTI, DIAG_112])
 
 
 def _run_ex3(p):
     alpha, lam = float(p["alpha"]), float(p["lam"])
 
     def pipeline(aa):
-        return _weak(*_ex3_configuration({**p, "alpha": aa})).entries[0, 1]
+        return _weak(*example_configuration("EX3", {**p, "alpha": aa})).entries[0, 1]
 
     w12 = pipeline(alpha)
     grid = np.linspace(np.pi / 4 + 0.05, np.pi / 2 - 0.05, 9)
@@ -350,24 +360,27 @@ def _run_ex3(p):
 # ---------------------------------------------------------------------------
 
 
-def _ex4_configuration(p):
+def _ex4_state(p):
     prob = float(p["p"])
     if not 0.0 < prob < 1.0:
         raise ValidationError("out-of-domain parameters: p must be in (0, 1)")
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
     vpp = np.full(4, 0.5, dtype=complex)
-    rho = density_matrix(
+    return density_matrix(
         prob * np.outer(v00, v00.conj()) + (1.0 - prob) * np.outer(vpp, vpp.conj())
     )
-    return rho, hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)])
+
+
+def _ex4_hamiltonians(p):
+    return hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)])
 
 
 def _run_ex4(p):
     prob = float(p["p"])
 
     def pipeline(pp):
-        rho, hs = _ex4_configuration({**p, "p": pp})
+        rho, hs = example_configuration("EX4", {**p, "p": pp})
         return _weak(rho, hs).entries[0, 1], float(rho.spectrum.eigenvalues[1])
 
     w12, lam_small = pipeline(prob)
@@ -412,25 +425,24 @@ def _w_type_kets():
     return psi1, psi2
 
 
-def _ex5_configuration(p):
-    lam = float(p["lam"])
-    if not 0.0 < lam < 1.0:
-        raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
-    psi1, psi2 = _w_type_kets()
-    rho = density_from_eigpairs([(lam, psi1), (1.0 - lam, psi2)])
+def _ex5_vectors(p):
+    return EigpairVectors(_w_type_kets())
+
+
+def _ex5_hamiltonians(p):
     hams = [
         tensor(PAULI_Z, EYE2, EYE2),
         tensor(EYE2, PAULI_Z, EYE2),
         tensor(EYE2, EYE2, PAULI_Z),
     ]
-    return rho, hamiltonian_set(hams)
+    return hamiltonian_set(hams)
 
 
 def _run_ex5(p):
     lam = float(p["lam"])
 
     def pipeline(ll):
-        return _weak(*_ex5_configuration({**p, "lam": ll})).entries
+        return _weak(*example_configuration("EX5", {**p, "lam": ll})).entries
 
     def closed(ll):
         return 64j * (1.0 - ll) * ll * (1.0 - 2.0 * ll) / (3.0 * np.sqrt(3.0))
@@ -493,15 +505,14 @@ def _run_ex6(p):
 # ---------------------------------------------------------------------------
 
 
-def _ex7_configuration(p):
-    rho = _tilted_pair_state(float(p["alpha"]), float(p["lam"]))
+def _ex7_hamiltonians(p):
     h1 = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-    return rho, hamiltonian_set([h1, DIAG_112])
+    return hamiltonian_set([h1, DIAG_112])
 
 
 def _run_ex7(p):
     alpha, lam, a = float(p["alpha"]), float(p["lam"]), float(p["a"])
-    rho, hs = _ex7_configuration(p)
+    rho, hs = example_configuration("EX7", p)
     report = classify(rho, hs)
     ops = report.operators
     terms = support_kernel_decomposition(rho.spectrum, report.point)
@@ -520,7 +531,7 @@ def _run_ex7(p):
     )
 
     # alpha = pi/4 degeneration: P collapses, O keeps one kernel-column entry
-    rho_q, hs_q = _ex7_configuration({**p, "alpha": np.pi / 4})
+    rho_q, hs_q = example_configuration("EX7", {**p, "alpha": np.pi / 4})
     report_q = classify(rho_q, hs_q)
     terms_q = support_kernel_decomposition(rho_q.spectrum, report_q.point)
     o12_expect = np.zeros((3, 3), dtype=complex)
@@ -528,7 +539,7 @@ def _run_ex7(p):
 
     # a = 0 leaves two commuting diagonal generators: S vanishes entirely
     report_a0 = classify(
-        *_ex7_configuration({**p, "alpha": np.pi / 4, "a": 0.0, "a_prime": 1.0})
+        *example_configuration("EX7", {**p, "alpha": np.pi / 4, "a": 0.0, "a_prime": 1.0})
     )
     f_a0 = report_a0.qfim
     try:
@@ -574,21 +585,28 @@ def _run_ex7(p):
 _EX8_MATCHED = {"ax": 1.0, "az": 0.4, "bx": 1.0, "bz": 0.4}
 
 
-def _ex8_configuration(p):
+def _ex8_weights(p):
     lam1, lam2 = float(p["lam1"]), float(p["lam2"])
     if lam1 <= 0.0 or lam2 <= 0.0 or lam1 + lam2 >= 1.0:
         raise ValidationError(
             "out-of-domain parameters: need lam1 > 0, lam2 > 0, lam1 + lam2 < 1"
         )
+    return [lam1, lam2, 1.0 - lam1 - lam2]
+
+
+def _ex8_vectors(p):
     b1 = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
     b2 = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2.0)
     b3 = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
-    rho = density_from_eigpairs([(lam1, b1), (lam2, b2), (1.0 - lam1 - lam2, b3)])
+    return EigpairVectors([b1, b2, b3])
+
+
+def _ex8_hamiltonians(p):
     hams = [
         tensor(float(p["ax"]) * PAULI_X + float(p["az"]) * PAULI_Z, EYE2),
         tensor(EYE2, float(p["bx"]) * PAULI_X + float(p["bz"]) * PAULI_Z),
     ]
-    return rho, hamiltonian_set(hams)
+    return hamiltonian_set(hams)
 
 
 def _run_ex8(p):
@@ -596,7 +614,7 @@ def _run_ex8(p):
     ax, az = float(p["ax"]), float(p["az"])
     bx, bz = float(p["bx"]), float(p["bz"])
 
-    rho, hs = _ex8_configuration(p)
+    rho, hs = example_configuration("EX8", p)
     report = classify(rho, hs)
     ops = report.operators
     terms = support_kernel_decomposition(rho.spectrum, report.point)
@@ -616,10 +634,10 @@ def _run_ex8(p):
     iks_expect[2, 0] = iks_expect[2, 3] = -g_val
 
     # matched knobs a_x b_z = a_z b_x: P collapses while O survives
-    ops_m = classify(*_ex8_configuration({**p, **_EX8_MATCHED})).operators
+    ops_m = classify(*example_configuration("EX8", {**p, **_EX8_MATCHED})).operators
 
     # axial knobs a_z = b_z = 0: all four conditions hold
-    report_x = classify(*_ex8_configuration({**p, "az": 0.0, "bz": 0.0}))
+    report_x = classify(*example_configuration("EX8", {**p, "az": 0.0, "bz": 0.0}))
     f_x = report_x.qfim
     qcr_x = qcr_scalar(f_x)
 
@@ -658,7 +676,7 @@ def _run_ex8(p):
 # ---------------------------------------------------------------------------
 
 
-def _qutrit_pair_kets():
+def _ex9_vectors(p):
     def ket(i, j):
         v = np.zeros(9, dtype=complex)
         v[i * 3 + j] = 1.0
@@ -666,17 +684,12 @@ def _qutrit_pair_kets():
 
     psi1 = (ket(0, 1) + ket(1, 0)) / np.sqrt(2.0)
     psi2 = (ket(1, 2) + ket(2, 1)) / np.sqrt(2.0)
-    return psi1, psi2
+    return EigpairVectors([psi1, psi2])
 
 
-def _ex9_configuration(p):
-    lam = float(p["lam"])
-    if not 0.0 < lam < 1.0:
-        raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
-    psi1, psi2 = _qutrit_pair_kets()
+def _ex9_hamiltonians(p):
     eta = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-    rho = density_from_eigpairs([(lam, psi1), (1.0 - lam, psi2)])
-    return rho, hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)])
+    return hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)])
 
 
 def _ex9_qfim_closed(lam):
@@ -686,12 +699,12 @@ def _ex9_qfim_closed(lam):
 def _run_ex9(p):
     lam = float(p["lam"])
     axial = {"a": 0.0, "a_prime": 1.0}
-    rho, hs = _ex9_configuration(p)
+    rho, hs = example_configuration("EX9", p)
     report = classify(rho, hs)
     ops = report.operators
     terms = support_kernel_decomposition(rho.spectrum, report.point)
 
-    report0 = classify(*_ex9_configuration({**p, **axial}))
+    report0 = classify(*example_configuration("EX9", {**p, **axial}))
     f0 = report0.qfim
     try:
         qcr_scalar(f0)
@@ -701,8 +714,8 @@ def _run_ex9(p):
 
     sweep_worst = 0.0
     for ll in np.linspace(0.05, 0.95, 10):
-        rr = classify(*_ex9_configuration({**p, "lam": ll}))
-        ff = classify(*_ex9_configuration({**p, "lam": ll, **axial})).qfim
+        rr = classify(*example_configuration("EX9", {**p, "lam": ll}))
+        ff = classify(*example_configuration("EX9", {**p, "lam": ll, **axial})).qfim
         sweep_worst = max(
             sweep_worst,
             rr.W.norm,
@@ -738,8 +751,8 @@ def _run_ex9(p):
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_pure_configuration(p):
-    """EX10, and OBS7 at its default dim and local fields."""
+def _pseudo_pure_state(p):
+    """EX10, and OBS7 at its default dim."""
     lam, dim = float(p["lam"]), int(p.get("dim", 4))
     if dim != 4:
         raise ValidationError(
@@ -750,16 +763,20 @@ def _pseudo_pure_configuration(p):
     psi = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
     lam_star = (1.0 - lam) / (dim - 1.0)
     pi_psi = np.outer(psi, psi.conj())
-    rho = density_matrix(lam * pi_psi + lam_star * (np.eye(dim) - pi_psi))
+    return density_matrix(lam * pi_psi + lam_star * (np.eye(dim) - pi_psi))
+
+
+def _pseudo_pure_hamiltonians(p):
+    """EX10, and OBS7 at its default local fields."""
     local = float(p.get("ax", 1.0)) * PAULI_X + float(p.get("az", 1.0)) * PAULI_Z
-    return rho, hamiltonian_set([tensor(local, EYE2), tensor(EYE2, local)])
+    return hamiltonian_set([tensor(local, EYE2), tensor(EYE2, local)])
 
 
 def _run_ex10(p):
     lam = float(p["lam"])
     dim = int(p["dim"])
     ax, az = float(p["ax"]), float(p["az"])
-    rho, hs = _pseudo_pure_configuration(p)
+    rho, hs = example_configuration("EX10", p)
     report = classify(rho, hs)
     ops, slds, pt, f = report.operators, report.slds, report.point, report.qfim
 
@@ -821,7 +838,7 @@ def _run_ex10(p):
 
 def _run_obs2(p):
     rng = np.random.default_rng(int(p["seed"]))
-    rho, hs = _ex4_configuration({"p": 0.5})
+    rho, hs = example_configuration("EX4", {"p": 0.5})
     w = _weak(rho, hs)
     w_pure = _weak(density_from_eigpairs([(1.0, _rand_ket(rng, 4))]), hs)
     checks = [
@@ -928,15 +945,15 @@ def _run_obs5(p):
 
 def _run_obs6(p):
     # weak-but-not-partial: the qutrit pair at its generic knobs
-    rho_a, hs_a = _ex7_configuration(
-        {"alpha": np.pi / 3, "lam": 0.25, "a": 1.0, "a_prime": 1.0}
+    rho_a, hs_a = example_configuration(
+        "EX7", {"alpha": np.pi / 3, "lam": 0.25, "a": 1.0, "a_prime": 1.0}
     )
     rep_a = classify(rho_a, hs_a)
     # partial-but-not-one-sided: the entangled triple at matched knobs
-    rho_b, hs_b = _ex8_configuration({"lam1": 0.3, "lam2": 0.2, **_EX8_MATCHED})
+    rho_b, hs_b = example_configuration("EX8", {"lam1": 0.3, "lam2": 0.2, **_EX8_MATCHED})
     rep_b = classify(rho_b, hs_b)
     # one-sided-but-not-strong: the two-qutrit pair at its generic knobs
-    rho_c, hs_c = _ex9_configuration({"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7})
+    rho_c, hs_c = example_configuration("EX9", {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7})
     rep_c = classify(rho_c, hs_c)
 
     def witness(rep, holds, fails):
@@ -967,7 +984,7 @@ def _run_obs6(p):
 
 
 def _run_obs7(p):
-    rho, hs = _pseudo_pure_configuration(p)
+    rho, hs = example_configuration("OBS7", p)
     report = classify(rho, hs)
     ops = report.operators
     coincide = max(
@@ -999,40 +1016,118 @@ def _run_obs7(p):
 # registry
 # ---------------------------------------------------------------------------
 
+
+class Half(namedtuple("Half", "reads build")):
+    """One half of a configuration, its state or its Hamiltonians: the
+    parameter names it reads (a tuple) and p -> its value."""
+
+
+class EigpairHalf(namedtuple("EigpairHalf", "weights vectors")):
+    """The state half of an eigpair state, built in two Halves: `weights`
+    gives its weights and `vectors` its states.EigpairVectors. The weights
+    are built first, so their domain check comes first."""
+
+    @property
+    def reads(self):
+        return self.weights.reads + self.vectors.reads
+
+
+def configuration_builder(state, hamiltonians, name=None):
+    """p -> (rho, hs) for parameter sets that differ only in `name`.
+
+    A half that does not read `name` is built on the first call and shared by
+    every later one; so are the vectors of an EigpairHalf whose weights alone
+    read it, so that each point checks only its weights. With name None
+    every half is built once.
+    """
+    kept = {}
+
+    def part(key, reads, build, p):
+        if name in reads:
+            return build(p)
+        if key not in kept:
+            kept[key] = build(p)
+        return kept[key]
+
+    def eigpair_state(p):
+        weights = state.weights.build(p)
+        vectors = part("vectors", state.vectors.reads, state.vectors.build, p)
+        return vectors.state(weights)
+
+    build_state = eigpair_state if isinstance(state, EigpairHalf) else state.build
+
+    def build(p):
+        rho = part("state", state.reads, build_state, p)
+        return rho, part("hamiltonians", hamiltonians.reads, hamiltonians.build, p)
+
+    return build
+
+
+_PAIR_WEIGHTS = Half(("lam",), _pair_weights)
+_TILTED_PAIR = EigpairHalf(_PAIR_WEIGHTS, Half(("alpha",), _tilted_kets))
+_PSEUDO_PURE = (
+    Half(("dim", "lam"), _pseudo_pure_state),
+    Half(("ax", "az"), _pseudo_pure_hamiltonians),
+)
+
 # An example is its runner p -> ExampleReport, its default parameters, and,
 # for the nine single-configuration examples, the one place they build their
-# state and Hamiltonians: p -> (rho, hs), p the merged parameters. Runners call
-# these builders for their own sweeps and variants too.
-_Example = namedtuple("_Example", "run defaults configuration")
+# state and their Hamiltonians, as two halves of p, the merged parameters,
+# each naming the parameters it reads (configuration_builder). Runners build
+# their own sweeps and variants through these halves too.
+_Example = namedtuple("_Example", "run defaults state hamiltonians")
 
 _EXAMPLES = {
-    "EX1": _Example(_run_ex1, {"seed": 7, "draws": 100}, None),
-    "EX2": _Example(_run_ex2, {"dim": 4, "p": 0.6, "seed": 11}, _ex2_configuration),
-    "EX3": _Example(_run_ex3, {"alpha": np.pi / 3, "lam": 0.25}, _ex3_configuration),
-    "EX4": _Example(_run_ex4, {"p": 0.5}, _ex4_configuration),
-    "EX5": _Example(_run_ex5, {"lam": 0.25}, _ex5_configuration),
-    "EX6": _Example(_run_ex6, {"seed": 23}, None),
+    "EX1": _Example(_run_ex1, {"seed": 7, "draws": 100}, None, None),
+    "EX2": _Example(
+        _run_ex2,
+        {"dim": 4, "p": 0.6, "seed": 11},
+        Half(("dim", "p", "seed"), _ex2_state),
+        Half(("dim", "seed"), _ex2_hamiltonians),
+    ),
+    "EX3": _Example(
+        _run_ex3,
+        {"alpha": np.pi / 3, "lam": 0.25},
+        _TILTED_PAIR,
+        Half((), _ex3_hamiltonians),
+    ),
+    "EX4": _Example(
+        _run_ex4,
+        {"p": 0.5},
+        Half(("p",), _ex4_state),
+        Half((), _ex4_hamiltonians),
+    ),
+    "EX5": _Example(
+        _run_ex5,
+        {"lam": 0.25},
+        EigpairHalf(_PAIR_WEIGHTS, Half((), _ex5_vectors)),
+        Half((), _ex5_hamiltonians),
+    ),
+    "EX6": _Example(_run_ex6, {"seed": 23}, None, None),
     "EX7": _Example(
         _run_ex7,
         {"alpha": np.pi / 3, "lam": 0.25, "a": 1.0, "a_prime": 1.0},
-        _ex7_configuration,
+        _TILTED_PAIR,
+        Half(("a", "a_prime"), _ex7_hamiltonians),
     ),
     "EX8": _Example(
         _run_ex8,
         {"lam1": 0.3, "lam2": 0.2, "ax": 1.0, "az": 0.3, "bx": 1.0, "bz": -0.5},
-        _ex8_configuration,
+        EigpairHalf(Half(("lam1", "lam2"), _ex8_weights), Half((), _ex8_vectors)),
+        Half(("ax", "az", "bx", "bz"), _ex8_hamiltonians),
     ),
     "EX9": _Example(
-        _run_ex9, {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7}, _ex9_configuration
+        _run_ex9,
+        {"lam": 1.0 / 3.0, "a": 1.0, "a_prime": 0.7},
+        EigpairHalf(_PAIR_WEIGHTS, Half((), _ex9_vectors)),
+        Half(("a", "a_prime"), _ex9_hamiltonians),
     ),
-    "EX10": _Example(
-        _run_ex10, {"dim": 4, "lam": 0.6, "ax": 1.0, "az": 1.0}, _pseudo_pure_configuration
-    ),
-    "OBS2": _Example(_run_obs2, {"seed": 29}, None),
-    "OBS3": _Example(_run_obs3, {"seed": 31, "draws": 25}, None),
-    "OBS5": _Example(_run_obs5, {"seed": 37, "draws": 25}, None),
-    "OBS6": _Example(_run_obs6, {}, None),
-    "OBS7": _Example(_run_obs7, {"lam": 0.6}, _pseudo_pure_configuration),
+    "EX10": _Example(_run_ex10, {"dim": 4, "lam": 0.6, "ax": 1.0, "az": 1.0}, *_PSEUDO_PURE),
+    "OBS2": _Example(_run_obs2, {"seed": 29}, None, None),
+    "OBS3": _Example(_run_obs3, {"seed": 31, "draws": 25}, None, None),
+    "OBS5": _Example(_run_obs5, {"seed": 37, "draws": 25}, None, None),
+    "OBS6": _Example(_run_obs6, {}, None, None),
+    "OBS7": _Example(_run_obs7, {"lam": 0.6}, *_PSEUDO_PURE),
 }
 
 EXAMPLE_IDS = list(_EXAMPLES)
@@ -1067,17 +1162,25 @@ def run_all():
     return [run_example(ex_id) for ex_id in EXAMPLE_IDS]
 
 
-def example_configuration(example_id, params=None):
-    """State and Hamiltonian set of a single-configuration example.
+def example_halves(example_id, params=None):
+    """(p, state half, Hamiltonian half) of a single-configuration example, p
+    its merged parameters; configuration_builder composes them.
 
-    Used by the sweep and classify front ends. Those are EX2..EX5, EX7..EX10
-    and OBS7; the batch-style reports (EX1, EX6, OBS2, OBS3, OBS5, OBS6) do
-    not define a single configuration and are rejected.
+    Those are EX2..EX5, EX7..EX10 and OBS7; the batch-style reports (EX1,
+    EX6, OBS2, OBS3, OBS5, OBS6) do not define a single configuration and are
+    rejected.
     """
     p = _merged_parameters(example_id, params)
-    build = _EXAMPLES[example_id].configuration
-    if build is None:
+    ex = _EXAMPLES[example_id]
+    if ex.state is None:
         raise ValidationError(
             f"example {example_id} does not define a single sweepable configuration"
         )
-    return build(p)
+    return p, ex.state, ex.hamiltonians
+
+
+def example_configuration(example_id, params=None):
+    """State and Hamiltonian set of a single-configuration example
+    (example_halves)."""
+    p, state, hamiltonians = example_halves(example_id, params)
+    return configuration_builder(state, hamiltonians)(p)

@@ -7,6 +7,8 @@ primitives, and the closed-form oracles in the examples module are allowed to
 share nothing else with the pipeline.
 """
 
+import math
+
 import numpy as np
 
 HERM_TOL = 1e-10
@@ -30,14 +32,24 @@ def as_square_matrix(a, name="matrix"):
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError(f"{name} must have dim >= 1")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} has non-finite entries")
     return m
 
 
 def is_hermitian(a, tol=HERM_TOL):
+    """Whether ||a - a^dag||_F <= tol max(1, ||a||_F), at any finite scale:
+    when either norm overflows, both are taken of a / max_ij |a_ij| and the
+    bound is scaled to match. Non-finite entries fail."""
     a = np.asarray(a)
-    return np.linalg.norm(a - dagger(a)) <= tol * max(1.0, np.linalg.norm(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew, size = np.linalg.norm(a - dagger(a)), np.linalg.norm(a)
+        if math.isinf(skew) or math.isinf(size):
+            s = np.max(np.abs(a))
+            a = a / s
+            skew, size = np.linalg.norm(a - dagger(a)), np.linalg.norm(a)
+            return bool(skew <= tol * max(1.0 / s, size))
+    return bool(skew <= tol * max(1.0, size))
 
 
 def require_hermitian(a, name="matrix", tol=HERM_TOL):
@@ -55,7 +67,14 @@ def hermitian_eig(h):
     non-Hermitian input.
     """
     m = require_hermitian(h, "hermitian_eig input")
-    vals, vecs = np.linalg.eigh((m + dagger(m)) / 2.0)
+    return eigh_descending((m + dagger(m)) / 2.0)
+
+
+def eigh_descending(m):
+    """hermitian_eig without its check: the eigenpairs of m, eigenvalues
+    descending, from the lower triangle of m, which the caller guarantees to
+    be Hermitian."""
+    vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
 

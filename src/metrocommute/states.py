@@ -11,6 +11,11 @@ lambda > 0. A state's matrix is built from its cut spectrum, and its trace is
 the weight kept on its support. So tensor_power and state_marginal, which
 build from a state, take the eigenpairs of the product or marginal without
 the unit-trace check that density_matrix puts on an outside matrix.
+
+An eigpair state is built from its EigpairVectors, which are validated
+once; states that share the vectors but not the weights (the points of a
+sweep over a weight) check only their weights, and share the completed
+basis of each descending-weight order.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from .operator_core import (
     ValidationError,
     as_square_matrix,
     dagger,
-    hermitian_eig,
+    eigh_descending,
     partial_trace,
     require_hermitian,
     tensor,
@@ -112,8 +117,11 @@ def _spectral_from_eig(vals, vecs, rank_tol):
 
 
 def _cut_state(mat, rank_tol):
-    """The state of Hermitian mat: its eigenpairs cut at rank_tol."""
-    vals, vecs = hermitian_eig(mat)
+    """The state of mat, its eigenpairs cut at rank_tol. mat is exactly
+    Hermitian, so it is not checked again: density_matrix has checked and
+    symmetrized it, and the products and marginals of a state's matrix
+    (which is symmetrized) are exactly Hermitian too."""
+    vals, vecs = eigh_descending(mat)
     return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol))
 
 
@@ -158,6 +166,75 @@ def _orthonormal_completion(v):
     return q[:, r:]
 
 
+def _eigpair_weights(weights):
+    """Eigpair weights as an array: nonnegative and summing to 1 within
+    TRACE_TOL (renormalized silently inside that window, rejected beyond)."""
+    weights = np.array([float(w) for w in weights])
+    if weights.min() < -1e-12:
+        raise ValidationError(f"negative weight {weights.min()!r}")
+    weights = np.clip(weights, 0.0, None)
+    total = weights.sum()
+    if abs(total - 1.0) > TRACE_TOL:
+        raise ValidationError(f"weights sum to {total!r}, not 1 within {TRACE_TOL}")
+    return weights / total
+
+
+class EigpairVectors:
+    """The vectors of an eigpair list, validated and normalized once, with
+    their Gram matrix checked once; `state(weights)` builds the state of any
+    weights on them.
+
+    Mutually orthonormal vectors are kept as the spectral basis, with the
+    kernel completed orthonormally; the basis [v, completion] is built once
+    per descending-weight order and shared, read-only, by the states of that
+    order. Non-orthogonal vectors are legal, in which case the operator is
+    assembled and re-diagonalized.
+    """
+
+    def __init__(self, vectors):
+        vecs = []
+        for v in vectors:
+            v = np.asarray(v, dtype=complex).reshape(-1)
+            nrm = np.linalg.norm(v)
+            if nrm < 1e-12:
+                raise ValidationError("zero vector in eigpairs")
+            vecs.append(v / nrm)
+        if not vecs:
+            raise ValidationError("no eigpair vectors")
+        dim = vecs[0].size
+        if any(v.size != dim for v in vecs):
+            raise ValidationError("eigpair vectors have mismatched dimensions")
+        self.v = np.column_stack(vecs)
+        gram = dagger(self.v) @ self.v
+        self.orthonormal = np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-10
+        self._bases = {}  # descending-weight order (bytes) -> [v, completion]
+
+    def state(self, weights, rank_tol=RANK_TOL):
+        """The state sum_k w_k |v_k><v_k|, the weights checked as
+        density_from_eigpairs checks them."""
+        weights = _eigpair_weights(weights)
+        if weights.size != self.v.shape[1]:
+            raise ValidationError(
+                f"{weights.size} weights for {self.v.shape[1]} eigpair vectors"
+            )
+        return self._state(weights, rank_tol)
+
+    def _state(self, weights, rank_tol):
+        v = self.v
+        if self.orthonormal:
+            order = np.argsort(weights)[::-1]
+            full = self._bases.get(order.tobytes())
+            if full is None:
+                vo = v[:, order]
+                full = np.column_stack([vo, _orthonormal_completion(vo)])
+                full.flags.writeable = False
+                self._bases[order.tobytes()] = full
+            vals = np.concatenate([weights[order], np.zeros(v.shape[0] - v.shape[1])])
+            return DensityMatrix(spectrum=_spectral_from_eig(vals, full, rank_tol))
+        mat = (v * weights) @ dagger(v)
+        return density_matrix((mat + dagger(mat)) / 2.0, rank_tol=rank_tol)
+
+
 def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
     """Build a state from (weight, vector) pairs.
 
@@ -165,40 +242,13 @@ def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
     silently inside that window, rejected beyond it). Mutually orthonormal
     vectors are kept as the spectral basis, with the kernel completed
     orthonormally; non-orthogonal vectors are legal, in which case the
-    operator is assembled and re-diagonalized.
+    operator is assembled and re-diagonalized (EigpairVectors).
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("density_from_eigpairs needs at least one pair")
-    weights = np.array([float(w) for w, _ in pairs])
-    if weights.min() < -1e-12:
-        raise ValidationError(f"negative weight {weights.min()!r}")
-    weights = np.clip(weights, 0.0, None)
-    total = weights.sum()
-    if abs(total - 1.0) > TRACE_TOL:
-        raise ValidationError(f"weights sum to {total!r}, not 1 within {TRACE_TOL}")
-    weights = weights / total
-    vecs = []
-    for _, v in pairs:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise ValidationError("zero vector in eigpairs")
-        vecs.append(v / nrm)
-    dim = vecs[0].size
-    if any(v.size != dim for v in vecs):
-        raise ValidationError("eigpair vectors have mismatched dimensions")
-    v = np.column_stack(vecs)
-    gram = dagger(v) @ v
-    if np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-10:
-        order = np.argsort(weights)[::-1]
-        v = v[:, order]
-        weights = weights[order]
-        full = np.column_stack([v, _orthonormal_completion(v)])
-        vals = np.concatenate([weights, np.zeros(dim - len(vecs))])
-        return DensityMatrix(spectrum=_spectral_from_eig(vals, full, rank_tol))
-    mat = (v * weights) @ dagger(v)
-    return density_matrix((mat + dagger(mat)) / 2.0, rank_tol=rank_tol)
+    weights = _eigpair_weights(w for w, _ in pairs)
+    return EigpairVectors(v for _, v in pairs)._state(weights, rank_tol)
 
 
 def white_noise_state(psi, p):

@@ -8,12 +8,18 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, nan_weak_integral, stacked_points
-from metrocommute import conditions, examples, selftest
+from metrocommute import conditions, examples, selftest, states
 from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, main
 from metrocommute.conditions import classify
-from metrocommute.descriptors import parse_descriptor, resolve, with_parameter
-from metrocommute.encoding import encode_stack
+from metrocommute.descriptors import (
+    parse_descriptor,
+    resolve,
+    sweepable_parameters,
+    with_parameter,
+)
+from metrocommute.encoding import encode_stack, hamiltonian_set
 from metrocommute.sld import sld_row_stack
+from metrocommute.states import EigpairVectors
 
 SZ = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
 SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
@@ -495,6 +501,22 @@ def test_classify_and_sweep_exit_2_when_the_condition_norms_overflow(tmp_path, c
     assert all(np.isfinite(v) for v in json.loads(out)["norms"].values())
 
 
+def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
+    # at 1e160 both Frobenius norms of the Hermiticity test overflow; the
+    # skewed Hamiltonians are still rejected, with one error line and no warning
+    rng = np.random.default_rng(5)
+    base = _random_hamiltonians(rng, 3)
+    base[0]["entries"][1][0] += 1.0  # entry (0, 1) no longer mirrors entry (1, 0)
+    hams = [
+        {"dim": 3, "entries": [[1e160 * x, 1e160 * y] for x, y in h["entries"]]} for h in base
+    ]
+    state = [{"weight": 1.0, "vector": [[1, 0], [0, 0], [0, 0]]}]
+    path = _write(tmp_path, "huge.json", {"state": state, "hamiltonians": hams})
+    code, out, err = _run(capsys, ["classify", path, "--json"])
+    assert (code, out) == (2, "")
+    assert err == "error: Hamiltonian 0 is not Hermitian within tolerance 1e-10\n"
+
+
 def _white_noise_descriptor(tmp_path):
     # p = 1 is a pure state (rank 1); every p < 1 is full rank (rank 4)
     return _write(
@@ -644,3 +666,121 @@ def test_selftest_rejects_zero_draws(capsys):
     code, _, err = _run(capsys, ["selftest", "--seed", "1", "--draws", "0"])
     assert code == 2
     assert "draws" in err
+
+
+# (example id, parameter, a:b:5 grid) for every numeric sweepable parameter of
+# every configuration example; the EX8 lam1 grid crosses both weight-order
+# changes (lam1 = lam2 = 0.2 and lam1 = 1 - lam1 - lam2 at 0.4)
+SWEEP_GRIDS = [
+    ("EX2", "dim", "2:6"), ("EX2", "p", "0.2:1"), ("EX2", "seed", "1:5"),
+    ("EX3", "alpha", "0.9:2.2"), ("EX3", "lam", "0.1:0.9"),
+    ("EX4", "p", "0.1:0.9"),
+    ("EX5", "lam", "0.1:0.9"),
+    ("EX7", "alpha", "0.9:2.2"), ("EX7", "lam", "0.1:0.9"),
+    ("EX7", "a", "-1:1"), ("EX7", "a_prime", "-1:1"),
+    ("EX8", "lam1", "0.1:0.6"), ("EX8", "lam2", "0.1:0.6"),
+    ("EX8", "ax", "-1:1"), ("EX8", "az", "-1:1"), ("EX8", "bx", "-1:1"), ("EX8", "bz", "-1:1"),
+    ("EX9", "lam", "0.1:0.9"), ("EX9", "a", "-1:1"), ("EX9", "a_prime", "-1:1"),
+    ("EX10", "dim", "4:4"), ("EX10", "lam", "0.1:0.9"),
+    ("EX10", "ax", "-1:1"), ("EX10", "az", "-1:1"),
+    ("OBS7", "lam", "0.1:0.9"),
+]
+
+
+def _example_descriptor(tmp_path, ex_id):
+    desc = {"state": {"family": "example", "params": {"id": ex_id}}}
+    return _write(tmp_path, f"{ex_id}.json", desc)
+
+
+def _per_point_rows(path, name, grid):
+    """The CSV rows a classify of each grid point on its own gives."""
+    desc = parse_descriptor(open(path).read())
+    rows = []
+    for value in grid:
+        rho, hs, theta, _ = resolve(with_parameter(desc, name, float(value)))
+        report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
+        rows.append(",".join(_sweep_row(name, float(value), report)))
+    return rows
+
+
+def test_sweep_grids_cover_every_sweepable_parameter():
+    for ex_id in ("EX2", "EX3", "EX4", "EX5", "EX7", "EX8", "EX9", "EX10", "OBS7"):
+        desc = parse_descriptor({"state": {"family": "example", "params": {"id": ex_id}}})
+        swept = {name for ex, name, _ in SWEEP_GRIDS if ex == ex_id}
+        assert swept == set(sweepable_parameters(desc)), ex_id
+
+
+@pytest.mark.parametrize("ex_id, name, span", SWEEP_GRIDS)
+def test_sweep_rows_match_per_point_classify(tmp_path, capsys, ex_id, name, span):
+    path = _example_descriptor(tmp_path, ex_id)
+    code, out, err = _run(capsys, ["sweep", path, "--param", name, f"--grid={span}:5"])
+    assert (code, err) == (0, ""), err
+    lo, hi = (float(x) for x in span.split(":"))
+    assert out.splitlines()[1:] == _per_point_rows(path, name, np.linspace(lo, hi, 5))
+
+
+def test_white_noise_sweep_rows_match_per_point_classify(tmp_path, capsys):
+    path = _white_noise_descriptor(tmp_path)
+    code, out, _ = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.2:1:5"])
+    assert code == 0
+    assert out.splitlines()[1:] == _per_point_rows(path, "p", np.linspace(0.2, 1.0, 5))
+
+
+# parse_descriptor resolves the descriptor once to validate it, so a sweep
+# command builds each fixed part twice: once there and once for its grid
+@pytest.mark.parametrize("ex_id, name", [("EX5", "lam"), (None, "p")])
+def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id, name):
+    if ex_id is None:
+        path = _white_noise_descriptor(tmp_path)
+    else:
+        path = _example_descriptor(tmp_path, ex_id)
+    hamsets = count_calls(monkeypatch, hamiltonian_set)
+    code, _, _ = _run(capsys, ["sweep", path, "--param", name, "--grid", "0.2:0.8:9"])
+    assert code == 0
+    assert len(hamsets) == 1 + 1
+
+
+def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(
+    tmp_path, capsys, monkeypatch
+):
+    path = _example_descriptor(tmp_path, "EX8")
+    built = count_calls(monkeypatch, EigpairVectors)
+    completions = count_calls(monkeypatch, states._orthonormal_completion)
+    code, _, _ = _run(capsys, ["sweep", path, "--param", "az", "--grid=-1:1:9"])
+    assert code == 0
+    assert (len(built), len(completions)) == (1 + 1, 1 + 1)
+    # lam1 moves the weights: one completion per descending-weight order
+    grid = np.linspace(0.1, 0.6, 9)
+    orders = {tuple(np.argsort([v, 0.2, 1.0 - v - 0.2])[::-1]) for v in grid}
+    assert len(orders) == 3
+    built.clear()
+    completions.clear()
+    code, _, _ = _run(capsys, ["sweep", path, "--param", "lam1", "--grid", "0.1:0.6:9"])
+    assert code == 0
+    assert len(built) == 1 + 1
+    assert len(completions) == 1 + len(orders)
+
+
+@pytest.mark.parametrize(
+    "ex_id, name, grid, bad",
+    [
+        # 3 pi / 4 = 2.356: alpha = 2.45 and 2.6 are out of domain
+        ("EX3", "alpha", "2.0:2.6:5", "alpha=2.45: out-of-domain parameters: cot^2(alpha)"),
+        ("EX5", "lam", "0.2:1:5", "lam=1: out-of-domain parameters: lam must be in (0, 1)"),
+    ],
+)
+def test_sweep_names_the_first_bad_value_of_a_cached_half(
+    tmp_path, capsys, monkeypatch, ex_id, name, grid, bad
+):
+    path = _example_descriptor(tmp_path, ex_id)
+    argv = ["sweep", path, "--param", name, "--grid", grid]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: grid value {bad}")
+    assert err.count("\n") == 1
+    # in batches of three points the bad value sits in the second batch
+    rho, hs = examples.example_configuration(ex_id)
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", 3 * conditions.point_bytes(rho.dim, hs.m))
+    encodes = count_calls(monkeypatch, encode_stack)
+    assert _run(capsys, argv) == (code, out, err)
+    assert [len(args[0]) for args in encodes] == [3]

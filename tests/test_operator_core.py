@@ -12,6 +12,7 @@ from metrocommute.operator_core import (
     commutator,
     dagger,
     hermitian_eig,
+    is_hermitian,
     is_psd,
     matrix_exp_i,
     partial_trace,
@@ -128,6 +129,25 @@ def test_require_hermitian_message():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValidationError, match="probe is not Hermitian within tolerance"):
         require_hermitian(bad, "probe")
+
+
+def test_is_hermitian_holds_at_every_finite_scale():
+    # above ||a||_F ~ 1.3e154 both Frobenius norms overflow; the test must
+    # neither accept every such matrix nor warn (RuntimeWarnings are errors here)
+    assert not is_hermitian(np.array([[0, 1e160], [0, 0]]))
+    assert not is_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    rng = np.random.default_rng(8)
+    h = random_hermitian_matrix(rng, 4)
+    assert is_hermitian(h * 1e160) and is_hermitian(h * 1e300)
+    skew = h.copy()
+    skew[0, 1] += 1e-6 * np.linalg.norm(h)
+    assert not is_hermitian(skew * 1e160)
+    assert is_hermitian(skew * 1e160, tol=1e-5)
+    # non-finite entries fail at any scale
+    assert not is_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValidationError, match="probe is not Hermitian"):
+        require_hermitian(np.array([[0, 1e160], [0, 0]]), "probe")
 
 
 def test_require_hermitian_rejects_non_square():
