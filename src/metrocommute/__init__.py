@@ -14,7 +14,6 @@ from .operator_core import (
 from .states import (
     BellDiagonal,
     DensityMatrix,
-    EigpairVectors,
     PovmSet,
     SpectralData,
     bell_diagonal,
@@ -67,7 +66,6 @@ from .descriptors import (
     ProblemDescriptor,
     parse_descriptor,
     resolve,
-    resolve_grid,
     serialize_descriptor,
     sweepable_parameters,
     with_parameter,

@@ -461,7 +461,7 @@ def _problem(desc, rho, hs):
 
 def resolve_grid(desc, name, values):
     """Yield resolve(with_parameter(desc, name, v)) for each v of values, in
-    order; name None yields resolve(desc) once per value.
+    order.
 
     The name is checked once, before any point. Of the state and the
     Hamiltonians, a half that does not read `name` is built at the first
@@ -470,25 +470,23 @@ def resolve_grid(desc, name, values):
     (examples.configuration_builder). A point that fails raises its
     ValidationError prefixed with "grid value name=v: ".
     """
-    if name is not None:
-        _check_sweepable(desc, name)
+    _check_sweepable(desc, name)
     params, state, hamiltonians = _halves(desc)
     build = configuration_builder(state, hamiltonians, name)
     for value in values:
         try:
-            p = params if name is None else {**params, name: float(value)}
-            problem = _problem(desc, *build(p))
+            problem = _problem(desc, *build({**params, name: float(value)}))
         except ValidationError as err:
-            if name is None:
-                raise
             raise ValidationError(f"grid value {name}={value:g}: {err}") from err
         yield problem
 
 
 def resolve(desc):
     """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a
-    descriptor: the one-point case of resolve_grid."""
-    return next(resolve_grid(desc, None, (None,)))
+    descriptor: the one-point case of resolve_grid's halves, each built
+    once."""
+    params, state, hamiltonians = _halves(desc)
+    return _problem(desc, *configuration_builder(state, hamiltonians)(params))
 
 
 def _spec_to_json(spec):

@@ -39,13 +39,14 @@ def as_square_matrix(a, name="matrix"):
 
 def is_hermitian(a, tol=HERM_TOL):
     """Whether ||a - a^dag||_F <= tol max(1, ||a||_F), at any finite scale:
-    when either norm overflows, both are taken of a / max_ij |a_ij| and the
-    bound is scaled to match. Non-finite entries fail."""
+    when either norm overflows, both are taken of a / s, s the largest real
+    or imaginary part in modulus (finite for finite a, unlike max_ij |a_ij|),
+    and the bound is scaled to match. Non-finite entries fail."""
     a = np.asarray(a)
     with np.errstate(over="ignore", invalid="ignore"):
         skew, size = np.linalg.norm(a - dagger(a)), np.linalg.norm(a)
         if math.isinf(skew) or math.isinf(size):
-            s = np.max(np.abs(a))
+            s = max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
             a = a / s
             skew, size = np.linalg.norm(a - dagger(a)), np.linalg.norm(a)
             return bool(skew <= tol * max(1.0 / s, size))

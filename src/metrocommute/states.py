@@ -209,7 +209,7 @@ class EigpairVectors:
         self.orthonormal = np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-10
         self._bases = {}  # descending-weight order (bytes) -> [v, completion]
 
-    def state(self, weights, rank_tol=RANK_TOL):
+    def state(self, weights):
         """The state sum_k w_k |v_k><v_k|, the weights checked as
         density_from_eigpairs checks them."""
         weights = _eigpair_weights(weights)
@@ -217,7 +217,7 @@ class EigpairVectors:
             raise ValidationError(
                 f"{weights.size} weights for {self.v.shape[1]} eigpair vectors"
             )
-        return self._state(weights, rank_tol)
+        return self._state(weights, RANK_TOL)
 
     def _state(self, weights, rank_tol):
         v = self.v

@@ -14,6 +14,7 @@ from metrocommute.conditions import classify
 from metrocommute.descriptors import (
     parse_descriptor,
     resolve,
+    resolve_grid,
     sweepable_parameters,
     with_parameter,
 )
@@ -726,39 +727,43 @@ def test_white_noise_sweep_rows_match_per_point_classify(tmp_path, capsys):
     assert out.splitlines()[1:] == _per_point_rows(path, "p", np.linspace(0.2, 1.0, 5))
 
 
-# parse_descriptor resolves the descriptor once to validate it, so a sweep
-# command builds each fixed part twice: once there and once for its grid
+def _sweep(desc, name, grid):
+    return list(resolve_grid(desc, name, grid))
+
+
+# The counts are of resolve_grid, the path cmd_sweep draws its points from.
+# A sweep command may build each fixed part once more: parse_descriptor
+# resolves the descriptor once to validate it.
 @pytest.mark.parametrize("ex_id, name", [("EX5", "lam"), (None, "p")])
 def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id, name):
     if ex_id is None:
         path = _white_noise_descriptor(tmp_path)
     else:
         path = _example_descriptor(tmp_path, ex_id)
+    desc = parse_descriptor(open(path).read())
     hamsets = count_calls(monkeypatch, hamiltonian_set)
+    assert len(_sweep(desc, name, np.linspace(0.2, 0.8, 9))) == 9
+    assert len(hamsets) == 1
+    hamsets.clear()
     code, _, _ = _run(capsys, ["sweep", path, "--param", name, "--grid", "0.2:0.8:9"])
     assert code == 0
-    assert len(hamsets) == 1 + 1
+    assert len(hamsets) <= 2
 
 
-def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(
-    tmp_path, capsys, monkeypatch
-):
-    path = _example_descriptor(tmp_path, "EX8")
+def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(tmp_path, monkeypatch):
+    desc = parse_descriptor(open(_example_descriptor(tmp_path, "EX8")).read())
     built = count_calls(monkeypatch, EigpairVectors)
     completions = count_calls(monkeypatch, states._orthonormal_completion)
-    code, _, _ = _run(capsys, ["sweep", path, "--param", "az", "--grid=-1:1:9"])
-    assert code == 0
-    assert (len(built), len(completions)) == (1 + 1, 1 + 1)
+    _sweep(desc, "az", np.linspace(-1.0, 1.0, 9))
+    assert (len(built), len(completions)) == (1, 1)
     # lam1 moves the weights: one completion per descending-weight order
     grid = np.linspace(0.1, 0.6, 9)
     orders = {tuple(np.argsort([v, 0.2, 1.0 - v - 0.2])[::-1]) for v in grid}
     assert len(orders) == 3
     built.clear()
     completions.clear()
-    code, _, _ = _run(capsys, ["sweep", path, "--param", "lam1", "--grid", "0.1:0.6:9"])
-    assert code == 0
-    assert len(built) == 1 + 1
-    assert len(completions) == 1 + len(orders)
+    _sweep(desc, "lam1", grid)
+    assert (len(built), len(completions)) == (1, len(orders))
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,10 @@ def test_is_hermitian_holds_at_every_finite_scale():
     # neither accept every such matrix nor warn (RuntimeWarnings are errors here)
     assert not is_hermitian(np.array([[0, 1e160], [0, 0]]))
     assert not is_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+    # finite complex entries whose modulus exceeds the largest float
+    z = 1.5e308 + 1.5e308j
+    assert not is_hermitian(np.array([[0, z], [0, 0]]))
+    assert is_hermitian(np.array([[1e308, z], [np.conj(z), -1e308]]))
     rng = np.random.default_rng(8)
     h = random_hermitian_matrix(rng, 4)
     assert is_hermitian(h * 1e160) and is_hermitian(h * 1e300)
@@ -148,6 +152,8 @@ def test_is_hermitian_holds_at_every_finite_scale():
     assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError, match="probe is not Hermitian"):
         require_hermitian(np.array([[0, 1e160], [0, 0]]), "probe")
+    with pytest.raises(ValidationError, match="probe is not Hermitian"):
+        require_hermitian(np.array([[0, z], [0, 0]]), "probe")
 
 
 def test_require_hermitian_rejects_non_square():
