@@ -6,20 +6,22 @@ other commands emit JSON (classify always; example with --json) or plain text.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from .conditions import chunk_size, classify, classify_many
+from .conditions import FLAG_KINDS, NORM_KINDS, chunk_size, classify, classify_stack
 from .descriptors import (
     _parse_fields,
     matrix_to_json,
-    parse_descriptor,
     positive_finite,
     resolve,
     resolve_grid,
+    resolve_halves,
     weight_from_json,
 )
 from .examples import EXAMPLE_IDS, run_example
@@ -136,34 +138,40 @@ def _parse_grid(text):
     return np.linspace(a, b, n)
 
 
+# one CSV line: the parameter, its value, the four norms (W, P, O, S), the
+# four flags (WC, PC, OC, SC) and E
+_ROW = "%s,%.12g,%.12g,%.12g,%.12g,%.12g,%d,%d,%d,%d,%s"
+
+
+def _row_text(name, value, norms, flags, e):
+    """The CSV line of one sweep point; e is NaN when the QFIM is singular."""
+    return _ROW % (name, value, *norms, *flags, "singular" if math.isnan(e) else "%.12g" % e)
+
+
 def _sweep_row(name, value, report):
-    return [
+    """The CSV cells of one point from its ClassificationReport."""
+    return _row_text(
         name,
-        f"{value:.12g}",
-        f"{report.norms['W']:.12g}",
-        f"{report.norms['P']:.12g}",
-        f"{report.norms['O']:.12g}",
-        f"{report.norms['S']:.12g}",
-        str(int(report.flags["WC"])),
-        str(int(report.flags["PC"])),
-        str(int(report.flags["OC"])),
-        str(int(report.flags["SC"])),
-        "singular" if report.E is None else f"{report.E:.12g}",
-    ]
+        value,
+        [report.norms[kind] for kind in NORM_KINDS],
+        [report.flags[kind] for kind in FLAG_KINDS],
+        math.nan if report.E is None else report.E,
+    ).split(",")
 
 
-def _sweep_batch(points, name, values, tol):
-    """CSV rows for the leading values that fit one classify_many call, their
-    problems drawn in turn from `points`, the sweep's resolve_grid."""
-    first = next(points)[:3]
-    batch = values[: chunk_size(first[0].dim, first[1].m)]
-    problems = [first] + [next(points)[:3] for _ in batch[1:]]
-    reports = classify_many(problems, tol=tol)
-    return [_sweep_row(name, v, rep) for v, rep in zip(batch, reports)]
+def _sweep_batch(name, values, res):
+    """CSV lines of the points of one ProblemStack, formatted straight from
+    its classify_stack arrays."""
+    cells = zip(values, res.norms.tolist(), res.flags.tolist(), res.E.tolist())
+    return [_row_text(name, *point) for point in cells]
 
 
 def cmd_sweep(args):
-    desc = parse_descriptor(_read_text(args.file))
+    desc = _parse_fields(_read_text(args.file))
+    # resolve's validation, once: it builds each half of the problem at the
+    # descriptor's own parameters, and the sweep shares those its parameter
+    # does not move
+    halves = resolve_halves(desc)
     grid = _parse_grid(args.grid)
     # --jobs and METROCOMMUTE_JOBS are validated but do not change evaluation:
     # the points go through the stacked classify kernels
@@ -178,20 +186,17 @@ def cmd_sweep(args):
     if jobs < 1:
         raise ValidationError(f"{source} must be >= 1")
     # the parameter name is checked before any point; points are resolved
-    # in grid order, so the first bad value is the one named, each half of
-    # the problem that the parameter does not move is built once per sweep,
-    # and points are classified chunk_size at a time: a batch's problems and
-    # reports are dropped once its rows are formatted, so a sweep holds at
-    # most one batch. Rows print after the last batch, so an error leaves no
-    # partial CSV.
+    # chunk_size at a time, in grid order, so the first bad value is the one
+    # named, and each batch arrives as ProblemStacks whose arrays are dropped
+    # once their rows are formatted, so a sweep holds at most one batch.
+    # Rows print after the last batch, so an error leaves no partial CSV.
     values = [float(v) for v in grid]
-    points = resolve_grid(desc, args.param, values)
     rows = []
-    while len(rows) < len(values):
-        rows += _sweep_batch(points, args.param, values[len(rows) :], desc.zero_tol)
+    for stack in resolve_grid(desc, args.param, values, chunk_size, halves):
+        res = classify_stack(stack, desc.zero_tol)
+        rows += _sweep_batch(args.param, values[len(rows) : len(rows) + stack.n], res)
     print(",".join(SWEEP_COLUMNS))
-    for row in rows:
-        print(",".join(row))
+    print("\n".join(rows))
     return 0
 
 
@@ -203,7 +208,9 @@ def cmd_selftest(args):
     return 1 if violations else 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: main reuses it."""
     parser = argparse.ArgumentParser(
         prog="metrocommute",
         description=(

@@ -23,10 +23,12 @@ classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
 metrology.qfim compute both in the computational basis from the operators
 L_i and are classify's anchors. classify_many evaluates a list of problems:
-it groups them by (dim, m, rank) and runs each group through the stacked
-kernels (encode_stack, sld_row_stack, the pair commutators, Q, qfim_stack and
-incompatibility_stack) with a leading (N, ...) axis; classify and
-condition_operators_direct are its N = 1 cases.
+it groups them by (dim, m, rank) and runs each group, as one ProblemStack,
+through classify_stack: the stacked kernels (encode_stack, sld_row_stack,
+the pair commutators, Q and incompatibility_stack) with a leading (N, ...)
+axis. classify_stack returns the norms, flags and E as arrays, which a sweep
+formats directly; the reports are a view of the same arrays. classify and
+condition_operators_direct are N = 1 cases.
 
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
@@ -49,7 +51,7 @@ import numpy as np
 
 from .encoding import EncodingPoint, checked_theta, encode_stack
 from .metrology import QfimResult, incompatibility_stack, qfim_stack
-from .operator_core import ValidationError, commutator, dagger
+from .operator_core import ValidationError, commutator, dagger, frobenius_rows
 from .sld import SldSet, sld_row_stack, sld_rotated
 
 # chunk_size sizes a list of problems for one classify_many call so that
@@ -541,59 +543,152 @@ def _state_product_stack(lam, rows):
     return (lam[:, None, :r, None] * rows).reshape(n, m, -1) @ dagger(rows.reshape(n, m, -1))
 
 
-def _verdict(norms, tol, scale):
-    """(flags, hierarchy_consistent, converse_failures) from the four norms.
+def _verdict(flags):
+    """(hierarchy_consistent, converse_failures) of the four flags.
 
     Each adjacent pair (a, b) of CHAIN is an implication a => b: the
     hierarchy is consistent when none fails, and b without a is a converse
     failure, listed from the weakest pair up."""
-    flags = {kind: bool(norms[kind[0]] <= tol * scale) for kind in reversed(CHAIN)}
     pairs = list(zip(CHAIN, CHAIN[1:]))
     consistent = all(flags[b] or not flags[a] for a, b in pairs)
     converse_failures = [
         f"{b} without {a}" for a, b in reversed(pairs) if flags[b] and not flags[a]
     ]
-    return flags, consistent, converse_failures
+    return consistent, converse_failures
 
 
-def _classify_group(problems, tol):
-    """Reports for problems (rho, h_set, theta) that share (dim, m, rank),
-    from one pass of the stacked kernels."""
-    n = len(problems)
-    specs = [rho.spectrum for rho, _, _ in problems]
-    d, m, r = specs[0].dim, problems[0][1].m, specs[0].rank
-    # the stacked Hamiltonians and eigenvectors are copies: pass them as
-    # temporaries, so that each is freed as soon as its kernel returns
-    kappa, w, x = encode_stack(
-        np.stack([h for _, hs, _ in problems for h in hs.hams]).reshape(n, m, d, d),
-        np.stack([theta for _, _, theta in problems]),
-    )
-    lam = np.stack([spec.eigenvalues for spec in specs])
-    rows = sld_row_stack(lam, r, np.stack([spec.eigenvectors for spec in specs]), w, x)
+@dataclass(eq=False)
+class ProblemStack:
+    """n problems of one (dim, m, rank) as stacked arrays, the input of
+    classify_stack. An array whose leading axis has length 1 is shared by
+    all n problems.
+
+    lam: (n or 1, d) cut eigenvalues, descending: the first `rank` above the
+        state's cutoff, the rest exact zeros
+    vectors: (n or 1, d, d) state eigenvectors
+    hams: (n or 1, m, d, d) validated Hamiltonians
+    theta: (len(hams), m) encoding points, one per Hamiltonian set
+    """
+
+    n: int
+    rank: int
+    lam: np.ndarray
+    vectors: np.ndarray
+    hams: np.ndarray
+    theta: np.ndarray
+
+
+# the report's flags in JSON order, and the norm each one tests
+FLAG_KINDS = list(reversed(CHAIN))
+NORM_KINDS = [kind[0] for kind in FLAG_KINDS]
+
+
+@dataclass(eq=False)
+class StackedClassification:
+    """classify_stack's arrays for n problems.
+
+    norms: (n, 4) in NORM_KINDS order (W, P, O, S); flags: (n, 4) bool in
+    FLAG_KINDS order (WC, PC, OC, SC); scale: (n,); E: (n,), NaN where the
+    QFIM is singular. The rest are the kernel arrays that the reports view:
+    the encoding (kappa, w, x), with a leading axis of 1 when every problem
+    shares it, and per problem the SLD rows, the pair commutators `comm`,
+    W (`w_stack`) and the QFIM matrices `f`.
+    """
+
+    norms: np.ndarray
+    flags: np.ndarray
+    scale: np.ndarray
+    E: np.ndarray
+    kappa: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+    rows: np.ndarray
+    comm: np.ndarray
+    w_stack: np.ndarray
+    f: np.ndarray
+
+
+def classify_stack(stack, tol=1e-8):
+    """The stacked classify kernel: every problem of a ProblemStack in one
+    pass of encode_stack, sld_row_stack, the pair commutators, Q,
+    and incompatibility_stack. A Hamiltonian set and theta that the problems
+    share are encoded once. Returns a StackedClassification; each problem's
+    norms, flags and E are those classify gives for it.
+    """
+    bad = ~np.isfinite(stack.theta).all(axis=1)
+    if bad.any():
+        theta = stack.theta[np.argmax(bad)]
+        raise ValidationError(f"theta has non-finite entries: {theta.tolist()}")
+    kappa, w, x = encode_stack(stack.hams, stack.theta)
+    rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, w, x)
     # products of finite Hamiltonians can still overflow: check the
     # products, norms and scales once, before anything reads them
     with np.errstate(over="ignore", invalid="ignore"):
         comm, op_norms = _pair_commutators(rows)
-        q = _state_product_stack(lam, rows)
+        q = _state_product_stack(stack.lam, rows)
         w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
-        w_norms = [ScalarConditionMatrix(entries=w_k, kind="W").norm for w_k in w_stack]
+        w_norms = frobenius_rows(w_stack)
         # ||G_i||_F^2 read from the eigenbasis generators, by unitary
         # invariance: each X_i viewed as 2 d^2 reals, dotted with itself
-        flat = x.reshape(n, m, 1, -1).view(float)
+        flat = x.reshape(*x.shape[:2], 1, -1).view(float)
         scales = np.maximum(1.0, np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3)))
     if not all(np.all(np.isfinite(a)) for a in (q, w_norms, scales, *op_norms.values())):
         raise ValidationError("the condition matrices overflow: the Hamiltonians are too large")
     f = (q.real + np.swapaxes(q.real, 1, 2)) / 2.0
-    e_values = incompatibility_stack(f, w_stack)
-    qfims = qfim_stack(f)
+    n = stack.n
+    norms = np.stack([w_norms, *(op_norms[kind] for kind in NORM_KINDS[1:])], axis=1)
+    norms = np.broadcast_to(norms, (n, 4))
+    scale = np.broadcast_to(scales, (n,))
+    return StackedClassification(
+        norms=norms,
+        flags=norms <= tol * scale[:, None],
+        scale=scale,
+        E=np.broadcast_to(incompatibility_stack(f, w_stack), (n,)),
+        kappa=kappa,
+        w=w,
+        x=x,
+        rows=rows,
+        comm=comm,
+        w_stack=w_stack,
+        f=f,
+    )
+
+
+def _stacked(arrays):
+    """np.stack of a list of arrays; a view, not a copy, for one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _problem_stack(problems):
+    """The ProblemStack of checked problems (rho, h_set, theta) of one
+    (dim, m, rank); their Hamiltonians and theta once when they share one
+    HamiltonianSet and one theta."""
+    _, hs0, theta0 = problems[0]
+    specs = [rho.spectrum for rho, _, _ in problems]
+    shared = all(hs is hs0 and np.array_equal(t, theta0) for _, hs, t in problems)
+    sets = problems[:1] if shared else problems
+    return ProblemStack(
+        n=len(problems),
+        rank=specs[0].rank,
+        lam=_stacked([spec.eigenvalues for spec in specs]),
+        vectors=_stacked([spec.eigenvectors for spec in specs]),
+        hams=_stacked([hs.stack for _, hs, _ in sets]),
+        theta=_stacked([t for _, _, t in sets]),
+    )
+
+
+def _reports(problems, res, tol):
+    """ClassificationReports for checked problems (rho, h_set, theta), in
+    order, from their classify_stack arrays."""
+    qfims = qfim_stack(res.f)
     reports = []
-    for k, ((rho, _, theta), spec) in enumerate(zip(problems, specs)):
-        w_mat = ScalarConditionMatrix(entries=w_stack[k], kind="W")
-        op_k = {kind: float(op_norms[kind][k]) for kind in ("S", "O", "P")}
-        norms = {"W": w_norms[k], **{kind: op_k[kind] for kind in ("P", "O", "S")}}
-        scale = float(scales[k])
-        flags, consistent, converse_failures = _verdict(norms, tol, scale)
-        e = float(e_values[k])
+    for k, (rho, _, theta) in enumerate(problems):
+        spec = rho.spectrum
+        e = float(res.E[k])
+        flags = dict(zip(FLAG_KINDS, map(bool, res.flags[k])))
+        consistent, converse_failures = _verdict(flags)
+        norms = dict(zip(NORM_KINDS, map(float, res.norms[k])))
+        j = k if len(res.kappa) > 1 else 0
         reports.append(
             ClassificationReport(
                 norms=norms,
@@ -601,17 +696,21 @@ def _classify_group(problems, tol):
                 hierarchy_consistent=consistent,
                 converse_failures=converse_failures,
                 tolerance=tol,
-                scale=scale,
+                scale=float(res.scale[k]),
                 theta=theta,
-                rank=r,
-                dim=d,
-                W=w_mat,
+                rank=spec.rank,
+                dim=spec.dim,
+                W=ScalarConditionMatrix(entries=res.w_stack[k], kind="W"),
                 qfim=qfims[k],
                 E=None if np.isnan(e) else e,
-                point=EncodingPoint(theta=theta, kappa=kappa[k], w=w[k], elems=x[k]),
-                slds=SldSet(spec=spec, rows=rows[k]),
+                point=EncodingPoint(theta=theta, kappa=res.kappa[j], w=res.w[j], elems=res.x[j]),
+                slds=SldSet(spec=spec, rows=res.rows[k]),
                 operators=ConditionOperators(
-                    comm=comm[k], eigenvectors=spec.eigenvectors, rank=r, m=m, norms=op_k
+                    comm=res.comm[k],
+                    eigenvectors=spec.eigenvectors,
+                    rank=spec.rank,
+                    m=len(res.x[j]),
+                    norms={kind: norms[kind] for kind in ("S", "O", "P")},
                 ),
             )
         )
@@ -640,7 +739,9 @@ def classify_many(problems, tol=1e-8):
 
     Every problem is validated first, in order, with classify's messages;
     theta None means zeros. The problems are then grouped by (dim, m, rank),
-    and each group runs through the stacked kernels in one pass. The reports
+    and each group runs through classify_stack in one pass, its
+    Hamiltonians encoded once when every problem of the group shares one
+    HamiltonianSet and one theta; the reports view its arrays. The reports
     keep views of their group's stacked arrays, so the memory a call holds
     grows with the length of the list: a caller with many large problems
     passes at most chunk_size(dim, m) of them at a time. Each report is the
@@ -656,7 +757,9 @@ def classify_many(problems, tol=1e-8):
         checked.append((rho, h_set, theta))
     reports = [None] * len(checked)
     for members in groups.values():
-        for k, report in zip(members, _classify_group([checked[k] for k in members], tol)):
+        group = [checked[k] for k in members]
+        res = classify_stack(_problem_stack(group), tol)
+        for k, report in zip(members, _reports(group, res, tol)):
             reports[k] = report
     return reports
 

@@ -12,27 +12,33 @@ matrices are parsed once, into the complex arrays the descriptor keeps;
 `serialize_descriptor` writes them back as [re, im] lists.
 
 `resolve_grid` materializes a descriptor at each value of one swept family
-parameter. A problem is built in two halves, the state and the Hamiltonians,
-each naming the parameters it reads (examples.configuration_builder); the
-half the swept parameter does not reach is built once per sweep, which for
-a descriptor family is always the Hamiltonians. `resolve` is its one-point
-case.
+parameter, as stacked arrays (conditions.ProblemStack) with no object per
+point. A problem is built in two halves, the state and the Hamiltonians,
+each naming the parameters it reads (examples.configuration_builder).
+`resolve_halves` resolves the descriptor at its own parameters and keeps
+every half it built; `resolve` is its one-point case, and a sweep shares
+the halves its parameter does not reach (for a descriptor family, always
+the Hamiltonians) with every point.
 """
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .encoding import hamiltonian_set
+from .conditions import ProblemStack
+from .encoding import hamiltonian_checks, hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
     EYE2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    EigpairHalf,
     Half,
+    as_state,
     configuration_builder,
     default_parameters,
     example_halves,
@@ -40,10 +46,13 @@ from .examples import (
 from .operator_core import ValidationError, tensor
 from .states import (
     RANK_TOL,
+    DensityMatrix,
     bell_diagonal,
     density_from_eigpairs,
     density_matrix,
-    white_noise_state,
+    density_spectra,
+    eigpair_weight_rows,
+    white_noise_matrix,
     with_rank_tol,
 )
 
@@ -333,7 +342,7 @@ def _white_noise(params):
     if "psi" not in params or "p" not in params:
         _fail("state.params", 'white_noise needs "psi" and "p"')
     psi = vector_from_json(params["psi"], "state.params.psi")
-    return white_noise_state(psi, _number(params["p"], "state.params.p"))
+    return white_noise_matrix(psi, _number(params["p"], "state.params.p"))
 
 
 def _bell_diagonal(params):
@@ -365,7 +374,7 @@ def _maximally_mixed(params):
     dim = params["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
         _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
-    return density_matrix(np.eye(dim, dtype=complex) / dim)
+    return np.eye(dim, dtype=complex) / dim
 
 
 # state family -> its state half, which reads the family's own parameters
@@ -389,7 +398,7 @@ def _halves(desc):
         pairs = [(item["weight"], item["vector"]) for item in spec]
         state = Half((), lambda p: density_from_eigpairs(pairs))
     elif isinstance(spec, np.ndarray):
-        state = Half((), lambda p: density_matrix(spec))
+        state = Half((), lambda p: spec)
     else:
         family, params = spec["family"], spec.get("params", {})
         if family == "example":
@@ -406,9 +415,7 @@ def _halves(desc):
     specs = desc.hamiltonian_specs
 
     def hamiltonians(p):
-        return hamiltonian_set(
-            [_resolve_hamiltonian(s, f"hamiltonians[{i}]") for i, s in enumerate(specs)]
-        )
+        return [_resolve_hamiltonian(s, f"hamiltonians[{i}]") for i, s in enumerate(specs)]
 
     return params, state, Half((), hamiltonians)
 
@@ -437,56 +444,298 @@ def _resolve_hamiltonian(spec, path):
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 
+def _problem_error(desc, state_dim, ham_dim, m):
+    """The message of the first of _problem's checks that a state of
+    dimension state_dim and m Hamiltonians of dimension ham_dim fail, or
+    None."""
+    size = m if desc.theta is None else len(desc.theta)
+    if size != m:
+        return f"theta: expected {m} entries, got {size}"
+    if state_dim != ham_dim:
+        return (
+            f"descriptor: state dimension {state_dim} does not match "
+            f"Hamiltonian dimension {ham_dim}"
+        )
+    if desc.weight is not None and desc.weight.shape != (m, m):
+        return f"weight_matrix: expected shape ({m}, {m}), got {desc.weight.shape}"
+    return None
+
+
 def _problem(desc, rho, hs):
     """resolve's (rho, hs, theta, weight) of one built state and Hamiltonian
     set: the state cut at the descriptor's rank_tol, whatever its family
     (states.with_rank_tol), and theta and the weight checked against hs."""
     rho = with_rank_tol(rho, desc.rank_tol)
+    error = _problem_error(desc, rho.dim, hs.dim, hs.m)
+    if error:
+        raise ValidationError(error)
     theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
-    if theta.size != hs.m:
-        _fail("theta", f"expected {hs.m} entries, got {theta.size}")
-    if rho.dim != hs.dim:
-        _fail(
-            "descriptor",
-            f"state dimension {rho.dim} does not match Hamiltonian dimension {hs.dim}",
-        )
-    weight = desc.weight
-    if weight is not None and weight.shape != (hs.m, hs.m):
-        _fail(
-            "weight_matrix",
-            f"expected shape ({hs.m}, {hs.m}), got {weight.shape}",
-        )
-    return rho, hs, theta, weight
+    return rho, hs, theta, desc.weight
 
 
-def resolve_grid(desc, name, values):
-    """Yield resolve(with_parameter(desc, name, v)) for each v of values, in
-    order.
+# resolve_halves' result: the descriptor's family parameters, its state and
+# Hamiltonian halves, the halves built at those parameters (the `kept` of
+# examples.configuration_builder) and resolve's (rho, hs, theta, weight)
+Halves = namedtuple("Halves", "params state hamiltonians kept problem")
 
-    The name is checked once, before any point. Of the state and the
-    Hamiltonians, a half that does not read `name` is built at the first
-    value and shared by every later point, and an eigpair state whose vectors
-    do not read it checks only its weights per point
-    (examples.configuration_builder). A point that fails raises its
-    ValidationError prefixed with "grid value name=v: ".
-    """
-    _check_sweepable(desc, name)
+
+def resolve_halves(desc):
+    """resolve(desc), keeping the halves it built for resolve_grid: every
+    half of the problem is built once, at the descriptor's own parameters,
+    and every check of resolve runs, with its messages."""
     params, state, hamiltonians = _halves(desc)
-    build = configuration_builder(state, hamiltonians, name)
-    for value in values:
-        try:
-            problem = _problem(desc, *build({**params, name: float(value)}))
-        except ValidationError as err:
-            raise ValidationError(f"grid value {name}={value:g}: {err}") from err
-        yield problem
+    kept = {}
+    problem = _problem(desc, *configuration_builder(state, hamiltonians, kept=kept)(params))
+    return Halves(params, state, hamiltonians, kept, problem)
 
 
 def resolve(desc):
     """Materialize (DensityMatrix, HamiltonianSet, theta, weight) from a
-    descriptor: the one-point case of resolve_grid's halves, each built
-    once."""
-    params, state, hamiltonians = _halves(desc)
-    return _problem(desc, *configuration_builder(state, hamiltonians)(params))
+    descriptor: the one-point case of its halves, each built once."""
+    return resolve_halves(desc).problem
+
+
+# The checks one point of a sweep runs, in the order it runs them. A batch
+# reports the first point that fails any of them, with the message of the
+# first check that point fails.
+(
+    _STATE_BUILT,
+    _WEIGHTS_CHECKED,
+    _WEIGHT_COUNT_CHECKED,
+    _STATE_CHECKED,
+    _HAMILTONIANS_BUILT,
+    _HAMILTONIANS_CHECKED,
+    _PROBLEM_CHECKED,
+) = range(7)
+
+
+def _runs(keys, start=0):
+    """(start + i, start + j) for each run keys[i:j] of equal keys."""
+    cuts = [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]]
+    return [(start + i, start + j) for i, j in zip([0, *cuts], [*cuts, len(keys)])] if keys else []
+
+
+def _square_stack(items, ndim):
+    """items as one complex stack when every item has one shape of ndim
+    axes, ending in a square d >= 1, else None."""
+    try:
+        shapes = {np.shape(item) for item in items}
+    except ValueError:  # an item of ragged nested lists
+        return None
+    shape = shapes.pop()
+    if shapes or len(shape) != ndim or shape[-1] != shape[-2] or 0 in shape:
+        return None
+    return np.array(items, dtype=complex)
+
+
+def _each(items, build, a, stage, failures):
+    """build(item) for items in turn, until the first that raises: its
+    ValidationError becomes the failure of point a + its index at `stage`."""
+    out = []
+    for k, item in enumerate(items):
+        try:
+            out.append(build(item))
+        except ValidationError as err:
+            failures.append((a + k, stage, str(err)))
+            break
+    return out
+
+
+class _Grid:
+    """The points of a sweep of `name` over a descriptor, resolved a batch at
+    a time as ProblemStacks.
+
+    A half that reads `name` is built at each point; the others are those of
+    `halves`, shared by every point through a leading axis of length 1. The
+    raw values of a batch (weights, matrices, Hamiltonian lists) are built
+    point by point, and every check that resolve runs on a point runs as one
+    array operation over the batch.
+    """
+
+    def __init__(self, desc, name, halves):
+        self.desc, self.name, self.params = desc, name, halves.params
+        state, hamiltonians, kept = halves.state, halves.hamiltonians, halves.kept
+        rho, hs = halves.problem[:2]
+        self.state_of = self.vectors = None
+        if name in state.reads:
+            if isinstance(state, EigpairHalf) and name not in state.vectors.reads:
+                # a point checks only its weights on the shared vectors
+                self.state_of, self.vectors = state.weights.build, kept["vectors"]
+            elif isinstance(state, EigpairHalf):
+
+                def eigpair_state(p):
+                    weights = state.weights.build(p)
+                    return state.vectors.build(p).state(weights)
+
+                self.state_of = eigpair_state
+            else:
+                self.state_of = state.build
+        self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
+        self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
+        self.shared_hams = hs.stack[None]
+        theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
+        self.theta = theta[None]
+
+    def _dim(self, raw):
+        if self.vectors is not None:
+            return self.vectors.v.shape[0]
+        return raw.dim if isinstance(raw, DensityMatrix) else np.shape(raw)[0]
+
+    def batch(self, values, size=None):
+        """(stacks, count): the ProblemStacks of the first `count` values, in
+        order, count = size(dim, m) for the dim and m of the first point
+        (all the values when size is None). Raises the ValidationError of the
+        first point that fails, prefixed with "grid value name=v: ", before
+        any point of the batch is classified."""
+        states, hams, failures = [], [], []
+        count = len(values)
+        for k, value in enumerate(values[:count]):
+            if k == count:
+                break
+            p = {**self.params, self.name: value}
+            stage = _STATE_BUILT
+            try:
+                if self.state_of is not None:
+                    states.append(self.state_of(p))
+                stage = _HAMILTONIANS_BUILT
+                if self.hams_of is not None:
+                    hams.append(self.hams_of(p))
+            except ValidationError as err:
+                failures.append((k, stage, str(err)))
+                break
+            if k == 0 and size is not None:
+                dim = self.shared_state[1].shape[-1] if self.state_of is None else self._dim(states[0])
+                count = size(dim, self.shared_hams.shape[1] if self.hams_of is None else len(hams[0]))
+        n = min(count, len(values)) if not failures else failures[0][0]
+        state_runs = self._state_runs(states, failures)
+        ham_runs = self._hamiltonian_runs(hams, failures)
+        stacks = list(self._stacks(n, state_runs, ham_runs, failures))
+        if failures:
+            k, _, message = min(failures)
+            raise ValidationError(f"grid value {self.name}={values[k]:g}: {message}")
+        return stacks, n
+
+    def _state_runs(self, states, failures):
+        """[(start, stop, vals, vecs)] over the points built so far: uncut
+        descending eigenvalues and eigenvectors, each with a leading axis of
+        the run's length or of 1 (shared). A run stops at its first failing
+        point."""
+        if self.state_of is None:
+            return [(0, np.inf, *self.shared_state)]
+        runs = []
+        if self.vectors is not None:
+            for a, b in _runs([len(w) for w in states]):
+                weights, failure = eigpair_weight_rows(states[a:b])
+                if failure:
+                    failures.append((a + failure[0], _WEIGHTS_CHECKED, failure[1]))
+                size_error = self.vectors.size_error(weights.shape[1])
+                if size_error:
+                    failures.append((a, _WEIGHT_COUNT_CHECKED, size_error))
+                    continue
+                runs.append(self._checked_run(a, self.vectors.spectra(weights), failures))
+            return runs
+        for a, b in _runs([(type(s), self._dim(s)) for s in states]):
+            mats = _square_stack(states[a:b], 2)
+            if mats is not None:
+                runs.append(self._checked_run(a, density_spectra(mats), failures))
+                continue
+            # DensityMatrix values, or matrices density_matrix must reject
+            rhos = _each(states[a:b], as_state, a, _STATE_CHECKED, failures)
+            if rhos:
+                specs = [rho.spectrum for rho in rhos]
+                vals = np.stack([spec.uncut for spec in specs])
+                runs.append((a, a + len(rhos), vals, np.stack([spec.eigenvectors for spec in specs])))
+        return runs
+
+    @staticmethod
+    def _checked_run(a, spectra, failures):
+        vals, vecs, failure = spectra
+        if failure:
+            failures.append((a + failure[0], _STATE_CHECKED, failure[1]))
+        return a, a + len(vals), vals, vecs
+
+    def _hamiltonian_runs(self, hams, failures):
+        """[(start, stop, hams)] over the points built so far, hams with a
+        leading axis of the run's length or of 1 (shared). A run stops at
+        its first failing point."""
+        if self.hams_of is None:
+            return [(0, np.inf, self.shared_hams)]
+        runs = []
+        for a, b in _runs([tuple(map(np.shape, h)) for h in hams]):
+            stack = _square_stack(hams[a:b], 3)
+            if stack is None:
+                # lists hamiltonian_set must reject
+                sets = _each(
+                    hams[a:b], lambda h: hamiltonian_set(h).stack, a, _HAMILTONIANS_CHECKED, failures
+                )
+                if sets:
+                    runs.append((a, a + len(sets), np.stack(sets)))
+                continue
+            failure = hamiltonian_checks(stack)
+            if failure:
+                failures.append((a + failure[0], _HAMILTONIANS_CHECKED, failure[1]))
+                stack = stack[: failure[0]]
+            runs.append((a, a + len(stack), stack))
+        return runs
+
+    def _stacks(self, n, state_runs, ham_runs, failures):
+        """The ProblemStacks of points [0, n): runs of one state run, one
+        Hamiltonian run and one rank, each state cut at the descriptor's
+        rank_tol; a point whose dimensions fail resolve's checks adds its
+        failure instead."""
+        for sa, sb, vals, vecs in state_runs:
+            live = vals > self.desc.rank_tol
+            lam, ranks = np.where(live, vals, 0.0), np.count_nonzero(live, axis=1)
+            for ha, hb, hams in ham_runs:
+                a, b = max(sa, ha), min(sb, hb, n)
+                if a >= b:
+                    continue
+                error = _problem_error(self.desc, vals.shape[-1], hams.shape[-1], hams.shape[1])
+                if error:
+                    failures.append((a, _PROBLEM_CHECKED, error))
+                    continue
+                for ra, rb in _runs([int(_rows(ranks, sa, k, k + 1)[0]) for k in range(a, b)], a):
+                    yield ProblemStack(
+                        n=rb - ra,
+                        rank=int(_rows(ranks, sa, ra, rb)[0]),
+                        lam=_rows(lam, sa, ra, rb),
+                        vectors=_rows(vecs, sa, ra, rb),
+                        hams=_rows(hams, ha, ra, rb),
+                        theta=self.theta,
+                    )
+
+
+def _rows(arr, start, a, b):
+    """Points a..b of a run's array whose first row is point `start`; an
+    array of one row, shared or the run's only point, as it is."""
+    return arr if len(arr) == 1 else arr[a - start : b - start]
+
+
+def resolve_grid(desc, name, values, batch_size=None, halves=None):
+    """Yield the problems of with_parameter(desc, name, v) for each v of
+    values, in order, as conditions.ProblemStacks: runs of consecutive
+    points of one dim, m and rank.
+
+    `halves` is resolve_halves(desc), built here when not given, so the
+    descriptor itself is resolved first, with resolve's messages. The name
+    is checked once, before any point. A half that does not read `name` is
+    built once, at the descriptor's own parameters, and shared by every
+    point; an eigpair state whose vectors do not read it checks only its
+    weights per point, and its eigenvectors are one shared array per
+    descending-weight order. Points are resolved batch_size(dim, m) at a
+    time (default: all at once), dim and m those of a batch's first point,
+    each check over a batch as one array operation; the first point that
+    fails raises its ValidationError prefixed with "grid value name=v: ",
+    before any stack of its batch is yielded.
+    """
+    halves = resolve_halves(desc) if halves is None else halves
+    _check_sweepable(desc, name)
+    grid = _Grid(desc, name, halves)
+    done = 0
+    while done < len(values):
+        stacks, count = grid.batch(values[done:], batch_size)
+        yield from stacks
+        done += count
 
 
 def _spec_to_json(spec):

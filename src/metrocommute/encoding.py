@@ -21,6 +21,8 @@ built on first read.
 
 encode_stack evaluates N encodings of one shape at once, with a leading
 (N, ...) axis and one batched eigh; encode is its N = 1 case.
+hamiltonian_checks runs hamiltonian_set's checks on a stack of Hamiltonian
+lists.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .operator_core import ValidationError, dagger, require_hermitian
+from .operator_core import (
+    HERM_TOL,
+    ValidationError,
+    dagger,
+    first_failure,
+    hermitian_rows,
+    require_hermitian,
+)
 from .states import DensityMatrix, SpectralData
 
 COMMUTE_TOL = 1e-10
@@ -48,17 +57,22 @@ def _pairwise_commuting(mats):
 
 @dataclass(eq=False)
 class HamiltonianSet:
-    """Validated Hamiltonians; `commuting` is computed on first read."""
+    """Validated Hamiltonians, held as one (m, d, d) stack; `hams` lists
+    them as views of it, and `commuting` is computed on first read."""
 
-    hams: list
+    stack: np.ndarray
+
+    @property
+    def hams(self):
+        return list(self.stack)
 
     @property
     def dim(self):
-        return self.hams[0].shape[0]
+        return self.stack.shape[1]
 
     @property
     def m(self):
-        return len(self.hams)
+        return len(self.stack)
 
     @cached_property
     def commuting(self):
@@ -74,7 +88,23 @@ def hamiltonian_set(hams):
     dim = mats[0].shape[0]
     if any(h.shape[0] != dim for h in mats):
         raise ValidationError("Hamiltonians have mismatched dimensions")
-    return HamiltonianSet(hams=mats)
+    return HamiltonianSet(stack=np.stack(mats))
+
+
+def hamiltonian_checks(hams):
+    """hamiltonian_set's checks for a stack of Hamiltonian lists of one
+    shape, (n, m, d, d) with m >= 1: None, or (k, message) for the first
+    list k that hamiltonian_set rejects, with its message."""
+    finite = np.isfinite(hams).all(axis=(2, 3))
+    bad = ~(finite & hermitian_rows(hams))
+
+    def message(k):
+        i = int(np.flatnonzero(bad[k])[0])
+        if not finite[k, i]:
+            return f"Hamiltonian {i} has non-finite entries"
+        return f"Hamiltonian {i} is not Hermitian within tolerance {HERM_TOL}"
+
+    return first_failure([(bad.any(axis=1), message)])
 
 
 @dataclass(eq=False)
@@ -163,7 +193,7 @@ def encode(h_set, theta):
     """Evaluate the encoding at theta: the eigenpairs of K and all m
     generators in its eigenbasis (encode_stack at N = 1)."""
     theta = checked_theta(h_set, theta)
-    kappa, w, x = encode_stack(np.stack(h_set.hams)[None], theta[None])
+    kappa, w, x = encode_stack(h_set.stack[None], theta[None])
     return EncodingPoint(theta=theta, kappa=kappa[0], w=w[0], elems=x[0])
 
 

@@ -32,7 +32,7 @@ from .states import (
     density_from_eigpairs,
     density_matrix,
     state_marginal,
-    white_noise_state,
+    white_noise_matrix,
     bell_diagonal,
 )
 
@@ -240,29 +240,45 @@ def _ex2_closed(p, dim, psi, hams):
     return pref * (psi.conj() @ comm @ psi)
 
 
+def _whole_number(value):
+    """value as an int when it is a real number with no fractional part,
+    else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return int(value) if float(value).is_integer() else None
+
+
 def _ex2_draw(p):
-    """The seeded ket and Hamiltonian pair of EX2."""
-    rng = np.random.default_rng(int(p["seed"]))
-    dim = int(p["dim"])
+    """The seeded ket and Hamiltonian pair of EX2, its seed a non-negative
+    integer and its dim an integer >= 2."""
+    seed, dim = _whole_number(p["seed"]), _whole_number(p["dim"])
+    if seed is None or seed < 0:
+        raise ValidationError("out-of-domain parameters: seed must be a non-negative integer")
+    if dim is None or dim < 2:
+        raise ValidationError("out-of-domain parameters: dim must be an integer >= 2")
+    rng = np.random.default_rng(seed)
     return _rand_ket(rng, dim), [_rand_herm(rng, dim), _rand_herm(rng, dim)]
 
 
+def _ex2_noise(p):
+    noise = float(p["p"])
+    if not 0.0 < noise <= 1.0:
+        raise ValidationError("out-of-domain parameters: p must be in (0, 1]")
+    return noise
+
+
 def _ex2_state(p):
-    return white_noise_state(_ex2_draw(p)[0], float(p["p"]))
+    psi = _ex2_draw(p)[0]
+    return white_noise_matrix(psi, _ex2_noise(p))
 
 
 def _ex2_hamiltonians(p):
-    return hamiltonian_set(_ex2_draw(p)[1])
+    return _ex2_draw(p)[1]
 
 
 def _run_ex2(p):
-    dim = int(p["dim"])
-    noise = float(p["p"])
-    if dim < 2:
-        raise ValidationError("out-of-domain parameters: dim must be >= 2")
-    if not 0.0 < noise <= 1.0:
-        raise ValidationError("out-of-domain parameters: p must be in (0, 1]")
     psi, hams = _ex2_draw(p)
+    dim, noise = psi.size, _ex2_noise(p)
 
     def pipeline(pp):
         return _weak(*example_configuration("EX2", {**p, "p": pp})).entries[0, 1]
@@ -332,7 +348,7 @@ def _ex3_closed(alpha, lam):
 
 
 def _ex3_hamiltonians(p):
-    return hamiltonian_set([COUPLER_01_ANTI, DIAG_112])
+    return [COUPLER_01_ANTI, DIAG_112]
 
 
 def _run_ex3(p):
@@ -367,13 +383,11 @@ def _ex4_state(p):
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
     vpp = np.full(4, 0.5, dtype=complex)
-    return density_matrix(
-        prob * np.outer(v00, v00.conj()) + (1.0 - prob) * np.outer(vpp, vpp.conj())
-    )
+    return prob * np.outer(v00, v00.conj()) + (1.0 - prob) * np.outer(vpp, vpp.conj())
 
 
 def _ex4_hamiltonians(p):
-    return hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)])
+    return [tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_Y)]
 
 
 def _run_ex4(p):
@@ -430,12 +444,11 @@ def _ex5_vectors(p):
 
 
 def _ex5_hamiltonians(p):
-    hams = [
+    return [
         tensor(PAULI_Z, EYE2, EYE2),
         tensor(EYE2, PAULI_Z, EYE2),
         tensor(EYE2, EYE2, PAULI_Z),
     ]
-    return hamiltonian_set(hams)
 
 
 def _run_ex5(p):
@@ -507,7 +520,7 @@ def _run_ex6(p):
 
 def _ex7_hamiltonians(p):
     h1 = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-    return hamiltonian_set([h1, DIAG_112])
+    return [h1, DIAG_112]
 
 
 def _run_ex7(p):
@@ -602,11 +615,10 @@ def _ex8_vectors(p):
 
 
 def _ex8_hamiltonians(p):
-    hams = [
+    return [
         tensor(float(p["ax"]) * PAULI_X + float(p["az"]) * PAULI_Z, EYE2),
         tensor(EYE2, float(p["bx"]) * PAULI_X + float(p["bz"]) * PAULI_Z),
     ]
-    return hamiltonian_set(hams)
 
 
 def _run_ex8(p):
@@ -689,7 +701,7 @@ def _ex9_vectors(p):
 
 def _ex9_hamiltonians(p):
     eta = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-    return hamiltonian_set([tensor(eta, EYE3), tensor(EYE3, eta)])
+    return [tensor(eta, EYE3), tensor(EYE3, eta)]
 
 
 def _ex9_qfim_closed(lam):
@@ -763,13 +775,13 @@ def _pseudo_pure_state(p):
     psi = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
     lam_star = (1.0 - lam) / (dim - 1.0)
     pi_psi = np.outer(psi, psi.conj())
-    return density_matrix(lam * pi_psi + lam_star * (np.eye(dim) - pi_psi))
+    return lam * pi_psi + lam_star * (np.eye(dim) - pi_psi)
 
 
 def _pseudo_pure_hamiltonians(p):
     """EX10, and OBS7 at its default local fields."""
     local = float(p.get("ax", 1.0)) * PAULI_X + float(p.get("az", 1.0)) * PAULI_Z
-    return hamiltonian_set([tensor(local, EYE2), tensor(EYE2, local)])
+    return [tensor(local, EYE2), tensor(EYE2, local)]
 
 
 def _run_ex10(p):
@@ -1019,7 +1031,11 @@ def _run_obs7(p):
 
 class Half(namedtuple("Half", "reads build")):
     """One half of a configuration, its state or its Hamiltonians: the
-    parameter names it reads (a tuple) and p -> its value."""
+    parameter names it reads (a tuple) and p -> its value. A state half
+    gives a DensityMatrix, or a matrix that density_matrix checks and wraps;
+    a Hamiltonian half gives the list of matrices that hamiltonian_set
+    checks. A sweep checks the matrices of many points at once
+    (descriptors.resolve_grid)."""
 
 
 class EigpairHalf(namedtuple("EigpairHalf", "weights vectors")):
@@ -1032,15 +1048,23 @@ class EigpairHalf(namedtuple("EigpairHalf", "weights vectors")):
         return self.weights.reads + self.vectors.reads
 
 
-def configuration_builder(state, hamiltonians, name=None):
+def as_state(value):
+    """A state half's value as a DensityMatrix."""
+    return density_matrix(value) if isinstance(value, np.ndarray) else value
+
+
+def configuration_builder(state, hamiltonians, name=None, kept=None):
     """p -> (rho, hs) for parameter sets that differ only in `name`.
 
     A half that does not read `name` is built on the first call and shared by
     every later one; so are the vectors of an EigpairHalf whose weights alone
     read it, so that each point checks only its weights. With name None
-    every half is built once.
+    every half is built once. `kept` is the dict of built halves the builder
+    shares, under the keys "state", "vectors" and "hamiltonians": a dict
+    filled by a builder at the same parameters (another name, or None)
+    saves building its halves again.
     """
-    kept = {}
+    kept = {} if kept is None else kept
 
     def part(key, reads, build, p):
         if name in reads:
@@ -1054,11 +1078,17 @@ def configuration_builder(state, hamiltonians, name=None):
         vectors = part("vectors", state.vectors.reads, state.vectors.build, p)
         return vectors.state(weights)
 
-    build_state = eigpair_state if isinstance(state, EigpairHalf) else state.build
+    def build_state(p):
+        if isinstance(state, EigpairHalf):
+            return eigpair_state(p)
+        return as_state(state.build(p))
+
+    def build_hamiltonians(p):
+        return hamiltonian_set(hamiltonians.build(p))
 
     def build(p):
         rho = part("state", state.reads, build_state, p)
-        return rho, part("hamiltonians", hamiltonians.reads, hamiltonians.build, p)
+        return rho, part("hamiltonians", hamiltonians.reads, build_hamiltonians, p)
 
     return build
 

@@ -53,6 +53,43 @@ def is_hermitian(a, tol=HERM_TOL):
     return bool(skew <= tol * max(1.0, size))
 
 
+def frobenius_rows(a):
+    """||a_k||_F for each matrix of a stack (..., r, c), summed as
+    np.linalg.norm sums it (a dot product of the real parts plus one of the
+    imaginary parts), so each entry equals np.linalg.norm(a_k) bit for bit."""
+    flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
+    re, im = flat.real, flat.imag
+    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+    return np.sqrt(sq).reshape(a.shape[:-2])
+
+
+def hermitian_rows(a, tol=HERM_TOL):
+    """is_hermitian of each matrix of a stack (..., d, d), as a bool array;
+    a matrix whose norms overflow takes is_hermitian's rescaled test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew, size = frobenius_rows(a - dagger(a)), frobenius_rows(a)
+        ok = skew <= tol * np.maximum(1.0, size)
+    for k in zip(*np.nonzero(np.isinf(skew) | np.isinf(size))):
+        ok[k] = is_hermitian(a[k], tol)
+    return ok
+
+
+def first_failure(checks):
+    """(k, message) for the first item k of a stack that fails a check, or
+    None when every item passes.
+
+    checks are (mask, message) pairs in the order one item runs them: mask
+    flags the items that fail, and message(k) is item k's error text. Item k
+    is the first that any check flags, and its message is that of the first
+    check that flags it, so a stack fails as a loop over its items would.
+    """
+    flagged = [np.flatnonzero(mask) for mask, _ in checks]
+    k = min((int(f[0]) for f in flagged if f.size), default=None)
+    if k is None:
+        return None
+    return next((k, message(k)) for mask, message in checks if mask[k])
+
+
 def require_hermitian(a, name="matrix", tol=HERM_TOL):
     m = as_square_matrix(a, name)
     if not is_hermitian(m, tol):
@@ -72,12 +109,12 @@ def hermitian_eig(h):
 
 
 def eigh_descending(m):
-    """hermitian_eig without its check: the eigenpairs of m, eigenvalues
-    descending, from the lower triangle of m, which the caller guarantees to
-    be Hermitian."""
+    """hermitian_eig without its check: the eigenpairs of m, or of each
+    matrix of a stack, eigenvalues descending, from the lower triangle of m,
+    which the caller guarantees to be Hermitian."""
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
+    order = np.argsort(vals, axis=-1)[..., ::-1]
+    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
 
 
 def matrix_exp_i(k, sign=1):

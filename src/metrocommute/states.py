@@ -16,6 +16,12 @@ An eigpair state is built from its EigpairVectors, which are validated
 once; states that share the vectors but not the weights (the points of a
 sweep over a weight) check only their weights, and share the completed
 basis of each descending-weight order.
+
+The checks and spectra also come stacked, for the points of a sweep:
+density_spectra checks and diagonalizes a stack of matrices as
+density_matrix does one, eigpair_weight_rows checks a stack of weight rows,
+and EigpairVectors.spectra gives the spectra of a stack of weights. Each
+reports the first item that fails, with that item's own message.
 """
 
 from dataclasses import dataclass
@@ -24,10 +30,13 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import (
+    HERM_TOL,
     ValidationError,
     as_square_matrix,
     dagger,
     eigh_descending,
+    first_failure,
+    hermitian_rows,
     partial_trace,
     require_hermitian,
     tensor,
@@ -125,24 +134,57 @@ def _cut_state(mat, rank_tol):
     return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol))
 
 
+def density_spectra(mats):
+    """density_matrix's checks and eigendecomposition for a stack of square
+    matrices (n, d, d): (vals, vecs, failure).
+
+    failure is None, or (k, message) for the first matrix k that
+    density_matrix rejects, with its message; vals (descending, uncut) and
+    vecs are then those of the matrices before it. Each matrix must be
+    finite and Hermitian, its symmetrized part of unit trace within 1e-10 and
+    positive semidefinite within 1e-10.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        sym = (mats + dagger(mats)) / 2.0
+        tr = np.trace(sym, axis1=1, axis2=2).real
+    failure = first_failure(
+        [
+            (~finite, lambda k: "density matrix has non-finite entries"),
+            (
+                ~hermitian_rows(mats),
+                lambda k: f"density matrix is not Hermitian within tolerance {HERM_TOL}",
+            ),
+            (
+                np.abs(tr - 1.0) > TRACE_TOL,
+                lambda k: f"density matrix trace {float(tr[k])!r} differs from 1 beyond {TRACE_TOL}",
+            ),
+        ]
+    )
+    vals, vecs = eigh_descending(sym[: len(mats) if failure is None else failure[0]])
+    low = vals[:, -1]
+    psd = first_failure(
+        [
+            (
+                low < -PSD_TOL,
+                lambda k: f"density matrix not positive semidefinite: min eigenvalue {low[k]:.3e}",
+            )
+        ]
+    )
+    return vals, vecs, psd or failure
+
+
 def density_matrix(mat, rank_tol=RANK_TOL):
     """Validate and wrap a raw matrix as a DensityMatrix.
 
     Requires Hermiticity, positive semidefiniteness within 1e-10, and unit
-    trace within 1e-10.
+    trace within 1e-10 (density_spectra of one matrix).
     """
-    m = require_hermitian(mat, "density matrix")
-    m = (m + dagger(m)) / 2.0
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TRACE_TOL}")
-    rho = _cut_state(m, rank_tol)
-    low = rho.spectrum.uncut.min()
-    if low < -PSD_TOL:
-        raise ValidationError(
-            f"density matrix not positive semidefinite: min eigenvalue {low:.3e}"
-        )
-    return rho
+    m = as_square_matrix(mat, "density matrix")
+    vals, vecs, failure = density_spectra(m[None])
+    if failure:
+        raise ValidationError(failure[1])
+    return DensityMatrix(spectrum=_spectral_from_eig(vals[0], vecs[0], rank_tol))
 
 
 def with_rank_tol(rho, rank_tol):
@@ -166,17 +208,34 @@ def _orthonormal_completion(v):
     return q[:, r:]
 
 
-def _eigpair_weights(weights):
-    """Eigpair weights as an array: nonnegative and summing to 1 within
-    TRACE_TOL (renormalized silently inside that window, rejected beyond)."""
-    weights = np.array([float(w) for w in weights])
-    if weights.min() < -1e-12:
-        raise ValidationError(f"negative weight {weights.min()!r}")
+def eigpair_weight_rows(rows):
+    """(weights, failure) for a stack of eigpair weight rows (n, k): each row
+    nonnegative and summing to 1 within TRACE_TOL (renormalized silently
+    inside that window); failure is None or (i, message) for the first row
+    that breaks this."""
+    weights = np.array(rows, dtype=float)
+    low = weights.min(axis=1)
     weights = np.clip(weights, 0.0, None)
-    total = weights.sum()
-    if abs(total - 1.0) > TRACE_TOL:
-        raise ValidationError(f"weights sum to {total!r}, not 1 within {TRACE_TOL}")
-    return weights / total
+    total = weights.sum(axis=1)
+    failure = first_failure(
+        [
+            (low < -1e-12, lambda i: f"negative weight {low[i]!r}"),
+            (
+                np.abs(total - 1.0) > TRACE_TOL,
+                lambda i: f"weights sum to {total[i]!r}, not 1 within {TRACE_TOL}",
+            ),
+        ]
+    )
+    return weights / total[:, None], failure
+
+
+def _eigpair_weights(weights):
+    """Eigpair weights as an array, checked as eigpair_weight_rows checks a
+    row."""
+    rows, failure = eigpair_weight_rows([[float(w) for w in weights]])
+    if failure:
+        raise ValidationError(failure[1])
+    return rows[0]
 
 
 class EigpairVectors:
@@ -213,26 +272,49 @@ class EigpairVectors:
         """The state sum_k w_k |v_k><v_k|, the weights checked as
         density_from_eigpairs checks them."""
         weights = _eigpair_weights(weights)
-        if weights.size != self.v.shape[1]:
-            raise ValidationError(
-                f"{weights.size} weights for {self.v.shape[1]} eigpair vectors"
-            )
         return self._state(weights, RANK_TOL)
 
+    def size_error(self, count):
+        """The message for `count` weights on these vectors, or None when
+        the count matches."""
+        k = self.v.shape[1]
+        return None if count == k else f"{count} weights for {k} eigpair vectors"
+
     def _state(self, weights, rank_tol):
+        if self.size_error(weights.size):
+            raise ValidationError(self.size_error(weights.size))
+        vals, vecs, failure = self.spectra(weights[None])
+        if failure:
+            raise ValidationError(failure[1])
+        return DensityMatrix(spectrum=_spectral_from_eig(vals[0], vecs[0], rank_tol))
+
+    def _basis(self, order):
+        """[v, completion] for one descending-weight order, built once and
+        shared read-only."""
+        full = self._bases.get(order.tobytes())
+        if full is None:
+            vo = self.v[:, order]
+            full = np.column_stack([vo, _orthonormal_completion(vo)])
+            full.flags.writeable = False
+            self._bases[order.tobytes()] = full
+        return full
+
+    def spectra(self, weights):
+        """(vals, vecs, failure) of the states with each row of checked
+        weights (n, k), one weight per vector: vals (n, d) descending and
+        uncut, vecs their eigenvectors, (1, d, d) when every row has one
+        descending-weight order and (n, d, d) otherwise. failure is that of
+        density_spectra for non-orthogonal vectors, else None."""
         v = self.v
-        if self.orthonormal:
-            order = np.argsort(weights)[::-1]
-            full = self._bases.get(order.tobytes())
-            if full is None:
-                vo = v[:, order]
-                full = np.column_stack([vo, _orthonormal_completion(vo)])
-                full.flags.writeable = False
-                self._bases[order.tobytes()] = full
-            vals = np.concatenate([weights[order], np.zeros(v.shape[0] - v.shape[1])])
-            return DensityMatrix(spectrum=_spectral_from_eig(vals, full, rank_tol))
-        mat = (v * weights) @ dagger(v)
-        return density_matrix((mat + dagger(mat)) / 2.0, rank_tol=rank_tol)
+        if not self.orthonormal:
+            mats = (v * weights[:, None, :]) @ dagger(v)
+            return density_spectra((mats + dagger(mats)) / 2.0)
+        order = np.argsort(weights, axis=1)[:, ::-1]
+        vals = np.zeros((len(weights), v.shape[0]))
+        vals[:, : v.shape[1]] = np.take_along_axis(weights, order, 1)
+        orders, which = np.unique(order, axis=0, return_inverse=True)
+        bases = np.stack([self._basis(o) for o in orders])
+        return vals, bases if len(bases) == 1 else bases[which.reshape(-1)], None
 
 
 def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
@@ -253,6 +335,12 @@ def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
 
 def white_noise_state(psi, p):
     """p * |psi><psi| + (1 - p) * identity / dim, dim the size of psi."""
+    return density_matrix(white_noise_matrix(psi, p))
+
+
+def white_noise_matrix(psi, p):
+    """The matrix of white_noise_state, its p and psi checked, for
+    density_matrix or density_spectra to check and diagonalize."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     dim = psi.size
     if not 0.0 <= p <= 1.0:
@@ -261,8 +349,7 @@ def white_noise_state(psi, p):
     if nrm < 1e-12:
         raise ValidationError("zero vector")
     psi = psi / nrm
-    mat = p * np.outer(psi, np.conj(psi)) + (1.0 - p) * np.eye(dim) / dim
-    return density_matrix(mat)
+    return p * np.outer(psi, np.conj(psi)) + (1.0 - p) * np.eye(dim) / dim
 
 
 def _hw_bell_vector(m, n, d):

@@ -43,6 +43,13 @@ def stacked_points(calls):
     return sum(len(args[0]) for args in calls)
 
 
+def broadcast_points(calls):
+    """Problems a stacked kernel evaluated when its array arguments broadcast
+    over the leading axis (an axis of 1 is shared): the longest leading axis
+    of each call's arrays, summed over the recorded calls."""
+    return sum(max(len(a) for a in args if isinstance(a, np.ndarray)) for args in calls)
+
+
 def _ex8_axial_qfim(lam1, lam2):
     """EX8 with ax = bx = 1, az = bz = 0, from the spectral QFIM formula.
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_calls, nan_weak_integral, stacked_points
+from conftest import broadcast_points, count_calls, nan_weak_integral, stacked_points
 from metrocommute import conditions, examples, selftest, states
 from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, main
 from metrocommute.conditions import classify
@@ -19,6 +19,7 @@ from metrocommute.descriptors import (
     with_parameter,
 )
 from metrocommute.encoding import encode_stack, hamiltonian_set
+from metrocommute.operator_core import ValidationError
 from metrocommute.sld import sld_row_stack
 from metrocommute.states import EigpairVectors
 
@@ -104,6 +105,35 @@ def test_classify_invalid_state_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", path])
     assert code == 2
     assert "trace" in err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": 2.5}, "seed must be a non-negative integer"),
+        ({"dim": 2.5}, "dim must be an integer >= 2"),
+        ({"dim": 1}, "dim must be an integer >= 2"),
+        ({"p": 0.0}, "p must be in (0, 1]"),
+        ({"p": 1.5}, "p must be in (0, 1]"),
+    ],
+)
+def test_ex2_configuration_checks_its_parameters(tmp_path, capsys, params, message):
+    path = _write(tmp_path, "ex2.json", {"state": {"family": "example", "params": {"id": "EX2", **params}}})
+    code, out, err = _run(capsys, ["classify", path])
+    assert (code, out, err) == (2, "", f"error: out-of-domain parameters: {message}\n")
+
+
+def test_ex2_sweep_names_its_first_out_of_domain_value(tmp_path, capsys):
+    path = _example_descriptor(tmp_path, "EX2")
+    for argv, bad in (
+        (["--param", "dim", "--grid=-1:1:3"], "dim=-1: out-of-domain parameters: dim must be an integer >= 2"),
+        (["--param", "dim", "--grid=2:3:3"], "dim=2.5: out-of-domain parameters: dim must be an integer >= 2"),
+        (["--param", "seed", "--grid=-1:1:3"], "seed=-1: out-of-domain parameters: seed must be a non-negative integer"),
+        (["--param", "p", "--grid=0:1:3"], "p=0: out-of-domain parameters: p must be in (0, 1]"),
+    ):
+        code, out, err = _run(capsys, ["sweep", path, *argv])
+        assert (code, out, err) == (2, "", f"error: grid value {bad}\n"), argv
 
 
 def test_classify_missing_file_exits_2(capsys):
@@ -593,6 +623,7 @@ def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monk
     cap = 4 * conditions.point_bytes(32, 3)
     monkeypatch.setattr(conditions, "CHUNK_BYTES", cap)
     encodes = count_calls(monkeypatch, encode_stack)
+    slds = count_calls(monkeypatch, sld_row_stack)
     tracemalloc.start()
     try:
         code, _, _ = _run(capsys, argv)
@@ -600,7 +631,9 @@ def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monk
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert [len(args[0]) for args in encodes] == [4, 4, 4]
+    # p moves only the state: each chunk encodes its shared Hamiltonians once
+    assert [len(args[0]) for args in encodes] == [1, 1, 1]
+    assert [broadcast_points([args]) for args in slds] == [4, 4, 4]
     assert peak < cap + conditions.point_bytes(32, 3)
 
 
@@ -614,11 +647,14 @@ def test_sweep_out_of_domain_point_names_its_value(tmp_path, capsys, monkeypatch
     assert out == ""
     assert err.startswith("error: grid value lam1=0.8: out-of-domain parameters")
     # in batches of three points the bad value sits in the second batch: the
-    # first batch is classified, but no row of it is printed
+    # first batch is classified, its shared Hamiltonians encoded once, but no
+    # row of it is printed
     monkeypatch.setattr(conditions, "CHUNK_BYTES", 3 * conditions.point_bytes(4, 2))
     encodes = count_calls(monkeypatch, encode_stack)
+    slds = count_calls(monkeypatch, sld_row_stack)
     assert _run(capsys, argv) == (code, out, err)
-    assert [len(args[0]) for args in encodes] == [3]
+    assert [len(args[0]) for args in encodes] == [1]
+    assert broadcast_points(slds) == 3
 
 
 @pytest.mark.parametrize(
@@ -639,8 +675,13 @@ def test_one_encode_and_sld_pass_per_point(tmp_path, capsys, monkeypatch, ex_id,
     resolves = count_calls(monkeypatch, resolve)
     code, _, _ = _run(capsys, [a.format(path=path) for a in argv])
     assert code == 0
-    # every point is encoded once, all of a request's points in one stacked pass
-    assert stacked_points(encodes) == stacked_points(slds) == points
+    # all of a request's points in one stacked pass, each point's SLD rows
+    # once; the encoding stacks one problem per distinct Hamiltonian set, so
+    # once per request unless the swept parameter moves the Hamiltonians
+    name = argv[argv.index("--param") + 1] if "--param" in argv else None
+    encoded = points if name in examples.example_halves(ex_id)[2].reads else 1
+    assert stacked_points(encodes) == encoded
+    assert broadcast_points(slds) == points
     assert len(encodes) == len(slds) == 1
     if argv[0] == "classify":
         assert len(resolves) == 1
@@ -720,6 +761,48 @@ def test_sweep_rows_match_per_point_classify(tmp_path, capsys, ex_id, name, span
     assert out.splitlines()[1:] == _per_point_rows(path, name, np.linspace(lo, hi, 5))
 
 
+# SWEEP_GRIDS, plus the grids where a batch is most likely to part from a
+# point on its own: EX8's weight order flips at lam1 = lam2 = 0.2 inside the
+# batch, EX4's smaller weight, about 0.75 (1 - p), drops below the rank cutoff
+# at the last point, and EX5 fails at lam = 1, in the second of two batches
+# at a cap of three points
+STACKED_GRIDS = SWEEP_GRIDS + [
+    ("EX8", "lam1", "0.1:0.3"),
+    ("EX4", "p", "0.999999999:0.99999999999"),
+    ("EX5", "lam", "0.2:1"),
+]
+
+
+def _per_point_output(path, name, grid):
+    """(code, stdout, stderr) of a sweep whose points are each resolved and
+    classified on their own."""
+    desc = parse_descriptor(open(path).read())
+    lines = [",".join(SWEEP_COLUMNS)]
+    for value in grid:
+        try:
+            rho, hs, theta, _ = resolve(with_parameter(desc, name, float(value)))
+        except ValidationError as err:
+            return 2, "", f"error: grid value {name}={value:g}: {err}\n"
+        report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
+        lines.append(",".join(_sweep_row(name, float(value), report)))
+    return 0, "\n".join(lines) + "\n", ""
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+@pytest.mark.parametrize("ex_id, name, span", STACKED_GRIDS)
+def test_stacked_sweep_matches_per_point_classify(
+    tmp_path, capsys, monkeypatch, ex_id, name, span, cap
+):
+    # a cap of three points of the example's default shape
+    path = _example_descriptor(tmp_path, ex_id)
+    if cap is not None:
+        rho, hs = examples.example_configuration(ex_id)
+        monkeypatch.setattr(conditions, "CHUNK_BYTES", cap * conditions.point_bytes(rho.dim, hs.m))
+    lo, hi = (float(x) for x in span.split(":"))
+    expected = _per_point_output(path, name, np.linspace(lo, hi, 5))
+    assert _run(capsys, ["sweep", path, "--param", name, f"--grid={span}:5"]) == expected
+
+
 def test_white_noise_sweep_rows_match_per_point_classify(tmp_path, capsys):
     path = _white_noise_descriptor(tmp_path)
     code, out, _ = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.2:1:5"])
@@ -728,12 +811,13 @@ def test_white_noise_sweep_rows_match_per_point_classify(tmp_path, capsys):
 
 
 def _sweep(desc, name, grid):
-    return list(resolve_grid(desc, name, grid))
+    """The number of points resolve_grid resolves."""
+    return sum(stack.n for stack in resolve_grid(desc, name, grid))
 
 
-# The counts are of resolve_grid, the path cmd_sweep draws its points from.
-# A sweep command may build each fixed part once more: parse_descriptor
-# resolves the descriptor once to validate it.
+# The counts are of resolve_grid, the path cmd_sweep draws its points from,
+# and of the sweep command, whose validating resolve builds the fixed parts
+# that resolve_grid then shares.
 @pytest.mark.parametrize("ex_id, name", [("EX5", "lam"), (None, "p")])
 def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id, name):
     if ex_id is None:
@@ -742,12 +826,12 @@ def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id
         path = _example_descriptor(tmp_path, ex_id)
     desc = parse_descriptor(open(path).read())
     hamsets = count_calls(monkeypatch, hamiltonian_set)
-    assert len(_sweep(desc, name, np.linspace(0.2, 0.8, 9))) == 9
+    assert _sweep(desc, name, np.linspace(0.2, 0.8, 9)) == 9
     assert len(hamsets) == 1
     hamsets.clear()
     code, _, _ = _run(capsys, ["sweep", path, "--param", name, "--grid", "0.2:0.8:9"])
     assert code == 0
-    assert len(hamsets) <= 2
+    assert len(hamsets) == 1
 
 
 def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(tmp_path, monkeypatch):
@@ -783,9 +867,12 @@ def test_sweep_names_the_first_bad_value_of_a_cached_half(
     assert (code, out) == (2, "")
     assert err.startswith(f"error: grid value {bad}")
     assert err.count("\n") == 1
-    # in batches of three points the bad value sits in the second batch
+    # in batches of three points the bad value sits in the second batch; the
+    # first batch encodes its shared Hamiltonians once
     rho, hs = examples.example_configuration(ex_id)
     monkeypatch.setattr(conditions, "CHUNK_BYTES", 3 * conditions.point_bytes(rho.dim, hs.m))
     encodes = count_calls(monkeypatch, encode_stack)
+    slds = count_calls(monkeypatch, sld_row_stack)
     assert _run(capsys, argv) == (code, out, err)
-    assert [len(args[0]) for args in encodes] == [3]
+    assert [len(args[0]) for args in encodes] == [1]
+    assert broadcast_points(slds) == 3

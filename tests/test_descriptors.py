@@ -13,11 +13,13 @@ from metrocommute.descriptors import (
     matrix_to_json,
     parse_descriptor,
     resolve,
+    resolve_grid,
     serialize_descriptor,
     sweepable_parameters,
     vector_from_json,
     with_parameter,
 )
+from metrocommute.examples import EigpairHalf, Half, configuration_builder
 from metrocommute.operator_core import ValidationError
 
 SZ_JSON = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
@@ -359,3 +361,91 @@ def test_serialize_writes_parsed_arrays_back_as_pairs():
             for x in pair
         )
         assert serialize_descriptor(parse_descriptor(text)) == out
+
+
+def _example(ex_id):
+    return {"state": {"family": "example", "params": {"id": ex_id}}}
+
+
+NOISE = {
+    "state": {
+        "family": "white_noise",
+        "params": {"psi": [[0.6, 0], [0, 0.3], [0, 0], [0.5, -0.2]], "p": 0.5, "unread": 1},
+    },
+    "hamiltonians": [
+        {"family": "local_spin", "params": {"sites": 2, "site": 0, "axis": [1.0, 0.0, 0.4]}},
+        {"family": "local_spin", "params": {"sites": 2, "site": 1, "axis": [0.3, 1.0, 0.0]}},
+    ],
+    "theta": [0.4, -0.3],
+}
+
+
+@pytest.mark.parametrize(
+    "data, name, values",
+    [
+        # the state dimension changes after the first run
+        (_example("EX2"), "dim", [2.0, 2.0, 3.0, 3.0, 3.0, 2.0]),
+        # rank 4 and rank 1 (p = 1) alternate
+        (NOISE, "p", [0.5, 1.0, 0.7, 0.9, 1.0, 1.0, 0.5]),
+        # a parameter no half reads: every point shares both halves
+        (NOISE, "unread", [1.0, 2.0, 3.0, 4.0]),
+        # three descending-weight orders on shared vectors
+        (_example("EX8"), "lam1", [0.1, 0.3, 0.15, 0.5, 0.1]),
+        # Hamiltonians built at each point
+        (_example("EX8"), "az", [-1.0, 0.0, 1.0, 0.5]),
+        # eigpair vectors built at each point
+        (_example("EX3"), "alpha", [1.0, 1.2, 1.4, 2.0]),
+        # a matrix state at each point, Hamiltonians shared
+        (_example("EX10"), "lam", [0.2, 0.4, 0.6, 0.8]),
+    ],
+)
+def test_resolve_grid_stacks_what_resolve_gives_point_by_point(data, name, values):
+    desc = parse_descriptor(data)
+    points = []
+    # batches of four points: a run can start past a batch's first point and
+    # hold more than one point
+    for stack in resolve_grid(desc, name, values, batch_size=lambda dim, m: 4):
+        for k in range(stack.n):
+            row = [a[0 if len(a) == 1 else k] for a in (stack.lam, stack.vectors, stack.hams, stack.theta)]
+            points.append((stack.rank, *row))
+    assert len(points) == len(values)
+    for value, (rank, lam, vectors, hams, theta) in zip(values, points):
+        rho, hs, theta_one, _ = resolve(with_parameter(desc, name, value))
+        assert rank == rho.rank
+        assert np.array_equal(lam, rho.spectrum.eigenvalues)
+        assert np.array_equal(vectors, rho.spectrum.eigenvectors)
+        assert np.array_equal(hams, hs.stack)
+        assert np.array_equal(theta, theta_one)
+
+
+def test_resolve_grid_names_the_first_failure_in_point_order():
+    # EX5 with halves that fail at chosen values: lam = 0.3 gives weights
+    # that do not sum to one (a check that runs over the whole batch), 0.7
+    # fails to build its weights, and 0.3 and 0.4 fail to build their
+    # Hamiltonians, which a point builds after its state
+    desc = parse_descriptor(_example("EX5"))
+    base = descriptors.resolve_halves(desc)
+
+    def weights(p):
+        if p["lam"] == 0.7:
+            raise ValidationError("no weights at 0.7")
+        return [p["lam"], p["lam"] if p["lam"] == 0.3 else 1.0 - p["lam"]]
+
+    def hamiltonians(p):
+        if p["lam"] in (0.3, 0.4):
+            raise ValidationError(f"no Hamiltonians at {p['lam']}")
+        return base.problem[1].hams
+
+    state = EigpairHalf(Half(("lam",), weights), base.state.vectors)
+    halves = base._replace(state=state, hamiltonians=Half(("lam",), hamiltonians))
+    build = configuration_builder(state, halves.hamiltonians, "lam", dict(base.kept))
+    for values in ([0.2, 0.3, 0.5], [0.3, 0.5, 0.7], [0.2, 0.7, 0.3], [0.2, 0.4, 0.3], [0.5, 0.3, 0.7]):
+        for value in values:  # the first error of the points built one by one
+            try:
+                build({**base.params, "lam": value})
+            except ValidationError as err:
+                expected = f"grid value lam={value:g}: {err}"
+                break
+        with pytest.raises(ValidationError) as err:
+            list(resolve_grid(desc, "lam", values, halves=halves))
+        assert str(err.value) == expected, values

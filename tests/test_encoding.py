@@ -6,7 +6,7 @@ import pytest
 from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
 from metrocommute.conditions import classify
-from metrocommute.encoding import encode, evolve, hamiltonian_set
+from metrocommute.encoding import encode, evolve, hamiltonian_checks, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
 from metrocommute.states import density_matrix
 
@@ -43,6 +43,26 @@ def test_hamiltonian_set_validation_messages():
         hamiltonian_set([SZ, np.eye(3)])
     with pytest.raises(ValidationError, match="empty"):
         hamiltonian_set([])
+
+
+def test_hamiltonian_checks_check_a_stack_as_hamiltonian_set_checks_each():
+    rng = np.random.default_rng(4)
+    sets = np.stack([[random_hermitian_matrix(rng, 3) for _ in range(2)] for _ in range(5)])
+    sets[1, 1, 0, 1] += 1e-3  # Hamiltonian 1 of the second set is skewed
+    sets[3, 0, 2, 2] = np.nan  # Hamiltonian 0 of the fourth is not finite
+    sets[3, 1, 0, 1] += 1e-3
+    for start in range(5):
+        expected = None
+        for k, hams in enumerate(sets[start:]):
+            try:
+                hamiltonian_set(list(hams))
+            except ValidationError as err:
+                expected = (k, str(err))
+                break
+        assert hamiltonian_checks(sets[start:]) == expected
+    assert hamiltonian_checks(sets[1:2]) == (0, "Hamiltonian 1 is not Hermitian within tolerance 1e-10")
+    assert hamiltonian_checks(sets[3:4]) == (0, "Hamiltonian 0 has non-finite entries")
+    assert hamiltonian_checks(sets[4:]) is None
 
 
 def test_encode_unitary_and_theta_check():

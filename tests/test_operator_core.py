@@ -11,7 +11,10 @@ from metrocommute.operator_core import (
     ValidationError,
     commutator,
     dagger,
+    first_failure,
+    frobenius_rows,
     hermitian_eig,
+    hermitian_rows,
     is_hermitian,
     is_psd,
     matrix_exp_i,
@@ -154,6 +157,39 @@ def test_is_hermitian_holds_at_every_finite_scale():
         require_hermitian(np.array([[0, 1e160], [0, 0]]), "probe")
     with pytest.raises(ValidationError, match="probe is not Hermitian"):
         require_hermitian(np.array([[0, z], [0, 0]]), "probe")
+
+
+def test_stacked_norms_and_hermitian_tests_match_the_single_ones():
+    # the stacked forms agree with the single ones bit for bit, the
+    # overflowing scales included
+    rng = np.random.default_rng(9)
+    h = np.stack([random_hermitian_matrix(rng, 4) for _ in range(6)])
+    h[1, 0, 1] += 1e-6
+    h[2] *= 1e160
+    h[3] = [[0, 1e160, 0, 0], [0] * 4, [0] * 4, [0] * 4]
+    h[4, 0, 0] = np.nan
+    stacks = (h, h.reshape(3, 2, 4, 4), 1j * (h.imag - np.swapaxes(h.imag, 1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in stacks:
+            flat = a.reshape(-1, 4, 4)
+            norms = frobenius_rows(a).reshape(-1)
+            singles = np.array([np.linalg.norm(x) for x in flat])
+            assert np.array_equal(norms, singles, equal_nan=True)
+    for a in stacks[:2]:
+        flat = a.reshape(-1, 4, 4)
+        assert hermitian_rows(a).reshape(-1).tolist() == [is_hermitian(x) for x in flat]
+    assert hermitian_rows(h).tolist() == [True, False, True, False, False, True]
+
+
+def test_first_failure_is_the_first_failing_item_and_its_first_check():
+    first = np.array([False, False, True, True])
+    second = np.array([False, True, True, False])
+    checks = [(first, lambda k: f"first {k}"), (second, lambda k: f"second {k}")]
+    assert first_failure(checks) == (1, "second 1")
+    assert first_failure(checks[:1]) == (2, "first 2")
+    second[1] = False
+    assert first_failure(checks) == (2, "first 2")
+    assert first_failure([(np.zeros(3, dtype=bool), str)]) is None
 
 
 def test_require_hermitian_rejects_non_square():

@@ -6,9 +6,12 @@ import pytest
 from conftest import random_density, sub_cutoff_state
 from metrocommute.operator_core import ValidationError, partial_trace, tensor
 from metrocommute.states import (
+    EigpairVectors,
     bell_diagonal,
     density_from_eigpairs,
     density_matrix,
+    density_spectra,
+    eigpair_weight_rows,
     povm_set,
     state_marginal,
     tensor_power,
@@ -27,6 +30,58 @@ def test_density_matrix_valid_full_rank():
     assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
     recon = (v * rho.spectrum.eigenvalues) @ v.conj().T
     assert np.allclose(recon, rho.matrix, atol=1e-12)
+
+
+def _first_error(build, items):
+    """(index, message) of the first item that build rejects, or None."""
+    for k, item in enumerate(items):
+        try:
+            build(item)
+        except ValidationError as err:
+            return k, str(err)
+    return None
+
+
+def test_density_spectra_checks_a_stack_as_density_matrix_checks_each():
+    rng = np.random.default_rng(3)
+    good = [random_density(rng, 3, rank) for rank in (1, 2, 3)]
+    skew = good[1].copy()
+    skew[0, 1] += 1e-3
+    trace = np.diag([0.5, 0.4, 0.0]).astype(complex)
+    negative = np.diag([1.1, -0.1, 0.0]).astype(complex)
+    nonfinite = good[0].copy()
+    nonfinite[2, 2] = np.inf
+    for bad in (skew, trace, negative, nonfinite):
+        for place in range(4):
+            mats = np.stack(good[:place] + [bad] + good[place:] + [trace])
+            vals, vecs, failure = density_spectra(mats)
+            assert failure == _first_error(density_matrix, mats)
+            for k in range(failure[0]):
+                rho = density_matrix(mats[k])
+                assert np.array_equal(vals[k], rho.spectrum.uncut)
+                assert np.array_equal(vecs[k], rho.spectrum.eigenvectors)
+    vals, vecs, failure = density_spectra(np.stack(good))
+    assert failure is None and len(vals) == len(vecs) == 3
+
+
+def test_eigpair_weight_rows_check_a_stack_as_each_state_checks_its_weights():
+    vectors = EigpairVectors(np.eye(4)[:3])
+    rows = [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.7, -0.1, 0.4], [0.5, 0.5, 0.5]]
+    for start in range(len(rows)):
+        weights, failure = eigpair_weight_rows(rows[start:])
+        assert failure == _first_error(vectors.state, rows[start:])
+    weights, failure = eigpair_weight_rows(rows[:2])
+    assert failure is None
+    vals, vecs, failure = vectors.spectra(weights)
+    assert failure is None and vecs.shape == (2, 4, 4)  # two weight orders
+    for k, row in enumerate(rows[:2]):
+        rho = vectors.state(row)
+        assert np.array_equal(vals[k], rho.spectrum.uncut)
+        assert np.array_equal(vecs[k], rho.spectrum.eigenvectors)
+    # one weight order: one shared basis
+    assert vectors.spectra(weights[:1].repeat(3, axis=0))[1].shape == (1, 4, 4)
+    assert vectors.size_error(3) is None
+    assert vectors.size_error(2) == "2 weights for 3 eigpair vectors"
 
 
 def test_density_matrix_trace_error_names_value():
