@@ -187,14 +187,15 @@ def cmd_sweep(args):
         raise ValidationError(f"{source} must be >= 1")
     # the parameter name is checked before any point; points are resolved
     # chunk_size at a time, in grid order, so the first bad value is the one
-    # named, and each batch arrives as ProblemStacks whose arrays are dropped
-    # once their rows are formatted, so a sweep holds at most one batch.
-    # Rows print after the last batch, so an error leaves no partial CSV.
+    # named, and each batch arrives as ProblemStacks. A stack's classify_stack
+    # arrays are a temporary, dropped once its rows are formatted, so a sweep
+    # holds at most one batch. Rows print after the last batch, so an error
+    # leaves no partial CSV.
     values = [float(v) for v in grid]
     rows = []
     for stack in resolve_grid(desc, args.param, values, chunk_size, halves):
-        res = classify_stack(stack, desc.zero_tol)
-        rows += _sweep_batch(args.param, values[len(rows) : len(rows) + stack.n], res)
+        batch = values[len(rows) : len(rows) + stack.n]
+        rows += _sweep_batch(args.param, batch, classify_stack(stack, desc.zero_tol))
     print(",".join(SWEEP_COLUMNS))
     print("\n".join(rows))
     return 0

@@ -567,7 +567,8 @@ class ProblemStack:
         state's cutoff, the rest exact zeros
     vectors: (n or 1, d, d) state eigenvectors
     hams: (n or 1, m, d, d) validated Hamiltonians
-    theta: (len(hams), m) encoding points, one per Hamiltonian set
+    theta: (1 or len(hams), m) encoding points, one shared or one per
+        Hamiltonian set
     """
 
     n: int

@@ -588,11 +588,9 @@ class _Grid:
         first point that fails, prefixed with "grid value name=v: ", before
         any point of the batch is classified."""
         states, hams, failures = [], [], []
-        count = len(values)
-        for k, value in enumerate(values[:count]):
-            if k == count:
-                break
-            p = {**self.params, self.name: value}
+        k, count = 0, len(values)
+        while k < count:
+            p = {**self.params, self.name: values[k]}
             stage = _STATE_BUILT
             try:
                 if self.state_of is not None:
@@ -605,15 +603,18 @@ class _Grid:
                 break
             if k == 0 and size is not None:
                 dim = self.shared_state[1].shape[-1] if self.state_of is None else self._dim(states[0])
-                count = size(dim, self.shared_hams.shape[1] if self.hams_of is None else len(hams[0]))
-        n = min(count, len(values)) if not failures else failures[0][0]
+                m = self.shared_hams.shape[1] if self.hams_of is None else len(hams[0])
+                count = min(count, size(dim, m))
+            k += 1
+        # k points are built; a point that failed to build its Hamiltonians
+        # still has its state checked, since a point checks its state first
         state_runs = self._state_runs(states, failures)
         ham_runs = self._hamiltonian_runs(hams, failures)
-        stacks = list(self._stacks(n, state_runs, ham_runs, failures))
+        stacks = list(self._stacks(k, state_runs, ham_runs, failures))
         if failures:
             k, _, message = min(failures)
             raise ValidationError(f"grid value {self.name}={values[k]:g}: {message}")
-        return stacks, n
+        return stacks, k
 
     def _state_runs(self, states, failures):
         """[(start, stop, vals, vecs)] over the points built so far: uncut

@@ -761,15 +761,21 @@ def test_sweep_rows_match_per_point_classify(tmp_path, capsys, ex_id, name, span
     assert out.splitlines()[1:] == _per_point_rows(path, name, np.linspace(lo, hi, 5))
 
 
-# SWEEP_GRIDS, plus the grids where a batch is most likely to part from a
-# point on its own: EX8's weight order flips at lam1 = lam2 = 0.2 inside the
-# batch, EX4's smaller weight, about 0.75 (1 - p), drops below the rank cutoff
-# at the last point, and EX5 fails at lam = 1, in the second of two batches
-# at a cap of three points
-STACKED_GRIDS = SWEEP_GRIDS + [
-    ("EX8", "lam1", "0.1:0.3"),
-    ("EX4", "p", "0.999999999:0.99999999999"),
-    ("EX5", "lam", "0.2:1"),
+# (example id, parameter, a:b:5 grid, cap): SWEEP_GRIDS in batches of at
+# most three points (test_sweep_rows_match_per_point_classify runs them in
+# one batch), and, at both sizes, the grids where a batch is most likely to
+# part from a point on its own: EX8's weight order flips at lam1 = lam2 = 0.2
+# inside the batch, EX4's smaller weight, about 0.75 (1 - p), drops below the
+# rank cutoff at the last point, and EX5 fails at lam = 1, in the second of
+# two batches at a cap of three points
+STACKED_GRIDS = [(*grid, 3) for grid in SWEEP_GRIDS] + [
+    (*grid, cap)
+    for grid in [
+        ("EX8", "lam1", "0.1:0.3"),
+        ("EX4", "p", "0.999999999:0.99999999999"),
+        ("EX5", "lam", "0.2:1"),
+    ]
+    for cap in (None, 3)
 ]
 
 
@@ -788,8 +794,7 @@ def _per_point_output(path, name, grid):
     return 0, "\n".join(lines) + "\n", ""
 
 
-@pytest.mark.parametrize("cap", [None, 3])
-@pytest.mark.parametrize("ex_id, name, span", STACKED_GRIDS)
+@pytest.mark.parametrize("ex_id, name, span, cap", STACKED_GRIDS)
 def test_stacked_sweep_matches_per_point_classify(
     tmp_path, capsys, monkeypatch, ex_id, name, span, cap
 ):
