@@ -69,8 +69,10 @@ def hermitian_rows(a, tol=HERM_TOL):
     with np.errstate(over="ignore", invalid="ignore"):
         skew, size = frobenius_rows(a - dagger(a)), frobenius_rows(a)
         ok = skew <= tol * np.maximum(1.0, size)
-    for k in zip(*np.nonzero(np.isinf(skew) | np.isinf(size))):
-        ok[k] = is_hermitian(a[k], tol)
+    overflow = np.isinf(skew) | np.isinf(size)
+    if overflow.any():
+        for k in zip(*np.nonzero(overflow)):
+            ok[k] = is_hermitian(a[k], tol)
     return ok
 
 
@@ -83,10 +85,9 @@ def first_failure(checks):
     is the first that any check flags, and its message is that of the first
     check that flags it, so a stack fails as a loop over its items would.
     """
-    flagged = [np.flatnonzero(mask) for mask, _ in checks]
-    k = min((int(f[0]) for f in flagged if f.size), default=None)
-    if k is None:
+    if not any(mask.any() for mask, _ in checks):
         return None
+    k = min(int(np.argmax(mask)) for mask, _ in checks if mask.any())
     return next((k, message(k)) for mask, message in checks if mask[k])
 
 

@@ -312,9 +312,9 @@ class EigpairVectors:
         order = np.argsort(weights, axis=1)[:, ::-1]
         vals = np.zeros((len(weights), v.shape[0]))
         vals[:, : v.shape[1]] = np.take_along_axis(weights, order, 1)
-        orders, which = np.unique(order, axis=0, return_inverse=True)
-        bases = np.stack([self._basis(o) for o in orders])
-        return vals, bases if len(bases) == 1 else bases[which.reshape(-1)], None
+        if (order == order[0]).all():
+            return vals, self._basis(order[0])[None], None
+        return vals, np.stack([self._basis(o) for o in order]), None
 
 
 def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
