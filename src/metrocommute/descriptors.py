@@ -49,7 +49,6 @@ from .states import (
     DensityMatrix,
     bell_diagonal,
     density_from_eigpairs,
-    density_matrix,
     density_spectra,
     eigpair_weight_rows,
     white_noise_matrix,

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import broadcast_points, count_calls, nan_weak_integral, stacked_points
 from metrocommute import conditions, examples, selftest, states
-from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, main
+from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, build_parser, main
 from metrocommute.conditions import classify
 from metrocommute.descriptors import (
     parse_descriptor,
@@ -702,6 +702,16 @@ def test_selftest_exits_1_on_a_nan_route(capsys, monkeypatch):
     assert code == 1
     assert "violations=2   worst=nan" in out
     assert "total violations: 2" in out
+
+
+def test_main_reuses_one_parser(capsys):
+    # building the parser costs about 1 ms; main builds it once per process
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep"])
+    assert exit_info.value.code == 2
+    assert "the following arguments are required" in capsys.readouterr().err
+    assert main(["example", "EX4"]) == 0
 
 
 def test_selftest_rejects_zero_draws(capsys):
