@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .conditions import FLAG_KINDS, NORM_KINDS, chunk_size, classify, classify_stack
+from .conditions import FLAG_KINDS, NORM_KINDS, classify, classify_stack
 from .descriptors import (
     _parse_fields,
     matrix_to_json,
@@ -193,7 +193,7 @@ def cmd_sweep(args):
     # leaves no partial CSV.
     values = [float(v) for v in grid]
     rows = []
-    for stack in resolve_grid(desc, args.param, values, chunk_size, halves):
+    for stack in resolve_grid(desc, args.param, values, halves):
         batch = values[len(rows) : len(rows) + stack.n]
         rows += _sweep_batch(args.param, batch, classify_stack(stack, desc.zero_tol))
     print(",".join(SWEEP_COLUMNS))

@@ -567,8 +567,8 @@ class ProblemStack:
         state's cutoff, the rest exact zeros
     vectors: (n or 1, d, d) state eigenvectors
     hams: (n or 1, m, d, d) validated Hamiltonians
-    theta: (1 or len(hams), m) encoding points, one shared or one per
-        Hamiltonian set
+    theta: (1 or len(hams), m) finite encoding points (checked_theta), one
+        shared or one per Hamiltonian set
     """
 
     n: int
@@ -616,10 +616,6 @@ def classify_stack(stack, tol=1e-8):
     share are encoded once. Returns a StackedClassification; each problem's
     norms, flags and E are those classify gives for it.
     """
-    bad = ~np.isfinite(stack.theta).all(axis=1)
-    if bad.any():
-        theta = stack.theta[np.argmax(bad)]
-        raise ValidationError(f"theta has non-finite entries: {theta.tolist()}")
     kappa, w, x = encode_stack(stack.hams, stack.theta)
     rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, w, x)
     # products of finite Hamiltonians can still overflow: check the

@@ -14,11 +14,11 @@ matrices are parsed once, into the complex arrays the descriptor keeps;
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
 point. A problem is built in two halves, the state and the Hamiltonians,
-each naming the parameters it reads (examples.configuration_builder).
-`resolve_halves` resolves the descriptor at its own parameters and keeps
-every half it built; `resolve` is its one-point case, and a sweep shares
-the halves its parameter does not reach (for a descriptor family, always
-the Hamiltonians) with every point.
+each naming the parameters it reads (examples.Half). `resolve_halves`
+resolves the descriptor at its own parameters and keeps every half it
+built; `resolve` is its one-point case, and a sweep shares the halves its
+parameter does not reach (for a descriptor family, always the Hamiltonians)
+with every point.
 """
 
 import json
@@ -28,8 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .conditions import ProblemStack
-from .encoding import hamiltonian_checks, hamiltonian_set
+from .conditions import ProblemStack, chunk_size
+from .encoding import checked_theta, hamiltonian_checks, hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
     EYE2,
@@ -39,7 +39,7 @@ from .examples import (
     EigpairHalf,
     Half,
     as_state,
-    configuration_builder,
+    build_state,
     default_parameters,
     example_halves,
 )
@@ -387,7 +387,7 @@ _FAMILY_STATES = {
 
 def _halves(desc):
     """(params, state half, Hamiltonian half) of a descriptor, as
-    examples.configuration_builder composes them: params are the family
+    examples.example_halves gives them: params are the family
     parameters (the merged ones for an example, none for an eigpair list or
     a raw matrix). Only the example family brings its own Hamiltonians;
     Hamiltonian specs read no state parameter."""
@@ -473,19 +473,19 @@ def _problem(desc, rho, hs):
 
 
 # resolve_halves' result: the descriptor's family parameters, its state and
-# Hamiltonian halves, the halves built at those parameters (the `kept` of
-# examples.configuration_builder) and resolve's (rho, hs, theta, weight)
-Halves = namedtuple("Halves", "params state hamiltonians kept problem")
+# Hamiltonian halves, the EigpairVectors its state half built (None unless an
+# eigpair half) and resolve's (rho, hs, theta, weight)
+Halves = namedtuple("Halves", "params state hamiltonians vectors problem")
 
 
 def resolve_halves(desc):
-    """resolve(desc), keeping the halves it built for resolve_grid: every
-    half of the problem is built once, at the descriptor's own parameters,
-    and every check of resolve runs, with its messages."""
+    """resolve(desc), keeping what it built for resolve_grid: each half of
+    the problem is built once, at the descriptor's own parameters, and every
+    check of resolve runs, with its messages."""
     params, state, hamiltonians = _halves(desc)
-    kept = {}
-    problem = _problem(desc, *configuration_builder(state, hamiltonians, kept=kept)(params))
-    return Halves(params, state, hamiltonians, kept, problem)
+    rho, vectors = build_state(state, params)
+    hs = hamiltonian_set(hamiltonians.build(params))
+    return Halves(params, state, hamiltonians, vectors, _problem(desc, rho, hs))
 
 
 def resolve(desc):
@@ -553,26 +553,22 @@ class _Grid:
 
     def __init__(self, desc, name, halves):
         self.desc, self.name, self.params = desc, name, halves.params
-        state, hamiltonians, kept = halves.state, halves.hamiltonians, halves.kept
-        rho, hs = halves.problem[:2]
+        state, hamiltonians = halves.state, halves.hamiltonians
+        rho, self.hs, theta = halves.problem[:3]
         self.state_of = self.vectors = None
         if name in state.reads:
             if isinstance(state, EigpairHalf) and name not in state.vectors.reads:
                 # a point checks only its weights on the shared vectors
-                self.state_of, self.vectors = state.weights.build, kept["vectors"]
+                self.state_of, self.vectors = state.weights.build, halves.vectors
             elif isinstance(state, EigpairHalf):
-
-                def eigpair_state(p):
-                    weights = state.weights.build(p)
-                    return state.vectors.build(p).state(weights)
-
-                self.state_of = eigpair_state
+                # a point builds its vectors, and with them its state
+                self.state_of = lambda p: build_state(state, p)[0]
             else:
+                # a matrix, checked with the others of its batch, or a state
                 self.state_of = state.build
         self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
         self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
-        self.shared_hams = hs.stack[None]
-        theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
+        self.shared_hams = self.hs.stack[None]
         self.theta = theta[None]
 
     def _dim(self, raw):
@@ -580,12 +576,13 @@ class _Grid:
             return self.vectors.v.shape[0]
         return raw.dim if isinstance(raw, DensityMatrix) else np.shape(raw)[0]
 
-    def batch(self, values, size=None):
+    def batch(self, values):
         """(stacks, count): the ProblemStacks of the first `count` values, in
-        order, count = size(dim, m) for the dim and m of the first point
-        (all the values when size is None). Raises the ValidationError of the
-        first point that fails, prefixed with "grid value name=v: ", before
-        any point of the batch is classified."""
+        order, count = conditions.chunk_size(dim, m) for the dim and m of the
+        first point. Raises the ValidationError of the first point that
+        fails, prefixed with "grid value name=v: ", before any point of the
+        batch is classified; then that of a non-finite theta, which classify
+        checks after resolve."""
         states, hams, failures = [], [], []
         k, count = 0, len(values)
         while k < count:
@@ -600,10 +597,10 @@ class _Grid:
             except ValidationError as err:
                 failures.append((k, stage, str(err)))
                 break
-            if k == 0 and size is not None:
+            if k == 0:
                 dim = self.shared_state[1].shape[-1] if self.state_of is None else self._dim(states[0])
                 m = self.shared_hams.shape[1] if self.hams_of is None else len(hams[0])
-                count = min(count, size(dim, m))
+                count = min(count, chunk_size(dim, m))
             k += 1
         # k points are built; a point that failed to build its Hamiltonians
         # still has its state checked, since a point checks its state first
@@ -613,6 +610,7 @@ class _Grid:
         if failures:
             k, _, message = min(failures)
             raise ValidationError(f"grid value {self.name}={values[k]:g}: {message}")
+        checked_theta(self.hs, self.theta[0])
         return stacks, k
 
     def _state_runs(self, states, failures):
@@ -711,29 +709,27 @@ def _rows(arr, start, a, b):
     return arr if len(arr) == 1 else arr[a - start : b - start]
 
 
-def resolve_grid(desc, name, values, batch_size=None, halves=None):
+def resolve_grid(desc, name, values, halves):
     """Yield the problems of with_parameter(desc, name, v) for each v of
     values, in order, as conditions.ProblemStacks: runs of consecutive
     points of one dim, m and rank.
 
-    `halves` is resolve_halves(desc), built here when not given, so the
-    descriptor itself is resolved first, with resolve's messages. The name
-    is checked once, before any point. A half that does not read `name` is
-    built once, at the descriptor's own parameters, and shared by every
-    point; an eigpair state whose vectors do not read it checks only its
-    weights per point, and its eigenvectors are one shared array per
-    descending-weight order. Points are resolved batch_size(dim, m) at a
-    time (default: all at once), dim and m those of a batch's first point,
-    each check over a batch as one array operation; the first point that
-    fails raises its ValidationError prefixed with "grid value name=v: ",
-    before any stack of its batch is yielded.
+    `halves` is resolve_halves(desc), so the descriptor itself has been
+    resolved first, with resolve's messages. The name is checked once,
+    before any point. A half that does not read `name` is the one built by
+    resolve_halves, shared by every point; an eigpair state whose vectors
+    do not read it checks only its weights per point, and its eigenvectors
+    are one shared array per descending-weight order. Points are resolved
+    conditions.chunk_size(dim, m) at a time, dim and m those of a batch's
+    first point, each check over a batch as one array operation; the first
+    point that fails raises its ValidationError prefixed with
+    "grid value name=v: ", before any stack of its batch is yielded.
     """
-    halves = resolve_halves(desc) if halves is None else halves
     _check_sweepable(desc, name)
     grid = _Grid(desc, name, halves)
     done = 0
     while done < len(values):
-        stacks, count = grid.batch(values[done:], batch_size)
+        stacks, count = grid.batch(values[done:])
         yield from stacks
         done += count
 

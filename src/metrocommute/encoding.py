@@ -21,8 +21,8 @@ built on first read.
 
 encode_stack evaluates N encodings of one shape at once, with a leading
 (N, ...) axis and one batched eigh; encode is its N = 1 case.
-hamiltonian_checks runs hamiltonian_set's checks on a stack of Hamiltonian
-lists.
+hamiltonian_set checks one Hamiltonian list through hamiltonian_checks,
+which checks a stack of them.
 """
 
 from dataclasses import dataclass
@@ -33,10 +33,10 @@ import numpy as np
 from .operator_core import (
     HERM_TOL,
     ValidationError,
+    as_square_array,
     dagger,
     first_failure,
     hermitian_rows,
-    require_hermitian,
 )
 from .states import DensityMatrix, SpectralData
 
@@ -80,27 +80,32 @@ class HamiltonianSet:
 
 
 def hamiltonian_set(hams):
-    """Validate a list of Hermitian Hamiltonians; pairwise commutation is
-    flagged by the set's `commuting` property."""
-    mats = [require_hermitian(h, f"Hamiltonian {i}") for i, h in enumerate(hams)]
+    """Validate a list of Hermitian Hamiltonians of one dimension: the
+    shapes first, then hamiltonian_checks of the list as a stack of one.
+    Pairwise commutation is flagged by the set's `commuting` property."""
+    mats = [as_square_array(h, f"Hamiltonian {i}") for i, h in enumerate(hams)]
     if not mats:
         raise ValidationError("empty Hamiltonian list")
-    dim = mats[0].shape[0]
-    if any(h.shape[0] != dim for h in mats):
+    if any(h.shape != mats[0].shape for h in mats):
         raise ValidationError("Hamiltonians have mismatched dimensions")
-    return HamiltonianSet(stack=np.stack(mats))
+    stack = np.stack(mats)
+    failure = hamiltonian_checks(stack[None])
+    if failure:
+        raise ValidationError(failure[1])
+    return HamiltonianSet(stack=stack)
 
 
 def hamiltonian_checks(hams):
-    """hamiltonian_set's checks for a stack of Hamiltonian lists of one
-    shape, (n, m, d, d) with m >= 1: None, or (k, message) for the first
-    list k that hamiltonian_set rejects, with its message."""
-    finite = np.isfinite(hams).all(axis=(2, 3))
-    bad = ~(finite & hermitian_rows(hams))
+    """The checks of hamiltonian_set past the shapes, for a stack of
+    Hamiltonian lists (n, m, d, d): None, or (k, message) for the first list
+    k with a Hamiltonian that has non-finite entries or is not Hermitian,
+    named with its index."""
+    # a matrix with non-finite entries is not Hermitian either
+    bad = ~hermitian_rows(hams)
 
     def message(k):
-        i = int(np.flatnonzero(bad[k])[0])
-        if not finite[k, i]:
+        i = int(np.argmax(bad[k]))
+        if not np.isfinite(hams[k, i]).all():
             return f"Hamiltonian {i} has non-finite entries"
         return f"Hamiltonian {i} is not Hermitian within tolerance {HERM_TOL}"
 

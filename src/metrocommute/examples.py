@@ -2,8 +2,7 @@
 
 Every runner evaluates its configurations by two paths. The pipeline path
 builds each configuration once (through the state and Hamiltonian halves of
-its `_EXAMPLES` entry for the single-configuration examples, which
-configuration_builder composes) and runs it through
+its `_EXAMPLES` entry for the single-configuration examples) and runs it through
 the generic machinery (states -> encoding -> sld -> conditions -> metrology),
 one `classify` or `_weak` pass per configuration. The oracle path evaluates
 example-specific closed forms written directly against numpy, sharing only
@@ -1053,44 +1052,15 @@ def as_state(value):
     return density_matrix(value) if isinstance(value, np.ndarray) else value
 
 
-def configuration_builder(state, hamiltonians, name=None, kept=None):
-    """p -> (rho, hs) for parameter sets that differ only in `name`.
-
-    A half that does not read `name` is built on the first call and shared by
-    every later one; so are the vectors of an EigpairHalf whose weights alone
-    read it, so that each point checks only its weights. With name None
-    every half is built once. `kept` is the dict of built halves the builder
-    shares, under the keys "state", "vectors" and "hamiltonians": a dict
-    filled by a builder at the same parameters (another name, or None)
-    saves building its halves again.
-    """
-    kept = {} if kept is None else kept
-
-    def part(key, reads, build, p):
-        if name in reads:
-            return build(p)
-        if key not in kept:
-            kept[key] = build(p)
-        return kept[key]
-
-    def eigpair_state(p):
+def build_state(state, p):
+    """(rho, vectors): the DensityMatrix a state half gives at p, and the
+    states.EigpairVectors it built (None unless the half is an
+    EigpairHalf). An EigpairHalf builds its weights first."""
+    if isinstance(state, EigpairHalf):
         weights = state.weights.build(p)
-        vectors = part("vectors", state.vectors.reads, state.vectors.build, p)
-        return vectors.state(weights)
-
-    def build_state(p):
-        if isinstance(state, EigpairHalf):
-            return eigpair_state(p)
-        return as_state(state.build(p))
-
-    def build_hamiltonians(p):
-        return hamiltonian_set(hamiltonians.build(p))
-
-    def build(p):
-        rho = part("state", state.reads, build_state, p)
-        return rho, part("hamiltonians", hamiltonians.reads, build_hamiltonians, p)
-
-    return build
+        vectors = state.vectors.build(p)
+        return vectors.state(weights), vectors
+    return as_state(state.build(p)), None
 
 
 _PAIR_WEIGHTS = Half(("lam",), _pair_weights)
@@ -1103,8 +1073,9 @@ _PSEUDO_PURE = (
 # An example is its runner p -> ExampleReport, its default parameters, and,
 # for the nine single-configuration examples, the one place they build their
 # state and their Hamiltonians, as two halves of p, the merged parameters,
-# each naming the parameters it reads (configuration_builder). Runners build
-# their own sweeps and variants through these halves too.
+# each naming the parameters it reads, which is how a sweep knows the half its
+# parameter moves (descriptors.resolve_grid). Runners build their own sweeps
+# and variants through these halves too (example_configuration).
 _Example = namedtuple("_Example", "run defaults state hamiltonians")
 
 _EXAMPLES = {
@@ -1194,7 +1165,7 @@ def run_all():
 
 def example_halves(example_id, params=None):
     """(p, state half, Hamiltonian half) of a single-configuration example, p
-    its merged parameters; configuration_builder composes them.
+    its merged parameters; example_configuration builds them.
 
     Those are EX2..EX5, EX7..EX10 and OBS7; the batch-style reports (EX1,
     EX6, OBS2, OBS3, OBS5, OBS6) do not define a single configuration and are
@@ -1210,7 +1181,7 @@ def example_halves(example_id, params=None):
 
 
 def example_configuration(example_id, params=None):
-    """State and Hamiltonian set of a single-configuration example
-    (example_halves)."""
+    """State and Hamiltonian set of a single-configuration example, built
+    from its halves (example_halves)."""
     p, state, hamiltonians = example_halves(example_id, params)
-    return configuration_builder(state, hamiltonians)(p)
+    return build_state(state, p)[0], hamiltonian_set(hamiltonians.build(p))

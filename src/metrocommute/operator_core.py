@@ -25,13 +25,19 @@ def dagger(a):
     return np.conj(np.swapaxes(a, -1, -2)) if a.ndim > 2 else np.conj(a.T)
 
 
-def as_square_matrix(a, name="matrix"):
-    """Coerce to a square complex128 ndarray, validating shape and finiteness."""
+def as_square_array(a, name="matrix"):
+    """Coerce to a square complex128 ndarray, validating its shape only."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValidationError(f"{name} must have dim >= 1")
+    return m
+
+
+def as_square_matrix(a, name="matrix"):
+    """Coerce to a square complex128 ndarray, validating shape and finiteness."""
+    m = as_square_array(a, name)
     if not np.isfinite(m).all():
         raise ValidationError(f"{name} has non-finite entries")
     return m
@@ -65,7 +71,10 @@ def frobenius_rows(a):
 
 def hermitian_rows(a, tol=HERM_TOL):
     """is_hermitian of each matrix of a stack (..., d, d), as a bool array;
-    a matrix whose norms overflow takes is_hermitian's rescaled test."""
+    a matrix whose norms overflow takes is_hermitian's rescaled test, and so
+    does a stack of one matrix, which np.linalg.norm sums faster."""
+    if a.size == a.shape[-1] * a.shape[-2]:
+        return np.full(a.shape[:-2], is_hermitian(a.reshape(a.shape[-2:]), tol))
     with np.errstate(over="ignore", invalid="ignore"):
         skew, size = frobenius_rows(a - dagger(a)), frobenius_rows(a)
         ok = skew <= tol * np.maximum(1.0, size)
@@ -85,10 +94,11 @@ def first_failure(checks):
     is the first that any check flags, and its message is that of the first
     check that flags it, so a stack fails as a loop over its items would.
     """
-    if not any(mask.any() for mask, _ in checks):
+    masks = np.array([mask for mask, _ in checks])
+    if not masks.any():
         return None
-    k = min(int(np.argmax(mask)) for mask, _ in checks if mask.any())
-    return next((k, message(k)) for mask, message in checks if mask[k])
+    k = int(np.argmax(masks.any(axis=0)))
+    return k, checks[int(np.argmax(masks[:, k]))][1](k)
 
 
 def require_hermitian(a, name="matrix", tol=HERM_TOL):
@@ -115,6 +125,9 @@ def eigh_descending(m):
     which the caller guarantees to be Hermitian."""
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals, axis=-1)[..., ::-1]
+    if (order == np.arange(vals.shape[-1] - 1, -1, -1)).all():
+        # eigh's ascending order reversed: the same copies, without indexing
+        return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
     return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .operator_core import (
     HERM_TOL,
     ValidationError,
+    as_square_array,
     as_square_matrix,
     dagger,
     eigh_descending,
@@ -145,23 +146,19 @@ def density_spectra(mats):
     positive semidefinite within 1e-10.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(mats).all(axis=(1, 2))
         sym = (mats + dagger(mats)) / 2.0
         tr = np.trace(sym, axis1=1, axis2=2).real
     failure = first_failure(
         [
-            (~finite, lambda k: "density matrix has non-finite entries"),
-            (
-                ~hermitian_rows(mats),
-                lambda k: f"density matrix is not Hermitian within tolerance {HERM_TOL}",
-            ),
+            # a matrix with non-finite entries is not Hermitian either
+            (~hermitian_rows(mats), lambda k: _hermitian_error(mats[k])),
             (
                 np.abs(tr - 1.0) > TRACE_TOL,
                 lambda k: f"density matrix trace {float(tr[k])!r} differs from 1 beyond {TRACE_TOL}",
             ),
         ]
     )
-    vals, vecs = eigh_descending(sym[: len(mats) if failure is None else failure[0]])
+    vals, vecs = eigh_descending(sym if failure is None else sym[: failure[0]])
     low = vals[:, -1]
     psd = first_failure(
         [
@@ -174,13 +171,19 @@ def density_spectra(mats):
     return vals, vecs, psd or failure
 
 
+def _hermitian_error(mat):
+    if not np.isfinite(mat).all():
+        return "density matrix has non-finite entries"
+    return f"density matrix is not Hermitian within tolerance {HERM_TOL}"
+
+
 def density_matrix(mat, rank_tol=RANK_TOL):
     """Validate and wrap a raw matrix as a DensityMatrix.
 
     Requires Hermiticity, positive semidefiniteness within 1e-10, and unit
     trace within 1e-10 (density_spectra of one matrix).
     """
-    m = as_square_matrix(mat, "density matrix")
+    m = as_square_array(mat, "density matrix")
     vals, vecs, failure = density_spectra(m[None])
     if failure:
         raise ValidationError(failure[1])
@@ -215,7 +218,7 @@ def eigpair_weight_rows(rows):
     that breaks this."""
     weights = np.array(rows, dtype=float)
     low = weights.min(axis=1)
-    weights = np.clip(weights, 0.0, None)
+    weights = np.maximum(weights, 0.0)
     total = weights.sum(axis=1)
     failure = first_failure(
         [
@@ -226,7 +229,10 @@ def eigpair_weight_rows(rows):
             ),
         ]
     )
-    return weights / total[:, None], failure
+    # a row that failed (all its weights clipped to zero, say) divides
+    # without a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return weights / total[:, None], failure
 
 
 def _eigpair_weights(weights):
@@ -311,9 +317,10 @@ class EigpairVectors:
             return density_spectra((mats + dagger(mats)) / 2.0)
         order = np.argsort(weights, axis=1)[:, ::-1]
         vals = np.zeros((len(weights), v.shape[0]))
-        vals[:, : v.shape[1]] = np.take_along_axis(weights, order, 1)
         if (order == order[0]).all():
+            vals[:, : v.shape[1]] = weights[:, order[0]]
             return vals, self._basis(order[0])[None], None
+        vals[:, : v.shape[1]] = np.take_along_axis(weights, order, 1)
         return vals, np.stack([self._basis(o) for o in order]), None
 
 

@@ -15,6 +15,7 @@ from metrocommute.descriptors import (
     parse_descriptor,
     resolve,
     resolve_grid,
+    resolve_halves,
     sweepable_parameters,
     with_parameter,
 )
@@ -494,6 +495,11 @@ def test_non_finite_theta_exits_2(tmp_path, capsys):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: theta has non-finite entries"), argv
+    # a sweep names a bad grid value of its first batch before theta, as a
+    # point is resolved before it is classified
+    code, out, err = _run(capsys, ["sweep", str(nan), "--param", "p", "--grid", "0.5:1.5:3"])
+    assert (code, out) == (2, "")
+    assert err == "error: grid value p=1: out-of-domain parameters: p must be in (0, 1)\n"
     # finite theta whose K = sum theta_i H_i overflows
     argv = ["classify", str(tmp_path / "ex4.json"), "--theta", "1e308", "1e308"]
     code, out, err = _run(capsys, argv)
@@ -826,8 +832,9 @@ def test_white_noise_sweep_rows_match_per_point_classify(tmp_path, capsys):
 
 
 def _sweep(desc, name, grid):
-    """The number of points resolve_grid resolves."""
-    return sum(stack.n for stack in resolve_grid(desc, name, grid))
+    """The number of points resolve_grid resolves, the descriptor resolved
+    first as the sweep command resolves it."""
+    return sum(stack.n for stack in resolve_grid(desc, name, grid, resolve_halves(desc)))
 
 
 # The counts are of resolve_grid, the path cmd_sweep draws its points from,
@@ -847,6 +854,18 @@ def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id
     code, _, _ = _run(capsys, ["sweep", path, "--param", name, "--grid", "0.2:0.8:9"])
     assert code == 0
     assert len(hamsets) == 1
+
+
+def test_sweep_checks_the_state_matrices_of_a_batch_as_one_stack(tmp_path, monkeypatch):
+    # EX10's lam moves a matrix state: its nine points take one
+    # density_spectra call, and density_matrix runs once, in the resolve of
+    # the descriptor itself
+    desc = parse_descriptor(open(_example_descriptor(tmp_path, "EX10")).read())
+    singles = count_calls(monkeypatch, states.density_matrix)
+    stacks = count_calls(monkeypatch, states.density_spectra)
+    assert _sweep(desc, "lam", np.linspace(0.2, 0.8, 9)) == 9
+    assert len(singles) == 1
+    assert [len(args[0]) for args in stacks] == [1, 9]
 
 
 def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from metrocommute import descriptors
+from metrocommute import conditions, descriptors
 from metrocommute.descriptors import (
     _complex_pair,
     matrix_from_json,
@@ -19,7 +19,7 @@ from metrocommute.descriptors import (
     vector_from_json,
     with_parameter,
 )
-from metrocommute.examples import EigpairHalf, Half, configuration_builder
+from metrocommute.examples import EigpairHalf, Half
 from metrocommute.operator_core import ValidationError
 
 SZ_JSON = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
@@ -399,12 +399,14 @@ NOISE = {
         (_example("EX10"), "lam", [0.2, 0.4, 0.6, 0.8]),
     ],
 )
-def test_resolve_grid_stacks_what_resolve_gives_point_by_point(data, name, values):
+def test_resolve_grid_stacks_what_resolve_gives_point_by_point(monkeypatch, data, name, values):
     desc = parse_descriptor(data)
     points = []
-    # batches of four points: a run can start past a batch's first point and
-    # hold more than one point
-    for stack in resolve_grid(desc, name, values, batch_size=lambda dim, m: 4):
+    # batches of four points at the first point's dim and m: a run can start
+    # past a batch's first point and hold more than one point
+    rho, hs = resolve(with_parameter(desc, name, values[0]))[:2]
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", 4 * conditions.point_bytes(rho.dim, hs.m))
+    for stack in resolve_grid(desc, name, values, descriptors.resolve_halves(desc)):
         for k in range(stack.n):
             row = [a[0 if len(a) == 1 else k] for a in (stack.lam, stack.vectors, stack.hams, stack.theta)]
             points.append((stack.rank, *row))
@@ -418,34 +420,39 @@ def test_resolve_grid_stacks_what_resolve_gives_point_by_point(data, name, value
         assert np.array_equal(theta, theta_one)
 
 
-def test_resolve_grid_names_the_first_failure_in_point_order():
+def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
     # EX5 with halves that fail at chosen values: lam = 0.3 gives weights
     # that do not sum to one (a check that runs over the whole batch), 0.7
     # fails to build its weights, and 0.3 and 0.4 fail to build their
     # Hamiltonians, which a point builds after its state
     desc = parse_descriptor(_example("EX5"))
-    base = descriptors.resolve_halves(desc)
+    example_halves = descriptors._halves
 
     def weights(p):
         if p["lam"] == 0.7:
             raise ValidationError("no weights at 0.7")
         return [p["lam"], p["lam"] if p["lam"] == 0.3 else 1.0 - p["lam"]]
 
-    def hamiltonians(p):
-        if p["lam"] in (0.3, 0.4):
-            raise ValidationError(f"no Hamiltonians at {p['lam']}")
-        return base.problem[1].hams
+    def failing_halves(d):
+        params, state, hamiltonians = example_halves(d)
 
-    state = EigpairHalf(Half(("lam",), weights), base.state.vectors)
-    halves = base._replace(state=state, hamiltonians=Half(("lam",), hamiltonians))
-    build = configuration_builder(state, halves.hamiltonians, "lam", dict(base.kept))
+        def build_hamiltonians(p):
+            if p["lam"] in (0.3, 0.4):
+                raise ValidationError(f"no Hamiltonians at {p['lam']}")
+            return hamiltonians.build(p)
+
+        state = EigpairHalf(Half(("lam",), weights), state.vectors)
+        return params, state, Half(("lam",), build_hamiltonians)
+
+    monkeypatch.setattr(descriptors, "_halves", failing_halves)
+    halves = descriptors.resolve_halves(desc)
     for values in ([0.2, 0.3, 0.5], [0.3, 0.5, 0.7], [0.2, 0.7, 0.3], [0.2, 0.4, 0.3], [0.5, 0.3, 0.7]):
-        for value in values:  # the first error of the points built one by one
+        for value in values:  # the first error of the points resolved one by one
             try:
-                build({**base.params, "lam": value})
+                resolve(with_parameter(desc, "lam", value))
             except ValidationError as err:
                 expected = f"grid value lam={value:g}: {err}"
                 break
         with pytest.raises(ValidationError) as err:
-            list(resolve_grid(desc, "lam", values, halves=halves))
+            list(resolve_grid(desc, "lam", values, halves))
         assert str(err.value) == expected, values

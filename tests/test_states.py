@@ -1,5 +1,7 @@
 """Density-matrix construction, spectral data, state families, and POVMs."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,21 @@ def test_eigpair_weight_rows_check_a_stack_as_each_state_checks_its_weights():
     assert vectors.spectra(weights[:1].repeat(3, axis=0))[1].shape == (1, 4, 4)
     assert vectors.size_error(3) is None
     assert vectors.size_error(2) == "2 weights for 3 eigpair vectors"
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [(0.0, r"weights sum to .*0\.0\)?, not 1 within 1e-10"), (-0.5, r"negative weight .*-0\.5")],
+)
+def test_eigpairs_whose_weights_clip_to_zero_fail_without_a_warning(weight, message):
+    # every weight clips to zero, so the weights' total is zero; the check
+    # fails before any 0 / 0 reaches numpy, whose RuntimeWarning the suite
+    # turns into an error
+    with pytest.raises(ValidationError, match=message):
+        density_from_eigpairs([(weight, [1.0, 0.0])])
+    weights, failure = eigpair_weight_rows([[0.5, 0.5], [weight, 0.0]])
+    assert failure[0] == 1 and re.search(message, failure[1])
+    assert weights[0].tolist() == [0.5, 0.5]
 
 
 def test_density_matrix_trace_error_names_value():
