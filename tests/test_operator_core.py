@@ -11,6 +11,7 @@ from metrocommute.operator_core import (
     ValidationError,
     commutator,
     dagger,
+    eigh_descending,
     first_failure,
     frobenius_rows,
     hermitian_eig,
@@ -179,6 +180,20 @@ def test_stacked_norms_and_hermitian_tests_match_the_single_ones():
         flat = a.reshape(-1, 4, 4)
         assert hermitian_rows(a).reshape(-1).tolist() == [is_hermitian(x) for x in flat]
     assert hermitian_rows(h).tolist() == [True, False, True, False, False, True]
+
+
+def test_eigh_descending_is_the_argsort_order_of_eigh():
+    # the reference: eigh's eigenpairs in the reversed argsort order of their
+    # eigenvalues, tied ones included
+    rng = np.random.default_rng(63)
+    tied = [np.eye(20) / 20, np.diag([0.5, 0.25, 0.25, 0.0, 0.0]), random_density(rng, 6, 2)]
+    for m in [*tied, random_hermitian_matrix(rng, 5), np.stack([random_density(rng, 4, r) for r in (1, 2, 4)])]:
+        vals, vecs = np.linalg.eigh(m)
+        order = np.argsort(vals, axis=-1)[..., ::-1]
+        got_vals, got_vecs = eigh_descending(m)
+        assert np.array_equal(got_vals, np.take_along_axis(vals, order, -1))
+        assert np.array_equal(got_vecs, np.take_along_axis(vecs, order[..., None, :], -1))
+        assert got_vecs.flags.c_contiguous
 
 
 def test_first_failure_is_the_first_failing_item_and_its_first_check():
