@@ -11,6 +11,9 @@ serialize is idempotent on the canonical form. Eigpair vectors and raw
 matrices are parsed once, into the complex arrays the descriptor keeps;
 `serialize_descriptor` writes them back as [re, im] lists.
 
+A family's params hold exactly the names it reads: a state family's are
+those its state half reads, and local_spin's are sites, site and axis.
+
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
 point. A problem is built in two halves, the state and the Hamiltonians,
@@ -18,12 +21,14 @@ each naming the parameters it reads (examples.Half). `resolve_halves`
 resolves the descriptor at its own parameters and keeps every half it
 built; `resolve` is its one-point case, and a sweep shares the halves its
 parameter does not reach (for a descriptor family, always the Hamiltonians)
-with every point.
+with every point. A state that a sweep moves is an eigpair state
+(examples.EigpairHalf), so a point builds its weights and, only where the
+parameter moves them, its vectors, and never a matrix.
 """
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -38,33 +43,24 @@ from .examples import (
     PAULI_Z,
     EigpairHalf,
     Half,
-    as_state,
     build_state,
-    default_parameters,
     example_halves,
 )
 from .operator_core import ValidationError, tensor
 from .states import (
     RANK_TOL,
-    DensityMatrix,
     bell_diagonal,
     density_from_eigpairs,
-    density_spectra,
     eigpair_weight_rows,
-    white_noise_matrix,
+    white_noise_vectors,
+    white_noise_weights,
     with_rank_tol,
 )
 
 DEFAULT_ZERO_TOL = 1e-8
 
-STATE_FAMILIES = (
-    "white_noise",
-    "bell_diagonal",
-    "pure",
-    "maximally_mixed",
-    "example",
-)
 HAMILTONIAN_FAMILIES = ("local_spin",)
+_LOCAL_SPIN_KEYS = ("sites", "site", "axis")
 
 
 @dataclass(eq=False)
@@ -173,9 +169,14 @@ def weight_from_json(value, path="weight_matrix"):
     return weight.real
 
 
-def _canonical_params(params, path):
+def _canonical_params(params, path, known):
+    """params with their values checked; a key outside `known` fails (known
+    None: any key, for an example, whose parameters example_halves checks)."""
     if not isinstance(params, dict):
         _fail(path, f"expected a params object, got {type(params).__name__}")
+    extra = set() if known is None else set(params) - set(known)
+    if extra:
+        _fail(path, f"unknown keys {sorted(extra)}")
     out = {}
     for key in sorted(params):
         value = params[key]
@@ -209,16 +210,14 @@ def _parse_state_spec(value, path="state"):
             _fail(path, "eigpair list is empty")
         return pairs
     if isinstance(value, dict) and "family" in value:
-        family = value["family"]
-        if family not in STATE_FAMILIES:
-            _fail(
-                f"{path}.family",
-                f"unknown family {family!r}; known: {list(STATE_FAMILIES)}",
-            )
+        family, families = value["family"], [*_FAMILY_STATES, "example"]
+        if family not in families:
+            _fail(f"{path}.family", f"unknown family {family!r}; known: {families}")
         extra = set(value) - {"family", "params"}
         if extra:
             _fail(path, f"unknown keys {sorted(extra)}")
-        params = _canonical_params(value.get("params", {}), f"{path}.params")
+        known = None if family == "example" else _FAMILY_STATES[family].reads
+        params = _canonical_params(value.get("params", {}), f"{path}.params", known)
         return {"family": family, "params": params}
     if isinstance(value, dict):
         return matrix_from_json(value, path)
@@ -236,7 +235,7 @@ def _parse_hamiltonian_spec(value, path):
         extra = set(value) - {"family", "params"}
         if extra:
             _fail(path, f"unknown keys {sorted(extra)}")
-        params = _canonical_params(value.get("params", {}), f"{path}.params")
+        params = _canonical_params(value.get("params", {}), f"{path}.params", _LOCAL_SPIN_KEYS)
         return {"family": family, "params": params}
     if isinstance(value, dict):
         return matrix_from_json(value, path)
@@ -337,11 +336,19 @@ def parse_descriptor(source):
     return desc
 
 
-def _white_noise(params):
+def _white_noise_psi(params):
     if "psi" not in params or "p" not in params:
         _fail("state.params", 'white_noise needs "psi" and "p"')
-    psi = vector_from_json(params["psi"], "state.params.psi")
-    return white_noise_matrix(psi, _number(params["p"], "state.params.p"))
+    return vector_from_json(params["psi"], "state.params.psi")
+
+
+def _white_noise_weights(params):
+    dim = _white_noise_psi(params).size
+    return white_noise_weights(_number(params["p"], "state.params.p"), dim)
+
+
+def _white_noise_vectors(params):
+    return white_noise_vectors(_white_noise_psi(params))
 
 
 def _bell_diagonal(params):
@@ -378,7 +385,9 @@ def _maximally_mixed(params):
 
 # state family -> its state half, which reads the family's own parameters
 _FAMILY_STATES = {
-    "white_noise": Half(("psi", "p"), _white_noise),
+    "white_noise": EigpairHalf(
+        Half(("psi", "p"), _white_noise_weights), Half(("psi",), _white_noise_vectors)
+    ),
     "bell_diagonal": Half(("weights", "d"), _bell_diagonal),
     "pure": Half(("vector",), _pure),
     "maximally_mixed": Half(("dim",), _maximally_mixed),
@@ -408,8 +417,6 @@ def _halves(desc):
                 _fail("state.params.id", f"unknown example id: {ex_id}")
             overrides = {k: v for k, v in params.items() if k != "id"}
             return example_halves(ex_id, overrides)
-        if family not in _FAMILY_STATES:
-            _fail("state.family", f"unknown family {family!r}")
         state = _FAMILY_STATES[family]
     specs = desc.hamiltonian_specs
 
@@ -425,7 +432,7 @@ def _resolve_hamiltonian(spec, path):
     family = spec["family"]
     params = spec.get("params", {})
     if family == "local_spin":
-        for key in ("sites", "site", "axis"):
+        for key in _LOCAL_SPIN_KEYS:
             if key not in params:
                 _fail(f"{path}.params", f'local_spin needs "{key}"')
         sites, site = params["sites"], params["site"]
@@ -514,67 +521,36 @@ def _runs(keys, start=0):
     return [(start + i, start + j) for i, j in zip([0, *cuts], [*cuts, len(keys)])] if keys else []
 
 
-def _square_stack(items, ndim):
-    """items as one complex stack when every item has one shape of ndim
-    axes, ending in a square d >= 1, else None."""
-    try:
-        shapes = {np.shape(item) for item in items}
-    except ValueError:  # an item of ragged nested lists
-        return None
-    shape = shapes.pop()
-    if shapes or len(shape) != ndim or shape[-1] != shape[-2] or 0 in shape:
-        return None
-    return np.array(items, dtype=complex)
-
-
-def _each(items, build, a, stage, failures):
-    """build(item) for items in turn, until the first that raises: its
-    ValidationError becomes the failure of point a + its index at `stage`."""
-    out = []
-    for k, item in enumerate(items):
-        try:
-            out.append(build(item))
-        except ValidationError as err:
-            failures.append((a + k, stage, str(err)))
-            break
-    return out
-
-
 class _Grid:
     """The points of a sweep of `name` over a descriptor, resolved a batch at
     a time as ProblemStacks.
 
     A half that reads `name` is built at each point; the others are those of
-    `halves`, shared by every point through a leading axis of length 1. The
-    raw values of a batch (weights, matrices, Hamiltonian lists) are built
-    point by point, and every check that resolve runs on a point runs as one
-    array operation over the batch.
+    `halves`, shared by every point through a leading axis of length 1. A
+    state that reads `name` is an EigpairHalf (sweepable_parameters): a point
+    builds its weights, and its vectors only when they read `name`. The raw
+    values of a batch (weight rows and Hamiltonian lists) are built point by
+    point, and every check that resolve runs on a point runs as one array
+    operation over the batch.
     """
 
     def __init__(self, desc, name, halves):
         self.desc, self.name, self.params = desc, name, halves.params
         state, hamiltonians = halves.state, halves.hamiltonians
         rho, self.hs, theta = halves.problem[:3]
-        self.state_of = self.vectors = None
+        self.state_of = None
         if name in state.reads:
-            if isinstance(state, EigpairHalf) and name not in state.vectors.reads:
-                # a point checks only its weights on the shared vectors
-                self.state_of, self.vectors = state.weights.build, halves.vectors
-            elif isinstance(state, EigpairHalf):
-                # a point builds its vectors, and with them its state
-                self.state_of = lambda p: build_state(state, p)[0]
-            else:
-                # a matrix, checked with the others of its batch, or a state
-                self.state_of = state.build
+            moves_vectors = name in state.vectors.reads
+
+            def state_of(p):
+                weights = state.weights.build(p)
+                return weights, state.vectors.build(p) if moves_vectors else halves.vectors
+
+            self.state_of = state_of
         self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
         self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
         self.shared_hams = self.hs.stack[None]
         self.theta = theta[None]
-
-    def _dim(self, raw):
-        if self.vectors is not None:
-            return self.vectors.v.shape[0]
-        return raw.dim if isinstance(raw, DensityMatrix) else np.shape(raw)[0]
 
     def batch(self, values):
         """(stacks, count): the ProblemStacks of the first `count` values, in
@@ -598,7 +574,7 @@ class _Grid:
                 failures.append((k, stage, str(err)))
                 break
             if k == 0:
-                dim = self.shared_state[1].shape[-1] if self.state_of is None else self._dim(states[0])
+                dim = self.shared_state[1].shape[-1] if self.state_of is None else states[0][1].v.shape[0]
                 m = self.shared_hams.shape[1] if self.hams_of is None else len(hams[0])
                 count = min(count, chunk_size(dim, m))
             k += 1
@@ -616,41 +592,27 @@ class _Grid:
     def _state_runs(self, states, failures):
         """[(start, stop, vals, vecs)] over the points built so far: uncut
         descending eigenvalues and eigenvectors, each with a leading axis of
-        the run's length or of 1 (shared). A run stops at its first failing
-        point."""
+        the run's length or of 1 (shared). A run holds points of one weight
+        count and one vector shape, and stops at its first failing point."""
         if self.state_of is None:
             return [(0, np.inf, *self.shared_state)]
         runs = []
-        if self.vectors is not None:
-            for a, b in _runs([len(w) for w in states]):
-                weights, failure = eigpair_weight_rows(states[a:b])
-                if failure:
-                    failures.append((a + failure[0], _WEIGHTS_CHECKED, failure[1]))
-                size_error = self.vectors.size_error(weights.shape[1])
-                if size_error:
-                    failures.append((a, _WEIGHT_COUNT_CHECKED, size_error))
-                    continue
-                runs.append(self._checked_run(a, self.vectors.spectra(weights), failures))
-            return runs
-        for a, b in _runs([(type(s), self._dim(s)) for s in states]):
-            mats = _square_stack(states[a:b], 2)
-            if mats is not None:
-                runs.append(self._checked_run(a, density_spectra(mats), failures))
+        for a, b in _runs([(len(w), v.v.shape) for w, v in states]):
+            weights, failure = eigpair_weight_rows([w for w, _ in states[a:b]])
+            if failure:
+                failures.append((a + failure[0], _WEIGHTS_CHECKED, failure[1]))
+                weights = weights[: failure[0]]
+            size_error = states[a][1].size_error(weights.shape[1])
+            if size_error:
+                failures.append((a, _WEIGHT_COUNT_CHECKED, size_error))
+            if size_error or not len(weights):
                 continue
-            # DensityMatrix values, or matrices density_matrix must reject
-            rhos = _each(states[a:b], as_state, a, _STATE_CHECKED, failures)
-            if rhos:
-                specs = [rho.spectrum for rho in rhos]
-                vals = np.stack([spec.uncut for spec in specs])
-                runs.append((a, a + len(rhos), vals, np.stack([spec.eigenvectors for spec in specs])))
+            vals, vecs, failure = _spectra([v for _, v in states[a:b]], weights)
+            if failure:
+                failures.append((a + failure[0], _STATE_CHECKED, failure[1]))
+            if len(vals):
+                runs.append((a, a + len(vals), vals, vecs))
         return runs
-
-    @staticmethod
-    def _checked_run(a, spectra, failures):
-        vals, vecs, failure = spectra
-        if failure:
-            failures.append((a + failure[0], _STATE_CHECKED, failure[1]))
-        return a, a + len(vals), vals, vecs
 
     def _hamiltonian_runs(self, hams, failures):
         """[(start, stop, hams)] over the points built so far, hams with a
@@ -660,15 +622,7 @@ class _Grid:
             return [(0, np.inf, self.shared_hams)]
         runs = []
         for a, b in _runs([tuple(map(np.shape, h)) for h in hams]):
-            stack = _square_stack(hams[a:b], 3)
-            if stack is None:
-                # lists hamiltonian_set must reject
-                sets = _each(
-                    hams[a:b], lambda h: hamiltonian_set(h).stack, a, _HAMILTONIANS_CHECKED, failures
-                )
-                if sets:
-                    runs.append((a, a + len(sets), np.stack(sets)))
-                continue
+            stack = np.array(hams[a:b], dtype=complex)
             failure = hamiltonian_checks(stack)
             if failure:
                 failures.append((a + failure[0], _HAMILTONIANS_CHECKED, failure[1]))
@@ -703,6 +657,24 @@ class _Grid:
                     )
 
 
+def _spectra(vectors, weights):
+    """EigpairVectors.spectra of checked weight rows (n, k), row i on
+    vectors[i]: one call when every row has the same vectors, else one per
+    row, up to the first row that fails."""
+    if all(v is vectors[0] for v in vectors):
+        return vectors[0].spectra(weights)
+    d = vectors[0].v.shape[0]
+    vals, vecs, failure = [], [], None
+    for k, (v, w) in enumerate(zip(vectors, weights)):
+        val, vec, failure = v.spectra(w[None])
+        if failure:
+            failure = (k, failure[1])
+            break
+        vals.append(val)
+        vecs.append(vec)
+    return np.reshape(vals, (-1, d)), np.reshape(vecs, (-1, d, d)), failure
+
+
 def _rows(arr, start, a, b):
     """Points a..b of a run's array whose first row is point `start`; an
     array of one row, shared or the run's only point, as it is."""
@@ -718,12 +690,13 @@ def resolve_grid(desc, name, values, halves):
     resolved first, with resolve's messages. The name is checked once,
     before any point. A half that does not read `name` is the one built by
     resolve_halves, shared by every point; an eigpair state whose vectors
-    do not read it checks only its weights per point, and its eigenvectors
-    are one shared array per descending-weight order. Points are resolved
-    conditions.chunk_size(dim, m) at a time, dim and m those of a batch's
-    first point, each check over a batch as one array operation; the first
-    point that fails raises its ValidationError prefixed with
-    "grid value name=v: ", before any stack of its batch is yielded.
+    do not read it checks only its weights per point, and orthonormal
+    vectors give one shared eigenvector array per descending-weight order.
+    Points are resolved conditions.chunk_size(dim, m) at a time, dim and m
+    those of a batch's first point, each check over a batch as one array
+    operation; the first point that fails raises its ValidationError
+    prefixed with "grid value name=v: ", before any stack of its batch is
+    yielded.
     """
     _check_sweepable(desc, name)
     grid = _Grid(desc, name, halves)
@@ -763,25 +736,19 @@ def serialize_descriptor(desc):
 
 
 def sweepable_parameters(desc):
-    """Names that cmd_sweep may vary: the numeric params of a family state."""
-    spec = desc.state_spec
-    if not isinstance(spec, dict) or "family" not in spec:
+    """Names that cmd_sweep may vary, with their values: the numeric params
+    of a family state (an example's merged with its defaults) that its
+    Hamiltonian half reads, or its state half if that is an EigpairHalf."""
+    if not isinstance(desc.state_spec, dict):
         return {}
-    family, params = spec["family"], spec.get("params", {})
-    if family == "example":
-        ex_id = params.get("id")
-        defaults = default_parameters(ex_id)
-        merged = dict(defaults)
-        merged.update({k: v for k, v in params.items() if k != "id"})
-        return {
-            k: float(v)
-            for k, v in merged.items()
-            if isinstance(v, (int, float)) and not isinstance(v, bool)
-        }
+    params, state, hamiltonians = _halves(desc)
+    reads = set(hamiltonians.reads)
+    if isinstance(state, EigpairHalf):
+        reads |= set(state.reads)
     return {
         k: float(v)
         for k, v in params.items()
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
+        if k in reads and isinstance(v, (int, float)) and not isinstance(v, bool)
     }
 
 
@@ -805,14 +772,5 @@ def with_parameter(desc, name, value):
     """A copy of the descriptor with one family parameter replaced."""
     _check_sweepable(desc, name)
     spec = desc.state_spec
-    params = dict(spec.get("params", {}))
-    params[name] = float(value)
-    new_spec = {"family": spec["family"], "params": params}
-    return ProblemDescriptor(
-        state_spec=new_spec,
-        hamiltonian_specs=desc.hamiltonian_specs,
-        theta=desc.theta,
-        weight=desc.weight,
-        rank_tol=desc.rank_tol,
-        zero_tol=desc.zero_tol,
-    )
+    params = {**spec.get("params", {}), name: float(value)}
+    return replace(desc, state_spec={"family": spec["family"], "params": params})

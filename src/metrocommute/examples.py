@@ -31,7 +31,8 @@ from .states import (
     density_from_eigpairs,
     density_matrix,
     state_marginal,
-    white_noise_matrix,
+    white_noise_vectors,
+    white_noise_weights,
     bell_diagonal,
 )
 
@@ -247,14 +248,20 @@ def _whole_number(value):
     return int(value) if float(value).is_integer() else None
 
 
+def _ex2_dim(p):
+    dim = _whole_number(p["dim"])
+    if dim is None or dim < 2:
+        raise ValidationError("out-of-domain parameters: dim must be an integer >= 2")
+    return dim
+
+
 def _ex2_draw(p):
     """The seeded ket and Hamiltonian pair of EX2, its seed a non-negative
     integer and its dim an integer >= 2."""
-    seed, dim = _whole_number(p["seed"]), _whole_number(p["dim"])
+    seed = _whole_number(p["seed"])
     if seed is None or seed < 0:
         raise ValidationError("out-of-domain parameters: seed must be a non-negative integer")
-    if dim is None or dim < 2:
-        raise ValidationError("out-of-domain parameters: dim must be an integer >= 2")
+    dim = _ex2_dim(p)
     rng = np.random.default_rng(seed)
     return _rand_ket(rng, dim), [_rand_herm(rng, dim), _rand_herm(rng, dim)]
 
@@ -266,9 +273,12 @@ def _ex2_noise(p):
     return noise
 
 
-def _ex2_state(p):
-    psi = _ex2_draw(p)[0]
-    return white_noise_matrix(psi, _ex2_noise(p))
+def _ex2_weights(p):
+    return white_noise_weights(_ex2_noise(p), _ex2_dim(p))
+
+
+def _ex2_vectors(p):
+    return white_noise_vectors(_ex2_draw(p)[0])
 
 
 def _ex2_hamiltonians(p):
@@ -375,14 +385,19 @@ def _run_ex3(p):
 # ---------------------------------------------------------------------------
 
 
-def _ex4_state(p):
+def _ex4_weights(p):
     prob = float(p["p"])
     if not 0.0 < prob < 1.0:
         raise ValidationError("out-of-domain parameters: p must be in (0, 1)")
+    return [prob, 1.0 - prob]
+
+
+def _ex4_vectors(p):
+    """|00> and |++>, which are not orthogonal: each state is assembled and
+    diagonalized (EigpairVectors)."""
     v00 = np.zeros(4, dtype=complex)
     v00[0] = 1.0
-    vpp = np.full(4, 0.5, dtype=complex)
-    return prob * np.outer(v00, v00.conj()) + (1.0 - prob) * np.outer(vpp, vpp.conj())
+    return EigpairVectors([v00, np.full(4, 0.5, dtype=complex)])
 
 
 def _ex4_hamiltonians(p):
@@ -762,8 +777,9 @@ def _run_ex9(p):
 # ---------------------------------------------------------------------------
 
 
-def _pseudo_pure_state(p):
-    """EX10, and OBS7 at its default dim."""
+def _pseudo_pure_weights(p):
+    """EX10, and OBS7 at its default dim: lam on psi and lam* on each vector
+    of its completion (_pseudo_pure_vectors)."""
     lam, dim = float(p["lam"]), int(p.get("dim", 4))
     if dim != 4:
         raise ValidationError(
@@ -771,10 +787,11 @@ def _pseudo_pure_state(p):
         )
     if not 0.0 < lam < 1.0:
         raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
-    psi = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0)
-    lam_star = (1.0 - lam) / (dim - 1.0)
-    pi_psi = np.outer(psi, psi.conj())
-    return lam * pi_psi + lam_star * (np.eye(dim) - pi_psi)
+    return [lam] + [(1.0 - lam) / (dim - 1.0)] * (dim - 1)
+
+
+def _pseudo_pure_vectors(p):
+    return white_noise_vectors(np.array([0, 1, 1, 0], dtype=complex))
 
 
 def _pseudo_pure_hamiltonians(p):
@@ -1030,26 +1047,23 @@ def _run_obs7(p):
 
 class Half(namedtuple("Half", "reads build")):
     """One half of a configuration, its state or its Hamiltonians: the
-    parameter names it reads (a tuple) and p -> its value. A state half
-    gives a DensityMatrix, or a matrix that density_matrix checks and wraps;
-    a Hamiltonian half gives the list of matrices that hamiltonian_set
-    checks. A sweep checks the matrices of many points at once
-    (descriptors.resolve_grid)."""
+    parameter names it reads (a tuple) and p -> its value. A Hamiltonian
+    half gives the list of matrices that hamiltonian_set checks. A state
+    half gives a DensityMatrix, or a matrix that density_matrix checks and
+    wraps; the only state half a sweep moves is an EigpairHalf
+    (descriptors.sweepable_parameters)."""
 
 
 class EigpairHalf(namedtuple("EigpairHalf", "weights vectors")):
     """The state half of an eigpair state, built in two Halves: `weights`
     gives its weights and `vectors` its states.EigpairVectors. The weights
-    are built first, so their domain check comes first."""
+    are built first, so their domain check comes first. A sweep checks the
+    weights of many points at once, and builds the vectors only at the
+    points where they read the swept parameter."""
 
     @property
     def reads(self):
         return self.weights.reads + self.vectors.reads
-
-
-def as_state(value):
-    """A state half's value as a DensityMatrix."""
-    return density_matrix(value) if isinstance(value, np.ndarray) else value
 
 
 def build_state(state, p):
@@ -1060,13 +1074,14 @@ def build_state(state, p):
         weights = state.weights.build(p)
         vectors = state.vectors.build(p)
         return vectors.state(weights), vectors
-    return as_state(state.build(p)), None
+    value = state.build(p)
+    return density_matrix(value) if isinstance(value, np.ndarray) else value, None
 
 
 _PAIR_WEIGHTS = Half(("lam",), _pair_weights)
 _TILTED_PAIR = EigpairHalf(_PAIR_WEIGHTS, Half(("alpha",), _tilted_kets))
 _PSEUDO_PURE = (
-    Half(("dim", "lam"), _pseudo_pure_state),
+    EigpairHalf(Half(("dim", "lam"), _pseudo_pure_weights), Half((), _pseudo_pure_vectors)),
     Half(("ax", "az"), _pseudo_pure_hamiltonians),
 )
 
@@ -1083,7 +1098,7 @@ _EXAMPLES = {
     "EX2": _Example(
         _run_ex2,
         {"dim": 4, "p": 0.6, "seed": 11},
-        Half(("dim", "p", "seed"), _ex2_state),
+        EigpairHalf(Half(("dim", "p"), _ex2_weights), Half(("dim", "seed"), _ex2_vectors)),
         Half(("dim", "seed"), _ex2_hamiltonians),
     ),
     "EX3": _Example(
@@ -1095,7 +1110,7 @@ _EXAMPLES = {
     "EX4": _Example(
         _run_ex4,
         {"p": 0.5},
-        Half(("p",), _ex4_state),
+        EigpairHalf(Half(("p",), _ex4_weights), Half((), _ex4_vectors)),
         Half((), _ex4_hamiltonians),
     ),
     "EX5": _Example(

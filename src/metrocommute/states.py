@@ -15,13 +15,16 @@ the unit-trace check that density_matrix puts on an outside matrix.
 An eigpair state is built from its EigpairVectors, which are validated
 once; states that share the vectors but not the weights (the points of a
 sweep over a weight) check only their weights, and share the completed
-basis of each descending-weight order.
+basis of each descending-weight order. A white-noise mixture
+p |psi><psi| + (1 - p) I / dim is such a state: weights [a, b, ..., b] on
+white_noise_vectors(psi), the vector psi and an orthonormal completion.
 
 The checks and spectra also come stacked, for the points of a sweep:
-density_spectra checks and diagonalizes a stack of matrices as
-density_matrix does one, eigpair_weight_rows checks a stack of weight rows,
-and EigpairVectors.spectra gives the spectra of a stack of weights. Each
-reports the first item that fails, with that item's own message.
+eigpair_weight_rows checks a stack of weight rows, and
+EigpairVectors.spectra gives the spectra of a stack of weights; for
+non-orthogonal vectors it assembles the matrices and density_spectra checks
+and diagonalizes them as density_matrix does one. Each reports the first
+item that fails, with that item's own message.
 """
 
 from dataclasses import dataclass
@@ -213,26 +216,31 @@ def _orthonormal_completion(v):
 
 def eigpair_weight_rows(rows):
     """(weights, failure) for a stack of eigpair weight rows (n, k): each row
-    nonnegative and summing to 1 within TRACE_TOL (renormalized silently
-    inside that window); failure is None or (i, message) for the first row
-    that breaks this."""
+    finite, nonnegative and summing to 1 within TRACE_TOL (renormalized
+    silently inside that window); failure is None or (i, message) for the
+    first row that breaks this."""
     weights = np.array(rows, dtype=float)
-    low = weights.min(axis=1)
-    weights = np.maximum(weights, 0.0)
-    total = weights.sum(axis=1)
-    failure = first_failure(
-        [
-            (low < -1e-12, lambda i: f"negative weight {low[i]!r}"),
-            (
-                np.abs(total - 1.0) > TRACE_TOL,
-                lambda i: f"weights sum to {total[i]!r}, not 1 within {TRACE_TOL}",
-            ),
-        ]
-    )
-    # a row that failed (all its weights clipped to zero, say) divides
-    # without a warning
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return weights / total[:, None], failure
+    finite = np.isfinite(weights)
+    # a failed row (non-finite, overflowing, or all its weights clipped to
+    # zero) sums and divides without a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        low = weights.min(axis=1)
+        clipped = np.maximum(weights, 0.0)
+        total = clipped.sum(axis=1)
+        failure = first_failure(
+            [
+                (
+                    ~finite.all(axis=1),
+                    lambda i: f"non-finite weight {float(weights[i][~finite[i]][0])!r}",
+                ),
+                (low < -1e-12, lambda i: f"negative weight {float(low[i])!r}"),
+                (
+                    np.abs(total - 1.0) > TRACE_TOL,
+                    lambda i: f"weights sum to {float(total[i])!r}, not 1 within {TRACE_TOL}",
+                ),
+            ]
+        )
+        return clipped / total[:, None], failure
 
 
 def _eigpair_weights(weights):
@@ -342,21 +350,29 @@ def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
 
 def white_noise_state(psi, p):
     """p * |psi><psi| + (1 - p) * identity / dim, dim the size of psi."""
-    return density_matrix(white_noise_matrix(psi, p))
+    vectors = white_noise_vectors(psi)
+    return vectors.state(white_noise_weights(p, vectors.v.shape[0]))
 
 
-def white_noise_matrix(psi, p):
-    """The matrix of white_noise_state, its p and psi checked, for
-    density_matrix or density_spectra to check and diagonalize."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    dim = psi.size
+def white_noise_weights(p, dim):
+    """The eigenvalues [p + (1 - p) / dim, (1 - p) / dim, ...] of
+    white_noise_state, in the order of white_noise_vectors, p checked."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing weight p={p!r} outside [0, 1]")
+    noise = (1.0 - p) / dim
+    return [p + noise] + [noise] * (dim - 1)
+
+
+def white_noise_vectors(psi):
+    """The EigpairVectors of psi, normalized, followed by an orthonormal
+    completion: the eigenbasis of every a |psi><psi| + b (I - |psi><psi|),
+    whose weights are [a, b, ..., b]."""
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(psi)
     if nrm < 1e-12:
         raise ValidationError("zero vector")
     psi = psi / nrm
-    return p * np.outer(psi, np.conj(psi)) + (1.0 - p) * np.eye(dim) / dim
+    return EigpairVectors([psi, *_orthonormal_completion(psi[:, None]).T])
 
 
 def _hw_bell_vector(m, n, d):

@@ -554,6 +554,38 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
     assert err == "error: Hamiltonian 0 is not Hermitian within tolerance 1e-10\n"
 
 
+@pytest.mark.parametrize(
+    "state, dim, argv, message",
+    [
+        # a NaN weight once classified as rank 0 with every flag true
+        (
+            [{"weight": float("nan"), "vector": [[1, 0], [0, 0]]}, {"weight": 1.0, "vector": [[0, 0], [1, 0]]}],
+            2,
+            ["classify", "--json"],
+            "non-finite weight nan",
+        ),
+        # a key no half reads once gave rows that a sweep of it only repeated
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 0.5, "unread": 1}},
+            2,
+            ["sweep", "--param", "unread", "--grid", "0:1:3"],
+            "state.params: unknown keys ['unread']",
+        ),
+        # every sweep of d failed at its first point: d is not sweepable
+        (
+            {"family": "bell_diagonal", "params": {"weights": [0.5, 0.5], "d": 2}},
+            4,
+            ["sweep", "--param", "d", "--grid", "2:3:2"],
+            "unknown parameter 'd' for family 'bell_diagonal'; valid names: []",
+        ),
+    ],
+)
+def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, dim, argv, message):
+    hams = _random_hamiltonians(np.random.default_rng(2), dim)
+    path = _write(tmp_path, "bad.json", {"state": state, "hamiltonians": hams})
+    assert _run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"error: {message}\n")
+
+
 def _white_noise_descriptor(tmp_path):
     # p = 1 is a pure state (rank 1); every p < 1 is full rank (rank 4)
     return _write(
@@ -857,15 +889,53 @@ def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id
 
 
 def test_sweep_checks_the_state_matrices_of_a_batch_as_one_stack(tmp_path, monkeypatch):
-    # EX10's lam moves a matrix state: its nine points take one
-    # density_spectra call, and density_matrix runs once, in the resolve of
-    # the descriptor itself
-    desc = parse_descriptor(open(_example_descriptor(tmp_path, "EX10")).read())
+    # EX4's p moves the weights on two non-orthogonal vectors, so each point
+    # has a state matrix: a batch checks them in one density_spectra call,
+    # after the one of the descriptor's own resolve
+    desc = parse_descriptor(open(_example_descriptor(tmp_path, "EX4")).read())
     singles = count_calls(monkeypatch, states.density_matrix)
     stacks = count_calls(monkeypatch, states.density_spectra)
-    assert _sweep(desc, "lam", np.linspace(0.2, 0.8, 9)) == 9
-    assert len(singles) == 1
+    assert _sweep(desc, "p", np.linspace(0.2, 0.8, 9)) == 9
+    assert len(singles) == 0
     assert [len(args[0]) for args in stacks] == [1, 9]
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", 4 * conditions.point_bytes(4, 2))
+    stacks.clear()
+    assert _sweep(desc, "p", np.linspace(0.2, 0.8, 9)) == 9
+    assert [len(args[0]) for args in stacks] == [1, 4, 4, 1]
+
+
+def _white_noise_d9(tmp_path):
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+    desc = {
+        "state": {"family": "white_noise", "params": {"psi": [[z.real, z.imag] for z in psi], "p": 0.5}},
+        "hamiltonians": _random_hamiltonians(rng, 9),
+        "theta": [0.2, -0.1],
+    }
+    return _write(tmp_path, "noise9.json", desc)
+
+
+@pytest.mark.parametrize("state, name", [("EX10", "lam"), ("white_noise", "p")])
+def test_sweep_of_a_closed_form_spectrum_builds_no_state_matrix(tmp_path, monkeypatch, state, name):
+    # EX10's lam and white noise's p (here at d = 9) move the weights
+    # [a, b, ..., b] on a basis that the descriptor's own resolve builds and
+    # completes: no point builds a state matrix, and the d - 1 tied weights b
+    # keep one weight order, so every batch shares that basis
+    path = _white_noise_d9(tmp_path) if state == "white_noise" else _example_descriptor(tmp_path, state)
+    desc = parse_descriptor(open(path).read())
+    singles = count_calls(monkeypatch, states.density_matrix)
+    stacks = count_calls(monkeypatch, states.density_spectra)
+    built = count_calls(monkeypatch, EigpairVectors)
+    completions = count_calls(monkeypatch, states._orthonormal_completion)
+    halves = resolve_halves(desc)
+    dim = halves.problem[0].dim
+    assert (len(built), len(completions)) == (1, 2)
+    # two batches of four points and one of one
+    monkeypatch.setattr(conditions, "CHUNK_BYTES", 4 * conditions.point_bytes(dim, 2))
+    problems = list(resolve_grid(desc, name, np.linspace(0.3, 0.9, 9), halves))
+    assert sum(stack.n for stack in problems) == 9
+    assert all(len(stack.vectors) == 1 for stack in problems)
+    assert (len(singles), len(stacks), len(built), len(completions)) == (0, 0, 1, 2)
 
 
 def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(tmp_path, monkeypatch):

@@ -248,6 +248,13 @@ def test_sweepable_parameters():
     )
     names = sweepable_parameters(ex)
     assert set(names) == {"alpha", "lam", "a", "a_prime"}
+    # only an eigpair state is swept: not bell_diagonal's d or maximally_mixed's dim
+    bell = {"family": "bell_diagonal", "params": {"weights": [0.5, 0.5], "d": 2}}
+    for state, name, dim in ((MIXED["state"], "dim", 2), (bell, "d", 4)):
+        desc = parse_descriptor(_desc(state=state, hamiltonians=[matrix_to_json(np.eye(dim))]))
+        assert sweepable_parameters(desc) == {}
+        with pytest.raises(ValidationError, match=f"unknown parameter '{name}'.*valid names: \\[\\]"):
+            with_parameter(desc, name, 2.0)
 
 
 def test_with_parameter():
@@ -370,7 +377,7 @@ def _example(ex_id):
 NOISE = {
     "state": {
         "family": "white_noise",
-        "params": {"psi": [[0.6, 0], [0, 0.3], [0, 0], [0.5, -0.2]], "p": 0.5, "unread": 1},
+        "params": {"psi": [[0.6, 0], [0, 0.3], [0, 0], [0.5, -0.2]], "p": 0.5},
     },
     "hamiltonians": [
         {"family": "local_spin", "params": {"sites": 2, "site": 0, "axis": [1.0, 0.0, 0.4]}},
@@ -387,15 +394,16 @@ NOISE = {
         (_example("EX2"), "dim", [2.0, 2.0, 3.0, 3.0, 3.0, 2.0]),
         # rank 4 and rank 1 (p = 1) alternate
         (NOISE, "p", [0.5, 1.0, 0.7, 0.9, 1.0, 1.0, 0.5]),
-        # a parameter no half reads: every point shares both halves
-        (NOISE, "unread", [1.0, 2.0, 3.0, 4.0]),
+        # weights on non-orthogonal vectors: a state matrix at each point,
+        # its smaller weight below the rank cutoff at the last
+        (_example("EX4"), "p", [0.1, 0.5, 0.9, 0.5, 1.0 - 1e-11]),
         # three descending-weight orders on shared vectors
         (_example("EX8"), "lam1", [0.1, 0.3, 0.15, 0.5, 0.1]),
         # Hamiltonians built at each point
         (_example("EX8"), "az", [-1.0, 0.0, 1.0, 0.5]),
         # eigpair vectors built at each point
         (_example("EX3"), "alpha", [1.0, 1.2, 1.4, 2.0]),
-        # a matrix state at each point, Hamiltonians shared
+        # weights on one shared basis, Hamiltonians shared
         (_example("EX10"), "lam", [0.2, 0.4, 0.6, 0.8]),
     ],
 )
@@ -456,3 +464,80 @@ def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
         with pytest.raises(ValidationError) as err:
             list(resolve_grid(desc, "lam", values, halves))
         assert str(err.value) == expected, values
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a key no half reads, which a sweep could only repeat
+        (
+            {**NOISE, "state": {"family": "white_noise", "params": {**NOISE["state"]["params"], "unread": 1}}},
+            "state.params: unknown keys ['unread']",
+        ),
+        (
+            {"state": {"family": "maximally_mixed", "params": {"dim": 2, "d": 2}}, "hamiltonians": [SZ_JSON]},
+            "state.params: unknown keys ['d']",
+        ),
+        (
+            {
+                **NOISE,
+                "hamiltonians": [
+                    NOISE["hamiltonians"][0],
+                    {"family": "local_spin", "params": {**NOISE["hamiltonians"][1]["params"], "spin": 1}},
+                ],
+            },
+            "hamiltonians[1].params: unknown keys ['spin']",
+        ),
+    ],
+)
+def test_family_params_hold_only_the_names_the_family_reads(data, message):
+    with pytest.raises(ValidationError) as err:
+        parse_descriptor(data)
+    assert str(err.value) == message
+
+
+class _ReadLog(dict):
+    """A params dict that records each name read from it."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+FAMILIES = {
+    "white_noise": NOISE,
+    "bell_diagonal": {
+        "state": {"family": "bell_diagonal", "params": {"weights": [0.5, 0.3, 0.2], "d": 2}},
+        "hamiltonians": NOISE["hamiltonians"],
+    },
+    "pure": {"state": {"family": "pure", "params": {"vector": [[3, 0], [4, 0]]}}, "hamiltonians": [SZ_JSON]},
+    "maximally_mixed": _desc(),
+    **{
+        ex_id: _example(ex_id)
+        for ex_id in ("EX2", "EX3", "EX4", "EX5", "EX7", "EX8", "EX9", "EX10", "OBS7")
+    },
+}
+
+
+@pytest.mark.parametrize("data", FAMILIES.values(), ids=FAMILIES.keys())
+def test_each_half_reads_exactly_the_names_it_declares(data):
+    # a sweep rebuilds a half at each point only if its reads name the swept
+    # parameter, so a name missing from them would print stale rows
+    desc = parse_descriptor(data)
+    params, state, hamiltonians = descriptors._halves(desc)
+    halves = [*state, hamiltonians] if isinstance(state, EigpairHalf) else [state, hamiltonians]
+    read = set()
+    for half in halves:
+        log = _ReadLog(params)
+        half.build(log)
+        assert log.read == set(half.reads), half
+        read |= log.read
+    assert set(sweepable_parameters(desc)) <= read

@@ -101,6 +101,23 @@ def test_eigpairs_whose_weights_clip_to_zero_fail_without_a_warning(weight, mess
     assert weights[0].tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigpair_weights_must_be_finite(bad):
+    message = f"non-finite weight {float(bad)!r}"
+    weights, failure = eigpair_weight_rows([[0.5, 0.5], [0.5, bad], [-0.5, 1.5]])
+    assert failure == (1, message)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        density_from_eigpairs([(0.5, [1.0, 0.0]), (bad, [0.0, 1.0])])
+
+
+def test_eigpair_weight_messages_print_plain_floats():
+    assert eigpair_weight_rows([[0.7, -0.2, 0.5]])[1] == (0, "negative weight -0.2")
+    assert eigpair_weight_rows([[0.7, 0.2]])[1] == (
+        0,
+        "weights sum to 0.8999999999999999, not 1 within 1e-10",
+    )
+
+
 def test_density_matrix_trace_error_names_value():
     with pytest.raises(ValidationError, match="trace 0.9"):
         density_matrix(np.diag([0.5, 0.4]))
