@@ -22,13 +22,13 @@ support rows.
 classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
 metrology.qfim compute both in the computational basis from the operators
-L_i and are classify's anchors. classify_many evaluates a list of problems:
-it groups them by (dim, m, rank) and runs each group, as one ProblemStack,
-through classify_stack: the stacked kernels (encode_stack, sld_row_stack,
-the pair commutators, Q and incompatibility_stack) with a leading (N, ...)
-axis. classify_stack returns the norms, flags and E as arrays, which a sweep
-formats directly; the reports are a view of the same arrays. classify and
-condition_operators_direct are N = 1 cases.
+L_i and are classify's anchors. classify_stack evaluates a ProblemStack, N
+problems of one (dim, m, rank), through the stacked kernels (encode_stack,
+sld_row_stack, the pair commutators, Q and incompatibility_stack) with a
+leading (N, ...) axis. It returns the norms, flags and E as arrays, which a
+sweep formats directly. classify builds the one-problem stack of its state
+and Hamiltonians, and its report is a view of the same arrays;
+condition_operators_direct is the pair kernel at N = 1.
 
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
@@ -54,8 +54,8 @@ from .metrology import QfimResult, incompatibility_stack, qfim_stack
 from .operator_core import ValidationError, commutator, dagger, frobenius_rows
 from .sld import SldSet, sld_row_stack, sld_rotated
 
-# chunk_size sizes a list of problems for one classify_many call so that
-# its estimated peak memory (point_bytes per problem) stays within this
+# chunk_size sizes a ProblemStack for one classify_stack call so that its
+# estimated peak memory (point_bytes per problem) stays within this
 CHUNK_BYTES = 16 * 2**20
 
 
@@ -651,71 +651,40 @@ def classify_stack(stack, tol=1e-8):
     )
 
 
-def _stacked(arrays):
-    """np.stack of a list of arrays; a view, not a copy, for one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _problem_stack(problems):
-    """The ProblemStack of checked problems (rho, h_set, theta) of one
-    (dim, m, rank); their Hamiltonians and theta once when they share one
-    HamiltonianSet and one theta."""
-    _, hs0, theta0 = problems[0]
-    specs = [rho.spectrum for rho, _, _ in problems]
-    shared = all(hs is hs0 and np.array_equal(t, theta0) for _, hs, t in problems)
-    sets = problems[:1] if shared else problems
-    return ProblemStack(
-        n=len(problems),
-        rank=specs[0].rank,
-        lam=_stacked([spec.eigenvalues for spec in specs]),
-        vectors=_stacked([spec.eigenvectors for spec in specs]),
-        hams=_stacked([hs.stack for _, hs, _ in sets]),
-        theta=_stacked([t for _, _, t in sets]),
+def _report(spec, theta, res, tol):
+    """The ClassificationReport of a checked one-problem stack, from its
+    classify_stack arrays."""
+    e = float(res.E[0])
+    flags = dict(zip(FLAG_KINDS, map(bool, res.flags[0])))
+    consistent, converse_failures = _verdict(flags)
+    norms = dict(zip(NORM_KINDS, map(float, res.norms[0])))
+    return ClassificationReport(
+        norms=norms,
+        flags=flags,
+        hierarchy_consistent=consistent,
+        converse_failures=converse_failures,
+        tolerance=tol,
+        scale=float(res.scale[0]),
+        theta=theta,
+        rank=spec.rank,
+        dim=spec.dim,
+        W=ScalarConditionMatrix(entries=res.w_stack[0], kind="W"),
+        qfim=qfim_stack(res.f)[0],
+        E=None if np.isnan(e) else e,
+        point=EncodingPoint(theta=theta, kappa=res.kappa[0], w=res.w[0], elems=res.x[0]),
+        slds=SldSet(spec=spec, rows=res.rows[0]),
+        operators=ConditionOperators(
+            comm=res.comm[0],
+            eigenvectors=spec.eigenvectors,
+            rank=spec.rank,
+            m=len(res.x[0]),
+            norms={kind: norms[kind] for kind in ("S", "O", "P")},
+        ),
     )
 
 
-def _reports(problems, res, tol):
-    """ClassificationReports for checked problems (rho, h_set, theta), in
-    order, from their classify_stack arrays."""
-    qfims = qfim_stack(res.f)
-    reports = []
-    for k, (rho, _, theta) in enumerate(problems):
-        spec = rho.spectrum
-        e = float(res.E[k])
-        flags = dict(zip(FLAG_KINDS, map(bool, res.flags[k])))
-        consistent, converse_failures = _verdict(flags)
-        norms = dict(zip(NORM_KINDS, map(float, res.norms[k])))
-        j = k if len(res.kappa) > 1 else 0
-        reports.append(
-            ClassificationReport(
-                norms=norms,
-                flags=flags,
-                hierarchy_consistent=consistent,
-                converse_failures=converse_failures,
-                tolerance=tol,
-                scale=float(res.scale[k]),
-                theta=theta,
-                rank=spec.rank,
-                dim=spec.dim,
-                W=ScalarConditionMatrix(entries=res.w_stack[k], kind="W"),
-                qfim=qfims[k],
-                E=None if np.isnan(e) else e,
-                point=EncodingPoint(theta=theta, kappa=res.kappa[j], w=res.w[j], elems=res.x[j]),
-                slds=SldSet(spec=spec, rows=res.rows[k]),
-                operators=ConditionOperators(
-                    comm=res.comm[k],
-                    eigenvectors=spec.eigenvectors,
-                    rank=spec.rank,
-                    m=len(res.x[j]),
-                    norms={kind: norms[kind] for kind in ("S", "O", "P")},
-                ),
-            )
-        )
-    return reports
-
-
 def point_bytes(dim, m):
-    """Estimated peak bytes one resolved problem adds to a classify_many
+    """Estimated peak bytes one resolved problem adds to a classify_stack
     call: 16 dim^2 bytes times 4 m + 5 m (m - 1) / 2 + 6, counting the
     problem's own Hamiltonians and eigenvectors, the stacked generators and
     their temporaries, and the pair commutators with theirs. tracemalloc
@@ -726,39 +695,9 @@ def point_bytes(dim, m):
 
 
 def chunk_size(dim, m):
-    """How many problems of dimension dim with m parameters one classify_many
+    """How many problems of dimension dim with m parameters one classify_stack
     call may take within CHUNK_BYTES (at least one)."""
     return max(1, CHUNK_BYTES // point_bytes(dim, m))
-
-
-def classify_many(problems, tol=1e-8):
-    """classify for each (rho, h_set, theta) in problems, in order.
-
-    Every problem is validated first, in order, with classify's messages;
-    theta None means zeros. The problems are then grouped by (dim, m, rank),
-    and each group runs through classify_stack in one pass, its
-    Hamiltonians encoded once when every problem of the group shares one
-    HamiltonianSet and one theta; the reports view its arrays. The reports
-    keep views of their group's stacked arrays, so the memory a call holds
-    grows with the length of the list: a caller with many large problems
-    passes at most chunk_size(dim, m) of them at a time. Each report is the
-    one classify gives for its problem, up to roundoff.
-    """
-    checked = []
-    groups = {}
-    for rho, h_set, theta in problems:
-        theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)
-        if rho.dim != h_set.dim:
-            raise ValidationError("state and Hamiltonian dimensions differ")
-        groups.setdefault((rho.dim, h_set.m, rho.rank), []).append(len(checked))
-        checked.append((rho, h_set, theta))
-    reports = [None] * len(checked)
-    for members in groups.values():
-        group = [checked[k] for k in members]
-        res = classify_stack(_problem_stack(group), tol)
-        for k, report in zip(members, _reports(group, res, tol)):
-            reports[k] = report
-    return reports
 
 
 def classify(rho, h_set, theta=None, tol=1e-8):
@@ -775,6 +714,18 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     keeps the encoding point, SLD set and condition operators of that pass,
     so callers need no second pass. The P, O and S norms come from the
     eigenbasis commutators; no d x d operator block is built until
-    `report.operators` is asked for one. This is classify_many at N = 1.
+    `report.operators` is asked for one. This is classify_stack at N = 1.
     """
-    return classify_many([(rho, h_set, theta)], tol)[0]
+    theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)
+    if rho.dim != h_set.dim:
+        raise ValidationError("state and Hamiltonian dimensions differ")
+    spec = rho.spectrum
+    stack = ProblemStack(
+        n=1,
+        rank=spec.rank,
+        lam=spec.eigenvalues[None],
+        vectors=spec.eigenvectors[None],
+        hams=h_set.stack[None],
+        theta=theta[None],
+    )
+    return _report(spec, theta, classify_stack(stack, tol), tol)

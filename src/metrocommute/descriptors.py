@@ -23,7 +23,11 @@ built; `resolve` is its one-point case, and a sweep shares the halves its
 parameter does not reach (for a descriptor family, always the Hamiltonians)
 with every point. A state that a sweep moves is an eigpair state
 (examples.EigpairHalf), so a point builds its weights and, only where the
-parameter moves them, its vectors, and never a matrix.
+parameter moves them, its vectors, and never a matrix. A batch of points
+holds one shape (weight count, vectors and Hamiltonians); it ends before the
+first point whose shapes differ, which starts the next batch. Its checks run
+over the whole batch and name only the first failing point, whose message
+is the one resolve gives for it.
 """
 
 import json
@@ -501,24 +505,10 @@ def resolve(desc):
     return resolve_halves(desc).problem
 
 
-# The checks one point of a sweep runs, in the order it runs them. A batch
-# reports the first point that fails any of them, with the message of the
-# first check that point fails.
-(
-    _STATE_BUILT,
-    _WEIGHTS_CHECKED,
-    _WEIGHT_COUNT_CHECKED,
-    _STATE_CHECKED,
-    _HAMILTONIANS_BUILT,
-    _HAMILTONIANS_CHECKED,
-    _PROBLEM_CHECKED,
-) = range(7)
-
-
-def _runs(keys, start=0):
-    """(start + i, start + j) for each run keys[i:j] of equal keys."""
+def _runs(keys):
+    """(i, j) for each run keys[i:j] of equal keys."""
     cuts = [k for k in range(1, len(keys)) if keys[k] != keys[k - 1]]
-    return [(start + i, start + j) for i, j in zip([0, *cuts], [*cuts, len(keys)])] if keys else []
+    return list(zip([0, *cuts], [*cuts, len(keys)]))
 
 
 class _Grid:
@@ -530,8 +520,10 @@ class _Grid:
     state that reads `name` is an EigpairHalf (sweepable_parameters): a point
     builds its weights, and its vectors only when they read `name`. The raw
     values of a batch (weight rows and Hamiltonian lists) are built point by
-    point, and every check that resolve runs on a point runs as one array
-    operation over the batch.
+    point, and every point of a batch has the shapes of its first: its
+    weight count, vector shape and Hamiltonian shapes. Every check that
+    resolve runs on a point runs as one array operation over the batch and
+    gives the batch's first failing point, whose message is resolve's.
     """
 
     def __init__(self, desc, name, halves):
@@ -554,131 +546,119 @@ class _Grid:
 
     def batch(self, values):
         """(stacks, count): the ProblemStacks of the first `count` values, in
-        order, count = conditions.chunk_size(dim, m) for the dim and m of the
-        first point. Raises the ValidationError of the first point that
-        fails, prefixed with "grid value name=v: ", before any point of the
-        batch is classified; then that of a non-finite theta, which classify
-        checks after resolve."""
-        states, hams, failures = [], [], []
-        k, count = 0, len(values)
-        while k < count:
-            p = {**self.params, self.name: values[k]}
-            stage = _STATE_BUILT
+        order, count at most conditions.chunk_size(dim, m) for the dim and m
+        of the first point, and ending before the first point whose shapes
+        differ from the first point's. Raises the ValidationError of the
+        first point that fails, prefixed with "grid value name=v: ", before
+        any point of the batch is classified; then that of a non-finite
+        theta, which classify checks after resolve."""
+        points, failures, count = [], [], len(values)
+        while len(points) < count:
+            p = {**self.params, self.name: values[len(points)]}
             try:
-                if self.state_of is not None:
-                    states.append(self.state_of(p))
-                stage = _HAMILTONIANS_BUILT
-                if self.hams_of is not None:
-                    hams.append(self.hams_of(p))
-            except ValidationError as err:
-                failures.append((k, stage, str(err)))
+                state = None if self.state_of is None else self.state_of(p)
+                hams = None if self.hams_of is None else self.hams_of(p)
+            except ValidationError:
+                failures.append(len(points))
                 break
-            if k == 0:
-                dim = self.shared_state[1].shape[-1] if self.state_of is None else states[0][1].v.shape[0]
-                m = self.shared_hams.shape[1] if self.hams_of is None else len(hams[0])
-                count = min(count, chunk_size(dim, m))
-            k += 1
-        # k points are built; a point that failed to build its Hamiltonians
-        # still has its state checked, since a point checks its state first
-        state_runs = self._state_runs(states, failures)
-        ham_runs = self._hamiltonian_runs(hams, failures)
-        stacks = list(self._stacks(k, state_runs, ham_runs, failures))
+            shape = (
+                None if state is None else (len(state[0]), state[1].v.shape),
+                None if hams is None else tuple(map(np.shape, hams)),
+            )
+            if not points:
+                first = shape
+                dim = self.shared_state[1].shape[-1] if state is None else state[1].v.shape[0]
+                ham = self.shared_hams[0] if hams is None else hams
+                count = min(count, chunk_size(dim, len(ham)))
+                if _problem_error(self.desc, dim, np.shape(ham[0])[-1], len(ham)):
+                    failures.append(0)
+                    break
+            elif shape != first:
+                break
+            points.append((state, hams))
+        if points:
+            vals, vecs = self._states([s for s, _ in points], failures)
+            hams = self._hamiltonians([h for _, h in points], failures)
         if failures:
-            k, _, message = min(failures)
-            raise ValidationError(f"grid value {self.name}={values[k]:g}: {message}")
+            self._fail(values[min(failures)])
         checked_theta(self.hs, self.theta[0])
-        return stacks, k
+        return list(self._stacks(len(points), vals, vecs, hams)), len(points)
 
-    def _state_runs(self, states, failures):
-        """[(start, stop, vals, vecs)] over the points built so far: uncut
-        descending eigenvalues and eigenvectors, each with a leading axis of
-        the run's length or of 1 (shared). A run holds points of one weight
-        count and one vector shape, and stops at its first failing point."""
+    def _states(self, states, failures):
+        """(vals, vecs) of the built points: uncut descending eigenvalues and
+        eigenvectors, each with a leading axis of the batch's length or of 1
+        (shared), up to the first failing point, which joins `failures`."""
         if self.state_of is None:
-            return [(0, np.inf, *self.shared_state)]
-        runs = []
-        for a, b in _runs([(len(w), v.v.shape) for w, v in states]):
-            weights, failure = eigpair_weight_rows([w for w, _ in states[a:b]])
-            if failure:
-                failures.append((a + failure[0], _WEIGHTS_CHECKED, failure[1]))
-                weights = weights[: failure[0]]
-            size_error = states[a][1].size_error(weights.shape[1])
-            if size_error:
-                failures.append((a, _WEIGHT_COUNT_CHECKED, size_error))
-            if size_error or not len(weights):
-                continue
-            vals, vecs, failure = _spectra([v for _, v in states[a:b]], weights)
-            if failure:
-                failures.append((a + failure[0], _STATE_CHECKED, failure[1]))
-            if len(vals):
-                runs.append((a, a + len(vals), vals, vecs))
-        return runs
+            return self.shared_state
+        weights, failure = eigpair_weight_rows([w for w, _ in states])
+        if failure:
+            failures.append(failure[0])
+            weights = weights[: failure[0]]
+        size_error = states[0][1].size_error(weights.shape[1])
+        if size_error:
+            failures.append(0)
+        if size_error or not len(weights):
+            return None, None
+        vals, vecs, k = _spectra([v for _, v in states], weights)
+        if k is not None:
+            failures.append(k)
+        return vals, vecs
 
-    def _hamiltonian_runs(self, hams, failures):
-        """[(start, stop, hams)] over the points built so far, hams with a
-        leading axis of the run's length or of 1 (shared). A run stops at
-        its first failing point."""
+    def _hamiltonians(self, hams, failures):
+        """The built points' Hamiltonians with a leading axis of the batch's
+        length or of 1 (shared); the first failing point joins `failures`."""
         if self.hams_of is None:
-            return [(0, np.inf, self.shared_hams)]
-        runs = []
-        for a, b in _runs([tuple(map(np.shape, h)) for h in hams]):
-            stack = np.array(hams[a:b], dtype=complex)
-            failure = hamiltonian_checks(stack)
-            if failure:
-                failures.append((a + failure[0], _HAMILTONIANS_CHECKED, failure[1]))
-                stack = stack[: failure[0]]
-            runs.append((a, a + len(stack), stack))
-        return runs
+            return self.shared_hams
+        stack = np.array(hams, dtype=complex)
+        failure = hamiltonian_checks(stack)
+        if failure:
+            failures.append(failure[0])
+        return stack
 
-    def _stacks(self, n, state_runs, ham_runs, failures):
-        """The ProblemStacks of points [0, n): runs of one state run, one
-        Hamiltonian run and one rank, each state cut at the descriptor's
-        rank_tol; a point whose dimensions fail resolve's checks adds its
-        failure instead."""
-        for sa, sb, vals, vecs in state_runs:
-            live = vals > self.desc.rank_tol
-            lam, ranks = np.where(live, vals, 0.0), np.count_nonzero(live, axis=1)
-            for ha, hb, hams in ham_runs:
-                a, b = max(sa, ha), min(sb, hb, n)
-                if a >= b:
-                    continue
-                error = _problem_error(self.desc, vals.shape[-1], hams.shape[-1], hams.shape[1])
-                if error:
-                    failures.append((a, _PROBLEM_CHECKED, error))
-                    continue
-                for ra, rb in _runs([int(_rows(ranks, sa, k, k + 1)[0]) for k in range(a, b)], a):
-                    yield ProblemStack(
-                        n=rb - ra,
-                        rank=int(_rows(ranks, sa, ra, rb)[0]),
-                        lam=_rows(lam, sa, ra, rb),
-                        vectors=_rows(vecs, sa, ra, rb),
-                        hams=_rows(hams, ha, ra, rb),
-                        theta=self.theta,
-                    )
+    def _stacks(self, n, vals, vecs, hams):
+        """The ProblemStacks of the batch's n checked points: runs of one
+        rank, each state cut at the descriptor's rank_tol."""
+        live = vals > self.desc.rank_tol
+        lam = np.where(live, vals, 0.0)
+        ranks = np.broadcast_to(np.count_nonzero(live, axis=1), (n,)).tolist()
+        for a, b in _runs(ranks):
+            yield ProblemStack(
+                n=b - a,
+                rank=ranks[a],
+                lam=_rows(lam, a, b),
+                vectors=_rows(vecs, a, b),
+                hams=_rows(hams, a, b),
+                theta=self.theta,
+            )
+
+    def _fail(self, value):
+        """Raise what resolve raises for the point at `value`, prefixed with
+        "grid value name=v: "; a point that resolve passes but a batch check
+        failed is a fault of the batch checks (ArithmeticError)."""
+        where = f"grid value {self.name}={value:g}"
+        try:
+            resolve(with_parameter(self.desc, self.name, value))
+        except ValidationError as err:
+            raise ValidationError(f"{where}: {err}") from None
+        raise ArithmeticError(f"{where}: a batch check fails a point that resolve passes")
 
 
 def _spectra(vectors, weights):
-    """EigpairVectors.spectra of checked weight rows (n, k), row i on
-    vectors[i]: one call when every row has the same vectors, else one per
-    row, up to the first row that fails."""
+    """(vals, vecs, k): EigpairVectors.spectra of checked weight rows, row i
+    on vectors[i], in one call when every row has the same vectors, and k
+    the first row that fails, or None."""
     if all(v is vectors[0] for v in vectors):
-        return vectors[0].spectra(weights)
-    d = vectors[0].v.shape[0]
-    vals, vecs, failure = [], [], None
-    for k, (v, w) in enumerate(zip(vectors, weights)):
-        val, vec, failure = v.spectra(w[None])
-        if failure:
-            failure = (k, failure[1])
-            break
-        vals.append(val)
-        vecs.append(vec)
-    return np.reshape(vals, (-1, d)), np.reshape(vecs, (-1, d, d)), failure
+        vals, vecs, failure = vectors[0].spectra(weights)
+        return vals, vecs, failure and failure[0]
+    vals, vecs, failures = zip(*(v.spectra(w[None]) for v, w in zip(vectors, weights)))
+    k = next((k for k, failure in enumerate(failures) if failure), None)
+    return np.concatenate(vals), np.concatenate(vecs), k
 
 
-def _rows(arr, start, a, b):
-    """Points a..b of a run's array whose first row is point `start`; an
-    array of one row, shared or the run's only point, as it is."""
-    return arr if len(arr) == 1 else arr[a - start : b - start]
+def _rows(arr, a, b):
+    """Points a..b of a batch's array; an array of one row, shared or the
+    batch's only point, as it is."""
+    return arr if len(arr) == 1 else arr[a:b]
 
 
 def resolve_grid(desc, name, values, halves):
@@ -692,11 +672,11 @@ def resolve_grid(desc, name, values, halves):
     resolve_halves, shared by every point; an eigpair state whose vectors
     do not read it checks only its weights per point, and orthonormal
     vectors give one shared eigenvector array per descending-weight order.
-    Points are resolved conditions.chunk_size(dim, m) at a time, dim and m
-    those of a batch's first point, each check over a batch as one array
-    operation; the first point that fails raises its ValidationError
-    prefixed with "grid value name=v: ", before any stack of its batch is
-    yielded.
+    Points are resolved in batches of one shape, at most
+    conditions.chunk_size(dim, m) at a time, dim and m those of a batch's
+    first point, each check over a batch as one array operation; the first
+    point that fails raises what resolve raises for it, prefixed with
+    "grid value name=v: ", before any stack of its batch is yielded.
     """
     _check_sweepable(desc, name)
     grid = _Grid(desc, name, halves)

@@ -240,12 +240,15 @@ def _ex2_closed(p, dim, psi, hams):
     return pref * (psi.conj() @ comm @ psi)
 
 
+def _is_number(value):
+    """Whether value is a real number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _whole_number(value):
     """value as an int when it is a real number with no fractional part,
     else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return int(value) if float(value).is_integer() else None
+    return int(value) if _is_number(value) and float(value).is_integer() else None
 
 
 def _ex2_dim(p):
@@ -327,7 +330,9 @@ def _tilted_kets(p):
     [pi/4, 3 pi/4]; outside it the kets cannot be orthogonal.
     """
     alpha = float(p["alpha"])
-    cot2 = np.cos(alpha) ** 2 / np.sin(alpha) ** 2
+    # cot^2(alpha) is infinite where sin(alpha) = 0, which is out of the domain
+    with np.errstate(divide="ignore", over="ignore"):
+        cot2 = np.cos(alpha) ** 2 / np.sin(alpha) ** 2
     if cot2 > 1.0 + 1e-12:
         raise ValidationError(
             "out-of-domain parameters: cot^2(alpha) must be <= 1"
@@ -780,7 +785,7 @@ def _run_ex9(p):
 def _pseudo_pure_weights(p):
     """EX10, and OBS7 at its default dim: lam on psi and lam* on each vector
     of its completion (_pseudo_pure_vectors)."""
-    lam, dim = float(p["lam"]), int(p.get("dim", 4))
+    lam, dim = float(p["lam"]), _whole_number(p.get("dim", 4))
     if dim != 4:
         raise ValidationError(
             "out-of-domain parameters: dim must be 4 (two-qubit realization)"
@@ -1156,13 +1161,18 @@ def default_parameters(example_id):
 
 
 def _merged_parameters(example_id, params):
-    """The example's defaults with `params` applied; unknown ids or names raise."""
+    """The example's defaults with `params` applied; unknown ids or names
+    raise, and so does a value that is not a number where the default is."""
     merged = default_parameters(example_id)
     for key, value in (params or {}).items():
         if key not in merged:
             raise ValidationError(
                 f"unknown parameter {key!r} for {example_id}; "
                 f"valid names: {sorted(merged)}"
+            )
+        if _is_number(merged[key]) and not _is_number(value):
+            raise ValidationError(
+                f"parameter {key!r} for {example_id}: expected a number, got {value!r}"
             )
         merged[key] = value
     return merged

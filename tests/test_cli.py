@@ -578,11 +578,42 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
             ["sweep", "--param", "d", "--grid", "2:3:2"],
             "unknown parameter 'd' for family 'bell_diagonal'; valid names: []",
         ),
+        # sin(alpha) = 0 once printed numpy's divide-by-zero warning first
+        *(
+            (
+                {"family": "example", "params": {"id": ex_id}},
+                None,
+                ["sweep", "--param", "alpha", "--grid=-2:2:5"],
+                "grid value alpha=0: out-of-domain parameters: cot^2(alpha) must be <= 1",
+            )
+            for ex_id in ("EX3", "EX7")
+        ),
+        # example overrides of the wrong type once ended in a traceback or
+        # were read as another number
+        *(
+            (
+                {"family": "example", "params": params},
+                None,
+                ["classify", "--json"],
+                message,
+            )
+            for params, message in (
+                ({"id": "EX4", "p": "x"}, "parameter 'p' for EX4: expected a number, got 'x'"),
+                ({"id": "EX10", "dim": [1]}, "parameter 'dim' for EX10: expected a number, got [1]"),
+                (
+                    {"id": "EX10", "dim": 4.5},
+                    "out-of-domain parameters: dim must be 4 (two-qubit realization)",
+                ),
+                ({"id": "EX8", "ax": "1"}, "parameter 'ax' for EX8: expected a number, got '1'"),
+            )
+        ),
     ],
 )
 def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, dim, argv, message):
-    hams = _random_hamiltonians(np.random.default_rng(2), dim)
-    path = _write(tmp_path, "bad.json", {"state": state, "hamiltonians": hams})
+    data = {"state": state}
+    if dim is not None:  # an example brings its own Hamiltonians
+        data["hamiltonians"] = _random_hamiltonians(np.random.default_rng(2), dim)
+    path = _write(tmp_path, "bad.json", data)
     assert _run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"error: {message}\n")
 
 

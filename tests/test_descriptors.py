@@ -405,6 +405,10 @@ NOISE = {
         (_example("EX3"), "alpha", [1.0, 1.2, 1.4, 2.0]),
         # weights on one shared basis, Hamiltonians shared
         (_example("EX10"), "lam", [0.2, 0.4, 0.6, 0.8]),
+        # the shape changes twice within the first batch's four points
+        (_example("EX2"), "dim", [2.0, 3.0, 3.0, 2.0, 2.0]),
+        # eigpair vectors and Hamiltonians both built at each point
+        (_example("EX2"), "seed", [0.0, 3.0, 11.0, 3.0, 5.0]),
     ],
 )
 def test_resolve_grid_stacks_what_resolve_gives_point_by_point(monkeypatch, data, name, values):
@@ -464,6 +468,24 @@ def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
         with pytest.raises(ValidationError) as err:
             list(resolve_grid(desc, "lam", values, halves))
         assert str(err.value) == expected, values
+
+
+def test_resolve_grid_names_a_failure_past_a_shape_change():
+    # dim = 3.0 starts a second batch, which holds the failing point
+    desc = parse_descriptor(_example("EX2"))
+    with pytest.raises(ValidationError) as err:
+        list(resolve_grid(desc, "dim", [2.0, 3.0, 3.5], descriptors.resolve_halves(desc)))
+    assert str(err.value) == (
+        "grid value dim=3.5: out-of-domain parameters: dim must be an integer >= 2"
+    )
+
+
+def test_resolve_grid_faults_a_batch_check_that_resolve_does_not_share(monkeypatch):
+    # a batch check that flags a valid point has no message of resolve to give
+    desc = parse_descriptor(_example("EX8"))
+    monkeypatch.setattr(descriptors, "hamiltonian_checks", lambda stack: (1, "flagged"))
+    with pytest.raises(ArithmeticError, match="grid value az=0.5: "):
+        list(resolve_grid(desc, "az", [0.0, 0.5, 1.0], descriptors.resolve_halves(desc)))
 
 
 @pytest.mark.parametrize(

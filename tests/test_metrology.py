@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import QFIM_SPOTS, random_density, random_hermitian_matrix, sub_cutoff_state
-from metrocommute.conditions import classify, classify_many
+from metrocommute.conditions import classify
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
 from metrocommute.metrology import (
@@ -220,12 +220,10 @@ def test_incompatibility_matches_the_hermitian_route():
     # 16 eps cond(F); the worst, at 0.9 CONDITION_LIMIT, is 6.5e-6 relative
     tol = 16 * np.finfo(float).eps
     rng = np.random.default_rng(61)
-    problems = []
     for d, rank, m in ((3, 2, 2), (4, 2, 3), (5, 3, 4), (6, 6, 2), (8, 8, 4), (16, 5, 3)) * 3:
         rho = density_matrix(random_density(rng, d, rank=rank))
         hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
-        problems.append((rho, hs, rng.normal(size=m)))
-    for rep in classify_many(problems):
+        rep = classify(rho, hs, theta=rng.normal(size=m))
         f = rep.qfim
         assert abs(rep.E - _hermitian_e(f.matrix, rep.W.entries)) <= tol * f.condition_number
     # QFIMs conditioned up to just below the limit, with W = i F^1/2 K F^1/2
