@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .conditions import FLAG_KINDS, NORM_KINDS, classify, classify_stack
+from .conditions import classify, classify_stack
 from .descriptors import (
     _parse_fields,
     matrix_to_json,
@@ -146,17 +146,6 @@ _ROW = "%s,%.12g,%.12g,%.12g,%.12g,%.12g,%d,%d,%d,%d,%s"
 def _row_text(name, value, norms, flags, e):
     """The CSV line of one sweep point; e is NaN when the QFIM is singular."""
     return _ROW % (name, value, *norms, *flags, "singular" if math.isnan(e) else "%.12g" % e)
-
-
-def _sweep_row(name, value, report):
-    """The CSV cells of one point from its ClassificationReport."""
-    return _row_text(
-        name,
-        value,
-        [report.norms[kind] for kind in NORM_KINDS],
-        [report.flags[kind] for kind in FLAG_KINDS],
-        math.nan if report.E is None else report.E,
-    ).split(",")
 
 
 def _sweep_batch(name, values, res):

@@ -31,6 +31,7 @@ is the one resolve gives for it.
 """
 
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from itertools import chain
@@ -361,21 +362,22 @@ def _bell_diagonal(params):
     d = params["d"]
     if isinstance(d, bool) or not isinstance(d, int):
         _fail("state.params.d", f"expected an integer, got {d!r}")
-    weights = [
-        _number(v, f"state.params.weights[{i}]")
-        for i, v in enumerate(params["weights"])
-    ]
-    return bell_diagonal(weights, d).rho
+    weights = params["weights"]
+    if not isinstance(weights, list) or not weights:
+        _fail("state.params.weights", f"expected a non-empty list of numbers, got {weights!r}")
+    return bell_diagonal(
+        [_number(v, f"state.params.weights[{i}]") for i, v in enumerate(weights)], d
+    ).rho
 
 
 def _pure(params):
     if "vector" not in params:
         _fail("state.params", 'pure needs "vector"')
     vec = vector_from_json(params["vector"], "state.params.vector")
-    norm = np.linalg.norm(vec)
-    if norm <= 0:
-        _fail("state.params.vector", "zero vector")
-    return density_from_eigpairs([(1.0, vec / norm)])
+    try:
+        return density_from_eigpairs([(1.0, vec)])
+    except ValidationError as err:
+        _fail("state.params.vector", str(err))
 
 
 def _maximally_mixed(params):
@@ -449,6 +451,9 @@ def _resolve_hamiltonian(spec, path):
         if not isinstance(axis, list) or len(axis) != 3:
             _fail(f"{path}.params.axis", "expected [x, y, z] components")
         ax = [_number(v, f"{path}.params.axis[{i}]") for i, v in enumerate(axis)]
+        for i, v in enumerate(ax):
+            if not math.isfinite(v):
+                _fail(f"{path}.params.axis[{i}]", f"expected a finite number, got {v!r}")
         local = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
         return tensor(*(local if k == site else EYE2 for k in range(sites)))
     _fail(f"{path}.family", f"unknown family {family!r}")
@@ -587,7 +592,9 @@ class _Grid:
     def _states(self, states, failures):
         """(vals, vecs) of the built points: uncut descending eigenvalues and
         eigenvectors, each with a leading axis of the batch's length or of 1
-        (shared), up to the first failing point, which joins `failures`."""
+        (shared), up to the first failing point, which joins `failures`. The
+        vectors were checked when built, so a point can fail only on its
+        weights: their values or their count."""
         if self.state_of is None:
             return self.shared_state
         weights, failure = eigpair_weight_rows([w for w, _ in states])
@@ -599,10 +606,12 @@ class _Grid:
             failures.append(0)
         if size_error or not len(weights):
             return None, None
-        vals, vecs, k = _spectra([v for _, v in states], weights)
-        if k is not None:
-            failures.append(k)
-        return vals, vecs
+        # one spectra call when every point has the same vectors
+        vectors = [v for _, v in states]
+        if all(v is vectors[0] for v in vectors):
+            return vectors[0].spectra(weights)
+        vals, vecs = zip(*(v.spectra(w[None]) for v, w in zip(vectors, weights)))
+        return np.concatenate(vals), np.concatenate(vecs)
 
     def _hamiltonians(self, hams, failures):
         """The built points' Hamiltonians with a leading axis of the batch's
@@ -641,18 +650,6 @@ class _Grid:
         except ValidationError as err:
             raise ValidationError(f"{where}: {err}") from None
         raise ArithmeticError(f"{where}: a batch check fails a point that resolve passes")
-
-
-def _spectra(vectors, weights):
-    """(vals, vecs, k): EigpairVectors.spectra of checked weight rows, row i
-    on vectors[i], in one call when every row has the same vectors, and k
-    the first row that fails, or None."""
-    if all(v is vectors[0] for v in vectors):
-        vals, vecs, failure = vectors[0].spectra(weights)
-        return vals, vecs, failure and failure[0]
-    vals, vecs, failures = zip(*(v.spectra(w[None]) for v, w in zip(vectors, weights)))
-    k = next((k for k, failure in enumerate(failures) if failure), None)
-    return np.concatenate(vals), np.concatenate(vecs), k
 
 
 def _rows(arr, a, b):

@@ -16,6 +16,7 @@ they flow through the same deviation gate. Values that are informational
 only (not scored) live in the extras dict.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -1162,7 +1163,8 @@ def default_parameters(example_id):
 
 def _merged_parameters(example_id, params):
     """The example's defaults with `params` applied; unknown ids or names
-    raise, and so does a value that is not a number where the default is."""
+    raise, and so does a value that is not a finite number where the default
+    is."""
     merged = default_parameters(example_id)
     for key, value in (params or {}).items():
         if key not in merged:
@@ -1173,6 +1175,10 @@ def _merged_parameters(example_id, params):
         if _is_number(merged[key]) and not _is_number(value):
             raise ValidationError(
                 f"parameter {key!r} for {example_id}: expected a number, got {value!r}"
+            )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(
+                f"parameter {key!r} for {example_id}: expected a finite number, got {value!r}"
             )
         merged[key] = value
     return merged

@@ -22,7 +22,7 @@ class ValidationError(ValueError):
 def dagger(a):
     """Conjugate transpose of a matrix, or of every matrix in a stack (the
     last two axes)."""
-    return np.conj(np.swapaxes(a, -1, -2)) if a.ndim > 2 else np.conj(a.T)
+    return np.conj(a.swapaxes(-1, -2)) if a.ndim > 2 else np.conj(a.T)
 
 
 def as_square_array(a, name="matrix"):
@@ -65,7 +65,7 @@ def frobenius_rows(a):
     imaginary parts), so each entry equals np.linalg.norm(a_k) bit for bit."""
     flat = a.reshape(-1, 1, a.shape[-2] * a.shape[-1])
     re, im = flat.real, flat.imag
-    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+    sq = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
     return np.sqrt(sq).reshape(a.shape[:-2])
 
 

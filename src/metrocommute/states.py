@@ -12,19 +12,24 @@ the weight kept on its support. So tensor_power and state_marginal, which
 build from a state, take the eigenpairs of the product or marginal without
 the unit-trace check that density_matrix puts on an outside matrix.
 
-An eigpair state is built from its EigpairVectors, which are validated
-once; states that share the vectors but not the weights (the points of a
-sweep over a weight) check only their weights, and share the completed
-basis of each descending-weight order. A white-noise mixture
-p |psi><psi| + (1 - p) I / dim is such a state: weights [a, b, ..., b] on
-white_noise_vectors(psi), the vector psi and an orthonormal completion.
+An eigpair state is built from its EigpairVectors, the one place that
+checks vectors: it stacks them once, requires them non-empty, of one
+dimension, finite and nonzero, normalizes them together and checks their Gram
+matrix once. A state on them can then fail only on its weights; states that
+share the vectors but not the weights (the points of a sweep over a weight)
+check only those, and share the completed basis of each descending-weight
+order. A white-noise mixture p |psi><psi| + (1 - p) I / dim is such a state:
+weights [a, b, ..., b] on white_noise_vectors(psi), the vector psi and an
+orthonormal completion; so is a Bell-diagonal state, weights on the d*d
+maximally entangled kets.
 
 The checks and spectra also come stacked, for the points of a sweep:
-eigpair_weight_rows checks a stack of weight rows, and
-EigpairVectors.spectra gives the spectra of a stack of weights; for
-non-orthogonal vectors it assembles the matrices and density_spectra checks
-and diagonalizes them as density_matrix does one. Each reports the first
-item that fails, with that item's own message.
+eigpair_weight_rows checks a stack of weight rows, reporting the first row
+that fails with that row's own message, and EigpairVectors.spectra gives the
+spectra of a stack of checked weights. On non-orthogonal vectors it
+diagonalizes the matrices sum_k w_k |v_k><v_k|, which are Hermitian, of unit
+trace and positive semidefinite up to round-off, so density_matrix's checks
+cannot fail on them and are not run.
 """
 
 from dataclasses import dataclass
@@ -33,14 +38,12 @@ from functools import cached_property
 import numpy as np
 
 from .operator_core import (
-    HERM_TOL,
     ValidationError,
-    as_square_array,
     as_square_matrix,
     dagger,
     eigh_descending,
     first_failure,
-    hermitian_rows,
+    frobenius_rows,
     partial_trace,
     require_hermitian,
     tensor,
@@ -138,59 +141,27 @@ def _cut_state(mat, rank_tol):
     return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol))
 
 
-def density_spectra(mats):
-    """density_matrix's checks and eigendecomposition for a stack of square
-    matrices (n, d, d): (vals, vecs, failure).
-
-    failure is None, or (k, message) for the first matrix k that
-    density_matrix rejects, with its message; vals (descending, uncut) and
-    vecs are then those of the matrices before it. Each matrix must be
-    finite and Hermitian, its symmetrized part of unit trace within 1e-10 and
-    positive semidefinite within 1e-10.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = (mats + dagger(mats)) / 2.0
-        tr = np.trace(sym, axis1=1, axis2=2).real
-    failure = first_failure(
-        [
-            # a matrix with non-finite entries is not Hermitian either
-            (~hermitian_rows(mats), lambda k: _hermitian_error(mats[k])),
-            (
-                np.abs(tr - 1.0) > TRACE_TOL,
-                lambda k: f"density matrix trace {float(tr[k])!r} differs from 1 beyond {TRACE_TOL}",
-            ),
-        ]
-    )
-    vals, vecs = eigh_descending(sym if failure is None else sym[: failure[0]])
-    low = vals[:, -1]
-    psd = first_failure(
-        [
-            (
-                low < -PSD_TOL,
-                lambda k: f"density matrix not positive semidefinite: min eigenvalue {low[k]:.3e}",
-            )
-        ]
-    )
-    return vals, vecs, psd or failure
-
-
-def _hermitian_error(mat):
-    if not np.isfinite(mat).all():
-        return "density matrix has non-finite entries"
-    return f"density matrix is not Hermitian within tolerance {HERM_TOL}"
-
-
 def density_matrix(mat, rank_tol=RANK_TOL):
     """Validate and wrap a raw matrix as a DensityMatrix.
 
-    Requires Hermiticity, positive semidefiniteness within 1e-10, and unit
-    trace within 1e-10 (density_spectra of one matrix).
+    Requires, in this order, finite entries, Hermiticity within 1e-10, and
+    for its symmetrized part unit trace within 1e-10 and positive
+    semidefiniteness within 1e-10. The symmetrized part is summed in halves,
+    so entries near overflow stay finite, and a NaN trace or eigenvalue
+    fails.
     """
-    m = as_square_array(mat, "density matrix")
-    vals, vecs, failure = density_spectra(m[None])
-    if failure:
-        raise ValidationError(failure[1])
-    return DensityMatrix(spectrum=_spectral_from_eig(vals[0], vecs[0], rank_tol))
+    m = require_hermitian(mat, "density matrix")
+    sym = m / 2.0 + dagger(m) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = float(np.trace(sym).real)
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValidationError(f"density matrix trace {tr!r} differs from 1 beyond {TRACE_TOL}")
+    vals, vecs = eigh_descending(sym)
+    if not vals[-1] >= -PSD_TOL:
+        raise ValidationError(
+            f"density matrix not positive semidefinite: min eigenvalue {vals[-1]:.3e}"
+        )
+    return DensityMatrix(spectrum=_spectral_from_eig(vals, vecs, rank_tol))
 
 
 def with_rank_tol(rho, rank_tol):
@@ -206,12 +177,9 @@ def with_rank_tol(rho, rank_tol):
 
 
 def _orthonormal_completion(v):
-    """Columns spanning the orthogonal complement of the columns of v."""
-    d, r = v.shape
-    if r >= d:
-        return np.zeros((d, 0), dtype=complex)
-    q, _ = np.linalg.qr(v, mode="complete")
-    return q[:, r:]
+    """Orthonormal columns spanning the orthogonal complement of the
+    orthonormal columns of v (d, r), r <= d."""
+    return np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]
 
 
 def eigpair_weight_rows(rows):
@@ -243,50 +211,59 @@ def eigpair_weight_rows(rows):
         return clipped / total[:, None], failure
 
 
-def _eigpair_weights(weights):
-    """Eigpair weights as an array, checked as eigpair_weight_rows checks a
-    row."""
-    rows, failure = eigpair_weight_rows([[float(w) for w in weights]])
-    if failure:
-        raise ValidationError(failure[1])
-    return rows[0]
-
-
 class EigpairVectors:
-    """The vectors of an eigpair list, validated and normalized once, with
+    """The vectors of an eigpair list, checked and normalized once, with
     their Gram matrix checked once; `state(weights)` builds the state of any
-    weights on them.
+    weights on them, and can fail only on the weights.
 
-    Mutually orthonormal vectors are kept as the spectral basis, with the
-    kernel completed orthonormally; the basis [v, completion] is built once
-    per descending-weight order and shared, read-only, by the states of that
+    The vectors must be non-empty, of one dimension, finite and nonzero
+    (norm at least 1e-12). They are normalized together, each by its norm as
+    np.linalg.norm gives it; a vector whose norm overflows is first divided
+    by its largest real or imaginary part in modulus. Mutually orthonormal
+    vectors are kept as the spectral basis, with the kernel completed
+    orthonormally; the basis [v, completion] is built once per
+    descending-weight order and shared, read-only, by the states of that
     order. Non-orthogonal vectors are legal, in which case the operator is
     assembled and re-diagonalized.
     """
 
     def __init__(self, vectors):
-        vecs = []
-        for v in vectors:
-            v = np.asarray(v, dtype=complex).reshape(-1)
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-12:
-                raise ValidationError("zero vector in eigpairs")
-            vecs.append(v / nrm)
-        if not vecs:
+        rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        if not rows:
             raise ValidationError("no eigpair vectors")
-        dim = vecs[0].size
-        if any(v.size != dim for v in vecs):
+        if len({v.size for v in rows}) > 1:
             raise ValidationError("eigpair vectors have mismatched dimensions")
-        self.v = np.column_stack(vecs)
-        gram = dagger(self.v) @ self.v
-        self.orthonormal = np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-10
+        rows = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = frobenius_rows(rows[:, None, :])
+        # one test when every norm is finite and at least 1e-12
+        if not 1e-12 <= norms.min() <= norms.max() < np.inf:
+            if not np.isfinite(rows).all():
+                raise ValidationError("eigpair vectors have non-finite entries")
+            big = np.isinf(norms)
+            if big.any():
+                parts = np.maximum(np.abs(rows[big].real), np.abs(rows[big].imag))
+                rows[big] /= parts.max(axis=1, keepdims=True)
+                norms[big] = frobenius_rows(rows[big][:, None, :])
+            if norms.min() < 1e-12:
+                raise ValidationError("zero vector in eigpairs")
+        rows /= norms[:, None]
+        self.v = rows.T.copy()
+        # one unit vector is orthonormal; more are when their Gram matrix is I
+        self.orthonormal = len(rows) == 1 or (
+            np.abs(dagger(self.v) @ self.v - np.eye(len(rows))).max() <= 1e-10
+        )
         self._bases = {}  # descending-weight order (bytes) -> [v, completion]
 
-    def state(self, weights):
-        """The state sum_k w_k |v_k><v_k|, the weights checked as
-        density_from_eigpairs checks them."""
-        weights = _eigpair_weights(weights)
-        return self._state(weights, RANK_TOL)
+    def state(self, weights, rank_tol=RANK_TOL):
+        """The state sum_k w_k |v_k><v_k|, cut at rank_tol; the weights are
+        checked as eigpair_weight_rows checks a row, then their count."""
+        rows, failure = eigpair_weight_rows([[float(w) for w in weights]])
+        error = failure[1] if failure else self.size_error(rows.shape[1])
+        if error:
+            raise ValidationError(error)
+        vals, vecs = self.spectra(rows)
+        return DensityMatrix(spectrum=_spectral_from_eig(vals[0], vecs[0], rank_tol))
 
     def size_error(self, count):
         """The message for `count` weights on these vectors, or None when
@@ -294,58 +271,52 @@ class EigpairVectors:
         k = self.v.shape[1]
         return None if count == k else f"{count} weights for {k} eigpair vectors"
 
-    def _state(self, weights, rank_tol):
-        if self.size_error(weights.size):
-            raise ValidationError(self.size_error(weights.size))
-        vals, vecs, failure = self.spectra(weights[None])
-        if failure:
-            raise ValidationError(failure[1])
-        return DensityMatrix(spectrum=_spectral_from_eig(vals[0], vecs[0], rank_tol))
-
     def _basis(self, order):
         """[v, completion] for one descending-weight order, built once and
         shared read-only."""
         full = self._bases.get(order.tobytes())
         if full is None:
-            vo = self.v[:, order]
-            full = np.column_stack([vo, _orthonormal_completion(vo)])
+            full = self.v.take(order, axis=1)
+            if full.shape[1] < full.shape[0]:
+                full = np.column_stack([full, _orthonormal_completion(full)])
             full.flags.writeable = False
             self._bases[order.tobytes()] = full
         return full
 
     def spectra(self, weights):
-        """(vals, vecs, failure) of the states with each row of checked
-        weights (n, k), one weight per vector: vals (n, d) descending and
-        uncut, vecs their eigenvectors, (1, d, d) when every row has one
-        descending-weight order and (n, d, d) otherwise. failure is that of
-        density_spectra for non-orthogonal vectors, else None."""
+        """(vals, vecs) of the states with each row of checked weights (n, k),
+        one weight per vector: vals (n, d) descending and uncut, vecs their
+        eigenvectors, (1, d, d) when every row has one descending-weight
+        order of orthonormal vectors and (n, d, d) otherwise. Non-orthogonal
+        vectors give the eigenpairs of each symmetrized matrix
+        sum_k w_k |v_k><v_k|, which density_matrix would pass unchanged."""
         v = self.v
         if not self.orthonormal:
             mats = (v * weights[:, None, :]) @ dagger(v)
-            return density_spectra((mats + dagger(mats)) / 2.0)
+            return eigh_descending((mats + dagger(mats)) / 2.0)
         order = np.argsort(weights, axis=1)[:, ::-1]
         vals = np.zeros((len(weights), v.shape[0]))
         if (order == order[0]).all():
             vals[:, : v.shape[1]] = weights[:, order[0]]
-            return vals, self._basis(order[0])[None], None
+            return vals, self._basis(order[0])[None]
         vals[:, : v.shape[1]] = np.take_along_axis(weights, order, 1)
-        return vals, np.stack([self._basis(o) for o in order]), None
+        return vals, np.stack([self._basis(o) for o in order])
 
 
 def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
     """Build a state from (weight, vector) pairs.
 
-    Weights must be nonnegative and sum to 1 within 1e-10 (renormalized
+    The vectors are checked first (EigpairVectors), then the weights: they
+    must be finite, nonnegative and sum to 1 within 1e-10 (renormalized
     silently inside that window, rejected beyond it). Mutually orthonormal
     vectors are kept as the spectral basis, with the kernel completed
     orthonormally; non-orthogonal vectors are legal, in which case the
-    operator is assembled and re-diagonalized (EigpairVectors).
+    operator is assembled and re-diagonalized.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("density_from_eigpairs needs at least one pair")
-    weights = _eigpair_weights(w for w, _ in pairs)
-    return EigpairVectors(v for _, v in pairs)._state(weights, rank_tol)
+    return EigpairVectors(v for _, v in pairs).state([w for w, _ in pairs], rank_tol)
 
 
 def white_noise_state(psi, p):
@@ -367,28 +338,28 @@ def white_noise_vectors(psi):
     """The EigpairVectors of psi, normalized, followed by an orthonormal
     completion: the eigenbasis of every a |psi><psi| + b (I - |psi><psi|),
     whose weights are [a, b, ..., b]."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(psi)
-    if nrm < 1e-12:
-        raise ValidationError("zero vector")
-    psi = psi / nrm
-    return EigpairVectors([psi, *_orthonormal_completion(psi[:, None]).T])
+    v = EigpairVectors([psi]).v
+    return EigpairVectors([v[:, 0], *_orthonormal_completion(v).T])
 
 
-def _hw_bell_vector(m, n, d):
-    # (1/sqrt(d)) sum_j w^{mj} |j>|j-n mod d>, w = exp(2 pi i / d)
+def _hw_bell_vectors(d):
+    """The EigpairVectors of the d*d kets (1/sqrt(d)) sum_j w^{mj} |j>|j-n mod d>,
+    w = exp(2 pi i / d), in lexicographic (m, n) order."""
     omega = np.exp(2j * np.pi / d)
-    v = np.zeros(d * d, dtype=complex)
-    for j in range(d):
-        v[j * d + ((j - n) % d)] = omega ** (m * j)
-    return v / np.sqrt(d)
+    m, n = np.divmod(np.arange(d * d), d)
+    j = np.arange(d)
+    kets = np.zeros((d * d, d * d), dtype=complex)
+    kets[np.arange(d * d)[:, None], j * d + (j - n[:, None]) % d] = (
+        omega ** (m[:, None] * j) / np.sqrt(d)
+    )
+    return EigpairVectors(kets)
 
 
 @dataclass(eq=False)
 class BellDiagonal:
     rho: DensityMatrix
     is_real: bool
-    weights: np.ndarray  # length d*d, lexicographic (m, n) order
+    weights: np.ndarray  # as given, padded to d*d; lexicographic (m, n) order
 
 
 def bell_diagonal(weights, d):
@@ -407,23 +378,10 @@ def bell_diagonal(weights, d):
     w = np.array([float(x) for x in weights])
     if w.size > d * d:
         raise ValidationError(f"{w.size} weights exceed d^2 = {d * d}")
-    if w.min() < -1e-12:
-        raise ValidationError(f"negative weight {w.min()!r}")
-    w = np.clip(w, 0.0, None)
-    if abs(w.sum() - 1.0) > TRACE_TOL:
-        raise ValidationError(f"weights sum to {w.sum()!r}, not 1 within {TRACE_TOL}")
-    w = w / w.sum()
     w = np.concatenate([w, np.zeros(d * d - w.size)])
-    pairs = []
-    for m in range(d):
-        for n in range(d):
-            pairs.append((w[m * d + n], _hw_bell_vector(m, n, d)))
-    rho = density_from_eigpairs(pairs)
-    real = all(
-        abs(w[m * d + n] - w[((-m) % d) * d + n]) <= 1e-12
-        for m in range(d)
-        for n in range(d)
-    )
+    rho = _hw_bell_vectors(d).state(w)
+    table = w.reshape(d, d)
+    real = bool(np.all(np.abs(table - table[-np.arange(d) % d]) <= 1e-12))
     return BellDiagonal(rho=rho, is_real=real, weights=w)
 
 

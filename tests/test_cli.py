@@ -2,15 +2,17 @@
 sweep CSV column contract."""
 
 import json
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import broadcast_points, count_calls, nan_weak_integral, stacked_points
 from metrocommute import conditions, examples, selftest, states
-from metrocommute.cli import SWEEP_COLUMNS, _sweep_row, build_parser, main
-from metrocommute.conditions import classify
+from metrocommute.cli import SWEEP_COLUMNS, _row_text, build_parser, main
+from metrocommute.conditions import FLAG_KINDS, NORM_KINDS, classify
 from metrocommute.descriptors import (
     parse_descriptor,
     resolve,
@@ -23,6 +25,8 @@ from metrocommute.encoding import encode_stack, hamiltonian_set
 from metrocommute.operator_core import ValidationError
 from metrocommute.sld import sld_row_stack
 from metrocommute.states import EigpairVectors
+
+DATA = Path(__file__).parent / "data"
 
 SZ = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
 SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
@@ -38,6 +42,18 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _sweep_row(name, value, report):
+    """The CSV cells that a sweep prints for one point, from the point's own
+    ClassificationReport."""
+    return _row_text(
+        name,
+        value,
+        [report.norms[kind] for kind in NORM_KINDS],
+        [report.flags[kind] for kind in FLAG_KINDS],
+        math.nan if report.E is None else report.E,
+    ).split(",")
 
 
 def test_classify_example_descriptor(tmp_path, capsys):
@@ -555,7 +571,7 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "state, dim, argv, message",
+    "state, hams, argv, message",
     [
         # a NaN weight once classified as rank 0 with every flag true
         (
@@ -607,14 +623,97 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
                 ({"id": "EX8", "ax": "1"}, "parameter 'ax' for EX8: expected a number, got '1'"),
             )
         ),
+        # non-finite example overrides once reached the kets or Hamiltonians
+        # and printed numpy's invalid-value warning first
+        *(
+            (
+                {"family": "example", "params": params},
+                None,
+                ["classify", "--json"],
+                message,
+            )
+            for params, message in (
+                (
+                    {"id": "EX3", "alpha": math.inf},
+                    "parameter 'alpha' for EX3: expected a finite number, got inf",
+                ),
+                ({"id": "EX8", "ax": math.inf}, "parameter 'ax' for EX8: expected a finite number, got inf"),
+                ({"id": "EX4", "p": math.nan}, "parameter 'p' for EX4: expected a finite number, got nan"),
+            )
+        ),
+        (
+            {"family": "pure", "params": {"vector": [[1, 0], [0, 0]]}},
+            [{"family": "local_spin", "params": {"sites": 1, "site": 0, "axis": [0.5, math.inf, 0.0]}}],
+            ["classify", "--json"],
+            "hamiltonians[0].params.axis[1]: expected a finite number, got inf",
+        ),
+        # a non-finite vector entry once printed numpy's invalid-value warning
+        *(
+            (state, 2, ["classify", "--json"], message)
+            for state, message in (
+                (
+                    [{"weight": 1.0, "vector": [[math.inf, 0], [0, 0]]}],
+                    "eigpair vectors have non-finite entries",
+                ),
+                (
+                    {"family": "white_noise", "params": {"psi": [[1, 0], [0, -math.inf]], "p": 0.5}},
+                    "eigpair vectors have non-finite entries",
+                ),
+                (
+                    {"family": "pure", "params": {"vector": [[math.inf, 0], [0, 0]]}},
+                    "state.params.vector: eigpair vectors have non-finite entries",
+                ),
+            )
+        ),
+        # bell_diagonal weights that are not a non-empty list once ended in a
+        # traceback, and its weight messages printed numpy reprs
+        *(
+            (
+                {"family": "bell_diagonal", "params": {"weights": weights, "d": 2}},
+                4,
+                ["classify", "--json"],
+                message,
+            )
+            for weights, message in (
+                ([], "state.params.weights: expected a non-empty list of numbers, got []"),
+                (5, "state.params.weights: expected a non-empty list of numbers, got 5"),
+                ([1.2, -0.2], "negative weight -0.2"),
+                ([0.5, 0.2], "weights sum to 0.7, not 1 within 1e-10"),
+            )
+        ),
     ],
 )
-def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, dim, argv, message):
+def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, hams, argv, message):
+    # hams: None (an example brings its own Hamiltonians), the dimension of
+    # random ones, or their specs
     data = {"state": state}
-    if dim is not None:  # an example brings its own Hamiltonians
-        data["hamiltonians"] = _random_hamiltonians(np.random.default_rng(2), dim)
+    if isinstance(hams, int):
+        hams = _random_hamiltonians(np.random.default_rng(2), hams)
+    if hams is not None:
+        data["hamiltonians"] = hams
     path = _write(tmp_path, "bad.json", data)
     assert _run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        lambda v: [{"weight": 0.75, "vector": v}, {"weight": 0.25, "vector": [[0, 0], [1, 0]]}],
+        lambda v: {"family": "pure", "params": {"vector": v}},
+        lambda v: {"family": "white_noise", "params": {"psi": v, "p": 0.5}},
+    ],
+    ids=["eigpairs", "pure", "white_noise"],
+)
+def test_a_vector_whose_norm_overflows_classifies_as_its_direction(tmp_path, capsys, state):
+    # the norm of [1e200, 0] overflows: it once printed numpy's overflow
+    # warning and was rejected as a zero vector
+    hams = _random_hamiltonians(np.random.default_rng(5), 2)
+    outputs = [
+        _run(capsys, ["classify", _write(tmp_path, "v.json", {"state": state(v), "hamiltonians": hams}), "--json"])
+        for v in ([[1e200, 0], [0, 0]], [[1, 0], [0, 0]])
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][2] == ""
 
 
 def _white_noise_descriptor(tmp_path):
@@ -763,6 +862,21 @@ def test_selftest_runs_and_is_deterministic(capsys):
     assert out1 == out2
     assert out1.startswith("self-test seed=7 draws=3")
     assert "total violations: 0" in out1
+
+
+# seeded outputs recorded under tests/data: a change that moves any printed
+# number, flag or line shows here as a diff
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [
+        (["example", "all", "--json"], "example_all.json"),
+        (["selftest", "--seed", "42", "--draws", "100"], "selftest_seed42_draws100.txt"),
+    ],
+)
+def test_seeded_outputs_match_the_pinned_files_byte_for_byte(capsys, argv, pinned):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / pinned).read_bytes()
 
 
 def test_selftest_exits_1_on_a_nan_route(capsys, monkeypatch):
@@ -921,11 +1035,12 @@ def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id
 
 def test_sweep_checks_the_state_matrices_of_a_batch_as_one_stack(tmp_path, monkeypatch):
     # EX4's p moves the weights on two non-orthogonal vectors, so each point
-    # has a state matrix: a batch checks them in one density_spectra call,
-    # after the one of the descriptor's own resolve
+    # has a state matrix: a batch diagonalizes them in one eigh_descending
+    # call, after the one of the descriptor's own resolve, and checks none
+    # of them as density_matrix checks an outside matrix
     desc = parse_descriptor(open(_example_descriptor(tmp_path, "EX4")).read())
     singles = count_calls(monkeypatch, states.density_matrix)
-    stacks = count_calls(monkeypatch, states.density_spectra)
+    stacks = count_calls(monkeypatch, states.eigh_descending)
     assert _sweep(desc, "p", np.linspace(0.2, 0.8, 9)) == 9
     assert len(singles) == 0
     assert [len(args[0]) for args in stacks] == [1, 9]
@@ -950,23 +1065,25 @@ def _white_noise_d9(tmp_path):
 def test_sweep_of_a_closed_form_spectrum_builds_no_state_matrix(tmp_path, monkeypatch, state, name):
     # EX10's lam and white noise's p (here at d = 9) move the weights
     # [a, b, ..., b] on a basis that the descriptor's own resolve builds and
-    # completes: no point builds a state matrix, and the d - 1 tied weights b
-    # keep one weight order, so every batch shares that basis
+    # completes (white_noise_vectors checks psi, completes it with one QR and
+    # checks the basis, which is complete already): no point builds or
+    # diagonalizes a state matrix, and the d - 1 tied weights b keep one
+    # weight order, so every batch shares that basis
     path = _white_noise_d9(tmp_path) if state == "white_noise" else _example_descriptor(tmp_path, state)
     desc = parse_descriptor(open(path).read())
     singles = count_calls(monkeypatch, states.density_matrix)
-    stacks = count_calls(monkeypatch, states.density_spectra)
+    stacks = count_calls(monkeypatch, states.eigh_descending)
     built = count_calls(monkeypatch, EigpairVectors)
     completions = count_calls(monkeypatch, states._orthonormal_completion)
     halves = resolve_halves(desc)
     dim = halves.problem[0].dim
-    assert (len(built), len(completions)) == (1, 2)
+    assert (len(built), len(completions)) == (2, 1)
     # two batches of four points and one of one
     monkeypatch.setattr(conditions, "CHUNK_BYTES", 4 * conditions.point_bytes(dim, 2))
     problems = list(resolve_grid(desc, name, np.linspace(0.3, 0.9, 9), halves))
     assert sum(stack.n for stack in problems) == 9
     assert all(len(stack.vectors) == 1 for stack in problems)
-    assert (len(singles), len(stacks), len(built), len(completions)) == (0, 0, 1, 2)
+    assert (len(singles), len(stacks), len(built), len(completions)) == (0, 0, 2, 1)
 
 
 def test_sweep_validates_and_completes_fixed_eigpair_vectors_once(tmp_path, monkeypatch):

@@ -4,15 +4,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, sub_cutoff_state
+from metrocommute import states
 from metrocommute.operator_core import ValidationError, partial_trace, tensor
 from metrocommute.states import (
     EigpairVectors,
     bell_diagonal,
     density_from_eigpairs,
     density_matrix,
-    density_spectra,
     eigpair_weight_rows,
     povm_set,
     state_marginal,
@@ -44,26 +46,37 @@ def _first_error(build, items):
     return None
 
 
-def test_density_spectra_checks_a_stack_as_density_matrix_checks_each():
+def test_density_matrix_checks_in_order_with_one_message_each():
     rng = np.random.default_rng(3)
-    good = [random_density(rng, 3, rank) for rank in (1, 2, 3)]
-    skew = good[1].copy()
+    good = random_density(rng, 3, 2)
+    skew = good.copy()
     skew[0, 1] += 1e-3
     trace = np.diag([0.5, 0.4, 0.0]).astype(complex)
     negative = np.diag([1.1, -0.1, 0.0]).astype(complex)
-    nonfinite = good[0].copy()
+    nonfinite = skew.copy()
     nonfinite[2, 2] = np.inf
-    for bad in (skew, trace, negative, nonfinite):
-        for place in range(4):
-            mats = np.stack(good[:place] + [bad] + good[place:] + [trace])
-            vals, vecs, failure = density_spectra(mats)
-            assert failure == _first_error(density_matrix, mats)
-            for k in range(failure[0]):
-                rho = density_matrix(mats[k])
-                assert np.array_equal(vals[k], rho.spectrum.uncut)
-                assert np.array_equal(vecs[k], rho.spectrum.eigenvectors)
-    vals, vecs, failure = density_spectra(np.stack(good))
-    assert failure is None and len(vals) == len(vecs) == 3
+    skew_trace = skew * 0.9
+    negative_trace = negative * 2.0
+    for mat, message in [
+        (nonfinite, "density matrix has non-finite entries"),
+        (skew, "density matrix is not Hermitian within tolerance 1e-10"),
+        (skew_trace, "density matrix is not Hermitian within tolerance 1e-10"),
+        (trace, "density matrix trace 0.9 differs from 1 beyond 1e-10"),
+        (negative_trace, "density matrix trace 2.0 differs from 1 beyond 1e-10"),
+        (negative, "density matrix not positive semidefinite: min eigenvalue -1.000e-01"),
+        # entries near overflow: the symmetrized part stays finite, so the
+        # trace is 0 and the eigenvalues +-1e308, not NaN
+        (np.diag([1.5e308, -1.5e308]), "density matrix trace 0.0 differs from 1 beyond 1e-10"),
+        (
+            np.array([[0.5, 1e308], [1e308, 0.5]]),
+            "density matrix not positive semidefinite: min eigenvalue -1.000e+308",
+        ),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            density_matrix(mat)
+    rho = density_matrix(good)
+    vals, vecs = np.linalg.eigh(good)
+    assert np.allclose(rho.spectrum.uncut, vals[::-1], atol=1e-15)
 
 
 def test_eigpair_weight_rows_check_a_stack_as_each_state_checks_its_weights():
@@ -74,8 +87,8 @@ def test_eigpair_weight_rows_check_a_stack_as_each_state_checks_its_weights():
         assert failure == _first_error(vectors.state, rows[start:])
     weights, failure = eigpair_weight_rows(rows[:2])
     assert failure is None
-    vals, vecs, failure = vectors.spectra(weights)
-    assert failure is None and vecs.shape == (2, 4, 4)  # two weight orders
+    vals, vecs = vectors.spectra(weights)
+    assert vecs.shape == (2, 4, 4)  # two weight orders
     for k, row in enumerate(rows[:2]):
         rho = vectors.state(row)
         assert np.array_equal(vals[k], rho.spectrum.uncut)
@@ -108,6 +121,60 @@ def test_eigpair_weights_must_be_finite(bad):
     assert failure == (1, message)
     with pytest.raises(ValidationError, match=f"^{message}$"):
         density_from_eigpairs([(0.5, [1.0, 0.0]), (bad, [0.0, 1.0])])
+
+
+@pytest.mark.parametrize(
+    "big, unit",
+    [([1e200, 0.0], [1.0, 0.0]), ([0.0, -1e200j], [0.0, -1j]), ([3e307, 4e307], [3.0, 4.0])],
+)
+def test_eigpair_vectors_whose_norm_overflows_normalize_to_their_direction(big, unit):
+    # the norm overflows to inf; the vector is divided by its largest part
+    # first, with no RuntimeWarning (the suite turns those into errors)
+    vectors = EigpairVectors([big, [1.0, 1.0]])
+    assert np.array_equal(vectors.v, EigpairVectors([unit, [1.0, 1.0]]).v)
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ([[1.0, np.inf]], "eigpair vectors have non-finite entries"),
+        ([[1.0, 0.0], [np.nan, 0.0]], "eigpair vectors have non-finite entries"),
+        ([[1.0, 0.0], [0.0, 0.0]], "zero vector in eigpairs"),
+        ([[1e-13, 0.0]], "zero vector in eigpairs"),
+        ([[1.0, 0.0], [1.0, 0.0, 0.0]], "eigpair vectors have mismatched dimensions"),
+        ([], "no eigpair vectors"),
+    ],
+)
+def test_eigpair_vectors_are_checked_once_without_a_warning(vectors, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        EigpairVectors(vectors)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 64),
+    k=st.integers(2, 8),
+    scale=st.sampled_from([1e-6, 1.0, 1e150, 1e300]),
+)
+def test_non_orthonormal_eigpair_states_pass_density_matrix(seed, d, k, scale):
+    # unit vectors and checked weights make sum_k w_k |v_k><v_k| Hermitian,
+    # of unit trace within about k eps and PSD within about d eps, so
+    # density_matrix's checks, which EigpairVectors.spectra does not run,
+    # cannot fail on it; a scale of 1e150 or more overflows the norms
+    rng = np.random.default_rng(seed)
+    raw = (rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))) * scale
+    raw[-1] = raw[0] + 1e-6 * raw[-1]  # nearly parallel to the first
+    weights = rng.dirichlet(np.full(k, 0.3))
+    vectors = EigpairVectors(raw)
+    assert not vectors.orthonormal
+    rho = vectors.state(weights, rank_tol=0.0)
+    density_matrix(rho.matrix)
+    # the matrix it diagonalized passes density_matrix with its spectrum
+    w = eigpair_weight_rows([weights])[0][0]
+    mat = (vectors.v * w) @ vectors.v.conj().T
+    checked = density_matrix((mat + mat.conj().T) / 2.0)
+    assert np.allclose(checked.spectrum.uncut, rho.spectrum.uncut, rtol=0.0, atol=1e-14)
 
 
 def test_eigpair_weight_messages_print_plain_floats():
@@ -251,6 +318,26 @@ def test_bell_diagonal_real_flag_matches_transpose_invariance():
     bd2 = bell_diagonal(asym, 3)
     assert not bd2.is_real
     assert not transpose_invariant(bd2.rho)
+
+
+def test_bell_basis_and_real_flag_match_their_loops():
+    # reference loops: ket (m, n) is (1/sqrt(d)) sum_j w^{mj} |j>|j-n mod d>,
+    # and the state is real iff weight(m, n) = weight(-m mod d, n)
+    rng = np.random.default_rng(4)
+    for d in (2, 3, 5):
+        omega = np.exp(2j * np.pi / d)
+        kets = np.zeros((d * d, d * d), dtype=complex)
+        for m in range(d):
+            for n in range(d):
+                for j in range(d):
+                    kets[m * d + n, j * d + (j - n) % d] = omega ** (m * j)
+        kets /= np.sqrt(d)
+        assert np.array_equal(states._hw_bell_vectors(d).v, EigpairVectors(kets).v)
+        for w in (rng.dirichlet(np.ones(d * d)), np.full(d * d, 1.0 / d**2)):
+            real = all(
+                abs(w[m * d + n] - w[(-m % d) * d + n]) <= 1e-12 for m in range(d) for n in range(d)
+            )
+            assert bell_diagonal(w, d).is_real == real
 
 
 def test_bell_diagonal_pads_and_validates():
