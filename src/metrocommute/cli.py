@@ -17,6 +17,7 @@ import numpy as np
 from .conditions import classify, classify_stack
 from .descriptors import (
     _parse_fields,
+    load_json,
     matrix_to_json,
     positive_finite,
     resolve,
@@ -90,7 +91,7 @@ def cmd_classify(args):
                 f"--theta expects {hs.m} values, got {theta.size}"
             )
     if args.weight is not None:
-        weight = weight_from_json(json.loads(_read_text(args.weight)))
+        weight = weight_from_json(load_json(_read_text(args.weight)))
     report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
     payload = _classification_payload(report, weight)
     if args.json:
@@ -273,12 +274,6 @@ def main(argv=None):
         return args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as err:
-        print(
-            f"error: malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})",
-            file=sys.stderr,
-        )
         return 2
 
 

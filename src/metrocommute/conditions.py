@@ -32,9 +32,13 @@ condition_operators_direct is the pair kernel at N = 1.
 
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
-Every route that builds one computes all parameter pairs i < j at once, on a
-leading pair axis in itertools.combinations order, and _operator_matrix
-places that (pairs, d, d) stack in the m x m matrix.
+Every route, scalar or operator, computes all parameter pairs i < j at once,
+on a leading pair axis in itertools.combinations order (_pairs), with no
+loop over pairs, and _operator_matrix places a (pairs, d, d) stack in the
+m x m matrix. ConditionOperators and SupportKernelTerms hold pair stacks and
+build each m x m matrix only when it is read; support_kernel_decomposition's
+check compares the pair stacks of P, O and S with those of the direct SLD
+route.
 
 W admits three more routes besides the direct trace: a support-pair
 decomposition W = Gamma + Delta, a rank-two fast path, and a spectral kernel
@@ -44,14 +48,14 @@ matrices through tr[SWAP (A x B)] = tr[A B].
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .encoding import EncodingPoint, checked_theta, encode_stack
 from .metrology import QfimResult, incompatibility_stack, qfim_stack
-from .operator_core import ValidationError, commutator, dagger, frobenius_rows
+from .operator_core import ValidationError, dagger, frobenius_rows
 from .sld import SldSet, sld_row_stack, sld_rotated
 
 # chunk_size sizes a ProblemStack for one classify_stack call so that its
@@ -94,10 +98,21 @@ class OperatorConditionMatrix:
         return self.entries[i, j]
 
 
+@cache
 def _pairs(m):
     """Index arrays (first, second) of the parameter pairs i < j, in
-    itertools.combinations order."""
-    return np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
+    itertools.combinations order, as the rows of one (2, pairs) array:
+    indexing a stack with it puts the factors (x_i, x_j) of every pair on a
+    leading axis of two. Cached per m, and so read-only."""
+    pairs = np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _operator_property(kind):
+    """A cached property: the m x m operator matrix of `kind`, built from its
+    owner's pair_stack(kind) on first read."""
+    return cached_property(lambda self: _operator_matrix(self.pair_stack(kind), self.m, kind))
 
 
 def _operator_matrix(pairs, m, kind):
@@ -117,18 +132,19 @@ def weak_direct(rho, slds):
 
     The L_i are Hermitian, so tr[rho L_j L_i] is the conjugate of
     tr[rho L_i L_j] and W_ij = 2i Im tr[(rho L_i) L_j]: one product rho L_i
-    per parameter, then tr[A B] = sum_kl A_kl B_lk, an elementwise sum, per
-    pair.
+    and one elementwise sum tr[A B] = sum_kl A_kl B_lk per pair, every pair
+    at once.
     """
-    ops = slds.ops
-    m = len(ops)
+    ops = slds.op_stack
+    m, d, _ = ops.shape
+    pairs = _pairs(m)
+    i, j = pairs
+    l_i, l_j = ops[pairs]
+    rl = rho.matrix @ l_i
+    vals = 2j * (rl * np.swapaxes(l_j, 1, 2)).reshape(-1, d * d).sum(axis=1).imag
     w = np.zeros((m, m), dtype=complex)
-    for i in range(m - 1):
-        rl = rho.matrix @ ops[i]
-        for j in range(i + 1, m):
-            val = 2j * np.sum(rl * ops[j].T).imag
-            w[i, j] = val
-            w[j, i] = -val
+    w[i, j] = vals
+    w[j, i] = -vals
     return ScalarConditionMatrix(entries=w, kind="W")
 
 
@@ -138,8 +154,11 @@ def _rho_from_spec(spec):
 
 
 def _antisymmetric(upper):
-    """The antisymmetric matrix with the strict upper triangle of `upper`."""
-    u = np.triu(upper, 1)
+    """The antisymmetric matrix with the strict upper triangle of `upper`:
+    that triangle, placed through the pair indices, minus its transpose."""
+    i, j = _pairs(len(upper))
+    u = np.zeros_like(upper)
+    u[i, j] = upper[i, j]
     return u - u.T
 
 
@@ -151,13 +170,13 @@ def _trace_products(a, b):
 
 def _eigenbasis_elements(v, pt):
     """h^(i) = V^dag G_i V for every generator, stacked as (m, r, r)."""
-    return np.stack([dagger(v) @ g @ v for g in pt.generators])
+    return dagger(v) @ pt.generator_stack @ v
 
 
 def _support_columns(v, pt):
     """(G_i V, h^(i) = V^dag G_i V, Pi_ker G_i V = G_i V - V h^(i)) for the
     orthonormal support columns V, each stacked over the generators."""
-    gv = np.stack([g @ v for g in pt.generators])
+    gv = pt.generator_stack @ v
     h = dagger(v) @ gv
     return gv, h, gv - v @ h
 
@@ -169,7 +188,7 @@ def _pair_sum(c, h):
 
 
 def _gamma_matrix(spec, pt):
-    g = np.stack(pt.generators)
+    g = pt.generator_stack
     t = _trace_products(_rho_from_spec(spec) @ g, g)
     return _antisymmetric(4.0 * (2j * t.imag))
 
@@ -233,10 +252,8 @@ def weak_integral(spec, pt):
     """
     lam = spec.eigenvalues
     denom = (lam[:, None] + lam[None, :]) ** 2
-    live = denom > 0.0
-    c = np.zeros_like(denom)
     num = lam[:, None] * (lam[:, None] - lam[None, :]) ** 2
-    c[live] = num[live] / denom[live]
+    c = np.divide(num, denom, out=np.zeros_like(denom), where=denom > 0.0)
     h = _eigenbasis_elements(spec.eigenvectors, pt)
     return ScalarConditionMatrix(entries=_pair_sum(c, h), kind="W")
 
@@ -261,7 +278,7 @@ def weak_series_truncation(spec, pt, alpha):
     if alpha not in (0, 1):
         raise ValidationError(f"alpha must be 0 or 1, got {alpha!r}")
     rho = _rho_from_spec(spec)
-    g = np.stack(pt.generators)
+    g = pt.generator_stack
     w = g
     for _ in range(3):
         w = rho @ w - w @ rho
@@ -290,23 +307,16 @@ class ConditionOperators:
     m: int
     norms: dict
 
-    def _blocks(self, kind, rows, cols):
-        v = self.eigenvectors
-        pairs = v[:, :rows] @ self.comm[:, :rows, :cols] @ dagger(v[:, :cols])
-        return _operator_matrix(pairs, self.m, kind)
+    def pair_stack(self, kind):
+        """The (pairs, d, d) stack of S, O or P in the frame of the SLDs: the
+        pair blocks i < j of that operator matrix."""
+        v, r = self.eigenvectors, self.rank
+        rows, cols = {"S": (None, None), "O": (None, r), "P": (r, r)}[kind]
+        return v[:, :rows] @ self.comm[:, :rows, :cols] @ dagger(v[:, :cols])
 
-    @cached_property
-    def S(self):
-        d = self.eigenvectors.shape[0]
-        return self._blocks("S", d, d)
-
-    @cached_property
-    def O(self):
-        return self._blocks("O", self.eigenvectors.shape[0], self.rank)
-
-    @cached_property
-    def P(self):
-        return self._blocks("P", self.rank, self.rank)
+    S = _operator_property("S")
+    O = _operator_property("O")
+    P = _operator_property("P")
 
 
 def _pair_commutators(rows):
@@ -357,17 +367,26 @@ class SupportKernelTerms:
 
     P = I_ss + I_ss_prime; O = P + I_ks; S = O + I_sk + I_kk. The named terms
     live on the support-support, support-kernel, kernel-support, and
-    kernel-kernel blocks respectively.
+    kernel-kernel blocks respectively. `stacks` maps each kind ("I_ss",
+    "I_ss_prime", "I_sk", "I_ks", "I_kk", "P", "O", "S") to its (pairs, d, d)
+    stack of the blocks i < j; each field (i_ss, ..., S) is the m x m
+    OperatorConditionMatrix of one stack, built on first read.
     """
 
-    i_ss: OperatorConditionMatrix
-    i_ss_prime: OperatorConditionMatrix
-    i_sk: OperatorConditionMatrix
-    i_ks: OperatorConditionMatrix
-    i_kk: OperatorConditionMatrix
-    P: OperatorConditionMatrix
-    O: OperatorConditionMatrix
-    S: OperatorConditionMatrix
+    stacks: dict
+    m: int
+
+    def pair_stack(self, kind):
+        return self.stacks[kind]
+
+    i_ss = _operator_property("I_ss")
+    i_ss_prime = _operator_property("I_ss_prime")
+    i_sk = _operator_property("I_sk")
+    i_ks = _operator_property("I_ks")
+    i_kk = _operator_property("I_kk")
+    P = _operator_property("P")
+    O = _operator_property("O")
+    S = _operator_property("S")
 
 
 def support_kernel_decomposition(spec, pt, check=True):
@@ -376,9 +395,12 @@ def support_kernel_decomposition(spec, pt, check=True):
     Works entirely from the positive spectrum and its eigenvectors. With
     eta_kl = (lam_k - lam_l)/(lam_k + lam_l) over support pairs and
     D^k_ij = G_i Pi_k G_j - G_j Pi_k G_i, the five terms are assembled
-    for all parameter pairs at once and summed into P, O, S; when `check` is set the
-    reassembled operators are verified against the direct SLD-commutator
-    route before returning. Pi_k = v_k v_k^dag makes every D^k the rank-two
+    for all parameter pairs at once and summed into P, O, S; when `check` is
+    set, the reassembled P, O and S pair stacks are verified against those of
+    the direct SLD-commutator route (sld_rotated, then the pair kernel) within
+    1e-9 * scale before returning, scale = max(1, max_i ||G_i||_F^2). A pair
+    stack holds each pair once, so its deviation is that over the m x m
+    matrix divided by sqrt(2). Pi_k = v_k v_k^dag makes every D^k the rank-two
     a_k b_k^dag - b_k a_k^dag (a = G_i V, b = G_j V, V the support
     eigenvectors), so each term is d x r columns times r x r support blocks,
     e.g. sum_k Pi_k sum_l eta_kl D^l = V [(eta o h^(i)) b^dag - (eta o h^(j)) a^dag]
@@ -394,41 +416,40 @@ def support_kernel_decomposition(spec, pt, check=True):
     eta = (lam - mu) / (lam + mu)
     weight = 4.0 * (lam * mu) / (lam + mu) ** 2
     gv, h, kgv = _support_columns(v, pt)
-    first, second = _pairs(m)
-    a, b, ka, kb = gv[first], gv[second], kgv[first], kgv[second]
-    h_i, h_j = h[first], h[second]
-    eh_i, eh_j = eta * h_i, eta * h_j
+    # each stack holds its (i, j) pair factors on a leading axis of two, so
+    # x @ y[::-1] is (x_i y_j, x_j y_i): both orders of a pair in one product
+    pairs = _pairs(m)
+    ab, kab, hij = gv[pairs], kgv[pairs], h[pairs]
+    kab_h, ehij = dagger(kab), eta * hij
     # scalar coefficient matrices in the support basis: off the diagonal
     # V^dag D^rho V plus the eta-weighted pairs, on it the weighted
     # diagonals (V^dag D^l V)_kk
-    c = h_i @ h_j - h_j @ h_i + eh_i @ eh_j - eh_j @ eh_i
-    c[:, range(r), range(r)] = np.sum(
-        weight * (h_i * np.swapaxes(h_j, 1, 2) - h_j * np.swapaxes(h_i, 1, 2)), axis=2
-    )
+    hh, ee = hij @ hij[::-1], ehij @ ehij[::-1]
+    c = hh[0] - hh[1] + ee[0] - ee[1]
+    diag = hij * np.swapaxes(hij[::-1], -1, -2)
+    c[:, range(r), range(r)] = (weight * (diag[0] - diag[1])).sum(axis=2)
+    ss = dagger(ab) @ ab[::-1]
     # sum_k Pi_k (sum_l eta_kl D^l) Pi_ker, less its left factor V
-    mix = eh_i @ dagger(kb) - eh_j @ dagger(ka)
+    mix = ehij @ kab_h[::-1]
+    ks = kab @ ehij[::-1]
+    kk = kab @ kab_h[::-1]
     parts = {
-        "I_ss": 4.0 * v @ (dagger(a) @ b - dagger(b) @ a) @ vh,
+        "I_ss": 4.0 * v @ (ss[0] - ss[1]) @ vh,
         "I_ss_prime": -4.0 * (v @ c @ vh),
-        "I_sk": -4.0 * (v @ mix),
-        "I_ks": 4.0 * (ka @ eh_j - kb @ eh_i) @ vh,
-        "I_kk": 4.0 * (ka @ dagger(kb) - kb @ dagger(ka)),
+        "I_sk": -4.0 * (v @ (mix[0] - mix[1])),
+        "I_ks": 4.0 * (ks[0] - ks[1]) @ vh,
+        "I_kk": 4.0 * (kk[0] - kk[1]),
     }
     parts["P"] = parts["I_ss"] + parts["I_ss_prime"]
     parts["O"] = parts["P"] + parts["I_ks"]
     parts["S"] = parts["O"] + parts["I_sk"] + parts["I_kk"]
-    out = SupportKernelTerms(
-        *(
-            _operator_matrix(parts[kind], m, kind)
-            for kind in ("I_ss", "I_ss_prime", "I_sk", "I_ks", "I_kk", "P", "O", "S")
-        )
-    )
+    out = SupportKernelTerms(stacks=parts, m=m)
     if check:
         direct = condition_operators_direct(spec, sld_rotated(spec, pt))
-        scale = max(1.0, max(np.linalg.norm(g) ** 2 for g in pt.generators))
+        scale = max(1.0, *(np.vdot(g, g).real for g in pt.generator_stack))
         for name in ("P", "O", "S"):
-            mine, ref = getattr(out, name), getattr(direct, name)
-            dev = np.linalg.norm(mine.entries - ref.entries)
+            # each pair is two blocks of the m x m matrix, one of each sign
+            dev = np.sqrt(2.0) * np.linalg.norm(out.pair_stack(name) - direct.pair_stack(name))
             if dev > 1e-9 * scale:
                 raise ArithmeticError(
                     f"support/kernel reassembly of {name} deviates by {dev:.3e}"
@@ -498,15 +519,18 @@ def pc_trace_norm(rho, slds):
     spec = rho.spectrum
     v = spec.eigenvectors
     sqrt_rho = (v * np.sqrt(spec.eigenvalues)) @ dagger(v)
-    ops = slds.ops
+    ops = slds.op_stack
     m = len(ops)
+    pairs = _pairs(m)
+    i, j = pairs
+    # (L_i L_j, L_j L_i) of every pair in one product
+    ab = ops[pairs]
+    prod = ab @ ab[::-1]
+    x = sqrt_rho @ (prod[0] - prod[1]) @ sqrt_rho
+    vals = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
     out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            x = sqrt_rho @ commutator(ops[i], ops[j]) @ sqrt_rho
-            val = float(np.sum(np.linalg.svd(x, compute_uv=False)))
-            out[i, j] = val
-            out[j, i] = val
+    out[i, j] = vals
+    out[j, i] = vals
     return ScalarConditionMatrix(entries=out, kind="p")
 
 

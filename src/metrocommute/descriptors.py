@@ -84,10 +84,27 @@ def _fail(path, message):
     raise ValidationError(f"{path}: {message}")
 
 
+def load_json(text):
+    """The JSON value of text; malformed JSON, including an integer literal
+    past Python's digit limit, raises ValidationError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ValidationError(
+            f"malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})"
+        ) from err
+    except ValueError as err:  # int() of a literal past sys.get_int_max_str_digits()
+        raise ValidationError(f"malformed JSON: {str(err).split(':')[0]}") from err
+
+
 def _number(value, path):
+    """A JSON number as a float; an integer too large for a float fails."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "expected a finite number, got an integer too large for a float")
 
 
 def _complex_pair(value, path):
@@ -97,22 +114,26 @@ def _complex_pair(value, path):
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         _fail(path, f"expected an [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
 def _pairs_array(items, path):
     """Complex array of a list of [re, im] pairs, item i named path[i].
 
     A list of two-element lists of plain int and float converts in one numpy
-    call; anything else (tuples, float subclasses, or a bad item) goes
-    through _complex_pair item by item, which names the first bad item.
+    call; anything else (tuples, float subclasses, a bad item, or an integer
+    too large for a float) goes through _complex_pair item by item, which
+    names the first bad item.
     """
     if (
         set(map(type, items)) == {list}
         and set(map(len, items)) == {2}
         and set(map(type, chain.from_iterable(items))) <= {int, float}
     ):
-        return np.array(items, dtype=float).view(complex).reshape(-1)
+        try:
+            return np.array(items, dtype=float).view(complex).reshape(-1)
+        except OverflowError:
+            pass
     return np.array(
         [_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(items)],
         dtype=complex,
@@ -250,15 +271,7 @@ def _parse_hamiltonian_spec(value, path):
 def _parse_fields(source):
     """parse_descriptor without the final resolve: every field checked and
     canonicalized, the state and Hamiltonians not yet materialized."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as err:
-            raise ValidationError(
-                f"malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})"
-            ) from err
-    else:
-        data = source
+    data = load_json(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
         _fail("descriptor", f"expected an object, got {type(data).__name__}")
     known = {

@@ -16,8 +16,8 @@ production path; finite differences exist only as a test oracle.
 
 An EncodingPoint holds the generators in that eigenbasis, X_i = w^dag G_i w,
 together with (kappa, w): the SLDs need only X_i and one change of basis, so
-the unitary U and the computational-basis generators G_i = w X_i w^dag are
-built on first read.
+the unitary U and the stack of computational-basis generators
+G_i = w X_i w^dag are built on first read.
 
 encode_stack evaluates N encodings of one shape at once, with a leading
 (N, ...) axis and one batched eigh; encode is its N = 1 case.
@@ -118,7 +118,8 @@ class EncodingPoint:
 
     kappa, w: eigenvalues (descending) and eigenvectors of K
     elems: (m, d, d) stack of X_i = w^dag G_i w
-    U, generators: exp(-i K) and the G_i, built on first read
+    U, generator_stack: exp(-i K) and the (m, d, d) stack of the G_i, built
+        on first read; generators lists the G_i as views of that stack
     """
 
     theta: np.ndarray
@@ -139,9 +140,13 @@ class EncodingPoint:
         return (self.w * np.exp(-1j * self.kappa)) @ dagger(self.w)
 
     @cached_property
-    def generators(self):
+    def generator_stack(self):
         gens = self.w @ self.elems @ dagger(self.w)
-        return list((gens + dagger(gens)) / 2.0)
+        return (gens + dagger(gens)) / 2.0
+
+    @property
+    def generators(self):
+        return list(self.generator_stack)
 
 
 def _phi(x):

@@ -1161,10 +1161,20 @@ def default_parameters(example_id):
     return dict(_EXAMPLES[example_id].defaults)
 
 
+def _is_finite(value):
+    """Whether a real number is finite as a float: an int too large for a
+    float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _merged_parameters(example_id, params):
     """The example's defaults with `params` applied; unknown ids or names
     raise, and so does a value that is not a finite number where the default
-    is."""
+    is. The builders of an example's halves read only these parameters, so
+    every number they convert is a finite float."""
     merged = default_parameters(example_id)
     for key, value in (params or {}).items():
         if key not in merged:
@@ -1176,9 +1186,10 @@ def _merged_parameters(example_id, params):
             raise ValidationError(
                 f"parameter {key!r} for {example_id}: expected a number, got {value!r}"
             )
-        if isinstance(value, float) and not math.isfinite(value):
+        if _is_number(value) and not _is_finite(value):
+            got = repr(value) if isinstance(value, float) else "an integer too large for a float"
             raise ValidationError(
-                f"parameter {key!r} for {example_id}: expected a finite number, got {value!r}"
+                f"parameter {key!r} for {example_id}: expected a finite number, got {got}"
             )
         merged[key] = value
     return merged

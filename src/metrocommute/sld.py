@@ -40,8 +40,8 @@ class SldSet:
         that state's eigenbasis V = spec.eigenvectors, r = spec.rank
     elems: the full l_i = V^dag L_i V, (m, d, d), zero on the kernel-kernel
         block; built on first read
-    ops: list of the m Hermitian operators L_i = V l_i V^dag; built on first
-        read
+    op_stack: the m Hermitian operators L_i = V l_i V^dag, (m, d, d); built
+        on first read, and `ops` lists them as views of it
     """
 
     spec: object
@@ -56,9 +56,13 @@ class SldSet:
         return out
 
     @cached_property
-    def ops(self):
+    def op_stack(self):
         v = self.spec.eigenvectors
-        return list(v @ self.elems @ dagger(v))
+        return v @ self.elems @ dagger(v)
+
+    @property
+    def ops(self):
+        return list(self.op_stack)
 
 
 def sld_row_stack(lam, rank, v, w, x):
@@ -135,9 +139,9 @@ def nu_copy_sld(slds, nu):
             total = total + tensor(*factors)
         total = total - pi_ker @ total @ pi_ker
         ops.append((total + dagger(total)) / 2.0)
-    rows = dagger(v[:, : big.rank]) @ np.stack(ops) @ v
-    out = SldSet(spec=big.spectrum, rows=rows)
-    out.ops = ops  # already built here; fills the cached property
+    stack = np.stack(ops)
+    out = SldSet(spec=big.spectrum, rows=dagger(v[:, : big.rank]) @ stack @ v)
+    out.op_stack = stack  # already built here; fills the cached property
     return out
 
 

@@ -3,6 +3,7 @@ sweep CSV column contract."""
 
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -30,6 +31,9 @@ DATA = Path(__file__).parent / "data"
 
 SZ = {"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [-1, 0]]}
 SX = {"dim": 2, "entries": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+# a JSON integer literal too large for a float, and how an error names it
+HUGE = 10**340
+TOO_LARGE = "an integer too large for a float"
 
 
 def _write(tmp_path, name, data):
@@ -681,6 +685,42 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
                 ([0.5, 0.2], "weights sum to 0.7, not 1 within 1e-10"),
             )
         ),
+        # a JSON integer too large for a float once ended in an OverflowError
+        # traceback with exit 1; each number names its field
+        *(
+            (state, hams, ["classify", "--json"], f"{field}: expected a finite number, got {TOO_LARGE}")
+            for state, hams, field in (
+                ({"family": "example", "params": {"id": "EX4", "p": HUGE}}, None, "parameter 'p' for EX4"),
+                ({"family": "example", "params": {"id": "EX8", "lam1": HUGE}}, None, "parameter 'lam1' for EX8"),
+                ({"family": "example", "params": {"id": "EX2", "seed": HUGE}}, None, "parameter 'seed' for EX2"),
+                (
+                    [{"weight": 10**400, "vector": [[1, 0], [0, 0]]}],
+                    2,
+                    "state[0].weight",
+                ),
+                (
+                    [{"weight": 1.0, "vector": [[1, 0], [0, HUGE]]}],
+                    2,
+                    "state[0].vector[1][1]",
+                ),
+                (
+                    {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": HUGE}},
+                    2,
+                    "state.params.p",
+                ),
+                (
+                    {"family": "pure", "params": {"vector": [[1, 0], [0, 0]]}},
+                    [{"family": "local_spin", "params": {"sites": 1, "site": 0, "axis": [0.5, HUGE, 0.0]}}],
+                    "hamiltonians[0].params.axis[1]",
+                ),
+            )
+        ),
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": HUGE}},
+            2,
+            ["sweep", "--param", "p", "--grid", "0:1:3"],
+            f"state.params.p: expected a finite number, got {TOO_LARGE}",
+        ),
     ],
 )
 def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, hams, argv, message):
@@ -693,6 +733,24 @@ def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, s
         data["hamiltonians"] = hams
     path = _write(tmp_path, "bad.json", data)
     assert _run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")
+@pytest.mark.parametrize("where", ["descriptor", "weight"])
+def test_an_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys, where):
+    # json.loads raises a plain ValueError for such a literal, which once
+    # ended in a traceback with exit 1
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * limit
+    long = tmp_path / "long.json"
+    if where == "descriptor":
+        long.write_text('{"state": {"family": "example", "params": {"id": "EX4", "p": %s}}}' % digits)
+        argv = ["classify", str(long)]
+    else:
+        long.write_text('{"dim": 1, "entries": [[%s, 0]]}' % digits)
+        argv = ["classify", _example_descriptor(tmp_path, "EX4"), "--weight", str(long)]
+    message = f"error: malformed JSON: Exceeds the limit ({limit} digits) for integer string conversion\n"
+    assert _run(capsys, argv) == (2, "", message)
 
 
 @pytest.mark.parametrize(

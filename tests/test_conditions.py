@@ -370,6 +370,70 @@ def test_benchmark_routes_run_and_pass_their_check(monkeypatch, tmp_path, d, ran
             assert not np.any(mat.entries), mat.kind
 
 
+@pytest.mark.parametrize(
+    "rank, corrupt, name",
+    [
+        # h enters I_ss_prime, so P is the first to deviate
+        (3, lambda gv, h, k: (gv, h + 1e-3, k), "P"),
+        # the kernel columns enter I_ks, I_sk and I_kk, not P: O deviates
+        (3, lambda gv, h, k: (gv, h, k + 1e-3), "O"),
+        # on a pure state eta = 0, so I_ks and I_sk vanish whatever the
+        # kernel columns: only I_kk, and so only S, deviates
+        (1, lambda gv, h, k: (gv, h, k + 1e-3), "S"),
+    ],
+    ids=["P", "O", "S"],
+)
+def test_the_reassembly_check_guards_each_operator(monkeypatch, rank, corrupt, name):
+    rng = np.random.default_rng(51)
+    rho, pt = _problem(rng, 5, rank, m=3)
+    support_kernel_decomposition(rho.spectrum, pt, check=True)
+    columns = conditions._support_columns
+    monkeypatch.setattr(conditions, "_support_columns", lambda v, pt: corrupt(*columns(v, pt)))
+    terms = support_kernel_decomposition(rho.spectrum, pt, check=False)
+    direct = condition_operators_direct(rho.spectrum, sld_rotated(rho.spectrum, pt))
+    devs = {k: np.linalg.norm(terms.pair_stack(k) - direct.pair_stack(k)) for k in "POS"}
+    assert [k for k in "POS" if devs[k] > 1e-9 * _scale(pt)] == list("POS"[list("POS").index(name):])
+    with pytest.raises(ArithmeticError, match=f"support/kernel reassembly of {name} deviates by"):
+        support_kernel_decomposition(rho.spectrum, pt, check=True)
+
+
+def test_a_routes_op_runs_the_slds_twice_and_builds_operator_matrices_on_read(monkeypatch, tmp_path):
+    # the caller's sld_rotated and the check's, and no m x m operator matrix
+    # until a term is read (the rank-two closed forms return theirs)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    routes = workloads.Routes(3, tmp_path)
+    slds = count_calls(monkeypatch, sld_rotated)
+    matrices = count_calls(monkeypatch, conditions._operator_matrix)
+    for d, rank, m in ((9, 5, 3), (6, 2, 3), (5, 1, 2), (4, 2, 1)):
+        out = routes.run(routes._problem(d, rank, m))
+        assert len(slds) == 2
+        assert len(matrices) == (2 if rank == 2 else 0)
+        slds.clear()
+        matrices.clear()
+        skd = out["support_kernel"]
+        assert skd.i_ks is skd.i_ks and skd.P is skd.P
+        assert [args[2] for args in matrices] == ["I_ks", "P"]
+        matrices.clear()
+    rho, pt = _problem(np.random.default_rng(52), 4, 2, m=3)
+    terms = support_kernel_decomposition(rho.spectrum, pt, check=True)
+    assert matrices == []
+    assert np.array_equal(terms.S.entries[0, 1], terms.pair_stack("S")[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_pairs_are_cached_read_only_arrays(m):
+    pairs = conditions._pairs(m)
+    assert conditions._pairs(m) is pairs
+    assert pairs.shape == (2, m * (m - 1) // 2)
+    assert not pairs.flags.writeable
+    first, second = pairs
+    assert not first.flags.writeable and not second.flags.writeable
+    with pytest.raises(ValueError):
+        first[...] = 0
+
+
 def _rank_two_ss_prime_projectors(spec, pt):
     """I_ss_prime from its rank-two projector expression, term by term."""
     lam = spec.eigenvalues[0]
@@ -640,8 +704,8 @@ def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, ca
     assert main(["classify", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == rank
     assert direct_calls == qfim_calls == []
-    assert {"U", "generators"}.isdisjoint(vars(rep.point))
-    assert {"elems", "ops", "eta", "gamma"}.isdisjoint(vars(rep.slds))
+    assert {"U", "generator_stack"}.isdisjoint(vars(rep.point))
+    assert {"elems", "op_stack", "eta", "gamma"}.isdisjoint(vars(rep.slds))
 
     # read now, they are the matrices the computational-basis pipeline built
     k = sum(t * h for t, h in zip(theta, hams))
@@ -672,6 +736,29 @@ def test_pc_trace_norm_tracks_p_operator():
         zero_scalar = p_scalar.norm <= 1e-9 * scale
         zero_op = p_op.norm <= 1e-9 * scale
         assert zero_scalar == zero_op
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stacked_pair_routes_equal_their_per_pair_loops(m):
+    # weak_direct and pc_trace_norm take every pair in one stacked product;
+    # the arithmetic of each pair is unchanged, so they equal the loops bit
+    # for bit, the loops being the routes as they were written pair by pair
+    rng = np.random.default_rng(53)
+    for d, rank in ((3, 1), (5, 3), (6, 6)):
+        rho, pt = _problem(rng, d, rank, m=m)
+        slds = sld_rotated(rho.spectrum, pt)
+        ops = slds.ops
+        v = rho.spectrum.eigenvectors
+        sqrt_rho = (v * np.sqrt(rho.spectrum.eigenvalues)) @ dagger(v)
+        w, p = np.zeros((m, m), dtype=complex), np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                val = 2j * np.sum((rho.matrix @ ops[i]) * ops[j].T).imag
+                w[i, j], w[j, i] = val, -val
+                x = sqrt_rho @ commutator(ops[i], ops[j]) @ sqrt_rho
+                p[i, j] = p[j, i] = float(np.sum(np.linalg.svd(x, compute_uv=False)))
+        assert weak_direct(rho, slds).entries.tobytes() == w.tobytes()
+        assert pc_trace_norm(rho, slds).entries.tobytes() == p.tobytes()
 
 
 def test_pc_trace_norm_entries_nonnegative_symmetric():
