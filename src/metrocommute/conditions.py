@@ -590,7 +590,8 @@ class ProblemStack:
     lam: (n or 1, d) cut eigenvalues, descending: the first `rank` above the
         state's cutoff, the rest exact zeros
     vectors: (n or 1, d, d) state eigenvectors
-    hams: (n or 1, m, d, d) validated Hamiltonians
+    hams: (n or 1, m, d, d) validated Hamiltonians, or their product form
+        (encoding.LocalSpinStack)
     theta: (1 or len(hams), m) finite encoding points (checked_theta), one
         shared or one per Hamiltonian set
     """
@@ -749,7 +750,7 @@ def classify(rho, h_set, theta=None, tol=1e-8):
         rank=spec.rank,
         lam=spec.eigenvalues[None],
         vectors=spec.eigenvectors[None],
-        hams=h_set.stack[None],
+        hams=h_set.batch,
         theta=theta[None],
     )
     return _report(spec, theta, classify_stack(stack, tol), tol)

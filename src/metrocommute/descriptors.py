@@ -12,7 +12,10 @@ matrices are parsed once, into the complex arrays the descriptor keeps;
 `serialize_descriptor` writes them back as [re, im] lists.
 
 A family's params hold exactly the names it reads: a state family's are
-those its state half reads, and local_spin's are sites, site and axis.
+those its state half reads, and local_spin's are sites, site and axis. A
+local_spin Hamiltonian resolves to its product form (encoding.LocalSpin),
+whose dimension 2^sites, at most 2^MAX_SITES, is checked against the
+state's before any matrix is built.
 
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
@@ -39,10 +42,9 @@ from itertools import chain
 import numpy as np
 
 from .conditions import ProblemStack, chunk_size
-from .encoding import checked_theta, hamiltonian_checks, hamiltonian_set
+from .encoding import LocalSpin, checked_theta, hamiltonian_checks, hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
-    EYE2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -51,7 +53,7 @@ from .examples import (
     build_state,
     example_halves,
 )
-from .operator_core import ValidationError, tensor
+from .operator_core import ValidationError
 from .states import (
     RANK_TOL,
     bell_diagonal,
@@ -66,6 +68,9 @@ DEFAULT_ZERO_TOL = 1e-8
 
 HAMILTONIAN_FAMILIES = ("local_spin",)
 _LOCAL_SPIN_KEYS = ("sites", "site", "axis")
+# the largest local_spin register, dimension 2^12 = 4096; checked before
+# 2^sites is formed
+MAX_SITES = 12
 
 
 @dataclass(eq=False)
@@ -458,6 +463,8 @@ def _resolve_hamiltonian(spec, path):
         for name, val in (("sites", sites), ("site", site)):
             if isinstance(val, bool) or not isinstance(val, int):
                 _fail(f"{path}.params.{name}", f"expected an integer, got {val!r}")
+        if sites > MAX_SITES:
+            _fail(f"{path}.params.sites", f"expected at most {MAX_SITES} sites, got {sites}")
         if not 0 <= site < sites:
             _fail(f"{path}.params.site", f"site {site} outside 0..{sites - 1}")
         axis = params["axis"]
@@ -467,8 +474,7 @@ def _resolve_hamiltonian(spec, path):
         for i, v in enumerate(ax):
             if not math.isfinite(v):
                 _fail(f"{path}.params.axis[{i}]", f"expected a finite number, got {v!r}")
-        local = ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
-        return tensor(*(local if k == site else EYE2 for k in range(sites)))
+        return LocalSpin(sites, site, ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z)
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 
@@ -559,7 +565,7 @@ class _Grid:
             self.state_of = state_of
         self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
         self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
-        self.shared_hams = self.hs.stack[None]
+        self.shared_hams = self.hs.batch
         self.theta = theta[None]
 
     def batch(self, values):
@@ -586,9 +592,12 @@ class _Grid:
             if not points:
                 first = shape
                 dim = self.shared_state[1].shape[-1] if state is None else state[1].v.shape[0]
-                ham = self.shared_hams[0] if hams is None else hams
-                count = min(count, chunk_size(dim, len(ham)))
-                if _problem_error(self.desc, dim, np.shape(ham[0])[-1], len(ham)):
+                if hams is None:
+                    ham_dim, m = self.hs.dim, self.hs.m
+                else:
+                    ham_dim, m = np.shape(hams[0])[-1], len(hams)
+                count = min(count, chunk_size(dim, m))
+                if _problem_error(self.desc, dim, ham_dim, m):
                     failures.append(0)
                     break
             elif shape != first:

@@ -23,10 +23,23 @@ encode_stack evaluates N encodings of one shape at once, with a leading
 (N, ...) axis and one batched eigh; encode is its N = 1 case.
 hamiltonian_set checks one Hamiltonian list through hamiltonian_checks,
 which checks a stack of them.
+
+Product form. A LocalSpin is a 2 x 2 Hermitian block on one qubit of a
+register, the identity on the others (the local_spin descriptor family).
+hamiltonian_set keeps a list of them on one register in product form, a
+LocalSpinStack, and builds the dense (m, d, d) stack only when it is read.
+encode_stack encodes a product form without any d x d matrix product or
+eigh: K = sum_i theta_i H_i is a sum of 2 x 2 terms k_s, one per qubit, so
+its eigenvalues are the Kronecker sum of the e_s = eig(k_s) and its
+eigenvectors the Kronecker product of their u_s, and X_i is the 2 x 2 block
+herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])) on qubit s, identities
+elsewhere. Its (kappa, w, x) have the dense path's shapes and order, so
+every kernel after the encode is the same for both forms.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +50,7 @@ from .operator_core import (
     dagger,
     first_failure,
     hermitian_rows,
+    tensor,
 )
 from .states import DensityMatrix, SpectralData
 
@@ -55,12 +69,83 @@ def _pairwise_commuting(mats):
     return True
 
 
-@dataclass(eq=False)
-class HamiltonianSet:
-    """Validated Hamiltonians, held as one (m, d, d) stack; `hams` lists
-    them as views of it, and `commuting` is computed on first read."""
+def _local_commuting(spins):
+    """_pairwise_commuting of a product-form set, from its 2 x 2 blocks:
+    terms on distinct qubits commute, and on one qubit of n the dense
+    commutator and each dense norm are the block's times sqrt(2^(n-1))."""
+    site, blocks = spins.site[0], spins.blocks[0]
+    copies = 2.0 ** (spins.sites - 1)
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if site[i] != site[j]:
+                continue
+            a, b = blocks[i], blocks[j]
+            bound = COMMUTE_TOL * max(1.0, np.linalg.norm(a) * np.linalg.norm(b) * copies)
+            if np.linalg.norm(a @ b - b @ a) * np.sqrt(copies) > bound:
+                return False
+    return True
 
-    stack: np.ndarray
+
+_EYE2 = np.eye(2, dtype=complex)
+
+
+class LocalSpin(NamedTuple):
+    """One Hamiltonian in product form: the 2 x 2 Hermitian `block` on qubit
+    `site` of `sites`, the identity on the others (qubit 0 is the leftmost
+    tensor factor). Its dimension 2^sites is known before any matrix."""
+
+    sites: int
+    site: int
+    block: np.ndarray
+
+    @property
+    def dim(self):
+        return 2**self.sites
+
+    def matrix(self):
+        return tensor(*(self.block if k == self.site else _EYE2 for k in range(self.sites)))
+
+
+@dataclass(eq=False)
+class LocalSpinStack:
+    """N sets of m LocalSpin Hamiltonians on one register of `sites` qubits:
+    site (N, m) ints and blocks (N, m, 2, 2). Like a dense (N, m, d, d)
+    stack, its length is N, and item k (an integer) is set k's dense
+    (m, d, d) stack."""
+
+    sites: int
+    site: np.ndarray
+    blocks: np.ndarray
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def __getitem__(self, k):
+        return np.stack(
+            [LocalSpin(self.sites, s, b).matrix() for s, b in zip(self.site[k], self.blocks[k])]
+        )
+
+
+class HamiltonianSet:
+    """Validated Hamiltonians. A dense set holds its (m, d, d) `stack`. A set
+    of LocalSpins on one register holds its product form `local`, a
+    LocalSpinStack of one set, and builds `stack` on first read. `batch` is
+    the set as encode_stack's stack of one, in the set's own form; `hams`
+    lists the dense Hamiltonians as views of `stack`, and `commuting` is
+    computed on first read."""
+
+    def __init__(self, stack=None, local=None):
+        if stack is not None:
+            self.stack = stack
+        self.local = local
+
+    @cached_property
+    def stack(self):
+        return self.local[0]
+
+    @property
+    def batch(self):
+        return self.stack[None] if self.local is None else self.local
 
     @property
     def hams(self):
@@ -68,27 +153,43 @@ class HamiltonianSet:
 
     @property
     def dim(self):
-        return self.stack.shape[1]
+        return self.stack.shape[1] if self.local is None else 2**self.local.sites
 
     @property
     def m(self):
-        return len(self.stack)
+        return len(self.stack) if self.local is None else self.local.site.shape[1]
 
     @cached_property
     def commuting(self):
-        return _pairwise_commuting(self.hams)
+        if self.local is None:
+            return _pairwise_commuting(self.hams)
+        return _local_commuting(self.local)
 
 
 def hamiltonian_set(hams):
-    """Validate a list of Hermitian Hamiltonians of one dimension: the
-    shapes first, then hamiltonian_checks of the list as a stack of one.
-    Pairwise commutation is flagged by the set's `commuting` property."""
-    mats = [as_square_array(h, f"Hamiltonian {i}") for i, h in enumerate(hams)]
+    """Validate a list of Hermitian Hamiltonians of one dimension.
+
+    A list of LocalSpins on one register is kept in product form: a block
+    of a finite real axis is Hermitian by construction, so nothing is
+    checked or built. Any other list is checked densely: the shapes first,
+    a LocalSpin by its dimension before it is built, then
+    hamiltonian_checks of the list as a stack of one. Pairwise commutation
+    is flagged by the set's `commuting` property."""
+    hams = list(hams)
+    if hams and all(isinstance(h, LocalSpin) and h.sites == hams[0].sites for h in hams):
+        site = np.array([[h.site for h in hams]])
+        blocks = np.array([[h.block for h in hams]], dtype=complex)
+        return HamiltonianSet(local=LocalSpinStack(hams[0].sites, site, blocks))
+    mats = [
+        h if isinstance(h, LocalSpin) else as_square_array(h, f"Hamiltonian {i}")
+        for i, h in enumerate(hams)
+    ]
     if not mats:
         raise ValidationError("empty Hamiltonian list")
-    if any(h.shape != mats[0].shape for h in mats):
+    dims = [h.dim if isinstance(h, LocalSpin) else h.shape[0] for h in mats]
+    if any(dim != dims[0] for dim in dims):
         raise ValidationError("Hamiltonians have mismatched dimensions")
-    stack = np.stack(mats)
+    stack = np.stack([h.matrix() if isinstance(h, LocalSpin) else h for h in mats])
     failure = hamiltonian_checks(stack[None])
     if failure:
         raise ValidationError(failure[1])
@@ -168,22 +269,29 @@ def checked_theta(h_set, theta):
     return theta
 
 
+K_OVERFLOW = "K = sum_i theta_i H_i overflows: theta is too large"
+
+
 def encode_stack(hams, thetas):
     """The encoding kernel for N problems of one shape.
 
-    hams: (N, m, d, d) Hamiltonians; thetas: (N, m). Returns (kappa, w, x):
-    the eigenvalues of K = sum_i theta_i H_i in descending order, (N, d), its
-    eigenvectors, (N, d, d), and the eigenbasis generators
-    X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). The
-    Hamiltonians are validated and theta finite (checked_theta), so the
-    symmetrised K is checked only for overflow before it goes to eigh;
-    reversing eigh's ascending order gives the descending kappa.
+    hams: (N, m, d, d) Hamiltonians, or N sets of them in product form (a
+    LocalSpinStack); thetas: (N, m). Either may have N = 1 for a shared
+    value. Returns (kappa, w, x): the eigenvalues of K = sum_i theta_i H_i in
+    descending order, (N, d), its eigenvectors, (N, d, d), and the
+    eigenbasis generators X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)),
+    (N, m, d, d). The Hamiltonians are validated and theta finite
+    (checked_theta), so the symmetrised K is checked only for overflow
+    before it goes to eigh; reversing eigh's ascending order gives the
+    descending kappa.
     """
+    if isinstance(hams, LocalSpinStack):
+        return _encode_local(hams, thetas)
     with np.errstate(over="ignore", invalid="ignore"):
         k = sum(thetas[:, i, None, None] * hams[:, i] for i in range(hams.shape[1]))
         k = (k + dagger(k)) / 2.0
     if not np.all(np.isfinite(k)):
-        raise ValidationError("K = sum_i theta_i H_i overflows: theta is too large")
+        raise ValidationError(K_OVERFLOW)
     try:
         kappa, w = np.linalg.eigh(k)
     except np.linalg.LinAlgError as err:
@@ -199,11 +307,64 @@ def encode_stack(hams, thetas):
     return kappa, w, x
 
 
+def _encode_local(spins, thetas):
+    """encode_stack of a LocalSpinStack, problem by problem, with no d x d
+    eigh or product.
+
+    On each qubit s, k_s = sum_{i: site_i = s} theta_i a_i = u_s e_s u_s^dag
+    (eigh, ascending; an idle qubit has k_s = 0 and u_s = I). Basis state b
+    of the Kronecker product of the u_s has eigenvalue sum_s e_s[bit_s(b)],
+    and a stable descending sort of those gives kappa and the order of w's
+    columns. X_i couples only basis states that differ at most in bit s =
+    site_i, where it is the block herm((u_s^dag a_i u_s) o phi(e_s[p] -
+    e_s[q])): each row of X_i has two entries, placed in the sorted basis.
+    K overflows when a k_s or a sum of finite site eigenvalues does.
+    """
+    n = max(len(spins), len(thetas))
+    q, m = spins.sites, spins.site.shape[1]
+    d = 2**q
+    kappa = np.empty((n, d))
+    w = np.empty((n, d, d), dtype=complex)
+    x = np.zeros((n, m, d, d), dtype=complex)
+    rows = np.arange(d)
+    for k in range(n):
+        site = spins.site[0 if len(spins) == 1 else k]
+        blocks = spins.blocks[0 if len(spins) == 1 else k]
+        theta = thetas[0 if len(thetas) == 1 else k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ks = np.zeros((q, 2, 2), dtype=complex)
+            np.add.at(ks, site, theta[:, None, None] * blocks)
+            ks = (ks + dagger(ks)) / 2.0
+        if not np.all(np.isfinite(ks)):
+            raise ValidationError(K_OVERFLOW)
+        e, u = np.linalg.eigh(ks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.zeros(1)
+            for e_s in e:
+                total = (total[:, None] + e_s).reshape(-1)
+        if not np.all(np.isfinite(total)):
+            raise ValidationError(K_OVERFLOW)
+        order = np.argsort(-total, kind="stable")
+        kappa[k] = total[order]
+        w[k] = tensor(*u)[:, order]
+        position = np.empty(d, dtype=int)
+        position[order] = rows
+        us = u[site]
+        local = dagger(us) @ blocks @ us * _phi(e[site, :, None] - e[site, None, :])
+        local = (local + dagger(local)) / 2.0
+        for i in range(m):
+            shift = q - 1 - int(site[i])
+            bit = (order >> shift) & 1
+            x[k, i, rows, rows] = local[i, bit, bit]
+            x[k, i, rows, position[order ^ (1 << shift)]] = local[i, bit, 1 - bit]
+    return kappa, w, x
+
+
 def encode(h_set, theta):
     """Evaluate the encoding at theta: the eigenpairs of K and all m
     generators in its eigenbasis (encode_stack at N = 1)."""
     theta = checked_theta(h_set, theta)
-    kappa, w, x = encode_stack(h_set.stack[None], theta[None])
+    kappa, w, x = encode_stack(h_set.batch, theta[None])
     return EncodingPoint(theta=theta, kappa=kappa[0], w=w[0], elems=x[0])
 
 

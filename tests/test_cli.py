@@ -15,6 +15,8 @@ from metrocommute import conditions, examples, selftest, states
 from metrocommute.cli import SWEEP_COLUMNS, _row_text, build_parser, main
 from metrocommute.conditions import FLAG_KINDS, NORM_KINDS, classify
 from metrocommute.descriptors import (
+    MAX_SITES,
+    matrix_to_json,
     parse_descriptor,
     resolve,
     resolve_grid,
@@ -22,7 +24,7 @@ from metrocommute.descriptors import (
     sweepable_parameters,
     with_parameter,
 )
-from metrocommute.encoding import encode_stack, hamiltonian_set
+from metrocommute.encoding import LocalSpin, encode_stack, hamiltonian_set
 from metrocommute.operator_core import ValidationError
 from metrocommute.sld import sld_row_stack
 from metrocommute.states import EigpairVectors
@@ -733,6 +735,79 @@ def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, s
         data["hamiltonians"] = hams
     path = _write(tmp_path, "bad.json", data)
     assert _run(capsys, [argv[0], path, *argv[1:]]) == (2, "", f"error: {message}\n")
+
+
+def _spins(sites, on, axes):
+    return [
+        {"family": "local_spin", "params": {"sites": sites, "site": s, "axis": list(a)}}
+        for s, a in zip(on, axes)
+    ]
+
+
+def _basis_state(dim):
+    return {"family": "pure", "params": {"vector": [[1, 0]] + [[0, 0]] * (dim - 1)}}
+
+
+@pytest.mark.parametrize("sites", [40, 10**340])
+def test_a_local_spin_register_past_max_sites_exits_2(tmp_path, capsys, sites):
+    # 2^sites once was formed unchecked: 4 GiB at 40 sites, and a run until
+    # the process was killed at 341 digits
+    hams = _spins(2, [0], [[1.0, 0.0, 0.0]]) + _spins(sites, [0], [[0.0, 0.0, 1.0]])
+    path = _write(tmp_path, "sites.json", {"state": _basis_state(4), "hamiltonians": hams})
+    message = f"hamiltonians[1].params.sites: expected at most {MAX_SITES} sites, got {sites}"
+    assert _run(capsys, ["classify", path, "--json"]) == (2, "", f"error: {message}\n")
+
+
+def test_a_local_spin_register_is_checked_against_the_state_before_it_is_built(tmp_path, capsys):
+    # one dense Hamiltonian on 12 qubits would be 256 MiB
+    path = _write(
+        tmp_path,
+        "sites.json",
+        {"state": _basis_state(4), "hamiltonians": _spins(MAX_SITES, [0, 5], [[1.0, 0.0, 0.0]] * 2)},
+    )
+    tracemalloc.start()
+    try:
+        result = _run(capsys, ["classify", path, "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = "descriptor: state dimension 4 does not match Hamiltonian dimension 4096"
+    assert result == (2, "", f"error: {message}\n")
+    assert peak < 2**20
+
+
+K_OVERFLOW = "K = sum_i theta_i H_i overflows: theta is too large"
+
+
+@pytest.mark.parametrize(
+    "sites, on, axes, theta, message",
+    [
+        # a qubit's own term k_s overflows
+        (1, [0, 0], [[1.0, 0.0, 0.0]] * 2, [1e308, 1e308], K_OVERFLOW),
+        # each k_s is finite, and the sum of their eigenvalues overflows
+        (3, [0, 1, 2], [[0.0, 0.0, 1.0]] * 3, [8e307] * 3, K_OVERFLOW),
+        (
+            2,
+            [0, 1],
+            [[1e300, 0.0, 0.0], [0.0, 1e300, 0.0]],
+            [0.0, 0.0],
+            "the condition matrices overflow: the Hamiltonians are too large",
+        ),
+    ],
+)
+def test_a_local_set_overflows_with_the_message_of_its_dense_matrices(
+    tmp_path, capsys, sites, on, axes, theta, message
+):
+    pauli = (examples.PAULI_X, examples.PAULI_Y, examples.PAULI_Z)
+    spins = _spins(sites, on, axes)
+    dense = [
+        matrix_to_json(LocalSpin(sites, s, sum(a * p for a, p in zip(axis, pauli))).matrix())
+        for s, axis in zip(on, axes)
+    ]
+    for hams in (spins, dense):
+        data = {"state": _basis_state(2**sites), "hamiltonians": hams, "theta": theta}
+        path = _write(tmp_path, "overflow.json", data)
+        assert _run(capsys, ["classify", path, "--json"]) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit set")

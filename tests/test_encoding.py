@@ -5,10 +5,19 @@ import pytest
 
 from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
-from metrocommute.conditions import classify
-from metrocommute.encoding import encode, evolve, hamiltonian_checks, hamiltonian_set
+from metrocommute.conditions import ProblemStack, classify, classify_stack
+from metrocommute.encoding import (
+    LocalSpin,
+    LocalSpinStack,
+    _pairwise_commuting,
+    encode,
+    encode_stack,
+    evolve,
+    hamiltonian_checks,
+    hamiltonian_set,
+)
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
-from metrocommute.states import density_matrix
+from metrocommute.states import density_from_eigpairs, density_matrix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -173,3 +182,155 @@ def test_evolve_dimension_mismatch():
     pt = encode(hamiltonian_set([np.eye(3)]), [0.1])
     with pytest.raises(ValidationError, match="dimensions differ"):
         evolve(rho, pt)
+
+
+PAULI = (SX, np.array([[0, -1j], [1j, 0]]), SZ)
+
+
+def _block(axis):
+    return sum(a * p for a, p in zip(axis, PAULI))
+
+
+def _local_set(rng, sites, on, axes=None):
+    """LocalSpins on `sites` qubits, one on each qubit of `on`, with random
+    axes unless given."""
+    if axes is None:
+        axes = rng.normal(size=(len(on), 3))
+    return [LocalSpin(sites, s, _block(a)) for s, a in zip(on, axes)]
+
+
+def _gens(w, x):
+    return w[..., None, :, :] @ x @ dagger(w)[..., None, :, :]
+
+
+# (sites, qubit of each Hamiltonian, axes or None for random ones, theta scale)
+LOCAL_CASES = {
+    "one site": (3, [1, 1, 1], None, 1.0),
+    "distinct sites": (3, [2, 0], None, 1.0),
+    "shared sites": (4, [0, 0, 3, 3], None, 1.0),
+    "all sites": (3, [0, 1, 2], None, 1.0),
+    "theta = 0": (3, [0, 0, 2], None, 0.0),
+    # two parallel blocks on qubit 1, qubits 0 and 2 idle: K has two
+    # eigenvalues, each four-fold
+    "repeated eigenvalues": (3, [1, 1], [[0.3, -0.4, 1.2], [0.6, -0.8, 2.4]], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(LOCAL_CASES))
+def test_product_encoding_matches_the_dense_encoding(case):
+    sites, on, axes, size = LOCAL_CASES[case]
+    rng = np.random.default_rng(sorted(LOCAL_CASES).index(case))
+    spins = _local_set(rng, sites, on, axes)
+    product = hamiltonian_set(spins)
+    dense = hamiltonian_set([h.matrix() for h in spins])
+    assert product.local is not None and dense.local is None
+    assert (product.dim, product.m) == (dense.dim, dense.m)
+    theta = size * rng.normal(size=len(on))
+    kp, wp, xp = encode_stack(product.batch, theta[None])
+    kd, wd, xd = encode_stack(dense.batch, theta[None])
+    assert np.all(np.diff(kp[0]) <= 0)
+    assert np.max(np.abs(kp - kd)) < 1e-13
+    assert np.max(np.abs(_gens(wp, xp) - _gens(wd, xd))) < 1e-13
+    if size == 0.0:
+        # U = I: w = I and X_i = H_i exactly
+        assert np.array_equal(wp[0], np.eye(product.dim)) and np.array_equal(xp[0], dense.stack)
+    rho = density_matrix(random_density(rng, product.dim, rank=3))
+    rep_p, rep_d = (classify(rho, hs, theta=theta) for hs in (product, dense))
+    assert "stack" not in vars(product)
+    assert rep_p.flags == rep_d.flags
+    for kind, norm in rep_d.norms.items():
+        assert abs(rep_p.norms[kind] - norm) <= 1e-12 * rep_d.scale
+    assert rep_p.scale == pytest.approx(rep_d.scale, rel=1e-13)
+    assert np.max(np.abs(rep_p.qfim.matrix - rep_d.qfim.matrix)) < 1e-12
+    assert rep_p.qfim.rank == rep_d.qfim.rank
+    assert (rep_p.E is None) == (rep_d.E is None)
+    if rep_d.E is not None:
+        assert rep_p.E == pytest.approx(rep_d.E, rel=1e-10, abs=1e-13)
+
+
+def test_product_stacks_of_several_sets_match_the_dense_stacks():
+    rng = np.random.default_rng(31)
+    sites = 3
+    sets = [_local_set(rng, sites, on) for on in ([0, 0, 2], [1, 2, 1], [2, 2, 2], [0, 1, 2])]
+    spins = LocalSpinStack(
+        sites,
+        np.array([[h.site for h in hs] for hs in sets]),
+        np.array([[h.block for h in hs] for hs in sets]),
+    )
+    dense = np.stack([spins[k] for k in range(len(spins))])
+    assert np.array_equal(dense[1], np.stack([h.matrix() for h in sets[1]]))
+    thetas = rng.normal(size=(4, 3))
+    thetas[2] = 0.0
+    for hams, dense_hams, th in (
+        (spins, dense, thetas),
+        # one shared set at four points
+        (LocalSpinStack(sites, spins.site[:1], spins.blocks[:1]), dense[:1], thetas),
+    ):
+        kp, wp, xp = encode_stack(hams, th)
+        kd, wd, xd = encode_stack(dense_hams, th)
+        assert kp.shape == kd.shape and wp.shape == wd.shape and xp.shape == xd.shape
+        assert np.max(np.abs(kp - kd)) < 1e-13
+        assert np.max(np.abs(_gens(wp, xp) - _gens(wd, xd))) < 1e-13
+        rho = density_matrix(random_density(rng, 2**sites, rank=5)).spectrum
+        lam, vectors = rho.eigenvalues[None], rho.eigenvectors[None]
+        runs = [
+            classify_stack(ProblemStack(n=4, rank=5, lam=lam, vectors=vectors, hams=h, theta=th))
+            for h in (hams, dense_hams)
+        ]
+        assert np.array_equal(runs[0].flags, runs[1].flags)
+        assert np.max(np.abs(runs[0].norms - runs[1].norms)) <= 1e-12 * np.max(runs[1].scale)
+        assert np.max(np.abs(runs[0].f - runs[1].f)) < 1e-12
+        assert np.allclose(runs[0].E, runs[1].E, rtol=1e-10, atol=1e-13, equal_nan=True)
+
+
+def test_classify_on_a_large_local_set_builds_no_dense_stack():
+    rng = np.random.default_rng(37)
+    sites = 8
+    hs = hamiltonian_set(_local_set(rng, sites, [2, 2, 5]))
+    vecs, _ = np.linalg.qr(rng.normal(size=(2**sites, 4)) + 1j * rng.normal(size=(2**sites, 4)))
+    rho = density_from_eigpairs(zip([0.4, 0.3, 0.2, 0.1], vecs.T))
+    report = classify(rho, hs, theta=rng.normal(size=3))
+    assert "stack" not in vars(hs)
+    assert report.dim == hs.dim == 256
+    assert not hs.commuting and "stack" not in vars(hs)
+    # a route reads the dense Hamiltonians: built on first read
+    assert np.array_equal(hs.hams[1], LocalSpin(sites, 2, hs.local.blocks[0, 1]).matrix())
+    assert "stack" in vars(hs)
+
+
+def test_lists_that_are_not_one_register_of_local_spins_are_checked_densely():
+    rng = np.random.default_rng(41)
+    spins = _local_set(rng, 2, [0, 1])
+    mixed = hamiltonian_set([spins[0], spins[1].matrix()])
+    assert mixed.local is None
+    assert np.array_equal(mixed.stack, hamiltonian_set(spins).stack)
+    # a LocalSpin's dimension is compared before it is built
+    for hams in ([spins[0], LocalSpin(12, 0, SZ)], [np.eye(4), LocalSpin(12, 0, SZ)]):
+        with pytest.raises(ValidationError, match="mismatched dimensions"):
+            hamiltonian_set(hams)
+
+
+def test_the_commutation_flag_of_a_local_set_is_the_dense_one():
+    rng = np.random.default_rng(43)
+    near_parallel = []
+    for sites in (1, 2, 4):
+        for _ in range(8):
+            on = rng.integers(0, sites, size=3)
+            if rng.random() < 0.3:
+                on[:] = on[0]
+            axes = rng.normal(size=(3, 3))
+            # a tilt of 1e-13 to 1e-7 straddles COMMUTE_TOL
+            tilt = 10.0 ** rng.uniform(-13, -7)
+            axes[1] = rng.uniform(0.5, 2.0) * axes[0] + tilt * rng.normal(size=3)
+            pair = _local_set(rng, sites, on[:2], axes[:2])
+            for hams in (
+                _local_set(rng, sites, on),
+                _local_set(rng, sites, on, axes),
+                pair,
+                _local_set(rng, sites, list(range(sites))),
+            ):
+                dense = [h.matrix() for h in hams]
+                assert hamiltonian_set(hams).commuting == _pairwise_commuting(dense)
+            if on[0] == on[1]:
+                near_parallel.append(hamiltonian_set(pair).commuting)
+    assert any(near_parallel) and not all(near_parallel)
