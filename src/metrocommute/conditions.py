@@ -590,10 +590,9 @@ class ProblemStack:
     lam: (n or 1, d) cut eigenvalues, descending: the first `rank` above the
         state's cutoff, the rest exact zeros
     vectors: (n or 1, d, d) state eigenvectors
-    hams: (n or 1, m, d, d) validated Hamiltonians, or their product form
-        (encoding.LocalSpinStack)
-    theta: (1 or len(hams), m) finite encoding points (checked_theta), one
-        shared or one per Hamiltonian set
+    hams: (n or 1, m, d, d) validated Hamiltonians, or one shared set in
+        product form (encoding.LocalSpinStack)
+    theta: (m,) the finite encoding point (checked_theta) all n share
     """
 
     n: int
@@ -637,8 +636,8 @@ class StackedClassification:
 def classify_stack(stack, tol=1e-8):
     """The stacked classify kernel: every problem of a ProblemStack in one
     pass of encode_stack, sld_row_stack, the pair commutators, Q,
-    and incompatibility_stack. A Hamiltonian set and theta that the problems
-    share are encoded once. Returns a StackedClassification; each problem's
+    and incompatibility_stack. A Hamiltonian set that the problems share is
+    encoded once. Returns a StackedClassification; each problem's
     norms, flags and E are those classify gives for it.
     """
     kappa, w, x = encode_stack(stack.hams, stack.theta)
@@ -751,6 +750,6 @@ def classify(rho, h_set, theta=None, tol=1e-8):
         lam=spec.eigenvalues[None],
         vectors=spec.eigenvectors[None],
         hams=h_set.batch,
-        theta=theta[None],
+        theta=theta,
     )
     return _report(spec, theta, classify_stack(stack, tol), tol)

@@ -14,8 +14,10 @@ matrices are parsed once, into the complex arrays the descriptor keeps;
 A family's params hold exactly the names it reads: a state family's are
 those its state half reads, and local_spin's are sites, site and axis. A
 local_spin Hamiltonian resolves to its product form (encoding.LocalSpin),
-whose dimension 2^sites, at most 2^MAX_SITES, is checked against the
-state's before any matrix is built.
+whose dimension 2^sites, at most 2^MAX_SITES = states.MAX_DIM, is checked
+against the state's before any matrix is built. The maximally_mixed and
+bell_diagonal states, and EX2, check their dimension against MAX_DIM before
+they build anything.
 
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
@@ -55,6 +57,7 @@ from .examples import (
 )
 from .operator_core import ValidationError
 from .states import (
+    MAX_DIM,
     RANK_TOL,
     bell_diagonal,
     density_from_eigpairs,
@@ -68,9 +71,9 @@ DEFAULT_ZERO_TOL = 1e-8
 
 HAMILTONIAN_FAMILIES = ("local_spin",)
 _LOCAL_SPIN_KEYS = ("sites", "site", "axis")
-# the largest local_spin register, dimension 2^12 = 4096; checked before
-# 2^sites is formed
-MAX_SITES = 12
+# the largest local_spin register, of dimension 2^MAX_SITES = MAX_DIM;
+# checked before 2^sites is formed
+MAX_SITES = MAX_DIM.bit_length() - 1
 
 
 @dataclass(eq=False)
@@ -404,6 +407,8 @@ def _maximally_mixed(params):
     dim = params["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
         _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
+    if dim > MAX_DIM:
+        _fail("state.params.dim", f"expected at most {MAX_DIM}, got {dim}")
     return np.eye(dim, dtype=complex) / dim
 
 
@@ -540,7 +545,8 @@ class _Grid:
     a time as ProblemStacks.
 
     A half that reads `name` is built at each point; the others are those of
-    `halves`, shared by every point through a leading axis of length 1. A
+    `halves`, shared by every point through a leading axis of length 1 (a
+    product-form Hamiltonian set is shared whole). A
     state that reads `name` is an EigpairHalf (sweepable_parameters): a point
     builds its weights, and its vectors only when they read `name`. The raw
     values of a batch (weight rows and Hamiltonian lists) are built point by
@@ -566,7 +572,7 @@ class _Grid:
         self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
         self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
         self.shared_hams = self.hs.batch
-        self.theta = theta[None]
+        self.theta = theta
 
     def batch(self, values):
         """(stacks, count): the ProblemStacks of the first `count` values, in
@@ -608,7 +614,7 @@ class _Grid:
             hams = self._hamiltonians([h for _, h in points], failures)
         if failures:
             self._fail(values[min(failures)])
-        checked_theta(self.hs, self.theta[0])
+        checked_theta(self.hs, self.theta)
         return list(self._stacks(len(points), vals, vecs, hams)), len(points)
 
     def _states(self, states, failures):
@@ -658,7 +664,7 @@ class _Grid:
                 rank=ranks[a],
                 lam=_rows(lam, a, b),
                 vectors=_rows(vecs, a, b),
-                hams=_rows(hams, a, b),
+                hams=hams if self.hams_of is None else _rows(hams, a, b),
                 theta=self.theta,
             )
 

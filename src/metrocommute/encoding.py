@@ -19,8 +19,8 @@ together with (kappa, w): the SLDs need only X_i and one change of basis, so
 the unitary U and the stack of computational-basis generators
 G_i = w X_i w^dag are built on first read.
 
-encode_stack evaluates N encodings of one shape at once, with a leading
-(N, ...) axis and one batched eigh; encode is its N = 1 case.
+encode_stack evaluates N encodings of one shape at one theta at once, with
+a leading (N, ...) axis and one batched eigh; encode is its N = 1 case.
 hamiltonian_set checks one Hamiltonian list through hamiltonian_checks,
 which checks a stack of them.
 
@@ -73,7 +73,7 @@ def _local_commuting(spins):
     """_pairwise_commuting of a product-form set, from its 2 x 2 blocks:
     terms on distinct qubits commute, and on one qubit of n the dense
     commutator and each dense norm are the block's times sqrt(2^(n-1))."""
-    site, blocks = spins.site[0], spins.blocks[0]
+    site, blocks = spins.site, spins.blocks
     copies = 2.0 ** (spins.sites - 1)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
@@ -108,28 +108,22 @@ class LocalSpin(NamedTuple):
 
 @dataclass(eq=False)
 class LocalSpinStack:
-    """N sets of m LocalSpin Hamiltonians on one register of `sites` qubits:
-    site (N, m) ints and blocks (N, m, 2, 2). Like a dense (N, m, d, d)
-    stack, its length is N, and item k (an integer) is set k's dense
-    (m, d, d) stack."""
+    """One set of m LocalSpin Hamiltonians on one register of `sites`
+    qubits: site (m,) ints and blocks (m, 2, 2)."""
 
     sites: int
     site: np.ndarray
     blocks: np.ndarray
 
-    def __len__(self):
-        return len(self.blocks)
-
-    def __getitem__(self, k):
-        return np.stack(
-            [LocalSpin(self.sites, s, b).matrix() for s, b in zip(self.site[k], self.blocks[k])]
-        )
+    def matrices(self):
+        """The set's dense (m, d, d) stack."""
+        return np.stack([LocalSpin(self.sites, s, b).matrix() for s, b in zip(self.site, self.blocks)])
 
 
 class HamiltonianSet:
     """Validated Hamiltonians. A dense set holds its (m, d, d) `stack`. A set
     of LocalSpins on one register holds its product form `local`, a
-    LocalSpinStack of one set, and builds `stack` on first read. `batch` is
+    LocalSpinStack, and builds `stack` on first read. `batch` is
     the set as encode_stack's stack of one, in the set's own form; `hams`
     lists the dense Hamiltonians as views of `stack`, and `commuting` is
     computed on first read."""
@@ -141,7 +135,7 @@ class HamiltonianSet:
 
     @cached_property
     def stack(self):
-        return self.local[0]
+        return self.local.matrices()
 
     @property
     def batch(self):
@@ -157,7 +151,7 @@ class HamiltonianSet:
 
     @property
     def m(self):
-        return len(self.stack) if self.local is None else self.local.site.shape[1]
+        return len(self.stack) if self.local is None else len(self.local.site)
 
     @cached_property
     def commuting(self):
@@ -177,8 +171,8 @@ def hamiltonian_set(hams):
     is flagged by the set's `commuting` property."""
     hams = list(hams)
     if hams and all(isinstance(h, LocalSpin) and h.sites == hams[0].sites for h in hams):
-        site = np.array([[h.site for h in hams]])
-        blocks = np.array([[h.block for h in hams]], dtype=complex)
+        site = np.array([h.site for h in hams])
+        blocks = np.array([h.block for h in hams], dtype=complex)
         return HamiltonianSet(local=LocalSpinStack(hams[0].sites, site, blocks))
     mats = [
         h if isinstance(h, LocalSpin) else as_square_array(h, f"Hamiltonian {i}")
@@ -272,23 +266,23 @@ def checked_theta(h_set, theta):
 K_OVERFLOW = "K = sum_i theta_i H_i overflows: theta is too large"
 
 
-def encode_stack(hams, thetas):
-    """The encoding kernel for N problems of one shape.
+def encode_stack(hams, theta):
+    """The encoding kernel for N problems of one shape at one theta.
 
-    hams: (N, m, d, d) Hamiltonians, or N sets of them in product form (a
-    LocalSpinStack); thetas: (N, m). Either may have N = 1 for a shared
-    value. Returns (kappa, w, x): the eigenvalues of K = sum_i theta_i H_i in
-    descending order, (N, d), its eigenvectors, (N, d, d), and the
-    eigenbasis generators X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)),
-    (N, m, d, d). The Hamiltonians are validated and theta finite
-    (checked_theta), so the symmetrised K is checked only for overflow
-    before it goes to eigh; reversing eigh's ascending order gives the
-    descending kappa.
+    hams: (N, m, d, d) Hamiltonians, N = 1 for a shared set, or one set in
+    product form (a LocalSpinStack, which encodes as N = 1); theta: (m,),
+    finite (checked_theta). Returns (kappa, w, x): the eigenvalues of
+    K = sum_i theta_i H_i in descending order, (N, d), its eigenvectors,
+    (N, d, d), and the eigenbasis generators
+    X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). The
+    Hamiltonians are validated, so the symmetrised K is checked only for
+    overflow before it goes to eigh; reversing eigh's ascending order gives
+    the descending kappa.
     """
     if isinstance(hams, LocalSpinStack):
-        return _encode_local(hams, thetas)
+        return _encode_local(hams, theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        k = sum(thetas[:, i, None, None] * hams[:, i] for i in range(hams.shape[1]))
+        k = sum(theta[i] * hams[:, i] for i in range(hams.shape[1]))
         k = (k + dagger(k)) / 2.0
     if not np.all(np.isfinite(k)):
         raise ValidationError(K_OVERFLOW)
@@ -307,9 +301,8 @@ def encode_stack(hams, thetas):
     return kappa, w, x
 
 
-def _encode_local(spins, thetas):
-    """encode_stack of a LocalSpinStack, problem by problem, with no d x d
-    eigh or product.
+def _encode_local(spins, theta):
+    """encode_stack of a LocalSpinStack, with no d x d eigh or product.
 
     On each qubit s, k_s = sum_{i: site_i = s} theta_i a_i = u_s e_s u_s^dag
     (eigh, ascending; an idle qubit has k_s = 0 and u_s = I). Basis state b
@@ -320,51 +313,42 @@ def _encode_local(spins, thetas):
     e_s[q])): each row of X_i has two entries, placed in the sorted basis.
     K overflows when a k_s or a sum of finite site eigenvalues does.
     """
-    n = max(len(spins), len(thetas))
-    q, m = spins.sites, spins.site.shape[1]
+    q, site, blocks = spins.sites, spins.site, spins.blocks
     d = 2**q
-    kappa = np.empty((n, d))
-    w = np.empty((n, d, d), dtype=complex)
-    x = np.zeros((n, m, d, d), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ks = np.zeros((q, 2, 2), dtype=complex)
+        np.add.at(ks, site, theta[:, None, None] * blocks)
+        ks = (ks + dagger(ks)) / 2.0
+    if not np.all(np.isfinite(ks)):
+        raise ValidationError(K_OVERFLOW)
+    e, u = np.linalg.eigh(ks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.zeros(1)
+        for e_s in e:
+            total = (total[:, None] + e_s).reshape(-1)
+    if not np.all(np.isfinite(total)):
+        raise ValidationError(K_OVERFLOW)
+    order = np.argsort(-total, kind="stable")
     rows = np.arange(d)
-    for k in range(n):
-        site = spins.site[0 if len(spins) == 1 else k]
-        blocks = spins.blocks[0 if len(spins) == 1 else k]
-        theta = thetas[0 if len(thetas) == 1 else k]
-        with np.errstate(over="ignore", invalid="ignore"):
-            ks = np.zeros((q, 2, 2), dtype=complex)
-            np.add.at(ks, site, theta[:, None, None] * blocks)
-            ks = (ks + dagger(ks)) / 2.0
-        if not np.all(np.isfinite(ks)):
-            raise ValidationError(K_OVERFLOW)
-        e, u = np.linalg.eigh(ks)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = np.zeros(1)
-            for e_s in e:
-                total = (total[:, None] + e_s).reshape(-1)
-        if not np.all(np.isfinite(total)):
-            raise ValidationError(K_OVERFLOW)
-        order = np.argsort(-total, kind="stable")
-        kappa[k] = total[order]
-        w[k] = tensor(*u)[:, order]
-        position = np.empty(d, dtype=int)
-        position[order] = rows
-        us = u[site]
-        local = dagger(us) @ blocks @ us * _phi(e[site, :, None] - e[site, None, :])
-        local = (local + dagger(local)) / 2.0
-        for i in range(m):
-            shift = q - 1 - int(site[i])
-            bit = (order >> shift) & 1
-            x[k, i, rows, rows] = local[i, bit, bit]
-            x[k, i, rows, position[order ^ (1 << shift)]] = local[i, bit, 1 - bit]
-    return kappa, w, x
+    position = np.empty(d, dtype=int)
+    position[order] = rows
+    us = u[site]
+    local = dagger(us) @ blocks @ us * _phi(e[site, :, None] - e[site, None, :])
+    local = (local + dagger(local)) / 2.0
+    x = np.zeros((1, len(site), d, d), dtype=complex)
+    for i, s in enumerate(site.tolist()):
+        shift = q - 1 - s
+        bit = (order >> shift) & 1
+        x[0, i, rows, rows] = local[i, bit, bit]
+        x[0, i, rows, position[order ^ (1 << shift)]] = local[i, bit, 1 - bit]
+    return total[order][None], tensor(*u)[:, order][None], x
 
 
 def encode(h_set, theta):
     """Evaluate the encoding at theta: the eigenpairs of K and all m
     generators in its eigenbasis (encode_stack at N = 1)."""
     theta = checked_theta(h_set, theta)
-    kappa, w, x = encode_stack(h_set.batch, theta[None])
+    kappa, w, x = encode_stack(h_set.batch, theta)
     return EncodingPoint(theta=theta, kappa=kappa[0], w=w[0], elems=x[0])
 
 

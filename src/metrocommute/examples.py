@@ -9,6 +9,13 @@ example-specific closed forms written directly against numpy, sharing only
 operator_core primitives with the pipeline, so agreement between the two is
 evidence rather than tautology.
 
+EX2, EX3, EX4, EX5 and EX9 also check a closed form over a grid of one
+parameter. A grid check runs on the path that the `sweep` command prints
+(`_sweep`: descriptors.resolve_halves, resolve_grid and
+conditions.classify_stack, stacked over the grid) and evaluates its closed
+form once on the whole grid. Each single-point W_12 check stays on
+weak_direct (`_weak`), so both routes are anchored to the closed forms.
+
 Each runner states its claims once, as check records (name, expected,
 computed, provenance). A report passes when every expected value matches its
 computed counterpart to PASS_TOL. Yes/no claims are encoded as 1.0 / 0.0 so
@@ -22,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import classify, support_kernel_decomposition, weak_direct
+from .conditions import classify, classify_stack, support_kernel_decomposition, weak_direct
 from .encoding import encode, hamiltonian_set
 from .metrology import qcr_scalar
 from .operator_core import ValidationError, dagger, matrix_exp_i, tensor
 from .sld import sld_rotated
 from .states import (
+    MAX_DIM,
     EigpairVectors,
     density_from_eigpairs,
     density_matrix,
@@ -191,6 +199,22 @@ def _weak(rho, hs, theta=None):
     return weak_direct(rho, sld_rotated(rho.spectrum, pt))
 
 
+def _sweep(example_id, p, name, grid):
+    """(lam, norms, W, F) of the example at p with `name` at each grid value,
+    on the path that `sweep` prints (cli.cmd_sweep): the cut eigenvalues
+    (n, d), the W, P, O, S norms (n, 4), W (n, m, m) and the QFIM (n, m, m)."""
+    # descriptors imports this module, so it is imported on first use
+    from .descriptors import _parse_fields, resolve_grid, resolve_halves
+
+    desc = _parse_fields({"state": {"family": "example", "params": {**p, "id": example_id}}})
+    parts = []
+    for stack in resolve_grid(desc, name, [float(v) for v in grid], resolve_halves(desc)):
+        res = classify_stack(stack, desc.zero_tol)
+        arrays = (stack.lam, res.norms, res.w_stack, res.f)
+        parts.append([np.broadcast_to(a, (stack.n, *a.shape[1:])) for a in arrays])
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
 # ---------------------------------------------------------------------------
 # EX1: single-qubit identity W = (2 tr[rho^2] - 1) Gamma
 # ---------------------------------------------------------------------------
@@ -256,6 +280,8 @@ def _ex2_dim(p):
     dim = _whole_number(p["dim"])
     if dim is None or dim < 2:
         raise ValidationError("out-of-domain parameters: dim must be an integer >= 2")
+    if dim > MAX_DIM:
+        raise ValidationError(f"out-of-domain parameters: dim must be at most {MAX_DIM}")
     return dim
 
 
@@ -292,15 +318,10 @@ def _ex2_hamiltonians(p):
 def _run_ex2(p):
     psi, hams = _ex2_draw(p)
     dim, noise = psi.size, _ex2_noise(p)
-
-    def pipeline(pp):
-        return _weak(*example_configuration("EX2", {**p, "p": pp})).entries[0, 1]
-
-    w12 = pipeline(noise)
-    sweep_worst = max(
-        abs(pipeline(pp) - _ex2_closed(pp, dim, psi, hams))
-        for pp in np.linspace(0.1, 0.9, 9)
-    )
+    w12 = _weak(*example_configuration("EX2", p)).entries[0, 1]
+    grid = np.linspace(0.1, 0.9, 9)
+    w = _sweep("EX2", p, "p", grid)[2]
+    sweep_worst = np.max(np.abs(w[:, 0, 1] - _ex2_closed(grid, dim, psi, hams)))
     checks = [
         ("W_12", _ex2_closed(noise, dim, psi, hams), w12,
          "W_12 = 4 p^3 D^2 / (p (D - 2) + 2)^2 <psi|[H_1, H_2]|psi> for "
@@ -358,7 +379,7 @@ def _tilted_kets(p):
 
 def _ex3_closed(alpha, lam):
     h_lam = -6j * np.sqrt(3.0) * (1.0 - lam) * lam * (2.0 * lam - 1.0)
-    radicand = max(np.cos(2.0 * alpha + np.pi) / np.sin(alpha) ** 4, 0.0)
+    radicand = np.maximum(np.cos(2.0 * alpha + np.pi) / np.sin(alpha) ** 4, 0.0)
     return h_lam * (1.0 - np.cos(4.0 * alpha)) * np.sqrt(radicand)
 
 
@@ -368,13 +389,10 @@ def _ex3_hamiltonians(p):
 
 def _run_ex3(p):
     alpha, lam = float(p["alpha"]), float(p["lam"])
-
-    def pipeline(aa):
-        return _weak(*example_configuration("EX3", {**p, "alpha": aa})).entries[0, 1]
-
-    w12 = pipeline(alpha)
+    w12 = _weak(*example_configuration("EX3", p)).entries[0, 1]
     grid = np.linspace(np.pi / 4 + 0.05, np.pi / 2 - 0.05, 9)
-    sweep_worst = max(abs(pipeline(aa) - _ex3_closed(aa, lam)) for aa in grid)
+    w = _sweep("EX3", p, "alpha", grid)[2]
+    sweep_worst = np.max(np.abs(w[:, 0, 1] - _ex3_closed(grid, lam)))
     checks = [
         ("W_12", _ex3_closed(alpha, lam), w12,
          "W_12 = h_lam (1 - cos 4 alpha) sqrt(cos(2 alpha + pi) / "
@@ -412,12 +430,8 @@ def _ex4_hamiltonians(p):
 
 def _run_ex4(p):
     prob = float(p["p"])
-
-    def pipeline(pp):
-        rho, hs = example_configuration("EX4", {**p, "p": pp})
-        return _weak(rho, hs).entries[0, 1], float(rho.spectrum.eigenvalues[1])
-
-    w12, lam_small = pipeline(prob)
+    rho, hs = example_configuration("EX4", p)
+    w12, lam_small = _weak(rho, hs).entries[0, 1], float(rho.spectrum.eigenvalues[1])
 
     def closed_w(pp):
         return -8j * (1.0 - pp) * pp**2
@@ -425,12 +439,12 @@ def _run_ex4(p):
     def closed_lam(pp):
         return 0.5 * (1.0 - np.sqrt(1.0 - 3.0 * (1.0 - pp) * pp))
 
-    sweep_worst = 0.0
-    for pp in np.linspace(0.1, 0.9, 9):
-        got_w, got_lam = pipeline(pp)
-        sweep_worst = max(
-            sweep_worst, abs(got_w - closed_w(pp)), abs(got_lam - closed_lam(pp))
-        )
+    grid = np.linspace(0.1, 0.9, 9)
+    lam, _, w, _ = _sweep("EX4", p, "p", grid)
+    sweep_worst = max(
+        np.max(np.abs(w[:, 0, 1] - closed_w(grid))),
+        np.max(np.abs(lam[:, 1] - closed_lam(grid))),
+    )
     checks = [
         ("W_12", closed_w(prob), w12,
          "W_12 = -8 i (1 - p) p^2 although [H_1, H_2] = 0"),
@@ -474,23 +488,13 @@ def _ex5_hamiltonians(p):
 def _run_ex5(p):
     lam = float(p["lam"])
 
-    def pipeline(ll):
-        return _weak(*example_configuration("EX5", {**p, "lam": ll})).entries
-
     def closed(ll):
         return 64j * (1.0 - ll) * ll * (1.0 - 2.0 * ll) / (3.0 * np.sqrt(3.0))
 
-    w = pipeline(lam)
-    sweep_worst = 0.0
-    for ll in np.linspace(0.05, 0.95, 10):
-        wg = pipeline(ll)
-        cc = closed(ll)
-        sweep_worst = max(
-            sweep_worst,
-            abs(wg[0, 1] - cc),
-            abs(wg[1, 2] - cc),
-            abs(wg[0, 2] + cc),
-        )
+    w = _weak(*example_configuration("EX5", p)).entries
+    grid = np.linspace(0.05, 0.95, 10)
+    wg, cc = _sweep("EX5", p, "lam", grid)[2], closed(grid)
+    sweep_worst = np.max(np.abs([wg[:, 0, 1] - cc, wg[:, 1, 2] - cc, wg[:, 0, 2] + cc]))
     pattern = "W_12 = W_23 = -W_13 = 64 i (1 - lam) lam (1 - 2 lam) / (3 sqrt(3))"
     checks = [
         ("W_12", closed(lam), w[0, 1], pattern),
@@ -725,7 +729,8 @@ def _ex9_hamiltonians(p):
 
 
 def _ex9_qfim_closed(lam):
-    return 1.5 * (1.0 + 3.0 * lam) * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    """The a = 0 QFIM at lam, or one per entry of an array lam."""
+    return np.multiply.outer(1.5 * (1.0 + 3.0 * lam), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def _run_ex9(p):
@@ -744,17 +749,11 @@ def _run_ex9(p):
     except ValidationError:
         singular = 1.0
 
-    sweep_worst = 0.0
-    for ll in np.linspace(0.05, 0.95, 10):
-        rr = classify(*example_configuration("EX9", {**p, "lam": ll}))
-        ff = classify(*example_configuration("EX9", {**p, "lam": ll, **axial})).qfim
-        sweep_worst = max(
-            sweep_worst,
-            rr.W.norm,
-            rr.operators.P.norm,
-            rr.operators.O.norm,
-            float(np.max(np.abs(ff.matrix - _ex9_qfim_closed(ll)))),
-        )
+    grid = np.linspace(0.05, 0.95, 10)
+    norms = _sweep("EX9", p, "lam", grid)[1]
+    f = _sweep("EX9", {**p, **axial}, "lam", grid)[3]
+    # the W, P and O columns of the norms (conditions.NORM_KINDS)
+    sweep_worst = max(np.max(norms[:, :3]), np.max(np.abs(f - _ex9_qfim_closed(grid))))
 
     one_sided = "one-sided condition holds for every (lam, a, a')"
     checks = [

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 HERM_TOL = 1e-10
-UNIT_TOL = 1e-10
 
 
 class ValidationError(ValueError):

@@ -52,6 +52,9 @@ from .operator_core import (
 RANK_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
+# the largest dimension of a state that a family or example builds from its
+# parameters; checked before anything of that size is allocated
+MAX_DIM = 4096
 
 
 @dataclass(eq=False)
@@ -375,6 +378,8 @@ def bell_diagonal(weights, d):
     if int(d) != d or d < 2:
         raise ValidationError("bell_diagonal needs integer d >= 2")
     d = int(d)
+    if d * d > MAX_DIM:
+        raise ValidationError(f"bell_diagonal needs d^2 <= {MAX_DIM}, got d = {d}")
     w = np.array([float(x) for x in weights])
     if w.size > d * d:
         raise ValidationError(f"{w.size} weights exceed d^2 = {d * d}")

@@ -24,7 +24,7 @@ from metrocommute.descriptors import (
     sweepable_parameters,
     with_parameter,
 )
-from metrocommute.encoding import LocalSpin, encode_stack, hamiltonian_set
+from metrocommute.encoding import LocalSpin, LocalSpinStack, encode_stack, hamiltonian_set
 from metrocommute.operator_core import ValidationError
 from metrocommute.sld import sld_row_stack
 from metrocommute.states import EigpairVectors
@@ -723,6 +723,39 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
             ["sweep", "--param", "p", "--grid", "0:1:3"],
             f"state.params.p: expected a finite number, got {TOO_LARGE}",
         ),
+        # a dimension past MAX_DIM once reached numpy: an out-of-memory
+        # traceback at 100000 (74.5 to 149 GiB), a ValueError at 341 digits
+        *(
+            (
+                {"family": "maximally_mixed", "params": {"dim": dim}},
+                2,
+                ["classify", "--json"],
+                f"state.params.dim: expected at most {states.MAX_DIM}, got {dim}",
+            )
+            for dim in (100000, HUGE)
+        ),
+        *(
+            (
+                {"family": "bell_diagonal", "params": {"weights": [1.0], "d": d}},
+                4,
+                ["classify", "--json"],
+                f"bell_diagonal needs d^2 <= {states.MAX_DIM}, got d = {d}",
+            )
+            for d in (100000, HUGE)
+        ),
+        (
+            {"family": "example", "params": {"id": "EX2", "dim": 100000}},
+            None,
+            ["classify", "--json"],
+            f"out-of-domain parameters: dim must be at most {states.MAX_DIM}",
+        ),
+        # each point of a sweep is checked before it is built
+        (
+            {"family": "example", "params": {"id": "EX2"}},
+            None,
+            ["sweep", "--param", "dim", "--grid", "2:100000:3"],
+            f"grid value dim=50001: out-of-domain parameters: dim must be at most {states.MAX_DIM}",
+        ),
     ],
 )
 def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, hams, argv, message):
@@ -932,8 +965,9 @@ def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monk
     finally:
         tracemalloc.stop()
     assert code == 0
-    # p moves only the state: each chunk encodes its shared Hamiltonians once
-    assert [len(args[0]) for args in encodes] == [1, 1, 1]
+    # p moves only the state: each chunk encodes its shared Hamiltonians,
+    # one set in product form, once
+    assert [type(args[0]) for args in encodes] == [LocalSpinStack] * 3
     assert [broadcast_points([args]) for args in slds] == [4, 4, 4]
     assert peak < cap + conditions.point_bytes(32, 3)
 

@@ -19,6 +19,7 @@ from metrocommute.descriptors import (
     vector_from_json,
     with_parameter,
 )
+from metrocommute.encoding import LocalSpinStack
 from metrocommute.examples import EigpairHalf, Half
 from metrocommute.operator_core import ValidationError
 
@@ -419,9 +420,11 @@ def test_resolve_grid_stacks_what_resolve_gives_point_by_point(monkeypatch, data
     rho, hs = resolve(with_parameter(desc, name, values[0]))[:2]
     monkeypatch.setattr(conditions, "CHUNK_BYTES", 4 * conditions.point_bytes(rho.dim, hs.m))
     for stack in resolve_grid(desc, name, values, descriptors.resolve_halves(desc)):
+        # a set in product form is one set that every point shares
+        hams = stack.hams.matrices()[None] if isinstance(stack.hams, LocalSpinStack) else stack.hams
         for k in range(stack.n):
-            row = [a[0 if len(a) == 1 else k] for a in (stack.lam, stack.vectors, stack.hams, stack.theta)]
-            points.append((stack.rank, *row))
+            row = [a[0 if len(a) == 1 else k] for a in (stack.lam, stack.vectors, hams)]
+            points.append((stack.rank, *row, stack.theta))
     assert len(points) == len(values)
     for value, (rank, lam, vectors, hams, theta) in zip(values, points):
         rho, hs, theta_one, _ = resolve(with_parameter(desc, name, value))

@@ -8,7 +8,6 @@ from metrocommute import operator_core
 from metrocommute.conditions import ProblemStack, classify, classify_stack
 from metrocommute.encoding import (
     LocalSpin,
-    LocalSpinStack,
     _pairwise_commuting,
     encode,
     encode_stack,
@@ -226,8 +225,8 @@ def test_product_encoding_matches_the_dense_encoding(case):
     assert product.local is not None and dense.local is None
     assert (product.dim, product.m) == (dense.dim, dense.m)
     theta = size * rng.normal(size=len(on))
-    kp, wp, xp = encode_stack(product.batch, theta[None])
-    kd, wd, xd = encode_stack(dense.batch, theta[None])
+    kp, wp, xp = encode_stack(product.batch, theta)
+    kd, wd, xd = encode_stack(dense.batch, theta)
     assert np.all(np.diff(kp[0]) <= 0)
     assert np.max(np.abs(kp - kd)) < 1e-13
     assert np.max(np.abs(_gens(wp, xp) - _gens(wd, xd))) < 1e-13
@@ -248,34 +247,24 @@ def test_product_encoding_matches_the_dense_encoding(case):
         assert rep_p.E == pytest.approx(rep_d.E, rel=1e-10, abs=1e-13)
 
 
-def test_product_stacks_of_several_sets_match_the_dense_stacks():
+def test_a_product_set_at_several_thetas_matches_the_dense_set():
     rng = np.random.default_rng(31)
     sites = 3
-    sets = [_local_set(rng, sites, on) for on in ([0, 0, 2], [1, 2, 1], [2, 2, 2], [0, 1, 2])]
-    spins = LocalSpinStack(
-        sites,
-        np.array([[h.site for h in hs] for hs in sets]),
-        np.array([[h.block for h in hs] for hs in sets]),
-    )
-    dense = np.stack([spins[k] for k in range(len(spins))])
-    assert np.array_equal(dense[1], np.stack([h.matrix() for h in sets[1]]))
+    spins = hamiltonian_set(_local_set(rng, sites, [0, 0, 2])).local
+    dense = spins.matrices()[None]
     thetas = rng.normal(size=(4, 3))
     thetas[2] = 0.0
-    for hams, dense_hams, th in (
-        (spins, dense, thetas),
-        # one shared set at four points
-        (LocalSpinStack(sites, spins.site[:1], spins.blocks[:1]), dense[:1], thetas),
-    ):
-        kp, wp, xp = encode_stack(hams, th)
-        kd, wd, xd = encode_stack(dense_hams, th)
+    rho = density_matrix(random_density(rng, 2**sites, rank=5)).spectrum
+    lam, vectors = rho.eigenvalues[None], rho.eigenvectors[None]
+    for th in thetas:
+        kp, wp, xp = encode_stack(spins, th)
+        kd, wd, xd = encode_stack(dense, th)
         assert kp.shape == kd.shape and wp.shape == wd.shape and xp.shape == xd.shape
         assert np.max(np.abs(kp - kd)) < 1e-13
         assert np.max(np.abs(_gens(wp, xp) - _gens(wd, xd))) < 1e-13
-        rho = density_matrix(random_density(rng, 2**sites, rank=5)).spectrum
-        lam, vectors = rho.eigenvalues[None], rho.eigenvectors[None]
         runs = [
-            classify_stack(ProblemStack(n=4, rank=5, lam=lam, vectors=vectors, hams=h, theta=th))
-            for h in (hams, dense_hams)
+            classify_stack(ProblemStack(n=1, rank=5, lam=lam, vectors=vectors, hams=h, theta=th))
+            for h in (spins, dense)
         ]
         assert np.array_equal(runs[0].flags, runs[1].flags)
         assert np.max(np.abs(runs[0].norms - runs[1].norms)) <= 1e-12 * np.max(runs[1].scale)
@@ -294,7 +283,7 @@ def test_classify_on_a_large_local_set_builds_no_dense_stack():
     assert report.dim == hs.dim == 256
     assert not hs.commuting and "stack" not in vars(hs)
     # a route reads the dense Hamiltonians: built on first read
-    assert np.array_equal(hs.hams[1], LocalSpin(sites, 2, hs.local.blocks[0, 1]).matrix())
+    assert np.array_equal(hs.hams[1], LocalSpin(sites, 2, hs.local.blocks[1]).matrix())
     assert "stack" in vars(hs)
 
 

@@ -2,12 +2,14 @@
 and JSON round-tripping of the report dictionaries."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import count_calls, stacked_points
 from metrocommute import examples
+from metrocommute.conditions import classify_stack
 from metrocommute.encoding import encode_stack
 from metrocommute.examples import (
     EXAMPLE_IDS,
@@ -145,11 +147,37 @@ def test_example_configuration_sweepable(ex_id):
         assert hs.m == 2
 
 
-@pytest.mark.parametrize("ex_id, configurations", [("EX7", 3), ("EX10", 1), ("OBS7", 1)])
+@pytest.mark.parametrize(
+    "ex_id, configurations",
+    # a grid check encodes the Hamiltonians it shares with every point once
+    [("EX2", 2), ("EX3", 2), ("EX4", 2), ("EX5", 2), ("EX7", 3), ("EX9", 4), ("EX10", 1), ("OBS7", 1)],
+)
 def test_one_encode_per_configuration(monkeypatch, ex_id, configurations):
     encodes = count_calls(monkeypatch, encode_stack)
     assert run_example(ex_id).passed
     assert stacked_points(encodes) == configurations
+
+
+GRID_CHECKS = {
+    "EX2": "p_sweep_worst",
+    "EX3": "alpha_sweep_worst",
+    "EX4": "p_sweep_worst",
+    "EX5": "lambda_sweep_worst",
+    "EX9": "lambda_sweep_worst",
+}
+
+
+@pytest.mark.parametrize("ex_id", list(GRID_CHECKS))
+def test_the_grid_checks_read_the_path_that_sweep_prints(monkeypatch, ex_id):
+    # W and the QFIM of the stacked classify kernel, off by 1e-6 relative,
+    # in the grid checks only: those fail, and the single-point checks
+    # (W_12 on weak_direct, the rest on classify) pass
+    def perturbed(stack, tol):
+        res = classify_stack(stack, tol)
+        return replace(res, w_stack=res.w_stack * (1 + 1e-6), f=res.f * (1 + 1e-6))
+
+    monkeypatch.setattr(examples, "classify_stack", perturbed)
+    assert sorted(run_example(ex_id).failures) == [GRID_CHECKS[ex_id]]
 
 
 def test_run_example_accepts_partial_overrides():
