@@ -22,10 +22,11 @@ support rows.
 classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
 metrology.qfim compute both in the computational basis from the operators
-L_i and are classify's anchors. classify_stack evaluates a ProblemStack, N
-problems of one (dim, m, rank), through the stacked kernels (encode_stack,
-sld_row_stack, the pair commutators, Q and incompatibility_stack) with a
-leading (N, ...) axis. It returns the norms, flags and E as arrays, which a
+L_i, as the imaginary and real parts of one state trace tr[(rho L_i) L_j]
+(metrology._state_traces), and are classify's anchors. classify_stack
+evaluates a ProblemStack, N problems of one (dim, m, rank), through the
+stacked kernels (encode_stack, sld_row_stack, the pair commutators, Q and
+incompatibility_stack) with a leading (N, ...) axis. It returns the norms, flags and E as arrays, which a
 sweep formats directly. classify builds the one-problem stack of its state
 and Hamiltonians, and its report is a view of the same arrays;
 condition_operators_direct is the pair kernel at N = 1.
@@ -33,12 +34,13 @@ condition_operators_direct is the pair kernel at N = 1.
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
 Every route, scalar or operator, computes all parameter pairs i < j at once,
-on a leading pair axis in itertools.combinations order (_pairs), with no
-loop over pairs, and _operator_matrix places a (pairs, d, d) stack in the
-m x m matrix. ConditionOperators and SupportKernelTerms hold pair stacks and
-build each m x m matrix only when it is read; support_kernel_decomposition's
-check compares the pair stacks of P, O and S with those of the direct SLD
-route.
+on the one pair axis of operator_core (_pairs, in itertools.combinations
+order), with no loop over pairs; weak_direct, pc_trace_norm and
+_operator_matrix (a (pairs, d, d) stack) place their pair values in the
+m x m matrix through operator_core._pair_matrix. ConditionOperators and
+SupportKernelTerms hold pair stacks and build each m x m matrix only when it
+is read; support_kernel_decomposition's check compares the pair stacks of P,
+O and S with those of the direct SLD route.
 
 W admits three more routes besides the direct trace: a support-pair
 decomposition W = Gamma + Delta, a rank-two fast path, and a spectral kernel
@@ -48,14 +50,13 @@ matrices through tr[SWAP (A x B)] = tr[A B].
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
 from .encoding import EncodingPoint, checked_theta, encode_stack
-from .metrology import QfimResult, incompatibility_stack, qfim_stack
-from .operator_core import ValidationError, dagger, frobenius_rows
+from .metrology import QfimResult, _state_traces, incompatibility_stack, qfim_stack
+from .operator_core import ValidationError, _pair_matrix, _pairs, dagger, frobenius_rows
 from .sld import SldSet, sld_row_stack, sld_rotated
 
 # chunk_size sizes a ProblemStack for one classify_stack call so that its
@@ -98,17 +99,6 @@ class OperatorConditionMatrix:
         return self.entries[i, j]
 
 
-@cache
-def _pairs(m):
-    """Index arrays (first, second) of the parameter pairs i < j, in
-    itertools.combinations order, as the rows of one (2, pairs) array:
-    indexing a stack with it puts the factors (x_i, x_j) of every pair on a
-    leading axis of two. Cached per m, and so read-only."""
-    pairs = np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
-    pairs.flags.writeable = False
-    return pairs
-
-
 def _operator_property(kind):
     """A cached property: the m x m operator matrix of `kind`, built from its
     owner's pair_stack(kind) on first read."""
@@ -116,36 +106,23 @@ def _operator_property(kind):
 
 
 def _operator_matrix(pairs, m, kind):
-    """The m x m operator matrix whose (i, j) block is pairs[k] and whose
-    (j, i) block is -pairs[k], for the k-th pair i < j of _pairs(m); pairs is
-    (m (m - 1) / 2, d, d)."""
-    d = pairs.shape[-1]
-    entries = np.zeros((m, m, d, d), dtype=complex)
-    i, j = _pairs(m)
-    entries[i, j] = pairs
-    entries[j, i] = -pairs
-    return OperatorConditionMatrix(entries=entries, kind=kind)
+    """The m x m operator matrix of a (pairs, d, d) stack, placed by
+    _pair_matrix: block (i, j) is the stack's pair i < j, block (j, i) its
+    negative."""
+    return OperatorConditionMatrix(entries=_pair_matrix(pairs, m), kind=kind)
 
 
 def weak_direct(rho, slds):
     """W_ij = tr[rho (L_i L_j - L_j L_i)] from the state and its SLDs.
 
     The L_i are Hermitian, so tr[rho L_j L_i] is the conjugate of
-    tr[rho L_i L_j] and W_ij = 2i Im tr[(rho L_i) L_j]: one product rho L_i
-    and one elementwise sum tr[A B] = sum_kl A_kl B_lk per pair, every pair
-    at once.
+    tr[rho L_i L_j] and W_ij = 2i Im tr[(rho L_i) L_j]: the state trace whose
+    real part is metrology.qfim, over the pairs i < j.
     """
     ops = slds.op_stack
-    m, d, _ = ops.shape
-    pairs = _pairs(m)
-    i, j = pairs
-    l_i, l_j = ops[pairs]
-    rl = rho.matrix @ l_i
-    vals = 2j * (rl * np.swapaxes(l_j, 1, 2)).reshape(-1, d * d).sum(axis=1).imag
-    w = np.zeros((m, m), dtype=complex)
-    w[i, j] = vals
-    w[j, i] = -vals
-    return ScalarConditionMatrix(entries=w, kind="W")
+    m = len(ops)
+    vals = 2j * _state_traces(rho, ops, _pairs(m)).imag
+    return ScalarConditionMatrix(entries=_pair_matrix(vals, m), kind="W")
 
 
 def _rho_from_spec(spec):
@@ -521,17 +498,13 @@ def pc_trace_norm(rho, slds):
     sqrt_rho = (v * np.sqrt(spec.eigenvalues)) @ dagger(v)
     ops = slds.op_stack
     m = len(ops)
-    pairs = _pairs(m)
-    i, j = pairs
     # (L_i L_j, L_j L_i) of every pair in one product
-    ab = ops[pairs]
+    ab = ops[_pairs(m)]
     prod = ab @ ab[::-1]
     x = sqrt_rho @ (prod[0] - prod[1]) @ sqrt_rho
     vals = np.linalg.svd(x, compute_uv=False).sum(axis=-1)
-    out = np.zeros((m, m))
-    out[i, j] = vals
-    out[j, i] = vals
-    return ScalarConditionMatrix(entries=out, kind="p")
+    # a sum of singular values is nonnegative, and so is each (j, i) entry
+    return ScalarConditionMatrix(entries=np.abs(_pair_matrix(vals, m)), kind="p")
 
 
 @dataclass(eq=False)

@@ -22,7 +22,10 @@ G_i = w X_i w^dag are built on first read.
 encode_stack evaluates N encodings of one shape at one theta at once, with
 a leading (N, ...) axis and one batched eigh; encode is its N = 1 case.
 hamiltonian_set checks one Hamiltonian list through hamiltonian_checks,
-which checks a stack of them.
+which checks a stack of them. A set's `commuting` flag is one tolerance test
+of every pair at once, on the pair axis of operator_core
+(_pairwise_commuting), with Frobenius norms from frobenius_rows; a
+product-form set is tested on its 2 x 2 blocks.
 
 Product form. A LocalSpin is a 2 x 2 Hermitian block on one qubit of a
 register, the identity on the others (the local_spin descriptor family).
@@ -46,9 +49,11 @@ import numpy as np
 from .operator_core import (
     HERM_TOL,
     ValidationError,
+    _pairs,
     as_square_array,
     dagger,
     first_failure,
+    frobenius_rows,
     hermitian_rows,
     tensor,
 )
@@ -57,33 +62,20 @@ from .states import DensityMatrix, SpectralData
 COMMUTE_TOL = 1e-10
 
 
-def _pairwise_commuting(mats):
-    """Whether every pair commutes within COMMUTE_TOL relative to the norms."""
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            bound = COMMUTE_TOL * max(
-                1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j])
-            )
-            if np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]) > bound:
-                return False
-    return True
-
-
-def _local_commuting(spins):
-    """_pairwise_commuting of a product-form set, from its 2 x 2 blocks:
-    terms on distinct qubits commute, and on one qubit of n the dense
-    commutator and each dense norm are the block's times sqrt(2^(n-1))."""
-    site, blocks = spins.site, spins.blocks
-    copies = 2.0 ** (spins.sites - 1)
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if site[i] != site[j]:
-                continue
-            a, b = blocks[i], blocks[j]
-            bound = COMMUTE_TOL * max(1.0, np.linalg.norm(a) * np.linalg.norm(b) * copies)
-            if np.linalg.norm(a @ b - b @ a) * np.sqrt(copies) > bound:
-                return False
-    return True
+def _pairwise_commuting(mats, copies=1.0, site=None):
+    """Whether every pair of a stack of matrices commutes within COMMUTE_TOL
+    relative to the product of their Frobenius norms, all pairs on one pair
+    axis. A product-form set passes its 2 x 2 blocks, `copies` = 2^(n-1) on
+    n qubits and their `site`s: terms on distinct qubits commute, and on one
+    qubit the dense commutator and each dense norm are the block's times
+    sqrt(copies)."""
+    first, second = _pairs(len(mats))
+    a, b = mats[first], mats[second]
+    norms = frobenius_rows(mats)
+    # fmax, like max(1.0, x), keeps the bound at COMMUTE_TOL where x is NaN
+    bound = COMMUTE_TOL * np.fmax(1.0, norms[first] * norms[second] * copies)
+    same = True if site is None else site[first] == site[second]
+    return not (same & (frobenius_rows(a @ b - b @ a) * np.sqrt(copies) > bound)).any()
 
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -156,8 +148,9 @@ class HamiltonianSet:
     @cached_property
     def commuting(self):
         if self.local is None:
-            return _pairwise_commuting(self.hams)
-        return _local_commuting(self.local)
+            return _pairwise_commuting(self.stack)
+        spins = self.local
+        return _pairwise_commuting(spins.blocks, 2.0 ** (spins.sites - 1), spins.site)
 
 
 def hamiltonian_set(hams):

@@ -5,9 +5,16 @@ are pure and make no assumptions beyond what they validate; everything above
 this module (states, encodings, condition matrices) builds on these few
 primitives, and the closed-form oracles in the examples module are allowed to
 share nothing else with the pipeline.
+
+Every pairwise quantity (the W/P/O/S condition matrices, the QFIM's
+off-diagonal entries, the commutation test of a Hamiltonian set) runs on one
+pair axis: _pairs(m) indexes the parameter pairs i < j, and _pair_matrix
+places one value per pair into an antisymmetric m x m array.
 """
 
 import math
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -82,6 +89,28 @@ def hermitian_rows(a, tol=HERM_TOL):
         for k in zip(*np.nonzero(overflow)):
             ok[k] = is_hermitian(a[k], tol)
     return ok
+
+
+@cache
+def _pairs(m):
+    """Index arrays (first, second) of the parameter pairs i < j, in
+    itertools.combinations order, as the rows of one (2, pairs) array:
+    indexing a stack with it puts the factors (x_i, x_j) of every pair on a
+    leading axis of two. Cached per m, and so read-only."""
+    pairs = np.array(list(combinations(range(m), 2)), dtype=int).reshape(-1, 2).T
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _pair_matrix(vals, m):
+    """The antisymmetric (m, m, ...) array whose (i, j) entry is vals[k] and
+    whose (j, i) entry is -vals[k], for the k-th pair i < j of _pairs(m), and
+    whose diagonal is zero; vals is (pairs, ...)."""
+    out = np.zeros((m, m, *vals.shape[1:]), dtype=vals.dtype)
+    i, j = _pairs(m)
+    out[i, j] = vals
+    out[j, i] = -vals
+    return out
 
 
 def first_failure(checks):

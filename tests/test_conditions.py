@@ -3,6 +3,7 @@ trace-norm indicator, and hierarchy classification."""
 
 import inspect
 import json
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -740,9 +741,11 @@ def test_pc_trace_norm_tracks_p_operator():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_stacked_pair_routes_equal_their_per_pair_loops(m):
-    # weak_direct and pc_trace_norm take every pair in one stacked product;
-    # the arithmetic of each pair is unchanged, so they equal the loops bit
-    # for bit, the loops being the routes as they were written pair by pair
+    # weak_direct, qfim and pc_trace_norm take every pair in one stacked
+    # product, and the operator matrices are placed on the pair axis; the
+    # arithmetic of each pair is unchanged, so they equal the loops bit for
+    # bit, the loops being the routes as they were written pair by pair. At
+    # m = 1 the pair axis is empty
     rng = np.random.default_rng(53)
     for d, rank in ((3, 1), (5, 3), (6, 6)):
         rho, pt = _problem(rng, d, rank, m=m)
@@ -750,15 +753,27 @@ def test_stacked_pair_routes_equal_their_per_pair_loops(m):
         ops = slds.ops
         v = rho.spectrum.eigenvectors
         sqrt_rho = (v * np.sqrt(rho.spectrum.eigenvalues)) @ dagger(v)
-        w, p = np.zeros((m, m), dtype=complex), np.zeros((m, m))
+        w, p, f = np.zeros((m, m), dtype=complex), np.zeros((m, m)), np.zeros((m, m))
         for i in range(m):
+            rl = rho.matrix @ ops[i]
+            for j in range(i, m):
+                f[i, j] = f[j, i] = np.sum(rl * ops[j].T).real
             for j in range(i + 1, m):
                 val = 2j * np.sum((rho.matrix @ ops[i]) * ops[j].T).imag
                 w[i, j], w[j, i] = val, -val
                 x = sqrt_rho @ commutator(ops[i], ops[j]) @ sqrt_rho
                 p[i, j] = p[j, i] = float(np.sum(np.linalg.svd(x, compute_uv=False)))
         assert weak_direct(rho, slds).entries.tobytes() == w.tobytes()
+        assert qfim(rho, slds).matrix.tobytes() == f.tobytes()
+        assert qfim(rho, ops).matrix.tobytes() == f.tobytes()
         assert pc_trace_norm(rho, slds).entries.tobytes() == p.tobytes()
+        operators = condition_operators_direct(rho.spectrum, slds)
+        for kind in "SOP":
+            stack = operators.pair_stack(kind)
+            blocks = np.zeros((m, m, d, d), dtype=complex)
+            for k, (i, j) in enumerate(combinations(range(m), 2)):
+                blocks[i, j], blocks[j, i] = stack[k], -stack[k]
+            assert getattr(operators, kind).entries.tobytes() == blocks.tobytes()
 
 
 def test_pc_trace_norm_entries_nonnegative_symmetric():

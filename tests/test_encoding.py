@@ -7,8 +7,8 @@ from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
 from metrocommute.conditions import ProblemStack, classify, classify_stack
 from metrocommute.encoding import (
+    COMMUTE_TOL,
     LocalSpin,
-    _pairwise_commuting,
     encode,
     encode_stack,
     evolve,
@@ -299,6 +299,22 @@ def test_lists_that_are_not_one_register_of_local_spins_are_checked_densely():
             hamiltonian_set(hams)
 
 
+def _commuting_loop(mats, copies=1.0, site=None):
+    """The commutation test as a literal loop over the pairs i < j, the
+    reference the pair-axis test is pinned to: on a product-form set, `mats`
+    are the 2 x 2 blocks, pairs on distinct sites are skipped, and the dense
+    norms are the blocks' times sqrt(copies)."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if site is not None and site[i] != site[j]:
+                continue
+            a, b = mats[i], mats[j]
+            bound = COMMUTE_TOL * max(1.0, np.linalg.norm(a) * np.linalg.norm(b) * copies)
+            if np.linalg.norm(a @ b - b @ a) * np.sqrt(copies) > bound:
+                return False
+    return True
+
+
 def test_the_commutation_flag_of_a_local_set_is_the_dense_one():
     rng = np.random.default_rng(43)
     near_parallel = []
@@ -317,9 +333,18 @@ def test_the_commutation_flag_of_a_local_set_is_the_dense_one():
                 _local_set(rng, sites, on, axes),
                 pair,
                 _local_set(rng, sites, list(range(sites))),
+                # m = 1, whose pair axis is empty, and m = 4
+                pair[:1],
+                pair + _local_set(rng, sites, on[1:], axes[1:]),
             ):
                 dense = [h.matrix() for h in hams]
-                assert hamiltonian_set(hams).commuting == _pairwise_commuting(dense)
+                product = hamiltonian_set(hams)
+                spins = product.local
+                # each form is pinned, bit for bit, to the literal loop
+                local = _commuting_loop(spins.blocks, 2.0 ** (sites - 1), spins.site)
+                assert product.commuting == local
+                assert hamiltonian_set(dense).commuting == _commuting_loop(dense)
+                assert product.commuting == _commuting_loop(dense)
             if on[0] == on[1]:
                 near_parallel.append(hamiltonian_set(pair).commuting)
     assert any(near_parallel) and not all(near_parallel)
