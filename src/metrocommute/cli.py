@@ -26,7 +26,7 @@ from .descriptors import (
     weight_from_json,
 )
 from .examples import EXAMPLE_IDS, run_example
-from .metrology import SINGULAR_MESSAGE, qcr_scalar
+from .metrology import SINGULAR_MESSAGE, _checked_weight, qcr_scalar
 from .operator_core import ValidationError
 from .selftest import run_selftest
 
@@ -91,7 +91,7 @@ def cmd_classify(args):
                 f"--theta expects {hs.m} values, got {theta.size}"
             )
     if args.weight is not None:
-        weight = weight_from_json(load_json(_read_text(args.weight)))
+        weight = _checked_weight(weight_from_json(load_json(_read_text(args.weight))), hs.m)
     report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
     payload = _classification_payload(report, weight)
     if args.json:
@@ -121,6 +121,14 @@ def cmd_example(args):
     return 1 if failed else 0
 
 
+# the most points one sweep takes, checked before the grid is allocated:
+# every CSV row is buffered until the last batch, so that an error leaves no
+# partial CSV, and at its peak a sweep holds about 400 bytes a point (the
+# grid values, the row strings and their joined output; tracemalloc, EX4 at
+# 20,000 and 100,000 points), so this many points hold about 40 MB
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
@@ -136,6 +144,8 @@ def _parse_grid(text):
         raise ValidationError(f"--grid {text!r}: endpoints must be finite")
     if n < 1:
         raise ValidationError("--grid needs n >= 1 points")
+    if n > MAX_GRID_POINTS:
+        raise ValidationError(f"--grid asks for {n} points, more than {MAX_GRID_POINTS}")
     return np.linspace(a, b, n)
 
 

@@ -613,11 +613,12 @@ def classify_stack(stack, tol=1e-8):
     encoded once. Returns a StackedClassification; each problem's
     norms, flags and E are those classify gives for it.
     """
-    kappa, w, x = encode_stack(stack.hams, stack.theta)
-    rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, w, x)
-    # products of finite Hamiltonians can still overflow: check the
-    # products, norms and scales once, before anything reads them
+    # products of finite Hamiltonians can still overflow, from the encoded
+    # generators on: check the products, norms and scales once, before
+    # anything reads them
     with np.errstate(over="ignore", invalid="ignore"):
+        kappa, w, x = encode_stack(stack.hams, stack.theta)
+        rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, w, x)
         comm, op_norms = _pair_commutators(rows)
         q = _state_product_stack(stack.lam, rows)
         w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))

@@ -55,7 +55,8 @@ from .examples import (
     build_state,
     example_halves,
 )
-from .operator_core import ValidationError
+from .metrology import _checked_weight
+from .operator_core import ValidationError, as_square_matrix
 from .states import (
     MAX_DIM,
     RANK_TOL,
@@ -196,8 +197,11 @@ def positive_finite(value, path):
 
 
 def weight_from_json(value, path="weight_matrix"):
-    """The real weight matrix of a JSON matrix object."""
-    weight = matrix_from_json(value, path)
+    """The real weight matrix of a JSON matrix object, its entries finite.
+    Its shape, symmetry and definiteness are checked against the problem
+    where it is read (metrology._checked_weight, which qcr_scalar also
+    runs)."""
+    weight = as_square_matrix(matrix_from_json(value, path), path)
     if np.max(np.abs(weight.imag)) > 1e-12:
         _fail(path, "must be real")
     return weight.real
@@ -503,13 +507,14 @@ def _problem_error(desc, state_dim, ham_dim, m):
 def _problem(desc, rho, hs):
     """resolve's (rho, hs, theta, weight) of one built state and Hamiltonian
     set: the state cut at the descriptor's rank_tol, whatever its family
-    (states.with_rank_tol), and theta and the weight checked against hs."""
+    (states.with_rank_tol), and theta and the weight checked against hs,
+    the weight's shape first and then its values (metrology._checked_weight)."""
     rho = with_rank_tol(rho, desc.rank_tol)
     error = _problem_error(desc, rho.dim, hs.dim, hs.m)
     if error:
         raise ValidationError(error)
     theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
-    return rho, hs, theta, desc.weight
+    return rho, hs, theta, None if desc.weight is None else _checked_weight(desc.weight, hs.m)
 
 
 # resolve_halves' result: the descriptor's family parameters, its state and
@@ -622,7 +627,8 @@ class _Grid:
         eigenvectors, each with a leading axis of the batch's length or of 1
         (shared), up to the first failing point, which joins `failures`. The
         vectors were checked when built, so a point can fail only on its
-        weights: their values or their count."""
+        weights: their values, their count, or a largest eigenvalue at or
+        below the descriptor's rank_tol, which leaves no support."""
         if self.state_of is None:
             return self.shared_state
         weights, failure = eigpair_weight_rows([w for w, _ in states])
@@ -637,9 +643,14 @@ class _Grid:
         # one spectra call when every point has the same vectors
         vectors = [v for _, v in states]
         if all(v is vectors[0] for v in vectors):
-            return vectors[0].spectra(weights)
-        vals, vecs = zip(*(v.spectra(w[None]) for v, w in zip(vectors, weights)))
-        return np.concatenate(vals), np.concatenate(vecs)
+            vals, vecs = vectors[0].spectra(weights)
+        else:
+            vals, vecs = zip(*(v.spectra(w[None]) for v, w in zip(vectors, weights)))
+            vals, vecs = np.concatenate(vals), np.concatenate(vecs)
+        empty = ~(vals[:, 0] > self.desc.rank_tol)
+        if empty.any():
+            failures.append(int(np.argmax(empty)))
+        return vals, vecs
 
     def _hamiltonians(self, hams, failures):
         """The built points' Hamiltonians with a leading axis of the batch's

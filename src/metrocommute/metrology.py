@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import ValidationError, _pairs
+from .operator_core import ValidationError, _pairs, is_hermitian
 from .sld import SldSet, cfim, nu_copy_sld, sld_rotated
 from .states import tensor_power
 
@@ -95,26 +95,42 @@ def _require_invertible(fm):
         raise ValidationError(SINGULAR_MESSAGE)
 
 
+def _checked_weight(weight, m):
+    """The weight matrix M of tr[M F^-1] for m parameters, as a float array:
+    the identity when weight is None, else m x m, symmetric within
+    operator_core.is_hermitian's scale-safe test (which non-finite entries
+    fail) and positive definite. Its symmetric part is summed in halves, so
+    entries near overflow stay finite, and a NaN eigenvalue fails."""
+    if weight is None:
+        return np.eye(m)
+    weight = np.asarray(weight, dtype=float)
+    if weight.shape != (m, m):
+        raise ValidationError(
+            f"weight matrix shape mismatch: expected ({m}, {m}), got {weight.shape}"
+        )
+    if not is_hermitian(weight):
+        raise ValidationError("weight matrix must be symmetric")
+    if not np.linalg.eigvalsh(weight / 2 + weight.T / 2).min() > 0:
+        raise ValidationError("weight matrix must be positive definite")
+    return weight
+
+
 def qcr_scalar(f_q, weight=None):
     """tr[M F^-1]: the scalar precision bound for weight matrix M.
 
-    M defaults to the identity and must be real symmetric positive definite.
-    Raises a validation error mentioning joint identifiability when F is
-    singular or conditioned beyond 1e12.
+    M defaults to the identity and must be real symmetric positive definite
+    (_checked_weight). Raises a validation error mentioning joint
+    identifiability when F is singular or conditioned beyond 1e12, and one
+    when the bound overflows.
     """
     fm = _as_qfim_matrix(f_q)
-    m = fm.shape[0]
-    if weight is None:
-        weight = np.eye(m)
-    weight = np.asarray(weight, dtype=float)
-    if weight.shape != fm.shape:
-        raise ValidationError("weight matrix shape mismatch")
-    if np.linalg.norm(weight - weight.T) > 1e-10 * max(1.0, np.linalg.norm(weight)):
-        raise ValidationError("weight matrix must be symmetric")
-    if np.linalg.eigvalsh((weight + weight.T) / 2).min() <= 0:
-        raise ValidationError("weight matrix must be positive definite")
+    weight = _checked_weight(weight, fm.shape[0])
     _require_invertible(fm)
-    return float(np.trace(np.linalg.solve(fm, weight)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(np.trace(np.linalg.solve(fm, weight)))
+    if not np.isfinite(bound):
+        raise ValidationError("tr[M F^-1] overflows: the weight matrix is too large")
+    return bound
 
 
 @dataclass(eq=False)

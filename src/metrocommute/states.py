@@ -7,7 +7,9 @@ one), or by a state's own rank_tol. Every constructor cuts the spectrum there,
 in _spectral_from_eig: eigenvalues at or below the cutoff, round-off negatives
 included, are set to exact zeros, so no formula downstream cuts again, and
 every formula in the conditions module branches hard on lambda = 0 versus
-lambda > 0. A state's matrix is built from its cut spectrum, and its trace is
+lambda > 0. A cutoff at or above the largest eigenvalue would leave no
+support and raises ValidationError there, so every state has rank at least
+1. A state's matrix is built from its cut spectrum, and its trace is
 the weight kept on its support. So tensor_power and state_marginal, which
 build from a state, take the eigenpairs of the product or marginal without
 the unit-trace check that density_matrix puts on an outside matrix.
@@ -128,7 +130,14 @@ class DensityMatrix:
 
 
 def _spectral_from_eig(vals, vecs, rank_tol):
-    """SpectralData of descending eigenvalues vals cut at rank_tol."""
+    """SpectralData of descending eigenvalues vals cut at rank_tol, which
+    must leave the state a support: its largest eigenvalue must lie above
+    rank_tol."""
+    if not vals[0] > rank_tol:
+        raise ValidationError(
+            f"rank_tol {float(rank_tol)!r} leaves no support: "
+            f"the largest eigenvalue is {float(vals[0])!r}"
+        )
     live = vals > rank_tol
     spec = SpectralData(np.where(live, vals, 0.0), vecs, int(np.count_nonzero(live)), rank_tol)
     spec.uncut = vals  # fills the cached property

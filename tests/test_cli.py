@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import broadcast_points, count_calls, nan_weak_integral, stacked_points
-from metrocommute import conditions, examples, selftest, states
+from metrocommute import cli, conditions, examples, selftest, states
 from metrocommute.cli import SWEEP_COLUMNS, _row_text, build_parser, main
 from metrocommute.conditions import FLAG_KINDS, NORM_KINDS, classify
 from metrocommute.descriptors import (
@@ -501,6 +501,92 @@ def test_sweep_errors(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.1:0.9:3"])
     assert code == 2
     assert "METROCOMMUTE_JOBS" in err
+
+
+def _weight(rows):
+    return {"dim": len(rows), "entries": [[x, 0] for row in rows for x in row]}
+
+
+@pytest.mark.parametrize("where", ["weight_matrix", "--weight"])
+@pytest.mark.parametrize(
+    "ex_id, rows, message",
+    [
+        # an Infinity entry once printed "qcr":Infinity, which is not JSON
+        ("EX8", [[math.inf, 0], [0, 1]], "weight_matrix has non-finite entries"),
+        # rank one: its symmetric part once overflowed to NaN and passed
+        ("EX8", [[1e308, 1e308], [1e308, 1e308]], "weight matrix must be positive definite"),
+        ("EX8", [[1, 2], [0, -1]], "weight matrix must be symmetric"),
+        # EX5's QFIM is singular, and its weight was once never read
+        ("EX5", [[1, 2, 0], [0, -1, 0], [0, 0, 1]], "weight matrix must be symmetric"),
+        ("EX5", [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "weight matrix must be positive definite"),
+    ],
+)
+def test_a_weight_matrix_is_checked_where_it_is_read(tmp_path, capsys, where, ex_id, rows, message):
+    state = {"family": "example", "params": {"id": ex_id}}
+    if where == "--weight":
+        argv = ["classify", _write(tmp_path, "ex.json", {"state": state}), "--json"]
+        argv += ["--weight", _write(tmp_path, "w.json", _weight(rows))]
+    else:
+        argv = ["classify", _write(tmp_path, "ex.json", {"state": state, "weight_matrix": _weight(rows)}), "--json"]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_weight_near_overflow_gives_a_finite_bound_without_warnings(tmp_path, capsys):
+    # its symmetric part once overflowed on the way, with two warnings
+    path = _example_descriptor(tmp_path, "EX8")
+    weight = _write(tmp_path, "w.json", _weight([[1e308, 0], [0, 1e308]]))
+    code, out, err = _run(capsys, ["classify", path, "--json", "--weight", weight])
+    assert (code, err) == (0, "")
+    assert 1e307 < json.loads(out)["qcr"] < math.inf
+    # a bound that overflows exits 2: tr F^-1 is about 38 on EX4 at p = 0.01
+    path = _write(tmp_path, "ex4.json", {"state": {"family": "example", "params": {"id": "EX4", "p": 0.01}}})
+    assert _run(capsys, ["classify", path, "--json", "--weight", weight]) == (
+        2,
+        "",
+        "error: tr[M F^-1] overflows: the weight matrix is too large\n",
+    )
+
+
+def test_a_cutoff_that_leaves_no_support_exits_2(tmp_path, capsys):
+    # a state of rank 0 once classified with every flag true and a zero QFIM
+    eigpairs = [{"weight": 0.6, "vector": [[1, 0], [0, 0]]}, {"weight": 0.4, "vector": [[0, 0], [1, 0]]}]
+    path = _write(tmp_path, "cut.json", {"state": eigpairs, "hamiltonians": [SX, SZ], "tolerances": {"rank_tol": 0.9}})
+    message = "error: rank_tol 0.9 leaves no support: the largest eigenvalue is 0.6\n"
+    assert _run(capsys, ["classify", path, "--json"]) == (2, "", message)
+    path = _write(tmp_path, "cut.json", {"state": eigpairs, "hamiltonians": [SX, SZ]})
+    assert _run(capsys, ["classify", path, "--json", "--rank-tol", "0.9"]) == (2, "", message)
+    # every row of a sweep once read 0,0,0,0,1,1,1,1,singular
+    ex4 = {"state": {"family": "example", "params": {"id": "EX4"}}, "tolerances": {"rank_tol": 0.99}}
+    path = _write(tmp_path, "ex4.json", ex4)
+    assert _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.1:0.9:3"]) == (
+        2,
+        "",
+        "error: rank_tol 0.99 leaves no support: the largest eigenvalue is 0.75\n",
+    )
+    # a grid point that the cutoff leaves without support is named as resolve
+    # names it; the descriptor's own point, p = 1, keeps its support
+    noise = {
+        "state": {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 1.0}},
+        "hamiltonians": [SX, SZ],
+        "tolerances": {"rank_tol": 0.6},
+    }
+    path = _write(tmp_path, "noise.json", noise)
+    assert _run(capsys, ["sweep", path, "--param", "p", "--grid", "1:0:3"]) == (
+        2,
+        "",
+        "error: grid value p=0: rank_tol 0.6 leaves no support: the largest eigenvalue is 0.5\n",
+    )
+
+
+def test_a_grid_past_the_cap_exits_2_before_it_is_allocated(tmp_path, capsys, monkeypatch):
+    # a billion points once asked numpy for 7.45 GiB and ended in a traceback
+    path = _example_descriptor(tmp_path, "EX4")
+    calls = []
+    monkeypatch.setattr(cli.np, "linspace", lambda *args: calls.append(args))
+    for n in (cli.MAX_GRID_POINTS + 1, 10**9):
+        message = f"error: --grid asks for {n} points, more than {cli.MAX_GRID_POINTS}\n"
+        assert _run(capsys, ["sweep", path, "--param", "p", "--grid", f"0.1:0.9:{n}"]) == (2, "", message)
+    assert calls == []
 
 
 def test_non_finite_theta_exits_2(tmp_path, capsys):

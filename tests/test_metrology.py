@@ -169,6 +169,25 @@ def test_qcr_scalar_validation():
         qcr_scalar(singular)
 
 
+def test_qcr_scalar_checks_weights_at_any_finite_scale():
+    f = np.eye(2)
+    # symmetric at any scale; the symmetric part is summed in halves, so a
+    # rank-one matrix near overflow fails as indefinite, not as NaN
+    assert qcr_scalar(2.0 * f, np.diag([1e308, 1e308])) == pytest.approx(1e308, rel=1e-12)
+    with pytest.raises(ValidationError, match="positive definite"):
+        qcr_scalar(f, np.full((2, 2), 1e308))
+    with pytest.raises(ValidationError, match="symmetric"):
+        qcr_scalar(f, np.array([[1e308, 1e300], [0.0, 1e308]]))
+    # non-finite entries fail as not symmetric
+    with pytest.raises(ValidationError, match="symmetric"):
+        qcr_scalar(f, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValidationError, match="shape mismatch: expected \\(2, 2\\), got \\(3, 3\\)"):
+        qcr_scalar(f, np.eye(3))
+    # a bound past the largest float is refused
+    with pytest.raises(ValidationError, match="overflows"):
+        qcr_scalar(np.eye(2) / 2, np.diag([1e308, 1e308]))
+
+
 def test_incompatibility_zero_iff_weak_condition():
     # entangled-basis mixtures with local generators have W = 0, hence E = 0
     rng = np.random.default_rng(53)

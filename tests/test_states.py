@@ -249,6 +249,21 @@ def test_density_matrix_builds_its_matrix_from_the_cut_spectrum():
     assert np.trace(tail.matrix).real == pytest.approx(1.0 - 5e-11, abs=1e-15)
 
 
+def test_a_cutoff_at_or_above_every_eigenvalue_leaves_no_state():
+    # every constructor and with_rank_tol cut in one place, which requires
+    # a state of rank at least 1
+    e0, e1 = np.eye(2)
+    message = "rank_tol 0.6 leaves no support: the largest eigenvalue is 0.6"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        density_from_eigpairs([(0.6, e0), (0.4, e1)], rank_tol=0.6)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        density_matrix(np.diag([0.6, 0.4]), rank_tol=0.6)
+    rho = density_from_eigpairs([(0.6, e0), (0.4, e1)])
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        states.with_rank_tol(rho, 0.6)
+    assert states.with_rank_tol(rho, 0.5).rank == 1
+
+
 def test_eigpairs_non_orthogonal_rediagonalized():
     v1 = np.array([1, 0], dtype=complex)
     v2 = np.array([1, 1], dtype=complex) / np.sqrt(2)
