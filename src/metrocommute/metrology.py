@@ -51,7 +51,8 @@ def qfim(rho, slds):
     ops = slds.op_stack if isinstance(slds, SldSet) else np.array(list(slds))
     m = len(ops)
     # the pairs i < j of m + 1 indices, each j less one, are the pairs i <= j
-    # of m in row-major order: np.triu_indices(m), without its 16 us per call
+    # of m in row-major order: np.triu_indices(m) from the cached pair index,
+    # without building it on every call
     pairs = _pairs(m + 1) - [[0], [1]]
     i, j = pairs
     f = np.zeros((m, m))

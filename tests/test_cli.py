@@ -522,12 +522,13 @@ def _weight(rows):
     ],
 )
 def test_a_weight_matrix_is_checked_where_it_is_read(tmp_path, capsys, where, ex_id, rows, message):
-    state = {"family": "example", "params": {"id": ex_id}}
+    desc = {"state": {"family": "example", "params": {"id": ex_id}}}
     if where == "--weight":
-        argv = ["classify", _write(tmp_path, "ex.json", {"state": state}), "--json"]
+        argv = ["classify", _write(tmp_path, "ex.json", desc), "--json"]
         argv += ["--weight", _write(tmp_path, "w.json", _weight(rows))]
     else:
-        argv = ["classify", _write(tmp_path, "ex.json", {"state": state, "weight_matrix": _weight(rows)}), "--json"]
+        desc["weight_matrix"] = _weight(rows)
+        argv = ["classify", _write(tmp_path, "ex.json", desc), "--json"]
     assert _run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
@@ -539,7 +540,8 @@ def test_a_weight_near_overflow_gives_a_finite_bound_without_warnings(tmp_path, 
     assert (code, err) == (0, "")
     assert 1e307 < json.loads(out)["qcr"] < math.inf
     # a bound that overflows exits 2: tr F^-1 is about 38 on EX4 at p = 0.01
-    path = _write(tmp_path, "ex4.json", {"state": {"family": "example", "params": {"id": "EX4", "p": 0.01}}})
+    ex4 = {"state": {"family": "example", "params": {"id": "EX4", "p": 0.01}}}
+    path = _write(tmp_path, "ex4.json", ex4)
     assert _run(capsys, ["classify", path, "--json", "--weight", weight]) == (
         2,
         "",
@@ -550,11 +552,12 @@ def test_a_weight_near_overflow_gives_a_finite_bound_without_warnings(tmp_path, 
 def test_a_cutoff_that_leaves_no_support_exits_2(tmp_path, capsys):
     # a state of rank 0 once classified with every flag true and a zero QFIM
     eigpairs = [{"weight": 0.6, "vector": [[1, 0], [0, 0]]}, {"weight": 0.4, "vector": [[0, 0], [1, 0]]}]
-    path = _write(tmp_path, "cut.json", {"state": eigpairs, "hamiltonians": [SX, SZ], "tolerances": {"rank_tol": 0.9}})
+    desc = {"state": eigpairs, "hamiltonians": [SX, SZ]}
     message = "error: rank_tol 0.9 leaves no support: the largest eigenvalue is 0.6\n"
-    assert _run(capsys, ["classify", path, "--json"]) == (2, "", message)
-    path = _write(tmp_path, "cut.json", {"state": eigpairs, "hamiltonians": [SX, SZ]})
+    path = _write(tmp_path, "cut.json", desc)
     assert _run(capsys, ["classify", path, "--json", "--rank-tol", "0.9"]) == (2, "", message)
+    path = _write(tmp_path, "cut.json", {**desc, "tolerances": {"rank_tol": 0.9}})
+    assert _run(capsys, ["classify", path, "--json"]) == (2, "", message)
     # every row of a sweep once read 0,0,0,0,1,1,1,1,singular
     ex4 = {"state": {"family": "example", "params": {"id": "EX4"}}, "tolerances": {"rank_tol": 0.99}}
     path = _write(tmp_path, "ex4.json", ex4)
@@ -585,7 +588,8 @@ def test_a_grid_past_the_cap_exits_2_before_it_is_allocated(tmp_path, capsys, mo
     monkeypatch.setattr(cli.np, "linspace", lambda *args: calls.append(args))
     for n in (cli.MAX_GRID_POINTS + 1, 10**9):
         message = f"error: --grid asks for {n} points, more than {cli.MAX_GRID_POINTS}\n"
-        assert _run(capsys, ["sweep", path, "--param", "p", "--grid", f"0.1:0.9:{n}"]) == (2, "", message)
+        argv = ["sweep", path, "--param", "p", "--grid", f"0.1:0.9:{n}"]
+        assert _run(capsys, argv) == (2, "", message)
     assert calls == []
 
 

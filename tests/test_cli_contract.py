@@ -44,8 +44,12 @@ XI = _matrix([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
 ZZ = _matrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
 
 
-def _spin(site, axis):
-    return {"family": "local_spin", "params": {"sites": 2, "site": site, "axis": axis}}
+def _family(name, **params):
+    return {"family": name, "params": params}
+
+
+def _spin(site, axis, sites=2):
+    return _family("local_spin", sites=sites, site=site, axis=axis)
 
 
 # valid descriptors, each with the parameter its sweeps move (a descriptor
@@ -78,7 +82,7 @@ BASES = [
     ),
     (
         {
-            "state": {"family": "bell_diagonal", "params": {"weights": [0.4, 0.3, 0.2, 0.1], "d": 2}},
+            "state": _family("bell_diagonal", weights=[0.4, 0.3, 0.2, 0.1], d=2),
             "hamiltonians": [XI, ZZ],
         },
         "d",
@@ -286,7 +290,7 @@ EXAMPLES = [
     ),
     # a cutoff above every eigenvalue, once rank 0 with every flag true
     ({**_eigpair_problem(SX, SZ), "tolerances": {"rank_tol": 0.9}}, "p"),
-    ({"state": {"family": "example", "params": {"id": "EX4"}}, "tolerances": {"rank_tol": 0.99}}, "p"),
+    ({"state": _family("example", id="EX4"), "tolerances": {"rank_tol": 0.99}}, "p"),
     # and above every eigenvalue of the first grid points only
     (
         {
@@ -300,13 +304,13 @@ EXAMPLES = [
     (
         {
             "state": [{"weight": 1.0, "vector": [[1, 0], [0, 0], [0, 0], [0, 0]]}],
-            "hamiltonians": [{"family": "local_spin", "params": {"sites": 40, "site": 0, "axis": [1, 0, 0]}}],
+            "hamiltonians": [_spin(0, [1, 0, 0], sites=40)],
         },
         "p",
     ),
-    ({"state": {"family": "maximally_mixed", "params": {"dim": 100000}}, "hamiltonians": [SX]}, "dim"),
+    ({"state": _family("maximally_mixed", dim=100000), "hamiltonians": [SX]}, "dim"),
     (
-        {"state": {"family": "bell_diagonal", "params": {"weights": [1.0], "d": 100000}}, "hamiltonians": [XI]},
+        {"state": _family("bell_diagonal", weights=[1.0], d=100000), "hamiltonians": [XI]},
         "d",
     ),
     ({"state": {"family": "example", "params": {"id": "EX2", "dim": 100000}}}, "dim"),
@@ -333,7 +337,9 @@ def descriptor_path(tmp_path_factory):
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(case=_cases())
 @_with_examples
-def test_classify_and_sweep_exit_0_with_finite_output_or_2_with_one_error_line(descriptor_path, case):
+def test_classify_and_sweep_exit_0_with_finite_output_or_2_with_one_error_line(
+    descriptor_path, case
+):
     desc, name = case
     descriptor_path.write_text(json.dumps(desc))
     path = str(descriptor_path)
