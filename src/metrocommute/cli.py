@@ -142,6 +142,8 @@ def _parse_grid(text):
         raise ValidationError(f"--grid {text!r}: {err}") from err
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValidationError(f"--grid {text!r}: endpoints must be finite")
+    if not math.isfinite(b - a):
+        raise ValidationError(f"--grid {text!r}: b - a must be finite")
     if n < 1:
         raise ValidationError("--grid needs n >= 1 points")
     if n > MAX_GRID_POINTS:

@@ -634,9 +634,13 @@ def classify_stack(stack, tol=1e-8):
     norms = np.stack([w_norms, *(op_norms[kind] for kind in NORM_KINDS[1:])], axis=1)
     norms = np.broadcast_to(norms, (n, 4))
     scale = np.broadcast_to(scales, (n,))
+    # a zero_tol near the largest float makes the bound infinite: every norm
+    # passes its zero test
+    with np.errstate(over="ignore"):
+        bound = tol * scale[:, None]
     return StackedClassification(
         norms=norms,
-        flags=norms <= tol * scale[:, None],
+        flags=norms <= bound,
         scale=scale,
         E=np.broadcast_to(incompatibility_stack(f, w_stack), (n,)),
         kappa=kappa,

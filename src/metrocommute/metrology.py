@@ -86,9 +86,12 @@ def _as_qfim_matrix(f):
 
 def _invertible(eigs):
     """Whether each QFIM, given by its ascending eigenvalues (last axis), is
-    positive definite and conditioned below CONDITION_LIMIT."""
+    positive definite and conditioned below CONDITION_LIMIT. A ratio that
+    overflows (a smallest eigenvalue near the bottom of the float range) is
+    infinite, and fails."""
     top, low = eigs[..., -1], eigs[..., 0]
-    return (low > 0) & (top / np.where(low > 0, low, 1.0) < CONDITION_LIMIT)
+    with np.errstate(over="ignore"):
+        return (low > 0) & (top / np.where(low > 0, low, 1.0) < CONDITION_LIMIT)
 
 
 def _require_invertible(fm):

@@ -181,7 +181,7 @@ def _mutation(draw, tree):
     list), or given an unknown or a dropped key (an object)."""
     path, node = draw(st.sampled_from(list(_nodes(tree))))
     ops = ["replace"]
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
+    if isinstance(node, (int, float)) and not isinstance(node, bool) and abs(node) <= 1e308:
         ops += ["scale"]
     if isinstance(node, list) and node:
         ops += ["drop", "repeat"]
@@ -320,6 +320,18 @@ EXAMPLES = [
     (_eigpair_problem(_scaled(SX, 1e77), _scaled(SZ, 1e77)), "p"),
     (_eigpair_problem(_scaled(SX, 1e160), _scaled(SZ, 1e160)), "p"),
     (_eigpair_problem(_matrix([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 1]]), SZ), "p"),
+    # found by wider runs of this test, each once with a warning: a theta
+    # whose QFIM has a smallest eigenvalue so small that its condition
+    # number overflowed, and a zero_tol whose bound overflowed
+    ({"state": _family("example", id="EX4"), "tolerances": {"zero_tol": 1e308}}, "p"),
+    (
+        {
+            "state": _family("white_noise", psi=[[0.6, 0], [0, 0.8]], p=0.7),
+            "hamiltonians": [SX, SZ],
+            "theta": [0.3, -2e159],
+        },
+        "p",
+    ),
 ]
 
 
