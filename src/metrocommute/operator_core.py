@@ -6,10 +6,10 @@ this module (states, encodings, condition matrices) builds on these few
 primitives, and the closed-form oracles in the examples module are allowed to
 share nothing else with the pipeline.
 
-Every pairwise quantity (the W/P/O/S condition matrices, the QFIM's
-off-diagonal entries, the commutation test of a Hamiltonian set) runs on one
-pair axis: _pairs(m) indexes the parameter pairs i < j, and _pair_matrix
-places one value per pair into an antisymmetric m x m array.
+Every pairwise quantity (the W/P/O/S condition matrices, the QFIM's upper
+triangle, the commutation test of a Hamiltonian set) runs on one pair axis:
+_pairs(m) indexes the parameter pairs i < j, and _pair_matrix places one
+value per pair into an antisymmetric m x m array.
 """
 
 import math
