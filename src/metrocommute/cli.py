@@ -91,7 +91,8 @@ def cmd_classify(args):
                 f"--theta expects {hs.m} values, got {theta.size}"
             )
     if args.weight is not None:
-        weight = _checked_weight(weight_from_json(load_json(_read_text(args.weight))), hs.m)
+        weight = weight_from_json(load_json(_read_text(args.weight)))
+        weight = _checked_weight(weight, hs.m, "--weight")
     report = classify(rho, hs, theta=theta, tol=desc.zero_tol)
     payload = _classification_payload(report, weight)
     if args.json:

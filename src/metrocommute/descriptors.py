@@ -14,10 +14,22 @@ matrices are parsed once, into the complex arrays the descriptor keeps;
 A family's params hold exactly the names it reads: a state family's are
 those its state half reads, and local_spin's are sites, site and axis. A
 local_spin Hamiltonian resolves to its product form (encoding.LocalSpin),
-whose dimension 2^sites, at most 2^MAX_SITES = states.MAX_DIM, is checked
-against the state's before any matrix is built. The maximally_mixed and
-bell_diagonal states, and EX2, check their dimension against MAX_DIM before
-they build anything.
+of dimension 2^sites, at most 2^MAX_SITES = states.MAX_DIM. The
+maximally_mixed and bell_diagonal states, and EX2, check their dimension
+against MAX_DIM before they build anything.
+
+`resolve_halves` decides a problem's shapes before it builds anything, in
+this order: the Hamiltonian specs resolve (LocalSpins and parsed matrices,
+nothing dense); the state's dimension is read from its spec (_state_dim:
+an eigpair vector's length, a raw matrix's size, a white_noise or pure
+vector's length, maximally_mixed's dim or bell_diagonal's d^2, each past
+its cap); the two dimensions are compared; only then is the state built
+and the Hamiltonian set checked (encoding.hamiltonian_set), and theta and
+the weight checked against the set's m (the weight's shape, symmetry and
+definiteness in metrology._checked_weight alone). An example brings its
+own Hamiltonians, of its state's dimension, and skips the comparison. A
+sweep cannot change m, and EX2's dim moves both halves together, so the
+grid's batches check only what a point builds.
 
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
@@ -61,6 +73,7 @@ from .states import (
     MAX_DIM,
     RANK_TOL,
     bell_diagonal,
+    bell_dim,
     density_from_eigpairs,
     eigpair_weight_rows,
     white_noise_vectors,
@@ -140,7 +153,7 @@ def _pairs_array(items, path):
         and set(map(type, chain.from_iterable(items))) <= {int, float}
     ):
         try:
-            return np.array(items, dtype=float).view(complex).reshape(-1)
+            return np.fromiter(chain.from_iterable(items), float, 2 * len(items)).view(complex)
         except OverflowError:
             pass
     return np.array(
@@ -381,18 +394,21 @@ def _white_noise_vectors(params):
     return white_noise_vectors(_white_noise_psi(params))
 
 
-def _bell_diagonal(params):
+def _bell_d(params):
     if "weights" not in params or "d" not in params:
         _fail("state.params", 'bell_diagonal needs "weights" and "d"')
     d = params["d"]
     if isinstance(d, bool) or not isinstance(d, int):
         _fail("state.params.d", f"expected an integer, got {d!r}")
-    weights = params["weights"]
+    return d
+
+
+def _bell_diagonal(params):
+    d, weights = _bell_d(params), params["weights"]
     if not isinstance(weights, list) or not weights:
         _fail("state.params.weights", f"expected a non-empty list of numbers, got {weights!r}")
-    return bell_diagonal(
-        [_number(v, f"state.params.weights[{i}]") for i, v in enumerate(weights)], d
-    ).rho
+    weights = [_number(v, f"state.params.weights[{i}]") for i, v in enumerate(weights)]
+    return bell_diagonal(weights, d).rho
 
 
 def _pure(params):
@@ -405,7 +421,7 @@ def _pure(params):
         _fail("state.params.vector", str(err))
 
 
-def _maximally_mixed(params):
+def _mixed_dim(params):
     if "dim" not in params:
         _fail("state.params", 'maximally_mixed needs "dim"')
     dim = params["dim"]
@@ -413,7 +429,11 @@ def _maximally_mixed(params):
         _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
     if dim > MAX_DIM:
         _fail("state.params.dim", f"expected at most {MAX_DIM}, got {dim}")
-    return np.eye(dim, dtype=complex) / dim
+    return dim
+
+
+def _maximally_mixed(params):
+    return np.eye(_mixed_dim(params), dtype=complex) / params["dim"]
 
 
 # state family -> its state half, which reads the family's own parameters
@@ -432,7 +452,8 @@ def _halves(desc):
     examples.example_halves gives them: params are the family
     parameters (the merged ones for an example, none for an eigpair list or
     a raw matrix). Only the example family brings its own Hamiltonians;
-    Hamiltonian specs read no state parameter."""
+    Hamiltonian specs read no state parameter, so they resolve here, once,
+    to LocalSpins and their parsed matrices, with nothing dense built."""
     spec = desc.state_spec
     params = {}
     if isinstance(spec, list):
@@ -451,12 +472,9 @@ def _halves(desc):
             overrides = {k: v for k, v in params.items() if k != "id"}
             return example_halves(ex_id, overrides)
         state = _FAMILY_STATES[family]
-    specs = desc.hamiltonian_specs
-
-    def hamiltonians(p):
-        return [_resolve_hamiltonian(s, f"hamiltonians[{i}]") for i, s in enumerate(specs)]
-
-    return params, state, Half((), hamiltonians)
+    specs = enumerate(desc.hamiltonian_specs)
+    hams = [_resolve_hamiltonian(s, f"hamiltonians[{i}]") for i, s in specs]
+    return params, state, Half((), lambda p: hams)
 
 
 def _resolve_hamiltonian(spec, path):
@@ -487,34 +505,34 @@ def _resolve_hamiltonian(spec, path):
     _fail(f"{path}.family", f"unknown family {family!r}")
 
 
-def _problem_error(desc, state_dim, ham_dim, m):
-    """The message of the first of _problem's checks that a state of
-    dimension state_dim and m Hamiltonians of dimension ham_dim fail, or
-    None."""
-    size = m if desc.theta is None else len(desc.theta)
-    if size != m:
-        return f"theta: expected {m} entries, got {size}"
-    if state_dim != ham_dim:
-        return (
-            f"descriptor: state dimension {state_dim} does not match "
-            f"Hamiltonian dimension {ham_dim}"
-        )
-    if desc.weight is not None and desc.weight.shape != (m, m):
-        return f"weight_matrix: expected shape ({m}, {m}), got {desc.weight.shape}"
-    return None
+def _state_dim(spec):
+    """The dimension of a state spec other than an example's, read from the
+    spec without building the state: an eigpair vector's length, a raw
+    matrix's size, a white_noise or pure vector's length, a maximally_mixed
+    dim or a bell_diagonal d^2, each past its cap. None where that vector is
+    missing or not a list, which fails the state's build."""
+    if not isinstance(spec, dict):  # a raw matrix or an eigpair list
+        return len(spec) if isinstance(spec, np.ndarray) else spec[0]["vector"].size
+    family, params = spec["family"], spec["params"]
+    if family == "maximally_mixed":
+        return _mixed_dim(params)
+    if family == "bell_diagonal":
+        return bell_dim(_bell_d(params))
+    vec = params.get("psi" if family == "white_noise" else "vector")
+    return len(vec) if isinstance(vec, list) else None
 
 
 def _problem(desc, rho, hs):
     """resolve's (rho, hs, theta, weight) of one built state and Hamiltonian
     set: the state cut at the descriptor's rank_tol, whatever its family
-    (states.with_rank_tol), and theta and the weight checked against hs,
-    the weight's shape first and then its values (metrology._checked_weight)."""
+    (states.with_rank_tol), and theta's length and the weight checked
+    against hs.m (metrology._checked_weight)."""
     rho = with_rank_tol(rho, desc.rank_tol)
-    error = _problem_error(desc, rho.dim, hs.dim, hs.m)
-    if error:
-        raise ValidationError(error)
     theta = np.zeros(hs.m) if desc.theta is None else np.asarray(desc.theta, dtype=float)
-    return rho, hs, theta, None if desc.weight is None else _checked_weight(desc.weight, hs.m)
+    if theta.size != hs.m:
+        _fail("theta", f"expected {hs.m} entries, got {theta.size}")
+    weight = None if desc.weight is None else _checked_weight(desc.weight, hs.m, "weight_matrix")
+    return rho, hs, theta, weight
 
 
 # resolve_halves' result: the descriptor's family parameters, its state and
@@ -526,8 +544,21 @@ Halves = namedtuple("Halves", "params state hamiltonians vectors problem")
 def resolve_halves(desc):
     """resolve(desc), keeping what it built for resolve_grid: each half of
     the problem is built once, at the descriptor's own parameters, and every
-    check of resolve runs, with its messages."""
+    check of resolve runs, with its messages.
+
+    The shapes are decided before anything is built: the Hamiltonian specs
+    resolve (_halves; LocalSpins and parsed matrices, nothing dense), and
+    the state's dimension, read from its spec (_state_dim), must be the
+    Hamiltonians' one. Only then is the state built and the Hamiltonian set
+    checked. An example brings its own Hamiltonians and skips the
+    comparison."""
     params, state, hamiltonians = _halves(desc)
+    if desc.hamiltonian_specs is not None:
+        ham_dims = {h.dim if isinstance(h, LocalSpin) else len(h) for h in hamiltonians.build(params)}
+        # Hamiltonians of several dimensions fail hamiltonian_set's check instead
+        dims = _state_dim(desc.state_spec), *ham_dims
+        if len(dims) == 2 and dims[0] not in (None, dims[1]):
+            _fail("descriptor", "state dimension %s does not match Hamiltonian dimension %s" % dims)
     rho, vectors = build_state(state, params)
     hs = hamiltonian_set(hamiltonians.build(params))
     return Halves(params, state, hamiltonians, vectors, _problem(desc, rho, hs))
@@ -556,15 +587,19 @@ class _Grid:
     builds its weights, and its vectors only when they read `name`. The raw
     values of a batch (weight rows and Hamiltonian lists) are built point by
     point, and every point of a batch has the shapes of its first: its
-    weight count, vector shape and Hamiltonian shapes. Every check that
-    resolve runs on a point runs as one array operation over the batch and
-    gives the batch's first failing point, whose message is resolve's.
+    weight count, vector shape and Hamiltonian shapes. Every check of what
+    a point builds runs as one array operation over the batch and gives the
+    batch's first failing point, whose message is resolve's. theta, m and
+    the weight are the descriptor's, which a sweep cannot change, and a
+    point's state and Hamiltonians share their dimension (a descriptor
+    family's never moves; EX2's dim moves both), so resolve_halves checked
+    those once.
     """
 
     def __init__(self, desc, name, halves):
         self.desc, self.name, self.params = desc, name, halves.params
         state, hamiltonians = halves.state, halves.hamiltonians
-        rho, self.hs, theta = halves.problem[:3]
+        rho, self.hs, self.theta = halves.problem[:3]
         self.state_of = None
         if name in state.reads:
             moves_vectors = name in state.vectors.reads
@@ -577,7 +612,6 @@ class _Grid:
         self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
         self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
         self.shared_hams = self.hs.batch
-        self.theta = theta
 
     def batch(self, values):
         """(stacks, count): the ProblemStacks of the first `count` values, in
@@ -603,14 +637,7 @@ class _Grid:
             if not points:
                 first = shape
                 dim = self.shared_state[1].shape[-1] if state is None else state[1].v.shape[0]
-                if hams is None:
-                    ham_dim, m = self.hs.dim, self.hs.m
-                else:
-                    ham_dim, m = np.shape(hams[0])[-1], len(hams)
-                count = min(count, chunk_size(dim, m))
-                if _problem_error(self.desc, dim, ham_dim, m):
-                    failures.append(0)
-                    break
+                count = min(count, chunk_size(dim, self.hs.m))
             elif shape != first:
                 break
             points.append((state, hams))

@@ -99,19 +99,19 @@ def _require_invertible(fm):
         raise ValidationError(SINGULAR_MESSAGE)
 
 
-def _checked_weight(weight, m):
+def _checked_weight(weight, m, name="weight matrix"):
     """The weight matrix M of tr[M F^-1] for m parameters, as a float array:
-    the identity when weight is None, else m x m, symmetric within
-    operator_core.is_hermitian's scale-safe test (which non-finite entries
-    fail) and positive definite. Its symmetric part is summed in halves, so
-    entries near overflow stay finite, and a NaN eigenvalue fails."""
+    the identity when weight is None, else m x m (a shape error names the
+    field, `name`), symmetric within operator_core.is_hermitian's scale-safe
+    test (which non-finite entries fail) and positive definite. Its
+    symmetric part is summed in halves, so entries near overflow stay
+    finite, and a NaN eigenvalue fails. The one check of a weight's shape,
+    for a descriptor's weight_matrix, --weight and qcr_scalar alike."""
     if weight is None:
         return np.eye(m)
     weight = np.asarray(weight, dtype=float)
     if weight.shape != (m, m):
-        raise ValidationError(
-            f"weight matrix shape mismatch: expected ({m}, {m}), got {weight.shape}"
-        )
+        raise ValidationError(f"{name}: expected shape ({m}, {m}), got {weight.shape}")
     if not is_hermitian(weight):
         raise ValidationError("weight matrix must be symmetric")
     if not np.linalg.eigvalsh(weight / 2 + weight.T / 2).min() > 0:

@@ -374,6 +374,16 @@ class BellDiagonal:
     weights: np.ndarray  # as given, padded to d*d; lexicographic (m, n) order
 
 
+def bell_dim(d):
+    """d^2, the dimension of bell_diagonal(., d), checked before anything is
+    built: d must be an integer >= 2 with d^2 <= MAX_DIM."""
+    if int(d) != d or d < 2:
+        raise ValidationError("bell_diagonal needs integer d >= 2")
+    if d * d > MAX_DIM:
+        raise ValidationError(f"bell_diagonal needs d^2 <= {MAX_DIM}, got d = {int(d)}")
+    return int(d) ** 2
+
+
 def bell_diagonal(weights, d):
     """Mixture of the d*d maximally entangled basis states on C^d x C^d.
 
@@ -384,11 +394,8 @@ def bell_diagonal(weights, d):
     whether the resulting operator equals its transpose, which holds iff
     weight(m, n) = weight((-m) mod d, n).
     """
-    if int(d) != d or d < 2:
-        raise ValidationError("bell_diagonal needs integer d >= 2")
+    bell_dim(d)
     d = int(d)
-    if d * d > MAX_DIM:
-        raise ValidationError(f"bell_diagonal needs d^2 <= {MAX_DIM}, got d = {d}")
     w = np.array([float(x) for x in weights])
     if w.size > d * d:
         raise ValidationError(f"{w.size} weights exceed d^2 = {d * d}")

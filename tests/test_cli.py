@@ -50,6 +50,15 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _traced_run(capsys, argv):
+    """(_run's result, its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        return _run(capsys, argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _sweep_row(name, value, report):
     """The CSV cells that a sweep prints for one point, from the point's own
     ClassificationReport."""
@@ -869,8 +878,12 @@ def _spins(sites, on, axes):
     ]
 
 
+def _ket(dim):
+    return [[1, 0]] + [[0, 0]] * (dim - 1)
+
+
 def _basis_state(dim):
-    return {"family": "pure", "params": {"vector": [[1, 0]] + [[0, 0]] * (dim - 1)}}
+    return {"family": "pure", "params": {"vector": _ket(dim)}}
 
 
 @pytest.mark.parametrize("sites", [40, 10**340])
@@ -890,13 +903,28 @@ def test_a_local_spin_register_is_checked_against_the_state_before_it_is_built(t
         "sites.json",
         {"state": _basis_state(4), "hamiltonians": _spins(MAX_SITES, [0, 5], [[1.0, 0.0, 0.0]] * 2)},
     )
-    tracemalloc.start()
-    try:
-        result = _run(capsys, ["classify", path, "--json"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = _traced_run(capsys, ["classify", path, "--json"])
     message = "descriptor: state dimension 4 does not match Hamiltonian dimension 4096"
+    assert result == (2, "", f"error: {message}\n")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "state, dim",
+    [
+        ({"family": "maximally_mixed", "params": {"dim": 2048}}, 2048),
+        ({"family": "pure", "params": {"vector": _ket(2048)}}, 2048),
+        ({"family": "white_noise", "params": {"psi": _ket(2048), "p": 0.5}}, 2048),
+        ([{"weight": 0.5, "vector": _ket(1024)}, {"weight": 0.5, "vector": _ket(1024)[::-1]}], 1024),
+        ({"family": "bell_diagonal", "params": {"weights": [1.0], "d": 32}}, 1024),
+    ],
+)
+def test_a_state_is_checked_against_the_hamiltonians_before_it_is_built(tmp_path, capsys, state, dim):
+    # the 2048 x 2048 maximally mixed state was once built and diagonalized
+    # first: 3.8 s and a tracemalloc peak of 256 MiB before it exited 2
+    path = _write(tmp_path, "state.json", {"state": state, "hamiltonians": [SX, SZ]})
+    result, peak = _traced_run(capsys, ["classify", path, "--json"])
+    message = f"descriptor: state dimension {dim} does not match Hamiltonian dimension 2"
     assert result == (2, "", f"error: {message}\n")
     assert peak < 2**20
 
@@ -1050,12 +1078,7 @@ def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monk
     monkeypatch.setattr(conditions, "CHUNK_BYTES", cap)
     encodes = count_calls(monkeypatch, encode_stack)
     slds = count_calls(monkeypatch, sld_row_stack)
-    tracemalloc.start()
-    try:
-        code, _, _ = _run(capsys, argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (code, _, _), peak = _traced_run(capsys, argv)
     assert code == 0
     # p moves only the state: each chunk encodes its shared Hamiltonians,
     # one set in product form, once

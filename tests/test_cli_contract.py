@@ -9,8 +9,9 @@ or CSV on stdout, nothing on stderr and a state of rank at least 1, or exit 2
 with exactly one `error:` line on stderr and nothing else. A traceback or a
 warning breaks the contract.
 
-State dimensions stay at 64 or less: a state is still built before its
-dimension is compared with the Hamiltonians'.
+Sizes up to the cap (states.MAX_DIM = 4096) are among the mutations: a
+state's dimension is read from its spec and compared with the Hamiltonians'
+before the state is built, so a mismatched size exits 2 without building.
 """
 
 import contextlib
@@ -137,6 +138,9 @@ VALUES = [
     2.0,
     3,
     -1,
+    1024,
+    2048,
+    4096,
     4097,
     100000,
     2**63,
@@ -267,6 +271,11 @@ def _eigpair_problem(*hams):
     return {"state": _EIGPAIRS, "hamiltonians": list(hams)}
 
 
+def _ket(dim):
+    """The first basis vector of C^dim as a JSON vector."""
+    return [[1, 0]] + [[0, 0]] * (dim - 1)
+
+
 def _scaled(matrix, factor):
     return {**matrix, "entries": [[re * factor, im * factor] for re, im in matrix["entries"]]}
 
@@ -314,6 +323,22 @@ EXAMPLES = [
         "d",
     ),
     ({"state": {"family": "example", "params": {"id": "EX2", "dim": 100000}}}, "dim"),
+    # a state within the cap but not of the Hamiltonians' dimension, once
+    # built (and diagonalized) before the dimensions were compared
+    ({"state": _family("maximally_mixed", dim=2048), "hamiltonians": [SX, SZ]}, "dim"),
+    ({"state": _family("pure", vector=_ket(2048)), "hamiltonians": [SX, SZ]}, "p"),
+    ({"state": _family("white_noise", psi=_ket(2048), p=0.5), "hamiltonians": [SX, SZ]}, "p"),
+    (
+        {
+            "state": [
+                {"weight": 0.5, "vector": _ket(1024)},
+                {"weight": 0.5, "vector": _ket(1024)[::-1]},
+            ],
+            "hamiltonians": [SX, SZ],
+        },
+        "p",
+    ),
+    ({"state": _family("bell_diagonal", weights=[1.0], d=32), "hamiltonians": [SX, SZ]}, "d"),
     # inputs found by hand before: a negative seed, Hamiltonians whose
     # products overflow, and an entry whose modulus overflows
     ({"state": {"family": "example", "params": {"id": "EX2", "seed": -1}}}, "p"),

@@ -565,6 +565,25 @@ def test_classify_norms_equal_the_materialised_blocks():
             assert abs(rep.norms[kind] - block_norm) <= 1e-12 * rep.scale, (d, kind)
 
 
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_exactly_commuting_slds_give_zero_norms_to_roundoff(d):
+    # H, 2H, H: K is a multiple of H, so G_i = H_i and the SLDs are multiples
+    # of one operator. The explicit products give S = O = P = 0 exactly; the
+    # identity ||A^dag B - B^dag A||^2 = 2 tr[..] - 2 Re tr[..] gave S/scale
+    # of 1e-9 to 5e-9 on such sets, within 10x of zero_tol, and NaN from a
+    # negative square at d = 64, r = 16
+    rng = np.random.default_rng(d)
+    r = d // 4
+    q, _ = np.linalg.qr(rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r)))
+    rho = density_from_eigpairs(list(zip(rng.dirichlet(np.ones(r)), q.T)))
+    h = random_hermitian_matrix(rng, d)
+    rep = classify(rho, hamiltonian_set([h, 2 * h, h]), theta=[0.37, -0.81, 1.23])
+    assert rep.rank == r
+    for kind in ("P", "O", "S"):
+        assert rep.norms[kind] <= 1e-13 * rep.scale, (kind, rep.norms[kind] / rep.scale)
+    assert rep.flags["SC"]
+
+
 def test_postcondition_raises_when_the_kernel_carries_weight():
     # a state is cut where it is built, so SpectralData guards the cut: a
     # hand-built spectrum with weight past its rank, or a support eigenvalue

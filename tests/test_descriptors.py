@@ -172,6 +172,49 @@ def test_local_spin_family():
         parse_descriptor(json.dumps(bad))
 
 
+def _spin(sites, site):
+    return {"family": "local_spin", "params": {"sites": sites, "site": site, "axis": [1, 0, 0]}}
+
+
+@pytest.mark.parametrize(
+    "state, hams, message",
+    [
+        # each input has two defects; the shapes are decided first, so the
+        # dimension mismatch or the bad Hamiltonian spec is the one named
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0]] + [[0, 0]] * 3, "p": 2.0}},
+            [SX_JSON],
+            "descriptor: state dimension 4 does not match Hamiltonian dimension 2",
+        ),
+        (
+            {"family": "bell_diagonal", "params": {"weights": [0.2] * 5, "d": 2}},
+            [SX_JSON],
+            "descriptor: state dimension 4 does not match Hamiltonian dimension 2",
+        ),
+        (
+            {"family": "maximally_mixed", "params": {"dim": 4}},
+            [{"dim": 2, "entries": [[0, 0], [1, 0], [2, 0], [0, 0]]}],
+            "descriptor: state dimension 4 does not match Hamiltonian dimension 2",
+        ),
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 7.0}},
+            [_spin(1, 3)],
+            "hamiltonians[0].params.site: site 3 outside 0..0",
+        ),
+        # Hamiltonians of two dimensions: hamiltonian_set's message, whatever the state
+        (
+            {"family": "maximally_mixed", "params": {"dim": 4}},
+            [SX_JSON, _spin(2, 0)],
+            "Hamiltonians have mismatched dimensions",
+        ),
+    ],
+)
+def test_the_shapes_are_checked_before_the_state_is_built(state, hams, message):
+    with pytest.raises(ValidationError) as err:
+        parse_descriptor({"state": state, "hamiltonians": hams})
+    assert str(err.value) == message
+
+
 def test_theta_and_weight_validation():
     with pytest.raises(ValidationError, match="theta: expected 2 entries"):
         parse_descriptor(json.dumps(_desc(theta=[0.1])))

@@ -158,7 +158,7 @@ def test_qcr_scalar_literal_arithmetic():
 
 def test_qcr_scalar_validation():
     f = np.eye(2)
-    with pytest.raises(ValidationError, match="shape mismatch"):
+    with pytest.raises(ValidationError, match="weight matrix: expected shape"):
         qcr_scalar(f, np.eye(3))
     with pytest.raises(ValidationError, match="symmetric"):
         qcr_scalar(f, np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -181,7 +181,7 @@ def test_qcr_scalar_checks_weights_at_any_finite_scale():
     # non-finite entries fail as not symmetric
     with pytest.raises(ValidationError, match="symmetric"):
         qcr_scalar(f, np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValidationError, match="shape mismatch: expected \\(2, 2\\), got \\(3, 3\\)"):
+    with pytest.raises(ValidationError, match="weight matrix: expected shape \\(2, 2\\), got \\(3, 3\\)"):
         qcr_scalar(f, np.eye(3))
     # a bound past the largest float is refused
     with pytest.raises(ValidationError, match="overflows"):
