@@ -130,15 +130,6 @@ def _rho_from_spec(spec):
     return (v * spec.eigenvalues) @ dagger(v)
 
 
-def _antisymmetric(upper):
-    """The antisymmetric matrix with the strict upper triangle of `upper`:
-    that triangle, placed through the pair indices, minus its transpose."""
-    i, j = _pairs(len(upper))
-    u = np.zeros_like(upper)
-    u[i, j] = upper[i, j]
-    return u - u.T
-
-
 def _trace_products(a, b):
     """The m x m matrix tr[a_i b_j] of two stacks of m square matrices."""
     m = len(a)
@@ -167,7 +158,8 @@ def _pair_sum(c, h):
 def _gamma_matrix(spec, pt):
     g = pt.generator_stack
     t = _trace_products(_rho_from_spec(spec) @ g, g)
-    return _antisymmetric(4.0 * (2j * t.imag))
+    m = len(t)
+    return _pair_matrix(4.0 * (2j * t.imag[tuple(_pairs(m))]), m)
 
 
 def weak_decomposed(spec, pt):
@@ -262,7 +254,8 @@ def weak_series_truncation(spec, pt, alpha):
     if alpha == 1:
         mw = w - rho @ w - w @ rho
         w = w + (mw - rho @ mw - mw @ rho)
-    out = _antisymmetric(4.0 * _trace_products(w, g))
+    m = len(g)
+    out = _pair_matrix(4.0 * _trace_products(w, g)[tuple(_pairs(m))], m)
     return ScalarConditionMatrix(entries=out, kind=f"W_alpha{alpha}")
 
 

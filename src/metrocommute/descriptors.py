@@ -7,9 +7,15 @@ tolerance overrides. Matrices are encoded as {"dim": n, "entries": [[re, im],
 ...]} with entries row-major; vectors as lists of [re, im] pairs.
 
 Parsing is strict and fails with a field-precise message; parse followed by
-serialize is idempotent on the canonical form. Eigpair vectors and raw
-matrices are parsed once, into the complex arrays the descriptor keeps;
-`serialize_descriptor` writes them back as [re, im] lists.
+serialize is idempotent on the canonical form. Every field is checked and
+converted once, at parse (_parse_fields), into the typed value the
+descriptor keeps: eigpair vectors, raw matrices, white_noise's psi and
+pure's vector become complex arrays; white_noise's p and bell_diagonal's
+weights floats; maximally_mixed's dim, bell_diagonal's d and local_spin's
+sites and site ints; local_spin's axis three finite floats. So resolve and
+every point of a sweep only build. `serialize_descriptor` writes the arrays
+back as [re, im] lists. An example's overrides are checked against its
+defaults where they are merged (examples._merged_parameters).
 
 A family's params hold exactly the names it reads: a state family's are
 those its state half reads, and local_spin's are sites, site and axis. A
@@ -20,16 +26,18 @@ against MAX_DIM before they build anything.
 
 `resolve_halves` decides a problem's shapes before it builds anything, in
 this order: the Hamiltonian specs resolve (LocalSpins and parsed matrices,
-nothing dense); the state's dimension is read from its spec (_state_dim:
-an eigpair vector's length, a raw matrix's size, a white_noise or pure
-vector's length, maximally_mixed's dim or bell_diagonal's d^2, each past
-its cap); the two dimensions are compared; only then is the state built
-and the Hamiltonian set checked (encoding.hamiltonian_set), and theta and
-the weight checked against the set's m (the weight's shape, symmetry and
-definiteness in metrology._checked_weight alone). An example brings its
-own Hamiltonians, of its state's dimension, and skips the comparison. A
-sweep cannot change m, and EX2's dim moves both halves together, so the
-grid's batches check only what a point builds.
+nothing dense) and their one dimension is read from their shapes
+(encoding.hamiltonian_dim); the state's dimension is read from its spec
+(_state_dim: an eigpair vector's length, a raw matrix's size, a
+white_noise or pure vector's length, maximally_mixed's dim or
+bell_diagonal's d^2, each past its cap); the two dimensions are compared;
+only then is the state built and the Hamiltonian set checked
+(encoding.hamiltonian_set), and theta and the weight checked against the
+set's m (the weight's shape, symmetry and definiteness in
+metrology._checked_weight alone). An example brings its own Hamiltonians,
+of its state's dimension, and skips the comparison. A sweep cannot change
+m, and EX2's dim moves both halves together, so the grid's batches check
+only what a point builds.
 
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
@@ -56,7 +64,7 @@ from itertools import chain
 import numpy as np
 
 from .conditions import ProblemStack, chunk_size
-from .encoding import LocalSpin, checked_theta, hamiltonian_checks, hamiltonian_set
+from .encoding import LocalSpin, checked_theta, hamiltonian_checks, hamiltonian_dim, hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
     PAULI_X,
@@ -83,7 +91,6 @@ from .states import (
 
 DEFAULT_ZERO_TOL = 1e-8
 
-HAMILTONIAN_FAMILIES = ("local_spin",)
 _LOCAL_SPIN_KEYS = ("sites", "site", "axis")
 # the largest local_spin register, of dimension 2^MAX_SITES = MAX_DIM;
 # checked before 2^sites is formed
@@ -104,6 +111,13 @@ class ProblemDescriptor:
 
 def _fail(path, message):
     raise ValidationError(f"{path}: {message}")
+
+
+def _only(keys, path, known):
+    """Fail on a key of `keys` outside `known`."""
+    extra = set(keys) - set(known)
+    if extra:
+        _fail(path, f"unknown keys {sorted(extra)}")
 
 
 def load_json(text):
@@ -171,9 +185,7 @@ def vector_from_json(value, path):
 def matrix_from_json(value, path):
     if not isinstance(value, dict):
         _fail(path, f"expected a matrix object, got {type(value).__name__}")
-    extra = set(value) - {"dim", "entries"}
-    if extra:
-        _fail(path, f"unknown keys {sorted(extra)}")
+    _only(value, path, {"dim", "entries"})
     if "dim" not in value or "entries" not in value:
         _fail(path, 'matrix object needs keys "dim" and "entries"')
     dim = value["dim"]
@@ -220,34 +232,91 @@ def weight_from_json(value, path="weight_matrix"):
     return weight.real
 
 
-def _canonical_params(params, path, known):
-    """params with their values checked; a key outside `known` fails (known
-    None: any key, for an example, whose parameters example_halves checks)."""
+def _integer(value, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, path):
+    """A non-empty list of numbers, as floats."""
+    if not isinstance(value, list) or not value:
+        _fail(path, f"expected a non-empty list of numbers, got {value!r}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _mixed_dim(value, path):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        _fail(path, f"expected an integer >= 2, got {value!r}")
+    if value > MAX_DIM:
+        _fail(path, f"expected at most {MAX_DIM}, got {value}")
+    return value
+
+
+def _fields(family, fields):
+    """The params parser of a state family whose params are exactly the
+    names of `fields`, each required and typed, in the order listed, by
+    fields[name](value, path)."""
+
+    def parse(params, path):
+        _only(params, path, fields)
+        if not params.keys() >= fields.keys():
+            _fail(path, f"{family} needs " + " and ".join(f'"{k}"' for k in fields))
+        return {k: read(params[k], f"{path}.{k}") for k, read in fields.items()}
+
+    return parse
+
+
+def _local_spin_params(params, path):
+    """local_spin's sites and site as ints, the register at most MAX_SITES
+    qubits and the site on it, and its axis as three finite floats."""
+    _only(params, path, _LOCAL_SPIN_KEYS)
+    for key in _LOCAL_SPIN_KEYS:
+        if key not in params:
+            _fail(path, f'local_spin needs "{key}"')
+    sites, site = (_integer(params[k], f"{path}.{k}") for k in ("sites", "site"))
+    if sites > MAX_SITES:
+        _fail(f"{path}.sites", f"expected at most {MAX_SITES} sites, got {sites}")
+    if not 0 <= site < sites:
+        _fail(f"{path}.site", f"site {site} outside 0..{sites - 1}")
+    axis = params["axis"]
+    if not isinstance(axis, list) or len(axis) != 3:
+        _fail(f"{path}.axis", "expected [x, y, z] components")
+    axis = [_number(v, f"{path}.axis[{i}]") for i, v in enumerate(axis)]
+    for i, v in enumerate(axis):
+        if not math.isfinite(v):
+            _fail(f"{path}.axis[{i}]", f"expected a finite number, got {v!r}")
+    return {"sites": sites, "site": site, "axis": axis}
+
+
+# state family -> the parser of its params; an example's are checked where
+# they are merged with its defaults (examples._merged_parameters)
+_STATE_PARAMS = {
+    "white_noise": _fields("white_noise", {"psi": vector_from_json, "p": _number}),
+    "bell_diagonal": _fields("bell_diagonal", {"weights": _numbers, "d": _integer}),
+    "pure": _fields("pure", {"vector": vector_from_json}),
+    "maximally_mixed": _fields("maximally_mixed", {"dim": _mixed_dim}),
+    "example": lambda params, path: dict(params),
+}
+
+
+def _family_spec(value, path, parsers):
+    """A family object as {"family", "params"}, its params typed by the
+    family's parser, parsers[family](params, path)."""
+    family, known = value["family"], list(parsers)
+    if family not in known:
+        _fail(f"{path}.family", f"unknown family {family!r}; known: {known}")
+    _only(value, path, {"family", "params"})
+    params = value.get("params", {})
     if not isinstance(params, dict):
-        _fail(path, f"expected a params object, got {type(params).__name__}")
-    extra = set() if known is None else set(params) - set(known)
-    if extra:
-        _fail(path, f"unknown keys {sorted(extra)}")
-    out = {}
-    for key in sorted(params):
-        value = params[key]
-        if isinstance(value, str) or isinstance(value, int) and not isinstance(
-            value, bool
-        ):
-            out[key] = value
-        elif isinstance(value, float):
-            out[key] = float(value)
-        elif isinstance(value, list):
-            out[key] = value
-        else:
-            _fail(f"{path}.{key}", f"unsupported parameter value {value!r}")
-    return out
+        _fail(f"{path}.params", f"expected a params object, got {type(params).__name__}")
+    return {"family": family, "params": parsers[family](params, f"{path}.params")}
 
 
 def _parse_state_spec(value, path="state"):
-    """Validate and canonicalize the state part without resolving it: an
-    eigpair list keeps each vector as a complex array, a raw matrix becomes
-    one, and a family stays a {"family", "params"} object."""
+    """Validate and type the state part without resolving it: an eigpair
+    list keeps each vector as a complex array, a raw matrix becomes one, and
+    a family becomes a {"family", "params"} object of typed params."""
     if isinstance(value, list):
         pairs = []
         for i, item in enumerate(value):
@@ -261,15 +330,7 @@ def _parse_state_spec(value, path="state"):
             _fail(path, "eigpair list is empty")
         return pairs
     if isinstance(value, dict) and "family" in value:
-        family, families = value["family"], [*_FAMILY_STATES, "example"]
-        if family not in families:
-            _fail(f"{path}.family", f"unknown family {family!r}; known: {families}")
-        extra = set(value) - {"family", "params"}
-        if extra:
-            _fail(path, f"unknown keys {sorted(extra)}")
-        known = None if family == "example" else _FAMILY_STATES[family].reads
-        params = _canonical_params(value.get("params", {}), f"{path}.params", known)
-        return {"family": family, "params": params}
+        return _family_spec(value, path, _STATE_PARAMS)
     if isinstance(value, dict):
         return matrix_from_json(value, path)
     _fail(path, "expected a matrix object, an eigpair list, or a family object")
@@ -277,17 +338,7 @@ def _parse_state_spec(value, path="state"):
 
 def _parse_hamiltonian_spec(value, path):
     if isinstance(value, dict) and "family" in value:
-        family = value["family"]
-        if family not in HAMILTONIAN_FAMILIES:
-            _fail(
-                f"{path}.family",
-                f"unknown family {family!r}; known: {list(HAMILTONIAN_FAMILIES)}",
-            )
-        extra = set(value) - {"family", "params"}
-        if extra:
-            _fail(path, f"unknown keys {sorted(extra)}")
-        params = _canonical_params(value.get("params", {}), f"{path}.params", _LOCAL_SPIN_KEYS)
-        return {"family": family, "params": params}
+        return _family_spec(value, path, {"local_spin": _local_spin_params})
     if isinstance(value, dict):
         return matrix_from_json(value, path)
     _fail(path, "expected a matrix object or a family object")
@@ -295,20 +346,11 @@ def _parse_hamiltonian_spec(value, path):
 
 def _parse_fields(source):
     """parse_descriptor without the final resolve: every field checked and
-    canonicalized, the state and Hamiltonians not yet materialized."""
+    typed, once, the state and Hamiltonians not yet built."""
     data = load_json(source) if isinstance(source, str) else source
     if not isinstance(data, dict):
         _fail("descriptor", f"expected an object, got {type(data).__name__}")
-    known = {
-        "state",
-        "hamiltonians",
-        "theta",
-        "weight_matrix",
-        "tolerances",
-    }
-    extra = set(data) - known
-    if extra:
-        _fail("descriptor", f"unknown keys {sorted(extra)}")
+    _only(data, "descriptor", {"state", "hamiltonians", "theta", "weight_matrix", "tolerances"})
     if "state" not in data:
         _fail("descriptor", 'missing required key "state"')
     state_spec = _parse_state_spec(data["state"])
@@ -350,9 +392,7 @@ def _parse_fields(source):
         tols = data["tolerances"]
         if not isinstance(tols, dict):
             _fail("tolerances", "expected an object")
-        extra = set(tols) - {"rank_tol", "zero_tol"}
-        if extra:
-            _fail("tolerances", f"unknown keys {sorted(extra)}")
+        _only(tols, "tolerances", {"rank_tol", "zero_tol"})
         if "rank_tol" in tols:
             rank_tol = positive_finite(tols["rank_tol"], "tolerances.rank_tol")
         if "zero_tol" in tols:
@@ -379,72 +419,30 @@ def parse_descriptor(source):
     return desc
 
 
-def _white_noise_psi(params):
-    if "psi" not in params or "p" not in params:
-        _fail("state.params", 'white_noise needs "psi" and "p"')
-    return vector_from_json(params["psi"], "state.params.psi")
-
-
-def _white_noise_weights(params):
-    dim = _white_noise_psi(params).size
-    return white_noise_weights(_number(params["p"], "state.params.p"), dim)
-
-
-def _white_noise_vectors(params):
-    return white_noise_vectors(_white_noise_psi(params))
-
-
-def _bell_d(params):
-    if "weights" not in params or "d" not in params:
-        _fail("state.params", 'bell_diagonal needs "weights" and "d"')
-    d = params["d"]
-    if isinstance(d, bool) or not isinstance(d, int):
-        _fail("state.params.d", f"expected an integer, got {d!r}")
-    return d
-
-
-def _bell_diagonal(params):
-    d, weights = _bell_d(params), params["weights"]
-    if not isinstance(weights, list) or not weights:
-        _fail("state.params.weights", f"expected a non-empty list of numbers, got {weights!r}")
-    weights = [_number(v, f"state.params.weights[{i}]") for i, v in enumerate(weights)]
-    return bell_diagonal(weights, d).rho
-
-
 def _pure(params):
-    if "vector" not in params:
-        _fail("state.params", 'pure needs "vector"')
-    vec = vector_from_json(params["vector"], "state.params.vector")
     try:
-        return density_from_eigpairs([(1.0, vec)])
+        return density_from_eigpairs([(1.0, params["vector"])])
     except ValidationError as err:
         _fail("state.params.vector", str(err))
 
 
-def _mixed_dim(params):
-    if "dim" not in params:
-        _fail("state.params", 'maximally_mixed needs "dim"')
-    dim = params["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 2:
-        _fail("state.params.dim", f"expected an integer >= 2, got {dim!r}")
-    if dim > MAX_DIM:
-        _fail("state.params.dim", f"expected at most {MAX_DIM}, got {dim}")
-    return dim
-
-
-def _maximally_mixed(params):
-    return np.eye(_mixed_dim(params), dtype=complex) / params["dim"]
-
-
-# state family -> its state half, which reads the family's own parameters
+# state family -> its state half, which reads the family's own parameters,
+# as _STATE_PARAMS typed them
 _FAMILY_STATES = {
     "white_noise": EigpairHalf(
-        Half(("psi", "p"), _white_noise_weights), Half(("psi",), _white_noise_vectors)
+        Half(("psi", "p"), lambda p: white_noise_weights(p["p"], p["psi"].size)),
+        Half(("psi",), lambda p: white_noise_vectors(p["psi"])),
     ),
-    "bell_diagonal": Half(("weights", "d"), _bell_diagonal),
+    "bell_diagonal": Half(("weights", "d"), lambda p: bell_diagonal(p["weights"], p["d"]).rho),
     "pure": Half(("vector",), _pure),
-    "maximally_mixed": Half(("dim",), _maximally_mixed),
+    "maximally_mixed": Half(("dim",), lambda p: np.eye(p["dim"], dtype=complex) / p["dim"]),
 }
+
+
+def _local_spin(params):
+    """The LocalSpin of a local_spin spec's typed params."""
+    x, y, z = params["axis"]
+    return LocalSpin(params["sites"], params["site"], x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
 
 def _halves(desc):
@@ -462,7 +460,7 @@ def _halves(desc):
     elif isinstance(spec, np.ndarray):
         state = Half((), lambda p: spec)
     else:
-        family, params = spec["family"], spec.get("params", {})
+        family, params = spec["family"], spec["params"]
         if family == "example":
             if "id" not in params:
                 _fail("state.params", 'example needs "id"')
@@ -472,54 +470,23 @@ def _halves(desc):
             overrides = {k: v for k, v in params.items() if k != "id"}
             return example_halves(ex_id, overrides)
         state = _FAMILY_STATES[family]
-    specs = enumerate(desc.hamiltonian_specs)
-    hams = [_resolve_hamiltonian(s, f"hamiltonians[{i}]") for i, s in specs]
+    hams = [_local_spin(s["params"]) if isinstance(s, dict) else s for s in desc.hamiltonian_specs]
     return params, state, Half((), lambda p: hams)
-
-
-def _resolve_hamiltonian(spec, path):
-    if isinstance(spec, np.ndarray):
-        return spec
-    family = spec["family"]
-    params = spec.get("params", {})
-    if family == "local_spin":
-        for key in _LOCAL_SPIN_KEYS:
-            if key not in params:
-                _fail(f"{path}.params", f'local_spin needs "{key}"')
-        sites, site = params["sites"], params["site"]
-        for name, val in (("sites", sites), ("site", site)):
-            if isinstance(val, bool) or not isinstance(val, int):
-                _fail(f"{path}.params.{name}", f"expected an integer, got {val!r}")
-        if sites > MAX_SITES:
-            _fail(f"{path}.params.sites", f"expected at most {MAX_SITES} sites, got {sites}")
-        if not 0 <= site < sites:
-            _fail(f"{path}.params.site", f"site {site} outside 0..{sites - 1}")
-        axis = params["axis"]
-        if not isinstance(axis, list) or len(axis) != 3:
-            _fail(f"{path}.params.axis", "expected [x, y, z] components")
-        ax = [_number(v, f"{path}.params.axis[{i}]") for i, v in enumerate(axis)]
-        for i, v in enumerate(ax):
-            if not math.isfinite(v):
-                _fail(f"{path}.params.axis[{i}]", f"expected a finite number, got {v!r}")
-        return LocalSpin(sites, site, ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z)
-    _fail(f"{path}.family", f"unknown family {family!r}")
 
 
 def _state_dim(spec):
     """The dimension of a state spec other than an example's, read from the
     spec without building the state: an eigpair vector's length, a raw
     matrix's size, a white_noise or pure vector's length, a maximally_mixed
-    dim or a bell_diagonal d^2, each past its cap. None where that vector is
-    missing or not a list, which fails the state's build."""
+    dim or a bell_diagonal d^2, each past its cap."""
     if not isinstance(spec, dict):  # a raw matrix or an eigpair list
         return len(spec) if isinstance(spec, np.ndarray) else spec[0]["vector"].size
     family, params = spec["family"], spec["params"]
     if family == "maximally_mixed":
-        return _mixed_dim(params)
+        return params["dim"]
     if family == "bell_diagonal":
-        return bell_dim(_bell_d(params))
-    vec = params.get("psi" if family == "white_noise" else "vector")
-    return len(vec) if isinstance(vec, list) else None
+        return bell_dim(params["d"])
+    return params["psi" if family == "white_noise" else "vector"].size
 
 
 def _problem(desc, rho, hs):
@@ -547,17 +514,15 @@ def resolve_halves(desc):
     check of resolve runs, with its messages.
 
     The shapes are decided before anything is built: the Hamiltonian specs
-    resolve (_halves; LocalSpins and parsed matrices, nothing dense), and
-    the state's dimension, read from its spec (_state_dim), must be the
-    Hamiltonians' one. Only then is the state built and the Hamiltonian set
-    checked. An example brings its own Hamiltonians and skips the
-    comparison."""
+    resolve (_halves; LocalSpins and parsed matrices, nothing dense), their
+    one dimension is read from their shapes (encoding.hamiltonian_dim), and
+    the state's dimension, read from its spec (_state_dim), must be that
+    one. Only then is the state built and the Hamiltonian set checked. An
+    example brings its own Hamiltonians and skips the comparison."""
     params, state, hamiltonians = _halves(desc)
     if desc.hamiltonian_specs is not None:
-        ham_dims = {h.dim if isinstance(h, LocalSpin) else len(h) for h in hamiltonians.build(params)}
-        # Hamiltonians of several dimensions fail hamiltonian_set's check instead
-        dims = _state_dim(desc.state_spec), *ham_dims
-        if len(dims) == 2 and dims[0] not in (None, dims[1]):
+        dims = _state_dim(desc.state_spec), hamiltonian_dim(hamiltonians.build(params))
+        if dims[0] != dims[1]:
             _fail("descriptor", "state dimension %s does not match Hamiltonian dimension %s" % dims)
     rho, vectors = build_state(state, params)
     hs = hamiltonian_set(hamiltonians.build(params))
@@ -759,7 +724,9 @@ def _spec_to_json(spec):
             {"weight": item["weight"], "vector": vector_to_json(item["vector"])}
             for item in spec
         ]
-    return spec
+    params = spec["params"].items()
+    params = {k: vector_to_json(v) if isinstance(v, np.ndarray) else v for k, v in params}
+    return {"family": spec["family"], "params": params}
 
 
 def serialize_descriptor(desc):
@@ -798,7 +765,7 @@ def sweepable_parameters(desc):
 def _check_sweepable(desc, name):
     """Raise unless `name` is a sweepable parameter of the descriptor."""
     spec = desc.state_spec
-    if not isinstance(spec, dict) or "family" not in spec:
+    if not isinstance(spec, dict):
         raise ValidationError(
             "state: sweeps need a family-based state (raw matrices and "
             "eigpair lists have no named parameters)"
@@ -815,5 +782,5 @@ def with_parameter(desc, name, value):
     """A copy of the descriptor with one family parameter replaced."""
     _check_sweepable(desc, name)
     spec = desc.state_spec
-    params = {**spec.get("params", {}), name: float(value)}
+    params = {**spec["params"], name: float(value)}
     return replace(desc, state_spec={"family": spec["family"], "params": params})

@@ -21,11 +21,12 @@ G_i = w X_i w^dag are built on first read.
 
 encode_stack evaluates N encodings of one shape at one theta at once, with
 a leading (N, ...) axis and one batched eigh; encode is its N = 1 case.
-hamiltonian_set checks one Hamiltonian list through hamiltonian_checks,
-which checks a stack of them. A set's `commuting` flag is one tolerance test
-of every pair at once, on the pair axis of operator_core
-(_pairwise_commuting), with Frobenius norms from frobenius_rows; a
-product-form set is tested on its 2 x 2 blocks.
+hamiltonian_set checks one Hamiltonian list: its shapes through
+hamiltonian_dim, which reads a LocalSpin's dimension without building it,
+and its values through hamiltonian_checks, which checks a stack of lists.
+A set's `commuting` flag is one tolerance test of every pair at once, on
+the pair axis of operator_core (_pairwise_commuting), with Frobenius norms
+from frobenius_rows; a product-form set is tested on its 2 x 2 blocks.
 
 Product form. A LocalSpin is a 2 x 2 Hermitian block on one qubit of a
 register, the identity on the others (the local_spin descriptor family).
@@ -153,30 +154,37 @@ class HamiltonianSet:
         return _pairwise_commuting(spins.blocks, 2.0 ** (spins.sites - 1), spins.site)
 
 
+def hamiltonian_dim(hams):
+    """The one dimension of a list of Hamiltonians, read from its shapes
+    alone: each matrix square, a LocalSpin read by its dim without being
+    built, and the list non-empty and of one dimension."""
+    dims = {
+        h.dim if isinstance(h, LocalSpin) else as_square_array(h, f"Hamiltonian {i}").shape[0]
+        for i, h in enumerate(hams)
+    }
+    if not dims:
+        raise ValidationError("empty Hamiltonian list")
+    if len(dims) > 1:
+        raise ValidationError("Hamiltonians have mismatched dimensions")
+    return dims.pop()
+
+
 def hamiltonian_set(hams):
     """Validate a list of Hermitian Hamiltonians of one dimension.
 
-    A list of LocalSpins on one register is kept in product form: a block
-    of a finite real axis is Hermitian by construction, so nothing is
-    checked or built. Any other list is checked densely: the shapes first,
-    a LocalSpin by its dimension before it is built, then
+    The shapes are checked first (hamiltonian_dim). A list of LocalSpins,
+    on one register since it has one dimension, is kept in product form: a
+    block of a finite real axis is Hermitian by construction, so nothing is
+    checked or built. Any other list is checked densely, by
     hamiltonian_checks of the list as a stack of one. Pairwise commutation
     is flagged by the set's `commuting` property."""
     hams = list(hams)
-    if hams and all(isinstance(h, LocalSpin) and h.sites == hams[0].sites for h in hams):
+    hamiltonian_dim(hams)
+    if all(isinstance(h, LocalSpin) for h in hams):
         site = np.array([h.site for h in hams])
         blocks = np.array([h.block for h in hams], dtype=complex)
         return HamiltonianSet(local=LocalSpinStack(hams[0].sites, site, blocks))
-    mats = [
-        h if isinstance(h, LocalSpin) else as_square_array(h, f"Hamiltonian {i}")
-        for i, h in enumerate(hams)
-    ]
-    if not mats:
-        raise ValidationError("empty Hamiltonian list")
-    dims = [h.dim if isinstance(h, LocalSpin) else h.shape[0] for h in mats]
-    if any(dim != dims[0] for dim in dims):
-        raise ValidationError("Hamiltonians have mismatched dimensions")
-    stack = np.stack([h.matrix() if isinstance(h, LocalSpin) else h for h in mats])
+    stack = np.stack([h.matrix() if isinstance(h, LocalSpin) else h for h in hams], dtype=complex)
     failure = hamiltonian_checks(stack[None])
     if failure:
         raise ValidationError(failure[1])

@@ -25,6 +25,15 @@ class ValidationError(ValueError):
     """Invalid input (bad matrix, bad parameters, malformed descriptor)."""
 
 
+def _is_whole(x):
+    """Whether the real number x has no fractional part; NaN and the
+    infinities have none to test, and are not whole."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):
+        return False
+
+
 def dagger(a):
     """Conjugate transpose of a matrix, or of every matrix in a stack (the
     last two axes)."""
@@ -173,7 +182,7 @@ def matrix_exp_i(k, sign=1):
 
 def swap_operator(d):
     """SWAP on C^d x C^d: S(|x>|y>) = |y>|x>."""
-    if int(d) != d or d < 2:
+    if not _is_whole(d) or d < 2:
         raise ValidationError("swap_operator needs integer d >= 2")
     d = int(d)
     s = np.zeros((d * d, d * d), dtype=complex)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .operator_core import (
     ValidationError,
+    _is_whole,
     as_square_matrix,
     dagger,
     eigh_descending,
@@ -377,7 +378,7 @@ class BellDiagonal:
 def bell_dim(d):
     """d^2, the dimension of bell_diagonal(., d), checked before anything is
     built: d must be an integer >= 2 with d^2 <= MAX_DIM."""
-    if int(d) != d or d < 2:
+    if not _is_whole(d) or d < 2:
         raise ValidationError("bell_diagonal needs integer d >= 2")
     if d * d > MAX_DIM:
         raise ValidationError(f"bell_diagonal needs d^2 <= {MAX_DIM}, got d = {int(d)}")

@@ -857,6 +857,24 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
             ["sweep", "--param", "dim", "--grid", "2:100000:3"],
             f"grid value dim=50001: out-of-domain parameters: dim must be at most {states.MAX_DIM}",
         ),
+        # an empty psi or vector was once named as a state of dimension 0,
+        # and a value of the wrong type as an unsupported parameter value;
+        # each family field is typed at parse and named by its path
+        *(
+            ({"family": family, "params": params}, 2, ["classify", "--json"], message)
+            for family, params, message in (
+                ("white_noise", {"psi": [], "p": 0.5}, "state.params.psi: expected a non-empty list of [re, im] pairs"),
+                ("pure", {"vector": []}, "state.params.vector: expected a non-empty list of [re, im] pairs"),
+                ("white_noise", {"psi": [[1, 0], [0, 0]], "p": True}, "state.params.p: expected a number, got bool"),
+                ("maximally_mixed", {"dim": None}, "state.params.dim: expected an integer >= 2, got None"),
+            )
+        ),
+        (
+            {"family": "example", "params": {"id": "EX4", "p": None}},
+            None,
+            ["classify", "--json"],
+            "parameter 'p' for EX4: expected a number, got None",
+        ),
     ],
 )
 def test_inputs_without_an_answer_exit_2_with_one_error_line(tmp_path, capsys, state, hams, argv, message):
@@ -926,6 +944,13 @@ def test_a_state_is_checked_against_the_hamiltonians_before_it_is_built(tmp_path
     result, peak = _traced_run(capsys, ["classify", path, "--json"])
     message = f"descriptor: state dimension {dim} does not match Hamiltonian dimension 2"
     assert result == (2, "", f"error: {message}\n")
+    assert peak < 2**20
+    # Hamiltonians of two dimensions once let the state be built first too:
+    # 3.9 s and a 256 MiB peak at dim 2048
+    hams = [SX, _random_hamiltonians(np.random.default_rng(2), 4)[0]]
+    path = _write(tmp_path, "hams.json", {"state": state, "hamiltonians": hams})
+    result, peak = _traced_run(capsys, ["classify", path, "--json"])
+    assert result == (2, "", "error: Hamiltonians have mismatched dimensions\n")
     assert peak < 2**20
 
 

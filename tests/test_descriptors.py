@@ -201,10 +201,21 @@ def _spin(sites, site):
             [_spin(1, 3)],
             "hamiltonians[0].params.site: site 3 outside 0..0",
         ),
-        # Hamiltonians of two dimensions: hamiltonian_set's message, whatever the state
+        # Hamiltonians of two dimensions: hamiltonian_dim's message, whatever the
+        # state, before a state that fails to build
         (
             {"family": "maximally_mixed", "params": {"dim": 4}},
             [SX_JSON, _spin(2, 0)],
+            "Hamiltonians have mismatched dimensions",
+        ),
+        (
+            {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": 2.0}},
+            [SX_JSON, _spin(2, 0)],
+            "Hamiltonians have mismatched dimensions",
+        ),
+        (
+            [{"weight": -1.0, "vector": [[1, 0], [0, 0]]}],
+            [_spin(2, 0), SX_JSON],
             "Hamiltonians have mismatched dimensions",
         ),
     ],
@@ -364,54 +375,74 @@ def test_pair_lists_accept_what_the_element_wise_parse_accepts(items):
 
 
 def test_resolve_reuses_the_parsed_arrays(monkeypatch):
-    text = json.dumps(
-        {
-            "state": [
-                {"weight": 0.75, "vector": [[1, 0], [0, 0]]},
-                {"weight": 0.25, "vector": [[0, 0], [1, 0]]},
-            ],
-            "hamiltonians": [SX_JSON, SZ_JSON],
-        }
-    )
-    desc = parse_descriptor(text)
+    eigpairs = [
+        {"weight": 0.75, "vector": [[1, 0], [0, 0]]},
+        {"weight": 0.25, "vector": [[0, 0], [1, 0]]},
+    ]
+    cases = [
+        {"state": eigpairs, "hamiltonians": [SX_JSON, SZ_JSON]},
+        NOISE,
+        {"state": {"family": "pure", "params": {"vector": [[0.6, 0], [0, 0.8]]}}, "hamiltonians": [SZ_JSON]},
+    ]
+    # every field is parsed once, at parse: resolve and each point of a sweep only build
+    descs = [parse_descriptor(json.dumps(data)) for data in cases]
+    expected = [resolve(desc) for desc in descs]
 
     def refuse(*args):
         raise AssertionError("parsed a second time")
 
     monkeypatch.setattr(descriptors, "_pairs_array", refuse)
-    rho, hs, _, _ = resolve(desc)
-    assert np.allclose(rho.matrix, np.diag([0.75, 0.25]))
-    assert np.array_equal(hs.hams[1], np.diag([1.0, -1.0]))
+    for desc, (rho_ref, hs_ref, _, _) in zip(descs, expected):
+        rho, hs, _, _ = resolve(desc)
+        assert np.array_equal(rho.matrix, rho_ref.matrix)
+        assert np.array_equal(hs.stack, hs_ref.stack)
+    assert np.allclose(expected[0][0].matrix, np.diag([0.75, 0.25]))
+    assert np.array_equal(expected[0][1].hams[1], np.diag([1.0, -1.0]))
+    # the local_spin set stays in product form
+    assert isinstance(expected[1][1].batch, LocalSpinStack)
+    values = [0.1, 0.3, 0.5, 0.7, 0.9]
+    points = [resolve(with_parameter(descs[1], "p", v))[0] for v in values]
+    stacks = list(resolve_grid(descs[1], "p", values, descriptors.resolve_halves(descs[1])))
+    assert sum(stack.n for stack in stacks) == len(values)
+    lam = np.concatenate([stack.lam for stack in stacks])
+    assert np.array_equal(lam, [rho.spectrum.eigenvalues for rho in points])
 
 
 def _float_pairs(pairs):
     return [[float(a), float(b)] for a, b in pairs]
 
 
+def _family(name, **params):
+    return {"family": name, "params": params}
+
+
 def test_serialize_writes_parsed_arrays_back_as_pairs():
     vectors = [[[1, 0], [0, 0]], [[0, 0], [0.6, -0.8]]]
     entries = [[0.5, 0], [0, 0.5], [0, -0.5], [0.5, 0]]
+    dense = ([SX_JSON, SZ_JSON], [{"dim": 2, "entries": _float_pairs(h["entries"])} for h in (SX_JSON, SZ_JSON)])
+    spins = (
+        [_family("local_spin", sites=2, site=0, axis=[1, 0, 0.5]), _family("local_spin", sites=2, site=1, axis=[0, 1, 0])],
+        [_family("local_spin", sites=2, site=0, axis=[1.0, 0.0, 0.5]), _family("local_spin", sites=2, site=1, axis=[0.0, 1.0, 0.0])],
+    )
     cases = [
         (
             [{"weight": w, "vector": v} for w, v in zip((0.8, 0.2), vectors)],
             [{"weight": w, "vector": _float_pairs(v)} for w, v in zip((0.8, 0.2), vectors)],
+            dense,
         ),
-        ({"dim": 2, "entries": entries}, {"dim": 2, "entries": _float_pairs(entries)}),
+        ({"dim": 2, "entries": entries}, {"dim": 2, "entries": _float_pairs(entries)}, dense),
+        # family params keep their parsed types: arrays as float pairs, numbers as floats, sizes as ints
+        (_family("white_noise", psi=vectors[1], p=1), _family("white_noise", psi=_float_pairs(vectors[1]), p=1.0), dense),
+        (_family("pure", vector=vectors[1]), _family("pure", vector=_float_pairs(vectors[1])), dense),
+        (_family("maximally_mixed", dim=4), _family("maximally_mixed", dim=4), spins),
+        (_family("bell_diagonal", weights=[1, 0], d=2), _family("bell_diagonal", weights=[1.0, 0.0], d=2), spins),
     ]
-    for state, canonical in cases:
-        data = {"state": state, "hamiltonians": [SX_JSON, SZ_JSON]}
-        out = serialize_descriptor(parse_descriptor(json.dumps(data)))
-        assert out["state"] == canonical
-        assert out["hamiltonians"] == [
-            {"dim": 2, "entries": _float_pairs(h["entries"])} for h in (SX_JSON, SZ_JSON)
-        ]
-        text = json.dumps(out)  # plain floats and lists only
-        assert all(
-            type(x) is float
-            for pair in json.loads(text)["hamiltonians"][0]["entries"]
-            for x in pair
-        )
-        assert serialize_descriptor(parse_descriptor(text)) == out
+    for state, canonical, (hams, hams_canonical) in cases:
+        out = serialize_descriptor(parse_descriptor(json.dumps({"state": state, "hamiltonians": hams})))
+        expected = {"state": canonical, "hamiltonians": hams_canonical, "tolerances": out["tolerances"]}
+        # the same text: plain floats where the input had ints, lists only
+        assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert serialize_descriptor(parse_descriptor(json.dumps(out))) == out
 
 
 def _example(ex_id):

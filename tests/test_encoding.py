@@ -13,6 +13,7 @@ from metrocommute.encoding import (
     encode_stack,
     evolve,
     hamiltonian_checks,
+    hamiltonian_dim,
     hamiltonian_set,
 )
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
@@ -51,6 +52,18 @@ def test_hamiltonian_set_validation_messages():
         hamiltonian_set([SZ, np.eye(3)])
     with pytest.raises(ValidationError, match="empty"):
         hamiltonian_set([])
+    # the shapes alone, as hamiltonian_set checks them first: a LocalSpin is
+    # read by its dimension, and a matrix's values are not checked
+    assert hamiltonian_dim([SZ, bad]) == 2
+    assert hamiltonian_dim([LocalSpin(40, 0, SZ), LocalSpin(40, 39, SX)]) == 2**40
+    for hams, message in (
+        ([SZ, np.eye(3)], "mismatched dimensions"),
+        ([LocalSpin(40, 0, SZ), np.eye(2)], "mismatched dimensions"),
+        ([], "empty"),
+        ([SZ, np.zeros((2, 3))], "Hamiltonian 1 must be square"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            hamiltonian_dim(hams)
 
 
 def test_hamiltonian_checks_check_a_stack_as_hamiltonian_set_checks_each():

@@ -1,6 +1,8 @@
 """Dense linear-algebra primitives: tensor products, partial trace, SWAP,
 trace norm, Hermitian eigendecomposition, and matrix exponentials."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,10 @@ def test_swap_operator_involution():
     s = swap_operator(3)
     assert np.allclose(s @ s, np.eye(9))
     assert np.allclose(s, s.conj().T)
+    # NaN and the infinities once raised a bare ValueError or OverflowError
+    for d in (1, 2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="integer d"):
+            swap_operator(d)
 
 
 def test_trace_norm_matches_singular_values():

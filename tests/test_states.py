@@ -1,5 +1,6 @@
 """Density-matrix construction, spectral data, state families, and POVMs."""
 
+import math
 import re
 
 import numpy as np
@@ -361,8 +362,10 @@ def test_bell_diagonal_pads_and_validates():
     assert bd.rho.spectrum.rank == 2
     with pytest.raises(ValidationError, match="exceed"):
         bell_diagonal(np.ones(5) / 5, 2)
-    with pytest.raises(ValidationError, match="integer d"):
-        bell_diagonal([1.0], 1)
+    # NaN and the infinities once raised a bare ValueError or OverflowError
+    for d in (1, 2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="integer d"):
+            bell_diagonal([1.0], d)
 
 
 def test_tensor_power():
