@@ -19,17 +19,26 @@ operators in the original frame are built only when read. The SLDs vanish
 on the kernel-kernel block, so every product l_i l_j is formed from their r
 support rows.
 
+The S, O and P norms are sums of squared commutator entries, taken
+PAIR_BLOCK pairs at a time (_commutator_norms): no array of every pair's
+d x d commutator is held, so a problem's memory does not grow with the
+number of pairs. ConditionOperators is a view on an SLD set's rows: it
+keeps the SldSet and the norms, and builds the commutators of every pair
+(_commutators, the one formula c = X - X^dag) and the operators only when
+they are read.
+
 classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
 metrology.qfim compute both in the computational basis from the operators
 L_i, as the imaginary and real parts of one state trace tr[(rho L_i) L_j]
 (metrology._state_traces), and are classify's anchors. classify_stack
 evaluates a ProblemStack, N problems of one (dim, m, rank), through the
-stacked kernels (encode_stack, sld_row_stack, the pair commutators, Q and
-incompatibility_stack) with a leading (N, ...) axis. It returns the norms, flags and E as arrays, which a
-sweep formats directly. classify builds the one-problem stack of its state
-and Hamiltonians, and its report is a view of the same arrays;
-condition_operators_direct is the pair kernel at N = 1.
+stacked kernels (encode_stack, sld_row_stack, the blocked norm kernel, Q
+and incompatibility_stack) with a leading (N, ...) axis. It returns the
+norms, flags and E as arrays, which a sweep formats directly. classify
+builds the one-problem stack of its state and Hamiltonians, and its report
+is a view of the same arrays; condition_operators_direct is the norm kernel
+at N = 1.
 
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
@@ -38,7 +47,7 @@ on the one pair axis of operator_core (_pairs, in itertools.combinations
 order), with no loop over pairs; weak_direct, pc_trace_norm and
 _operator_matrix (a (pairs, d, d) stack) place their pair values in the
 m x m matrix through operator_core._pair_matrix. ConditionOperators and
-SupportKernelTerms hold pair stacks and build each m x m matrix only when it
+SupportKernelTerms give pair stacks and build each m x m matrix only when it
 is read; support_kernel_decomposition's check compares the pair stacks of P,
 O and S with those of the direct SLD route.
 
@@ -58,10 +67,15 @@ from .encoding import EncodingPoint, checked_theta, encode_stack
 from .metrology import QfimResult, _state_traces, incompatibility_stack, qfim_stack
 from .operator_core import ValidationError, _pair_matrix, _pairs, dagger, frobenius_rows
 from .sld import SldSet, sld_row_stack, sld_rotated
+from .states import MAX_POINT_BYTES
 
 # chunk_size sizes a ProblemStack for one classify_stack call so that its
 # estimated peak memory (point_bytes per problem) stays within this
 CHUNK_BYTES = 16 * 2**20
+
+# the S/O/P norm kernel holds the commutators of this many pairs at a time;
+# at 4, every problem with m <= 3 is one block
+PAIR_BLOCK = 4
 
 
 @dataclass(eq=False)
@@ -261,26 +275,32 @@ def weak_series_truncation(spec, pt, alpha):
 
 @dataclass(eq=False)
 class ConditionOperators:
-    """S, O and P of one SLD set, held as eigenbasis commutators.
+    """S, O and P of one SLD set, a view on its eigenbasis rows.
 
-    comm[k] is c = V^dag S_ij V = l_i l_j - l_j l_i for the k-th pair i < j in
-    row-major order, with l_i the SLDs in the state eigenbasis V and r the
-    rank, so V^dag O_ij V = c[:, :r] and V^dag P_ij V = c[:r, :r]. `norms`
-    holds the Frobenius norm of each m x m operator matrix (both signs of
-    every pair), from c by unitary invariance. The operator matrices S, O and
-    P in the frame of the SLDs are built on first read.
+    `norms` holds the Frobenius norm of each m x m operator matrix (both
+    signs of every pair). comm[k] is c = V^dag S_ij V = l_i l_j - l_j l_i for
+    the k-th pair i < j in row-major order, with l_i the SLDs in the state
+    eigenbasis V = slds.spec.eigenvectors and r the rank, so V^dag O_ij V =
+    c[:, :r] and V^dag P_ij V = c[:r, :r]; it is built from slds.rows on
+    first read, and so are the operator matrices S, O and P in the frame of
+    the SLDs.
     """
 
-    comm: np.ndarray
-    eigenvectors: np.ndarray
-    rank: int
-    m: int
+    slds: SldSet
     norms: dict
+
+    @property
+    def m(self):
+        return len(self.slds.rows)
+
+    @cached_property
+    def comm(self):
+        return _commutators(self.slds.rows, _pairs(self.m))
 
     def pair_stack(self, kind):
         """The (pairs, d, d) stack of S, O or P in the frame of the SLDs: the
         pair blocks i < j of that operator matrix."""
-        v, r = self.eigenvectors, self.rank
+        v, r = self.slds.spec.eigenvectors, self.slds.spec.rank
         rows, cols = {"S": (None, None), "O": (None, r), "P": (r, r)}[kind]
         return v[:, :rows] @ self.comm[:, :rows, :cols] @ dagger(v[:, :cols])
 
@@ -289,46 +309,44 @@ class ConditionOperators:
     P = _operator_property("P")
 
 
-def _pair_commutators(rows):
-    """Eigenbasis commutators of every SLD pair for N problems of one shape.
-
-    rows: (N, m, r, d) SLD support rows. Returns (c, norms): c = l_i l_j -
-    l_j l_i for every pair i < j in row-major order, (N, pairs, d, d), and
-    the S, O and P norms, each (N,). The l_i vanish on the kernel-kernel
-    block, so l_i l_j is R_i^dag R_j plus R_i[:, r:] R_j[:, r:]^dag on the
-    support-support block, d^2 r per pair, and c = X - X^dag is the
-    commutator of the two Hermitian l's.
-    """
-    n, m, r, _ = rows.shape
-    first, second = _pairs(m)
-    a = rows[:, first]
-    b = rows[:, second]
+def _commutators(rows, pairs):
+    """c = l_i l_j - l_j l_i for the pairs (first, second) of SLD support
+    rows (..., m, r, d), as (..., pairs, d, d). The l_i vanish on the
+    kernel-kernel block, so l_i l_j is R_i^dag R_j plus R_i[:, r:]
+    R_j[:, r:]^dag on the support-support block, d^2 r per pair, and
+    c = X - X^dag is the commutator of the two Hermitian l's."""
+    r = rows.shape[-2]
+    a, b = (rows[..., p, :, :] for p in pairs)
     x = dagger(a) @ b
     x[..., :r, :r] += a[..., r:] @ dagger(b[..., r:])
-    c = x - dagger(x)
-    del x
-    sq = c.real**2
-    sq += c.imag**2
+    return x - dagger(x)
+
+
+def _commutator_norms(rows):
+    """The S, O and P norms, each (N,), of N problems' SLD support rows
+    (N, m, r, d). The squared entries of the pair commutators are summed
+    PAIR_BLOCK pairs at a time, and no commutator outlives its block."""
+    n, m, r, _ = rows.shape
+    pairs = _pairs(m)
+    sums = np.zeros((3, n))
+    for k in range(0, pairs.shape[1], PAIR_BLOCK):
+        c = _commutators(rows, pairs[:, k : k + PAIR_BLOCK])
+        sq = c.real**2
+        sq += c.imag**2
+        del c
+        sums += [b.sum(axis=(1, 2, 3)) for b in (sq, sq[..., :r], sq[..., :r, :r])]
     # every pair appears twice in the m x m matrix, once with each sign
-    blocks = {"S": sq, "O": sq[..., :r], "P": sq[..., :r, :r]}
-    return c, {k: np.sqrt(2.0 * v.sum(axis=(1, 2, 3))) for k, v in blocks.items()}
+    return dict(zip("SOP", np.sqrt(2.0 * sums)))
 
 
 def condition_operators_direct(spec, slds):
     """S, O, P from the SLD commutators, cut to the support of the state.
 
-    Works on the eigenbasis SLD rows slds.rows (in the basis of spec), R_i =
-    l_i[:r, :], through the stacked pair kernel at N = 1.
+    Works on the eigenbasis SLD rows slds.rows, R_i = l_i[:r, :], in the
+    basis of spec = slds.spec, through the blocked pair kernel at N = 1.
     """
-    m, r, _ = slds.rows.shape
-    c, norms = _pair_commutators(slds.rows[None])
-    return ConditionOperators(
-        comm=c[0],
-        eigenvectors=spec.eigenvectors,
-        rank=r,
-        m=m,
-        norms={k: float(v[0]) for k, v in norms.items()},
-    )
+    norms = _commutator_norms(slds.rows[None])
+    return ConditionOperators(slds, {k: float(v[0]) for k, v in norms.items()})
 
 
 @dataclass(eq=False)
@@ -582,8 +600,9 @@ class StackedClassification:
     FLAG_KINDS order (WC, PC, OC, SC); scale: (n,); E: (n,), NaN where the
     QFIM is singular. The rest are the kernel arrays that the reports view:
     the encoding (kappa, w, x), with a leading axis of 1 when every problem
-    shares it, and per problem the SLD rows, the pair commutators `comm`,
-    W (`w_stack`) and the QFIM matrices `f`.
+    shares it, and per problem the SLD rows, W (`w_stack`) and the QFIM
+    matrices `f`. No pair commutator is kept: a report's ConditionOperators
+    builds them from the SLD rows when they are read.
     """
 
     norms: np.ndarray
@@ -594,14 +613,13 @@ class StackedClassification:
     w: np.ndarray
     x: np.ndarray
     rows: np.ndarray
-    comm: np.ndarray
     w_stack: np.ndarray
     f: np.ndarray
 
 
 def classify_stack(stack, tol=1e-8):
     """The stacked classify kernel: every problem of a ProblemStack in one
-    pass of encode_stack, sld_row_stack, the pair commutators, Q,
+    pass of encode_stack, sld_row_stack, the blocked S/O/P norms, Q,
     and incompatibility_stack. A Hamiltonian set that the problems share is
     encoded once. Returns a StackedClassification; each problem's
     norms, flags and E are those classify gives for it.
@@ -612,7 +630,7 @@ def classify_stack(stack, tol=1e-8):
     with np.errstate(over="ignore", invalid="ignore"):
         kappa, w, x = encode_stack(stack.hams, stack.theta)
         rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, w, x)
-        comm, op_norms = _pair_commutators(rows)
+        op_norms = _commutator_norms(rows)
         q = _state_product_stack(stack.lam, rows)
         w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
         w_norms = frobenius_rows(w_stack)
@@ -640,7 +658,6 @@ def classify_stack(stack, tol=1e-8):
         w=w,
         x=x,
         rows=rows,
-        comm=comm,
         w_stack=w_stack,
         f=f,
     )
@@ -650,6 +667,7 @@ def _report(spec, theta, res, tol):
     """The ClassificationReport of a checked one-problem stack, from its
     classify_stack arrays."""
     e = float(res.E[0])
+    slds = SldSet(spec=spec, rows=res.rows[0])
     flags = dict(zip(FLAG_KINDS, map(bool, res.flags[0])))
     consistent, converse_failures = _verdict(flags)
     norms = dict(zip(NORM_KINDS, map(float, res.norms[0])))
@@ -667,26 +685,30 @@ def _report(spec, theta, res, tol):
         qfim=qfim_stack(res.f)[0],
         E=None if np.isnan(e) else e,
         point=EncodingPoint(theta=theta, kappa=res.kappa[0], w=res.w[0], elems=res.x[0]),
-        slds=SldSet(spec=spec, rows=res.rows[0]),
-        operators=ConditionOperators(
-            comm=res.comm[0],
-            eigenvectors=spec.eigenvectors,
-            rank=spec.rank,
-            m=len(res.x[0]),
-            norms={kind: norms[kind] for kind in ("S", "O", "P")},
-        ),
+        slds=slds,
+        operators=ConditionOperators(slds, {kind: norms[kind] for kind in "SOP"}),
     )
 
 
 def point_bytes(dim, m):
     """Estimated peak bytes one resolved problem adds to a classify_stack
-    call: 16 dim^2 bytes times 4 m + 5 m (m - 1) / 2 + 6, counting the
-    problem's own Hamiltonians and eigenvectors, the stacked generators and
-    their temporaries, and the pair commutators with theirs. tracemalloc
-    puts the marginal cost of a problem at 5.7 to 13.9 times 16 m dim^2
-    bytes for dim 32 to 128, m 1 to 5 and rank 1 to dim, below this
-    estimate in every case."""
-    return 16 * dim * dim * (4 * m + 5 * m * (m - 1) // 2 + 6)
+    call: 16 dim^2 bytes times 4 m + 5 min(m (m - 1) / 2, PAIR_BLOCK) + 6,
+    counting the problem's own Hamiltonians and eigenvectors, the stacked
+    generators and their temporaries, and one block of pair commutators
+    with theirs. tracemalloc puts the marginal cost of a problem at 0.52 to
+    0.89 of this estimate for dim 32 to 128, m 1 to 6 and rank 1 to dim."""
+    return 16 * dim * dim * (4 * m + 5 * min(m * (m - 1) // 2, PAIR_BLOCK) + 6)
+
+
+def check_point_bytes(dim, m):
+    """Raise ValidationError when one problem of dimension dim with m
+    parameters would pass MAX_POINT_BYTES at point_bytes' estimate."""
+    need = point_bytes(dim, m)
+    if need > MAX_POINT_BYTES:
+        raise ValidationError(
+            f"a problem of dimension {dim} with m = {m} parameters needs an estimated "
+            f"{need / 2**20:.1f} MiB to classify, past the {MAX_POINT_BYTES / 2**20:.1f} MiB limit"
+        )
 
 
 def chunk_size(dim, m):
@@ -708,8 +730,9 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     computational basis and serve as their independent anchors. The report
     keeps the encoding point, SLD set and condition operators of that pass,
     so callers need no second pass. The P, O and S norms come from the
-    eigenbasis commutators; no d x d operator block is built until
-    `report.operators` is asked for one. This is classify_stack at N = 1.
+    eigenbasis commutators, PAIR_BLOCK pairs at a time; no commutator is
+    kept, and none is built again until `report.operators` is asked for
+    one. This is classify_stack at N = 1.
     """
     theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)
     if rho.dim != h_set.dim:

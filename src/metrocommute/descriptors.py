@@ -30,14 +30,25 @@ nothing dense) and their one dimension is read from their shapes
 (encoding.hamiltonian_dim); the state's dimension is read from its spec
 (_state_dim: an eigpair vector's length, a raw matrix's size, a
 white_noise or pure vector's length, maximally_mixed's dim or
-bell_diagonal's d^2, each past its cap); the two dimensions are compared;
-only then is the state built and the Hamiltonian set checked
-(encoding.hamiltonian_set), and theta and the weight checked against the
-set's m (the weight's shape, symmetry and definiteness in
-metrology._checked_weight alone). An example brings its own Hamiltonians,
-of its state's dimension, and skips the comparison. A sweep cannot change
+bell_diagonal's d^2, each within its cap); the two dimensions are
+compared; the problem's estimated classify cost, conditions.point_bytes
+of that dimension and the number of Hamiltonians, is checked against
+states.MAX_POINT_BYTES (conditions.check_point_bytes); only then is the
+state built and the Hamiltonian set checked (encoding.hamiltonian_set),
+and theta and the weight checked against the set's m (the weight's shape,
+symmetry and definiteness in metrology._checked_weight alone). An example
+brings its own Hamiltonians, of its state's dimension, and skips the
+comparison; EX2, the one example whose dim is a parameter, checks the
+estimate with its dim, before either half is built. A sweep cannot change
 m, and EX2's dim moves both halves together, so the grid's batches check
-only what a point builds.
+only what a point builds, and a swept dim past the estimate fails at its
+point with EX2's message.
+
+A field whose value fails only when it is built names its path too: a
+white_noise psi or a pure vector that is not finite or is zero
+(state.params.psi, state.params.vector), the first such vector of an
+eigpair list (state[k].vector), and a bell_diagonal d out of range
+(state.params.d, checked at parse).
 
 `resolve_grid` materializes a descriptor at each value of one swept family
 parameter, as stacked arrays (conditions.ProblemStack) with no object per
@@ -63,7 +74,7 @@ from itertools import chain
 
 import numpy as np
 
-from .conditions import ProblemStack, chunk_size
+from .conditions import ProblemStack, check_point_bytes, chunk_size
 from .encoding import LocalSpin, checked_theta, hamiltonian_checks, hamiltonian_dim, hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
@@ -80,6 +91,7 @@ from .operator_core import ValidationError, as_square_matrix
 from .states import (
     MAX_DIM,
     RANK_TOL,
+    EigpairVectors,
     bell_diagonal,
     bell_dim,
     density_from_eigpairs,
@@ -136,7 +148,7 @@ def load_json(text):
 def _number(value, path):
     """A JSON number as a float; an integer too large for a float fails."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
+        _fail(path, f"expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -245,6 +257,13 @@ def _numbers(value, path):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _bell_d(value, path):
+    """bell_diagonal's d as an int, in the range states.bell_dim admits."""
+    d = _integer(value, path)
+    _named(path, bell_dim, d)
+    return d
+
+
 def _mixed_dim(value, path):
     if isinstance(value, bool) or not isinstance(value, int) or value < 2:
         _fail(path, f"expected an integer >= 2, got {value!r}")
@@ -293,7 +312,7 @@ def _local_spin_params(params, path):
 # they are merged with its defaults (examples._merged_parameters)
 _STATE_PARAMS = {
     "white_noise": _fields("white_noise", {"psi": vector_from_json, "p": _number}),
-    "bell_diagonal": _fields("bell_diagonal", {"weights": _numbers, "d": _integer}),
+    "bell_diagonal": _fields("bell_diagonal", {"weights": _numbers, "d": _bell_d}),
     "pure": _fields("pure", {"vector": vector_from_json}),
     "maximally_mixed": _fields("maximally_mixed", {"dim": _mixed_dim}),
     "example": lambda params, path: dict(params),
@@ -419,11 +438,28 @@ def parse_descriptor(source):
     return desc
 
 
-def _pure(params):
+def _named(path, build, *args):
+    """build(*args), a ValidationError it raises prefixed with the path of
+    the field it was built from."""
     try:
-        return density_from_eigpairs([(1.0, params["vector"])])
+        return build(*args)
     except ValidationError as err:
-        _fail("state.params.vector", str(err))
+        _fail(path, str(err))
+
+
+def _pure(params):
+    return _named("state.params.vector", density_from_eigpairs, [(1.0, params["vector"])])
+
+
+def _eigpair_state(pairs):
+    """The state of a parsed eigpair list; when it fails on a vector, the
+    first vector that fails alone is named as state[k].vector."""
+    try:
+        return density_from_eigpairs(pairs)
+    except ValidationError:
+        for k, (_, vec) in enumerate(pairs):
+            _named(f"state[{k}].vector", EigpairVectors, [vec])
+        raise
 
 
 # state family -> its state half, which reads the family's own parameters,
@@ -431,7 +467,7 @@ def _pure(params):
 _FAMILY_STATES = {
     "white_noise": EigpairHalf(
         Half(("psi", "p"), lambda p: white_noise_weights(p["p"], p["psi"].size)),
-        Half(("psi",), lambda p: white_noise_vectors(p["psi"])),
+        Half(("psi",), lambda p: _named("state.params.psi", white_noise_vectors, p["psi"])),
     ),
     "bell_diagonal": Half(("weights", "d"), lambda p: bell_diagonal(p["weights"], p["d"]).rho),
     "pure": Half(("vector",), _pure),
@@ -456,7 +492,7 @@ def _halves(desc):
     params = {}
     if isinstance(spec, list):
         pairs = [(item["weight"], item["vector"]) for item in spec]
-        state = Half((), lambda p: density_from_eigpairs(pairs))
+        state = Half((), lambda p: _eigpair_state(pairs))
     elif isinstance(spec, np.ndarray):
         state = Half((), lambda p: spec)
     else:
@@ -478,14 +514,14 @@ def _state_dim(spec):
     """The dimension of a state spec other than an example's, read from the
     spec without building the state: an eigpair vector's length, a raw
     matrix's size, a white_noise or pure vector's length, a maximally_mixed
-    dim or a bell_diagonal d^2, each past its cap."""
+    dim or a bell_diagonal d^2, each within its cap (checked at parse)."""
     if not isinstance(spec, dict):  # a raw matrix or an eigpair list
         return len(spec) if isinstance(spec, np.ndarray) else spec[0]["vector"].size
     family, params = spec["family"], spec["params"]
     if family == "maximally_mixed":
         return params["dim"]
     if family == "bell_diagonal":
-        return bell_dim(params["d"])
+        return params["d"] ** 2
     return params["psi" if family == "white_noise" else "vector"].size
 
 
@@ -515,15 +551,19 @@ def resolve_halves(desc):
 
     The shapes are decided before anything is built: the Hamiltonian specs
     resolve (_halves; LocalSpins and parsed matrices, nothing dense), their
-    one dimension is read from their shapes (encoding.hamiltonian_dim), and
-    the state's dimension, read from its spec (_state_dim), must be that
-    one. Only then is the state built and the Hamiltonian set checked. An
-    example brings its own Hamiltonians and skips the comparison."""
+    one dimension is read from their shapes (encoding.hamiltonian_dim), the
+    state's dimension, read from its spec (_state_dim), must be that one,
+    and the estimate of what the problem adds to a classify must be within
+    MAX_POINT_BYTES (conditions.check_point_bytes). Only then is the state
+    built and the Hamiltonian set checked. An example brings its own
+    Hamiltonians and skips the comparison (EX2 checks its estimate itself)."""
     params, state, hamiltonians = _halves(desc)
     if desc.hamiltonian_specs is not None:
-        dims = _state_dim(desc.state_spec), hamiltonian_dim(hamiltonians.build(params))
+        hams = hamiltonians.build(params)
+        dims = _state_dim(desc.state_spec), hamiltonian_dim(hams)
         if dims[0] != dims[1]:
             _fail("descriptor", "state dimension %s does not match Hamiltonian dimension %s" % dims)
+        check_point_bytes(dims[1], len(hams))
     rho, vectors = build_state(state, params)
     hs = hamiltonian_set(hamiltonians.build(params))
     return Halves(params, state, hamiltonians, vectors, _problem(desc, rho, hs))

@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import classify, classify_stack, support_kernel_decomposition, weak_direct
+from .conditions import (
+    check_point_bytes,
+    classify,
+    classify_stack,
+    support_kernel_decomposition,
+    weak_direct,
+)
 from .encoding import encode, hamiltonian_set
 from .metrology import qcr_scalar
 from .operator_core import ValidationError, dagger, matrix_exp_i, tensor
@@ -277,11 +283,14 @@ def _whole_number(value):
 
 
 def _ex2_dim(p):
+    """EX2's dim, an integer in 2..MAX_DIM whose problem (two Hamiltonians)
+    is within the byte limit; both halves read it before they build."""
     dim = _whole_number(p["dim"])
     if dim is None or dim < 2:
         raise ValidationError("out-of-domain parameters: dim must be an integer >= 2")
     if dim > MAX_DIM:
         raise ValidationError(f"out-of-domain parameters: dim must be at most {MAX_DIM}")
+    check_point_bytes(dim, 2)
     return dim
 
 

@@ -58,6 +58,10 @@ TRACE_TOL = 1e-10
 # the largest dimension of a state that a family or example builds from its
 # parameters; checked before anything of that size is allocated
 MAX_DIM = 4096
+# the largest estimate of what one problem adds to a classify
+# (conditions.point_bytes) that a descriptor or example may ask for; checked
+# once its dimension and m are known, before its state is built
+MAX_POINT_BYTES = 2**30
 
 
 @dataclass(eq=False)

@@ -760,11 +760,11 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
             for state, message in (
                 (
                     [{"weight": 1.0, "vector": [[math.inf, 0], [0, 0]]}],
-                    "eigpair vectors have non-finite entries",
+                    "state[0].vector: eigpair vectors have non-finite entries",
                 ),
                 (
                     {"family": "white_noise", "params": {"psi": [[1, 0], [0, -math.inf]], "p": 0.5}},
-                    "eigpair vectors have non-finite entries",
+                    "state.params.psi: eigpair vectors have non-finite entries",
                 ),
                 (
                     {"family": "pure", "params": {"vector": [[math.inf, 0], [0, 0]]}},
@@ -840,7 +840,7 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
                 {"family": "bell_diagonal", "params": {"weights": [1.0], "d": d}},
                 4,
                 ["classify", "--json"],
-                f"bell_diagonal needs d^2 <= {states.MAX_DIM}, got d = {d}",
+                f"state.params.d: bell_diagonal needs d^2 <= {states.MAX_DIM}, got d = {d}",
             )
             for d in (100000, HUGE)
         ),
@@ -865,7 +865,7 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
             for family, params, message in (
                 ("white_noise", {"psi": [], "p": 0.5}, "state.params.psi: expected a non-empty list of [re, im] pairs"),
                 ("pure", {"vector": []}, "state.params.vector: expected a non-empty list of [re, im] pairs"),
-                ("white_noise", {"psi": [[1, 0], [0, 0]], "p": True}, "state.params.p: expected a number, got bool"),
+                ("white_noise", {"psi": [[1, 0], [0, 0]], "p": True}, "state.params.p: expected a number, got True"),
                 ("maximally_mixed", {"dim": None}, "state.params.dim: expected an integer >= 2, got None"),
             )
         ),
@@ -874,6 +874,39 @@ def test_classify_exits_2_on_huge_non_hermitian_hamiltonians(tmp_path, capsys):
             None,
             ["classify", "--json"],
             "parameter 'p' for EX4: expected a number, got None",
+        ),
+        # a vector or d that fails only when built once gave a message
+        # without its field, and a number of the wrong type named its type
+        *(
+            (state, 2, ["classify", "--json"], message)
+            for state, message in (
+                (
+                    {"family": "white_noise", "params": {"psi": [[math.nan, 0], [0, 0]], "p": 0.5}},
+                    "state.params.psi: eigpair vectors have non-finite entries",
+                ),
+                (
+                    {"family": "white_noise", "params": {"psi": [[0, 0], [0, 0]], "p": 0.5}},
+                    "state.params.psi: zero vector in eigpairs",
+                ),
+                (
+                    [{"weight": 0.5, "vector": [[1, 0], [0, 0]]}, {"weight": 0.5, "vector": [[0, 0], [0, 0]]}],
+                    "state[1].vector: zero vector in eigpairs",
+                ),
+                # each vector passes alone: the weights' message is the list's
+                (
+                    [{"weight": 1.5, "vector": [[1, 0], [0, 0]]}, {"weight": -0.5, "vector": [[0, 0], [1, 0]]}],
+                    "negative weight -0.5",
+                ),
+                (
+                    {"family": "bell_diagonal", "params": {"weights": [1.0], "d": 1}},
+                    "state.params.d: bell_diagonal needs integer d >= 2",
+                ),
+                (
+                    {"family": "white_noise", "params": {"psi": [[1, 0], [0, 0]], "p": None}},
+                    "state.params.p: expected a number, got None",
+                ),
+                ([{"weight": "x", "vector": [[1, 0], [0, 0]]}], "state[0].weight: expected a number, got 'x'"),
+            )
         ),
     ],
 )
@@ -952,6 +985,84 @@ def test_a_state_is_checked_against_the_hamiltonians_before_it_is_built(tmp_path
     result, peak = _traced_run(capsys, ["classify", path, "--json"])
     assert result == (2, "", "error: Hamiltonians have mismatched dimensions\n")
     assert peak < 2**20
+
+
+def _w_pair(n, lam=0.3):
+    """EX5's W-type pair on n qubits as an eigpair list: weights lam and
+    1 - lam on psi_+- = sum_k omega^(+-k) |e_k> / sqrt(n), |e_k> the state
+    with one excitation, on qubit k, and omega = exp(2 pi i / n)."""
+    pairs = []
+    for weight, sign in ((lam, 1), (1.0 - lam, -1)):
+        vec = np.zeros(2**n, dtype=complex)
+        for k in range(n):
+            vec[1 << (n - 1 - k)] = np.exp(2j * np.pi * sign * k / n) / np.sqrt(n)
+        pairs.append({"weight": weight, "vector": [[z.real, z.imag] for z in vec.tolist()]})
+    return pairs
+
+
+def _budget_message(dim, m):
+    need = conditions.point_bytes(dim, m) / 2**20
+    limit = conditions.MAX_POINT_BYTES / 2**20
+    return (
+        f"a problem of dimension {dim} with m = {m} parameters needs an estimated "
+        f"{need:.1f} MiB to classify, past the {limit:.1f} MiB limit"
+    )
+
+
+# the W pair's two vectors of 4096 [re, im] pairs take 1.4 MiB to parse
+@pytest.mark.parametrize(
+    "state, mib", [({"family": "maximally_mixed", "params": {"dim": 4096}}, 1), (_w_pair(12), 2)]
+)
+def test_a_problem_past_the_byte_limit_exits_2_before_it_is_built(tmp_path, capsys, state, mib):
+    # one sigma_z per qubit on 12 qubits: 18.5 GiB by the byte model, which
+    # nothing capped; the state is never built
+    hams = _spins(12, range(12), [[0.0, 0.0, 1.0]] * 12)
+    path = _write(tmp_path, "big.json", {"state": state, "hamiltonians": hams})
+    result, peak = _traced_run(capsys, ["classify", path, "--json"])
+    assert result == (2, "", f"error: {_budget_message(4096, 12)}\n")
+    assert peak < mib * 2**20
+
+
+def test_the_byte_limit_admits_a_problem_at_its_edge(tmp_path, capsys, monkeypatch):
+    state = {"family": "white_noise", "params": {"psi": [[0.6, 0], [0, 0], [0, 0], [0, 0.8]], "p": 0.5}}
+    hams = _spins(2, [0, 1], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    path = _write(tmp_path, "edge.json", {"state": state, "hamiltonians": hams})
+    ex2 = _write(tmp_path, "ex2.json", {"state": {"family": "example", "params": {"id": "EX2"}}})
+    edge = conditions.point_bytes(4, 2)
+    monkeypatch.setattr(conditions, "MAX_POINT_BYTES", edge)
+    assert _run(capsys, ["classify", path, "--json"])[0] == 0
+    assert _run(capsys, ["sweep", path, "--param", "p", "--grid", "0:1:3"])[0] == 0
+    # EX2's dim fixes its shapes (m = 2): dim 4 is at the edge, 5 past it, and
+    # a sweep of dim fails at that point before it is built
+    assert _run(capsys, ["classify", ex2, "--json"])[0] == 0
+    message = _budget_message(5, 2)
+    argv = ["sweep", ex2, "--param", "dim", "--grid", "3:5:3"]
+    assert _run(capsys, argv) == (2, "", f"error: grid value dim=5: {message}\n")
+    monkeypatch.setattr(conditions, "MAX_POINT_BYTES", edge - 1)
+    for argv in (["classify", path, "--json"], ["sweep", path, "--param", "p", "--grid", "0:1:3"]):
+        assert _run(capsys, argv) == (2, "", f"error: {_budget_message(4, 2)}\n")
+
+
+def test_the_byte_limit_admits_nine_sites_of_the_w_pair():
+    # nine qubits, nine sigma_z terms: 248 MiB by the byte model, inside the
+    # limit; twelve are not
+    assert conditions.point_bytes(512, 9) == 248 * 2**20
+    conditions.check_point_bytes(512, 9)
+    with pytest.raises(ValidationError, match="dimension 4096 with m = 12"):
+        conditions.check_point_bytes(4096, 12)
+
+
+def test_the_w_pair_on_seven_qubits_classifies_without_a_stack_of_pair_commutators(
+    tmp_path, capsys
+):
+    # the 21 pair commutators of d = 128 are summed four at a time: a stack of
+    # all of them took the peak to 18.5 MiB
+    hams = _spins(7, range(7), [[0.0, 0.0, 1.0]] * 7)
+    path = _write(tmp_path, "w7.json", {"state": _w_pair(7), "hamiltonians": hams})
+    (code, out, _), peak = _traced_run(capsys, ["classify", path, "--json"])
+    assert code == 0
+    assert json.loads(out)["norms"]["P"] == pytest.approx(128 / 7 * 0.3 * 0.7, rel=1e-12)
+    assert peak < 10 * 2**20
 
 
 K_OVERFLOW = "K = sum_i theta_i H_i overflows: theta is too large"

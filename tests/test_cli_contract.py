@@ -12,6 +12,8 @@ warning breaks the contract.
 Sizes up to the cap (states.MAX_DIM = 4096) are among the mutations: a
 state's dimension is read from its spec and compared with the Hamiltonians'
 before the state is built, so a mismatched size exits 2 without building.
+So is the edge of the byte limit (states.MAX_POINT_BYTES): 1880 is the
+least EX2 dim past it, and a problem past it exits 2 before it is built.
 """
 
 import contextlib
@@ -139,6 +141,7 @@ VALUES = [
     3,
     -1,
     1024,
+    1880,
     2048,
     4096,
     4097,
@@ -339,6 +342,16 @@ EXAMPLES = [
         "p",
     ),
     ({"state": _family("bell_diagonal", weights=[1.0], d=32), "hamiltonians": [SX, SZ]}, "d"),
+    # problems past the byte limit, which nothing refused before: EX2 just
+    # past it, and one sigma_z per qubit on 12 qubits
+    ({"state": {"family": "example", "params": {"id": "EX2", "dim": 1880}}}, "dim"),
+    (
+        {
+            "state": _family("maximally_mixed", dim=4096),
+            "hamiltonians": [_spin(k, [0, 0, 1.0], sites=12) for k in range(12)],
+        },
+        "p",
+    ),
     # inputs found by hand before: a negative seed, Hamiltonians whose
     # products overflow, and an entry whose modulus overflows
     ({"state": {"family": "example", "params": {"id": "EX2", "seed": -1}}}, "p"),

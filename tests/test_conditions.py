@@ -1,8 +1,10 @@
 """Condition matrices by every route, the support/kernel split, the
 trace-norm indicator, and hierarchy classification."""
 
+import dataclasses
 import inspect
 import json
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -1015,3 +1017,73 @@ def test_classify_checks_theta_before_the_dimensions():
         classify(qubit, hs)
     with pytest.raises(ValidationError, match="1 Hamiltonians"):
         classify(qubit, hs, theta=[0.1, 0.2])
+
+
+def test_blocked_norms_match_the_operators_built_on_read():
+    # m = 5 and 6 give 10 and 15 pairs: several blocks of PAIR_BLOCK pairs
+    # and an uneven last one; the norms summed block by block agree with
+    # those of the operator matrices built from the SLD rows on first read
+    rng = np.random.default_rng(26)
+    for d, rank, m in ((5, 3, 5), (6, 6, 6), (4, 1, 6)):
+        assert m * (m - 1) // 2 % conditions.PAIR_BLOCK != 0
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
+        theta = rng.normal(size=m)
+        rep = classify(rho, hs, theta=theta)
+        direct = condition_operators_direct(rho.spectrum, sld_rotated(rho.spectrum, encode(hs, theta)))
+        for ops in (rep.operators, direct):
+            assert ops.comm.shape == (m * (m - 1) // 2, d, d)
+            for kind in ("S", "O", "P"):
+                built = getattr(ops, kind).norm
+                assert ops.norms[kind] == pytest.approx(built, rel=1e-12, abs=1e-14 * rep.scale)
+                assert ops.norms[kind] == pytest.approx(rep.norms[kind], rel=1e-12)
+
+
+def test_the_report_keeps_no_pair_commutators():
+    # ConditionOperators is a view on the report's SLD set: it holds that set
+    # and the norms, and its commutators are built only when read
+    rng = np.random.default_rng(27)
+    rho = density_matrix(random_density(rng, 4, rank=2))
+    hs = hamiltonian_set([random_hermitian_matrix(rng, 4) for _ in range(3)])
+    rep = classify(rho, hs, theta=rng.normal(size=3))
+    assert [f.name for f in dataclasses.fields(rep.operators)] == ["slds", "norms"]
+    assert rep.operators.slds is rep.slds
+    assert "comm" not in vars(rep.operators)
+    assert "comm" not in [f.name for f in dataclasses.fields(conditions.StackedClassification)]
+    assert rep.operators.P.m == 3
+    assert "comm" in vars(rep.operators)
+
+
+def _stack_peak(rng, n, d, m, rank):
+    """tracemalloc peak of building n random problems of one shape, dense
+    Hamiltonians each, and running classify_stack on them."""
+    tracemalloc.start()
+    try:
+        a = rng.normal(size=(n, m, d, d)) + 1j * rng.normal(size=(n, m, d, d))
+        hams = (a + dagger(a)) / 2.0
+        del a
+        vectors = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+        lam = np.zeros((n, d))
+        lam[:, :rank] = np.sort(rng.random((n, rank)))[:, ::-1]
+        lam /= lam.sum(axis=1, keepdims=True)
+        stack = conditions.ProblemStack(
+            n=n, rank=rank, lam=lam, vectors=vectors, hams=hams, theta=rng.normal(size=m)
+        )
+        conditions.classify_stack(stack)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_point_bytes_bounds_the_marginal_cost_of_a_problem():
+    # what one more problem adds to the peak of a stacked classify, its own
+    # Hamiltonians and eigenvectors counted, stays below the byte model up
+    # to m = 6 (15 pairs, four blocks), whose pair term no longer grows
+    rng = np.random.default_rng(28)
+    d = 32
+    for m in range(1, 7):
+        for rank in (1, d):
+            marginal = (_stack_peak(rng, 3, d, m, rank) - _stack_peak(rng, 1, d, m, rank)) / 2
+            assert 0 < marginal < conditions.point_bytes(d, m), (m, rank)
+    # past one block, only the 4 m term of the model grows
+    assert conditions.point_bytes(d, 6) == conditions.point_bytes(d, 4) + 2 * 4 * 16 * d * d
