@@ -20,12 +20,12 @@ on the kernel-kernel block, so every product l_i l_j is formed from their r
 support rows.
 
 The S, O and P norms are sums of squared commutator entries, taken
-PAIR_BLOCK pairs at a time (_commutator_norms): no array of every pair's
-d x d commutator is held, so a problem's memory does not grow with the
-number of pairs. ConditionOperators is a view on an SLD set's rows: it
-keeps the SldSet and the norms, and builds the commutators of every pair
-(_commutators, the one formula c = X - X^dag) and the operators only when
-they are read.
+PAIR_BLOCK pairs at a time (_commutator_norms, which only classify_stack
+runs): no array of every pair's d x d commutator is held, so a problem's
+memory does not grow with the number of pairs, and the report's norms are
+their one copy. ConditionOperators is a view that holds only an SldSet: it
+builds the commutators of every pair (_commutators, the one formula
+c = X - X^dag) and the operators only when they are read.
 
 classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
@@ -37,8 +37,8 @@ stacked kernels (encode_stack, sld_row_stack, the blocked norm kernel, Q
 and incompatibility_stack) with a leading (N, ...) axis. It returns the
 norms, flags and E as arrays, which a sweep formats directly. classify
 builds the one-problem stack of its state and Hamiltonians, and its report
-is a view of the same arrays; condition_operators_direct is the norm kernel
-at N = 1.
+is a view of the same arrays; condition_operators_direct is the view on an
+SLD set that sld_rotated built.
 
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
@@ -275,19 +275,17 @@ def weak_series_truncation(spec, pt, alpha):
 
 @dataclass(eq=False)
 class ConditionOperators:
-    """S, O and P of one SLD set, a view on its eigenbasis rows.
+    """S, O and P of one SLD set, a view on its eigenbasis rows that holds
+    nothing else: their norms are the report's (ClassificationReport.norms).
 
-    `norms` holds the Frobenius norm of each m x m operator matrix (both
-    signs of every pair). comm[k] is c = V^dag S_ij V = l_i l_j - l_j l_i for
-    the k-th pair i < j in row-major order, with l_i the SLDs in the state
-    eigenbasis V = slds.spec.eigenvectors and r the rank, so V^dag O_ij V =
-    c[:, :r] and V^dag P_ij V = c[:r, :r]; it is built from slds.rows on
-    first read, and so are the operator matrices S, O and P in the frame of
-    the SLDs.
+    comm[k] is c = V^dag S_ij V = l_i l_j - l_j l_i for the k-th pair i < j
+    in row-major order, with l_i the SLDs in the state eigenbasis V =
+    slds.spec.eigenvectors and r the rank, so V^dag O_ij V = c[:, :r] and
+    V^dag P_ij V = c[:r, :r]; it is built from slds.rows on first read, and
+    so are the operator matrices S, O and P in the frame of the SLDs.
     """
 
     slds: SldSet
-    norms: dict
 
     @property
     def m(self):
@@ -342,11 +340,14 @@ def _commutator_norms(rows):
 def condition_operators_direct(spec, slds):
     """S, O, P from the SLD commutators, cut to the support of the state.
 
-    Works on the eigenbasis SLD rows slds.rows, R_i = l_i[:r, :], in the
-    basis of spec = slds.spec, through the blocked pair kernel at N = 1.
+    The view on the eigenbasis SLD rows slds.rows, R_i = l_i[:r, :], in the
+    basis of spec, which must have the dimension and rank of slds.spec; no
+    commutator is built until an operator is read.
     """
-    norms = _commutator_norms(slds.rows[None])
-    return ConditionOperators(slds, {k: float(v[0]) for k, v in norms.items()})
+    shapes = (spec.dim, spec.rank), (slds.spec.dim, slds.spec.rank)
+    if shapes[0] != shapes[1]:
+        raise ValidationError("spectrum (dim, rank) %s differs from the SLD set's %s" % shapes)
+    return ConditionOperators(slds)
 
 
 @dataclass(eq=False)
@@ -385,10 +386,10 @@ def support_kernel_decomposition(spec, pt, check=True):
     D^k_ij = G_i Pi_k G_j - G_j Pi_k G_i, the five terms are assembled
     for all parameter pairs at once and summed into P, O, S; when `check` is
     set, the reassembled P, O and S pair stacks are verified against those of
-    the direct SLD-commutator route (sld_rotated, then the pair kernel) within
-    1e-9 * scale before returning, scale = max(1, max_i ||G_i||_F^2). A pair
-    stack holds each pair once, so its deviation is that over the m x m
-    matrix divided by sqrt(2). Pi_k = v_k v_k^dag makes every D^k the rank-two
+    the direct SLD-commutator route (sld_rotated, then one _commutators pass
+    over every pair) within 1e-9 * scale before returning, scale =
+    max(1, max_i ||G_i||_F^2). A pair stack holds each pair once, so its
+    deviation is that over the m x m matrix divided by sqrt(2). Pi_k = v_k v_k^dag makes every D^k the rank-two
     a_k b_k^dag - b_k a_k^dag (a = G_i V, b = G_j V, V the support
     eigenvectors), so each term is d x r columns times r x r support blocks,
     e.g. sum_k Pi_k sum_l eta_kl D^l = V [(eta o h^(i)) b^dag - (eta o h^(j)) a^dag]
@@ -670,9 +671,8 @@ def _report(spec, theta, res, tol):
     slds = SldSet(spec=spec, rows=res.rows[0])
     flags = dict(zip(FLAG_KINDS, map(bool, res.flags[0])))
     consistent, converse_failures = _verdict(flags)
-    norms = dict(zip(NORM_KINDS, map(float, res.norms[0])))
     return ClassificationReport(
-        norms=norms,
+        norms=dict(zip(NORM_KINDS, map(float, res.norms[0]))),
         flags=flags,
         hierarchy_consistent=consistent,
         converse_failures=converse_failures,
@@ -686,7 +686,7 @@ def _report(spec, theta, res, tol):
         E=None if np.isnan(e) else e,
         point=EncodingPoint(theta=theta, kappa=res.kappa[0], w=res.w[0], elems=res.x[0]),
         slds=slds,
-        operators=ConditionOperators(slds, {kind: norms[kind] for kind in "SOP"}),
+        operators=ConditionOperators(slds),
     )
 
 
@@ -730,9 +730,10 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     computational basis and serve as their independent anchors. The report
     keeps the encoding point, SLD set and condition operators of that pass,
     so callers need no second pass. The P, O and S norms come from the
-    eigenbasis commutators, PAIR_BLOCK pairs at a time; no commutator is
-    kept, and none is built again until `report.operators` is asked for
-    one. This is classify_stack at N = 1.
+    eigenbasis commutators, PAIR_BLOCK pairs at a time, and `report.norms`
+    is their one copy; no commutator is kept, and none is built again until
+    `report.operators`, a view on the report's SLD set, is asked for one.
+    This is classify_stack at N = 1.
     """
     theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)
     if rho.dim != h_set.dim:

@@ -118,9 +118,7 @@ def _jsonable(value):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            return _jsonable([list(row) for row in value]) if value.ndim == 2 else [
-                _jsonable(v) for v in value
-            ]
+            return [_jsonable(v) for v in value]
         return value.tolist()
     if isinstance(value, str) or value is None:
         return value
@@ -226,6 +224,14 @@ def _sweep(example_id, p, name, grid):
 # ---------------------------------------------------------------------------
 
 
+def _purity_identity(rho_mat, gens):
+    """(2 tr[rho^2] - 1) Gamma_12 with Gamma_12 = 4 tr[rho [G_1, G_2]]: W_12
+    of the qubit state rho_mat under the generators gens."""
+    gamma12 = 4.0 * np.trace(rho_mat @ (gens[0] @ gens[1] - gens[1] @ gens[0]))
+    purity = float(np.trace(rho_mat @ rho_mat).real)
+    return (2.0 * purity - 1.0) * gamma12
+
+
 def _run_ex1(p):
     rng = np.random.default_rng(int(p["seed"]))
     draws = int(p["draws"])
@@ -245,11 +251,8 @@ def _run_ex1(p):
         theta = rng.uniform(-1.0, 1.0, size=2)
         w = _weak(rho, hamiltonian_set(hams), theta)
         # oracle: finite-difference generators, then the purity identity
-        gens = _fd_generators(hams, theta)
         rho_mat = sum(wt * np.outer(v, v.conj()) for wt, v in pairs)
-        gamma12 = 4.0 * np.trace(rho_mat @ (gens[0] @ gens[1] - gens[1] @ gens[0]))
-        purity = float(np.trace(rho_mat @ rho_mat).real)
-        closed = (2.0 * purity - 1.0) * gamma12
+        closed = _purity_identity(rho_mat, _fd_generators(hams, theta))
         worst = max(worst, abs(w.entries[0, 1] - closed))
     checks = [
         ("worst_identity_deviation", 0.0, worst,
@@ -266,6 +269,8 @@ def _run_ex1(p):
 
 
 def _ex2_closed(p, dim, psi, hams):
+    """W_12 of p |psi><psi| + (1 - p) 1/dim under the Hamiltonian pair hams,
+    the closed form that EX2 and the self-test check."""
     comm = hams[0] @ hams[1] - hams[1] @ hams[0]
     pref = 4.0 * p**3 * dim**2 / (p * (dim - 2.0) + 2.0) ** 2
     return pref * (psi.conj() @ comm @ psi)
@@ -294,14 +299,18 @@ def _ex2_dim(p):
     return dim
 
 
-def _ex2_draw(p):
-    """The seeded ket and Hamiltonian pair of EX2, its seed a non-negative
-    integer and its dim an integer >= 2."""
+def _ex2_rng(p):
+    """EX2's seeded generator, its seed a non-negative integer, and its dim
+    (_ex2_dim): the ket is its first draw and the Hamiltonian pair its next."""
     seed = _whole_number(p["seed"])
     if seed is None or seed < 0:
         raise ValidationError("out-of-domain parameters: seed must be a non-negative integer")
-    dim = _ex2_dim(p)
-    rng = np.random.default_rng(seed)
+    return np.random.default_rng(seed), _ex2_dim(p)
+
+
+def _ex2_draw(p):
+    """The seeded ket and Hamiltonian pair of EX2."""
+    rng, dim = _ex2_rng(p)
     return _rand_ket(rng, dim), [_rand_herm(rng, dim), _rand_herm(rng, dim)]
 
 
@@ -317,7 +326,7 @@ def _ex2_weights(p):
 
 
 def _ex2_vectors(p):
-    return white_noise_vectors(_ex2_draw(p)[0])
+    return white_noise_vectors(_rand_ket(*_ex2_rng(p)))
 
 
 def _ex2_hamiltonians(p):
@@ -814,6 +823,15 @@ def _pseudo_pure_hamiltonians(p):
     return [tensor(local, EYE2), tensor(EYE2, local)]
 
 
+def _p_o_s_spread(ops):
+    """The larger of ||P_12 - S_12|| and ||O_12 - S_12||: zero where full
+    rank makes the support projector trivial, so that P = O = S."""
+    return max(
+        float(np.linalg.norm(ops.P.entry(0, 1) - ops.S.entry(0, 1))),
+        float(np.linalg.norm(ops.O.entry(0, 1) - ops.S.entry(0, 1))),
+    )
+
+
 def _run_ex10(p):
     lam = float(p["lam"])
     dim = int(p["dim"])
@@ -840,10 +858,7 @@ def _run_ex10(p):
         )
         for i in range(2)
     )
-    coincide = max(
-        float(np.linalg.norm(ops.P.entry(0, 1) - ops.S.entry(0, 1))),
-        float(np.linalg.norm(ops.O.entry(0, 1) - ops.S.entry(0, 1))),
-    )
+    coincide = _p_o_s_spread(ops)
 
     checks = [
         ("W_norm", 0.0, report.W.norm,
@@ -1029,10 +1044,7 @@ def _run_obs7(p):
     rho, hs = example_configuration("OBS7", p)
     report = classify(rho, hs)
     ops = report.operators
-    coincide = max(
-        float(np.linalg.norm(ops.P.entry(0, 1) - ops.S.entry(0, 1))),
-        float(np.linalg.norm(ops.O.entry(0, 1) - ops.S.entry(0, 1))),
-    )
+    coincide = _p_o_s_spread(ops)
     nonzero = "the SLD commutator itself stays nonzero"
     checks = [
         ("full_rank", 1.0, 1.0 if rho.rank == 4 else 0.0,

@@ -30,6 +30,8 @@ from .conditions import (
 )
 from .encoding import encode, evolve, hamiltonian_set
 from .examples import (
+    _ex2_closed,
+    _purity_identity,
     _real_entangled_draw,
     _spin_entangled_draw,
     _weak,
@@ -276,10 +278,7 @@ def suite_qubit_identity(rng, *_):
     hs = hamiltonian_set([random_hermitian(rng, 2), random_hermitian(rng, 2)])
     pt = encode(hs, rng.uniform(-1.0, 1.0, size=2))
     w12 = weak_direct(rho, sld_rotated(rho.spectrum, pt)).entries[0, 1]
-    g1, g2 = pt.generators
-    gamma12 = 4.0 * np.trace(rho.matrix @ (g1 @ g2 - g2 @ g1))
-    purity = float(np.trace(rho.matrix @ rho.matrix).real)
-    return abs(w12 - (2.0 * purity - 1.0) * gamma12)
+    return abs(w12 - _purity_identity(rho.matrix, pt.generators))
 
 
 @_suite("white-noise closed form", 6, 1e-9)
@@ -293,10 +292,7 @@ def suite_white_noise(rng, *_):
     h1, h2 = random_hermitian(rng, d), random_hermitian(rng, d)
     pt = encode(hamiltonian_set([h1, h2]), np.zeros(2))
     w12 = weak_direct(rho, sld_rotated(rho.spectrum, pt)).entries[0, 1]
-    closed = (
-        4.0 * p**3 * d**2 / (p * (d - 2.0) + 2.0) ** 2
-    ) * (psi.conj() @ (h1 @ h2 - h2 @ h1) @ psi)
-    return abs(w12 - closed)
+    return abs(w12 - _ex2_closed(p, d, psi, [h1, h2]))
 
 
 @_suite("fisher ordering", 7, 1e-9)

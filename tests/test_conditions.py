@@ -537,6 +537,8 @@ def test_eigenbasis_operators_match_literal_commutators():
             assert np.max(np.abs(l - ref_l)) < 1e-12 * np.sqrt(scale), label
             assert np.max(np.abs(v @ elem @ dagger(v) - l)) < 1e-12, label
         ops = condition_operators_direct(spec, slds)
+        # the blocked norm kernel that classify runs, on this SLD set's rows
+        norms = conditions._commutator_norms(slds.rows[None])
         ref = _literal_operators(spec, slds)
         w = weak_direct(rho, slds).entries
         for kind, blocks in ref.items():
@@ -545,8 +547,8 @@ def test_eigenbasis_operators_match_literal_commutators():
             assert mine.kind == kind and mine.entries.shape == literal.entries.shape
             dev = _max_block_dev(mine, literal)
             assert dev < 1e-12 * scale, (label, kind, dev)
-            assert abs(ops.norms[kind] - literal.norm) < 1e-12 * scale, (label, kind)
-            assert abs(ops.norms[kind] - mine.norm) < 1e-12 * scale, (label, kind)
+            assert abs(norms[kind][0] - literal.norm) < 1e-12 * scale, (label, kind)
+            assert abs(norms[kind][0] - mine.norm) < 1e-12 * scale, (label, kind)
         for i in range(len(w)):
             for j in range(len(w)):
                 w_from_p = np.trace(rho.matrix @ ref["P"][i][j])
@@ -970,8 +972,9 @@ def test_classify_report_carries_qfim_and_w_of_the_same_pass():
         )[0]
         assert np.array_equal(rep.W.entries, 1j * (q.imag - q.imag.T)), label
         assert np.array_equal(rep.qfim.matrix, (q.real + q.real.T) / 2.0), label
+        norms = conditions._commutator_norms(rep.slds.rows[None])
         for kind in ("P", "O", "S"):
-            assert rep.operators.norms[kind] == rep.norms[kind]
+            assert norms[kind][0] == rep.norms[kind]
 
 
 def _mixed_problems(rng):
@@ -1035,23 +1038,63 @@ def test_blocked_norms_match_the_operators_built_on_read():
             assert ops.comm.shape == (m * (m - 1) // 2, d, d)
             for kind in ("S", "O", "P"):
                 built = getattr(ops, kind).norm
-                assert ops.norms[kind] == pytest.approx(built, rel=1e-12, abs=1e-14 * rep.scale)
-                assert ops.norms[kind] == pytest.approx(rep.norms[kind], rel=1e-12)
+                assert rep.norms[kind] == pytest.approx(built, rel=1e-12, abs=1e-14 * rep.scale)
+        # the blocked kernel on the fresh SLD set agrees with the report's
+        fresh = conditions._commutator_norms(direct.slds.rows[None])
+        for kind in ("S", "O", "P"):
+            assert fresh[kind][0] == pytest.approx(rep.norms[kind], rel=1e-12)
 
 
 def test_the_report_keeps_no_pair_commutators():
-    # ConditionOperators is a view on the report's SLD set: it holds that set
-    # and the norms, and its commutators are built only when read
+    # ConditionOperators is a view on the report's SLD set: it holds only
+    # that set, and its commutators are built only when read
     rng = np.random.default_rng(27)
     rho = density_matrix(random_density(rng, 4, rank=2))
     hs = hamiltonian_set([random_hermitian_matrix(rng, 4) for _ in range(3)])
     rep = classify(rho, hs, theta=rng.normal(size=3))
-    assert [f.name for f in dataclasses.fields(rep.operators)] == ["slds", "norms"]
+    assert [f.name for f in dataclasses.fields(rep.operators)] == ["slds"]
     assert rep.operators.slds is rep.slds
     assert "comm" not in vars(rep.operators)
     assert "comm" not in [f.name for f in dataclasses.fields(conditions.StackedClassification)]
     assert rep.operators.P.m == 3
     assert "comm" in vars(rep.operators)
+
+
+def test_the_direct_operators_build_nothing_until_an_operator_is_read(monkeypatch):
+    rng = np.random.default_rng(28)
+    rho, pt = _problem(rng, 5, 3, m=5)
+    slds = sld_rotated(rho.spectrum, pt)
+    comms = count_calls(monkeypatch, conditions._commutators)
+    norms = count_calls(monkeypatch, conditions._commutator_norms)
+    ops = condition_operators_direct(rho.spectrum, slds)
+    assert (comms, norms) == ([], [])
+    assert vars(ops) == {"slds": slds}
+    assert [ops.P.m, ops.O.m, ops.S.m] == [5, 5, 5]
+    assert (len(comms), norms) == (1, [])
+
+
+def test_the_reassembly_check_runs_the_pair_kernel_once(monkeypatch):
+    # m = 5 gives 10 pairs, three blocks for the norm kernel; the check reads
+    # the P, O and S pair stacks of the direct route, one _commutators pass
+    rng = np.random.default_rng(29)
+    rho, pt = _problem(rng, 6, 3, m=5)
+    comms = count_calls(monkeypatch, conditions._commutators)
+    norms = count_calls(monkeypatch, conditions._commutator_norms)
+    support_kernel_decomposition(rho.spectrum, pt, check=True)
+    assert (len(comms), norms) == (1, [])
+
+
+def test_the_direct_operators_refuse_a_spectrum_of_another_shape():
+    rng = np.random.default_rng(30)
+    rho, pt = _problem(rng, 4, 2, m=2)
+    slds = sld_rotated(rho.spectrum, pt)
+    for d, rank in ((4, 3), (4, 1), (5, 2), (3, 2)):
+        spec = density_matrix(random_density(rng, d, rank=rank)).spectrum
+        with pytest.raises(ValidationError, match=r"differs from the SLD set's \(4, 2\)"):
+            condition_operators_direct(spec, slds)
+    # a spectrum of the same dimension and rank is accepted
+    spec = density_matrix(random_density(rng, 4, rank=2)).spectrum
+    assert condition_operators_direct(spec, slds).slds is slds
 
 
 def _stack_peak(rng, n, d, m, rank):

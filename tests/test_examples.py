@@ -20,6 +20,7 @@ from metrocommute.examples import (
     run_example,
 )
 from metrocommute.operator_core import ValidationError
+from metrocommute.states import white_noise_vectors
 
 
 def test_all_reports_pass():
@@ -53,6 +54,24 @@ def test_a_nan_computed_value_fails_its_report(monkeypatch):
     assert not rep.passed
     assert np.isnan(rep.max_abs_error)
     assert sorted(rep.failures) == ["W_12", "p_sweep_worst"]
+
+
+def test_ex2_draws_each_hamiltonian_pair_once_per_half(monkeypatch):
+    # the state half draws only the ket; the Hamiltonian half draws the ket
+    # first, so both halves read the draws of the oracle's _ex2_draw
+    p = default_parameters("EX2")
+    psi, hams = examples._ex2_draw(p)
+    kets = count_calls(monkeypatch, examples._rand_ket)
+    herms = count_calls(monkeypatch, examples._rand_herm)
+    _, hs = example_configuration("EX2", p)
+    assert (len(kets), len(herms)) == (2, 2)
+    assert np.array_equal(hs.batch[0], np.array(hams))
+    assert np.array_equal(examples._ex2_vectors(p).v, white_noise_vectors(psi).v)
+    kets.clear()
+    herms.clear()
+    # the oracle's draw, example_configuration and the p sweep's halves
+    assert run_example("EX2").passed
+    assert (len(kets), len(herms)) == (5, 6)
 
 
 def test_default_parameters_are_copies():

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import QFIM_SPOTS, random_density, random_hermitian_matrix, sub_cutoff_state
+from conftest import (
+    QFIM_SPOTS,
+    count_calls,
+    random_density,
+    random_hermitian_matrix,
+    sub_cutoff_state,
+)
+from metrocommute import states
 from metrocommute.conditions import classify
 from metrocommute.encoding import encode, hamiltonian_set
 from metrocommute.examples import example_configuration
@@ -21,7 +28,7 @@ from metrocommute.metrology import (
     verify_fc_order,
 )
 from metrocommute.operator_core import ValidationError, dagger
-from metrocommute.sld import sld_encoded, sld_rotated
+from metrocommute.sld import nu_copy_sld, sld_encoded, sld_rotated
 from metrocommute.states import bell_diagonal, density_matrix, povm_set
 
 
@@ -317,6 +324,27 @@ def test_qfim_additivity_two_and_three_copies():
     rho, _, _, pt = _problem(rng, 3, 2)
     assert qfim_additivity(rho, pt, 2) < 1e-10
     assert qfim_additivity(rho, pt, 3) < 1e-10
+
+
+def test_qfim_additivity_builds_the_product_state_once(monkeypatch):
+    # nu_copy_sld builds and cuts the nu-copy state; its spectrum is the
+    # state whose QFIM is read, the same numbers as a second tensor_power
+    rng = np.random.default_rng(58)
+    rho, _, _, pt = _problem(rng, 3, 2)
+    slds = sld_rotated(rho.spectrum, pt)
+    f_one = qfim(rho, slds).matrix
+    calls = count_calls(monkeypatch, states.tensor_power)
+    for nu in (2, 3):
+        dev = qfim_additivity(rho, pt, nu)
+        assert len(calls) == 1
+        calls.clear()
+        f_nu = qfim(states.tensor_power(rho, nu), nu_copy_sld(slds, nu)).matrix
+        calls.clear()
+        assert dev == np.linalg.norm(f_nu - nu * f_one) / np.linalg.norm(nu * f_one)
+    # the cap on the product's dimension fires inside nu_copy_sld
+    rho = density_matrix(random_density(rng, 7))
+    with pytest.raises(ValidationError, match="exceeds cap 256"):
+        qfim_additivity(rho, encode(hamiltonian_set([np.eye(7)]), [0.0]), 3)
 
 
 def test_qfim_condition_number_infinite_when_singular():
