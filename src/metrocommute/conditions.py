@@ -34,8 +34,10 @@ L_i, as the imaginary and real parts of one state trace tr[(rho L_i) L_j]
 (metrology._state_traces), and are classify's anchors. classify_stack
 evaluates a ProblemStack, N problems of one (dim, m, rank), through the
 stacked kernels (encode_stack, sld_row_stack, the blocked norm kernel, Q
-and incompatibility_stack) with a leading (N, ...) axis. It returns the
-norms, flags and E as arrays, which a sweep formats directly. classify
+and incompatibility_stack) with a leading (N, ...) axis; a product-form set
+takes its SLD rows from sld_local_row_stack, with no d x d encoding basis.
+It returns the norms, flags and E as arrays, which a sweep formats
+directly. classify
 builds the one-problem stack of its state and Hamiltonians, and its report
 is a view of the same arrays; condition_operators_direct is the view on an
 SLD set that sld_rotated built.
@@ -63,10 +65,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import EncodingPoint, checked_theta, encode_stack
+from .encoding import EncodingPoint, LocalEncoding, checked_theta, encode_stack, encoding_point
 from .metrology import QfimResult, _state_traces, incompatibility_stack, qfim_stack
 from .operator_core import ValidationError, _pair_matrix, _pairs, dagger, frobenius_rows
-from .sld import SldSet, sld_row_stack, sld_rotated
+from .sld import SldSet, sld_local_row_stack, sld_row_stack, sld_rotated
 from .states import MAX_POINT_BYTES
 
 # chunk_size sizes a ProblemStack for one classify_stack call so that its
@@ -600,19 +602,18 @@ class StackedClassification:
     norms: (n, 4) in NORM_KINDS order (W, P, O, S); flags: (n, 4) bool in
     FLAG_KINDS order (WC, PC, OC, SC); scale: (n,); E: (n,), NaN where the
     QFIM is singular. The rest are the kernel arrays that the reports view:
-    the encoding (kappa, w, x), with a leading axis of 1 when every problem
-    shares it, and per problem the SLD rows, W (`w_stack`) and the QFIM
-    matrices `f`. No pair commutator is kept: a report's ConditionOperators
-    builds them from the SLD rows when they are read.
+    the `encoding`, encode_stack's result (kappa, w, x), with a leading axis
+    of 1 when every problem shares it, or a product form's LocalEncoding,
+    and per problem the SLD rows, W (`w_stack`) and the QFIM matrices `f`.
+    No pair commutator is kept: a report's ConditionOperators builds them
+    from the SLD rows when they are read.
     """
 
     norms: np.ndarray
     flags: np.ndarray
     scale: np.ndarray
     E: np.ndarray
-    kappa: np.ndarray
-    w: np.ndarray
-    x: np.ndarray
+    encoding: object
     rows: np.ndarray
     w_stack: np.ndarray
     f: np.ndarray
@@ -620,25 +621,36 @@ class StackedClassification:
 
 def classify_stack(stack, tol=1e-8):
     """The stacked classify kernel: every problem of a ProblemStack in one
-    pass of encode_stack, sld_row_stack, the blocked S/O/P norms, Q,
-    and incompatibility_stack. A Hamiltonian set that the problems share is
-    encoded once. Returns a StackedClassification; each problem's
-    norms, flags and E are those classify gives for it.
+    pass of encode_stack, sld_row_stack (sld_local_row_stack for a product
+    form), the blocked S/O/P norms, Q, and incompatibility_stack. A
+    Hamiltonian set that the problems share is encoded once. Returns a
+    StackedClassification; each problem's norms, flags and E are those
+    classify gives for it.
     """
     # products of finite Hamiltonians can still overflow, from the encoded
     # generators on: check the products, norms and scales once, before
     # anything reads them
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa, w, x = encode_stack(stack.hams, stack.theta)
-        rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, w, x)
+        enc = encode_stack(stack.hams, stack.theta)
+        if isinstance(enc, LocalEncoding):
+            gens = enc.generators
+            rows = sld_local_row_stack(stack.lam, stack.rank, stack.vectors, gens)
+            # G_i is g_i on one qubit and the identity on the q - 1 others,
+            # so ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2
+            blocks, copies = gens.blocks[None], 2.0 ** (gens.sites - 1)
+        else:
+            rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, enc[1], enc[2])
+            # ||G_i||_F^2 read from the eigenbasis generators X_i, by unitary
+            # invariance
+            blocks, copies = enc[2], 1.0
         op_norms = _commutator_norms(rows)
         q = _state_product_stack(stack.lam, rows)
         w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
         w_norms = frobenius_rows(w_stack)
-        # ||G_i||_F^2 read from the eigenbasis generators, by unitary
-        # invariance: each X_i viewed as 2 d^2 reals, dotted with itself
-        flat = x.reshape(*x.shape[:2], 1, -1).view(float)
-        scales = np.maximum(1.0, np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3)))
+        # each matrix of blocks viewed as reals, dotted with itself
+        flat = blocks.reshape(*blocks.shape[:2], 1, -1).view(float)
+        squares = np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3))
+        scales = np.maximum(1.0, copies * squares)
     if not all(np.all(np.isfinite(a)) for a in (q, w_norms, scales, *op_norms.values())):
         raise ValidationError("the condition matrices overflow: the Hamiltonians are too large")
     f = (q.real + np.swapaxes(q.real, 1, 2)) / 2.0
@@ -655,9 +667,7 @@ def classify_stack(stack, tol=1e-8):
         flags=norms <= bound,
         scale=scale,
         E=np.broadcast_to(incompatibility_stack(f, w_stack), (n,)),
-        kappa=kappa,
-        w=w,
-        x=x,
+        encoding=enc,
         rows=rows,
         w_stack=w_stack,
         f=f,
@@ -684,7 +694,7 @@ def _report(spec, theta, res, tol):
         W=ScalarConditionMatrix(entries=res.w_stack[0], kind="W"),
         qfim=qfim_stack(res.f)[0],
         E=None if np.isnan(e) else e,
-        point=EncodingPoint(theta=theta, kappa=res.kappa[0], w=res.w[0], elems=res.x[0]),
+        point=encoding_point(theta, res.encoding),
         slds=slds,
         operators=ConditionOperators(slds),
     )
@@ -721,18 +731,23 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     """Evaluate all four conditions and place the state in the hierarchy.
 
     The zero test for each condition is frobenius_norm <= tol * scale with
-    scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity of
-    every condition matrix in the generators; ||G_i||_F is read from the
-    eigenbasis generators, by unitary invariance. The report also carries W
-    and the QFIM, both from the one SLD set through Q_ij = tr[rho l_i l_j]:
-    W = 2i Im Q and F = Re Q, and E = (1/2) max |eig(F^-1 W)| (None when the
-    QFIM is singular). weak_direct and qfim compute W and F in the
-    computational basis and serve as their independent anchors. The report
-    keeps the encoding point, SLD set and condition operators of that pass,
-    so callers need no second pass. The P, O and S norms come from the
-    eigenbasis commutators, PAIR_BLOCK pairs at a time, and `report.norms`
-    is their one copy; no commutator is kept, and none is built again until
-    `report.operators`, a view on the report's SLD set, is asked for one.
+    scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity
+    of every condition matrix in the generators; ||G_i||_F is read from the
+    eigenbasis generators X_i, by unitary invariance, or, for a product-form
+    set, from the 2 x 2 block g_i of each G_i on its qubit, as
+    ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2 on q qubits. A product-form set's SLD
+    rows come from those blocks too (sld_local_row_stack), and its report's
+    point builds the eigenbasis of K and the X_i only when they are read.
+    The report also carries W and the QFIM, both from the one SLD set
+    through Q_ij = tr[rho l_i l_j]: W = 2i Im Q and F = Re Q, and
+    E = (1/2) max |eig(F^-1 W)| (None when the QFIM is singular).
+    weak_direct and qfim compute W and F in the computational basis and
+    serve as their independent anchors. The report keeps the encoding
+    point, SLD set and condition operators of that pass, so callers need no
+    second pass. The P, O and S norms come from the eigenbasis commutators,
+    PAIR_BLOCK pairs at a time, and `report.norms` is their one copy; no
+    commutator is kept, and none is built again until `report.operators`, a
+    view on the report's SLD set, is asked for one.
     This is classify_stack at N = 1.
     """
     theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)

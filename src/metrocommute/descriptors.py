@@ -9,13 +9,16 @@ tolerance overrides. Matrices are encoded as {"dim": n, "entries": [[re, im],
 Parsing is strict and fails with a field-precise message; parse followed by
 serialize is idempotent on the canonical form. Every field is checked and
 converted once, at parse (_parse_fields), into the typed value the
-descriptor keeps: eigpair vectors, raw matrices, white_noise's psi and
-pure's vector become complex arrays; white_noise's p and bell_diagonal's
-weights floats; maximally_mixed's dim, bell_diagonal's d and local_spin's
-sites and site ints; local_spin's axis three finite floats. So resolve and
-every point of a sweep only build. `serialize_descriptor` writes the arrays
-back as [re, im] lists. An example's overrides are checked against its
-defaults where they are merged (examples._merged_parameters).
+descriptor keeps: an eigpair list becomes its weights and one (r, d) complex
+array of its vectors, read in one pass (item by item, and as a list of
+arrays, when an item is not plainly typed or the lengths differ); raw
+matrices, white_noise's psi and pure's vector become complex arrays;
+white_noise's p and bell_diagonal's weights floats; maximally_mixed's dim,
+bell_diagonal's d and local_spin's sites and site ints; local_spin's axis
+three finite floats. So resolve and every point of a sweep only build.
+`serialize_descriptor` writes the arrays back as [re, im] lists. An
+example's overrides are checked against its defaults where they are merged
+(examples._merged_parameters).
 
 A family's params hold exactly the names it reads: a state family's are
 those its state half reads, and local_spin's are sites, site and axis. A
@@ -91,6 +94,7 @@ from .operator_core import ValidationError, as_square_matrix
 from .states import (
     MAX_DIM,
     RANK_TOL,
+    Eigpairs,
     EigpairVectors,
     bell_diagonal,
     bell_dim,
@@ -165,23 +169,30 @@ def _complex_pair(value, path):
     return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
 
 
-def _pairs_array(items, path):
-    """Complex array of a list of [re, im] pairs, item i named path[i].
+def _plain_pairs(items):
+    """Complex array of a list of two-element lists of plain int and float,
+    converted in one numpy call, or None for any other list (tuples, float
+    subclasses, a bad item, or an integer too large for a float)."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    # one flat list, scanned for types and converted, is faster than two
+    # passes of a chain
+    nums = list(chain.from_iterable(items))
+    if not set(map(type, nums)) <= {int, float}:
+        return None
+    try:
+        return np.fromiter(nums, float, len(nums)).view(complex)
+    except OverflowError:
+        return None
 
-    A list of two-element lists of plain int and float converts in one numpy
-    call; anything else (tuples, float subclasses, a bad item, or an integer
-    too large for a float) goes through _complex_pair item by item, which
-    names the first bad item.
-    """
-    if (
-        set(map(type, items)) == {list}
-        and set(map(len, items)) == {2}
-        and set(map(type, chain.from_iterable(items))) <= {int, float}
-    ):
-        try:
-            return np.fromiter(chain.from_iterable(items), float, 2 * len(items)).view(complex)
-        except OverflowError:
-            pass
+
+def _pairs_array(items, path):
+    """Complex array of a list of [re, im] pairs, item i named path[i]: in
+    one numpy call (_plain_pairs), or else through _complex_pair item by
+    item, which names the first bad item."""
+    out = _plain_pairs(items)
+    if out is not None:
+        return out
     return np.array(
         [_complex_pair(v, f"{path}[{i}]") for i, v in enumerate(items)],
         dtype=complex,
@@ -332,22 +343,51 @@ def _family_spec(value, path, parsers):
     return {"family": family, "params": parsers[family](params, f"{path}.params")}
 
 
+def _plain_eigpairs(value):
+    """The states.Eigpairs of a non-empty eigpair list in one pass, its
+    weights as floats and its vectors one (r, d) complex array, or None:
+    every item an object of exactly "weight" and "vector", every weight a
+    plain int or float, and the vectors non-empty lists of one length whose
+    pairs _plain_pairs converts, all of them in one call."""
+    keys = {"weight", "vector"}
+    if set(map(type, value)) != {dict} or any(item.keys() != keys for item in value):
+        return None
+    weights = [item["weight"] for item in value]
+    vectors = [item["vector"] for item in value]
+    if not set(map(type, weights)) <= {int, float} or set(map(type, vectors)) != {list}:
+        return None
+    sizes = set(map(len, vectors))
+    if len(sizes) > 1 or 0 in sizes:
+        return None
+    flat = _plain_pairs(list(chain.from_iterable(vectors)))
+    if flat is None:
+        return None
+    try:
+        return Eigpairs([float(w) for w in weights], flat.reshape(len(value), -1))
+    except OverflowError:
+        return None
+
+
 def _parse_state_spec(value, path="state"):
     """Validate and type the state part without resolving it: an eigpair
-    list keeps each vector as a complex array, a raw matrix becomes one, and
-    a family becomes a {"family", "params"} object of typed params."""
+    list becomes its Eigpairs, in one pass when _plain_eigpairs takes it and
+    otherwise item by item, which names the first bad field; a raw matrix
+    becomes a complex array, and a family a {"family", "params"} object of
+    typed params."""
     if isinstance(value, list):
-        pairs = []
+        if not value:
+            _fail(path, "eigpair list is empty")
+        pairs = _plain_eigpairs(value)
+        if pairs is not None:
+            return pairs
+        weights, vectors = [], []
         for i, item in enumerate(value):
             here = f"{path}[{i}]"
             if not isinstance(item, dict) or set(item) != {"weight", "vector"}:
                 _fail(here, 'eigpair needs exactly the keys "weight" and "vector"')
-            weight = _number(item["weight"], f"{here}.weight")
-            vec = vector_from_json(item["vector"], f"{here}.vector")
-            pairs.append({"weight": weight, "vector": vec})
-        if not pairs:
-            _fail(path, "eigpair list is empty")
-        return pairs
+            weights.append(_number(item["weight"], f"{here}.weight"))
+            vectors.append(vector_from_json(item["vector"], f"{here}.vector"))
+        return Eigpairs(weights, vectors)
     if isinstance(value, dict) and "family" in value:
         return _family_spec(value, path, _STATE_PARAMS)
     if isinstance(value, dict):
@@ -452,12 +492,12 @@ def _pure(params):
 
 
 def _eigpair_state(pairs):
-    """The state of a parsed eigpair list; when it fails on a vector, the
-    first vector that fails alone is named as state[k].vector."""
+    """The state of a parsed eigpair list, its Eigpairs; when it fails on a
+    vector, the first vector that fails alone is named as state[k].vector."""
     try:
         return density_from_eigpairs(pairs)
     except ValidationError:
-        for k, (_, vec) in enumerate(pairs):
+        for k, vec in enumerate(pairs.vectors):
             _named(f"state[{k}].vector", EigpairVectors, [vec])
         raise
 
@@ -490,9 +530,8 @@ def _halves(desc):
     to LocalSpins and their parsed matrices, with nothing dense built."""
     spec = desc.state_spec
     params = {}
-    if isinstance(spec, list):
-        pairs = [(item["weight"], item["vector"]) for item in spec]
-        state = Half((), lambda p: _eigpair_state(pairs))
+    if isinstance(spec, Eigpairs):
+        state = Half((), lambda p: _eigpair_state(spec))
     elif isinstance(spec, np.ndarray):
         state = Half((), lambda p: spec)
     else:
@@ -516,7 +555,7 @@ def _state_dim(spec):
     matrix's size, a white_noise or pure vector's length, a maximally_mixed
     dim or a bell_diagonal d^2, each within its cap (checked at parse)."""
     if not isinstance(spec, dict):  # a raw matrix or an eigpair list
-        return len(spec) if isinstance(spec, np.ndarray) else spec[0]["vector"].size
+        return len(spec) if isinstance(spec, np.ndarray) else spec.vectors[0].size
     family, params = spec["family"], spec["params"]
     if family == "maximally_mixed":
         return params["dim"]
@@ -759,10 +798,9 @@ def _spec_to_json(spec):
     """A state or Hamiltonian spec with its parsed arrays as [re, im] lists."""
     if isinstance(spec, np.ndarray):
         return matrix_to_json(spec)
-    if isinstance(spec, list):
+    if isinstance(spec, Eigpairs):
         return [
-            {"weight": item["weight"], "vector": vector_to_json(item["vector"])}
-            for item in spec
+            {"weight": w, "vector": vector_to_json(v)} for w, v in zip(spec.weights, spec.vectors)
         ]
     params = spec["params"].items()
     params = {k: vector_to_json(v) if isinstance(v, np.ndarray) else v for k, v in params}

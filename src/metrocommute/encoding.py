@@ -32,13 +32,17 @@ Product form. A LocalSpin is a 2 x 2 Hermitian block on one qubit of a
 register, the identity on the others (the local_spin descriptor family).
 hamiltonian_set keeps a list of them on one register in product form, a
 LocalSpinStack, and builds the dense (m, d, d) stack only when it is read.
-encode_stack encodes a product form without any d x d matrix product or
-eigh: K = sum_i theta_i H_i is a sum of 2 x 2 terms k_s, one per qubit, so
-its eigenvalues are the Kronecker sum of the e_s = eig(k_s) and its
-eigenvectors the Kronecker product of their u_s, and X_i is the 2 x 2 block
-herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])) on qubit s, identities
-elsewhere. Its (kappa, w, x) have the dense path's shapes and order, so
-every kernel after the encode is the same for both forms.
+encode_stack encodes a product form without any d x d matrix, into a
+LocalEncoding: K = sum_i theta_i H_i is a sum of 2 x 2 terms k_s = u_s e_s
+u_s^dag, one per qubit, so G_i is the 2 x 2 block g_i = u_s x_i u_s^dag on
+qubit s = site_i, x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])), and
+the identity elsewhere. Its `generators` are that LocalSpinStack, which
+sld.sld_local_row_stack reads with no eigenbasis of K. The dense path's
+(kappa, w, x) are built from the blocks on first read: the eigenvalues of K
+are the Kronecker sum of the e_s, its eigenvectors the Kronecker product of
+the u_s, and each row of X_i has two entries. An EncodingPoint of a product
+form holds only its LocalEncoding and builds kappa, w, elems, U and the
+generators when they are read.
 """
 
 from dataclasses import dataclass
@@ -101,8 +105,9 @@ class LocalSpin(NamedTuple):
 
 @dataclass(eq=False)
 class LocalSpinStack:
-    """One set of m LocalSpin Hamiltonians on one register of `sites`
-    qubits: site (m,) ints and blocks (m, 2, 2)."""
+    """One set of m LocalSpin Hamiltonians (or the generators of a
+    LocalEncoding) on one register of `sites` qubits: site (m,) ints and
+    blocks (m, 2, 2)."""
 
     sites: int
     site: np.ndarray
@@ -208,7 +213,6 @@ def hamiltonian_checks(hams):
     return first_failure([(bad.any(axis=1), message)])
 
 
-@dataclass(eq=False)
 class EncodingPoint:
     """The encoding at one theta, held in the eigenbasis of K.
 
@@ -216,27 +220,48 @@ class EncodingPoint:
     elems: (m, d, d) stack of X_i = w^dag G_i w
     U, generator_stack: exp(-i K) and the (m, d, d) stack of the G_i, built
         on first read; generators lists the G_i as views of that stack
+    local: the LocalEncoding of a product-form set, or None. A product-form
+        point holds only that, and builds kappa, w and elems from its blocks
+        on first read too.
     """
 
-    theta: np.ndarray
-    kappa: np.ndarray
-    w: np.ndarray
-    elems: np.ndarray
+    def __init__(self, theta, kappa=None, w=None, elems=None, local=None):
+        self.theta, self.local = theta, local
+        if local is None:
+            self.kappa, self.w, self.elems = kappa, w, elems
+
+    @cached_property
+    def kappa(self):
+        return self.local.kappa[0]
+
+    @cached_property
+    def w(self):
+        return self.local.w[0]
+
+    @cached_property
+    def elems(self):
+        return self.local.x[0]
 
     @property
     def dim(self):
-        return self.w.shape[0]
+        return self.w.shape[0] if self.local is None else 2**self.local.spins.sites
 
     @property
     def m(self):
-        return len(self.elems)
+        return len(self.elems) if self.local is None else len(self.local.spins.site)
 
     @cached_property
     def U(self):
+        if self.local is not None:
+            # exp(-i K) is the Kronecker product of the exp(-i k_s)
+            e, u = self.local.e, self.local.u
+            return tensor(*((u * np.exp(-1j * e)[:, None, :]) @ dagger(u)))
         return (self.w * np.exp(-1j * self.kappa)) @ dagger(self.w)
 
     @cached_property
     def generator_stack(self):
+        if self.local is not None:
+            return self.local.generators.matrices()
         gens = self.w @ self.elems @ dagger(self.w)
         return (gens + dagger(gens)) / 2.0
 
@@ -271,10 +296,10 @@ def encode_stack(hams, theta):
     """The encoding kernel for N problems of one shape at one theta.
 
     hams: (N, m, d, d) Hamiltonians, N = 1 for a shared set, or one set in
-    product form (a LocalSpinStack, which encodes as N = 1); theta: (m,),
-    finite (checked_theta). Returns (kappa, w, x): the eigenvalues of
-    K = sum_i theta_i H_i in descending order, (N, d), its eigenvectors,
-    (N, d, d), and the eigenbasis generators
+    product form (a LocalSpinStack), whose encoding is returned as its
+    LocalEncoding; theta: (m,), finite (checked_theta). Returns (kappa, w,
+    x): the eigenvalues of K = sum_i theta_i H_i in descending order,
+    (N, d), its eigenvectors, (N, d, d), and the eigenbasis generators
     X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). The
     Hamiltonians are validated, so the symmetrised K is checked only for
     overflow before it goes to eigh; reversing eigh's ascending order gives
@@ -302,23 +327,75 @@ def encode_stack(hams, theta):
     return kappa, w, x
 
 
-def _encode_local(spins, theta):
-    """encode_stack of a LocalSpinStack, with no d x d eigh or product.
+@dataclass(eq=False)
+class LocalEncoding:
+    """A LocalSpinStack encoded at one theta, in product form.
 
     On each qubit s, k_s = sum_{i: site_i = s} theta_i a_i = u_s e_s u_s^dag
-    (eigh, ascending; an idle qubit has k_s = 0 and u_s = I). Basis state b
-    of the Kronecker product of the u_s has eigenvalue sum_s e_s[bit_s(b)],
-    and a stable descending sort of those gives kappa and the order of w's
-    columns. X_i couples only basis states that differ at most in bit s =
-    site_i, where it is the block herm((u_s^dag a_i u_s) o phi(e_s[p] -
-    e_s[q])): each row of X_i has two entries, placed in the sorted basis.
-    K overflows when a k_s or a sum of finite site eigenvalues does.
+    (eigh, ascending; an idle qubit has k_s = 0 and u_s = I).
+
+    spins: the encoded LocalSpinStack
+    e, u: (q, 2) eigenvalues and (q, 2, 2) eigenvectors of the k_s
+    blocks: (m, 2, 2) x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])),
+        the block of X_i in the eigenbasis u_s of its site s = site_i
+    total: (d,) eigenvalues of K in the Kronecker order of the u_s: basis
+        state b has sum_s e_s[bit_s(b)]
+    generators: the G_i in product form, a LocalSpinStack of the blocks
+        g_i = herm(u_s x_i u_s^dag)
+    kappa, w, x: encode_stack's arrays of the dense path, (1, d), (1, d, d)
+        and (1, m, d, d), built on first read. A stable descending sort of
+        total gives kappa and the order of w's columns; X_i couples only
+        basis states that differ at most in bit s, where it is x_i, so each
+        row has two entries, placed in the sorted basis.
     """
-    q, site, blocks = spins.sites, spins.site, spins.blocks
-    d = 2**q
+
+    spins: LocalSpinStack
+    e: np.ndarray
+    u: np.ndarray
+    blocks: np.ndarray
+    total: np.ndarray
+
+    @cached_property
+    def generators(self):
+        us = self.u[self.spins.site]
+        g = us @ self.blocks @ dagger(us)
+        return LocalSpinStack(self.spins.sites, self.spins.site, (g + dagger(g)) / 2.0)
+
+    @cached_property
+    def _order(self):
+        return np.argsort(-self.total, kind="stable")
+
+    @cached_property
+    def kappa(self):
+        return self.total[self._order][None]
+
+    @cached_property
+    def w(self):
+        return tensor(*self.u)[:, self._order][None]
+
+    @cached_property
+    def x(self):
+        q, order = self.spins.sites, self._order
+        d = 2**q
+        rows = np.arange(d)
+        position = np.empty(d, dtype=int)
+        position[order] = rows
+        x = np.zeros((1, len(self.blocks), d, d), dtype=complex)
+        for i, s in enumerate(self.spins.site.tolist()):
+            shift = q - 1 - s
+            bit = (order >> shift) & 1
+            x[0, i, rows, rows] = self.blocks[i, bit, bit]
+            x[0, i, rows, position[order ^ (1 << shift)]] = self.blocks[i, bit, 1 - bit]
+        return x
+
+
+def _encode_local(spins, theta):
+    """encode_stack of a LocalSpinStack: its LocalEncoding, with no d x d
+    matrix. K overflows when a k_s or a sum of finite site eigenvalues
+    does."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ks = np.zeros((q, 2, 2), dtype=complex)
-        np.add.at(ks, site, theta[:, None, None] * blocks)
+        ks = np.zeros((spins.sites, 2, 2), dtype=complex)
+        np.add.at(ks, spins.site, theta[:, None, None] * spins.blocks)
         ks = (ks + dagger(ks)) / 2.0
     if not np.all(np.isfinite(ks)):
         raise ValidationError(K_OVERFLOW)
@@ -329,28 +406,25 @@ def _encode_local(spins, theta):
             total = (total[:, None] + e_s).reshape(-1)
     if not np.all(np.isfinite(total)):
         raise ValidationError(K_OVERFLOW)
-    order = np.argsort(-total, kind="stable")
-    rows = np.arange(d)
-    position = np.empty(d, dtype=int)
-    position[order] = rows
-    us = u[site]
-    local = dagger(us) @ blocks @ us * _phi(e[site, :, None] - e[site, None, :])
-    local = (local + dagger(local)) / 2.0
-    x = np.zeros((1, len(site), d, d), dtype=complex)
-    for i, s in enumerate(site.tolist()):
-        shift = q - 1 - s
-        bit = (order >> shift) & 1
-        x[0, i, rows, rows] = local[i, bit, bit]
-        x[0, i, rows, position[order ^ (1 << shift)]] = local[i, bit, 1 - bit]
-    return total[order][None], tensor(*u)[:, order][None], x
+    es, us = e[spins.site], u[spins.site]
+    blocks = dagger(us) @ spins.blocks @ us * _phi(es[:, :, None] - es[:, None, :])
+    return LocalEncoding(spins, e, u, (blocks + dagger(blocks)) / 2.0, total)
+
+
+def encoding_point(theta, enc):
+    """The EncodingPoint of the first problem of encode_stack's result `enc`
+    at theta."""
+    if isinstance(enc, LocalEncoding):
+        return EncodingPoint(theta, local=enc)
+    kappa, w, x = enc
+    return EncodingPoint(theta, kappa[0], w[0], x[0])
 
 
 def encode(h_set, theta):
     """Evaluate the encoding at theta: the eigenpairs of K and all m
     generators in its eigenbasis (encode_stack at N = 1)."""
     theta = checked_theta(h_set, theta)
-    kappa, w, x = encode_stack(h_set.batch, theta)
-    return EncodingPoint(theta=theta, kappa=kappa[0], w=w[0], elems=x[0])
+    return encoding_point(theta, encode_stack(h_set.batch, theta))
 
 
 def evolve(rho, pt):

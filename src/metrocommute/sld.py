@@ -20,6 +20,14 @@ T = w^dag V (w the eigenvectors of K): R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T)
 2 r d^2 per parameter, with no computational-basis generator. The full l_i and
 the operators L_i are built on first read. sld_row_stack computes the rows of
 N problems of one shape and rank at once; sld_rotated is its N = 1 case.
+
+A product-form set (encoding.LocalEncoding) takes a second route, with no
+eigenbasis of K: G_i is a 2 x 2 block g_i on one qubit, so V_r^dag G_i V =
+(g_i V_r)^dag V, and R_i = 2i coeff[:r] o ((g_i V_r)^dag V), where g_i V_r
+mixes the two halves of the (d, r) support columns that differ in that
+qubit's bit, 4 d r per parameter, before one product with V, 2 r d^2.
+sld_local_row_stack computes those rows, and classify_stack takes them for
+every product-form set; sld_rotated keeps the dense route.
 """
 
 from dataclasses import dataclass
@@ -79,6 +87,30 @@ def sld_row_stack(lam, rank, v, w, x):
     coeff = (lam_s - lam[:, None]) / (lam_s + lam[:, None])
     t = dagger(w) @ v
     return 2j * coeff[:, None] * (dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
+
+
+def sld_local_row_stack(lam, rank, v, generators):
+    """sld_row_stack for a product-form set: lam, rank and v as there, and
+    `generators` the G_i as a LocalSpinStack of their 2 x 2 blocks g_i on
+    a register of d = 2^q. Returns the support rows
+    R_i = 2i coeff[:r] o ((g_i V_r)^dag V) as (N, m, r, d).
+
+    Qubit 0 is the leftmost tensor factor, so in the C-order (d, r)
+    columns V_r qubit s is the axis of two of their (2^s, 2, 2^(q-1-s) r)
+    view, which g_i mixes."""
+    lam_s = lam[:, :rank, None]
+    coeff = (lam_s - lam[:, None]) / (lam_s + lam[:, None])
+    cols = np.ascontiguousarray(v[:, :, :rank])
+    n = len(cols)
+    # one contiguous (N, d, r) stack per parameter, so each reshape is a view
+    gv = np.empty((len(generators.site), *cols.shape), dtype=complex)
+    for out, s, g in zip(gv, generators.site.tolist(), generators.blocks):
+        a = cols.reshape(n, 2**s, 2, -1)
+        b = out.reshape(n, 2**s, 2, -1)
+        b[:, :, 0] = g[0, 0] * a[:, :, 0] + g[0, 1] * a[:, :, 1]
+        b[:, :, 1] = g[1, 0] * a[:, :, 0] + g[1, 1] * a[:, :, 1]
+    np.conj(gv, out=gv)
+    return 2j * coeff[:, None] * (gv.transpose(1, 0, 3, 2) @ v[:, None])
 
 
 def sld_rotated(spec, pt):

@@ -34,6 +34,7 @@ trace and positive semidefinite up to round-off, so density_matrix's checks
 cannot fail on them and are not run.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,8 +234,10 @@ class EigpairVectors:
     their Gram matrix checked once; `state(weights)` builds the state of any
     weights on them, and can fail only on the weights.
 
-    The vectors must be non-empty, of one dimension, finite and nonzero
-    (norm at least 1e-12). They are normalized together, each by its norm as
+    The vectors, a sequence of vectors or a (k, d) array of them as rows
+    (read as it is and never changed), must be non-empty, of one dimension,
+    finite and nonzero (norm at least 1e-12). They are normalized together,
+    into one new (k, d) array whose transpose is `v`, each by its norm as
     np.linalg.norm gives it; a vector whose norm overflows is first divided
     by its largest real or imaginary part in modulus. Mutually orthonormal
     vectors are kept as the spectral basis, with the kernel completed
@@ -245,12 +248,16 @@ class EigpairVectors:
     """
 
     def __init__(self, vectors):
-        rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if not rows:
+        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+            # the vectors as rows of one array, taken as they are
+            rows = vectors.astype(complex, copy=False)
+        else:
+            rows = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+            if len({v.size for v in rows}) > 1:
+                raise ValidationError("eigpair vectors have mismatched dimensions")
+            rows = np.array(rows)
+        if not len(rows):
             raise ValidationError("no eigpair vectors")
-        if len({v.size for v in rows}) > 1:
-            raise ValidationError("eigpair vectors have mismatched dimensions")
-        rows = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             norms = frobenius_rows(rows[:, None, :])
         # one test when every norm is finite and at least 1e-12
@@ -260,12 +267,14 @@ class EigpairVectors:
             big = np.isinf(norms)
             if big.any():
                 parts = np.maximum(np.abs(rows[big].real), np.abs(rows[big].imag))
+                rows = rows.copy()  # the caller's array stays as it was
                 rows[big] /= parts.max(axis=1, keepdims=True)
                 norms[big] = frobenius_rows(rows[big][:, None, :])
             if norms.min() < 1e-12:
                 raise ValidationError("zero vector in eigpairs")
-        rows /= norms[:, None]
-        self.v = rows.T.copy()
+        # a new array: the rows given are not changed; v is its (d, k) view
+        rows = rows / norms[:, None]
+        self.v = rows.T
         # one unit vector is orthonormal; more are when their Gram matrix is I
         self.orthonormal = len(rows) == 1 or (
             np.abs(dagger(self.v) @ self.v - np.eye(len(rows))).max() <= 1e-10
@@ -320,8 +329,14 @@ class EigpairVectors:
         return vals, np.stack([self._basis(o) for o in order])
 
 
+# an eigpair list as its weights and its vectors: one (k, d) array of rows,
+# or a list of vectors
+Eigpairs = namedtuple("Eigpairs", "weights vectors")
+
+
 def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
-    """Build a state from (weight, vector) pairs.
+    """Build a state from (weight, vector) pairs, or from an Eigpairs, whose
+    (k, d) array of vectors EigpairVectors takes as it is.
 
     The vectors are checked first (EigpairVectors), then the weights: they
     must be finite, nonnegative and sum to 1 within 1e-10 (renormalized
@@ -330,10 +345,12 @@ def density_from_eigpairs(pairs, rank_tol=RANK_TOL):
     orthonormally; non-orthogonal vectors are legal, in which case the
     operator is assembled and re-diagonalized.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not isinstance(pairs, Eigpairs):
+        pairs = list(pairs)
+        pairs = Eigpairs([w for w, _ in pairs], [v for _, v in pairs])
+    if not len(pairs.weights):
         raise ValidationError("density_from_eigpairs needs at least one pair")
-    return EigpairVectors(v for _, v in pairs).state([w for w, _ in pairs], rank_tol)
+    return EigpairVectors(pairs.vectors).state(pairs.weights, rank_tol)
 
 
 def white_noise_state(psi, p):

@@ -374,6 +374,72 @@ def test_pair_lists_accept_what_the_element_wise_parse_accepts(items):
     assert np.array_equal(got, ref[:1].reshape(1, 1))
 
 
+def _eigpairs(vectors, weights=None):
+    """An eigpair list of vectors given as lists of [re, im] pairs."""
+    weights = weights or [1.0 / len(vectors)] * len(vectors)
+    return [{"weight": w, "vector": v} for w, v in zip(weights, vectors)]
+
+
+def _parse_outcome(data):
+    """(state matrix, parsed vectors) or the error message of parse and resolve."""
+    try:
+        desc = parse_descriptor(data)
+        return resolve(desc)[0].matrix, desc.state_spec.vectors
+    except ValidationError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        _eigpairs([[[0.6, 0], [0, 0.8]], [[0, 0.8], [-0.6, 0]]], [1, 0]),
+        _eigpairs([[[2, 0], [0, 0]], [[0, 0], [0, 3]]], [0.75, 0.25]),
+        _eigpairs([[[1, 0], [0, 0]], [[1, 0], ["x", 0]]]),
+        _eigpairs([[[1, 0], [0, 0]], [[1, 0], (0, 1)]]),
+        _eigpairs([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]),
+        _eigpairs([[[1, 0], [0, 0]], [[1, 0], [0, 0], [0, 1]]]),
+        _eigpairs([[[1, 0], [0, 0]], []]),
+        _eigpairs([[[1, 0], [0, 0]], [[float("nan"), 0], [0, 0]]]),
+        _eigpairs([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [True, 0.0]),
+        _eigpairs([[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [10**400, 0.0]),
+        _eigpairs([[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]),
+        [{"weight": 1.0, "vector": [[1, 0], [0, 0]], "extra": 0}],
+    ],
+    ids=[
+        "int-weight",
+        "unnormalized",
+        "bad-pair",
+        "tuple-pair",
+        "zero-vector",
+        "mismatched",
+        "empty-vector",
+        "nan",
+        "bool-weight",
+        "big-int-weight",
+        "big-int-entry",
+        "extra-key",
+    ],
+)
+def test_an_eigpair_list_parses_in_one_pass_as_it_does_item_by_item(state, monkeypatch):
+    data = {"state": state, "hamiltonians": [SX_JSON]}
+    one_pass = _parse_outcome(data)
+    monkeypatch.setattr(descriptors, "_plain_eigpairs", lambda value: None)
+    item_by_item = _parse_outcome(data)
+    # the same state, or the same message, naming the same field
+    if isinstance(item_by_item, str):
+        assert one_pass == item_by_item
+        return
+    assert np.array_equal(one_pass[0], item_by_item[0])
+    # a list of plain pairs is held as one (r, d) array, as parsed: resolve
+    # normalizes a copy
+    plain = all(type(z) is list for item in state for z in item["vector"])
+    assert isinstance(one_pass[1], np.ndarray) == plain
+    assert isinstance(item_by_item[1], list)
+    parsed = np.array(one_pass[1])
+    assert np.array_equal(parsed, np.array(item_by_item[1]))
+    assert np.array_equal(parsed, [[complex(*z) for z in item["vector"]] for item in state])
+
+
 def test_resolve_reuses_the_parsed_arrays(monkeypatch):
     eigpairs = [
         {"weight": 0.75, "vector": [[1, 0], [0, 0]]},
@@ -392,6 +458,7 @@ def test_resolve_reuses_the_parsed_arrays(monkeypatch):
         raise AssertionError("parsed a second time")
 
     monkeypatch.setattr(descriptors, "_pairs_array", refuse)
+    monkeypatch.setattr(descriptors, "_plain_pairs", refuse)
     for desc, (rho_ref, hs_ref, _, _) in zip(descs, expected):
         rho, hs, _, _ = resolve(desc)
         assert np.array_equal(rho.matrix, rho_ref.matrix)

@@ -1,13 +1,16 @@
 """Unitary encodings and their generators, checked against finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
-from metrocommute.conditions import ProblemStack, classify, classify_stack
+from metrocommute.conditions import NORM_KINDS, ProblemStack, classify, classify_stack
 from metrocommute.encoding import (
     COMMUTE_TOL,
+    LocalEncoding,
     LocalSpin,
     encode,
     encode_stack,
@@ -17,7 +20,13 @@ from metrocommute.encoding import (
     hamiltonian_set,
 )
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
-from metrocommute.states import density_from_eigpairs, density_matrix
+from metrocommute.states import (
+    density_from_eigpairs,
+    density_matrix,
+    white_noise_state,
+    white_noise_vectors,
+    white_noise_weights,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -215,9 +224,16 @@ def _gens(w, x):
     return w[..., None, :, :] @ x @ dagger(w)[..., None, :, :]
 
 
+def _dense_arrays(enc):
+    """encode_stack's (kappa, w, x), which a product form's LocalEncoding
+    builds from its blocks when they are read."""
+    return (enc.kappa, enc.w, enc.x) if isinstance(enc, LocalEncoding) else enc
+
+
 # (sites, qubit of each Hamiltonian, axes or None for random ones, theta scale)
 LOCAL_CASES = {
     "one site": (3, [1, 1, 1], None, 1.0),
+    # distinct sites commute; qubit 1 is idle
     "distinct sites": (3, [2, 0], None, 1.0),
     "shared sites": (4, [0, 0, 3, 3], None, 1.0),
     "all sites": (3, [0, 1, 2], None, 1.0),
@@ -225,7 +241,47 @@ LOCAL_CASES = {
     # two parallel blocks on qubit 1, qubits 0 and 2 idle: K has two
     # eigenvalues, each four-fold
     "repeated eigenvalues": (3, [1, 1], [[0.3, -0.4, 1.2], [0.6, -0.8, 2.4]], 1.0),
+    # a shared and a distinct site, qubits 0 and 3 idle
+    "two idle sites": (4, [2, 2, 1], None, 1.0),
 }
+
+# the parts of a product-form point that are built only when read
+POINT_BUILT_ON_READ = {"kappa", "w", "elems", "U", "generator_stack"}
+
+
+def _assert_same_classification(rep_p, rep_d):
+    """The reports of one problem given in product form and densely agree:
+    flags and ranks exactly, the SLD rows, W, QFIM, norms and scale within
+    1e-12 x scale."""
+    tol = 1e-12 * rep_d.scale
+    assert rep_p.flags == rep_d.flags
+    assert rep_p.scale == pytest.approx(rep_d.scale, rel=1e-13)
+    for kind, norm in rep_d.norms.items():
+        assert abs(rep_p.norms[kind] - norm) <= tol
+    for a, b in (
+        (rep_p.slds.rows, rep_d.slds.rows),
+        (rep_p.W.entries, rep_d.W.entries),
+        (rep_p.qfim.matrix, rep_d.qfim.matrix),
+    ):
+        assert np.max(np.abs(a - b)) <= tol
+    assert np.max(np.abs(rep_p.qfim.matrix - rep_d.qfim.matrix)) < 1e-12
+    assert rep_p.qfim.rank == rep_d.qfim.rank
+    assert (rep_p.E is None) == (rep_d.E is None)
+    if rep_d.E is not None:
+        assert rep_p.E == pytest.approx(rep_d.E, rel=1e-10, abs=1e-13)
+
+
+def _assert_point_matches_dense(pt, dense):
+    """A product-form point builds its generators, U, kappa and elems when
+    they are read, equal to the dense encode's within 1e-13; elems in the
+    point's own eigenbasis of K, which a degenerate K does not fix."""
+    assert not POINT_BUILT_ON_READ & vars(pt).keys()
+    assert (pt.dim, pt.m) == (dense.dim, dense.m)
+    assert np.max(np.abs(pt.generator_stack - dense.generator_stack)) < 1e-13
+    assert np.max(np.abs(pt.U - dense.U)) < 1e-13
+    assert np.max(np.abs(pt.kappa - dense.kappa)) < 1e-13
+    assert np.max(np.abs(pt.elems - dagger(pt.w) @ dense.generator_stack @ pt.w)) < 1e-13
+    assert POINT_BUILT_ON_READ <= vars(pt).keys()
 
 
 @pytest.mark.parametrize("case", list(LOCAL_CASES))
@@ -238,7 +294,7 @@ def test_product_encoding_matches_the_dense_encoding(case):
     assert product.local is not None and dense.local is None
     assert (product.dim, product.m) == (dense.dim, dense.m)
     theta = size * rng.normal(size=len(on))
-    kp, wp, xp = encode_stack(product.batch, theta)
+    kp, wp, xp = _dense_arrays(encode_stack(product.batch, theta))
     kd, wd, xd = encode_stack(dense.batch, theta)
     assert np.all(np.diff(kp[0]) <= 0)
     assert np.max(np.abs(kp - kd)) < 1e-13
@@ -246,18 +302,14 @@ def test_product_encoding_matches_the_dense_encoding(case):
     if size == 0.0:
         # U = I: w = I and X_i = H_i exactly
         assert np.array_equal(wp[0], np.eye(product.dim)) and np.array_equal(xp[0], dense.stack)
-    rho = density_matrix(random_density(rng, product.dim, rank=3))
-    rep_p, rep_d = (classify(rho, hs, theta=theta) for hs in (product, dense))
-    assert "stack" not in vars(product)
-    assert rep_p.flags == rep_d.flags
-    for kind, norm in rep_d.norms.items():
-        assert abs(rep_p.norms[kind] - norm) <= 1e-12 * rep_d.scale
-    assert rep_p.scale == pytest.approx(rep_d.scale, rel=1e-13)
-    assert np.max(np.abs(rep_p.qfim.matrix - rep_d.qfim.matrix)) < 1e-12
-    assert rep_p.qfim.rank == rep_d.qfim.rank
-    assert (rep_p.E is None) == (rep_d.E is None)
-    if rep_d.E is not None:
-        assert rep_p.E == pytest.approx(rep_d.E, rel=1e-10, abs=1e-13)
+    d = product.dim
+    for rank in (1, 2, d // 2, d):
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        rep_p, rep_d = (classify(rho, hs, theta=theta) for hs in (product, dense))
+        assert "stack" not in vars(product)
+        assert rep_p.rank == rank
+        _assert_same_classification(rep_p, rep_d)
+        _assert_point_matches_dense(rep_p.point, encode(dense, theta))
 
 
 def test_a_product_set_at_several_thetas_matches_the_dense_set():
@@ -270,7 +322,7 @@ def test_a_product_set_at_several_thetas_matches_the_dense_set():
     rho = density_matrix(random_density(rng, 2**sites, rank=5)).spectrum
     lam, vectors = rho.eigenvalues[None], rho.eigenvectors[None]
     for th in thetas:
-        kp, wp, xp = encode_stack(spins, th)
+        kp, wp, xp = _dense_arrays(encode_stack(spins, th))
         kd, wd, xd = encode_stack(dense, th)
         assert kp.shape == kd.shape and wp.shape == wd.shape and xp.shape == xd.shape
         assert np.max(np.abs(kp - kd)) < 1e-13
@@ -285,19 +337,65 @@ def test_a_product_set_at_several_thetas_matches_the_dense_set():
         assert np.allclose(runs[0].E, runs[1].E, rtol=1e-10, atol=1e-13, equal_nan=True)
 
 
+def test_a_stacked_white_noise_sweep_on_a_product_set_matches_the_dense_set():
+    # N > 1 points of one white_noise state swept over p, sharing one (1, d, d)
+    # basis and one product-form set
+    rng = np.random.default_rng(53)
+    sites = 4
+    d = 2**sites
+    product = hamiltonian_set(_local_set(rng, sites, [1, 1, 3]))
+    spins, dense = product.local, product.local.matrices()[None]
+    theta = rng.normal(size=3)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    ps = np.linspace(0.1, 0.9, 5)
+    lam, vectors = white_noise_vectors(psi).spectra(np.array([white_noise_weights(p, d) for p in ps]))
+    assert lam.shape == (5, d) and vectors.shape == (1, d, d)
+    runs = [
+        classify_stack(ProblemStack(n=5, rank=d, lam=lam, vectors=vectors, hams=h, theta=theta))
+        for h in (spins, dense)
+    ]
+    assert runs[0].rows.shape == (5, 3, d, d)
+    tol = 1e-12 * np.max(runs[1].scale)
+    assert np.array_equal(runs[0].flags, runs[1].flags)
+    for name in ("norms", "scale", "rows", "w_stack", "f"):
+        assert np.max(np.abs(getattr(runs[0], name) - getattr(runs[1], name))) <= tol
+    assert np.allclose(runs[0].E, runs[1].E, rtol=1e-10, atol=1e-13, equal_nan=True)
+    # each stacked point is the one-point classify of its own state
+    for k, p in enumerate(ps):
+        rep = classify(white_noise_state(psi, p), product, theta=theta)
+        assert np.max(np.abs(runs[0].norms[k] - [rep.norms[kind] for kind in NORM_KINDS])) <= tol
+        assert np.max(np.abs(runs[0].rows[k] - rep.slds.rows)) <= tol
+
+
 def test_classify_on_a_large_local_set_builds_no_dense_stack():
     rng = np.random.default_rng(37)
     sites = 8
     hs = hamiltonian_set(_local_set(rng, sites, [2, 2, 5]))
     vecs, _ = np.linalg.qr(rng.normal(size=(2**sites, 4)) + 1j * rng.normal(size=(2**sites, 4)))
     rho = density_from_eigpairs(zip([0.4, 0.3, 0.2, 0.1], vecs.T))
-    report = classify(rho, hs, theta=rng.normal(size=3))
+    theta = rng.normal(size=3)
+    report = classify(rho, hs, theta=theta)
     assert "stack" not in vars(hs)
     assert report.dim == hs.dim == 256
+    # the point holds the 2 x 2 blocks; w and elems are built when read
+    assert not POINT_BUILT_ON_READ & vars(report.point).keys()
+    # one classify of a rank-32 state at d = 256, m = 3 builds no (m, d, d)
+    # stack: its tracemalloc peak stays under 12 MiB
+    vecs, _ = np.linalg.qr(rng.normal(size=(2**sites, 32)) + 1j * rng.normal(size=(2**sites, 32)))
+    rho_32 = density_from_eigpairs(zip(rng.dirichlet(np.ones(32)), vecs.T))
+    classify(rho_32, hs, theta=theta)
+    tracemalloc.start()
+    try:
+        classify(rho_32, hs, theta=theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
     assert not hs.commuting and "stack" not in vars(hs)
     # a route reads the dense Hamiltonians: built on first read
     assert np.array_equal(hs.hams[1], LocalSpin(sites, 2, hs.local.blocks[1]).matrix())
     assert "stack" in vars(hs)
+    _assert_point_matches_dense(report.point, encode(hamiltonian_set(hs.hams), theta))
 
 
 def test_lists_that_are_not_one_register_of_local_spins_are_checked_densely():
