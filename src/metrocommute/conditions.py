@@ -34,10 +34,11 @@ L_i, as the imaginary and real parts of one state trace tr[(rho L_i) L_j]
 (metrology._state_traces), and are classify's anchors. classify_stack
 evaluates a ProblemStack, N problems of one (dim, m, rank), through the
 stacked kernels (encode_stack, sld_row_stack, the blocked norm kernel, Q
-and incompatibility_stack) with a leading (N, ...) axis; a product-form set
-takes its SLD rows from sld_local_row_stack, with no d x d encoding basis.
-It returns the norms, flags and E as arrays, which a sweep formats
-directly. classify
+and incompatibility_stack) with a leading (N, ...) axis. sld_row_stack is
+the one SLD kernel of both Hamiltonian forms, so a product-form set gets
+its SLD rows with no d x d encoding basis there and in sld_rotated alike;
+classify_stack tells the forms apart only for the scale. It returns the
+norms, flags and E as arrays, which a sweep formats directly. classify
 builds the one-problem stack of its state and Hamiltonians, and its report
 is a view of the same arrays; condition_operators_direct is the view on an
 SLD set that sld_rotated built.
@@ -65,10 +66,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import EncodingPoint, LocalEncoding, checked_theta, encode_stack, encoding_point
+from .encoding import EncodingPoint, LocalEncoding, checked_theta, encode_stack
 from .metrology import QfimResult, _state_traces, incompatibility_stack, qfim_stack
 from .operator_core import ValidationError, _pair_matrix, _pairs, dagger, frobenius_rows
-from .sld import SldSet, sld_local_row_stack, sld_row_stack, sld_rotated
+from .sld import SldSet, sld_row_stack, sld_rotated
 from .states import MAX_POINT_BYTES
 
 # chunk_size sizes a ProblemStack for one classify_stack call so that its
@@ -621,9 +622,11 @@ class StackedClassification:
 
 def classify_stack(stack, tol=1e-8):
     """The stacked classify kernel: every problem of a ProblemStack in one
-    pass of encode_stack, sld_row_stack (sld_local_row_stack for a product
-    form), the blocked S/O/P norms, Q, and incompatibility_stack. A
-    Hamiltonian set that the problems share is encoded once. Returns a
+    pass of encode_stack, sld_row_stack (on either form of the encoding),
+    the blocked S/O/P norms, Q, and incompatibility_stack. A Hamiltonian
+    set that the problems share is encoded once. Only the scale depends on
+    the form: the Frobenius norms of the G_i come from the X_i of a dense
+    set and from the 2 x 2 blocks of a product form's generators. Returns a
     StackedClassification; each problem's norms, flags and E are those
     classify gives for it.
     """
@@ -632,14 +635,13 @@ def classify_stack(stack, tol=1e-8):
     # anything reads them
     with np.errstate(over="ignore", invalid="ignore"):
         enc = encode_stack(stack.hams, stack.theta)
+        rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, enc)
         if isinstance(enc, LocalEncoding):
             gens = enc.generators
-            rows = sld_local_row_stack(stack.lam, stack.rank, stack.vectors, gens)
             # G_i is g_i on one qubit and the identity on the q - 1 others,
             # so ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2
             blocks, copies = gens.blocks[None], 2.0 ** (gens.sites - 1)
         else:
-            rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, enc[1], enc[2])
             # ||G_i||_F^2 read from the eigenbasis generators X_i, by unitary
             # invariance
             blocks, copies = enc[2], 1.0
@@ -694,7 +696,7 @@ def _report(spec, theta, res, tol):
         W=ScalarConditionMatrix(entries=res.w_stack[0], kind="W"),
         qfim=qfim_stack(res.f)[0],
         E=None if np.isnan(e) else e,
-        point=encoding_point(theta, res.encoding),
+        point=EncodingPoint(theta, res.encoding),
         slds=slds,
         operators=ConditionOperators(slds),
     )
@@ -736,8 +738,8 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     eigenbasis generators X_i, by unitary invariance, or, for a product-form
     set, from the 2 x 2 block g_i of each G_i on its qubit, as
     ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2 on q qubits. A product-form set's SLD
-    rows come from those blocks too (sld_local_row_stack), and its report's
-    point builds the eigenbasis of K and the X_i only when they are read.
+    rows come from those blocks too (sld_row_stack), and its report's point
+    holds its LocalEncoding, with no eigenbasis of K.
     The report also carries W and the QFIM, both from the one SLD set
     through Q_ij = tr[rho l_i l_j]: W = 2i Im Q and F = Re Q, and
     E = (1/2) max |eig(F^-1 W)| (None when the QFIM is singular).

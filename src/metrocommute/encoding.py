@@ -14,10 +14,11 @@ the ratio loses digits near it, so phi is evaluated as
 exp(ix/2) sin(x/2) / (x/2), which needs no threshold. The closed form is the
 production path; finite differences exist only as a test oracle.
 
-An EncodingPoint holds the generators in that eigenbasis, X_i = w^dag G_i w,
-together with (kappa, w): the SLDs need only X_i and one change of basis, so
-the unitary U and the stack of computational-basis generators
-G_i = w X_i w^dag are built on first read.
+An EncodingPoint holds encode_stack's result for one problem: for a dense
+set, the generators in that eigenbasis, X_i = w^dag G_i w, together with
+(kappa, w). The SLDs need only X_i and one change of basis, so the unitary U
+and the stack of computational-basis generators G_i = w X_i w^dag are built
+on first read.
 
 encode_stack evaluates N encodings of one shape at one theta at once, with
 a leading (N, ...) axis and one batched eigh; encode is its N = 1 case.
@@ -37,12 +38,10 @@ LocalEncoding: K = sum_i theta_i H_i is a sum of 2 x 2 terms k_s = u_s e_s
 u_s^dag, one per qubit, so G_i is the 2 x 2 block g_i = u_s x_i u_s^dag on
 qubit s = site_i, x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])), and
 the identity elsewhere. Its `generators` are that LocalSpinStack, which
-sld.sld_local_row_stack reads with no eigenbasis of K. The dense path's
-(kappa, w, x) are built from the blocks on first read: the eigenvalues of K
-are the Kronecker sum of the e_s, its eigenvectors the Kronecker product of
-the u_s, and each row of X_i has two entries. An EncodingPoint of a product
-form holds only its LocalEncoding and builds kappa, w, elems, U and the
-generators when they are read.
+sld.sld_row_stack reads; no eigenbasis of K is ever built for a product
+form. An EncodingPoint of a product form holds only its
+LocalEncoding, has no kappa, w or elems, and builds U (the Kronecker product
+of the exp(-i k_s)) and the dense generators when they are read.
 """
 
 from dataclasses import dataclass
@@ -214,33 +213,24 @@ def hamiltonian_checks(hams):
 
 
 class EncodingPoint:
-    """The encoding at one theta, held in the eigenbasis of K.
+    """The encoding at one theta.
 
-    kappa, w: eigenvalues (descending) and eigenvectors of K
-    elems: (m, d, d) stack of X_i = w^dag G_i w
+    enc: encode_stack's result for one problem, the `enc` of
+        sld.sld_row_stack: (kappa, w, x) with a leading axis of 1 for a dense
+        set, or a product form's LocalEncoding (then also `local`; else
+        `local` is None)
+    kappa, w, elems: a dense set's eigenvalues (descending) and eigenvectors
+        of K and (m, d, d) stack of X_i = w^dag G_i w, views of enc. A
+        product-form point has none of them.
     U, generator_stack: exp(-i K) and the (m, d, d) stack of the G_i, built
         on first read; generators lists the G_i as views of that stack
-    local: the LocalEncoding of a product-form set, or None. A product-form
-        point holds only that, and builds kappa, w and elems from its blocks
-        on first read too.
     """
 
-    def __init__(self, theta, kappa=None, w=None, elems=None, local=None):
-        self.theta, self.local = theta, local
-        if local is None:
-            self.kappa, self.w, self.elems = kappa, w, elems
-
-    @cached_property
-    def kappa(self):
-        return self.local.kappa[0]
-
-    @cached_property
-    def w(self):
-        return self.local.w[0]
-
-    @cached_property
-    def elems(self):
-        return self.local.x[0]
+    def __init__(self, theta, enc):
+        self.theta, self.enc = theta, enc
+        self.local = enc if isinstance(enc, LocalEncoding) else None
+        if self.local is None:
+            self.kappa, self.w, self.elems = (a[0] for a in enc)
 
     @property
     def dim(self):
@@ -329,7 +319,8 @@ def encode_stack(hams, theta):
 
 @dataclass(eq=False)
 class LocalEncoding:
-    """A LocalSpinStack encoded at one theta, in product form.
+    """A LocalSpinStack encoded at one theta, in product form, with no
+    eigenbasis of K.
 
     On each qubit s, k_s = sum_{i: site_i = s} theta_i a_i = u_s e_s u_s^dag
     (eigh, ascending; an idle qubit has k_s = 0 and u_s = I).
@@ -338,22 +329,14 @@ class LocalEncoding:
     e, u: (q, 2) eigenvalues and (q, 2, 2) eigenvectors of the k_s
     blocks: (m, 2, 2) x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])),
         the block of X_i in the eigenbasis u_s of its site s = site_i
-    total: (d,) eigenvalues of K in the Kronecker order of the u_s: basis
-        state b has sum_s e_s[bit_s(b)]
     generators: the G_i in product form, a LocalSpinStack of the blocks
         g_i = herm(u_s x_i u_s^dag)
-    kappa, w, x: encode_stack's arrays of the dense path, (1, d), (1, d, d)
-        and (1, m, d, d), built on first read. A stable descending sort of
-        total gives kappa and the order of w's columns; X_i couples only
-        basis states that differ at most in bit s, where it is x_i, so each
-        row has two entries, placed in the sorted basis.
     """
 
     spins: LocalSpinStack
     e: np.ndarray
     u: np.ndarray
     blocks: np.ndarray
-    total: np.ndarray
 
     @cached_property
     def generators(self):
@@ -361,38 +344,12 @@ class LocalEncoding:
         g = us @ self.blocks @ dagger(us)
         return LocalSpinStack(self.spins.sites, self.spins.site, (g + dagger(g)) / 2.0)
 
-    @cached_property
-    def _order(self):
-        return np.argsort(-self.total, kind="stable")
-
-    @cached_property
-    def kappa(self):
-        return self.total[self._order][None]
-
-    @cached_property
-    def w(self):
-        return tensor(*self.u)[:, self._order][None]
-
-    @cached_property
-    def x(self):
-        q, order = self.spins.sites, self._order
-        d = 2**q
-        rows = np.arange(d)
-        position = np.empty(d, dtype=int)
-        position[order] = rows
-        x = np.zeros((1, len(self.blocks), d, d), dtype=complex)
-        for i, s in enumerate(self.spins.site.tolist()):
-            shift = q - 1 - s
-            bit = (order >> shift) & 1
-            x[0, i, rows, rows] = self.blocks[i, bit, bit]
-            x[0, i, rows, position[order ^ (1 << shift)]] = self.blocks[i, bit, 1 - bit]
-        return x
-
 
 def _encode_local(spins, theta):
     """encode_stack of a LocalSpinStack: its LocalEncoding, with no d x d
     matrix. K overflows when a k_s or a sum of finite site eigenvalues
-    does."""
+    does. Each e_s is ascending, so every such sum, added site by site, lies
+    between the two it checks: that of the e_s[0] and that of the e_s[1]."""
     with np.errstate(over="ignore", invalid="ignore"):
         ks = np.zeros((spins.sites, 2, 2), dtype=complex)
         np.add.at(ks, spins.site, theta[:, None, None] * spins.blocks)
@@ -401,30 +358,22 @@ def _encode_local(spins, theta):
         raise ValidationError(K_OVERFLOW)
     e, u = np.linalg.eigh(ks)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.zeros(1)
+        ends = np.zeros(2)
         for e_s in e:
-            total = (total[:, None] + e_s).reshape(-1)
-    if not np.all(np.isfinite(total)):
+            ends = ends + e_s
+    if not np.all(np.isfinite(ends)):
         raise ValidationError(K_OVERFLOW)
     es, us = e[spins.site], u[spins.site]
     blocks = dagger(us) @ spins.blocks @ us * _phi(es[:, :, None] - es[:, None, :])
-    return LocalEncoding(spins, e, u, (blocks + dagger(blocks)) / 2.0, total)
-
-
-def encoding_point(theta, enc):
-    """The EncodingPoint of the first problem of encode_stack's result `enc`
-    at theta."""
-    if isinstance(enc, LocalEncoding):
-        return EncodingPoint(theta, local=enc)
-    kappa, w, x = enc
-    return EncodingPoint(theta, kappa[0], w[0], x[0])
+    return LocalEncoding(spins, e, u, (blocks + dagger(blocks)) / 2.0)
 
 
 def encode(h_set, theta):
-    """Evaluate the encoding at theta: the eigenpairs of K and all m
-    generators in its eigenbasis (encode_stack at N = 1)."""
+    """Evaluate the encoding at theta (encode_stack at N = 1): for a dense
+    set the eigenpairs of K and all m generators in its eigenbasis, for a
+    product form its LocalEncoding."""
     theta = checked_theta(h_set, theta)
-    return encoding_point(theta, encode_stack(h_set.batch, theta))
+    return EncodingPoint(theta, encode_stack(h_set.batch, theta))
 
 
 def evolve(rho, pt):

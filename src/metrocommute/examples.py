@@ -233,10 +233,7 @@ def _purity_identity(rho_mat, gens):
 
 
 def _run_ex1(p):
-    rng = np.random.default_rng(int(p["seed"]))
-    draws = int(p["draws"])
-    if draws < 1:
-        raise ValidationError("out-of-domain parameters: draws must be >= 1")
+    rng, draws = _seeded_rng(p), _draws(p)
     worst = 0.0
     for k in range(draws):
         rank = 1 if k % 2 == 0 else 2
@@ -287,12 +284,29 @@ def _whole_number(value):
     return int(value) if _is_number(value) and float(value).is_integer() else None
 
 
+def _whole_parameter(p, name, least, domain):
+    """Parameter `name` of p as an int: a whole number of at least `least`,
+    else the out-of-domain error that `domain` words."""
+    value = _whole_number(p[name])
+    if value is None or value < least:
+        raise ValidationError(f"out-of-domain parameters: {name} must be {domain}")
+    return value
+
+
+def _seeded_rng(p):
+    """The generator of a seeded example, its seed a non-negative integer."""
+    return np.random.default_rng(_whole_parameter(p, "seed", 0, "a non-negative integer"))
+
+
+def _draws(p):
+    """A seeded report's number of draws, an integer >= 1."""
+    return _whole_parameter(p, "draws", 1, "an integer >= 1")
+
+
 def _ex2_dim(p):
     """EX2's dim, an integer in 2..MAX_DIM whose problem (two Hamiltonians)
     is within the byte limit; both halves read it before they build."""
-    dim = _whole_number(p["dim"])
-    if dim is None or dim < 2:
-        raise ValidationError("out-of-domain parameters: dim must be an integer >= 2")
+    dim = _whole_parameter(p, "dim", 2, "an integer >= 2")
     if dim > MAX_DIM:
         raise ValidationError(f"out-of-domain parameters: dim must be at most {MAX_DIM}")
     check_point_bytes(dim, 2)
@@ -300,12 +314,9 @@ def _ex2_dim(p):
 
 
 def _ex2_rng(p):
-    """EX2's seeded generator, its seed a non-negative integer, and its dim
-    (_ex2_dim): the ket is its first draw and the Hamiltonian pair its next."""
-    seed = _whole_number(p["seed"])
-    if seed is None or seed < 0:
-        raise ValidationError("out-of-domain parameters: seed must be a non-negative integer")
-    return np.random.default_rng(seed), _ex2_dim(p)
+    """EX2's seeded generator (_seeded_rng) and its dim (_ex2_dim): the ket
+    is its first draw and the Hamiltonian pair its next."""
+    return _seeded_rng(p), _ex2_dim(p)
 
 
 def _ex2_draw(p):
@@ -530,7 +541,7 @@ def _run_ex5(p):
 
 
 def _run_ex6(p):
-    rng = np.random.default_rng(int(p["seed"]))
+    rng = _seeded_rng(p)
     psi1, _ = _w_type_kets()
     rho_abc = density_from_eigpairs([(1.0, psi1)])
     hs = hamiltonian_set([tensor(PAULI_X, EYE2), tensor(EYE2, PAULI_X)])
@@ -894,7 +905,7 @@ def _run_ex10(p):
 
 
 def _run_obs2(p):
-    rng = np.random.default_rng(int(p["seed"]))
+    rng = _seeded_rng(p)
     rho, hs = example_configuration("EX4", {"p": 0.5})
     w = _weak(rho, hs)
     w_pure = _weak(density_from_eigpairs([(1.0, _rand_ket(rng, 4))]), hs)
@@ -941,8 +952,7 @@ def _real_entangled_draw(rng, d):
 
 
 def _run_obs3(p):
-    rng = np.random.default_rng(int(p["seed"]))
-    draws = int(p["draws"])
+    rng, draws = _seeded_rng(p), _draws(p)
     worst = {2: 0.0, 3: 0.0}
     all_real = True
     for d in (2, 3):
@@ -981,8 +991,7 @@ def _spin_entangled_draw(rng):
 
 
 def _run_obs5(p):
-    rng = np.random.default_rng(int(p["seed"]))
-    draws = int(p["draws"])
+    rng, draws = _seeded_rng(p), _draws(p)
     worst = 0.0
     for _ in range(draws):
         bd, hs = _spin_entangled_draw(rng)

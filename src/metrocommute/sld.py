@@ -15,19 +15,23 @@ invariant under that gauge choice.
 The gauge also carries the speed: with eigenvalues in descending order and r
 the rank, the eigenbasis SLD l_i = V^dag L_i V is fixed by its r support rows
 R_i = l_i[:r, :], the rest being the mirrored block R_i[:, r:]^dag. The rows
-come from the encoding's own eigenbasis through one shared change of basis
-T = w^dag V (w the eigenvectors of K): R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T),
-2 r d^2 per parameter, with no computational-basis generator. The full l_i and
-the operators L_i are built on first read. sld_row_stack computes the rows of
-N problems of one shape and rank at once; sld_rotated is its N = 1 case.
+need V_r^dag G_i V, which sld_row_stack, the one SLD kernel, takes from
+encode_stack's result in the form it has, with no computational-basis
+generator:
 
-A product-form set (encoding.LocalEncoding) takes a second route, with no
-eigenbasis of K: G_i is a 2 x 2 block g_i on one qubit, so V_r^dag G_i V =
-(g_i V_r)^dag V, and R_i = 2i coeff[:r] o ((g_i V_r)^dag V), where g_i V_r
-mixes the two halves of the (d, r) support columns that differ in that
-qubit's bit, 4 d r per parameter, before one product with V, 2 r d^2.
-sld_local_row_stack computes those rows, and classify_stack takes them for
-every product-form set; sld_rotated keeps the dense route.
+  - a dense set's (kappa, w, x), through one shared change of basis
+    T = w^dag V (w the eigenvectors of K): R_i = 2i coeff[:r] o
+    (T[:, :r]^dag X_i T), 2 r d^2 per parameter;
+  - a product form's encoding.LocalEncoding, with no eigenbasis of K: G_i is
+    a 2 x 2 block g_i on one qubit, so R_i = 2i coeff[:r] o ((g_i V_r)^dag
+    V), where g_i V_r mixes the two halves of the (d, r) support columns
+    that differ in that qubit's bit, 4 d r per parameter, before one product
+    with V, 2 r d^2.
+
+sld_row_stack computes the rows of N problems of one shape and rank at
+once; classify_stack calls it for N problems and sld_rotated for one, on
+the encoding point's `enc`. The full l_i and the operators L_i are built on
+first read.
 """
 
 from dataclasses import dataclass
@@ -35,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .encoding import LocalEncoding
 from .operator_core import ValidationError, dagger, require_hermitian, tensor
 from .states import DensityMatrix, tensor_power
 
@@ -73,33 +78,30 @@ class SldSet:
         return list(self.op_stack)
 
 
-def sld_row_stack(lam, rank, v, w, x):
+def sld_row_stack(lam, rank, v, enc):
     """The SLD kernel for N problems of one shape and one rank r.
 
     lam: (N, d) state eigenvalues (descending and cut: the kernel ones are
-    exact zeros); v: (N, d, d) state eigenvectors; w, x: the encoding
-    eigenvectors (N, d, d) and eigenbasis generators (N, m, d, d). Returns
-    the support rows R_i = 2i coeff[:r] o (T[:, :r]^dag X_i T), T = w^dag V,
-    as (N, m, r, d).
+    exact zeros); v: (N, d, d) state eigenvectors; enc: encode_stack's
+    result, a leading axis of 1 shared by all N. Returns the support rows
+    R_i = 2i coeff[:r] o (V_r^dag G_i V) as (N, m, r, d): for a dense
+    (kappa, w, x), (N, d, d) eigenvectors of K and (N, m, d, d) eigenbasis
+    generators, as T[:, :r]^dag X_i T with T = w^dag V; for a LocalEncoding
+    on d = 2^q, as (g_i V_r)^dag V from the 2 x 2 blocks g_i of its
+    generators.
     Every support row has lam_k above the cutoff, so no pair is dropped.
+
+    Qubit 0 is the leftmost tensor factor, so in the C-order (d, r) columns
+    V_r qubit s is the axis of two of their (2^s, 2, 2^(q-1-s) r) view,
+    which g_i mixes.
     """
     lam_s = lam[:, :rank, None]
     coeff = (lam_s - lam[:, None]) / (lam_s + lam[:, None])
-    t = dagger(w) @ v
-    return 2j * coeff[:, None] * (dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
-
-
-def sld_local_row_stack(lam, rank, v, generators):
-    """sld_row_stack for a product-form set: lam, rank and v as there, and
-    `generators` the G_i as a LocalSpinStack of their 2 x 2 blocks g_i on
-    a register of d = 2^q. Returns the support rows
-    R_i = 2i coeff[:r] o ((g_i V_r)^dag V) as (N, m, r, d).
-
-    Qubit 0 is the leftmost tensor factor, so in the C-order (d, r)
-    columns V_r qubit s is the axis of two of their (2^s, 2, 2^(q-1-s) r)
-    view, which g_i mixes."""
-    lam_s = lam[:, :rank, None]
-    coeff = (lam_s - lam[:, None]) / (lam_s + lam[:, None])
+    if not isinstance(enc, LocalEncoding):
+        _, w, x = enc
+        t = dagger(w) @ v
+        return 2j * coeff[:, None] * (dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
+    generators = enc.generators
     cols = np.ascontiguousarray(v[:, :, :rank])
     n = len(cols)
     # one contiguous (N, d, r) stack per parameter, so each reshape is a view
@@ -115,12 +117,10 @@ def sld_local_row_stack(lam, rank, v, generators):
 
 def sld_rotated(spec, pt):
     """SLDs in the rotated frame from spectral data and an encoding point
-    (sld_row_stack at N = 1)."""
+    (sld_row_stack at N = 1, on the point's `enc` in either form)."""
     if spec.dim != pt.dim:
         raise ValidationError("spectral data and encoding dimensions differ")
-    rows = sld_row_stack(
-        spec.eigenvalues[None], spec.rank, spec.eigenvectors[None], pt.w[None], pt.elems[None]
-    )
+    rows = sld_row_stack(spec.eigenvalues[None], spec.rank, spec.eigenvectors[None], pt.enc)
     return SldSet(spec=spec, rows=rows[0])
 
 

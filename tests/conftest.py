@@ -46,8 +46,17 @@ def stacked_points(calls):
 def broadcast_points(calls):
     """Problems a stacked kernel evaluated when its array arguments broadcast
     over the leading axis (an axis of 1 is shared): the longest leading axis
-    of each call's arrays, summed over the recorded calls."""
-    return sum(max(len(a) for a in args if isinstance(a, np.ndarray)) for args in calls)
+    of each call's arrays, those inside a tuple argument (an encoding's
+    (kappa, w, x)) included, summed over the recorded calls."""
+
+    def arrays(args):
+        for a in args:
+            if isinstance(a, tuple):
+                yield from arrays(a)
+            elif isinstance(a, np.ndarray):
+                yield a
+
+    return sum(max(len(a) for a in arrays(args)) for args in calls)
 
 
 def _ex8_axial_qfim(lam1, lam2):

@@ -26,7 +26,7 @@ from metrocommute.descriptors import (
 )
 from metrocommute.encoding import LocalSpin, LocalSpinStack, encode_stack, hamiltonian_set
 from metrocommute.operator_core import ValidationError
-from metrocommute.sld import sld_local_row_stack, sld_row_stack
+from metrocommute.sld import sld_row_stack
 from metrocommute.states import EigpairVectors
 
 DATA = Path(__file__).parent / "data"
@@ -1213,7 +1213,7 @@ def test_sweep_peak_memory_follows_the_chunk_not_the_grid(tmp_path, capsys, monk
     cap = 4 * conditions.point_bytes(32, 3)
     monkeypatch.setattr(conditions, "CHUNK_BYTES", cap)
     encodes = count_calls(monkeypatch, encode_stack)
-    slds = count_calls(monkeypatch, sld_local_row_stack)
+    slds = count_calls(monkeypatch, sld_row_stack)
     (code, _, _), peak = _traced_run(capsys, argv)
     assert code == 0
     # p moves only the state: each chunk encodes its shared Hamiltonians,

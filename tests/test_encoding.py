@@ -7,9 +7,20 @@ import pytest
 
 from conftest import count_calls, random_density, random_hermitian_matrix
 from metrocommute import operator_core
-from metrocommute.conditions import NORM_KINDS, ProblemStack, classify, classify_stack
+from metrocommute.conditions import (
+    NORM_KINDS,
+    ProblemStack,
+    classify,
+    classify_stack,
+    condition_operators_direct,
+    support_kernel_decomposition,
+    weak_decomposed,
+    weak_direct,
+    weak_integral,
+)
 from metrocommute.encoding import (
     COMMUTE_TOL,
+    EncodingPoint,
     LocalEncoding,
     LocalSpin,
     encode,
@@ -20,6 +31,7 @@ from metrocommute.encoding import (
     hamiltonian_set,
 )
 from metrocommute.operator_core import ValidationError, dagger, matrix_exp_i
+from metrocommute.sld import sld_rotated
 from metrocommute.states import (
     density_from_eigpairs,
     density_matrix,
@@ -220,16 +232,6 @@ def _local_set(rng, sites, on, axes=None):
     return [LocalSpin(sites, s, _block(a)) for s, a in zip(on, axes)]
 
 
-def _gens(w, x):
-    return w[..., None, :, :] @ x @ dagger(w)[..., None, :, :]
-
-
-def _dense_arrays(enc):
-    """encode_stack's (kappa, w, x), which a product form's LocalEncoding
-    builds from its blocks when they are read."""
-    return (enc.kappa, enc.w, enc.x) if isinstance(enc, LocalEncoding) else enc
-
-
 # (sites, qubit of each Hamiltonian, axes or None for random ones, theta scale)
 LOCAL_CASES = {
     "one site": (3, [1, 1, 1], None, 1.0),
@@ -246,7 +248,9 @@ LOCAL_CASES = {
 }
 
 # the parts of a product-form point that are built only when read
-POINT_BUILT_ON_READ = {"kappa", "w", "elems", "U", "generator_stack"}
+POINT_BUILT_ON_READ = {"U", "generator_stack"}
+# the dense point's eigenbasis of K, which a product-form point never has
+DENSE_ONLY = ("kappa", "w", "elems")
 
 
 def _assert_same_classification(rep_p, rep_d):
@@ -272,20 +276,21 @@ def _assert_same_classification(rep_p, rep_d):
 
 
 def _assert_point_matches_dense(pt, dense):
-    """A product-form point builds its generators, U, kappa and elems when
-    they are read, equal to the dense encode's within 1e-13; elems in the
-    point's own eigenbasis of K, which a degenerate K does not fix."""
+    """A product-form point holds its LocalEncoding, has no eigenbasis of K,
+    and builds its generators and U when they are read, equal to the dense
+    encode's within 1e-13."""
+    assert isinstance(pt.enc, LocalEncoding)
     assert not POINT_BUILT_ON_READ & vars(pt).keys()
+    assert not any(hasattr(pt, name) for name in DENSE_ONLY)
     assert (pt.dim, pt.m) == (dense.dim, dense.m)
     assert np.max(np.abs(pt.generator_stack - dense.generator_stack)) < 1e-13
     assert np.max(np.abs(pt.U - dense.U)) < 1e-13
-    assert np.max(np.abs(pt.kappa - dense.kappa)) < 1e-13
-    assert np.max(np.abs(pt.elems - dagger(pt.w) @ dense.generator_stack @ pt.w)) < 1e-13
     assert POINT_BUILT_ON_READ <= vars(pt).keys()
 
 
-@pytest.mark.parametrize("case", list(LOCAL_CASES))
-def test_product_encoding_matches_the_dense_encoding(case):
+def _local_case(case):
+    """(rng, product-form set, the same set given densely, theta) of a
+    LOCAL_CASES entry, the rng seeded by the case's place in sorted order."""
     sites, on, axes, size = LOCAL_CASES[case]
     rng = np.random.default_rng(sorted(LOCAL_CASES).index(case))
     spins = _local_set(rng, sites, on, axes)
@@ -293,15 +298,17 @@ def test_product_encoding_matches_the_dense_encoding(case):
     dense = hamiltonian_set([h.matrix() for h in spins])
     assert product.local is not None and dense.local is None
     assert (product.dim, product.m) == (dense.dim, dense.m)
-    theta = size * rng.normal(size=len(on))
-    kp, wp, xp = _dense_arrays(encode_stack(product.batch, theta))
-    kd, wd, xd = encode_stack(dense.batch, theta)
-    assert np.all(np.diff(kp[0]) <= 0)
-    assert np.max(np.abs(kp - kd)) < 1e-13
-    assert np.max(np.abs(_gens(wp, xp) - _gens(wd, xd))) < 1e-13
-    if size == 0.0:
-        # U = I: w = I and X_i = H_i exactly
-        assert np.array_equal(wp[0], np.eye(product.dim)) and np.array_equal(xp[0], dense.stack)
+    return rng, product, dense, size * rng.normal(size=len(on))
+
+
+@pytest.mark.parametrize("case", list(LOCAL_CASES))
+def test_product_encoding_matches_the_dense_encoding(case):
+    rng, product, dense, theta = _local_case(case)
+    if not theta.any():
+        # every u_s = I and x_i = a_i: U = I and G_i = H_i exactly
+        pt = encode(product, theta)
+        assert np.array_equal(pt.U, np.eye(product.dim))
+        assert np.array_equal(pt.generator_stack, dense.stack)
     d = product.dim
     for rank in (1, 2, d // 2, d):
         rho = density_matrix(random_density(rng, d, rank=rank))
@@ -310,6 +317,38 @@ def test_product_encoding_matches_the_dense_encoding(case):
         assert rep_p.rank == rank
         _assert_same_classification(rep_p, rep_d)
         _assert_point_matches_dense(rep_p.point, encode(dense, theta))
+
+
+@pytest.mark.parametrize("case", list(LOCAL_CASES))
+def test_every_route_on_a_product_point_matches_the_dense_point(case):
+    # the same set as LocalSpins and as dense matrices, encoded at one theta:
+    # each route reads either point and agrees within 1e-12 x scale
+    rng, product, dense, theta = _local_case(case)
+    points = encode(product, theta), encode(dense, theta)
+    assert isinstance(points[0].enc, LocalEncoding) and isinstance(points[1].enc, tuple)
+    scale = max(1.0, *(np.vdot(g, g).real for g in points[1].generator_stack))
+    d = product.dim
+    for rank in (1, 2, d // 2, d):
+        rho = density_matrix(random_density(rng, d, rank=rank))
+        spec = rho.spectrum
+
+        def routes(pt):
+            slds = sld_rotated(spec, pt)
+            ops = condition_operators_direct(spec, slds)
+            terms = support_kernel_decomposition(spec, pt, check=True)
+            return {
+                "sld_rotated": slds.op_stack,
+                "weak_direct": weak_direct(rho, slds).entries,
+                "weak_integral": weak_integral(spec, pt).entries,
+                **{f"weak_decomposed {w.kind}": w.entries for w in weak_decomposed(spec, pt)},
+                **{f"direct {kind}": ops.pair_stack(kind) for kind in "PSO"},
+                **{f"support/kernel {kind}": terms.pair_stack(kind) for kind in terms.stacks},
+            }
+
+        got, want = (routes(pt) for pt in points)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert np.max(np.abs(got[name] - value)) <= 1e-12 * scale, (rank, name)
 
 
 def test_a_product_set_at_several_thetas_matches_the_dense_set():
@@ -322,11 +361,9 @@ def test_a_product_set_at_several_thetas_matches_the_dense_set():
     rho = density_matrix(random_density(rng, 2**sites, rank=5)).spectrum
     lam, vectors = rho.eigenvalues[None], rho.eigenvectors[None]
     for th in thetas:
-        kp, wp, xp = _dense_arrays(encode_stack(spins, th))
-        kd, wd, xd = encode_stack(dense, th)
-        assert kp.shape == kd.shape and wp.shape == wd.shape and xp.shape == xd.shape
-        assert np.max(np.abs(kp - kd)) < 1e-13
-        assert np.max(np.abs(_gens(wp, xp) - _gens(wd, xd))) < 1e-13
+        pp, pd = (EncodingPoint(th, encode_stack(h, th)) for h in (spins, dense))
+        assert np.max(np.abs(pp.generator_stack - pd.generator_stack)) < 1e-13
+        assert np.max(np.abs(pp.U - pd.U)) < 1e-13
         runs = [
             classify_stack(ProblemStack(n=1, rank=5, lam=lam, vectors=vectors, hams=h, theta=th))
             for h in (spins, dense)
@@ -377,7 +414,7 @@ def test_classify_on_a_large_local_set_builds_no_dense_stack():
     report = classify(rho, hs, theta=theta)
     assert "stack" not in vars(hs)
     assert report.dim == hs.dim == 256
-    # the point holds the 2 x 2 blocks; w and elems are built when read
+    # the point holds the 2 x 2 blocks; U and the generators are built when read
     assert not POINT_BUILT_ON_READ & vars(report.point).keys()
     # one classify of a rank-32 state at d = 256, m = 3 builds no (m, d, d)
     # stack: its tracemalloc peak stays under 12 MiB
@@ -391,6 +428,14 @@ def test_classify_on_a_large_local_set_builds_no_dense_stack():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+    # sld_rotated of the rank-32 state takes the same rows from the blocks
+    # and builds nothing on the point
+    pt = encode(hs, theta)
+    slds = sld_rotated(rho_32.spectrum, pt)
+    assert not POINT_BUILT_ON_READ & vars(pt).keys()
+    assert not any(hasattr(pt, name) for name in DENSE_ONLY)
+    rows = classify(rho_32, hs, theta=theta).slds.rows
+    assert np.max(np.abs(slds.rows - rows)) == 0.0
     assert not hs.commuting and "stack" not in vars(hs)
     # a route reads the dense Hamiltonians: built on first read
     assert np.array_equal(hs.hams[1], LocalSpin(sites, 2, hs.local.blocks[1]).matrix())

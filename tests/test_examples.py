@@ -41,6 +41,36 @@ def test_unknown_example_id():
         run_example("EX99")
 
 
+SEED_DOMAIN = "out-of-domain parameters: seed must be a non-negative integer"
+DRAWS_DOMAIN = "out-of-domain parameters: draws must be an integer >= 1"
+
+
+@pytest.mark.parametrize(
+    "ex_id, params, message",
+    [
+        ("OBS3", {"draws": 0}, DRAWS_DOMAIN),
+        ("OBS5", {"draws": -3}, DRAWS_DOMAIN),
+        ("EX1", {"draws": 2.9}, DRAWS_DOMAIN),
+        ("EX1", {"draws": 0}, DRAWS_DOMAIN),
+        ("EX1", {"seed": -1}, SEED_DOMAIN),
+        ("EX6", {"seed": 1.5}, SEED_DOMAIN),
+        ("OBS2", {"seed": -1}, SEED_DOMAIN),
+        ("OBS3", {"seed": 0.5}, SEED_DOMAIN),
+        ("OBS5", {"seed": -2, "draws": 0}, SEED_DOMAIN),
+        ("EX2", {"seed": -1}, SEED_DOMAIN),
+    ],
+)
+def test_seeded_examples_check_seed_and_draws(ex_id, params, message):
+    # a seed is a non-negative integer and draws an integer >= 1, checked
+    # before any draw, with the message EX2 gives for its seed
+    with pytest.raises(ValidationError) as err:
+        run_example(ex_id, params)
+    assert str(err.value) == message
+    # whole floats are taken as their integers
+    whole = {key: float(default_parameters(ex_id)[key]) for key in params}
+    assert run_example(ex_id, whole).as_dict() == run_example(ex_id).as_dict()
+
+
 def test_unknown_parameter_lists_valid_names():
     with pytest.raises(ValidationError, match="valid names"):
         run_example("EX4", {"q": 0.5})
