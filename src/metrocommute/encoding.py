@@ -217,8 +217,7 @@ class EncodingPoint:
 
     enc: encode_stack's result for one problem, the `enc` of
         sld.sld_row_stack: (kappa, w, x) with a leading axis of 1 for a dense
-        set, or a product form's LocalEncoding (then also `local`; else
-        `local` is None)
+        set, or a product form's LocalEncoding (then `product` is True)
     kappa, w, elems: a dense set's eigenvalues (descending) and eigenvectors
         of K and (m, d, d) stack of X_i = w^dag G_i w, views of enc. A
         product-form point has none of them.
@@ -228,30 +227,30 @@ class EncodingPoint:
 
     def __init__(self, theta, enc):
         self.theta, self.enc = theta, enc
-        self.local = enc if isinstance(enc, LocalEncoding) else None
-        if self.local is None:
+        self.product = isinstance(enc, LocalEncoding)
+        if not self.product:
             self.kappa, self.w, self.elems = (a[0] for a in enc)
 
     @property
     def dim(self):
-        return self.w.shape[0] if self.local is None else 2**self.local.spins.sites
+        return 2**self.enc.spins.sites if self.product else self.w.shape[0]
 
     @property
     def m(self):
-        return len(self.elems) if self.local is None else len(self.local.spins.site)
+        return len(self.enc.spins.site) if self.product else len(self.elems)
 
     @cached_property
     def U(self):
-        if self.local is not None:
+        if self.product:
             # exp(-i K) is the Kronecker product of the exp(-i k_s)
-            e, u = self.local.e, self.local.u
+            e, u = self.enc.e, self.enc.u
             return tensor(*((u * np.exp(-1j * e)[:, None, :]) @ dagger(u)))
         return (self.w * np.exp(-1j * self.kappa)) @ dagger(self.w)
 
     @cached_property
     def generator_stack(self):
-        if self.local is not None:
-            return self.local.generators.matrices()
+        if self.product:
+            return self.enc.generators.matrices()
         gens = self.w @ self.elems @ dagger(self.w)
         return (gens + dagger(gens)) / 2.0
 

@@ -83,12 +83,13 @@ def sld_row_stack(lam, rank, v, enc):
 
     lam: (N, d) state eigenvalues (descending and cut: the kernel ones are
     exact zeros); v: (N, d, d) state eigenvectors; enc: encode_stack's
-    result, a leading axis of 1 shared by all N. Returns the support rows
-    R_i = 2i coeff[:r] o (V_r^dag G_i V) as (N, m, r, d): for a dense
-    (kappa, w, x), (N, d, d) eigenvectors of K and (N, m, d, d) eigenbasis
-    generators, as T[:, :r]^dag X_i T with T = w^dag V; for a LocalEncoding
-    on d = 2^q, as (g_i V_r)^dag V from the 2 x 2 blocks g_i of its
-    generators.
+    result, (kappa, w, x) with a leading axis of N, or of 1 when the
+    problems share it, or a LocalEncoding (shared by all N). Returns the
+    support rows R_i = 2i coeff[:r] o (V_r^dag G_i V) as (N, m, r, d): for a
+    dense (kappa, w, x), from the eigenvectors w of K and the eigenbasis
+    generators x, as T[:, :r]^dag X_i T with T = w^dag V; for a
+    LocalEncoding on d = 2^q, as (g_i V_r)^dag V from the 2 x 2 blocks g_i
+    of its generators.
     Every support row has lam_k above the cutoff, so no pair is dropped.
 
     Qubit 0 is the leftmost tensor factor, so in the C-order (d, r) columns

@@ -4,11 +4,10 @@ A code line is a line that is not blank, not a comment alone and not part
 of a docstring (module, class or function). Prints one line per module and
 the total; it checks nothing and always exits 0.
 
-    python tools/code_lines.py [PACKAGE_DIR]
+    python tools/code_lines.py
 """
 
 import ast
-import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "metrocommute"
@@ -36,11 +35,9 @@ def code_lines(source):
     )
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    package = Path(argv[0]) if argv else PACKAGE
+def main():
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path.read_text())
         total += count
         print(f"{path.name:<20} {count:>5}")
