@@ -19,13 +19,18 @@ operators in the original frame are built only when read. The SLDs vanish
 on the kernel-kernel block, so every product l_i l_j is formed from their r
 support rows.
 
-The S, O and P norms are sums of squared commutator entries, taken
-PAIR_BLOCK pairs at a time (_commutator_norms, which only classify_stack
-runs): no array of every pair's d x d commutator is held, so a problem's
-memory does not grow with the number of pairs, and the report's norms are
-their one copy. ConditionOperators is a view that holds only an SldSet: it
-builds the commutators of every pair (_commutators, the one formula
-c = X - X^dag) and the operators only when they are read.
+The S, O and P norms are sums of squared commutator entries
+(_commutator_norms, which only classify_stack runs). Each pair product
+x = l_i l_j is formed once (_pair_products), as many pairs at a time as one
+problem's products fit in PAIR_BLOCK_BYTES: a d = 256 problem holds one
+pair's 1 MiB product at a time, and a small-d sweep batch is one block. The squares of c = x - x^dag
+are summed from the real and imaginary parts of x, (Re x - Re x^T)^2 +
+(Im x + Im x^T)^2, into one real buffer, so no conjugated copy is made, no
+product outlives its block, a problem's memory does not grow with the
+number of pairs, and the report's norms are their one copy.
+ConditionOperators is a view that holds only an SldSet: it builds the
+commutators of every pair (_commutators, the same products and the same
+formula for c) and the operators only when they are read.
 
 classify takes W and the QFIM from the same eigenbasis SLDs, as the
 imaginary and real parts of Q_ij = tr[rho l_i l_j]; weak_direct and
@@ -76,9 +81,10 @@ from .states import MAX_POINT_BYTES
 # estimated peak memory (point_bytes per problem) stays within this
 CHUNK_BYTES = 16 * 2**20
 
-# the S/O/P norm kernel holds the commutators of this many pairs at a time;
-# at 4, every problem with m <= 3 is one block
-PAIR_BLOCK = 4
+# the S/O/P norm kernel forms the pair products of as many pairs at a time as
+# one problem's products fit in this many bytes, and at least one: a d = 256
+# problem goes one 1 MiB pair at a time, and a small-d sweep batch is one block
+PAIR_BLOCK_BYTES = 2**20
 
 
 @dataclass(eq=False)
@@ -310,32 +316,62 @@ class ConditionOperators:
     P = _operator_property("P")
 
 
+def _pair_products(rows, pairs):
+    """x = l_i l_j for the pairs (first, second) of SLD support rows
+    (..., m, r, d), as (..., pairs, d, d). The l_i vanish on the
+    kernel-kernel block, so l_i l_j is R_i^dag R_j plus R_i[:, r:]
+    R_j[:, r:]^dag on the support-support block, d^2 r per pair."""
+    first, second = pairs
+    r = rows.shape[-2]
+    x = dagger(rows[..., first, :, :]) @ rows[..., second, :, :]
+    x[..., :r, :r] += rows[..., first, :, r:] @ dagger(rows[..., second, :, r:])
+    return x
+
+
 def _commutators(rows, pairs):
     """c = l_i l_j - l_j l_i for the pairs (first, second) of SLD support
-    rows (..., m, r, d), as (..., pairs, d, d). The l_i vanish on the
-    kernel-kernel block, so l_i l_j is R_i^dag R_j plus R_i[:, r:]
-    R_j[:, r:]^dag on the support-support block, d^2 r per pair, and
-    c = X - X^dag is the commutator of the two Hermitian l's."""
-    r = rows.shape[-2]
-    a, b = (rows[..., p, :, :] for p in pairs)
-    x = dagger(a) @ b
-    x[..., :r, :r] += a[..., r:] @ dagger(b[..., r:])
-    return x - dagger(x)
+    rows (..., m, r, d), as (..., pairs, d, d): c = x - x^dag, the
+    commutator of the two Hermitian l's, for x = l_i l_j (_pair_products),
+    written part by part as Re x - Re x^T and Im x + Im x^T, with no
+    conjugated copy of x."""
+    x = _pair_products(rows, pairs)
+    c = np.empty_like(x)
+    np.subtract(x.real, np.swapaxes(x.real, -1, -2), out=c.real)
+    np.add(x.imag, np.swapaxes(x.imag, -1, -2), out=c.imag)
+    return c
+
+
+def _pairs_per_block(dim):
+    """How many of one problem's (dim, dim) complex pair products the norm
+    kernel holds at a time: as many as fit in PAIR_BLOCK_BYTES, and at
+    least one."""
+    return max(1, PAIR_BLOCK_BYTES // (16 * dim * dim))
 
 
 def _commutator_norms(rows):
     """The S, O and P norms, each (N,), of N problems' SLD support rows
-    (N, m, r, d). The squared entries of the pair commutators are summed
-    PAIR_BLOCK pairs at a time, and no commutator outlives its block."""
-    n, m, r, _ = rows.shape
+    (N, m, r, d). The pair products x = l_i l_j (_pair_products) are formed
+    _pairs_per_block(d) pairs at a time, so a problem's blocks, and the
+    order of its sums, do not depend on the stack it is in. The squared
+    entries of the commutators, (Re x - Re x^T)^2 + (Im x + Im x^T)^2, are
+    summed into one real buffer, with Re x, which is then spent, holding
+    the imaginary squares. Neither the product nor the buffer outlives its
+    block."""
+    n, m, r, d = rows.shape
     pairs = _pairs(m)
+    size = _pairs_per_block(d)
     sums = np.zeros((3, n))
-    for k in range(0, pairs.shape[1], PAIR_BLOCK):
-        c = _commutators(rows, pairs[:, k : k + PAIR_BLOCK])
-        sq = c.real**2
-        sq += c.imag**2
-        del c
+    for k in range(0, pairs.shape[1], size):
+        x = _pair_products(rows, pairs[:, k : k + size])
+        re, im = x.real, x.imag
+        sq = re - np.swapaxes(re, -1, -2)
+        sq *= sq
+        np.add(im, np.swapaxes(im, -1, -2), out=re)
+        re *= re
+        sq += re
+        del x, re, im
         sums += [b.sum(axis=(1, 2, 3)) for b in (sq, sq[..., :r], sq[..., :r, :r])]
+        del sq
     # every pair appears twice in the m x m matrix, once with each sign
     return dict(zip("SOP", np.sqrt(2.0 * sums)))
 
@@ -704,12 +740,16 @@ def _report(spec, theta, res, tol):
 
 def point_bytes(dim, m):
     """Estimated peak bytes one resolved problem adds to a classify_stack
-    call: 16 dim^2 bytes times 4 m + 5 min(m (m - 1) / 2, PAIR_BLOCK) + 6,
-    counting the problem's own Hamiltonians and eigenvectors, the stacked
-    generators and their temporaries, and one block of pair commutators
-    with theirs. tracemalloc puts the marginal cost of a problem at 0.52 to
-    0.89 of this estimate for dim 32 to 128, m 1 to 6 and rank 1 to dim."""
-    return 16 * dim * dim * (4 * m + 5 * min(m * (m - 1) // 2, PAIR_BLOCK) + 6)
+    call: 16 dim^2 bytes times 4 m + 6 + 4 k, counting the problem's own
+    Hamiltonians and eigenvectors, the stacked generators and their
+    temporaries, and one block of k pair products with the copies of their
+    factors' rows and the real buffer of their squares. k is the number of
+    pairs the norm kernel takes at a time for one problem
+    (_pairs_per_block), at most m (m - 1) / 2, in a stack of any size.
+    tracemalloc puts the cost of one problem at 0.42 to 0.87 of this estimate
+    for dim 32 to 128, m 1 to 6 and rank 1 to dim."""
+    pairs = min(m * (m - 1) // 2, _pairs_per_block(dim))
+    return 16 * dim * dim * (4 * m + 6 + 4 * pairs)
 
 
 def check_point_bytes(dim, m):
@@ -747,9 +787,10 @@ def classify(rho, h_set, theta=None, tol=1e-8):
     serve as their independent anchors. The report keeps the encoding
     point, SLD set and condition operators of that pass, so callers need no
     second pass. The P, O and S norms come from the eigenbasis commutators,
-    PAIR_BLOCK pairs at a time, and `report.norms` is their one copy; no
-    commutator is kept, and none is built again until `report.operators`, a
-    view on the report's SLD set, is asked for one.
+    at most PAIR_BLOCK_BYTES of pair products (or one pair) at a time, and
+    `report.norms` is their one copy; no commutator is kept, and none is
+    built again until `report.operators`, a view on the report's SLD set,
+    is asked for one.
     This is classify_stack at N = 1.
     """
     theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)

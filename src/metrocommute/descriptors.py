@@ -6,7 +6,8 @@ theta, an optional weight matrix for the scalar precision bound, and optional
 tolerance overrides. Matrices are encoded as {"dim": n, "entries": [[re, im],
 ...]} with entries row-major; vectors as lists of [re, im] pairs.
 
-Parsing is strict and fails with a field-precise message; parse followed by
+Parsing is strict (an object that repeats a key is malformed JSON) and fails
+with a field-precise message; parse followed by
 serialize is idempotent on the canonical form. Every field is checked and
 converted once, at parse (_parse_fields), into the typed value the
 descriptor keeps: an eigpair list becomes its weights and one (r, d) complex
@@ -136,11 +137,27 @@ def _only(keys, path, known):
         _fail(path, f"unknown keys {sorted(extra)}")
 
 
+def _unique_keys(pairs):
+    """The dict of one JSON object's (key, value) pairs; a repeated key
+    fails, where json would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"malformed JSON: duplicate key {json.dumps(key)}")
+            seen.add(key)
+    return obj
+
+
 def load_json(text):
     """The JSON value of text; malformed JSON, including an integer literal
-    past Python's digit limit, raises ValidationError."""
+    past Python's digit limit and an object with a repeated key, raises
+    ValidationError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValidationError:
+        raise
     except json.JSONDecodeError as err:
         raise ValidationError(
             f"malformed JSON: {err.msg} (line {err.lineno}, column {err.colno})"

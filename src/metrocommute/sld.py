@@ -101,7 +101,7 @@ def sld_row_stack(lam, rank, v, enc):
     if not isinstance(enc, LocalEncoding):
         _, w, x = enc
         t = dagger(w) @ v
-        return 2j * coeff[:, None] * (dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
+        return _scaled(2j * coeff[:, None], dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
     generators = enc.generators
     cols = np.ascontiguousarray(v[:, :, :rank])
     n = len(cols)
@@ -113,7 +113,15 @@ def sld_row_stack(lam, rank, v, enc):
         b[:, :, 0] = g[0, 0] * a[:, :, 0] + g[0, 1] * a[:, :, 1]
         b[:, :, 1] = g[1, 0] * a[:, :, 0] + g[1, 1] * a[:, :, 1]
     np.conj(gv, out=gv)
-    return 2j * coeff[:, None] * (gv.transpose(1, 0, 3, 2) @ v[:, None])
+    return _scaled(2j * coeff[:, None], gv.transpose(1, 0, 3, 2) @ v[:, None])
+
+
+def _scaled(s, prod):
+    """s * prod, written into prod when prod has the broadcast shape; a
+    product on one basis shared by N problems, (1, m, r, d) against an
+    (N, 1, r, d) s, gets one new (N, m, r, d) array."""
+    shape = np.broadcast_shapes(s.shape, prod.shape)
+    return np.multiply(s, prod, out=prod if prod.shape == shape else None)
 
 
 def sld_rotated(spec, pt):

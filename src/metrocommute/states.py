@@ -195,9 +195,12 @@ def with_rank_tol(rho, rank_tol):
 
 
 def _orthonormal_completion(v):
-    """Orthonormal columns spanning the orthogonal complement of the
-    orthonormal columns of v (d, r), r <= d."""
-    return np.linalg.qr(v, mode="complete")[0][:, v.shape[1] :]
+    """The unitary (d, d) [v, completion] of the orthonormal columns of v
+    (d, r), r <= d: v written over the first r columns of v's complete QR,
+    whose other columns span the orthogonal complement of v."""
+    q = np.linalg.qr(v, mode="complete")[0]
+    q[:, : v.shape[1]] = v
+    return q
 
 
 def eigpair_weight_rows(rows):
@@ -304,7 +307,7 @@ class EigpairVectors:
         if full is None:
             full = self.v.take(order, axis=1)
             if full.shape[1] < full.shape[0]:
-                full = np.column_stack([full, _orthonormal_completion(full)])
+                full = _orthonormal_completion(full)
             full.flags.writeable = False
             self._bases[order.tobytes()] = full
         return full
@@ -373,7 +376,7 @@ def white_noise_vectors(psi):
     completion: the eigenbasis of every a |psi><psi| + b (I - |psi><psi|),
     whose weights are [a, b, ..., b]."""
     v = EigpairVectors([psi]).v
-    return EigpairVectors([v[:, 0], *_orthonormal_completion(v).T])
+    return EigpairVectors(list(_orthonormal_completion(v).T))
 
 
 def _hw_bell_vectors(d):

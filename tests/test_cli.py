@@ -1044,9 +1044,9 @@ def test_the_byte_limit_admits_a_problem_at_its_edge(tmp_path, capsys, monkeypat
 
 
 def test_the_byte_limit_admits_nine_sites_of_the_w_pair():
-    # nine qubits, nine sigma_z terms: 248 MiB by the byte model, inside the
-    # limit; twelve are not
-    assert conditions.point_bytes(512, 9) == 248 * 2**20
+    # nine qubits, nine sigma_z terms: 184 MiB by the byte model (one pair
+    # product at a time), inside the limit; twelve are not
+    assert conditions.point_bytes(512, 9) == 184 * 2**20
     conditions.check_point_bytes(512, 9)
     with pytest.raises(ValidationError, match="dimension 4096 with m = 12"):
         conditions.check_point_bytes(4096, 12)
@@ -1115,6 +1115,36 @@ def test_an_integer_past_the_digit_limit_is_malformed_json(tmp_path, capsys, whe
         argv = ["classify", _example_descriptor(tmp_path, "EX4"), "--weight", str(long)]
     message = f"error: malformed JSON: Exceeds the limit ({limit} digits) for integer string conversion\n"
     assert _run(capsys, argv) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [("top", "theta"), ("params", "p"), ("eigpair", "weight"), ("weight", "dim")],
+)
+def test_a_repeated_key_exits_2_with_one_error_line(tmp_path, capsys, where, key):
+    # json alone keeps the last value: EX4 at "p": 0.3, "p": 0.6 classified at 0.6
+    texts = {
+        "top": (
+            '{"state": {"family": "example", "params": {"id": "EX4"}},'
+            ' "theta": [0.1, 0.2], "theta": [0.3, 0.4]}'
+        ),
+        "params": '{"state": {"family": "example", "params": {"id": "EX4", "p": 0.3, "p": 0.6}}}',
+        "eigpair": (
+            '{"state": [{"weight": 0.5, "vector": [[1, 0], [0, 0]], "weight": 0.5},'
+            ' {"weight": 0.5, "vector": [[0, 0], [1, 0]]}],'
+            ' "hamiltonians": [%s, %s]}' % (json.dumps(SZ), json.dumps(SX))
+        ),
+        "weight": '{"dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]], "dim": 2}',
+    }
+    path = tmp_path / "dup.json"
+    path.write_text(texts[where])
+    if where == "weight":
+        runs = [["classify", _example_descriptor(tmp_path, "EX4"), "--weight", str(path)]]
+    else:
+        sweep = ["sweep", str(path), "--param", "p", "--grid", "0.1:0.2:2"]
+        runs = [["classify", str(path), "--json"], sweep]
+    for argv in runs:
+        assert _run(capsys, argv) == (2, "", f'error: malformed JSON: duplicate key "{key}"\n')
 
 
 @pytest.mark.parametrize(

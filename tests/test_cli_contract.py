@@ -12,7 +12,7 @@ warning breaks the contract.
 Sizes up to the cap (states.MAX_DIM = 4096) are among the mutations: a
 state's dimension is read from its spec and compared with the Hamiltonians'
 before the state is built, so a mismatched size exits 2 without building.
-So is the edge of the byte limit (states.MAX_POINT_BYTES): 1880 is the
+So is the edge of the byte limit (states.MAX_POINT_BYTES): 1931 is the
 least EX2 dim past it, and a problem past it exits 2 before it is built.
 """
 
@@ -141,7 +141,7 @@ VALUES = [
     3,
     -1,
     1024,
-    1880,
+    1931,
     2048,
     4096,
     4097,
@@ -344,7 +344,7 @@ EXAMPLES = [
     ({"state": _family("bell_diagonal", weights=[1.0], d=32), "hamiltonians": [SX, SZ]}, "d"),
     # problems past the byte limit, which nothing refused before: EX2 just
     # past it, and one sigma_z per qubit on 12 qubits
-    ({"state": {"family": "example", "params": {"id": "EX2", "dim": 1880}}}, "dim"),
+    ({"state": {"family": "example", "params": {"id": "EX2", "dim": 1931}}}, "dim"),
     (
         {
             "state": _family("maximally_mixed", dim=4096),

@@ -1022,20 +1022,26 @@ def test_classify_checks_theta_before_the_dimensions():
         classify(qubit, hs, theta=[0.1, 0.2])
 
 
-def test_blocked_norms_match_the_operators_built_on_read():
-    # m = 5 and 6 give 10 and 15 pairs: several blocks of PAIR_BLOCK pairs
-    # and an uneven last one; the norms summed block by block agree with
-    # those of the operator matrices built from the SLD rows on first read
+def test_blocked_norms_match_the_operators_built_on_read(monkeypatch):
+    # m = 5 and 6 give 10 and 15 pairs: with a budget of four and a half pair
+    # products, several blocks of four pairs and an uneven last one; the
+    # norms summed block by block agree with those of the operator matrices
+    # built from the SLD rows on first read
     rng = np.random.default_rng(26)
+    blocks = count_calls(monkeypatch, conditions._pair_products)
     for d, rank, m in ((5, 3, 5), (6, 6, 6), (4, 1, 6)):
-        assert m * (m - 1) // 2 % conditions.PAIR_BLOCK != 0
+        monkeypatch.setattr(conditions, "PAIR_BLOCK_BYTES", 9 * 16 * d * d // 2)
+        pairs = m * (m - 1) // 2
+        assert pairs % 4 != 0
+        blocks.clear()
         rho = density_matrix(random_density(rng, d, rank=rank))
         hs = hamiltonian_set([random_hermitian_matrix(rng, d) for _ in range(m)])
         theta = rng.normal(size=m)
         rep = classify(rho, hs, theta=theta)
+        assert [args[1].shape[1] for args in blocks] == [4] * (pairs // 4) + [pairs % 4]
         direct = condition_operators_direct(rho.spectrum, sld_rotated(rho.spectrum, encode(hs, theta)))
         for ops in (rep.operators, direct):
-            assert ops.comm.shape == (m * (m - 1) // 2, d, d)
+            assert ops.comm.shape == (pairs, d, d)
             for kind in ("S", "O", "P"):
                 built = getattr(ops, kind).norm
                 assert rep.norms[kind] == pytest.approx(built, rel=1e-12, abs=1e-14 * rep.scale)
@@ -1043,6 +1049,30 @@ def test_blocked_norms_match_the_operators_built_on_read():
         fresh = conditions._commutator_norms(direct.slds.rows[None])
         for kind in ("S", "O", "P"):
             assert fresh[kind][0] == pytest.approx(rep.norms[kind], rel=1e-12)
+
+
+def test_a_problems_blocks_do_not_depend_on_its_stack(monkeypatch):
+    # a budget of two pair products: each problem's three pairs go two and
+    # one, alone or in a stack of five
+    rng = np.random.default_rng(35)
+    n, d, m, rank = 5, 6, 3, 4
+    monkeypatch.setattr(conditions, "PAIR_BLOCK_BYTES", 2 * 16 * d * d)
+    blocks = count_calls(monkeypatch, conditions._pair_products)
+    a = rng.normal(size=(n, m, d, d)) + 1j * rng.normal(size=(n, m, d, d))
+    hams = (a + dagger(a)) / 2.0
+    vectors = np.linalg.qr(rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)))[0]
+    lam = np.zeros((n, d))
+    lam[:, :rank] = np.sort(rng.random((n, rank)))[:, ::-1]
+    lam /= lam.sum(axis=1, keepdims=True)
+    theta = rng.normal(size=m)
+    whole = conditions.classify_stack(conditions.ProblemStack(n, rank, lam, vectors, hams, theta))
+    assert [args[1].shape[1] for args in blocks] == [2, 1]
+    for k in range(n):
+        blocks.clear()
+        one = conditions.ProblemStack(1, rank, lam[k : k + 1], vectors[k : k + 1], hams[k : k + 1], theta)
+        norms = conditions.classify_stack(one).norms[0]
+        assert [args[1].shape[1] for args in blocks] == [2, 1]
+        assert norms == pytest.approx(whole.norms[k], rel=1e-14)
 
 
 def test_the_report_keeps_no_pair_commutators():
@@ -1097,6 +1127,27 @@ def test_the_direct_operators_refuse_a_spectrum_of_another_shape():
     assert condition_operators_direct(spec, slds).slds is slds
 
 
+def test_the_norm_kernel_holds_one_pair_product_at_a_time_at_d_256():
+    # a d = 256 pair product is 1 MiB, a whole block: at r = 128 the kernel
+    # peaks at one product, the copies of its factors' rows and the real
+    # buffer of its squares, and a fourth parameter (six pairs, not three)
+    # does not raise that peak
+    rng = np.random.default_rng(33)
+    peaks = []
+    for m in (3, 4):
+        rows = rng.normal(size=(1, m, 128, 256)) + 1j * rng.normal(size=(1, m, 128, 256))
+        tracemalloc.start()
+        try:
+            norms = conditions._commutator_norms(rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        flat = np.linalg.norm(conditions._commutators(rows[0], conditions._pairs(m)))
+        assert norms["S"][0] == pytest.approx(np.sqrt(2.0) * flat, rel=1e-12)
+    assert peaks[0] <= 2.5 * 2**20
+    assert peaks[1] <= peaks[0] + 2**16
+
+
 def _stack_peak(rng, n, d, m, rank):
     """tracemalloc peak of building n random problems of one shape, dense
     Hamiltonians each, and running classify_stack on them."""
@@ -1121,12 +1172,14 @@ def _stack_peak(rng, n, d, m, rank):
 def test_point_bytes_bounds_the_marginal_cost_of_a_problem():
     # what one more problem adds to the peak of a stacked classify, its own
     # Hamiltonians and eigenvectors counted, stays below the byte model up
-    # to m = 6 (15 pairs, four blocks), whose pair term no longer grows
+    # to m = 6 (15 pairs, one block at d = 32)
     rng = np.random.default_rng(28)
     d = 32
     for m in range(1, 7):
         for rank in (1, d):
             marginal = (_stack_peak(rng, 3, d, m, rank) - _stack_peak(rng, 1, d, m, rank)) / 2
             assert 0 < marginal < conditions.point_bytes(d, m), (m, rank)
-    # past one block, only the 4 m term of the model grows
-    assert conditions.point_bytes(d, 6) == conditions.point_bytes(d, 4) + 2 * 4 * 16 * d * d
+    # at d = 256 one pair product fills a block: past one pair, only the 4 m
+    # term of the model grows
+    big = 256
+    assert conditions.point_bytes(big, 6) == conditions.point_bytes(big, 2) + 4 * 4 * 16 * big * big

@@ -48,6 +48,31 @@ def test_malformed_json_reports_position():
         parse_descriptor("{not json")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # the top level, a family's params, an eigpair item, a matrix object
+        ('{"state": {"family": "maximally_mixed", "params": {"dim": 2}}, "state": {}}', "state"),
+        ('{"state": {"family": "example", "params": {"id": "EX4", "p": 0.3, "p": 0.6}}}', "p"),
+        ('{"state": [{"weight": 1.0, "weight": 0.5, "vector": [[1, 0], [0, 0]]}]}', "weight"),
+        ('{"dim": 1, "entries": [[1, 0]], "dim": 1}', "dim"),
+    ],
+    ids=["top", "params", "eigpair", "matrix"],
+)
+def test_a_repeated_key_is_malformed_json(text, key):
+    # json keeps the last of repeated keys: EX4 would classify at p = 0.6
+    with pytest.raises(ValidationError, match=f'^malformed JSON: duplicate key "{key}"$'):
+        descriptors.load_json(text)
+    with pytest.raises(ValidationError, match=f'^malformed JSON: duplicate key "{key}"$'):
+        parse_descriptor(text)
+
+
+def test_a_key_of_another_object_is_not_repeated():
+    # one key in nested and sibling objects, each object's keys distinct
+    nested = descriptors.load_json('{"a": {"a": {"a": 1}}, "b": [{"a": 2}, {"a": 3}]}')
+    assert nested == {"a": {"a": {"a": 1}}, "b": [{"a": 2}, {"a": 3}]}
+
+
 def test_unknown_top_level_key():
     with pytest.raises(ValidationError, match="descriptor: unknown keys \\['stat'\\]"):
         parse_descriptor(json.dumps({"stat": {}}))

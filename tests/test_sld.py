@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import literal_sld_elems, random_density, random_hermitian_matrix, spectral_cases
-from metrocommute.encoding import encode, hamiltonian_set
+from metrocommute.encoding import LocalSpin, encode, hamiltonian_set
 from metrocommute.operator_core import ValidationError, dagger, tensor
-from metrocommute.sld import cfim, nu_copy_sld, sld_encoded, sld_lyapunov, sld_rotated
+from metrocommute.sld import (
+    cfim,
+    nu_copy_sld,
+    sld_encoded,
+    sld_lyapunov,
+    sld_rotated,
+    sld_row_stack,
+)
 from metrocommute.states import density_matrix, povm_set, tensor_power
 
 
@@ -28,6 +35,33 @@ def _fd_drho_encoded(rho, hs, theta, i, step=1e-6):
     up = encode(hs, tp).U
     um = encode(hs, tm).U
     return (up @ rho.matrix @ dagger(up) - um @ rho.matrix @ dagger(um)) / (2 * step)
+
+
+@pytest.mark.parametrize("form", ["dense", "local_spin"])
+def test_rows_on_a_shared_basis_match_single_problems_bit_for_bit(form):
+    # the sweep layout: N weight rows on one (1, d, d) basis and one encoding
+    # give a (1, m, r, d) product that the (N, 1, r, d) coefficients scale
+    # into one new (N, m, r, d) array; each problem's rows equal those of its
+    # own call, whose product is scaled in place, and those of a stack that
+    # repeats the basis
+    rng = np.random.default_rng(34)
+    d, rank, n, m = 8, 3, 5, 3
+    if form == "dense":
+        hams = [random_hermitian_matrix(rng, d) for _ in range(m)]
+    else:
+        hams = [LocalSpin(3, s, random_hermitian_matrix(rng, 2)) for s in (0, 2, 2)]
+    hs = hamiltonian_set(hams)
+    assert (hs.local is None) == (form == "dense")
+    enc = encode(hs, rng.normal(size=m)).enc
+    v = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][None]
+    lam = np.zeros((n, d))
+    lam[:, :rank] = np.sort(rng.random((n, rank)))[:, ::-1]
+    lam /= lam.sum(axis=1, keepdims=True)
+    rows = sld_row_stack(lam, rank, v, enc)
+    assert rows.shape == (n, m, rank, d)
+    for k in range(n):
+        assert np.array_equal(rows[k], sld_row_stack(lam[k : k + 1], rank, v, enc)[0])
+    assert np.array_equal(rows, sld_row_stack(lam, rank, np.repeat(v, n, axis=0), enc))
 
 
 def test_slds_hermitian_and_support_gauge():
