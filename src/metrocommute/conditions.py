@@ -351,12 +351,15 @@ def _pairs_per_block(dim):
 def _commutator_norms(rows):
     """The S, O and P norms, each (N,), of N problems' SLD support rows
     (N, m, r, d). The pair products x = l_i l_j (_pair_products) are formed
-    _pairs_per_block(d) pairs at a time, so a problem's blocks, and the
-    order of its sums, do not depend on the stack it is in. The squared
-    entries of the commutators, (Re x - Re x^T)^2 + (Im x + Im x^T)^2, are
-    summed into one real buffer, with Re x, which is then spent, holding
-    the imaginary squares. Neither the product nor the buffer outlives its
-    block."""
+    _pairs_per_block(d) pairs at a time, so a problem's blocks do not
+    depend on the stack it is in. The squared entries of the commutators,
+    (Re x - Re x^T)^2 + (Im x + Im x^T)^2, are summed into one real buffer,
+    with Re x, which is then spent, holding the imaginary squares. Each
+    problem's part of a block, and of its support columns and its
+    support-support block (copied, at most k d r reals for k pairs), is
+    summed in one contiguous reduction, so the order of its sums does not
+    depend on the stack either. Neither the product nor the buffer outlives
+    its block."""
     n, m, r, d = rows.shape
     pairs = _pairs(m)
     size = _pairs_per_block(d)
@@ -370,7 +373,7 @@ def _commutator_norms(rows):
         re *= re
         sq += re
         del x, re, im
-        sums += [b.sum(axis=(1, 2, 3)) for b in (sq, sq[..., :r], sq[..., :r, :r])]
+        sums += [b.reshape(n, -1).sum(axis=1) for b in (sq, sq[..., :r], sq[..., :r, :r])]
         del sq
     # every pair appears twice in the m x m matrix, once with each sign
     return dict(zip("SOP", np.sqrt(2.0 * sums)))
@@ -641,7 +644,8 @@ class StackedClassification:
     QFIM is singular. The rest are the kernel arrays that the reports view:
     the `encoding`, encode_stack's result (kappa, w, x), with a leading axis
     of 1 when every problem shares it, or a product form's LocalEncoding,
-    and per problem the SLD rows, W (`w_stack`) and the QFIM matrices `f`.
+    and per problem the SLD rows, W (`w_stack`), the QFIM matrices `f` and
+    their ascending eigenvalues `f_eigs`, which E was decided from.
     No pair commutator is kept: a report's ConditionOperators builds them
     from the SLD rows when they are read.
     """
@@ -654,6 +658,7 @@ class StackedClassification:
     rows: np.ndarray
     w_stack: np.ndarray
     f: np.ndarray
+    f_eigs: np.ndarray
 
 
 def classify_stack(stack, tol=1e-8):
@@ -692,6 +697,7 @@ def classify_stack(stack, tol=1e-8):
     if not all(np.all(np.isfinite(a)) for a in (q, w_norms, scales, *op_norms.values())):
         raise ValidationError("the condition matrices overflow: the Hamiltonians are too large")
     f = (q.real + np.swapaxes(q.real, 1, 2)) / 2.0
+    f_eigs = np.linalg.eigvalsh(f)
     n = stack.n
     norms = np.stack([w_norms, *(op_norms[kind] for kind in NORM_KINDS[1:])], axis=1)
     norms = np.broadcast_to(norms, (n, 4))
@@ -704,11 +710,12 @@ def classify_stack(stack, tol=1e-8):
         norms=norms,
         flags=norms <= bound,
         scale=scale,
-        E=np.broadcast_to(incompatibility_stack(f, w_stack), (n,)),
+        E=np.broadcast_to(incompatibility_stack(f, w_stack, f_eigs), (n,)),
         encoding=enc,
         rows=rows,
         w_stack=w_stack,
         f=f,
+        f_eigs=f_eigs,
     )
 
 
@@ -730,7 +737,7 @@ def _report(spec, theta, res, tol):
         rank=spec.rank,
         dim=spec.dim,
         W=ScalarConditionMatrix(entries=res.w_stack[0], kind="W"),
-        qfim=qfim_stack(res.f)[0],
+        qfim=qfim_stack(res.f, res.f_eigs)[0],
         E=None if np.isnan(e) else e,
         point=EncodingPoint(theta, res.encoding),
         slds=slds,

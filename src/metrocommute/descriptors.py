@@ -62,12 +62,14 @@ resolves the descriptor at its own parameters and keeps every half it
 built; `resolve` is its one-point case, and a sweep shares the halves its
 parameter does not reach (for a descriptor family, always the Hamiltonians)
 with every point. A state that a sweep moves is an eigpair state
-(examples.EigpairHalf), so a point builds its weights and, only where the
-parameter moves them, its vectors, and never a matrix. A batch of points
-holds one shape (weight count, vectors and Hamiltonians); it ends before the
-first point whose shapes differ, which starts the next batch. Its checks run
-over the whole batch and name only the first failing point, whose message
-is the one resolve gives for it.
+(examples.EigpairHalf), and never a matrix. Where the parameter leaves the
+vectors fixed, a batch builds each half the parameter moves in one call, on
+the batch's values as one array; where it moves them, each point builds its
+weights, vectors and Hamiltonians, and a batch of points holds one shape
+(weight count, vectors and Hamiltonians), ending before the first point
+whose shapes differ, which starts the next batch. Its checks run over the
+whole batch; when one fails, or a batch build does, the first failing point
+is named with the message that resolve gives for it.
 """
 
 import json
@@ -641,35 +643,33 @@ class _Grid:
     """The points of a sweep of `name` over a descriptor, resolved a batch at
     a time as ProblemStacks.
 
-    A half that reads `name` is built at each point; the others are those of
-    `halves`, shared by every point through a leading axis of length 1 (a
-    product-form Hamiltonian set is shared whole). A
-    state that reads `name` is an EigpairHalf (sweepable_parameters): a point
-    builds its weights, and its vectors only when they read `name`. The raw
-    values of a batch (weight rows and Hamiltonian lists) are built point by
-    point, and every point of a batch has the shapes of its first: its
-    weight count, vector shape and Hamiltonian shapes. Every check of what
-    a point builds runs as one array operation over the batch and gives the
-    batch's first failing point, whose message is resolve's. theta, m and
-    the weight are the descriptor's, which a sweep cannot change, and a
-    point's state and Hamiltonians share their dimension (a descriptor
-    family's never moves; EX2's dim moves both), so resolve_halves checked
-    those once.
+    A half that reads `name` is built for each batch; the others are those
+    of `halves`, shared by every point through a leading axis of length 1
+    (a product-form Hamiltonian set is shared whole). A state that reads
+    `name` is an EigpairHalf (sweepable_parameters). Where its vectors do
+    not read `name`, each moving half is built once per batch, on the
+    batch's values as one array (examples.Half), and every point has the
+    descriptor's shapes. Where they do (EX2's dim and seed, EX3 and EX7's
+    alpha), a point builds its weights, vectors and Hamiltonians on its
+    own, and a batch ends before the first point whose weight count, vector
+    shape or Hamiltonian shapes differ from its first point's. Every check
+    of what a batch built runs as one array operation over the batch. When
+    a build or a check fails, the batch's values are resolved one by one,
+    in order, up to the first flagged point, and the first that fails
+    raises resolve's message for it. theta, m and the weight are the
+    descriptor's, which a sweep cannot change, and a point's state and
+    Hamiltonians share their dimension (a descriptor family's never moves;
+    EX2's dim moves both), so resolve_halves checked those once.
     """
 
     def __init__(self, desc, name, halves):
         self.desc, self.name, self.params = desc, name, halves.params
         state, hamiltonians = halves.state, halves.hamiltonians
         rho, self.hs, self.theta = halves.problem[:3]
-        self.state_of = None
-        if name in state.reads:
-            moves_vectors = name in state.vectors.reads
-
-            def state_of(p):
-                weights = state.weights.build(p)
-                return weights, state.vectors.build(p) if moves_vectors else halves.vectors
-
-            self.state_of = state_of
+        self.dim, self.vectors = rho.dim, halves.vectors
+        moves_state = name in state.reads
+        self.weights_of = state.weights.build if moves_state else None
+        self.vectors_of = state.vectors.build if moves_state and name in state.vectors.reads else None
         self.shared_state = (rho.spectrum.uncut[None], rho.spectrum.eigenvectors[None])
         self.hams_of = hamiltonians.build if name in hamiltonians.reads else None
         self.shared_hams = self.hs.batch
@@ -677,79 +677,95 @@ class _Grid:
     def batch(self, values):
         """(stacks, count): the ProblemStacks of the first `count` values, in
         order, count at most conditions.chunk_size(dim, m) for the dim and m
-        of the first point, and ending before the first point whose shapes
-        differ from the first point's. Raises the ValidationError of the
-        first point that fails, prefixed with "grid value name=v: ", before
-        any point of the batch is classified; then that of a non-finite
-        theta, which classify checks after resolve."""
-        points, failures, count = [], [], len(values)
-        while len(points) < count:
-            p = {**self.params, self.name: values[len(points)]}
+        of the first point, and, where the vectors move, ending before the
+        first point whose shapes differ from the first point's. Raises the
+        ValidationError of the first point that fails, prefixed with
+        "grid value name=v: ", before any point of the batch is classified;
+        then that of a non-finite theta, which classify checks after
+        resolve."""
+        if self.vectors_of is None:
+            count = min(len(values), chunk_size(self.dim, self.hs.m))
+            p = {**self.params, self.name: np.array(values[:count], dtype=float)}
             try:
-                state = None if self.state_of is None else self.state_of(p)
+                weights = None if self.weights_of is None else self.weights_of(p)
                 hams = None if self.hams_of is None else self.hams_of(p)
             except ValidationError:
-                failures.append(len(points))
-                break
-            shape = (
-                None if state is None else (len(state[0]), state[1].v.shape),
-                None if hams is None else tuple(map(np.shape, hams)),
-            )
-            if not points:
+                self._fail(values[:count])
+            vectors = self.vectors
+        else:
+            weights, vectors, hams = self._points(values)
+            count = len(vectors)
+        flagged = []
+        if weights is None:
+            vals, vecs = self.shared_state
+        else:
+            vals, vecs = self._states(weights, vectors, flagged)
+        if hams is None:
+            hams = self.shared_hams
+        else:
+            hams = np.asarray(hams, dtype=complex)
+            failure = hamiltonian_checks(hams)
+            if failure:
+                flagged.append(failure[0])
+        if flagged:
+            self._fail(values[: min(flagged) + 1])
+        checked_theta(self.hs, self.theta)
+        return list(self._stacks(count, vals, vecs, hams)), count
+
+    def _points(self, values):
+        """(weight rows, vectors, Hamiltonian lists) of the points of a sweep
+        that moves the vectors, each point built on its own: as many as
+        chunk_size admits for the first point's dim, up to the first point
+        whose shapes differ from the first point's. A point that fails to
+        build fails the batch there."""
+        rows, vectors, hams = [], [], []
+        count = len(values)
+        while len(vectors) < count:
+            p = {**self.params, self.name: values[len(vectors)]}
+            try:
+                w, v = self.weights_of(p), self.vectors_of(p)
+                h = None if self.hams_of is None else self.hams_of(p)
+            except ValidationError:
+                self._fail(values[: len(vectors) + 1])
+            shape = len(w), v.v.shape, None if h is None else tuple(map(np.shape, h))
+            if not vectors:
                 first = shape
-                dim = self.shared_state[1].shape[-1] if state is None else state[1].v.shape[0]
-                count = min(count, chunk_size(dim, self.hs.m))
+                count = min(count, chunk_size(v.v.shape[0], self.hs.m))
             elif shape != first:
                 break
-            points.append((state, hams))
-        if points:
-            vals, vecs = self._states([s for s, _ in points], failures)
-            hams = self._hamiltonians([h for _, h in points], failures)
-        if failures:
-            self._fail(values[min(failures)])
-        checked_theta(self.hs, self.theta)
-        return list(self._stacks(len(points), vals, vecs, hams)), len(points)
+            rows.append(w)
+            vectors.append(v)
+            hams.append(h)
+        return rows, vectors, None if self.hams_of is None else hams
 
-    def _states(self, states, failures):
-        """(vals, vecs) of the built points: uncut descending eigenvalues and
-        eigenvectors, each with a leading axis of the batch's length or of 1
-        (shared), up to the first failing point, which joins `failures`. The
-        vectors were checked when built, so a point can fail only on its
-        weights: their values, their count, or a largest eigenvalue at or
-        below the descriptor's rank_tol, which leaves no support."""
-        if self.state_of is None:
-            return self.shared_state
-        weights, failure = eigpair_weight_rows([w for w, _ in states])
+    def _states(self, weights, vectors, flagged):
+        """(vals, vecs) of a batch's weight rows on its vectors, one
+        states.EigpairVectors for every point or one per point: uncut
+        descending eigenvalues and eigenvectors, with a leading axis of the
+        batch's length or of 1 (shared), up to the first failing point,
+        which joins `flagged`. The vectors were checked when built, so a
+        point can fail only on its weights: their values, their count, or a
+        largest eigenvalue at or below the descriptor's rank_tol, which
+        leaves no support."""
+        rows, failure = eigpair_weight_rows(weights)
         if failure:
-            failures.append(failure[0])
-            weights = weights[: failure[0]]
-        size_error = states[0][1].size_error(weights.shape[1])
-        if size_error:
-            failures.append(0)
-        if size_error or not len(weights):
+            flagged.append(failure[0])
+            rows = rows[: failure[0]]
+        shared = not isinstance(vectors, list)
+        if (vectors if shared else vectors[0]).size_error(rows.shape[1]):
+            flagged.append(0)
             return None, None
-        # one spectra call when every point has the same vectors
-        vectors = [v for _, v in states]
-        if all(v is vectors[0] for v in vectors):
-            vals, vecs = vectors[0].spectra(weights)
+        if not len(rows):
+            return None, None
+        if shared:
+            vals, vecs = vectors.spectra(rows)
         else:
-            vals, vecs = zip(*(v.spectra(w[None]) for v, w in zip(vectors, weights)))
+            vals, vecs = zip(*(v.spectra(w[None]) for v, w in zip(vectors, rows)))
             vals, vecs = np.concatenate(vals), np.concatenate(vecs)
         empty = ~(vals[:, 0] > self.desc.rank_tol)
         if empty.any():
-            failures.append(int(np.argmax(empty)))
+            flagged.append(int(np.argmax(empty)))
         return vals, vecs
-
-    def _hamiltonians(self, hams, failures):
-        """The built points' Hamiltonians with a leading axis of the batch's
-        length or of 1 (shared); the first failing point joins `failures`."""
-        if self.hams_of is None:
-            return self.shared_hams
-        stack = np.array(hams, dtype=complex)
-        failure = hamiltonian_checks(stack)
-        if failure:
-            failures.append(failure[0])
-        return stack
 
     def _stacks(self, n, vals, vecs, hams):
         """The ProblemStacks of the batch's n checked points: runs of one
@@ -767,15 +783,17 @@ class _Grid:
                 theta=self.theta,
             )
 
-    def _fail(self, value):
-        """Raise what resolve raises for the point at `value`, prefixed with
-        "grid value name=v: "; a point that resolve passes but a batch check
-        failed is a fault of the batch checks (ArithmeticError)."""
-        where = f"grid value {self.name}={value:g}"
-        try:
-            resolve(with_parameter(self.desc, self.name, value))
-        except ValidationError as err:
-            raise ValidationError(f"{where}: {err}") from None
+    def _fail(self, values):
+        """Raise what resolve raises for the first of `values` that it fails,
+        prefixed with "grid value name=v: ". When it fails none of them, a
+        batch build or check failed points that resolve passes, a fault of
+        the batch (ArithmeticError, naming the last value)."""
+        for value in values:
+            where = f"grid value {self.name}={value:g}"
+            try:
+                resolve(with_parameter(self.desc, self.name, value))
+            except ValidationError as err:
+                raise ValidationError(f"{where}: {err}") from None
         raise ArithmeticError(f"{where}: a batch check fails a point that resolve passes")
 
 

@@ -219,6 +219,42 @@ def _sweep(example_id, p, name, grid):
     return [np.concatenate(column) for column in zip(*parts)]
 
 
+def _reals(*values):
+    """Parameter values as float arrays: 0-d at one point, and (n,) for the
+    one that a sweep passes as its n values."""
+    return [np.asarray(v, dtype=float) for v in values]
+
+
+def _weight_rows(*weights):
+    """Weights, float arrays of which at most one is not 0-d, as one weight
+    row (k,) at one point, or n rows (n, k) at n; each entry is copied as it
+    is."""
+    lead = max((w.shape for w in weights), key=len)
+    rows = np.empty((*lead, len(weights)))
+    for k, w in enumerate(weights):
+        rows[..., k] = w
+    return rows
+
+
+def _hamiltonian_lists(*hams):
+    """Hamiltonians, (d, d) arrays or (n, d, d) stacks of them, as the list
+    of one point (m, d, d), or of each of n points (n, m, d, d)."""
+    lead = max((h.shape[:-2] for h in hams), key=len)
+    lists = np.empty((*lead, len(hams), *hams[0].shape[-2:]), dtype=complex)
+    for k, h in enumerate(hams):
+        lists[..., k, :, :] = h
+    return lists
+
+
+def _two_weights(x, name):
+    """(x, 1 - x) for x in (0, 1), (2,) at one point and (n, 2) at n."""
+    (x,) = _reals(x)
+    # written so that NaN fails too
+    if not ((0.0 < x) & (x < 1.0)).all():
+        raise ValidationError(f"out-of-domain parameters: {name} must be in (0, 1)")
+    return _weight_rows(x, 1.0 - x)
+
+
 # ---------------------------------------------------------------------------
 # EX1: single-qubit identity W = (2 tr[rho^2] - 1) Gamma
 # ---------------------------------------------------------------------------
@@ -326,8 +362,9 @@ def _ex2_draw(p):
 
 
 def _ex2_noise(p):
-    noise = float(p["p"])
-    if not 0.0 < noise <= 1.0:
+    """EX2's p as a float array (_reals), each value in (0, 1]."""
+    (noise,) = _reals(p["p"])
+    if not ((0.0 < noise) & (noise <= 1.0)).all():
         raise ValidationError("out-of-domain parameters: p must be in (0, 1]")
     return noise
 
@@ -346,7 +383,7 @@ def _ex2_hamiltonians(p):
 
 def _run_ex2(p):
     psi, hams = _ex2_draw(p)
-    dim, noise = psi.size, _ex2_noise(p)
+    dim, noise = psi.size, float(_ex2_noise(p))
     w12 = _weak(*example_configuration("EX2", p)).entries[0, 1]
     grid = np.linspace(0.1, 0.9, 9)
     w = _sweep("EX2", p, "p", grid)[2]
@@ -368,10 +405,7 @@ def _run_ex2(p):
 
 def _pair_weights(p):
     """(lam, 1 - lam), the weights of the two-ket states."""
-    lam = float(p["lam"])
-    if not 0.0 < lam < 1.0:
-        raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
-    return [lam, 1.0 - lam]
+    return _two_weights(p["lam"], "lam")
 
 
 def _tilted_kets(p):
@@ -439,10 +473,7 @@ def _run_ex3(p):
 
 
 def _ex4_weights(p):
-    prob = float(p["p"])
-    if not 0.0 < prob < 1.0:
-        raise ValidationError("out-of-domain parameters: p must be in (0, 1)")
-    return [prob, 1.0 - prob]
+    return _two_weights(p["p"], "p")
 
 
 def _ex4_vectors(p):
@@ -571,9 +602,15 @@ def _run_ex6(p):
 # ---------------------------------------------------------------------------
 
 
+def _qutrit_coupling(p):
+    """a COUPLER_01 + a' DIAG_01, EX7's first generator and EX9's local one:
+    (3, 3) at one point and (n, 3, 3) at n."""
+    a, a_prime = (x[..., None, None] for x in _reals(p["a"], p["a_prime"]))
+    return a * COUPLER_01 + a_prime * DIAG_01
+
+
 def _ex7_hamiltonians(p):
-    h1 = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-    return [h1, DIAG_112]
+    return _hamiltonian_lists(_qutrit_coupling(p), DIAG_112)
 
 
 def _run_ex7(p):
@@ -652,12 +689,13 @@ _EX8_MATCHED = {"ax": 1.0, "az": 0.4, "bx": 1.0, "bz": 0.4}
 
 
 def _ex8_weights(p):
-    lam1, lam2 = float(p["lam1"]), float(p["lam2"])
-    if lam1 <= 0.0 or lam2 <= 0.0 or lam1 + lam2 >= 1.0:
+    lam1, lam2 = _reals(p["lam1"], p["lam2"])
+    # written so that NaN fails too
+    if not ((lam1 > 0.0) & (lam2 > 0.0) & (lam1 + lam2 < 1.0)).all():
         raise ValidationError(
             "out-of-domain parameters: need lam1 > 0, lam2 > 0, lam1 + lam2 < 1"
         )
-    return [lam1, lam2, 1.0 - lam1 - lam2]
+    return _weight_rows(lam1, lam2, 1.0 - lam1 - lam2)
 
 
 def _ex8_vectors(p):
@@ -667,11 +705,17 @@ def _ex8_vectors(p):
     return EigpairVectors([b1, b2, b3])
 
 
+def _local_field(x, z):
+    """x X + z Z: (2, 2) at one point and (n, 2, 2) at n."""
+    x, z = (c[..., None, None] for c in _reals(x, z))
+    return x * PAULI_X + z * PAULI_Z
+
+
 def _ex8_hamiltonians(p):
-    return [
-        tensor(float(p["ax"]) * PAULI_X + float(p["az"]) * PAULI_Z, EYE2),
-        tensor(EYE2, float(p["bx"]) * PAULI_X + float(p["bz"]) * PAULI_Z),
-    ]
+    return _hamiltonian_lists(
+        tensor(_local_field(p["ax"], p["az"]), EYE2),
+        tensor(EYE2, _local_field(p["bx"], p["bz"])),
+    )
 
 
 def _run_ex8(p):
@@ -753,8 +797,8 @@ def _ex9_vectors(p):
 
 
 def _ex9_hamiltonians(p):
-    eta = float(p["a"]) * COUPLER_01 + float(p["a_prime"]) * DIAG_01
-    return [tensor(eta, EYE3), tensor(EYE3, eta)]
+    eta = _qutrit_coupling(p)
+    return _hamiltonian_lists(tensor(eta, EYE3), tensor(EYE3, eta))
 
 
 def _ex9_qfim_closed(lam):
@@ -814,14 +858,16 @@ def _run_ex9(p):
 def _pseudo_pure_weights(p):
     """EX10, and OBS7 at its default dim: lam on psi and lam* on each vector
     of its completion (_pseudo_pure_vectors)."""
-    lam, dim = float(p["lam"]), _whole_number(p.get("dim", 4))
-    if dim != 4:
+    lam, dim = _reals(p["lam"], p.get("dim", 4))
+    if not (dim == 4).all():
         raise ValidationError(
             "out-of-domain parameters: dim must be 4 (two-qubit realization)"
         )
-    if not 0.0 < lam < 1.0:
+    # written so that NaN fails too
+    if not ((0.0 < lam) & (lam < 1.0)).all():
         raise ValidationError("out-of-domain parameters: lam must be in (0, 1)")
-    return [lam] + [(1.0 - lam) / (dim - 1.0)] * (dim - 1)
+    star = (1.0 - lam) / (dim - 1.0)
+    return _weight_rows(lam, star, star, star)
 
 
 def _pseudo_pure_vectors(p):
@@ -830,8 +876,8 @@ def _pseudo_pure_vectors(p):
 
 def _pseudo_pure_hamiltonians(p):
     """EX10, and OBS7 at its default local fields."""
-    local = float(p.get("ax", 1.0)) * PAULI_X + float(p.get("az", 1.0)) * PAULI_Z
-    return [tensor(local, EYE2), tensor(EYE2, local)]
+    local = _local_field(p.get("ax", 1.0), p.get("az", 1.0))
+    return _hamiltonian_lists(tensor(local, EYE2), tensor(EYE2, local))
 
 
 def _p_o_s_spread(ops):
@@ -1083,18 +1129,30 @@ def _run_obs7(p):
 class Half(namedtuple("Half", "reads build")):
     """One half of a configuration, its state or its Hamiltonians: the
     parameter names it reads (a tuple) and p -> its value. A Hamiltonian
-    half gives the list of matrices that hamiltonian_set checks. A state
-    half gives a DensityMatrix, or a matrix that density_matrix checks and
-    wraps; the only state half a sweep moves is an EigpairHalf
-    (descriptors.sweepable_parameters)."""
+    half gives the list of matrices that hamiltonian_set checks, as an
+    (m, d, d) array or a list. A state half gives a DensityMatrix, or a
+    matrix that density_matrix checks and wraps; the only state half a
+    sweep moves is an EigpairHalf (descriptors.sweepable_parameters).
+
+    A Hamiltonian half that reads a parameter, and an EigpairHalf's weights
+    half, also build a whole batch of a sweep: p then holds the swept
+    parameter as a 1-D float array of n values, the others as scalars, and
+    build gives the n Hamiltonian lists as one (n, m, d, d) array, or the n
+    weight rows as one (n, k) array, each entry with the same
+    floating-point operations as a one-point build. Such a build raises
+    when any of the n points is out of its domain; the sweep then finds
+    that point by resolving the values one by one. Halves whose parameter
+    moves an eigpair state's vectors (EX2's dim and seed, EX3 and EX7's
+    alpha) are built one point at a time."""
 
 
 class EigpairHalf(namedtuple("EigpairHalf", "weights vectors")):
     """The state half of an eigpair state, built in two Halves: `weights`
     gives its weights and `vectors` its states.EigpairVectors. The weights
-    are built first, so their domain check comes first. A sweep checks the
-    weights of many points at once, and builds the vectors only at the
-    points where they read the swept parameter."""
+    are built first, so their domain check comes first. A sweep that leaves
+    the vectors fixed builds the weights of a batch in one call (Half) and
+    checks them at once; one that moves the vectors builds both at each
+    point."""
 
     @property
     def reads(self):

@@ -12,6 +12,9 @@ imaginary part over the pairs i < j.
 
 qfim_stack and incompatibility_stack work on stacks of m x m matrices with a
 leading (N, ...) axis; qfim_result and incompatibility are their N = 1 cases.
+Both read the QFIMs' eigenvalues, which a caller that has them passes in, and
+a QfimResult keeps them, so that qcr_scalar decides invertibility from the
+same eigvalsh call: a classify diagonalizes its QFIM once.
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ class QfimResult:
     matrix: np.ndarray
     rank: int
     condition_number: float
+    eigenvalues: np.ndarray  # ascending, as np.linalg.eigvalsh gives them
 
 
 def _state_traces(rho, ops, pairs):
@@ -66,17 +70,19 @@ def qfim_result(f):
     return qfim_stack(np.asarray(f, dtype=float)[None])[0]
 
 
-def qfim_stack(f):
-    """qfim_result for each real symmetric QFIM in a stack f of shape (N, m, m)."""
-    eigs = np.linalg.eigvalsh(f)
+def qfim_stack(f, eigs=None):
+    """qfim_result for each real symmetric QFIM in a stack f of shape (N, m, m),
+    from their eigenvalues eigs (N, m), np.linalg.eigvalsh(f) when None."""
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(f)
     top, low = np.maximum(eigs[:, -1], 0.0), eigs[:, 0]
     rank = np.sum(eigs > 1e-12 * np.maximum(1.0, top)[:, None], axis=1)
     full = (rank == f.shape[1]) & (low > 0)
     cond = np.full(len(f), np.inf)
     cond[full] = top[full] / low[full]
     return [
-        QfimResult(matrix=fk, rank=int(rk), condition_number=float(ck))
-        for fk, rk, ck in zip(f, rank, cond)
+        QfimResult(matrix=fk, rank=int(rk), condition_number=float(ck), eigenvalues=ek)
+        for fk, rk, ck, ek in zip(f, rank, cond, eigs)
     ]
 
 
@@ -92,11 +98,6 @@ def _invertible(eigs):
     top, low = eigs[..., -1], eigs[..., 0]
     with np.errstate(over="ignore"):
         return (low > 0) & (top / np.where(low > 0, low, 1.0) < CONDITION_LIMIT)
-
-
-def _require_invertible(fm):
-    if not _invertible(np.linalg.eigvalsh(fm)):
-        raise ValidationError(SINGULAR_MESSAGE)
 
 
 def _checked_weight(weight, m, name="weight matrix"):
@@ -125,11 +126,14 @@ def qcr_scalar(f_q, weight=None):
     M defaults to the identity and must be real symmetric positive definite
     (_checked_weight). Raises a validation error mentioning joint
     identifiability when F is singular or conditioned beyond 1e12, and one
-    when the bound overflows.
+    when the bound overflows. A QfimResult's eigenvalues decide that; a bare
+    matrix is diagonalized here.
     """
     fm = _as_qfim_matrix(f_q)
     weight = _checked_weight(weight, fm.shape[0])
-    _require_invertible(fm)
+    eigs = f_q.eigenvalues if isinstance(f_q, QfimResult) else np.linalg.eigvalsh(fm)
+    if not _invertible(eigs):
+        raise ValidationError(SINGULAR_MESSAGE)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = float(np.trace(np.linalg.solve(fm, weight)))
     if not np.isfinite(bound):
@@ -157,10 +161,12 @@ def incompatibility(f_q, w):
     return IncompatibilityResult(e_value=e, sandwich_factor=1.0 + e)
 
 
-def incompatibility_stack(f, w):
+def incompatibility_stack(f, w, eigs=None):
     """E for each pair of a QFIM stack f and a W stack w, both (N, m, m);
-    NaN where F is singular or conditioned beyond CONDITION_LIMIT."""
-    ok = _invertible(np.linalg.eigvalsh(f))
+    NaN where F is singular or conditioned beyond CONDITION_LIMIT, as
+    decided from the QFIMs' eigenvalues eigs (N, m), np.linalg.eigvalsh(f)
+    when None."""
+    ok = _invertible(np.linalg.eigvalsh(f) if eigs is None else eigs)
     e = np.full(len(f), np.nan)
     if ok.any():
         x = np.linalg.solve(f[ok], w[ok])

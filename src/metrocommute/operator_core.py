@@ -209,17 +209,20 @@ def commutator(a, b):
 
 
 def tensor(*ops):
-    """Kronecker product of the given operators, left to right.
+    """Kronecker product of the given operators, left to right, or of each
+    matrix of stacks of them: the last two axes are the matrix, and any
+    leading axes broadcast.
 
-    Each step is the broadcast outer product a[i, k, j, l] = a_ij b_kl
-    reshaped to (rows_a rows_b, cols_a cols_b): the same products as np.kron,
-    without its general-rank bookkeeping.
+    Each step is the broadcast outer product a[..., i, k, j, l] = a_ij b_kl
+    reshaped to (..., rows_a rows_b, cols_a cols_b): the same products as
+    np.kron, without its general-rank bookkeeping.
     """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         b = np.asarray(op, dtype=complex)
-        (p, q), (s, t) = out.shape, b.shape
-        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(p * s, q * t)
+        (p, q), (s, t) = out.shape[-2:], b.shape[-2:]
+        out = out[..., :, None, :, None] * b[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], p * s, q * t)
     return out
 
 

@@ -364,11 +364,16 @@ def white_noise_state(psi, p):
 
 def white_noise_weights(p, dim):
     """The eigenvalues [p + (1 - p) / dim, (1 - p) / dim, ...] of
-    white_noise_state, in the order of white_noise_vectors, p checked."""
-    if not 0.0 <= p <= 1.0:
+    white_noise_state, in the order of white_noise_vectors, p checked: a
+    (dim,) array at one p, and (n, dim) at a 1-D array of n values of p."""
+    q = np.asarray(p, dtype=float)
+    # written so that NaN fails too
+    if not ((0.0 <= q) & (q <= 1.0)).all():
         raise ValidationError(f"mixing weight p={p!r} outside [0, 1]")
-    noise = (1.0 - p) / dim
-    return [p + noise] + [noise] * (dim - 1)
+    noise = (1.0 - q) / dim
+    weights = np.repeat(noise[..., None], dim, axis=-1)
+    weights[..., 0] = q + noise
+    return weights
 
 
 def white_noise_vectors(psi):

@@ -191,6 +191,23 @@ def test_classify_singular_notice(tmp_path, capsys):
     assert report["notices"] == ["parameters not jointly identifiable"]
 
 
+@pytest.mark.parametrize("ex_id, m, qcr", [("EX8", 2, True), ("EX5", 3, False)])
+def test_classify_diagonalizes_its_qfim_once(tmp_path, capsys, monkeypatch, ex_id, m, qcr):
+    # E, the QFIM's rank and conditioning, and qcr's invertibility test read
+    # one eigvalsh of the QFIM (EX5's is singular, so it has no qcr)
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, out, err = _run(capsys, ["classify", _example_descriptor(tmp_path, ex_id), "--json"])
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["qcr"] is not None) == qcr
+    assert shapes == [(1, m, m)]
+
+
 def _spin(site, axis):
     return {"family": "local_spin", "params": {"sites": 2, "site": site, "axis": axis}}
 
@@ -1408,13 +1425,18 @@ def test_sweep_rows_match_per_point_classify(tmp_path, capsys, ex_id, name, span
 # part from a point on its own: EX8's weight order flips at lam1 = lam2 = 0.2
 # inside the batch, EX4's smaller weight, about 0.75 (1 - p), drops below the
 # rank cutoff at the last point, and EX5 fails at lam = 1, in the second of
-# two batches at a cap of three points
+# two batches at a cap of three points. So do values that fail inside a batch
+# that is built as one array: EX8's lam1 = 0.9 (lam1 + lam2 >= 1), EX10's
+# dim = 4.25 and white noise's p = 1.3
 STACKED_GRIDS = [(*grid, 3) for grid in SWEEP_GRIDS] + [
     (*grid, cap)
     for grid in [
         ("EX8", "lam1", "0.1:0.3"),
         ("EX4", "p", "0.999999999:0.99999999999"),
         ("EX5", "lam", "0.2:1"),
+        ("EX8", "lam1", "0.4:0.9"),
+        ("EX10", "dim", "4:5"),
+        ("white_noise", "p", "0.1:1.3"),
     ]
     for cap in (None, 3)
 ]
@@ -1439,10 +1461,13 @@ def _per_point_output(path, name, grid):
 def test_stacked_sweep_matches_per_point_classify(
     tmp_path, capsys, monkeypatch, ex_id, name, span, cap
 ):
-    # a cap of three points of the example's default shape
-    path = _example_descriptor(tmp_path, ex_id)
+    # a cap of three points of the descriptor's own shape
+    if ex_id == "white_noise":
+        path = _white_noise_descriptor(tmp_path)
+    else:
+        path = _example_descriptor(tmp_path, ex_id)
     if cap is not None:
-        rho, hs = examples.example_configuration(ex_id)
+        rho, hs = resolve(parse_descriptor(open(path).read()))[:2]
         monkeypatch.setattr(conditions, "CHUNK_BYTES", cap * conditions.point_bytes(rho.dim, hs.m))
     lo, hi = (float(x) for x in span.split(":"))
     expected = _per_point_output(path, name, np.linspace(lo, hi, 5))
@@ -1479,6 +1504,51 @@ def test_sweep_builds_its_hamiltonians_once(tmp_path, capsys, monkeypatch, ex_id
     code, _, _ = _run(capsys, ["sweep", path, "--param", name, "--grid", "0.2:0.8:9"])
     assert code == 0
     assert len(hamsets) == 1
+
+
+# SWEEP_GRIDS whose parameter leaves the vectors fixed: a sweep builds each
+# half that its parameter moves once per batch, on the batch's values as one
+# array (examples.Half)
+BATCH_GRIDS = [grid for grid in SWEEP_GRIDS if grid[1] not in examples.example_halves(grid[0])[1].vectors.reads]
+
+
+@pytest.mark.parametrize("ex_id, name, span", BATCH_GRIDS)
+def test_a_batch_build_is_the_stack_of_its_one_point_builds(ex_id, name, span):
+    p, state, hamiltonians = examples.example_halves(ex_id)
+    values = np.linspace(*(float(x) for x in span.split(":")), 5)
+    moving = [half for half in (state.weights, hamiltonians) if name in half.reads]
+    assert moving
+    for half in moving:
+        batch = half.build({**p, name: values})
+        points = np.stack([half.build({**p, name: float(v)}) for v in values])
+        assert (batch.shape, batch.tobytes()) == (points.shape, points.tobytes())
+
+
+def test_a_batch_of_white_noise_weights_is_the_stack_of_its_points():
+    values = np.linspace(0.0, 1.0, 7)
+    batch = states.white_noise_weights(values, 5)
+    points = np.stack([states.white_noise_weights(float(v), 5) for v in values])
+    # and each point is the closed form, summed as written
+    literal = np.array([[v + (1.0 - v) / 5] + [(1.0 - v) / 5] * 4 for v in values.tolist()])
+    assert batch.tobytes() == points.tobytes() == literal.tobytes()
+
+
+def test_a_one_batch_sweep_builds_its_hamiltonians_twice(tmp_path, capsys, monkeypatch):
+    # once at the descriptor's own az, for the sweep's validating resolve,
+    # and once for the batch, on its nine values as one array
+    ex = examples._EXAMPLES["EX8"]
+    shapes = []
+
+    def counted(p):
+        shapes.append(np.shape(p["az"]))
+        return ex.hamiltonians.build(p)
+
+    counted_ex = ex._replace(hamiltonians=ex.hamiltonians._replace(build=counted))
+    monkeypatch.setitem(examples._EXAMPLES, "EX8", counted_ex)
+    path = _example_descriptor(tmp_path, "EX8")
+    code, out, _ = _run(capsys, ["sweep", path, "--param", "az", "--grid=-1:1:9"])
+    assert (code, len(out.splitlines())) == (0, 10)
+    assert shapes == [(), (9,)]
 
 
 def test_sweep_checks_the_state_matrices_of_a_batch_as_one_stack(tmp_path, monkeypatch):

@@ -602,25 +602,30 @@ def test_resolve_grid_stacks_what_resolve_gives_point_by_point(monkeypatch, data
 
 
 def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
-    # EX5 with halves that fail at chosen values: lam = 0.3 gives weights
-    # that do not sum to one (a check that runs over the whole batch), 0.7
-    # fails to build its weights, and 0.3 and 0.4 fail to build their
-    # Hamiltonians, which a point builds after its state
+    # EX5 with halves that fail at chosen values, written to the array
+    # contract of examples.Half (one lam, or a batch's lams as one array):
+    # lam = 0.3 gives weights that do not sum to one (a check that runs over
+    # the whole batch), a batch holding 0.7 fails to build its weights, and
+    # one holding 0.3 or 0.4 fails to build its Hamiltonians, which a batch
+    # builds after its weights
     desc = parse_descriptor(_example("EX5"))
     example_halves = descriptors._halves
 
     def weights(p):
-        if p["lam"] == 0.7:
+        lam = np.asarray(p["lam"], dtype=float)
+        if (lam == 0.7).any():
             raise ValidationError("no weights at 0.7")
-        return [p["lam"], p["lam"] if p["lam"] == 0.3 else 1.0 - p["lam"]]
+        return np.stack([lam, np.where(lam == 0.3, lam, 1.0 - lam)], axis=-1)
 
     def failing_halves(d):
         params, state, hamiltonians = example_halves(d)
 
         def build_hamiltonians(p):
-            if p["lam"] in (0.3, 0.4):
+            lam = np.asarray(p["lam"], dtype=float)
+            if np.isin(lam, (0.3, 0.4)).any():
                 raise ValidationError(f"no Hamiltonians at {p['lam']}")
-            return hamiltonians.build(p)
+            hams = np.asarray(hamiltonians.build(p))
+            return np.broadcast_to(hams, (*lam.shape, *hams.shape))
 
         state = EigpairHalf(Half(("lam",), weights), state.vectors)
         return params, state, Half(("lam",), build_hamiltonians)
@@ -720,8 +725,8 @@ FAMILIES = {
 
 @pytest.mark.parametrize("data", FAMILIES.values(), ids=FAMILIES.keys())
 def test_each_half_reads_exactly_the_names_it_declares(data):
-    # a sweep rebuilds a half at each point only if its reads name the swept
-    # parameter, so a name missing from them would print stale rows
+    # a sweep rebuilds a half for each batch only if its reads name the
+    # swept parameter, so a name missing from them would print stale rows
     desc = parse_descriptor(data)
     params, state, hamiltonians = descriptors._halves(desc)
     halves = [*state, hamiltonians] if isinstance(state, EigpairHalf) else [state, hamiltonians]
