@@ -24,7 +24,7 @@ from .states import (
     tensor_power,
     white_noise_state,
 )
-from .encoding import EncodingPoint, HamiltonianSet, encode, evolve, hamiltonian_set
+from .encoding import DenseEncoding, HamiltonianSet, LocalEncoding, encode, evolve, hamiltonian_set
 from .sld import CfimResult, SldSet, cfim, nu_copy_sld, sld_encoded, sld_lyapunov, sld_rotated
 from .conditions import (
     ClassificationReport,

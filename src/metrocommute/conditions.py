@@ -39,14 +39,14 @@ L_i, as the imaginary and real parts of one state trace tr[(rho L_i) L_j]
 (metrology._state_traces), and are classify's anchors. classify_stack
 evaluates a ProblemStack, N problems of one (dim, m, rank), through the
 stacked kernels (encode_stack, sld_row_stack, the blocked norm kernel, Q
-and incompatibility_stack) with a leading (N, ...) axis. sld_row_stack is
-the one SLD kernel of both Hamiltonian forms, so a product-form set gets
-its SLD rows with no d x d encoding basis there and in sld_rotated alike;
-classify_stack tells the forms apart only for the scale. It returns the
-norms, flags and E as arrays, which a sweep formats directly. classify
-builds the one-problem stack of its state and Hamiltonians, and its report
-is a view of the same arrays; condition_operators_direct is the view on an
-SLD set that sld_rotated built.
+and incompatibility_stack) with a leading (N, ...) axis. The Hamiltonian
+form is the encoding's alone: the SLD rows and the scale come from the
+encoding's support_elements and square_norms, so a product-form set gets
+them with no d x d encoding basis, and no module here tests the form. It
+returns the norms, flags and E as arrays, which a sweep formats directly.
+classify builds the one-problem stack of its state and Hamiltonians, and
+its report is a view of the same arrays; condition_operators_direct is the
+view on an SLD set that sld_rotated built.
 
 An operator condition matrix (S, O, P, the support/kernel terms and their
 rank-two closed forms) is one (m, m, d, d) array, antisymmetric in (i, j).
@@ -71,7 +71,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import EncodingPoint, LocalEncoding, checked_theta, encode_stack
+from .encoding import checked_theta, encode_stack
 from .metrology import QfimResult, _state_traces, incompatibility_stack, qfim_stack
 from .operator_core import ValidationError, _pair_matrix, _pairs, dagger, frobenius_rows
 from .sld import SldSet, sld_row_stack, sld_rotated
@@ -85,6 +85,10 @@ CHUNK_BYTES = 16 * 2**20
 # one problem's products fit in this many bytes, and at least one: a d = 256
 # problem goes one 1 MiB pair at a time, and a small-d sweep batch is one block
 PAIR_BLOCK_BYTES = 2**20
+
+# the default zero test: a condition holds when its norm is at most
+# ZERO_TOL * scale
+ZERO_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -161,13 +165,13 @@ def _trace_products(a, b):
 
 def _eigenbasis_elements(v, pt):
     """h^(i) = V^dag G_i V for every generator, stacked as (m, r, r)."""
-    return dagger(v) @ pt.generator_stack @ v
+    return dagger(v) @ pt.generators @ v
 
 
 def _support_columns(v, pt):
     """(G_i V, h^(i) = V^dag G_i V, Pi_ker G_i V = G_i V - V h^(i)) for the
     orthonormal support columns V, each stacked over the generators."""
-    gv = pt.generator_stack @ v
+    gv = pt.generators @ v
     h = dagger(v) @ gv
     return gv, h, gv - v @ h
 
@@ -179,7 +183,7 @@ def _pair_sum(c, h):
 
 
 def _gamma_matrix(spec, pt):
-    g = pt.generator_stack
+    g = pt.generators
     t = _trace_products(_rho_from_spec(spec) @ g, g)
     m = len(t)
     return _pair_matrix(4.0 * (2j * t.imag[tuple(_pairs(m))]), m)
@@ -270,7 +274,7 @@ def weak_series_truncation(spec, pt, alpha):
     if alpha not in (0, 1):
         raise ValidationError(f"alpha must be 0 or 1, got {alpha!r}")
     rho = _rho_from_spec(spec)
-    g = pt.generator_stack
+    g = pt.generators
     w = g
     for _ in range(3):
         w = rho @ w - w @ rho
@@ -477,7 +481,7 @@ def support_kernel_decomposition(spec, pt, check=True):
     out = SupportKernelTerms(stacks=parts, m=m)
     if check:
         direct = condition_operators_direct(spec, sld_rotated(spec, pt))
-        scale = max(1.0, *(np.vdot(g, g).real for g in pt.generator_stack))
+        scale = max(1.0, *(np.vdot(g, g).real for g in pt.generators))
         for name in ("P", "O", "S"):
             # each pair is two blocks of the m x m matrix, one of each sign
             dev = np.sqrt(2.0) * np.linalg.norm(out.pair_stack(name) - direct.pair_stack(name))
@@ -575,7 +579,7 @@ class ClassificationReport:
     W: ScalarConditionMatrix
     qfim: QfimResult
     E: float | None  # None when the QFIM is singular
-    point: EncodingPoint
+    point: object  # the encoding, a DenseEncoding or a LocalEncoding
     slds: SldSet
     operators: ConditionOperators
 
@@ -642,10 +646,11 @@ class StackedClassification:
     norms: (n, 4) in NORM_KINDS order (W, P, O, S); flags: (n, 4) bool in
     FLAG_KINDS order (WC, PC, OC, SC); scale: (n,); E: (n,), NaN where the
     QFIM is singular. The rest are the kernel arrays that the reports view:
-    the `encoding`, encode_stack's result (kappa, w, x), with a leading axis
-    of 1 when every problem shares it, or a product form's LocalEncoding,
-    and per problem the SLD rows, W (`w_stack`), the QFIM matrices `f` and
-    their ascending eigenvalues `f_eigs`, which E was decided from.
+    the `encoding`, encode_stack's result (a DenseEncoding with a leading
+    axis of 1 when every problem shares it, or a product form's
+    LocalEncoding), and per problem the SLD rows, W (`w_stack`), the QFIM
+    matrices `f` and their ascending eigenvalues `f_eigs`, which E was
+    decided from.
     No pair commutator is kept: a report's ConditionOperators builds them
     from the SLD rows when they are read.
     """
@@ -661,13 +666,11 @@ class StackedClassification:
     f_eigs: np.ndarray
 
 
-def classify_stack(stack, tol=1e-8):
+def classify_stack(stack, tol=ZERO_TOL):
     """The stacked classify kernel: every problem of a ProblemStack in one
-    pass of encode_stack, sld_row_stack (on either form of the encoding),
-    the blocked S/O/P norms, Q, and incompatibility_stack. A Hamiltonian
-    set that the problems share is encoded once. Only the scale depends on
-    the form: the Frobenius norms of the G_i come from the X_i of a dense
-    set and from the 2 x 2 blocks of a product form's generators. Returns a
+    pass of encode_stack, sld_row_stack, the blocked S/O/P norms, Q, and
+    incompatibility_stack. A Hamiltonian set that the problems share is
+    encoded once; the scale is max(1, the encoding's square_norms). Returns a
     StackedClassification; each problem's norms, flags and E are those
     classify gives for it.
     """
@@ -677,23 +680,11 @@ def classify_stack(stack, tol=1e-8):
     with np.errstate(over="ignore", invalid="ignore"):
         enc = encode_stack(stack.hams, stack.theta)
         rows = sld_row_stack(stack.lam, stack.rank, stack.vectors, enc)
-        if isinstance(enc, LocalEncoding):
-            gens = enc.generators
-            # G_i is g_i on one qubit and the identity on the q - 1 others,
-            # so ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2
-            blocks, copies = gens.blocks[None], 2.0 ** (gens.sites - 1)
-        else:
-            # ||G_i||_F^2 read from the eigenbasis generators X_i, by unitary
-            # invariance
-            blocks, copies = enc[2], 1.0
         op_norms = _commutator_norms(rows)
         q = _state_product_stack(stack.lam, rows)
         w_stack = 1j * (q.imag - np.swapaxes(q.imag, 1, 2))
         w_norms = frobenius_rows(w_stack)
-        # each matrix of blocks viewed as reals, dotted with itself
-        flat = blocks.reshape(*blocks.shape[:2], 1, -1).view(float)
-        squares = np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3))
-        scales = np.maximum(1.0, copies * squares)
+        scales = np.maximum(1.0, enc.square_norms())
     if not all(np.all(np.isfinite(a)) for a in (q, w_norms, scales, *op_norms.values())):
         raise ValidationError("the condition matrices overflow: the Hamiltonians are too large")
     f = (q.real + np.swapaxes(q.real, 1, 2)) / 2.0
@@ -739,7 +730,7 @@ def _report(spec, theta, res, tol):
         W=ScalarConditionMatrix(entries=res.w_stack[0], kind="W"),
         qfim=qfim_stack(res.f, res.f_eigs)[0],
         E=None if np.isnan(e) else e,
-        point=EncodingPoint(theta, res.encoding),
+        point=res.encoding,
         slds=slds,
         operators=ConditionOperators(slds),
     )
@@ -776,28 +767,28 @@ def chunk_size(dim, m):
     return max(1, CHUNK_BYTES // point_bytes(dim, m))
 
 
-def classify(rho, h_set, theta=None, tol=1e-8):
+def classify(rho, h_set, theta=None, tol=ZERO_TOL):
     """Evaluate all four conditions and place the state in the hierarchy.
 
     The zero test for each condition is frobenius_norm <= tol * scale with
     scale = max(1, (max_i ||G_i||_F)^2), matching the degree-2 homogeneity
-    of every condition matrix in the generators; ||G_i||_F is read from the
-    eigenbasis generators X_i, by unitary invariance, or, for a product-form
-    set, from the 2 x 2 block g_i of each G_i on its qubit, as
-    ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2 on q qubits. A product-form set's SLD
-    rows come from those blocks too (sld_row_stack), and its report's point
-    holds its LocalEncoding, with no eigenbasis of K.
+    of every condition matrix in the generators; the encoding reads
+    ||G_i||_F (square_norms) from the eigenbasis generators X_i, by unitary
+    invariance, or, for a product-form set, from the 2 x 2 block g_i of
+    each G_i on its qubit. A product-form set's SLD rows come from those
+    blocks too, and its report's point is its LocalEncoding, with no
+    eigenbasis of K.
     The report also carries W and the QFIM, both from the one SLD set
     through Q_ij = tr[rho l_i l_j]: W = 2i Im Q and F = Re Q, and
     E = (1/2) max |eig(F^-1 W)| (None when the QFIM is singular).
     weak_direct and qfim compute W and F in the computational basis and
     serve as their independent anchors. The report keeps the encoding
-    point, SLD set and condition operators of that pass, so callers need no
-    second pass. The P, O and S norms come from the eigenbasis commutators,
-    at most PAIR_BLOCK_BYTES of pair products (or one pair) at a time, and
-    `report.norms` is their one copy; no commutator is kept, and none is
-    built again until `report.operators`, a view on the report's SLD set,
-    is asked for one.
+    (`point`; theta is the report's own), SLD set and condition operators
+    of that pass, so callers need no second pass. The P, O and S norms
+    come from the eigenbasis commutators, at most PAIR_BLOCK_BYTES of pair
+    products (or one pair) at a time, and `report.norms` is their one
+    copy; no commutator is kept, and none is built again until
+    `report.operators`, a view on the report's SLD set, is asked for one.
     This is classify_stack at N = 1.
     """
     theta = checked_theta(h_set, np.zeros(h_set.m) if theta is None else theta)

@@ -80,7 +80,7 @@ from itertools import chain
 
 import numpy as np
 
-from .conditions import ProblemStack, check_point_bytes, chunk_size
+from .conditions import ZERO_TOL, ProblemStack, check_point_bytes, chunk_size
 from .encoding import LocalSpin, checked_theta, hamiltonian_checks, hamiltonian_dim, hamiltonian_set
 from .examples import (
     EXAMPLE_IDS,
@@ -107,8 +107,6 @@ from .states import (
     white_noise_weights,
     with_rank_tol,
 )
-
-DEFAULT_ZERO_TOL = 1e-8
 
 _LOCAL_SPIN_KEYS = ("sites", "site", "axis")
 # the largest local_spin register, of dimension 2^MAX_SITES = MAX_DIM;
@@ -465,7 +463,7 @@ def _parse_fields(source):
     if data.get("weight_matrix") is not None:
         weight = weight_from_json(data["weight_matrix"])
 
-    rank_tol, zero_tol = RANK_TOL, DEFAULT_ZERO_TOL
+    rank_tol, zero_tol = RANK_TOL, ZERO_TOL
     if data.get("tolerances") is not None:
         tols = data["tolerances"]
         if not isinstance(tols, dict):

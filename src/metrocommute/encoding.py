@@ -14,11 +14,15 @@ the ratio loses digits near it, so phi is evaluated as
 exp(ix/2) sin(x/2) / (x/2), which needs no threshold. The closed form is the
 production path; finite differences exist only as a test oracle.
 
-An EncodingPoint holds encode_stack's result for one problem: for a dense
-set, the generators in that eigenbasis, X_i = w^dag G_i w, together with
-(kappa, w). The SLDs need only X_i and one change of basis, so the unitary U
-and the stack of computational-basis generators G_i = w X_i w^dag are built
-on first read.
+The Hamiltonian form is decided here alone. encode_stack returns one of two
+encoding types, and both answer the same members: dim and m;
+support_elements(v, rank), the elements V_r^dag G_i V that the SLD rows need
+(sld.sld_row_stack); square_norms(), max_i ||G_i||_F^2 per problem (the
+classifier's scale); and, for a one-problem encoding (encode's, a report's
+point), U and the (m, d, d) stack of generators G_i, built on first read. A
+DenseEncoding holds, for a dense set, (kappa, w) and the generators in that
+eigenbasis, X_i = w^dag G_i w; the SLDs need only X_i and one change of
+basis.
 
 encode_stack evaluates N encodings of one shape at one theta at once, with
 a leading (N, ...) axis and one batched eigh; encode is its N = 1 case.
@@ -37,11 +41,10 @@ encode_stack encodes a product form without any d x d matrix, into a
 LocalEncoding: K = sum_i theta_i H_i is a sum of 2 x 2 terms k_s = u_s e_s
 u_s^dag, one per qubit, so G_i is the 2 x 2 block g_i = u_s x_i u_s^dag on
 qubit s = site_i, x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])), and
-the identity elsewhere. Its `generators` are that LocalSpinStack, which
-sld.sld_row_stack reads; no eigenbasis of K is ever built for a product
-form. An EncodingPoint of a product form holds only its
-LocalEncoding, has no kappa, w or elems, and builds U (the Kronecker product
-of the exp(-i k_s)) and the dense generators when they are read.
+the identity elsewhere. It holds the g_i as a LocalSpinStack (`local`),
+from which its support_elements and square_norms are read; no eigenbasis
+of K is ever built for a product form, and U (the Kronecker product of the
+exp(-i k_s)) and the dense generators are built only when read.
 """
 
 from dataclasses import dataclass
@@ -212,53 +215,6 @@ def hamiltonian_checks(hams):
     return first_failure([(bad.any(axis=1), message)])
 
 
-class EncodingPoint:
-    """The encoding at one theta.
-
-    enc: encode_stack's result for one problem, the `enc` of
-        sld.sld_row_stack: (kappa, w, x) with a leading axis of 1 for a dense
-        set, or a product form's LocalEncoding (then `product` is True)
-    kappa, w, elems: a dense set's eigenvalues (descending) and eigenvectors
-        of K and (m, d, d) stack of X_i = w^dag G_i w, views of enc. A
-        product-form point has none of them.
-    U, generator_stack: exp(-i K) and the (m, d, d) stack of the G_i, built
-        on first read; generators lists the G_i as views of that stack
-    """
-
-    def __init__(self, theta, enc):
-        self.theta, self.enc = theta, enc
-        self.product = isinstance(enc, LocalEncoding)
-        if not self.product:
-            self.kappa, self.w, self.elems = (a[0] for a in enc)
-
-    @property
-    def dim(self):
-        return 2**self.enc.spins.sites if self.product else self.w.shape[0]
-
-    @property
-    def m(self):
-        return len(self.enc.spins.site) if self.product else len(self.elems)
-
-    @cached_property
-    def U(self):
-        if self.product:
-            # exp(-i K) is the Kronecker product of the exp(-i k_s)
-            e, u = self.enc.e, self.enc.u
-            return tensor(*((u * np.exp(-1j * e)[:, None, :]) @ dagger(u)))
-        return (self.w * np.exp(-1j * self.kappa)) @ dagger(self.w)
-
-    @cached_property
-    def generator_stack(self):
-        if self.product:
-            return self.enc.generators.matrices()
-        gens = self.w @ self.elems @ dagger(self.w)
-        return (gens + dagger(gens)) / 2.0
-
-    @property
-    def generators(self):
-        return list(self.generator_stack)
-
-
 def _phi(x):
     # (exp(ix) - 1) / (ix) = exp(ix/2) sin(x/2) / (x/2), free of cancellation
     # near 0; np.sinc(y) = sin(pi y) / (pi y) fills the removable singularity
@@ -286,13 +242,13 @@ def encode_stack(hams, theta):
 
     hams: (N, m, d, d) Hamiltonians, N = 1 for a shared set, or one set in
     product form (a LocalSpinStack), whose encoding is returned as its
-    LocalEncoding; theta: (m,), finite (checked_theta). Returns (kappa, w,
-    x): the eigenvalues of K = sum_i theta_i H_i in descending order,
-    (N, d), its eigenvectors, (N, d, d), and the eigenbasis generators
-    X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)), (N, m, d, d). The
-    Hamiltonians are validated, so the symmetrised K is checked only for
-    overflow before it goes to eigh; reversing eigh's ascending order gives
-    the descending kappa.
+    LocalEncoding; theta: (m,), finite (checked_theta). Returns the
+    DenseEncoding (kappa, w, x): the eigenvalues of K = sum_i theta_i H_i in
+    descending order, (N, d), its eigenvectors, (N, d, d), and the
+    eigenbasis generators X_i = herm((w^dag H_i w) o phi(kappa_a - kappa_b)),
+    (N, m, d, d). The Hamiltonians are validated, so the symmetrised K is
+    checked only for overflow before it goes to eigh; reversing eigh's
+    ascending order gives the descending kappa.
     """
     if isinstance(hams, LocalSpinStack):
         return _encode_local(hams, theta)
@@ -313,35 +269,124 @@ def encode_stack(hams, theta):
     # dagger allocates one conjugated copy; += adds it without a second temporary
     x += dagger(x)
     x *= 0.5
-    return kappa, w, x
+    return DenseEncoding(kappa, w, x)
+
+
+def _max_square_norms(blocks):
+    """max_i ||b_i||_F^2 of each problem of an (N, m, ...) stack of matrices:
+    each matrix viewed as reals, dotted with itself."""
+    flat = blocks.reshape(*blocks.shape[:2], 1, -1).view(float)
+    return np.max(flat @ np.swapaxes(flat, 2, 3), axis=(1, 2, 3))
+
+
+@dataclass(eq=False)
+class DenseEncoding:
+    """encode_stack's result for N dense problems (N = 1 when they share one
+    set): kappa (N, d), the eigenvalues of K in descending order, w
+    (N, d, d), its eigenvectors, and x (N, m, d, d), the generators in that
+    eigenbasis, X_i = w^dag G_i w.
+
+    U and generators, exp(-i K) and the (m, d, d) stack of the G_i =
+    w X_i w^dag, are those of problem 0, built on first read; only a
+    one-problem encoding (encode's, a report's point) is read for them.
+    """
+
+    kappa: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
+
+    @property
+    def dim(self):
+        return self.w.shape[-1]
+
+    @property
+    def m(self):
+        return self.x.shape[1]
+
+    def support_elements(self, v, rank):
+        """V_r^dag G_i V for state eigenvectors v (N, d, d), (N, m, r, d):
+        T[:, :r]^dag X_i T through one shared change of basis T = w^dag V,
+        2 r d^2 per parameter."""
+        t = dagger(self.w) @ v
+        return dagger(t[:, :, :rank])[:, None] @ self.x @ t[:, None]
+
+    def square_norms(self):
+        """max_i ||G_i||_F^2 per problem, read from the X_i by unitary
+        invariance."""
+        return _max_square_norms(self.x)
+
+    @cached_property
+    def U(self):
+        return (self.w[0] * np.exp(-1j * self.kappa[0])) @ dagger(self.w[0])
+
+    @cached_property
+    def generators(self):
+        gens = self.w[0] @ self.x[0] @ dagger(self.w[0])
+        return (gens + dagger(gens)) / 2.0
 
 
 @dataclass(eq=False)
 class LocalEncoding:
     """A LocalSpinStack encoded at one theta, in product form, with no
-    eigenbasis of K.
+    eigenbasis of K; shared by every problem it is classified with.
 
     On each qubit s, k_s = sum_{i: site_i = s} theta_i a_i = u_s e_s u_s^dag
-    (eigh, ascending; an idle qubit has k_s = 0 and u_s = I).
+    (eigh, ascending; an idle qubit has k_s = 0 and u_s = I), and G_i is the
+    2 x 2 block g_i = herm(u_s x_i u_s^dag) on qubit s = site_i, with
+    x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])).
 
-    spins: the encoded LocalSpinStack
+    local: the G_i in product form, a LocalSpinStack of the blocks g_i
     e, u: (q, 2) eigenvalues and (q, 2, 2) eigenvectors of the k_s
-    blocks: (m, 2, 2) x_i = herm((u_s^dag a_i u_s) o phi(e_s[p] - e_s[q])),
-        the block of X_i in the eigenbasis u_s of its site s = site_i
-    generators: the G_i in product form, a LocalSpinStack of the blocks
-        g_i = herm(u_s x_i u_s^dag)
+    U, generators: exp(-i K), the Kronecker product of the exp(-i k_s), and
+        the dense (m, d, d) stack of the G_i, built on first read
     """
 
-    spins: LocalSpinStack
+    local: LocalSpinStack
     e: np.ndarray
     u: np.ndarray
-    blocks: np.ndarray
+
+    @property
+    def dim(self):
+        return 2**self.local.sites
+
+    @property
+    def m(self):
+        return len(self.local.site)
+
+    def support_elements(self, v, rank):
+        """V_r^dag G_i V for state eigenvectors v (N, d, d), (N, m, r, d), as
+        (g_i V_r)^dag V: g_i V_r mixes the two halves of the (d, r) support
+        columns that differ in qubit site_i's bit, 4 d r per parameter,
+        before one product with V, 2 r d^2.
+
+        Qubit 0 is the leftmost tensor factor, so in the C-order (d, r)
+        columns V_r qubit s is the axis of two of their (2^s, 2, 2^(q-1-s) r)
+        view, which g_i mixes.
+        """
+        cols = np.ascontiguousarray(v[:, :, :rank])
+        n = len(cols)
+        # one contiguous (N, d, r) stack per parameter, so each reshape is a view
+        gv = np.empty((self.m, *cols.shape), dtype=complex)
+        for out, s, g in zip(gv, self.local.site.tolist(), self.local.blocks):
+            a = cols.reshape(n, 2**s, 2, -1)
+            b = out.reshape(n, 2**s, 2, -1)
+            b[:, :, 0] = g[0, 0] * a[:, :, 0] + g[0, 1] * a[:, :, 1]
+            b[:, :, 1] = g[1, 0] * a[:, :, 0] + g[1, 1] * a[:, :, 1]
+        np.conj(gv, out=gv)
+        return gv.transpose(1, 0, 3, 2) @ v[:, None]
+
+    def square_norms(self):
+        """max_i ||G_i||_F^2, (1,): G_i is g_i on one qubit and the identity
+        on the q - 1 others, so ||G_i||_F^2 = 2^(q-1) ||g_i||_F^2."""
+        return 2.0 ** (self.local.sites - 1) * _max_square_norms(self.local.blocks[None])
+
+    @cached_property
+    def U(self):
+        return tensor(*((self.u * np.exp(-1j * self.e)[:, None, :]) @ dagger(self.u)))
 
     @cached_property
     def generators(self):
-        us = self.u[self.spins.site]
-        g = us @ self.blocks @ dagger(us)
-        return LocalSpinStack(self.spins.sites, self.spins.site, (g + dagger(g)) / 2.0)
+        return self.local.matrices()
 
 
 def _encode_local(spins, theta):
@@ -363,16 +408,15 @@ def _encode_local(spins, theta):
     if not np.all(np.isfinite(ends)):
         raise ValidationError(K_OVERFLOW)
     es, us = e[spins.site], u[spins.site]
-    blocks = dagger(us) @ spins.blocks @ us * _phi(es[:, :, None] - es[:, None, :])
-    return LocalEncoding(spins, e, u, (blocks + dagger(blocks)) / 2.0)
+    x = dagger(us) @ spins.blocks @ us * _phi(es[:, :, None] - es[:, None, :])
+    g = us @ ((x + dagger(x)) / 2.0) @ dagger(us)
+    return LocalEncoding(LocalSpinStack(spins.sites, spins.site, (g + dagger(g)) / 2.0), e, u)
 
 
 def encode(h_set, theta):
-    """Evaluate the encoding at theta (encode_stack at N = 1): for a dense
-    set the eigenpairs of K and all m generators in its eigenbasis, for a
-    product form its LocalEncoding."""
-    theta = checked_theta(h_set, theta)
-    return EncodingPoint(theta, encode_stack(h_set.batch, theta))
+    """The encoding at theta (encode_stack at N = 1): a dense set's
+    DenseEncoding, or a product form's LocalEncoding."""
+    return encode_stack(h_set.batch, checked_theta(h_set, theta))
 
 
 def evolve(rho, pt):

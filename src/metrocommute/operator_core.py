@@ -86,10 +86,7 @@ def frobenius_rows(a):
 
 def hermitian_rows(a, tol=HERM_TOL):
     """is_hermitian of each matrix of a stack (..., d, d), as a bool array;
-    a matrix whose norms overflow takes is_hermitian's rescaled test, and so
-    does a stack of one matrix, which np.linalg.norm sums faster."""
-    if a.size == a.shape[-1] * a.shape[-2]:
-        return np.full(a.shape[:-2], is_hermitian(a.reshape(a.shape[-2:]), tol))
+    a matrix whose norms overflow takes is_hermitian's rescaled test."""
     with np.errstate(over="ignore", invalid="ignore"):
         skew, size = frobenius_rows(a - dagger(a)), frobenius_rows(a)
         ok = skew <= tol * np.maximum(1.0, size)
@@ -159,13 +156,10 @@ def hermitian_eig(h):
 def eigh_descending(m):
     """hermitian_eig without its check: the eigenpairs of m, or of each
     matrix of a stack, eigenvalues descending, from the lower triangle of m,
-    which the caller guarantees to be Hermitian."""
+    which the caller guarantees to be Hermitian: eigh's ascending order,
+    reversed."""
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals, axis=-1)[..., ::-1]
-    if (order == np.arange(vals.shape[-1] - 1, -1, -1)).all():
-        # eigh's ascending order reversed: the same copies, without indexing
-        return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
-    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def matrix_exp_i(k, sign=1):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import (
+    ZERO_TOL,
     classify,
     condition_operators_direct,
     pc_trace_norm,
@@ -242,7 +243,7 @@ def _special_configurations(rng, k):
     return example_configuration("EX10", {"lam": float(rng.uniform(0.3, 0.9))})
 
 
-def suite_chain(seed, draws, tol=1e-8):
+def suite_chain(seed, draws, tol=ZERO_TOL):
     """SC => OC => PC => WC with zero violations, on generic draws interleaved
     with constructions that realize every distinct flag pattern. A draw also
     violates when the norms break ||W|| <= ||P|| <= ||O|| <= ||S|| by more
@@ -339,7 +340,7 @@ def suite_additivity(rng, *_):
     return qfim_additivity(rho, encode(hs, rng.normal(size=m)), 2)
 
 
-def suite_pc_indicator(seed, draws, tol=1e-8):
+def suite_pc_indicator(seed, draws, tol=ZERO_TOL):
     """The trace-norm indicator vanishes exactly when P does.
 
     Half the draws are generic rank-deficient problems (P generically

@@ -15,23 +15,12 @@ invariant under that gauge choice.
 The gauge also carries the speed: with eigenvalues in descending order and r
 the rank, the eigenbasis SLD l_i = V^dag L_i V is fixed by its r support rows
 R_i = l_i[:r, :], the rest being the mirrored block R_i[:, r:]^dag. The rows
-need V_r^dag G_i V, which sld_row_stack, the one SLD kernel, takes from
-encode_stack's result in the form it has, with no computational-basis
-generator:
-
-  - a dense set's (kappa, w, x), through one shared change of basis
-    T = w^dag V (w the eigenvectors of K): R_i = 2i coeff[:r] o
-    (T[:, :r]^dag X_i T), 2 r d^2 per parameter;
-  - a product form's encoding.LocalEncoding, with no eigenbasis of K: G_i is
-    a 2 x 2 block g_i on one qubit, so R_i = 2i coeff[:r] o ((g_i V_r)^dag
-    V), where g_i V_r mixes the two halves of the (d, r) support columns
-    that differ in that qubit's bit, 4 d r per parameter, before one product
-    with V, 2 r d^2.
-
-sld_row_stack computes the rows of N problems of one shape and rank at
-once; classify_stack calls it for N problems and sld_rotated for one, on
-the encoding point's `enc`. The full l_i and the operators L_i are built on
-first read.
+need only V_r^dag G_i V, which sld_row_stack, the one SLD kernel, takes from
+the encoding's support_elements, with no computational-basis generator
+(encoding.DenseEncoding and encoding.LocalEncoding each compute it in their
+own form). sld_row_stack computes the rows of N problems of one shape and
+rank at once; classify_stack calls it for N problems and sld_rotated for
+one. The full l_i and the operators L_i are built on first read.
 """
 
 from dataclasses import dataclass
@@ -39,7 +28,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import LocalEncoding
 from .operator_core import ValidationError, dagger, require_hermitian, tensor
 from .states import DensityMatrix, tensor_power
 
@@ -83,37 +71,15 @@ def sld_row_stack(lam, rank, v, enc):
 
     lam: (N, d) state eigenvalues (descending and cut: the kernel ones are
     exact zeros); v: (N, d, d) state eigenvectors; enc: encode_stack's
-    result, (kappa, w, x) with a leading axis of N, or of 1 when the
-    problems share it, or a LocalEncoding (shared by all N). Returns the
-    support rows R_i = 2i coeff[:r] o (V_r^dag G_i V) as (N, m, r, d): for a
-    dense (kappa, w, x), from the eigenvectors w of K and the eigenbasis
-    generators x, as T[:, :r]^dag X_i T with T = w^dag V; for a
-    LocalEncoding on d = 2^q, as (g_i V_r)^dag V from the 2 x 2 blocks g_i
-    of its generators.
-    Every support row has lam_k above the cutoff, so no pair is dropped.
-
-    Qubit 0 is the leftmost tensor factor, so in the C-order (d, r) columns
-    V_r qubit s is the axis of two of their (2^s, 2, 2^(q-1-s) r) view,
-    which g_i mixes.
+    result, with a leading axis of N, or of 1 when the problems share it.
+    Returns the support rows R_i = 2i coeff[:r] o (V_r^dag G_i V) as
+    (N, m, r, d), the elements V_r^dag G_i V from the encoding's
+    support_elements. Every support row has lam_k above the cutoff, so no
+    pair is dropped.
     """
     lam_s = lam[:, :rank, None]
     coeff = (lam_s - lam[:, None]) / (lam_s + lam[:, None])
-    if not isinstance(enc, LocalEncoding):
-        _, w, x = enc
-        t = dagger(w) @ v
-        return _scaled(2j * coeff[:, None], dagger(t[:, :, :rank])[:, None] @ x @ t[:, None])
-    generators = enc.generators
-    cols = np.ascontiguousarray(v[:, :, :rank])
-    n = len(cols)
-    # one contiguous (N, d, r) stack per parameter, so each reshape is a view
-    gv = np.empty((len(generators.site), *cols.shape), dtype=complex)
-    for out, s, g in zip(gv, generators.site.tolist(), generators.blocks):
-        a = cols.reshape(n, 2**s, 2, -1)
-        b = out.reshape(n, 2**s, 2, -1)
-        b[:, :, 0] = g[0, 0] * a[:, :, 0] + g[0, 1] * a[:, :, 1]
-        b[:, :, 1] = g[1, 0] * a[:, :, 0] + g[1, 1] * a[:, :, 1]
-    np.conj(gv, out=gv)
-    return _scaled(2j * coeff[:, None], gv.transpose(1, 0, 3, 2) @ v[:, None])
+    return _scaled(2j * coeff[:, None], enc.support_elements(v, rank))
 
 
 def _scaled(s, prod):
@@ -125,11 +91,11 @@ def _scaled(s, prod):
 
 
 def sld_rotated(spec, pt):
-    """SLDs in the rotated frame from spectral data and an encoding point
-    (sld_row_stack at N = 1, on the point's `enc` in either form)."""
+    """SLDs in the rotated frame from spectral data and a one-problem
+    encoding (sld_row_stack at N = 1)."""
     if spec.dim != pt.dim:
         raise ValidationError("spectral data and encoding dimensions differ")
-    rows = sld_row_stack(spec.eigenvalues[None], spec.rank, spec.eigenvectors[None], pt.enc)
+    rows = sld_row_stack(spec.eigenvalues[None], spec.rank, spec.eigenvectors[None], pt)
     return SldSet(spec=spec, rows=rows[0])
 
 

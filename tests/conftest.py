@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from metrocommute.conditions import ScalarConditionMatrix, weak_integral
+from metrocommute.encoding import DenseEncoding
 
 _criterion_lines = {}
 
@@ -46,13 +47,14 @@ def stacked_points(calls):
 def broadcast_points(calls):
     """Problems a stacked kernel evaluated when its array arguments broadcast
     over the leading axis (an axis of 1 is shared): the longest leading axis
-    of each call's arrays, those inside a tuple argument (an encoding's
-    (kappa, w, x)) included, summed over the recorded calls."""
+    of each call's arrays, a DenseEncoding's (kappa, w, x) included, summed
+    over the recorded calls. A LocalEncoding is shared by every problem, and
+    its arrays have a leading axis of qubits or parameters: it is skipped."""
 
     def arrays(args):
         for a in args:
-            if isinstance(a, tuple):
-                yield from arrays(a)
+            if isinstance(a, DenseEncoding):
+                yield from (a.kappa, a.w, a.x)
             elif isinstance(a, np.ndarray):
                 yield a
 

@@ -510,6 +510,9 @@ def test_sweep_errors(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["sweep", path, "--param", "p", "--grid", "0.1:0.9:0"])
     assert code == 2
     assert "n >= 1" in err
+    code, _, err = _run(capsys, ["sweep", path, "--param", "p", "--grid=a:1:3"])
+    assert code == 2
+    assert err == "error: --grid 'a:1:3': could not convert string to float: 'a'\n"
     code, _, err = _run(
         capsys, ["sweep", path, "--param", "p", "--grid", "0:1:3", "--jobs", "0"]
     )
@@ -1336,6 +1339,10 @@ def test_selftest_runs_and_is_deterministic(capsys):
     [
         (["example", "all", "--json"], "example_all.json"),
         (["selftest", "--seed", "42", "--draws", "100"], "selftest_seed42_draws100.txt"),
+        # theta != 0 on a product-form set (4 qubits, rank 3, two terms on one
+        # qubit) and on a dense d = 6, m = 3 set (rank 4)
+        (["classify", str(DATA / "problem_local_spin_q4.json"), "--json"], "classify_local_spin_q4.json"),
+        (["classify", str(DATA / "problem_dense_d6.json"), "--json"], "classify_dense_d6.json"),
     ],
 )
 def test_seeded_outputs_match_the_pinned_files_byte_for_byte(capsys, argv, pinned):

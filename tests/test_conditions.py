@@ -346,6 +346,10 @@ def test_rank_two_closed_forms_match_general_split():
             for j in range(3):
                 assert np.allclose(ssp.entry(i, j), terms.i_ss_prime.entry(i, j), atol=1e-10)
                 assert np.allclose(ks.entry(i, j), terms.i_ks.entry(i, j), atol=1e-10)
+    full = density_matrix(random_density(rng, rho.dim, rank=3)).spectrum
+    for route in (rank_two_ss_prime, rank_two_ks):
+        with pytest.raises(ValidationError, match=f"^{route.__name__} needs rank 2, got 3$"):
+            route(full, pt)
 
 
 @pytest.mark.parametrize("d, rank, m", [(4, 2, 3), (5, 1, 2), (4, 4, 2), (27, 2, 3), (5, 2, 1)])
@@ -728,7 +732,7 @@ def test_classify_path_builds_nothing_it_does_not_read(monkeypatch, tmp_path, ca
     assert main(["classify", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == rank
     assert direct_calls == qfim_calls == []
-    assert {"U", "generator_stack"}.isdisjoint(vars(rep.point))
+    assert {"U", "generators"}.isdisjoint(vars(rep.point))
     assert {"elems", "op_stack", "eta", "gamma"}.isdisjoint(vars(rep.slds))
 
     # read now, they are the matrices the computational-basis pipeline built
@@ -966,7 +970,7 @@ def test_classify_report_carries_qfim_and_w_of_the_same_pass():
         # the report keeps that pass's point, SLDs and operators, and its W
         # and QFIM are exactly those of its own SLD set
         assert rep.slds.spec is rho.spectrum
-        assert np.array_equal(rep.point.theta, theta)
+        assert np.array_equal(rep.theta, theta)
         q = conditions._state_product_stack(
             rho.spectrum.eigenvalues[None], rep.slds.rows[None]
         )[0]

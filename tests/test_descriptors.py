@@ -83,6 +83,8 @@ def test_missing_state_and_hamiltonians():
         parse_descriptor(json.dumps({"hamiltonians": [SZ_JSON]}))
     with pytest.raises(ValidationError, match='missing required key "hamiltonians"'):
         parse_descriptor(json.dumps(MIXED))
+    with pytest.raises(ValidationError, match="^hamiltonians: expected a non-empty list$"):
+        parse_descriptor(json.dumps(_desc(hamiltonians=[])))
 
 
 def test_example_family_forbids_hamiltonians():
@@ -99,6 +101,10 @@ def test_example_family_resolves_with_overrides():
     rho, hs, theta, _ = resolve(parse_descriptor(json.dumps(data)))
     assert rho.dim == 4
     assert hs.m == 2
+    # an override out of its example's domain fails at parse
+    data = {"state": {"family": "example", "params": {"id": "EX10", "lam": 1.5}}}
+    with pytest.raises(ValidationError, match=r"^out-of-domain parameters: lam must be in \(0, 1\)$"):
+        parse_descriptor(json.dumps(data))
 
 
 def test_unknown_example_id_in_descriptor():
@@ -145,6 +151,9 @@ def test_eigpair_state_form():
     bad = dict(data)
     bad["state"] = [{"weight": 0.5}]
     with pytest.raises(ValidationError, match="exactly the keys"):
+        parse_descriptor(json.dumps(bad))
+    bad["state"] = []
+    with pytest.raises(ValidationError, match="^state: eigpair list is empty$"):
         parse_descriptor(json.dumps(bad))
 
 
@@ -254,6 +263,10 @@ def test_the_shapes_are_checked_before_the_state_is_built(state, hams, message):
 def test_theta_and_weight_validation():
     with pytest.raises(ValidationError, match="theta: expected 2 entries"):
         parse_descriptor(json.dumps(_desc(theta=[0.1])))
+    with pytest.raises(ValidationError, match="^theta: expected a list of reals$"):
+        parse_descriptor(json.dumps(_desc(theta=0.1)))
+    with pytest.raises(ValidationError, match="^weight_matrix: expected a matrix object, got int$"):
+        parse_descriptor(json.dumps(_desc(weight_matrix=5)))
     with pytest.raises(ValidationError, match="weight_matrix: expected shape"):
         parse_descriptor(
             json.dumps(_desc(weight_matrix={"dim": 3, "entries": [[1, 0]] * 9}))
@@ -281,6 +294,8 @@ def test_tolerances_parse_and_validate():
         parse_descriptor(json.dumps(_desc(tolerances={"rank_tol": -1.0})))
     with pytest.raises(ValidationError, match="tolerances: unknown keys"):
         parse_descriptor(json.dumps(_desc(tolerances={"foo": 1.0})))
+    with pytest.raises(ValidationError, match="^tolerances: expected an object$"):
+        parse_descriptor(json.dumps(_desc(tolerances=1)))
     # json.loads reads NaN and Infinity; a NaN zero_tol would clear every flag
     for key in ("rank_tol", "zero_tol"):
         for bad in ("NaN", "Infinity"):
@@ -303,11 +318,13 @@ def test_serialize_round_trip_idempotent():
                 "hamiltonians": [SX_JSON],
             }
         ),
+        json.dumps(_desc(weight_matrix={"dim": 2, "entries": [[2, 0], [0.5, 0], [0.5, 0], [1, 0]]})),
     ]
     for text in texts:
         once = serialize_descriptor(parse_descriptor(text))
         twice = serialize_descriptor(parse_descriptor(json.dumps(once)))
         assert once == twice
+    assert once["weight_matrix"] == {"dim": 2, "entries": [[2.0, 0.0], [0.5, 0.0], [0.5, 0.0], [1.0, 0.0]]}
 
 
 def test_sweepable_parameters():
@@ -604,10 +621,13 @@ def test_resolve_grid_stacks_what_resolve_gives_point_by_point(monkeypatch, data
 def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
     # EX5 with halves that fail at chosen values, written to the array
     # contract of examples.Half (one lam, or a batch's lams as one array):
-    # lam = 0.3 gives weights that do not sum to one (a check that runs over
-    # the whole batch), a batch holding 0.7 fails to build its weights, and
-    # one holding 0.3 or 0.4 fails to build its Hamiltonians, which a batch
-    # builds after its weights
+    # a batch holding 0.7 fails to build its weights, and one holding 0.3 or
+    # 0.4 fails to build its Hamiltonians, which a batch builds after its
+    # weights; either build failure sends the batch to the one-by-one scan.
+    # lam = 0.3 and 0.6 give weights that do not sum to one, and a lam of
+    # 0.8 or more gives three weights for EX5's two vectors: where the
+    # batch builds, these are found by the batch's own checks, the weight
+    # rows' (eigpair_weight_rows) and the weight count (size_error)
     desc = parse_descriptor(_example("EX5"))
     example_halves = descriptors._halves
 
@@ -615,7 +635,10 @@ def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
         lam = np.asarray(p["lam"], dtype=float)
         if (lam == 0.7).any():
             raise ValidationError("no weights at 0.7")
-        return np.stack([lam, np.where(lam == 0.3, lam, 1.0 - lam)], axis=-1)
+        rows = [lam, np.where(np.isin(lam, (0.3, 0.6)), lam, 1.0 - lam)]
+        if (lam >= 0.8).all():
+            rows.append(np.zeros_like(lam))
+        return np.stack(rows, axis=-1)
 
     def failing_halves(d):
         params, state, hamiltonians = example_halves(d)
@@ -632,15 +655,32 @@ def test_resolve_grid_names_the_first_failure_in_point_order(monkeypatch):
 
     monkeypatch.setattr(descriptors, "_halves", failing_halves)
     halves = descriptors.resolve_halves(desc)
-    for values in ([0.2, 0.3, 0.5], [0.3, 0.5, 0.7], [0.2, 0.7, 0.3], [0.2, 0.4, 0.3], [0.5, 0.3, 0.7]):
+    cases = {
+        # a build fails: the one-by-one scan names the first failing point
+        (0.2, 0.3, 0.5): "weights sum to 0.6",
+        (0.3, 0.5, 0.7): "weights sum to 0.6",
+        (0.2, 0.7, 0.3): "no weights at 0.7",
+        (0.2, 0.4, 0.3): "no Hamiltonians at 0.4",
+        (0.5, 0.3, 0.7): "weights sum to 0.6",
+        (0.5, 0.6, 0.4): "weights sum to 1.2",
+        # the batch builds: its weight rows fail first at 0.6
+        (0.2, 0.6, 0.5): "weights sum to 1.2",
+        (0.6, 0.5): "weights sum to 1.2",
+        (0.5, 0.2, 0.6, 0.6): "weights sum to 1.2",
+        # the batch builds: its weight count fails, at its first point
+        (0.8, 0.9): "3 weights for 2 eigpair vectors",
+        (0.85,): "3 weights for 2 eigpair vectors",
+    }
+    for values, fragment in cases.items():
         for value in values:  # the first error of the points resolved one by one
             try:
                 resolve(with_parameter(desc, "lam", value))
             except ValidationError as err:
                 expected = f"grid value lam={value:g}: {err}"
                 break
+        assert fragment in expected, values
         with pytest.raises(ValidationError) as err:
-            list(resolve_grid(desc, "lam", values, halves))
+            list(resolve_grid(desc, "lam", list(values), halves))
         assert str(err.value) == expected, values
 
 
@@ -683,6 +723,21 @@ def test_resolve_grid_faults_a_batch_check_that_resolve_does_not_share(monkeypat
                 ],
             },
             "hamiltonians[1].params: unknown keys ['spin']",
+        ),
+        # and every name it reads
+        (
+            {**NOISE, "state": {"family": "white_noise", "params": {"psi": NOISE["state"]["params"]["psi"]}}},
+            'state.params: white_noise needs "psi" and "p"',
+        ),
+        (
+            {
+                **NOISE,
+                "hamiltonians": [
+                    NOISE["hamiltonians"][0],
+                    {"family": "local_spin", "params": {"sites": 2, "site": 1}},
+                ],
+            },
+            'hamiltonians[1].params: local_spin needs "axis"',
         ),
     ],
 )

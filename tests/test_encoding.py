@@ -20,7 +20,7 @@ from metrocommute.conditions import (
 )
 from metrocommute.encoding import (
     COMMUTE_TOL,
-    EncodingPoint,
+    DenseEncoding,
     LocalEncoding,
     LocalSpin,
     encode,
@@ -247,10 +247,10 @@ LOCAL_CASES = {
     "two idle sites": (4, [2, 2, 1], None, 1.0),
 }
 
-# the parts of a product-form point that are built only when read
-POINT_BUILT_ON_READ = {"U", "generator_stack"}
-# the dense point's eigenbasis of K, which a product-form point never has
-DENSE_ONLY = ("kappa", "w", "elems")
+# the parts of a product-form encoding that are built only when read
+POINT_BUILT_ON_READ = {"U", "generators"}
+# a dense encoding's eigenbasis of K, which a product-form encoding never has
+DENSE_ONLY = ("kappa", "w", "x")
 
 
 def _assert_same_classification(rep_p, rep_d):
@@ -276,14 +276,14 @@ def _assert_same_classification(rep_p, rep_d):
 
 
 def _assert_point_matches_dense(pt, dense):
-    """A product-form point holds its LocalEncoding, has no eigenbasis of K,
+    """A product-form point is its LocalEncoding, has no eigenbasis of K,
     and builds its generators and U when they are read, equal to the dense
     encode's within 1e-13."""
-    assert isinstance(pt.enc, LocalEncoding)
+    assert isinstance(pt, LocalEncoding)
     assert not POINT_BUILT_ON_READ & vars(pt).keys()
     assert not any(hasattr(pt, name) for name in DENSE_ONLY)
     assert (pt.dim, pt.m) == (dense.dim, dense.m)
-    assert np.max(np.abs(pt.generator_stack - dense.generator_stack)) < 1e-13
+    assert np.max(np.abs(pt.generators - dense.generators)) < 1e-13
     assert np.max(np.abs(pt.U - dense.U)) < 1e-13
     assert POINT_BUILT_ON_READ <= vars(pt).keys()
 
@@ -308,7 +308,7 @@ def test_product_encoding_matches_the_dense_encoding(case):
         # every u_s = I and x_i = a_i: U = I and G_i = H_i exactly
         pt = encode(product, theta)
         assert np.array_equal(pt.U, np.eye(product.dim))
-        assert np.array_equal(pt.generator_stack, dense.stack)
+        assert np.array_equal(pt.generators, dense.stack)
     d = product.dim
     for rank in (1, 2, d // 2, d):
         rho = density_matrix(random_density(rng, d, rank=rank))
@@ -325,8 +325,8 @@ def test_every_route_on_a_product_point_matches_the_dense_point(case):
     # each route reads either point and agrees within 1e-12 x scale
     rng, product, dense, theta = _local_case(case)
     points = encode(product, theta), encode(dense, theta)
-    assert isinstance(points[0].enc, LocalEncoding) and isinstance(points[1].enc, tuple)
-    scale = max(1.0, *(np.vdot(g, g).real for g in points[1].generator_stack))
+    assert isinstance(points[0], LocalEncoding) and isinstance(points[1], DenseEncoding)
+    scale = max(1.0, *(np.vdot(g, g).real for g in points[1].generators))
     d = product.dim
     for rank in (1, 2, d // 2, d):
         rho = density_matrix(random_density(rng, d, rank=rank))
@@ -361,8 +361,8 @@ def test_a_product_set_at_several_thetas_matches_the_dense_set():
     rho = density_matrix(random_density(rng, 2**sites, rank=5)).spectrum
     lam, vectors = rho.eigenvalues[None], rho.eigenvectors[None]
     for th in thetas:
-        pp, pd = (EncodingPoint(th, encode_stack(h, th)) for h in (spins, dense))
-        assert np.max(np.abs(pp.generator_stack - pd.generator_stack)) < 1e-13
+        pp, pd = (encode_stack(h, th) for h in (spins, dense))
+        assert np.max(np.abs(pp.generators - pd.generators)) < 1e-13
         assert np.max(np.abs(pp.U - pd.U)) < 1e-13
         runs = [
             classify_stack(ProblemStack(n=1, rank=5, lam=lam, vectors=vectors, hams=h, theta=th))

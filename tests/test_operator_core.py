@@ -186,6 +186,10 @@ def test_stacked_norms_and_hermitian_tests_match_the_single_ones():
         flat = a.reshape(-1, 4, 4)
         assert hermitian_rows(a).reshape(-1).tolist() == [is_hermitian(x) for x in flat]
     assert hermitian_rows(h).tolist() == [True, False, True, False, False, True]
+    # a stack of one matrix, as a one-Hamiltonian set checks it, takes the
+    # stacked test too
+    for k, x in enumerate(h):
+        assert hermitian_rows(x[None, None]).tolist() == [[is_hermitian(x)]], k
 
 
 def test_eigh_descending_is_the_argsort_order_of_eigh():

@@ -52,7 +52,7 @@ def test_rows_on_a_shared_basis_match_single_problems_bit_for_bit(form):
         hams = [LocalSpin(3, s, random_hermitian_matrix(rng, 2)) for s in (0, 2, 2)]
     hs = hamiltonian_set(hams)
     assert (hs.local is None) == (form == "dense")
-    enc = encode(hs, rng.normal(size=m)).enc
+    enc = encode(hs, rng.normal(size=m))
     v = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0][None]
     lam = np.zeros((n, d))
     lam[:, :rank] = np.sort(rng.random((n, rank)))[:, ::-1]
